@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint lint-new build test race bench-smoke bench-json bench-nfs bench-cluster bench-fam bench-compare chaos chaos-heal check
+.PHONY: all vet lint lint-new build test race bench-smoke bench-json bench-nfs bench-cluster bench-fam bench-compare perf perf-smoke chaos chaos-heal check
 
 all: check
 
@@ -103,5 +103,18 @@ bench-cluster:
 # RTT).
 bench-fam:
 	$(GO) run ./cmd/mcsd-bench -fam -fam-out BENCH_fam.json
+
+# perf runs the repository benchmark BENCHMARK.json declares: the four
+# perfbench workloads (invoke_open, offload_mix, hostpull_wc, fleet_wc) over
+# the modelled 1 GbE + 10 ms link at full length, every result verified.
+# The exit status is non-zero unless every operation of every workload
+# verified (cmd/perfbench/README.md).
+perf:
+	$(GO) run ./cmd/perfbench -workload all
+
+# perf-smoke is the same run at 2 s per workload: long enough to drive every
+# layer and verify every result, too short to quote a number from.
+perf-smoke:
+	$(GO) run ./cmd/perfbench -workload all -seconds 2
 
 check: vet lint build race bench-smoke

@@ -108,15 +108,8 @@ func run(args []string) error {
 	addr := global.String("addr", "127.0.0.1:9000", "address of the SD node's export")
 	sds := global.String("sds", "", "comma-separated exports of a multi-SD fleet (wordcount only); overrides -addr")
 	timeout := global.Duration("timeout", 10*time.Minute, "overall invocation timeout")
-	conns := global.Int("conns", 2, "pooled connections to the export")
-	wire := global.String("wire", "binary", "wire framing: \"binary\" (pipelined frames) or \"gob\" for pre-framing daemons")
-	cacheFlag := global.String("cache", "64M", "host-side block cache over the mount (e.g. 128M); \"0\" disables")
 	if err := global.Parse(args); err != nil {
 		return err
-	}
-	cacheBytes, err := units.ParseBytes(*cacheFlag)
-	if err != nil {
-		return fmt.Errorf("-cache: %w", err)
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
@@ -129,40 +122,23 @@ func run(args []string) error {
 		addrs := strings.Split(*sds, ",")
 		switch rest[0] {
 		case "wordcount":
-			return fleetWordcount(ctx, addrs, *conns, *wire, rest[1:])
+			return fleetWordcount(ctx, addrs, rest[1:])
 		case "scrub":
-			return fleetScrub(ctx, addrs, *conns, *wire, rest[1:])
+			return fleetScrub(ctx, addrs, rest[1:])
 		case "heal":
-			return fleetHeal(ctx, addrs, *conns, *wire, rest[1:])
+			return fleetHeal(ctx, addrs, rest[1:])
 		}
 		return fmt.Errorf("-sds drives the fleet path, which supports wordcount, scrub, and heal (got %q)", rest[0])
 	}
 
-	client, err := nfs.DialPool(*addr, 10*time.Second, *conns)
+	client, rt, err := attach(*addr)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", errUnreachable, *addr, err)
+		return err
 	}
 	defer client.Close()
-	switch *wire {
-	case "binary":
-	case "gob":
-		client.SetWire(nfs.WireGob)
-	default:
-		return fmt.Errorf("-wire must be \"binary\" or \"gob\", got %q", *wire)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-
-	// The runtime's smartFAM result reads go through the host-side block
-	// cache; the control verbs below keep the raw pool (they want fresh
-	// metadata, not cached blocks).
-	var share smartfam.FS = client
-	if cacheBytes > 0 {
-		share = nfs.NewCachedFS(client, nfs.NewBlockCache(cacheBytes, nil))
-	}
-	rt := core.New()
-	rt.AttachSD(*addr, share)
 
 	switch cmd, cmdArgs := rest[0], rest[1:]; cmd {
 	case "modules":
@@ -192,7 +168,31 @@ func run(args []string) error {
 	}
 }
 
-func listModules(client *nfs.Pool) error {
+// mount dials one SD node's export.
+func mount(addr string) (*nfs.Client, error) {
+	client, err := nfs.Dial(addr, 10*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", errUnreachable, addr, err)
+	}
+	return client, nil
+}
+
+// attach mounts addr's export and attaches it to a fresh runtime. The
+// runtime gets the client itself, not a caching wrapper: the only file it
+// reads is a module log that grows on every call, and a wrapper that hides
+// the client's watch capability would put every invocation on the polling
+// path.
+func attach(addr string) (*nfs.Client, *core.Runtime, error) {
+	client, err := mount(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt := core.New()
+	rt.AttachSD(addr, client)
+	return client, rt, nil
+}
+
+func listModules(client *nfs.Client) error {
 	names, err := client.List()
 	if err != nil {
 		return err
@@ -212,7 +212,7 @@ func listModules(client *nfs.Pool) error {
 
 // status reports node liveness and the preloaded modules — the operator's
 // first stop when an offload hangs.
-func status(client *nfs.Pool) error {
+func status(client *nfs.Client) error {
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
 	}
@@ -248,7 +248,7 @@ func status(client *nfs.Pool) error {
 // queueStatus prints the scheduler status the daemon publishes on the
 // share: queue depth, memory reservations against the budget, lifetime
 // counters, and per-tenant fair-queuing state.
-func queueStatus(client *nfs.Pool) error {
+func queueStatus(client *nfs.Client) error {
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
 	}
@@ -268,7 +268,7 @@ func queueStatus(client *nfs.Pool) error {
 // replayed after a restart, duplicates answered from the response cache,
 // corrupt log records skipped, replies dropped after exhausting retries —
 // published under the same status snapshot the queue verb reads.
-func journalStatus(client *nfs.Pool) error {
+func journalStatus(client *nfs.Client) error {
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
 	}
@@ -300,7 +300,7 @@ func journalStatus(client *nfs.Pool) error {
 // daemon's notify stream is live or the node has degraded to polling, how
 // many push events it served, and the response group-commit counters —
 // read from the same published snapshot as the queue and journal verbs.
-func famStatus(client *nfs.Pool) error {
+func famStatus(client *nfs.Client) error {
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
 	}
@@ -334,7 +334,7 @@ func famStatus(client *nfs.Pool) error {
 	return nil
 }
 
-func put(client *nfs.Pool, args []string) error {
+func put(client *nfs.Client, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: put <local-file> <remote-path>")
 	}
@@ -393,7 +393,7 @@ func wordcount(ctx context.Context, rt *core.Runtime, args []string) error {
 // the fleet coordinator: HRW placement, per-node windows, straggler
 // re-execution, and a host-side merge that is byte-identical to a
 // single-node run.
-func fleetWordcount(ctx context.Context, addrs []string, conns int, wire string, args []string) error {
+func fleetWordcount(ctx context.Context, addrs []string, args []string) error {
 	fs := flag.NewFlagSet("wordcount", flag.ContinueOnError)
 	file := fs.String("file", "", "data file reachable from every SD node")
 	fragFlag := fs.String("fragment", "", "scatter fragment size (e.g. 64M); empty = 4 fragments per node")
@@ -414,20 +414,17 @@ func fleetWordcount(ctx context.Context, addrs []string, conns int, wire string,
 		if a == "" {
 			continue
 		}
-		pool, err := nfs.DialPool(a, 10*time.Second, conns)
+		client, err := mount(a)
 		if err != nil {
-			return fmt.Errorf("%w: %s: %v", errUnreachable, a, err)
+			return err
 		}
-		defer pool.Close()
-		if wire == "gob" {
-			pool.SetWire(nfs.WireGob)
-		}
+		defer client.Close()
 		if total == 0 {
-			if total, _, err = pool.Stat(*file); err != nil {
+			if total, _, err = client.Stat(*file); err != nil {
 				return fmt.Errorf("stat %s on %s: %w", *file, a, err)
 			}
 		}
-		nodes = append(nodes, fleet.Node{Name: a, Session: smartfam.NewClient(pool, 0)})
+		nodes = append(nodes, fleet.Node{Name: a, Session: smartfam.NewClient(client, 0)})
 	}
 	if len(nodes) == 0 {
 		return fmt.Errorf("-sds lists no nodes")
@@ -473,15 +470,15 @@ func fleetWordcount(ctx context.Context, addrs []string, conns int, wire string,
 	return nil
 }
 
-// dialFleetShares opens one pooled export per fleet address and returns the
+// dialFleetShares mounts one export per fleet address and returns the
 // node->share map the replicated store places over. Node names are the
 // addresses themselves, matching the fleet coordinator's convention.
-func dialFleetShares(addrs []string, conns int, wire string) (map[string]smartfam.FS, func(), error) {
+func dialFleetShares(addrs []string) (map[string]smartfam.FS, func(), error) {
 	shares := make(map[string]smartfam.FS)
-	var pools []*nfs.Pool
+	var clients []*nfs.Client
 	closeAll := func() {
-		for _, p := range pools {
-			p.Close()
+		for _, c := range clients {
+			c.Close()
 		}
 	}
 	for _, a := range addrs {
@@ -489,16 +486,13 @@ func dialFleetShares(addrs []string, conns int, wire string) (map[string]smartfa
 		if a == "" {
 			continue
 		}
-		pool, err := nfs.DialPool(a, 10*time.Second, conns)
+		client, err := mount(a)
 		if err != nil {
 			closeAll()
-			return nil, nil, fmt.Errorf("%w: %s: %v", errUnreachable, a, err)
+			return nil, nil, err
 		}
-		if wire == "gob" {
-			pool.SetWire(nfs.WireGob)
-		}
-		pools = append(pools, pool)
-		shares[a] = pool
+		clients = append(clients, client)
+		shares[a] = client
 	}
 	if len(shares) == 0 {
 		closeAll()
@@ -512,7 +506,7 @@ func dialFleetShares(addrs []string, conns int, wire string) (map[string]smartfa
 // export supports them), corrupt copies are rewritten from an intact
 // replica, and missing copies are re-created — at a bounded byte rate so a
 // scrub cannot starve foreground jobs.
-func fleetScrub(ctx context.Context, addrs []string, conns int, wire string, args []string) error {
+func fleetScrub(ctx context.Context, addrs []string, args []string) error {
 	fs := flag.NewFlagSet("scrub", flag.ContinueOnError)
 	repl := fs.Int("r", 2, "replication factor the objects were written with")
 	rateFlag := fs.String("rate", "32M", "scrub I/O rate cap per second (e.g. 32M); \"0\" unpaced")
@@ -523,7 +517,7 @@ func fleetScrub(ctx context.Context, addrs []string, conns int, wire string, arg
 	if err != nil {
 		return fmt.Errorf("-rate: %w", err)
 	}
-	shares, closeAll, err := dialFleetShares(addrs, conns, wire)
+	shares, closeAll, err := dialFleetShares(addrs)
 	if err != nil {
 		return err
 	}
@@ -552,7 +546,7 @@ func fleetScrub(ctx context.Context, addrs []string, conns int, wire string, arg
 // fleetHeal repairs a single named object on demand — the operator's
 // targeted version of a scrub pass, for when a read already reported the
 // damage.
-func fleetHeal(ctx context.Context, addrs []string, conns int, wire string, args []string) error {
+func fleetHeal(ctx context.Context, addrs []string, args []string) error {
 	fs := flag.NewFlagSet("heal", flag.ContinueOnError)
 	object := fs.String("object", "", "replicated object to repair (e.g. corpus.00003.frag)")
 	repl := fs.Int("r", 2, "replication factor the object was written with")
@@ -562,7 +556,7 @@ func fleetHeal(ctx context.Context, addrs []string, conns int, wire string, args
 	if *object == "" {
 		return fmt.Errorf("heal: -object is required")
 	}
-	shares, closeAll, err := dialFleetShares(addrs, conns, wire)
+	shares, closeAll, err := dialFleetShares(addrs)
 	if err != nil {
 		return err
 	}

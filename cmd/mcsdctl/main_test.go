@@ -1,15 +1,77 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"mcsd/internal/core"
+	"mcsd/internal/metrics"
+	"mcsd/internal/nfs"
 	"mcsd/internal/sched"
 	"mcsd/internal/smartfam"
 )
+
+// TestAttachedShareInvokesOverPush pins the front door mcsdctl actually
+// uses: against mcsdd's default topology (daemon share I/O looped back
+// through the file service) the share attach hands the runtime can push,
+// and one verb through it is carried by notifies, not the polling fallback.
+func TestAttachedShareInvokesOverPush(t *testing.T) {
+	dir := t.TempDir()
+	srv := nfs.NewServer(dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Shutdown()
+	})
+	addr := ln.Addr().String()
+
+	loop, err := nfs.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { loop.Close() })
+	reg := smartfam.NewRegistry(loop)
+	for _, m := range core.StandardModules(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1}) {
+		if err := reg.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = smartfam.NewDaemon(loop, reg, smartfam.WithPollInterval(time.Millisecond)).Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+
+	client, rt, err := attach(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var share smartfam.FS = client
+	if _, ok := share.(smartfam.WatchFS); !ok {
+		t.Fatal("the share mcsdctl attaches cannot push: every invocation would poll")
+	}
+	if err := matmul(ctx, rt, []string{"-n", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	if v := rt.Metrics().Counter(metrics.FamPushEvents).Value(); v == 0 {
+		t.Fatal("host routed zero push events; the invocation ran on the polling path")
+	}
+}
 
 // TestExitCodeQueueFullRoundTrip walks sched.ErrQueueFull through the
 // shape it takes on the wire: the daemon formats the rejection into a

@@ -51,7 +51,6 @@ func run() error {
 		compact = flag.Duration("compact", 5*time.Minute, "compact module logs after this long idle (0 disables)")
 		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 disables the scheduler)")
 		journal = flag.String("journal", "auto", "crash-recovery journal path on local disk; \"auto\" = <dir>/.journal, \"none\" disables")
-		wire    = flag.String("wire", "auto", "wire framing: \"auto\" detects binary or legacy gob per connection; \"gob\" forces the legacy codec (rollback)")
 		batch   = flag.Bool("batch", false, "group-commit response records: one share append per batch window (fam v2)")
 	)
 	flag.Parse()
@@ -79,15 +78,6 @@ func run() error {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
 	srv := nfssrv.NewServer(*dir)
-	switch *wire {
-	case "auto", "gob":
-	default:
-		return fmt.Errorf("-wire must be \"auto\" or \"gob\", got %q", *wire)
-	}
-	if *wire == "gob" {
-		srv.SetGobOnly(true)
-		log.Printf("mcsdd: legacy gob wire codec forced (-wire gob)")
-	}
 	go func() {
 		if err := srv.Serve(ln); err != nil {
 			log.Printf("mcsdd: file service: %v", err)
@@ -95,21 +85,19 @@ func run() error {
 	}()
 	log.Printf("mcsdd: exporting %s on %s", *dir, ln.Addr())
 
-	// The daemon's own share I/O: on the binary wire it LOOPS BACK through
-	// the file service, so response appends (and registry writes) raise the
-	// server's change notifications for pushed host watches — the fam v2
-	// topology. The legacy gob wire has no notify lane, so the daemon keeps
-	// the direct local-directory path and hosts poll (degraded mode).
+	// The daemon's own share I/O LOOPS BACK through the file service, so
+	// response appends (and registry writes) raise the server's change
+	// notifications for pushed host watches — the fam v2 topology. Should the
+	// loopback dial fail, the daemon keeps the direct local-directory path
+	// and hosts poll (degraded mode).
 	var share smartfam.FS = smartfam.DirFS(*dir)
-	if *wire != "gob" {
-		loop, err := nfssrv.Dial(ln.Addr().String(), 5*time.Second)
-		if err != nil {
-			log.Printf("mcsdd: notify loopback dial failed (%v); hosts fall back to polling", err)
-		} else {
-			defer loop.Close()
-			share = loop
-			log.Printf("mcsdd: share I/O looped back through the file service (push notifications on)")
-		}
+	loop, err := nfssrv.Dial(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		log.Printf("mcsdd: notify loopback dial failed (%v); hosts fall back to polling", err)
+	} else {
+		defer loop.Close()
+		share = loop
+		log.Printf("mcsdd: share I/O looped back through the file service (push notifications on)")
 	}
 	reg := smartfam.NewRegistry(share)
 	modCfg := core.ModuleConfig{Store: core.DirStore(*dir), Workers: *workers, Memory: acct}

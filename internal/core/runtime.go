@@ -138,7 +138,7 @@ func (r *Runtime) AttachSD(name string, share smartfam.FS) {
 
 // RegisterLocalFallback registers a module the host itself can execute
 // when no SD node can — the host-only degraded mode. The module should
-// read data through an NFSStore so the fallback pays the data-movement
+// read data through a RemoteDataStore so the fallback pays the data-movement
 // cost it actually incurs.
 func (r *Runtime) RegisterLocalFallback(m smartfam.Module) {
 	r.mu.Lock()

@@ -18,14 +18,12 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"mcsd/internal/nfs"
 )
 
 // DataStore abstracts where a module's input data lives: the SD node's
 // local disk (DirStore — the fast path that makes smart storage smart) or
-// the share seen from the host (NFSStore — the slow path a host-only run
-// is forced through).
+// the share seen from the host (RemoteDataStore — the slow path a host-only
+// run is forced through).
 type DataStore interface {
 	// Open returns a streaming reader for the named file.
 	Open(name string) (io.ReadCloser, error)
@@ -148,28 +146,17 @@ func OpenRange(store DataStore, name string, off, length int64) (io.ReadCloser, 
 }
 
 // RemoteStore is the slice of the share-client surface a DataStore needs;
-// *nfs.Client, *nfs.Pool and *nfs.CachedFS all satisfy it.
+// *nfs.Client and *nfs.CachedFS both satisfy it.
 type RemoteStore interface {
 	OpenReader(name string) (io.ReadCloser, error)
 	Stat(name string) (int64, time.Time, error)
 }
 
-// NFSStore returns a DataStore over a mounted share — host-side access to
-// SD-resident data, paying network costs for every byte.
-func NFSStore(c *nfs.Client) DataStore { return RemoteDataStore(c) }
-
-// RemoteDataStore returns a DataStore over any share client. Wrap the
+// RemoteDataStore returns a DataStore over a mounted share — host-side
+// access to SD-resident data, paying network costs for every byte. Wrap the
 // client in an nfs.CachedFS first to serve repeated reads from the
 // host-side block cache instead of the wire.
 func RemoteDataStore(fs RemoteStore) DataStore { return &nfsStore{fs: fs} }
-
-// CachedNFSStore fronts a share client with a host-side block cache and
-// returns both the DataStore and the caching FS (attach the latter with
-// Runtime.AttachSD so smartFAM result reads share the same cache).
-func CachedNFSStore(t nfs.Transport, cacheBytes int64) (DataStore, *nfs.CachedFS) {
-	cfs := nfs.NewCachedFS(t, nfs.NewBlockCache(cacheBytes, nil))
-	return RemoteDataStore(cfs), cfs
-}
 
 type nfsStore struct {
 	fs RemoteStore
@@ -180,7 +167,7 @@ func (s *nfsStore) Open(name string) (io.ReadCloser, error) {
 }
 
 func (s *nfsStore) OpenAt(name string, off int64) (io.ReadCloser, error) {
-	// Every share client (nfs.Client, nfs.Pool, nfs.CachedFS) supports
+	// Every share client (nfs.Client, nfs.CachedFS) supports
 	// offset opens; fall back to a skip for exotic RemoteStore stubs.
 	if ra, ok := s.fs.(interface {
 		OpenReaderAt(name string, off int64) (io.ReadCloser, error)
@@ -202,7 +189,7 @@ func (s *nfsStore) OpenAt(name string, off int64) (io.ReadCloser, error) {
 
 func (s *nfsStore) OpenRange(name string, off, length int64) (io.ReadCloser, error) {
 	// nfs.Client bounds its pipelined read-ahead to a declared range;
-	// clients without that refinement (Pool, CachedFS) fall back to the
+	// clients without that refinement (CachedFS) fall back to the
 	// plain offset open.
 	if rr, ok := s.fs.(interface {
 		OpenRangeReader(name string, off, length int64) (io.ReadCloser, error)

@@ -19,7 +19,7 @@ import (
 )
 
 // ScaleModel runs the REAL system — the actual MapReduce engine, smartFAM
-// over the actual gob file service, real TCP through a token-bucket
+// over the actual file service, real TCP through a token-bucket
 // throttled link — as a miniature of the Fig. 9 experiment, measured in
 // wall-clock. Sizes are MBs instead of GBs and the link is scaled down
 // proportionally, so the data:bandwidth ratio (the quantity that decides

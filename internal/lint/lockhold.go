@@ -19,7 +19,7 @@ import (
 //   - channel send, receive, range, and select without a default arm;
 //   - time.Sleep and (*sync.WaitGroup).Wait — but not sync.Cond.Wait,
 //     which releases the mutex while parked;
-//   - calls through smartfam.FS, smartfam.Client, nfs.Client or nfs.Pool —
+//   - calls through smartfam.FS, smartfam.Client or nfs.Client —
 //     share I/O rides the network and can stall on a dead peer.
 //
 // The walk is lexical and per-function: Lock/RLock pushes the lock,
@@ -48,7 +48,6 @@ var lockHoldBlockingTypes = []struct {
 	{"mcsd/internal/smartfam", "FS", true},
 	{"mcsd/internal/smartfam", "Client", false},
 	{"mcsd/internal/nfs", "Client", false},
-	{"mcsd/internal/nfs", "Pool", false},
 }
 
 // lockEdge is one observed nested acquisition: first was held when second

@@ -16,26 +16,6 @@ import (
 // DefaultCacheBytes is the default block-cache capacity.
 const DefaultCacheBytes = 64 << 20
 
-// Transport is the client surface the block cache fronts: the full
-// smartfam.FS plus the whole-file and streaming helpers. *Client, *Pool
-// and *CachedFS itself all satisfy it.
-type Transport interface {
-	smartfam.FS
-	Ping() error
-	ListDir(dir string) ([]string, error)
-	WriteFile(name string, data []byte) error
-	ReadFile(name string) ([]byte, error)
-	OpenReader(name string) (io.ReadCloser, error)
-	OpenReaderAt(name string, off int64) (io.ReadCloser, error)
-	CopyTo(w io.Writer, name string) (int64, error)
-}
-
-var (
-	_ Transport = (*Client)(nil)
-	_ Transport = (*Pool)(nil)
-	_ Transport = (*CachedFS)(nil)
-)
-
 // version is the freshness token for a file's cached blocks: blocks are
 // valid only while the remote Stat reports the same size and mtime.
 type version struct {
@@ -219,7 +199,7 @@ func (bc *BlockCache) InvalidateFile(name string) {
 	bc.mu.Unlock()
 }
 
-// CachedFS fronts a Transport with a BlockCache: reads are served from
+// CachedFS fronts a Client with a BlockCache: reads are served from
 // validated local blocks (one Stat RPC — zero payload bytes — replaces the
 // data transfer on a warm hit), and every local mutation invalidates the
 // file's blocks so the host never reads its own writes stale. It
@@ -231,12 +211,12 @@ func (bc *BlockCache) InvalidateFile(name string) {
 // size identical can go unnoticed; the share's writers (smartFAM daemon,
 // this host) only ever append or replace, which changes the size.
 type CachedFS struct {
-	t     Transport
+	t     *Client
 	cache *BlockCache
 }
 
 // NewCachedFS fronts t with cache (nil creates a DefaultCacheBytes cache).
-func NewCachedFS(t Transport, cache *BlockCache) *CachedFS {
+func NewCachedFS(t *Client, cache *BlockCache) *CachedFS {
 	if cache == nil {
 		cache = NewBlockCache(0, nil)
 	}
@@ -246,18 +226,12 @@ func NewCachedFS(t Transport, cache *BlockCache) *CachedFS {
 // Cache returns the underlying block cache.
 func (c *CachedFS) Cache() *BlockCache { return c.cache }
 
-// Ping implements Transport.
-func (c *CachedFS) Ping() error { return c.t.Ping() }
-
 // Stat implements smartfam.FS (pass-through: stats are never cached, they
 // are the validation signal).
 func (c *CachedFS) Stat(name string) (int64, time.Time, error) { return c.t.Stat(name) }
 
 // List implements smartfam.FS.
 func (c *CachedFS) List() ([]string, error) { return c.t.List() }
-
-// ListDir implements Transport.
-func (c *CachedFS) ListDir(dir string) ([]string, error) { return c.t.ListDir(dir) }
 
 // Create implements smartfam.FS, invalidating the file's blocks.
 func (c *CachedFS) Create(name string) error {
@@ -289,7 +263,7 @@ func (c *CachedFS) Rename(oldname, newname string) error {
 	return err
 }
 
-// WriteFile implements Transport, invalidating the file's blocks.
+// WriteFile replaces a file's contents, invalidating the file's blocks.
 func (c *CachedFS) WriteFile(name string, data []byte) error {
 	err := c.t.WriteFile(name, data)
 	c.cache.InvalidateFile(name)
@@ -389,7 +363,7 @@ func (c *CachedFS) readAtVersioned(name string, p []byte, off int64, ver version
 	return int(served), nil
 }
 
-// ReadFile implements Transport through the cache.
+// ReadFile fetches a whole file through the cache.
 func (c *CachedFS) ReadFile(name string) ([]byte, error) {
 	size, mtime, err := c.t.Stat(name)
 	if err != nil {
@@ -404,13 +378,13 @@ func (c *CachedFS) ReadFile(name string) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// OpenReader implements Transport through the cache.
+// OpenReader streams a file through the cache.
 func (c *CachedFS) OpenReader(name string) (io.ReadCloser, error) {
 	return c.OpenReaderAt(name, 0)
 }
 
 // OpenReaderAt returns a streaming reader that serves warm blocks locally
-// and streams cold spans from the wire (with the transport's read-ahead),
+// and streams cold spans from the wire (with the client's read-ahead),
 // caching them as it goes. The stream length is the open-time size.
 func (c *CachedFS) OpenReaderAt(name string, off int64) (io.ReadCloser, error) {
 	size, mtime, err := c.t.Stat(name)
@@ -426,19 +400,9 @@ func (c *CachedFS) OpenReaderAt(name string, off int64) (io.ReadCloser, error) {
 	}, nil
 }
 
-// CopyTo implements Transport through the cache.
-func (c *CachedFS) CopyTo(w io.Writer, name string) (int64, error) {
-	r, err := c.OpenReaderAt(name, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	return io.Copy(w, r)
-}
-
 // cachedReader streams a file at block granularity: warm blocks come from
 // the cache, cold runs come from one wire stream kept open across
-// consecutive cold blocks so the transport's read-ahead stays effective.
+// consecutive cold blocks so the client's read-ahead stays effective.
 type cachedReader struct {
 	c        *CachedFS
 	name     string

@@ -62,12 +62,11 @@ const maxReplays = 2
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	codec   clientCodec
+	codec   *binClientCodec
 	closed  bool
 	gen     uint64 // connection generation; bumped on every failure
 	nextTag uint64
 	pending map[uint64]chan outcome
-	wire    Wire
 	window  chan struct{} // in-flight slots; capacity = pipeline depth
 
 	sendMu sync.Mutex // serializes request frames onto the connection
@@ -145,15 +144,6 @@ func NewClient(conn net.Conn) *Client {
 	}
 	c.setMetricsLocked(metrics.NewRegistry())
 	return c
-}
-
-// SetWire selects the wire encoding (binary by default; WireGob speaks the
-// legacy codec to a pre-framing server). Must be called before the first
-// operation on the client.
-func (c *Client) SetWire(w Wire) {
-	c.mu.Lock()
-	c.wire = w
-	c.mu.Unlock()
 }
 
 // SetWindow resizes the pipeline window (minimum 1; 1 disables pipelining,
@@ -322,11 +312,7 @@ func (c *Client) reconnectLocked() error {
 // wire-byte accounting) and starts its demux goroutine. Caller holds c.mu.
 func (c *Client) startLocked() {
 	cc := &countingConn{Conn: c.conn, sent: c.met.bytesSent, recv: c.met.bytesRecv}
-	if c.wire == WireGob {
-		c.codec = newGobCodec(cc, cc)
-	} else {
-		c.codec = newBinClientCodec(cc, cc)
-	}
+	c.codec = newBinClientCodec(cc, cc)
 	//mcsdlint:allow goroleak -- demux exits when its generation's connection dies: readResponse returns an error once the conn fails or Close tears it down, and failConn retires the generation
 	go c.demux(c.codec, c.gen)
 }
@@ -334,7 +320,7 @@ func (c *Client) startLocked() {
 // demux is the per-connection response reader: it matches each response to
 // its tag and hands it to the waiting caller. On a read failure it fails
 // the whole generation.
-func (c *Client) demux(codec clientCodec, gen uint64) {
+func (c *Client) demux(codec *binClientCodec, gen uint64) {
 	for {
 		resp := new(Response)
 		if err := codec.readResponse(resp); err != nil {
@@ -944,8 +930,7 @@ func (r *remoteReader) Close() error {
 	return nil
 }
 
-// countingConn tallies raw wire bytes in both directions, independent of
-// which codec frames them.
+// countingConn tallies raw wire bytes in both directions, framing included.
 type countingConn struct {
 	net.Conn
 	sent *metrics.Counter

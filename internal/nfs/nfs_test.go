@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net"
 	"sync"
@@ -438,15 +439,16 @@ func TestSmartFAMOverNFS(t *testing.T) {
 
 	sdFS := smartfam.DirFS(root) // daemon is local to the SD node
 	reg := smartfam.NewRegistry(sdFS)
+	rev := func(p []byte) []byte {
+		out := make([]byte, len(p))
+		for i, b := range p {
+			out[len(p)-1-i] = b
+		}
+		return out
+	}
 	mod := smartfam.ModuleFunc{
 		ModuleName: "rev",
-		Fn: func(_ context.Context, p []byte) ([]byte, error) {
-			out := make([]byte, len(p))
-			for i, b := range p {
-				out[len(p)-1-i] = b
-			}
-			return out, nil
-		},
+		Fn:         func(_ context.Context, p []byte) ([]byte, error) { return rev(p), nil },
 	}
 	if err := reg.Register(mod); err != nil {
 		t.Fatal(err)
@@ -459,11 +461,22 @@ func TestSmartFAMOverNFS(t *testing.T) {
 	host := smartfam.NewClient(c, time.Millisecond) // host side: FS == NFS client
 	ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer icancel()
-	got, err := host.Invoke(ictx, "rev", []byte("abcdef"))
-	if err != nil {
-		t.Fatal(err)
+	// Concurrent callers share the one connection's pipeline window.
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := []byte(fmt.Sprintf("abcdef-%d", i))
+			got, err := host.Invoke(ictx, "rev", in)
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+			if !bytes.Equal(got, rev(in)) {
+				t.Errorf("call %d: result = %q, want %q", i, got, rev(in))
+			}
+		}()
 	}
-	if string(got) != "fedcba" {
-		t.Fatalf("result = %q, want fedcba", got)
-	}
+	wg.Wait()
 }

@@ -7,17 +7,14 @@
 // The wire protocol is a hand-rolled length-prefixed binary framing over
 // one TCP connection per client, with a per-request Tag so many requests
 // can be in flight at once (the client pipelines them through a bounded
-// window and demultiplexes responses by tag). The previous gob codec is
-// kept behind a compat switch (WireGob) for one release; the server
-// auto-detects which framing a connection speaks from its first byte.
-// Wrap the connection (or the listener) with netsim.Throttle to make the
-// traffic pay Gigabit-Ethernet costs.
+// window and demultiplexes responses by tag). Wrap the connection (or the
+// listener) with netsim.Throttle to make the traffic pay Gigabit-Ethernet
+// costs.
 package nfs
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -71,7 +68,7 @@ type Request struct {
 	N    int
 }
 
-// Response is one server->client message. Data, when framed binary, is a
+// Response is one server->client message. On the client Data is a
 // zero-copy subslice of a pooled frame buffer; the client releases it back
 // to the pool once the payload has been consumed.
 type Response struct {
@@ -85,7 +82,7 @@ type Response struct {
 	NotExist bool
 	EOF      bool
 
-	frame *frameBuf // pooled backing buffer of Data (binary framing only)
+	frame *frameBuf // pooled backing buffer of Data (client side)
 }
 
 // free returns the response's pooled frame buffer, if any. The response's
@@ -114,24 +111,11 @@ var ErrRemote = errors.New("nfs: remote error")
 // body, unknown op code, inconsistent field lengths).
 var ErrFrame = errors.New("nfs: malformed frame")
 
-// ErrWatchUnsupported marks an OpWatch that cannot be served on this
-// connection: the legacy gob codec has no notify lane, and pre-watch
+// ErrWatchUnsupported marks an OpWatch the server cannot serve: pre-watch
 // servers answer the op with an unknown-op error. Callers fall back to
 // polling. Wraps the smartfam sentinel so FS consumers can detect the
 // permanent case without importing this package.
 var ErrWatchUnsupported = fmt.Errorf("nfs: %w", smartfam.ErrWatchUnsupported)
-
-// Wire selects the on-the-wire encoding a client speaks.
-type Wire int
-
-const (
-	// WireBinary is the length-prefixed binary framing (default).
-	WireBinary Wire = iota
-	// WireGob is the legacy gob codec, kept for one release so a fleet can
-	// roll the framing change forward and back half at a time. The server
-	// auto-detects it per connection.
-	WireGob
-)
 
 // cleanName validates a share-relative path: non-empty, slash-separated,
 // no "." or ".." components, no leading slash.
@@ -147,80 +131,13 @@ func cleanName(name string) (string, error) {
 	return name, nil
 }
 
-// clientCodec is the client's half of a connection: frame requests out,
-// demultiplexable responses in.
-type clientCodec interface {
-	writeRequest(*Request) error
-	readResponse(*Response) error
-}
-
-// serverCodec is the server's half.
-type serverCodec interface {
-	readRequest(*Request) error
-	writeResponse(*Response) error
-}
-
-// ---------------------------------------------------------------------------
-// Legacy gob codec (WireGob).
-
-// gobCodec pairs a gob encoder/decoder over one connection.
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func newGobCodec(r io.Reader, w io.Writer) *gobCodec {
-	return &gobCodec{enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
-}
-
-func (c *gobCodec) writeRequest(r *Request) error {
-	if err := c.enc.Encode(r); err != nil {
-		return fmt.Errorf("nfs: encoding request: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) readRequest(r *Request) error {
-	*r = Request{}
-	err := c.dec.Decode(r)
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-		return io.EOF
-	}
-	if err != nil {
-		return fmt.Errorf("nfs: decoding request: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) writeResponse(r *Response) error {
-	if err := c.enc.Encode(r); err != nil {
-		return fmt.Errorf("nfs: encoding response: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) readResponse(r *Response) error {
-	*r = Response{}
-	if err := c.dec.Decode(r); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return io.EOF
-		}
-		return fmt.Errorf("nfs: decoding response: %w", err)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Binary framing (WireBinary).
-//
 // Every message is one frame:
 //
 //	uint32 length (big-endian, body length, high byte always 0x00) | body
 //
-// The high length byte doubles as the protocol discriminator: maxFrame
-// keeps every length below 2^24, so a binary connection's first byte is
-// always 0x00, while gob's first byte — an unsigned varint message length —
-// never is. The server peeks one byte to pick the codec.
+// maxFrame keeps every length below 2^24, so a well-formed connection's
+// first byte is always 0x00; anything else fails the decoder's length check
+// as a malformed frame and the connection is closed.
 //
 // Request body:
 //
@@ -313,8 +230,8 @@ func appendU16Bytes(buf []byte, s string) []byte {
 func (e *frameEncoder) writeRequest(r *Request) error {
 	code, ok := opCodes[r.Op]
 	if !ok {
-		// Unknown ops still cross the wire (the server answers with its
-		// "unknown op" error) so probing tests behave like the gob codec.
+		// Unknown ops still cross the wire: the server answers with its
+		// "unknown op" error, which is how a pre-watch server is probed.
 		code = 0
 	}
 	if len(r.Name) > 0xffff || len(r.To) > 0xffff {
@@ -537,7 +454,7 @@ func decodeResponse(body []byte, r *Response) error {
 	return nil
 }
 
-// binClientCodec is the client end of the binary framing: responses come
+// binClientCodec is the client end of a connection: responses come
 // out of pooled frame buffers so a pipelined window of chunk payloads can
 // be alive at once without per-RPC allocations.
 type binClientCodec struct {

@@ -22,11 +22,6 @@ import (
 // role in the testbed ("the McSD node is configured as an NFS server",
 // §III-B).
 //
-// Each connection's framing is auto-detected from its first byte: binary
-// frames always start with 0x00 (the high byte of a length below 16 MB),
-// gob streams never do (their first byte is a nonzero varint). SetGobOnly
-// forces the legacy codec for rollback.
-//
 // Beyond request/response the server keeps two pieces of change-tracking
 // state for the push-mode invocation path: a per-file change generation
 // (monotonic, bumped by every mutating op, reported in OpStat replies so
@@ -45,7 +40,6 @@ type Server struct {
 	gens     map[string]uint64 // per-file change generation (cleaned name)
 	watchers map[*connWatcher]struct{}
 	closed   bool
-	gobOnly  bool
 }
 
 // watchQueueDepth bounds each watcher's pending-notify queue. A full queue
@@ -82,15 +76,6 @@ func NewServer(root string) *Server {
 
 // Metrics returns the server's metrics registry (bytes served, ops).
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
-
-// SetGobOnly forces every connection through the legacy gob codec,
-// disabling binary-frame auto-detection (a rollback escape hatch while the
-// framing change shakes out). Call before Serve.
-func (s *Server) SetGobOnly(on bool) {
-	s.mu.Lock()
-	s.gobOnly = on
-	s.mu.Unlock()
-}
 
 // Serve accepts connections on ln until ln is closed or Shutdown is called.
 func (s *Server) Serve(ln net.Listener) error {
@@ -136,21 +121,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	gobOnly := s.gobOnly
-	s.mu.Unlock()
-	binary := first[0] == 0x00 && !gobOnly
-	var c serverCodec
-	if binary {
-		c = newBinServerCodec(br, conn)
-	} else {
-		c = newGobCodec(br, conn)
-	}
+	c := newBinServerCodec(bufio.NewReaderSize(conn, 64<<10), conn)
 	// Responses and notify frames share the connection; once a watch is
 	// registered its sender goroutine interleaves frames with this loop, so
 	// every write goes through writeMu.
@@ -158,11 +129,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		var req Request
 		if err := c.readRequest(&req); err != nil {
-			return // io.EOF on clean close; anything else also ends the conn
+			return // io.EOF on clean close; a malformed frame also ends the conn
 		}
 		var resp *Response
 		if req.Op == OpWatch {
-			resp, watcher = s.handleWatch(&req, watcher, c, &writeMu, binary)
+			resp, watcher = s.handleWatch(&req, watcher, c, &writeMu)
 		} else {
 			resp = s.handle(&req)
 		}
@@ -177,13 +148,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handleWatch registers (or re-aims) the connection's prefix watch and
-// starts its notify sender. The gob codec has no reserved notify lane, so
-// legacy connections are refused and fall back to polling client-side.
-func (s *Server) handleWatch(req *Request, cur *connWatcher, c serverCodec, writeMu *sync.Mutex, binary bool) (*Response, *connWatcher) {
+// starts its notify sender.
+func (s *Server) handleWatch(req *Request, cur *connWatcher, c *binServerCodec, writeMu *sync.Mutex) (*Response, *connWatcher) {
 	s.metrics.Counter(metrics.NFSOpPrefix + OpWatch).Inc()
-	if !binary {
-		return &Response{Err: "nfs: watch requires the binary wire framing"}, cur
-	}
 	if cur != nil {
 		// Re-registration on the same connection just re-aims the prefix.
 		s.mu.Lock()
@@ -221,7 +188,7 @@ func (s *Server) dropWatcher(w *connWatcher) {
 // runWatcher drains one watch registration's queue into notify frames on
 // the connection. A write failure just stops the sender: the connection is
 // dying and serveConn's read side will tear the registration down.
-func (s *Server) runWatcher(w *connWatcher, c serverCodec, writeMu *sync.Mutex) {
+func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mutex) {
 	for {
 		select {
 		case <-w.done:

@@ -51,17 +51,10 @@ func (w *clientWatch) Close() error {
 }
 
 // Watch implements smartfam.WatchFS: it subscribes to change notifications
-// for files whose share-relative name starts with prefix. The legacy gob
-// codec has no notify lane, so a WireGob client refuses locally with
-// ErrWatchUnsupported (and a pre-watch or gob-forced server turns the RPC
-// into the same error), letting callers fall back to polling.
+// for files whose share-relative name starts with prefix. A pre-watch
+// server's unknown-op answer becomes ErrWatchUnsupported, letting callers
+// fall back to polling.
 func (c *Client) Watch(prefix string) (smartfam.WatchStream, error) {
-	c.mu.Lock()
-	gob := c.wire == WireGob
-	c.mu.Unlock()
-	if gob {
-		return nil, fmt.Errorf("%w: legacy gob codec", ErrWatchUnsupported)
-	}
 	if err := c.armWatch(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package nfs
 import (
 	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -111,13 +112,40 @@ func TestWatchStreamClosesOnDisconnect(t *testing.T) {
 	}
 }
 
-// TestWatchGobUnsupported pins the fallback matrix's legacy row: a WireGob
-// client refuses Watch locally with ErrWatchUnsupported.
-func TestWatchGobUnsupported(t *testing.T) {
+// TestServerClosesNonFrameConnection pins the one-framing rule: every frame
+// opens with a 0x00 length byte, so a connection whose first byte is
+// anything else is a malformed frame — the server closes it without
+// answering, and a concurrent well-formed connection never notices.
+func TestServerClosesNonFrameConnection(t *testing.T) {
 	c, _ := startServer(t)
-	c.SetWire(WireGob)
-	if _, err := c.Watch(""); !errors.Is(err, ErrWatchUnsupported) {
-		t.Fatalf("gob Watch error = %v, want ErrWatchUnsupported", err)
+	if err := c.WriteFile("f.txt", []byte("steady")); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	addr := c.conn.RemoteAddr().String()
+	c.mu.Unlock()
+
+	raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// A gob stream's opening bytes: a nonzero varint message length.
+	if _, err := raw.Write([]byte{0x2c, 0xff, 0x81, 0x03, 0x01, 0x01}); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	// EOF, or a reset when the close races bytes still unread server-side.
+	if n, err := raw.Read(make([]byte, 64)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after a non-frame opening = (%d bytes, %v), want a bare close", n, err)
+	}
+
+	got, err := c.ReadFile("f.txt")
+	if err != nil || string(got) != "steady" {
+		t.Fatalf("concurrent connection disturbed: ReadFile = (%q, %v)", got, err)
+	}
+	if c.Reconnects() != 0 {
+		t.Fatalf("concurrent connection redialed %d times, want 0", c.Reconnects())
 	}
 }
 

@@ -21,10 +21,10 @@ type Client struct {
 
 	// fam v2 push-mode state (push.go). pushMu guards all of it.
 	pushMu     sync.Mutex
-	routers    map[string]*respRouter    // live response routers, by module
-	batchers   map[string]*appendBatcher // group-commit batchers, by log name
-	pushBroken bool                      // share can never push; stop trying
-	batchBytes int                       // 0: batching disabled (the default)
+	routers    map[string]*respRouter  // live response routers, by module
+	batchers   map[string]*groupCommit // group-commit batchers, by log name
+	pushBroken bool                    // share can never push; stop trying
+	batchBytes int                     // 0: batching disabled (the default)
 	batchDelay time.Duration
 }
 
@@ -127,33 +127,43 @@ var appendBackoff = 2 * time.Millisecond
 
 // appendRequest lands one marshalled request record on the module log,
 // through the group-commit batcher when batching is enabled, else with a
-// direct bounded-retry append. A transient share error must not fail the
-// invocation outright, and the record's leading newline makes a retry
-// after a torn attempt safe — the partial bytes parse as one corrupt line
-// and the retried record resyncs the log.
-func (c *Client) appendRequest(ctx context.Context, module, logName string, line []byte) error {
+// direct append. A caller whose ctx is done gets the ctx error bare.
+func (c *Client) appendRequest(ctx context.Context, module, logName, id string, line []byte) error {
+	var err error
 	if b := c.batcher(logName); b != nil {
-		if err := b.append(ctx, line); err != nil {
-			if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-				return err
-			}
-			return fmt.Errorf("smartfam: sending request to %q: %w", module, err)
-		}
+		err = b.add(ctx, id, line)
+	} else {
+		err = c.appendRetrying(ctx, logName, line)
+	}
+	if err == nil {
 		return nil
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return fmt.Errorf("smartfam: sending request to %q: %w", module, err)
+}
+
+// appendRetrying appends data to logName with bounded retry. A transient
+// share error must not fail the invocation outright, and each record's
+// leading newline makes a retry after a torn attempt safe — the partial
+// bytes parse as one corrupt line and the retried record resyncs the log.
+// A done ctx stops the retries but the append error is what is returned:
+// it is the cause a batch's other members care about.
+func (c *Client) appendRetrying(ctx context.Context, logName string, data []byte) error {
 	backoff := appendBackoff
-	for attempt := 0; ; attempt++ {
-		err := c.fs.Append(logName, line)
+	for attempt := 1; ; attempt++ {
+		err := c.fs.Append(logName, data)
 		if err == nil {
 			return nil
 		}
 		c.countAppendRetry()
-		if attempt+1 >= appendAttempts {
-			return fmt.Errorf("smartfam: sending request to %q: %w", module, err)
+		if attempt >= appendAttempts {
+			return err
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return err
 		case <-time.After(backoff):
 		}
 		backoff *= 2
@@ -202,7 +212,7 @@ func (c *Client) InvokeID(ctx context.Context, module, id string, params []byte)
 		}
 		return nil, err
 	}
-	if err := c.appendRequest(ctx, module, logName, line); err != nil {
+	if err := c.appendRequest(ctx, module, logName, id, line); err != nil {
 		return nil, err
 	}
 

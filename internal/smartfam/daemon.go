@@ -51,7 +51,7 @@ type Daemon struct {
 	// classic one-append-per-response path.
 	respBytes    int
 	respDelay    time.Duration
-	respBatchers map[string]*respBatcher // guarded by mu
+	respBatchers map[string]*groupCommit // guarded by mu
 
 	mu         sync.Mutex
 	offsets    map[string]int64 // consumed bytes per log file
@@ -544,7 +544,7 @@ func (d *Daemon) finish(ctx context.Context, module, reqID, status string, paylo
 			d.mu.Lock()
 			d.responded[reqID] = struct{}{}
 			d.mu.Unlock()
-			b.enqueue(ctx, reqID, line)
+			_ = b.add(ctx, reqID, line) // detached: never blocks, never fails
 			return
 		}
 		d.metrics.Counter(metrics.DaemonMarshalErrors).Inc()
@@ -578,8 +578,8 @@ const respondAttempts = 4
 var respondBackoff = 2 * time.Millisecond
 
 // retryShare runs a share operation under the same bounded-backoff policy
-// as the response path, for reads whose failure would otherwise be
-// silently absorbed (the recovery scan).
+// as the response path: reads whose failure would otherwise be silently
+// absorbed (the recovery scan), and the response-batch flush.
 func retryShare(ctx context.Context, op func() error) error {
 	backoff := respondBackoff
 	var err error

@@ -3,7 +3,6 @@ package smartfam
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"mcsd/internal/metrics"
@@ -18,15 +17,16 @@ import (
 //     moment the stream dies (connection loss, server restart) the
 //     watcher engages at the classic poll interval and the loop
 //     periodically tries to re-arm push. A share that can never push
-//     (DirFS, legacy gob wire) runs pure polling from the start. The
+//     (DirFS, a pre-watch server) runs pure polling from the start. The
 //     rescan sweep in Run stays on in every mode — it remains the source
 //     of truth for lost notifications.
-//   - respBatcher is the response-side group commit, enabled with
-//     WithResponseBatching: completed executions coalesce their response
-//     records into one share append per batch window. DONE is journaled
-//     per record BEFORE it joins a batch and RESP per record after the
-//     batch lands, so the journal's exactly-once argument is untouched —
-//     a crash between the two replays cached responses, never re-runs.
+//   - respBatcherFor is the response-side group commit (groupcommit.go),
+//     enabled with WithResponseBatching: completed executions coalesce
+//     their response records into one share append per batch window. DONE
+//     is journaled per record BEFORE it joins a batch and RESP per record
+//     after the batch lands, so the journal's exactly-once argument is
+//     untouched — a crash between the two replays cached responses, never
+//     re-runs.
 
 // rearmEvery is how many degraded-mode poll ticks pass between attempts
 // to re-arm the push stream.
@@ -85,7 +85,7 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 	}
 	arm()
 	if st == nil {
-		// Could not push from the start (legacy wire, plain DirFS):
+		// Could not push from the start (plain DirFS, pre-watch server):
 		// degraded is the daemon's standing mode, note it once.
 		d.metrics.Counter(metrics.FamDegraded).Inc()
 	}
@@ -151,32 +151,14 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 	}
 }
 
-// respBatch is one in-flight response group commit.
-type respBatch struct {
-	buf    []byte
-	ids    []string
-	closed bool          // guarded by respBatcher.mu
-	full   chan struct{} // closed when buf reaches the byte bound
-}
-
-// respBatcher group-commits response records for one module log, the
-// flush side of the host's appendBatcher mirror: the first enqueuer spawns
-// the batch's leader goroutine and every enqueuer returns immediately, so
-// a worker is never parked behind the batch window — the responder's
-// throughput stays workers-independent. The leader owns the flush and the
-// per-record RESP journalling.
-type respBatcher struct {
-	d       *Daemon
-	module  string
-	logName string
-
-	mu  sync.Mutex
-	cur *respBatch
-}
-
-// respBatcherFor returns the batcher for module, or nil when response
-// batching is disabled.
-func (d *Daemon) respBatcherFor(module string) *respBatcher {
+// respBatcherFor returns the response batcher for module, or nil when
+// response batching is disabled. It runs detached: an enqueuer returns at
+// once, so a worker is never parked behind the batch window and the
+// responder's throughput stays workers-independent. By the time a record
+// joins, its response is cached and journaled DONE, so whether the flush
+// lands (RESP journaled) or dies with the daemon (restart replays the
+// cache), exactly-once holds without the worker waiting around.
+func (d *Daemon) respBatcherFor(module string) *groupCommit {
 	if d.respBytes <= 0 {
 		return nil
 	}
@@ -184,103 +166,47 @@ func (d *Daemon) respBatcherFor(module string) *respBatcher {
 	defer d.mu.Unlock()
 	b := d.respBatchers[module]
 	if b == nil {
-		b = &respBatcher{d: d, module: module, logName: LogName(module)}
+		logName := LogName(module)
+		b = &groupCommit{
+			maxBytes: d.respBytes,
+			maxDelay: d.respDelay,
+			detached: true,
+			flush: func(ctx context.Context, buf []byte, ids []string) error {
+				return d.flushResponses(ctx, logName, buf, ids)
+			},
+		}
 		if d.respBatchers == nil {
-			d.respBatchers = make(map[string]*respBatcher)
+			d.respBatchers = make(map[string]*groupCommit)
 		}
 		d.respBatchers[module] = b
 	}
 	return b
 }
 
-// enqueue joins the current batch with one marshalled response line and
-// returns immediately: the record's fate is the batch leader's business.
-// By this point the response is cached and journaled DONE, so whether the
-// flush lands (RESP journaled) or dies with the daemon (restart replays
-// the cache), exactly-once holds without the worker waiting around.
-func (b *respBatcher) enqueue(ctx context.Context, reqID string, line []byte) {
-	d := b.d
-	b.mu.Lock()
-	leader := false
-	if b.cur == nil {
-		b.cur = &respBatch{full: make(chan struct{})}
-		leader = true
-	}
-	batch := b.cur
-	batch.buf = append(batch.buf, line...)
-	batch.ids = append(batch.ids, reqID)
-	if len(batch.buf) >= d.respBytes && !batch.closed {
-		batch.closed = true
-		close(batch.full)
-		b.cur = nil
-	}
-	b.mu.Unlock()
-
-	if leader {
-		// lead performs exactly one bounded flush and returns: the window
-		// wait is capped by respDelay (ctx cancellation short-circuits it)
-		// and the retry loop by respondAttempts with finite backoffs.
-		go b.lead(ctx, batch)
-	}
-}
-
-// lead waits out the batch window, detaches the batch and flushes it with
-// the respond path's bounded retry. On success every member's RESP is
-// journaled; on final failure the responses stay cached and journaled
-// DONE, so a restart (or a host retry) replays them.
-func (b *respBatcher) lead(ctx context.Context, batch *respBatch) {
-	d := b.d
-	b.mu.Lock()
-	closed := batch.closed
-	b.mu.Unlock()
-	if !closed {
-		timer := time.NewTimer(d.respDelay)
-		select {
-		case <-batch.full:
-		case <-timer.C:
-		case <-ctx.Done():
-			// Shutting down: flush immediately rather than hold the batch
-			// open across the daemon's exit.
+// flushResponses lands one response batch with the respond path's bounded
+// retry. On success every member's RESP is journaled; on final failure the
+// responses stay cached and journaled DONE, so a restart (or a host retry)
+// replays them.
+func (d *Daemon) flushResponses(ctx context.Context, logName string, buf []byte, ids []string) error {
+	// Leading newlines per record keep a whole-batch retry after a torn
+	// append safe, exactly as on the single-record path.
+	err := retryShare(ctx, func() error {
+		err := d.fs.Append(logName, buf)
+		if err != nil {
+			d.metrics.Counter(metrics.DaemonAppendErrors).Inc()
 		}
-		timer.Stop()
-		b.mu.Lock()
-		if b.cur == batch {
-			b.cur = nil
-		}
-		batch.closed = true
-		b.mu.Unlock()
+		return err
+	})
+	if err != nil {
+		d.metrics.Counter(metrics.SmartfamRespondErrors).Add(int64(len(ids)))
+		return err
 	}
-	backoff := respondBackoff
-	landed := false
-	for attempt := 0; attempt < respondAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				attempt = respondAttempts
-			case <-time.After(backoff):
-			}
-			if attempt >= respondAttempts {
-				break
-			}
-			backoff *= 2
+	d.metrics.Counter(metrics.FamRespFlushes).Inc()
+	d.metrics.Counter(metrics.FamRespRecords).Add(int64(len(ids)))
+	for _, id := range ids {
+		if err := d.journal.Resp(id); err != nil {
+			d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
 		}
-		// Leading newlines per record keep a whole-batch retry after a torn
-		// append safe, exactly as on the single-record path.
-		if err := d.fs.Append(b.logName, batch.buf); err == nil {
-			landed = true
-			break
-		}
-		d.metrics.Counter(metrics.DaemonAppendErrors).Inc()
 	}
-	if landed {
-		d.metrics.Counter(metrics.FamRespFlushes).Inc()
-		d.metrics.Counter(metrics.FamRespRecords).Add(int64(len(batch.ids)))
-		for _, id := range batch.ids {
-			if err := d.journal.Resp(id); err != nil {
-				d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
-			}
-		}
-	} else {
-		d.metrics.Counter(metrics.SmartfamRespondErrors).Add(int64(len(batch.ids)))
-	}
+	return nil
 }

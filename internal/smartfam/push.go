@@ -16,33 +16,24 @@ import (
 //     records and hands each response to the waiter registered under its
 //     correlation ID. Waiters register BEFORE appending their request, so a
 //     response can never land unobserved.
-//   - appendBatcher is the group-commit side: concurrent InvokeID calls
-//     against one module coalesce their request records into a single
-//     share append per batch window (bounded by bytes and delay), cutting
-//     the per-invocation RPC cost to ~1/batch. Record framing (leading
-//     newline + CRC) makes concatenated batches and whole-batch retries
-//     safe; duplicate records from a torn-flush retry are deduped by the
-//     daemon's journal, so exactly-once survives batching.
+//   - batcher is the group-commit side (groupcommit.go): concurrent
+//     InvokeID calls against one module coalesce their request records into
+//     a single share append per batch window (bounded by bytes and delay),
+//     cutting the per-invocation RPC cost to ~1/batch. Duplicate records
+//     from a torn-flush retry are deduped by the daemon's journal, so
+//     exactly-once survives batching.
 //
 // Both degrade loudly, never wedge: a lost notify stream flips the router
 // to fast polling (counted under smartfam.fam.degraded) and periodically
-// re-arms push; a share that cannot push at all (DirFS, legacy gob) keeps
-// the classic append-then-poll path untouched.
+// re-arms push; a share that cannot push at all (DirFS, a wrapper hiding
+// the capability, a pre-watch server) keeps the classic append-then-poll
+// path untouched.
 
 // pushSafetyFloor is the slowest the router's safety ticker runs while the
 // notify stream is live. Push delivers the fast path; the ticker only
 // covers dropped notifies (the server's per-watcher queue is bounded), so
 // it can be far lazier than the polling interval.
 const pushSafetyFloor = 25 * time.Millisecond
-
-// Group-commit defaults: a batch flushes at DefaultBatchBytes of encoded
-// records or DefaultBatchDelay after its first record, whichever comes
-// first. The delay is deliberately small against the modelled 20 ms RTT —
-// batching should buy throughput, not visible latency.
-const (
-	DefaultBatchBytes = 64 << 10
-	DefaultBatchDelay = time.Millisecond
-)
 
 // SetBatching enables host-side group commit with the given bounds (<= 0
 // selects the defaults). Call before sharing the client across
@@ -387,7 +378,7 @@ func (rt *respRouter) deliver(recs []Record) {
 func (c *Client) invokePush(ctx context.Context, rt *respRouter, module, logName, id string, line []byte) ([]byte, error) {
 	ch := rt.register(id)
 	defer rt.unregister(id)
-	if err := c.appendRequest(ctx, module, logName, line); err != nil {
+	if err := c.appendRequest(ctx, module, logName, id, line); err != nil {
 		return nil, err
 	}
 	select {
@@ -401,35 +392,12 @@ func (c *Client) invokePush(ctx context.Context, rt *respRouter, module, logName
 	}
 }
 
-// famBatch is one in-flight group commit: records accumulate in buf until
-// the batch closes (byte bound hit, delay elapsed, or leader cancelled),
-// then the leader flushes it with one share append.
-type famBatch struct {
-	buf    []byte
-	n      int64
-	closed bool          // guarded by appendBatcher.mu
-	full   chan struct{} // closed when buf reaches the byte bound
-	done   chan struct{} // closed after the flush; err is set first
-	err    error
-}
-
-// appendBatcher group-commits request records for one module log. The
-// first record's appender becomes the batch leader: it waits out the
-// batch window, detaches the batch, and performs the single append every
-// member blocks on.
-type appendBatcher struct {
-	c        *Client
-	logName  string
-	maxBytes int
-	maxDelay time.Duration
-
-	mu  sync.Mutex
-	cur *famBatch
-}
-
 // batcher returns the group-commit batcher for logName, or nil when
-// batching is disabled (the default).
-func (c *Client) batcher(logName string) *appendBatcher {
+// batching is disabled (the default). Every member blocks on the one
+// append its batch leader performs; a retry under the same correlation ID
+// is deduped by the daemon's journal, so a member that left early on its
+// ctx loses nothing.
+func (c *Client) batcher(logName string) *groupCommit {
 	if c.batchBytes <= 0 {
 		return nil
 	}
@@ -437,96 +405,23 @@ func (c *Client) batcher(logName string) *appendBatcher {
 	defer c.pushMu.Unlock()
 	b := c.batchers[logName]
 	if b == nil {
-		b = &appendBatcher{c: c, logName: logName, maxBytes: c.batchBytes, maxDelay: c.batchDelay}
+		b = &groupCommit{
+			maxBytes: c.batchBytes,
+			maxDelay: c.batchDelay,
+			flush: func(ctx context.Context, buf []byte, ids []string) error {
+				err := c.appendRetrying(ctx, logName, buf)
+				if err == nil && c.metrics != nil {
+					c.metrics.Counter(metrics.FamBatchFlushes).Inc()
+					c.metrics.Counter(metrics.FamBatchRecords).Add(int64(len(ids)))
+					c.metrics.Counter(metrics.FamBatchBytes).Add(int64(len(buf)))
+				}
+				return err
+			},
+		}
 		if c.batchers == nil {
-			c.batchers = make(map[string]*appendBatcher)
+			c.batchers = make(map[string]*groupCommit)
 		}
 		c.batchers[logName] = b
 	}
 	return b
-}
-
-// append joins (or opens) the current batch and blocks until the batch's
-// flush resolves. A caller whose ctx expires leaves early, but its record
-// stays in the batch and may still land — harmless, because a retry under
-// the same correlation ID is deduped by the daemon's journal.
-func (b *appendBatcher) append(ctx context.Context, line []byte) error {
-	b.mu.Lock()
-	leader := false
-	if b.cur == nil {
-		b.cur = &famBatch{full: make(chan struct{}), done: make(chan struct{})}
-		leader = true
-	}
-	batch := b.cur
-	batch.buf = append(batch.buf, line...)
-	batch.n++
-	if len(batch.buf) >= b.maxBytes && !batch.closed {
-		batch.closed = true
-		close(batch.full)
-		b.cur = nil // next record opens a fresh batch
-	}
-	b.mu.Unlock()
-
-	if leader {
-		b.lead(ctx, batch)
-	}
-	select {
-	case <-batch.done:
-		return batch.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// lead waits out the batch window, closes the batch and flushes it.
-func (b *appendBatcher) lead(ctx context.Context, batch *famBatch) {
-	b.mu.Lock()
-	closed := batch.closed
-	b.mu.Unlock()
-	if !closed {
-		timer := time.NewTimer(b.maxDelay)
-		select {
-		case <-batch.full:
-		case <-timer.C:
-		case <-ctx.Done():
-			// Leader cancelled: flush what has gathered rather than strand
-			// the followers' records behind a dead leader.
-		}
-		timer.Stop()
-		b.mu.Lock()
-		if b.cur == batch {
-			b.cur = nil
-		}
-		batch.closed = true
-		b.mu.Unlock()
-	}
-	// After detach no appender can touch batch.buf: joins happen under
-	// b.mu and only against b.cur.
-	backoff := appendBackoff
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = b.c.fs.Append(b.logName, batch.buf); err == nil {
-			break
-		}
-		b.c.countAppendRetry()
-		if attempt+1 >= appendAttempts {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			// Stop retrying but keep the append error: it is the cause the
-			// members care about; the dedup journal makes retries safe.
-		case <-time.After(backoff):
-			backoff *= 2
-			continue
-		}
-		break
-	}
-	if err == nil && b.c.metrics != nil {
-		b.c.metrics.Counter(metrics.FamBatchFlushes).Inc()
-		b.c.metrics.Counter(metrics.FamBatchRecords).Add(batch.n)
-		b.c.metrics.Counter(metrics.FamBatchBytes).Add(int64(len(batch.buf)))
-	}
-	batch.err = err
-	close(batch.done)
 }

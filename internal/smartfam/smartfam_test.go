@@ -42,6 +42,14 @@ func startDaemon(t *testing.T, mods ...Module) (FS, *Registry) {
 		cancel()
 		<-done
 	})
+	// Run does not join its heartbeat goroutine, whose first stamp lands
+	// right after start-up: a test that returns within microseconds would
+	// race that write against TempDir's removal. Let the stamp land first.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		if _, ok := ReadHeartbeat(fsys); ok {
+			break
+		}
+	}
 	return fsys, reg
 }
 

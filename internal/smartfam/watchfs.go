@@ -6,8 +6,8 @@ import (
 )
 
 // The push-mode invocation front door ("fam v2") rests on two optional FS
-// capabilities, both implemented by the internal/nfs client over its
-// binary wire framing and by neither DirFS nor the legacy gob codec:
+// capabilities, both implemented by the internal/nfs client and not by
+// DirFS:
 //
 //   - WatchFS streams server-push change notifications, replacing the
 //     polling Watcher on the hot path (the Watcher and the rescan sweep
@@ -21,7 +21,7 @@ import (
 // server observed. Offsets and rescans stay the source of truth.
 
 // ErrWatchUnsupported marks a transport that can never push notifications
-// (the legacy gob codec, a pre-watch server). It is PERMANENT for the
+// (a pre-watch server). It is PERMANENT for the
 // connection: consumers stop retrying Watch and run pure polling.
 // Transient Watch failures are reported as other errors and may be
 // retried. Transport implementations wrap this sentinel.
