@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint lint-new build test race bench-smoke bench-json bench-nfs bench-cluster bench-fam bench-compare perf perf-smoke chaos chaos-heal check
+.PHONY: all vet lint lint-new build test race bench-smoke bench-json bench-nfs bench-cluster bench-fam bench-compare perf perf-smoke chaos chaos-heal flake check
 
 all: check
 
@@ -59,6 +59,16 @@ chaos:
 chaos-heal:
 	$(GO) test -run TestChaosHeal -count=10 -v .
 	$(GO) test -race -run TestChaosHeal -count=3 .
+
+# flake loops the push front door and the chaos suites under the race
+# detector, FLAKE_COUNT times each (CI runs a short count): the notify
+# stream, its inline payloads and fallbacks, the push/poll differential,
+# daemon shutdown joins and the heartbeat memo. A tier-1 test that fails
+# one run in fifty here is a bug, not noise.
+FLAKE_COUNT ?= 50
+FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo
+flake:
+	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core
 
 # bench-json regenerates BENCH_mapreduce.json: the engine hot-path numbers
 # across the GOMAXPROCS sweep (zero-copy streaming combine vs staged emit,

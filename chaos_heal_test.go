@@ -125,7 +125,7 @@ func TestChaosHealKillAndCorruptReplica(t *testing.T) {
 	const heartbeatEvery = 25 * time.Millisecond
 	started := make(chan struct{})
 	var startedOnce sync.Once
-	newDaemon := func(name string, blockFirstLife bool) (*smartfam.Daemon, context.CancelFunc) {
+	newDaemon := func(name string, blockFirstLife bool) (*smartfam.Daemon, func()) {
 		share := smartfam.DirFS(shareDirs[name])
 		mod := smartfam.Module(core.WordCountModule(core.ModuleConfig{
 			Store: core.FSStore(smartfam.DirFS(shareDirs[name])), Workers: 1,
@@ -146,18 +146,18 @@ func TestChaosHealKillAndCorruptReplica(t *testing.T) {
 			smartfam.WithPollInterval(time.Millisecond),
 			smartfam.WithHeartbeat(heartbeatEvery),
 			smartfam.WithWorkers(2))
-		dctx, dcancel := context.WithCancel(context.Background())
-		go d.Run(dctx) //nolint:errcheck
-		return d, dcancel
+		// Registered after the share's TempDir: the daemon has stopped
+		// writing heartbeats into it before the directory is removed.
+		stop := startChaosDaemon(d)
+		t.Cleanup(stop)
+		return d, stop
 	}
 	nodes := make([]fleet.Node, len(names))
-	var victimKill context.CancelFunc
+	var victimKill func()
 	for i, name := range names {
-		_, dcancel := newDaemon(name, name == victim)
+		_, stop := newDaemon(name, name == victim)
 		if name == victim {
-			victimKill = dcancel
-		} else {
-			defer dcancel()
+			victimKill = stop
 		}
 		client := smartfam.NewClient(smartfam.DirFS(shareDirs[name]), time.Millisecond)
 		client.SetProbeStaleAfter(150 * time.Millisecond)
@@ -194,8 +194,7 @@ func TestChaosHealKillAndCorruptReplica(t *testing.T) {
 	}
 	victimKill()
 	time.Sleep(1 * time.Second)
-	_, restartCancel := newDaemon(victim, false)
-	defer restartCancel()
+	newDaemon(victim, false)
 
 	var out outcome
 	select {

@@ -76,18 +76,16 @@ func TestChaosCrashRestartExactlyOnce(t *testing.T) {
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithJournal(jpath))
-	ctx1, kill1 := context.WithCancel(context.Background())
-	d1Done := make(chan struct{})
-	go func() {
-		defer close(d1Done)
-		d1.Run(ctx1) //nolint:errcheck
-	}()
+	kill1 := startChaosDaemon(d1)
+	defer kill1()
 
 	// Let the startup .queue snapshot land before arming faults, so the
 	// armed tear deterministically hits a response append.
 	chaosWait(t, 10*time.Second, "startup status snapshot", func() bool {
-		_, _, err := share.Stat(smartfam.QueueStatusName)
-		return err == nil
+		// Landed, not just created: the snapshot is Create then Append,
+		// and an Append still in flight would take the fault armed next.
+		size, _, err := share.Stat(smartfam.QueueStatusName)
+		return err == nil && size > 0
 	})
 	ffs1.TearNext(1, 0.5)            // first response append is torn mid-record
 	ffs1.FailNext(faultfs.OpStat, 3) // plus a burst of transient errors
@@ -128,7 +126,6 @@ func TestChaosCrashRestartExactlyOnce(t *testing.T) {
 		return len(completions) >= 3
 	})
 	kill1()
-	<-d1Done
 	close(release) // un-park the blocker for the second life
 
 	// Daemon 2: same share, same journal, fresh fault layer with its own
@@ -147,9 +144,7 @@ func TestChaosCrashRestartExactlyOnce(t *testing.T) {
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithJournal(jpath))
-	ctx2, stop2 := context.WithCancel(context.Background())
-	defer stop2()
-	go d2.Run(ctx2) //nolint:errcheck
+	defer startChaosDaemon(d2)()
 
 	wg.Wait()
 	for i := 0; i < n; i++ {
@@ -274,8 +269,7 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 	started := make(chan struct{})
 	var startedOnce sync.Once
 	nodes := make([]fleet.Node, 3)
-	shares := make([]smartfam.FS, 3)
-	victimKill := context.CancelFunc(nil)
+	var victimKill func()
 	for i := range nodes {
 		share := smartfam.DirFS(t.TempDir())
 		mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dataDir), Workers: 1})
@@ -300,30 +294,37 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 		if err := reg.Register(mod); err != nil {
 			t.Fatal(err)
 		}
-		// The victim's daemon AND its host-side session run through a fault
-		// layer with transient errors armed: recovery must ride them out.
-		var nodeFS smartfam.FS = share
+		// The victim's daemon AND its host-side session run through fault
+		// layers with transient errors armed: recovery must ride them out.
+		// Each side gets its own layer. Shared, a Stat fault could land on
+		// the session's first invocation instead of the daemon, failing it
+		// before it reached the share: the coordinator then re-placed the
+		// victim's fragments before it ever started one, and the test timed
+		// out waiting for the mid-fragment kill it exists for. The session
+		// keeps an append fault, which its bounded append retry absorbs.
+		var daemonFS, sessionFS smartfam.FS = share, share
 		if i == victim {
-			ffs := faultfs.New(share)
-			ffs.FailNext(faultfs.OpStat, 2)
-			ffs.FailNext(faultfs.OpAppend, 1)
-			nodeFS = ffs
+			dfs := faultfs.New(share)
+			dfs.FailNext(faultfs.OpStat, 2)
+			dfs.FailNext(faultfs.OpAppend, 1)
+			sfs := faultfs.New(share)
+			sfs.FailNext(faultfs.OpAppend, 1)
+			daemonFS, sessionFS = dfs, sfs
 		}
-		daemon := smartfam.NewDaemon(nodeFS, reg,
+		daemon := smartfam.NewDaemon(daemonFS, reg,
 			smartfam.WithPollInterval(time.Millisecond),
 			smartfam.WithHeartbeat(-1),
 			smartfam.WithWorkers(2))
-		dctx, dcancel := context.WithCancel(context.Background())
+		// Registered after the share's TempDir: the daemon has stopped
+		// before the directory is removed.
+		stop := startChaosDaemon(daemon)
+		t.Cleanup(stop)
 		if i == victim {
-			victimKill = dcancel
-		} else {
-			defer dcancel()
+			victimKill = stop
 		}
-		go daemon.Run(dctx) //nolint:errcheck
-		shares[i] = nodeFS
 		nodes[i] = fleet.Node{
 			Name:    []string{"sd-a", "sd-b", "sd-c"}[i],
-			Session: smartfam.NewClient(nodeFS, time.Millisecond),
+			Session: smartfam.NewClient(sessionFS, time.Millisecond),
 		}
 	}
 
@@ -426,19 +427,17 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
-	ctx1, kill1 := context.WithCancel(context.Background())
-	d1Done := make(chan struct{})
-	go func() {
-		defer close(d1Done)
-		d1.Run(ctx1) //nolint:errcheck
-	}()
+	kill1 := startChaosDaemon(d1)
+	defer kill1()
 
 	// Let the startup .queue snapshot land, then cut off ALL further
 	// appends: execution, DONE journalling and response caching proceed
 	// normally while every batch flush exhausts its retries.
 	chaosWait(t, 10*time.Second, "startup status snapshot", func() bool {
-		_, _, err := share.Stat(smartfam.QueueStatusName)
-		return err == nil
+		// Landed, not just created: the snapshot is Create then Append,
+		// and an Append still in flight would take the fault armed next.
+		size, _, err := share.Stat(smartfam.QueueStatusName)
+		return err == nil && size > 0
 	})
 	ffs1.FailNext(faultfs.OpAppend, 1<<20)
 
@@ -473,7 +472,6 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 		t.Fatalf("%d response batches landed despite the injected append faults", v)
 	}
 	kill1()
-	<-d1Done
 
 	// Daemon 2: same share, same journal, its own transient faults.
 	// Recovery must re-append every cached response without re-running the
@@ -492,9 +490,7 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
-	ctx2, stop2 := context.WithCancel(context.Background())
-	defer stop2()
-	go d2.Run(ctx2) //nolint:errcheck
+	defer startChaosDaemon(d2)()
 
 	wg.Wait()
 	for i := 0; i < n; i++ {
@@ -579,12 +575,8 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
-	ctx1, kill1 := context.WithCancel(context.Background())
-	d1Done := make(chan struct{})
-	go func() {
-		defer close(d1Done)
-		d1.Run(ctx1) //nolint:errcheck
-	}()
+	kill1 := startChaosDaemon(d1)
+	defer kill1()
 
 	// The host: its own connection, push routers plus request group commit.
 	hconn := dial()
@@ -595,8 +587,10 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 	hc.SetMetrics(hm)
 
 	chaosWait(t, 10*time.Second, "startup status snapshot", func() bool {
-		_, _, err := hconn.Stat(smartfam.QueueStatusName)
-		return err == nil
+		// Landed, not just created: the snapshot is Create then Append,
+		// and an Append still in flight would take the fault armed next.
+		size, _, err := hconn.Stat(smartfam.QueueStatusName)
+		return err == nil && size > 0
 	})
 	chaosWait(t, 10*time.Second, "daemon notify stream to arm", func() bool {
 		return d1.Metrics().Gauge("smartfam.fam.push_active").Value() == 1
@@ -632,7 +626,6 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 		t.Errorf("daemon1 push_events = %d, want >= 1 (the kill must land mid-stream, not in polling mode)", v)
 	}
 	kill1()
-	<-d1Done
 	conn1.Close()
 
 	// Daemon 2: fresh connection, same journal, its own transient faults.
@@ -652,9 +645,7 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 		smartfam.WithStatusInterval(time.Hour),
 		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
-	ctx2, stop2 := context.WithCancel(context.Background())
-	defer stop2()
-	go d2.Run(ctx2) //nolint:errcheck
+	defer startChaosDaemon(d2)()
 
 	wg.Wait()
 	for i := 0; i < n; i++ {
@@ -678,9 +669,12 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 	}
 	mu.Unlock()
 	assertOneResponsePerID(t, hconn, "pushmod", ids)
-	if v := d2.Metrics().Counter("smartfam.daemon.recovered").Value(); v < n {
-		t.Errorf("daemon2 recovered = %d, want >= %d", v, n)
-	}
+	// The recovery pass counts a replay after its append, whose notify
+	// already carried the response to the host: the last count may still
+	// be in flight here.
+	chaosWait(t, 10*time.Second, "daemon2 to count every replay as recovered", func() bool {
+		return d2.Metrics().Counter("smartfam.daemon.recovered").Value() >= n
+	})
 
 	// The host must have been carried by push + group commit end to end:
 	// notify deliveries woke its routers, its requests travelled in batches,
@@ -722,6 +716,23 @@ func assertOneResponsePerID(t *testing.T, fs smartfam.FS, module string, ids []s
 }
 
 // waitFor polls cond until it holds or the deadline passes.
+// startChaosDaemon runs d in the background and returns its kill switch:
+// cancel, then wait for Run to return. Run joins everything it started, so
+// after kill nothing of this daemon touches the share, its journal or the
+// TempDirs they live in. Calling kill again is a no-op.
+func startChaosDaemon(d *smartfam.Daemon) (kill func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Run(ctx) //nolint:errcheck // returns ctx.Err() once killed
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
 func chaosWait(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)

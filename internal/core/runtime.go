@@ -42,6 +42,7 @@ type sdHandle struct {
 	client   *smartfam.Client
 	inflight atomic.Int64
 	healthy  atomic.Bool
+	hbStamp  atomic.Int64 // last heartbeat stamp pick read (UnixNano; 0 = none)
 }
 
 // Option configures a Runtime.
@@ -392,17 +393,32 @@ func (r *Runtime) pick(tried map[*sdHandle]bool) *sdHandle {
 		if tried[h] || !h.healthy.Load() {
 			continue
 		}
-		if staleness > 0 {
-			if ts, ok := smartfam.ReadHeartbeat(h.share); ok && time.Since(ts) > staleness {
-				r.metrics.Counter(metrics.CoreHeartbeatSkips).Inc()
-				continue
-			}
+		if staleness > 0 && h.heartbeatStale(staleness) {
+			r.metrics.Counter(metrics.CoreHeartbeatSkips).Inc()
+			continue
 		}
 		if best == nil || h.inflight.Load() < best.inflight.Load() {
 			best = h
 		}
 	}
 	return best
+}
+
+// heartbeatStale reports whether the node's liveness stamp is older than
+// staleness. Stamps only move forward, so while the last one read is
+// within the window a fresh read could only agree: the verdict costs no
+// share I/O. A stale verdict always comes from a fresh read (Stat +
+// ReadAt); a share without a heartbeat file is never stale.
+func (h *sdHandle) heartbeatStale(staleness time.Duration) bool {
+	if ns := h.hbStamp.Load(); ns != 0 && time.Since(time.Unix(0, ns)) <= staleness {
+		return false
+	}
+	ts, ok := smartfam.ReadHeartbeat(h.share)
+	if !ok {
+		return false
+	}
+	h.hbStamp.Store(ts.UnixNano())
+	return time.Since(ts) > staleness
 }
 
 // ShardedResult is the outcome of one shard of RunSharded.

@@ -311,6 +311,62 @@ func TestRunNoHeartbeatFileStillTried(t *testing.T) {
 	}
 }
 
+// countingShare counts every share call pick makes on a node.
+type countingShare struct {
+	smartfam.FS
+	calls atomic.Int64
+}
+
+func (s *countingShare) Stat(name string) (int64, time.Time, error) {
+	s.calls.Add(1)
+	return s.FS.Stat(name)
+}
+
+func (s *countingShare) ReadAt(name string, p []byte, off int64) (int, error) {
+	s.calls.Add(1)
+	return s.FS.ReadAt(name, p, off)
+}
+
+func TestPickHeartbeatMemo(t *testing.T) {
+	// Inside the staleness window the last stamp read answers "fresh" with
+	// no share I/O; past it pick reads once (Stat + ReadAt), and a stale
+	// verdict always comes from such a read.
+	const window = 150 * time.Millisecond
+	share := &countingShare{FS: smartfam.DirFS(t.TempDir())}
+	rt := New(WithHeartbeatStaleness(window))
+	rt.AttachSD("sd", share)
+	step := func(what string, wantPicked bool, wantCalls, wantSkips int64) {
+		t.Helper()
+		share.calls.Store(0)
+		h := rt.pick(nil)
+		if (h != nil) != wantPicked {
+			t.Fatalf("%s: picked = %v, want %v", what, h != nil, wantPicked)
+		}
+		if got := share.calls.Load(); got != wantCalls {
+			t.Fatalf("%s: %d share calls, want %d", what, got, wantCalls)
+		}
+		if got := rt.Metrics().Counter("core.heartbeat_skips").Value(); got != wantSkips {
+			t.Fatalf("%s: heartbeat_skips = %d, want %d", what, got, wantSkips)
+		}
+	}
+	stamp := func() {
+		if err := smartfam.WriteHeartbeat(share.FS, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stamp()
+	step("first pick", true, 2, 0)
+	step("inside the window", true, 0, 0)
+	time.Sleep(window + 50*time.Millisecond)
+	stamp() // the node is alive: its daemon stamped again
+	step("past the window, live node", true, 2, 0)
+	step("inside the new window", true, 0, 0)
+	time.Sleep(window + 50*time.Millisecond) // no stamp: the node died
+	step("dead node", false, 2, 1)
+	step("dead node again", false, 2, 2)
+}
+
 func TestRunModuleErrorDoesNotFailOver(t *testing.T) {
 	failing := smartfam.ModuleFunc{
 		ModuleName: "fail",

@@ -71,10 +71,12 @@ type Client struct {
 
 	sendMu sync.Mutex // serializes request frames onto the connection
 
+	armMu      sync.Mutex // serializes OpWatch (re-)registrations (watch.go)
 	watchMu    sync.Mutex // guards the local watch-stream set
 	watches    map[*clientWatch]struct{}
 	watchArmed bool   // a server-side watch registration is live
 	watchGen   uint64 // connection generation it was armed on
+	watchSet   []byte // encoded prefix set it carries
 
 	redial      func() (net.Conn, error)
 	backoffInit time.Duration

@@ -1,0 +1,208 @@
+package nfs
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"mcsd/internal/metrics"
+	"mcsd/internal/smartfam"
+)
+
+// famBatchCall is one seeded invocation of the differential batch.
+type famBatchCall struct {
+	module, id string
+	params     []byte
+}
+
+// seededFamBatch draws the differential batch from seed: correlation IDs,
+// modules (one call in four goes to the always-failing module) and
+// parameters (one in eight is 4 KiB, the rest under 200 B).
+func seededFamBatch(seed int64, n int) []famBatchCall {
+	rng := rand.New(rand.NewSource(seed))
+	calls := make([]famBatchCall, n)
+	for i := range calls {
+		c := famBatchCall{module: "echo", id: fmt.Sprintf("%016x", rng.Uint64())}
+		if rng.Intn(4) == 0 {
+			c.module = "fail"
+		}
+		size := rng.Intn(200)
+		if rng.Intn(8) == 0 {
+			size = 4 << 10
+		}
+		c.params = make([]byte, size)
+		rng.Read(c.params)
+		calls[i] = c
+	}
+	return calls
+}
+
+// runFamBatch serves calls over a fresh share — push end to end, or with
+// both the daemon's and the host's view of their connections hiding
+// WatchFS so every notice comes from polling — compacting both module
+// logs between the two halves. It returns each call's outcome by
+// correlation ID and the daemon's journal once Run has returned.
+func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]string, *smartfam.JournalState) {
+	t.Helper()
+	view := func(c *Client) smartfam.FS {
+		if push {
+			return c
+		}
+		return pushlessFS{c}
+	}
+	srv := NewServer(t.TempDir())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Shutdown()
+	})
+	dconn, err := Dial(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dconn.Close() })
+	share := view(dconn)
+	reg := smartfam.NewRegistry(share)
+	for _, m := range []smartfam.Module{
+		smartfam.ModuleFunc{ModuleName: "echo", Fn: func(_ context.Context, p []byte) ([]byte, error) { return p, nil }},
+		smartfam.ModuleFunc{ModuleName: "fail", Fn: func(_ context.Context, p []byte) ([]byte, error) {
+			return nil, fmt.Errorf("refused %d bytes", len(p))
+		}},
+	} {
+		if err := reg.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jpath := filepath.Join(t.TempDir(), "journal")
+	d := smartfam.NewDaemon(share, reg,
+		smartfam.WithWorkers(4),
+		smartfam.WithPollInterval(time.Millisecond),
+		smartfam.WithHeartbeat(-1),
+		smartfam.WithResponseBatching(0, 0),
+		smartfam.WithJournal(jpath))
+	dctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = d.Run(dctx)
+	}()
+	defer func() {
+		stop()
+		<-done
+	}()
+
+	hconn, err := Dial(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hconn.Close() })
+	hc := smartfam.NewClient(view(hconn), time.Millisecond)
+	hc.SetBatching(0, 0)
+	hostMetrics := metrics.NewRegistry()
+	hc.SetMetrics(hostMetrics)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	out := make(map[string]string, len(calls))
+	invoke := func(part []famBatchCall) {
+		var wg sync.WaitGroup
+		for _, c := range part {
+			wg.Add(1)
+			go func(c famBatchCall) {
+				defer wg.Done()
+				res, err := hc.InvokeID(ctx, c.module, c.id, c.params)
+				var merr *smartfam.ModuleError
+				got := "ok:" + string(res)
+				switch {
+				case errors.As(err, &merr):
+					got = "error:" + merr.Msg
+				case err != nil:
+					t.Errorf("%s %s: %v", c.module, c.id, err)
+				}
+				mu.Lock()
+				out[c.id] = got
+				mu.Unlock()
+			}(c)
+		}
+		wg.Wait()
+	}
+	half := len(calls) / 2
+	invoke(calls[:half])
+	// Mid-batch compaction, quiescent as CompactLog requires: every
+	// request of the first half has its answer, so nothing is kept.
+	for _, m := range []string{"echo", "fail"} {
+		if kept, err := reg.CompactLog(m); err != nil || kept != 0 {
+			t.Fatalf("CompactLog(%s) = (%d, %v)", m, kept, err)
+		}
+	}
+	invoke(calls[half:])
+	if events := hostMetrics.Counter(metrics.FamPushEvents).Value(); push != (events > 0) {
+		t.Fatalf("push=%v run routed %d push events", push, events)
+	}
+
+	stop()
+	<-done // Run joins its response flushes: the journal is final
+	_, state, err := smartfam.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, state
+}
+
+// TestFamPushVsPollDifferential runs one seeded batch — an error module
+// and a mid-batch compaction included — over push and over a pushless view
+// of the same kind of share. Notify-carried responses must change nothing
+// observable: the response for every correlation ID and the journal's end
+// state are identical.
+func TestFamPushVsPollDifferential(t *testing.T) {
+	calls := seededFamBatch(17, 48)
+	pushOut, pushState := runFamBatch(t, calls, true)
+	pollOut, pollState := runFamBatch(t, calls, false)
+	if len(pushOut) != len(calls) {
+		t.Fatalf("push answered %d of %d calls", len(pushOut), len(calls))
+	}
+	for _, c := range calls {
+		want := "ok:" + string(c.params)
+		if c.module == "fail" {
+			want = "error:" + fmt.Sprintf("refused %d bytes", len(c.params))
+		}
+		if pushOut[c.id] != want {
+			t.Fatalf("push %s %s: got %.40q, want %.40q", c.module, c.id, pushOut[c.id], want)
+		}
+	}
+	if !reflect.DeepEqual(pushOut, pollOut) {
+		for id, v := range pushOut {
+			if pollOut[id] != v {
+				t.Errorf("id %s: push %.40q, poll %.40q", id, v, pollOut[id])
+			}
+		}
+		t.Fatal("response sets differ between push and poll")
+	}
+	for _, st := range []*smartfam.JournalState{pushState, pollState} {
+		if len(st.Completed) != len(calls) || len(st.Acked) != len(calls) || len(st.Intents) != 0 || st.Corrupt != 0 {
+			t.Fatalf("journal: %d completed, %d acked, %d open intents, %d corrupt; want %d, %d, 0, 0",
+				len(st.Completed), len(st.Acked), len(st.Intents), st.Corrupt, len(calls), len(calls))
+		}
+	}
+	if !reflect.DeepEqual(pushState, pollState) {
+		for id, c := range pushState.Completed {
+			if p := pollState.Completed[id]; p.Module != c.Module || p.Status != c.Status || !bytes.Equal(p.Payload, c.Payload) {
+				t.Errorf("id %s: push %+v, poll %+v", id, c, p)
+			}
+		}
+		t.Fatal("journal end states differ between push and poll")
+	}
+}

@@ -14,6 +14,7 @@ package nfs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,7 +39,7 @@ const (
 	OpPing   = "ping"
 	OpCommit = "commit" // splice staged temp Request.Name into Request.To server-side
 	OpSum    = "sum"    // CRC32 of up to Request.N bytes at Request.Off, computed server-side
-	OpWatch  = "watch"  // register a prefix watch; the server streams notify frames on NotifyTag
+	OpWatch  = "watch"  // register the prefix set in Request.Data; the server streams notify frames on NotifyTag
 )
 
 // NotifyTag is the reserved demux lane for unsolicited server->client
@@ -46,8 +47,29 @@ const (
 // (transmit pre-increments), so tag 0 can never collide with a pending
 // call: the demux routes any frame carrying it to the connection's watch
 // streams instead of the pending map. A notify frame reuses the Response
-// encoding — Names[0] is the changed file, Gen its change generation.
+// encoding — Names[0] is the changed file, Gen its change generation, and
+// for an append of at most inlineNotifyMax bytes Data is the appended
+// bytes and Size the offset they landed at (Data is empty otherwise).
 const NotifyTag = 0
+
+// encodePrefixes packs an OpWatch prefix set into Request.Data, each
+// prefix NUL-terminated (NUL cannot occur in a share path), so the empty
+// set and the set {""} (the whole share) stay distinct.
+func encodePrefixes(prefixes []string) []byte {
+	var b []byte
+	for _, p := range prefixes {
+		b = append(append(b, p...), 0)
+	}
+	return b
+}
+
+// decodePrefixes inverts encodePrefixes.
+func decodePrefixes(data []byte) []string {
+	if len(data) == 0 {
+		return nil
+	}
+	return strings.Split(string(bytes.TrimSuffix(data, []byte{0})), "\x00")
+}
 
 // Commit modes, carried in Request.N of an OpCommit: whether the staged
 // temp file is appended to the target or atomically replaces it.

@@ -4,6 +4,7 @@ package nfs
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,6 +17,7 @@ import (
 	"sync"
 
 	"mcsd/internal/metrics"
+	"mcsd/internal/smartfam"
 )
 
 // Server exports a local directory over the wire — the SD node's NFS-server
@@ -26,10 +28,12 @@ import (
 // state for the push-mode invocation path: a per-file change generation
 // (monotonic, bumped by every mutating op, reported in OpStat replies so
 // pollers can detect size+mtime-reverting rewrites) and a watch registry
-// (OpWatch registers a prefix watch; every mutation streams a notify frame
-// on the NotifyTag lane to each matching watcher). Only mutations that
-// pass through this server are seen — out-of-band writes to the exported
-// directory fall back on the watchers' own rescan sweeps.
+// (OpWatch registers a connection's prefix set; every mutation streams a
+// notify frame on the NotifyTag lane to each matching watcher, and an
+// append of at most inlineNotifyMax bytes ships those bytes and their
+// offset in the frame). Only mutations that pass through this server are
+// seen — out-of-band writes to the exported directory fall back on the
+// watchers' own rescan sweeps.
 type Server struct {
 	root    string
 	metrics *metrics.Registry
@@ -47,20 +51,39 @@ type Server struct {
 // mutating request; the consumer's rescan sweep recovers the change.
 const watchQueueDepth = 256
 
-// notifyEvt is one queued change notification.
+// inlineNotifyMax caps the appended bytes a notify frame carries: one
+// group-commit batch. Larger appends (and every other mutation) notify
+// bare, and the watcher reads the change itself.
+const inlineNotifyMax = smartfam.DefaultBatchBytes
+
+// notifyEvt is one queued change notification. data, when non-nil, is the
+// append's bytes at off — one copy shared by every watcher it is queued to.
 type notifyEvt struct {
 	name string
 	gen  uint64
+	off  int64
+	data []byte
 }
 
-// connWatcher is one connection's watch registration: a prefix filter plus
-// a bounded queue drained by a dedicated sender goroutine (notify frames
-// must interleave with the serve loop's response frames under the
+// connWatcher is one connection's watch registration: a prefix-set filter
+// plus a bounded queue drained by a dedicated sender goroutine (notify
+// frames must interleave with the serve loop's response frames under the
 // connection's write lock, never block a mutating request).
 type connWatcher struct {
-	prefix string // guarded by Server.mu
-	queue  chan notifyEvt
-	done   chan struct{}
+	prefixes []string // guarded by Server.mu
+	queue    chan notifyEvt
+	done     chan struct{}
+}
+
+// matches reports whether name falls under any registered prefix. Caller
+// holds Server.mu.
+func (w *connWatcher) matches(name string) bool {
+	for _, p := range w.prefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // NewServer returns a server exporting root.
@@ -147,21 +170,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleWatch registers (or re-aims) the connection's prefix watch and
+// handleWatch registers (or re-aims) the connection's prefix set and
 // starts its notify sender.
 func (s *Server) handleWatch(req *Request, cur *connWatcher, c *binServerCodec, writeMu *sync.Mutex) (*Response, *connWatcher) {
 	s.metrics.Counter(metrics.NFSOpPrefix + OpWatch).Inc()
+	prefixes := decodePrefixes(req.Data)
 	if cur != nil {
-		// Re-registration on the same connection just re-aims the prefix.
+		// Re-registration on the same connection just re-aims the set.
 		s.mu.Lock()
-		cur.prefix = req.Name
+		cur.prefixes = prefixes
 		s.mu.Unlock()
 		return &Response{}, cur
 	}
 	w := &connWatcher{
-		prefix: req.Name,
-		queue:  make(chan notifyEvt, watchQueueDepth),
-		done:   make(chan struct{}),
+		prefixes: prefixes,
+		queue:    make(chan notifyEvt, watchQueueDepth),
+		done:     make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -195,7 +219,7 @@ func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mut
 			return
 		case ev := <-w.queue:
 			writeMu.Lock()
-			err := c.writeResponse(&Response{Tag: NotifyTag, Names: []string{ev.name}, Gen: ev.gen})
+			err := c.writeResponse(&Response{Tag: NotifyTag, Names: []string{ev.name}, Gen: ev.gen, Size: ev.off, Data: ev.data})
 			writeMu.Unlock()
 			if err != nil {
 				return
@@ -206,9 +230,14 @@ func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mut
 }
 
 // touch records a successful mutation of name: the file's change
-// generation advances and every matching watcher is queued a notify.
-// Staging temps stay invisible here just as they do in List.
-func (s *Server) touch(name string) {
+// generation advances and every matching watcher is queued a bare notify.
+func (s *Server) touch(name string) { s.notify(name, 0, nil) }
+
+// notify is touch for an append that just wrote data at off: when data
+// fits inlineNotifyMax, the notify carries it (copied once, and only if a
+// watcher matches — data aliases the request frame). Staging temps stay
+// invisible here just as they do in List.
+func (s *Server) notify(name string, off int64, data []byte) {
 	clean, err := cleanName(name)
 	if err != nil {
 		return
@@ -225,14 +254,18 @@ func (s *Server) touch(name string) {
 	gen := s.gens[clean]
 	var targets []*connWatcher
 	for w := range s.watchers {
-		if strings.HasPrefix(clean, w.prefix) {
+		if w.matches(clean) {
 			targets = append(targets, w)
 		}
 	}
 	s.mu.Unlock()
+	ev := notifyEvt{name: clean, gen: gen}
+	if len(targets) > 0 && len(data) > 0 && len(data) <= inlineNotifyMax {
+		ev.off, ev.data = off, bytes.Clone(data)
+	}
 	for _, w := range targets {
 		select {
-		case w.queue <- notifyEvt{name: clean, gen: gen}:
+		case w.queue <- ev:
 		default:
 			// Full queue: drop rather than stall the mutating request. The
 			// watcher's rescan sweep recovers the change.
@@ -332,7 +365,14 @@ func (s *Server) handleAppend(req *Request) *Response {
 		return fail(err)
 	}
 	s.metrics.Counter(metrics.NFSBytesWritten).Add(int64(len(req.Data)))
-	s.touch(req.Name)
+	// The descriptor's position after an O_APPEND write is the end of
+	// exactly these bytes, even if an out-of-band writer grew the file
+	// since the open.
+	if end, err := f.Seek(0, io.SeekCurrent); err == nil {
+		s.notify(req.Name, end-int64(len(req.Data)), req.Data)
+	} else {
+		s.touch(req.Name) // no trustworthy offset: notify bare
+	}
 	return &Response{}
 }
 

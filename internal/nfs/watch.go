@@ -1,8 +1,10 @@
 package nfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -10,16 +12,19 @@ import (
 )
 
 // The client side of the notify lane: Watch implements smartfam.WatchFS by
-// registering one server-side watch per connection (prefix "", i.e.
-// everything) and fanning the unsolicited NotifyTag frames out to local
-// per-prefix streams. Keeping the server registration maximal means any
-// number of local subscriptions share one OpWatch and the demux filters by
-// prefix locally.
+// registering ONE server-side watch per connection that carries the set of
+// prefixes its local streams watch, and fanning the unsolicited NotifyTag
+// frames out to the matching streams. The set is re-sent whenever Watch or
+// Close changes it, so the server ships frames only for files some local
+// stream wants — a host routing two module logs hears nothing of the
+// share's .queue and .heartbeat rewrites, whose inline bytes would
+// otherwise ride its link.
 //
 // Stream-loss semantics: when the connection fails (or the client closes),
 // every local stream's channel is closed. Consumers treat the close as
 // "fall back to polling, then re-Watch"; the next Watch call re-arms the
-// server registration on the redialed connection.
+// server registration, with the whole current set, on the redialed
+// connection.
 
 // watchStreamDepth bounds each local stream's event buffer; like the
 // server's queue, a full buffer drops (the consumer rescans from its own
@@ -37,27 +42,35 @@ type clientWatch struct {
 // Events implements smartfam.WatchStream.
 func (w *clientWatch) Events() <-chan smartfam.WatchEvent { return w.ch }
 
-// Close implements smartfam.WatchStream.
+// Close implements smartfam.WatchStream. The server registration shrinks
+// with the set, but only on a live connection: Close never redials.
 func (w *clientWatch) Close() error {
-	c := w.c
-	c.watchMu.Lock()
-	if !w.closed {
-		w.closed = true
-		delete(c.watches, w)
-		close(w.ch)
+	if w.detach() {
+		_ = w.c.syncWatch(false) //nolint:errcheck // best effort: a stale superset only costs frames the demux filters
 	}
-	c.watchMu.Unlock()
 	return nil
 }
 
-// Watch implements smartfam.WatchFS: it subscribes to change notifications
-// for files whose share-relative name starts with prefix. A pre-watch
-// server's unknown-op answer becomes ErrWatchUnsupported, letting callers
-// fall back to polling.
-func (c *Client) Watch(prefix string) (smartfam.WatchStream, error) {
-	if err := c.armWatch(); err != nil {
-		return nil, err
+// detach removes the stream from the local set and closes its channel;
+// false when it was already gone.
+func (w *clientWatch) detach() bool {
+	c := w.c
+	c.watchMu.Lock()
+	defer c.watchMu.Unlock()
+	if w.closed {
+		return false
 	}
+	w.closed = true
+	delete(c.watches, w)
+	close(w.ch)
+	return true
+}
+
+// Watch implements smartfam.WatchFS: it subscribes to change notifications
+// for files whose share-relative name starts with prefix. A server that
+// cannot watch answers with an unknown-op error, which becomes
+// ErrWatchUnsupported, letting callers fall back to polling.
+func (c *Client) Watch(prefix string) (smartfam.WatchStream, error) {
 	w := &clientWatch{c: c, prefix: prefix, ch: make(chan smartfam.WatchEvent, watchStreamDepth)}
 	c.watchMu.Lock()
 	if c.watches == nil {
@@ -65,65 +78,90 @@ func (c *Client) Watch(prefix string) (smartfam.WatchStream, error) {
 	}
 	c.watches[w] = struct{}{}
 	c.watchMu.Unlock()
+	if err := c.syncWatch(true); err != nil {
+		w.detach()
+		return nil, err
+	}
 	return w, nil
 }
 
-// armWatch ensures the current connection carries a live server-side watch
-// registration, issuing the OpWatch RPC when the connection (generation)
-// has changed since the last registration.
-func (c *Client) armWatch() error {
+// syncWatch makes the current connection's server registration carry
+// exactly the local prefix set, issuing OpWatch when the connection
+// (generation) or the set changed since the last registration. armMu
+// orders concurrent re-registrations so the server ends on the latest
+// set. With dial false a dead connection is left alone.
+func (c *Client) syncWatch(dial bool) error {
+	c.armMu.Lock()
+	defer c.armMu.Unlock()
 	c.mu.Lock()
-	gen := c.gen
-	live := c.conn != nil
+	gen, live := c.gen, c.conn != nil
 	c.mu.Unlock()
-	c.watchMu.Lock()
-	armed := c.watchArmed && live && c.watchGen == gen
-	c.watchMu.Unlock()
-	if armed {
+	if !live && !dial {
 		return nil
 	}
-	// Watch everything server-side; local streams filter by prefix.
-	if err := c.doDiscard(&Request{Op: OpWatch}, false); err != nil {
+	c.watchMu.Lock()
+	set := c.prefixSetLocked()
+	if c.watchArmed && live && c.watchGen == gen && bytes.Equal(c.watchSet, set) {
+		c.watchMu.Unlock()
+		return nil
+	}
+	c.watchMu.Unlock()
+	if err := c.doDiscard(&Request{Op: OpWatch, Data: set}, false); err != nil {
 		if errors.Is(err, ErrRemote) {
 			return fmt.Errorf("%w: %v", ErrWatchUnsupported, err)
 		}
 		return err
 	}
-	c.mu.Lock()
-	gen = c.gen
-	c.mu.Unlock()
+	// gen is the generation read before the RPC: a failure since bumped
+	// it, so the next sync re-arms whatever connection replaced this one.
 	c.watchMu.Lock()
-	c.watchArmed, c.watchGen = true, gen
+	c.watchArmed, c.watchGen, c.watchSet = true, gen, set
 	c.watchMu.Unlock()
 	return nil
 }
 
-// deliverNotify routes one NotifyTag frame to every matching local stream.
-// Called from the demux goroutine; the frame is freed here.
-func (c *Client) deliverNotify(resp *Response) {
-	var name string
-	if len(resp.Names) > 0 {
-		name = resp.Names[0]
+// prefixSetLocked encodes the distinct prefixes of the live local streams
+// in a canonical order. Caller holds c.watchMu.
+func (c *Client) prefixSetLocked() []byte {
+	seen := make(map[string]bool, len(c.watches))
+	var prefixes []string
+	for w := range c.watches {
+		if !seen[w.prefix] {
+			seen[w.prefix] = true
+			prefixes = append(prefixes, w.prefix)
+		}
 	}
-	gen := resp.Gen
-	resp.free()
-	if name == "" {
+	sort.Strings(prefixes)
+	return encodePrefixes(prefixes)
+}
+
+// deliverNotify routes one NotifyTag frame to every matching local stream.
+// Called from the demux goroutine; the frame is freed here, so inline
+// append bytes are copied out of it once and shared, read-only, by every
+// stream they reach.
+func (c *Client) deliverNotify(resp *Response) {
+	defer resp.free()
+	if len(resp.Names) == 0 || resp.Names[0] == "" {
 		return
 	}
+	ev := smartfam.WatchEvent{Name: resp.Names[0], Gen: resp.Gen}
 	c.met.watchEvents.Inc()
 	c.watchMu.Lock()
+	defer c.watchMu.Unlock()
 	for w := range c.watches {
-		if !strings.HasPrefix(name, w.prefix) {
+		if !strings.HasPrefix(ev.Name, w.prefix) {
 			continue
 		}
+		if ev.Data == nil && len(resp.Data) > 0 {
+			ev.Off, ev.Data = resp.Size, bytes.Clone(resp.Data)
+		}
 		select {
-		case w.ch <- smartfam.WatchEvent{Name: name, Gen: gen}:
+		case w.ch <- ev:
 		default:
 			// Consumer lagging: drop, like the polling Watcher does. The
 			// consumer re-reads from its own offset.
 		}
 	}
-	c.watchMu.Unlock()
 }
 
 // closeWatches tears down every local stream (connection lost or client

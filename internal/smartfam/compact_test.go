@@ -90,9 +90,7 @@ func TestDaemonSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	c := NewClient(fsys, time.Millisecond)
 	ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -211,9 +209,7 @@ func TestCompactionPreservesPendingInvocation(t *testing.T) {
 	}
 
 	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	// Wait for the response record to appear.
 	deadline := time.After(10 * time.Second)

@@ -183,7 +183,10 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 func (d *Daemon) Metrics() *metrics.Registry { return d.metrics }
 
 // Run serves until ctx is done. It always returns ctx.Err(), except when
-// the configured journal could not be opened.
+// the configured journal could not be opened. Everything Run starts —
+// invocations, the notify source, heartbeat, scheduler, status publisher,
+// detached response flushes — has finished when it returns, so nothing
+// touches the share afterwards.
 func (d *Daemon) Run(ctx context.Context) error {
 	if d.journalErr != nil {
 		return d.journalErr
@@ -192,24 +195,50 @@ func (d *Daemon) Run(ctx context.Context) error {
 	// work: cached responses are re-appended, open intents re-executed.
 	d.recoverPass(ctx)
 
+	ctx, cancel := context.WithCancel(ctx)
+	var (
+		wg sync.WaitGroup // invocations
+		bg sync.WaitGroup // the serving loop's companions
+	)
+	defer func() {
+		cancel()
+		wg.Wait()
+		// Invocations are done, so no response joins a batch any more.
+		d.mu.Lock()
+		batchers := make([]*groupCommit, 0, len(d.respBatchers))
+		for _, b := range d.respBatchers {
+			batchers = append(batchers, b)
+		}
+		d.mu.Unlock()
+		for _, b := range batchers {
+			b.leaders.Wait()
+		}
+		bg.Wait()
+	}()
+	spawn := func(fn func()) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			fn()
+		}()
+	}
+
 	// Change-notification source: server-push stream when the share can
 	// provide one, the polling watcher otherwise (and on stream loss) —
 	// see runNotify.
 	changed := make(chan string, 64)
-	go d.runNotify(ctx, changed)
+	spawn(func() { d.runNotify(ctx, changed) })
 	if d.heartbeat >= 0 {
-		go RunHeartbeat(ctx, d.fs, d.heartbeat) //nolint:errcheck // terminates with ctx
+		spawn(func() { _ = RunHeartbeat(ctx, d.fs, d.heartbeat) })
 	}
 	if d.sched != nil {
-		go d.sched.Run(ctx) //nolint:errcheck // terminates with ctx
+		spawn(func() { _ = d.sched.Run(ctx) })
 	}
 	if d.sched != nil || d.journal != nil {
-		go d.publishQueueStatus(ctx) //nolint:errcheck // terminates with ctx
+		spawn(func() { _ = d.publishQueueStatus(ctx) })
 	}
 
 	sem := make(chan struct{}, d.workers)
-	var wg sync.WaitGroup
-	defer wg.Wait()
 
 	dispatch := func(logName string) error {
 		module, ok := ModuleFromLog(logName)

@@ -36,6 +36,8 @@ type groupCommit struct {
 
 	mu  sync.Mutex
 	cur *commitBatch // the open batch; nil between batches
+
+	leaders sync.WaitGroup // detached leaders still waiting or flushing
 }
 
 // commitBatch is one in-flight group commit.
@@ -72,7 +74,11 @@ func (g *groupCommit) add(ctx context.Context, id string, line []byte) error {
 		if leader {
 			// lead performs exactly one flush and returns: the window wait
 			// is capped by maxDelay and ctx cancellation short-circuits it.
-			go g.lead(ctx, batch)
+			g.leaders.Add(1)
+			go func() {
+				defer g.leaders.Done()
+				g.lead(ctx, batch)
+			}()
 		}
 		return nil
 	}

@@ -43,8 +43,15 @@ func TestHeartbeatGarbageTolerated(t *testing.T) {
 func TestRunHeartbeatRefreshes(t *testing.T) {
 	fsys := DirFS(t.TempDir())
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go RunHeartbeat(ctx, fsys, 5*time.Millisecond) //nolint:errcheck
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = RunHeartbeat(ctx, fsys, 5*time.Millisecond)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
 
 	deadline := time.After(5 * time.Second)
 	var first time.Time
@@ -67,10 +74,7 @@ func TestRunHeartbeatRefreshes(t *testing.T) {
 func TestDaemonStampsHeartbeat(t *testing.T) {
 	fsys := DirFS(t.TempDir())
 	reg := NewRegistry(fsys)
-	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithHeartbeat(2*time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithHeartbeat(2*time.Millisecond)))
 
 	deadline := time.After(5 * time.Second)
 	for {
@@ -90,10 +94,7 @@ func TestDaemonStampsHeartbeat(t *testing.T) {
 func TestDaemonHeartbeatDisabled(t *testing.T) {
 	fsys := DirFS(t.TempDir())
 	reg := NewRegistry(fsys)
-	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
 	time.Sleep(20 * time.Millisecond)
 	if _, ok := ReadHeartbeat(fsys); ok {
 		t.Fatal("disabled heartbeat still stamped")

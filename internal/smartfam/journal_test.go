@@ -153,9 +153,7 @@ func TestDaemonRecoversIntent(t *testing.T) {
 	j.Close()
 
 	d := NewDaemon(share, reg, WithPollInterval(time.Millisecond), WithJournal(jpath))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	waitForResponse(t, share, "echo", "lost1", "echo:redo")
 	if v := d.Metrics().Counter("smartfam.daemon.recovered").Value(); v < 1 {
@@ -192,9 +190,7 @@ func TestDaemonReplaysCachedDone(t *testing.T) {
 	j.Close()
 
 	d := NewDaemon(share, reg, WithPollInterval(time.Millisecond), WithJournal(jpath))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	waitForResponse(t, share, "once", "done1", "cached result")
 	if n := executions.Load(); n != 0 {
@@ -221,9 +217,7 @@ func TestDaemonDedupesHostRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(share, reg, WithPollInterval(time.Millisecond), WithJournal(jpath))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	c := NewClient(share, time.Millisecond)
 	ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -279,9 +273,7 @@ func TestDaemonRestartDoesNotReserveAnsweredPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(share, reg, WithPollInterval(time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	// Serve one fresh request to prove the daemon is alive and draining.
 	c := NewClient(share, time.Millisecond)

@@ -12,8 +12,9 @@ import (
 // This file is the host half of the fam v2 push-mode front door:
 //
 //   - respRouter replaces InvokeID's per-call polling loop when the share
-//     implements WatchFS: ONE notify-driven reader per module log scans new
-//     records and hands each response to the waiter registered under its
+//     implements WatchFS: ONE notify-driven reader per module log parses
+//     the records each notify carries (scanning the log only when one does
+//     not) and hands each response to the waiter registered under its
 //     correlation ID. Waiters register BEFORE appending their request, so a
 //     response can never land unobserved.
 //   - batcher is the group-commit side (groupcommit.go): concurrent
@@ -29,10 +30,12 @@ import (
 // the capability, a pre-watch server) keeps the classic append-then-poll
 // path untouched.
 
-// pushSafetyFloor is the slowest the router's safety ticker runs while the
-// notify stream is live. Push delivers the fast path; the ticker only
-// covers dropped notifies (the server's per-watcher queue is bounded), so
-// it can be far lazier than the polling interval.
+// pushSafetyFloor is how long the notify stream must stay silent, with
+// waiters pending, before the router's safety scan first reads the log
+// itself; it is also the router's tick. Push delivers the fast path; the
+// safety scan only covers dropped notifies (the server's per-watcher queue
+// is bounded) and writers that bypass the server, so it can be far lazier
+// than the polling interval.
 const pushSafetyFloor = 25 * time.Millisecond
 
 // SetBatching enables host-side group commit with the given bounds (<= 0
@@ -93,9 +96,16 @@ type respRouter struct {
 	mu      sync.Mutex
 	waiters map[string]chan Record
 
-	// off/gen are touched only by the router goroutine.
-	off int64
-	gen int64
+	// off/gen/lost/buf are touched only by the router goroutine. lost marks
+	// an offset no longer known to match the log: a bare notify or a gap
+	// went unscanned for want of waiters (a compaction may have truncated
+	// the log under it), so until an inline append lands exactly on it or a
+	// scan has re-run the compaction checks, no append is taken as already
+	// consumed.
+	off  int64
+	gen  int64
+	lost bool
+	buf  []byte // scan buffer, allocated on the first scan
 }
 
 // router returns the live response router for module, creating it (and
@@ -223,17 +233,23 @@ func (rt *respRouter) expire() bool {
 	return true
 }
 
-// run is the router goroutine: scan on every notify while the stream is
-// live (with a lazy safety tick covering dropped notifies), and on stream
-// loss degrade to polling at the client's interval while periodically
+// run is the router goroutine. While the notify stream is live each event
+// is consumed as it comes: inline append bytes are parsed in place, and
+// only a bare notify or a gap costs a scan of the share. The safety scan
+// covers dropped notifies and writers that bypass the server: it starts
+// once the stream has been silent for the safety floor with waiters
+// pending, reads from the offset alone, backs off ×2 per empty result up
+// to routerLinger (reset by any event or find), and runs the full
+// compaction probe at least once per routerLinger. On stream loss the
+// router degrades to polling at the client's interval while periodically
 // trying to re-arm push.
 func (rt *respRouter) run(st WatchStream) {
 	c := rt.c
-	safety := pushSafetyFloor
-	if d := 10 * c.interval; d > safety {
-		safety = d
+	floor := pushSafetyFloor
+	if d := 10 * c.interval; d > floor {
+		floor = d
 	}
-	tick := time.NewTicker(safety)
+	tick := time.NewTicker(floor)
 	defer tick.Stop()
 	c.pushGaugeAdd(1)
 	defer func() {
@@ -242,16 +258,19 @@ func (rt *respRouter) run(st WatchStream) {
 			c.pushGaugeAdd(-1)
 		}
 	}()
+	quiet := time.Now()  // the stream has been silent since
+	wait := floor        // silence that starts the next safety scan
+	probed := time.Now() // last safety-scan compaction probe
 	for {
 		var events <-chan WatchEvent
 		if st != nil {
 			events = st.Events()
 		}
 		select {
-		case _, ok := <-events:
+		case ev, ok := <-events:
 			if !ok {
 				// Stream lost: degraded mode. Poll fast, like the classic
-				// path, and let the safety tick double as the re-arm probe.
+				// path, and let the tick double as the re-arm probe.
 				st = nil
 				c.pushGaugeAdd(-1)
 				c.countDegraded()
@@ -259,8 +278,11 @@ func (rt *respRouter) run(st WatchStream) {
 				continue
 			}
 			c.countPushEvent()
-			rt.scan()
-		case <-tick.C:
+			quiet, wait = time.Now(), floor
+			if !rt.take(ev) {
+				rt.scan(true)
+			}
+		case now := <-tick.C:
 			if rt.expire() {
 				return
 			}
@@ -268,16 +290,69 @@ func (rt *respRouter) run(st WatchStream) {
 				if ns, err := rt.wfs.Watch(rt.logName); err == nil {
 					st = ns
 					c.pushGaugeAdd(1)
-					tick.Reset(safety)
+					tick.Reset(floor)
+					quiet, wait = now, floor
 				} else if errors.Is(err, ErrWatchUnsupported) {
 					c.pushMu.Lock()
 					c.pushBroken = true
 					c.pushMu.Unlock()
 				}
+				rt.scan(true)
+				continue
 			}
-			rt.scan()
+			if now.Sub(quiet) < wait || !rt.armed() {
+				continue
+			}
+			probe := now.Sub(probed) >= routerLinger
+			if probe {
+				probed = now
+			}
+			if rt.scan(probe) {
+				wait = floor
+			} else {
+				wait = min(2*wait, routerLinger)
+			}
+			quiet = time.Now()
 		}
 	}
+}
+
+// take consumes a notify that carries the appended bytes at their offset,
+// without touching the share: bytes landing exactly at the offset go
+// straight to ParseRecords (CRCs and torn-tail quarantine apply as on a
+// read), and bytes a scan already consumed are skipped. It reports false
+// when the event cannot stand in for a read — a bare notify, a gap past
+// the offset (a dropped notify, a writer that bypassed the server), a
+// partial overlap, a torn inline tail, or an apparently consumed append
+// against a lost offset — and the caller scans. An exact match settles a
+// lost offset: Off is where the server wrote the bytes in the log as it
+// is now.
+func (rt *respRouter) take(ev WatchEvent) bool {
+	if ev.Name != rt.logName {
+		return true // another file under the prefix: not ours to read
+	}
+	if len(ev.Data) == 0 {
+		return false
+	}
+	if ev.Off != rt.off {
+		return !rt.lost && ev.Off+int64(len(ev.Data)) <= rt.off
+	}
+	rt.lost = false
+	recs, consumed, corrupt, err := ParseRecords(ev.Data)
+	rt.c.countCorrupt(corrupt)
+	if err != nil {
+		return false
+	}
+	rt.off += int64(consumed)
+	rt.deliver(recs)
+	return consumed == len(ev.Data)
+}
+
+// armed reports whether any invocation is waiting on this router.
+func (rt *respRouter) armed() bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.waiters) > 0
 }
 
 // scanChunk is the router's optimistic read size. Records are a few
@@ -286,63 +361,75 @@ func (rt *respRouter) run(st WatchStream) {
 // exactly one round trip.
 const scanChunk = 256 << 10
 
-// scan reads records appended since the last scan and delivers responses
-// to their registered waiters. The hot path is ONE round trip: the log
-// grows append-only between compactions, so the scan reads a chunk
-// straight from the saved offset — no Stat first; the short read bounds
-// it, and ParseRecords quarantines a tail torn mid-append until a later
-// read completes it. The compaction checks (generation bump, truncation)
-// run only when the read comes back empty, which is exactly what a
-// shrunken log looks like from a stale offset. With no waiters registered
-// the scan is skipped entirely; the offset catches up on the next armed
-// scan.
-func (rt *respRouter) scan() {
-	c := rt.c
-	rt.mu.Lock()
-	armed := len(rt.waiters) > 0
-	rt.mu.Unlock()
-	if !armed {
-		return
+// scan reads records appended since the offset, delivers responses to
+// their registered waiters and reports whether it consumed any. The read
+// is ONE round trip: the log grows append-only between compactions, so
+// the scan reads a chunk straight from the saved offset — no Stat first;
+// the short read bounds it, and ParseRecords quarantines a tail torn
+// mid-append until a later read completes it. With probe set, the
+// compaction checks run when the read comes back empty, which is exactly
+// what a shrunken log looks like from a stale offset; a lost offset is
+// checked before reading. With no waiters registered the scan is skipped
+// entirely and the offset marked lost; the next armed scan catches up.
+func (rt *respRouter) scan(probe bool) bool {
+	if !rt.armed() {
+		rt.lost = true
+		return false
 	}
+	if rt.lost {
+		rt.lost = false
+		rt.rewind()
+	}
+	if rt.buf == nil {
+		rt.buf = make([]byte, scanChunk)
+	}
+	found := false
 	for pass := 0; pass < 2; pass++ {
 		read := 0
 		for {
-			buf := make([]byte, scanChunk)
-			n, err := c.fs.ReadAt(rt.logName, buf, rt.off)
+			n, err := rt.c.fs.ReadAt(rt.logName, rt.buf, rt.off)
 			if n > 0 {
-				recs, consumed, corrupt, perr := ParseRecords(buf[:n])
-				c.countCorrupt(corrupt)
+				recs, consumed, corrupt, perr := ParseRecords(rt.buf[:n])
+				rt.c.countCorrupt(corrupt)
 				if perr != nil {
-					return
+					return found
 				}
 				rt.off += int64(consumed)
 				rt.deliver(recs)
 				read += n
+				found = found || consumed > 0
 				if consumed == 0 {
 					// A torn tail with no complete record in front of it:
 					// wait for the append that terminates it.
 					break
 				}
 			}
-			if err != nil || n < len(buf) {
+			if err != nil || n < len(rt.buf) {
 				break
 			}
 		}
-		if read > 0 {
-			return
-		}
 		// Nothing at the offset: usually just no news, but a compacted or
 		// truncated log shows the same face — check, rewind, rescan once.
-		if g := ReadGeneration(c.fs, rt.module); g != rt.gen {
-			rt.gen, rt.off = g, 0
-			continue
+		if read > 0 || !probe || !rt.rewind() {
+			return found
 		}
-		if size, _, serr := c.fs.Stat(rt.logName); serr == nil && size < rt.off {
-			rt.off = 0
-			continue
-		}
-		return
 	}
+	return found
+}
+
+// rewind runs the compaction checks — generation bump, truncation below
+// the offset — and restarts the offset at zero when either shows the log
+// is a different image. It reports whether it rewound.
+func (rt *respRouter) rewind() bool {
+	if g := ReadGeneration(rt.c.fs, rt.module); g != rt.gen {
+		rt.gen, rt.off = g, 0
+		return true
+	}
+	if size, _, err := rt.c.fs.Stat(rt.logName); err == nil && size < rt.off {
+		rt.off = 0
+		return true
+	}
+	return false
 }
 
 // deliver hands each response record to its registered waiter. Matching

@@ -1,0 +1,426 @@
+package smartfam
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// pushHub is a DirFS share that notifies the way the nfs server does: an
+// append made through one of its views reaches every matching stream with
+// the bytes and their offset inline (bare past DefaultBatchBytes), a
+// Create arrives bare. Writes to the DirFS itself are out of band. drop,
+// when set, filters events per stream prefix — a notify the server's
+// bounded queue dropped.
+type pushHub struct {
+	FS
+	mu      sync.Mutex
+	streams map[*hubStream]struct{}
+	drop    func(prefix string, ev WatchEvent) bool
+}
+
+func newPushHub(t *testing.T) *pushHub {
+	return &pushHub{FS: DirFS(t.TempDir()), streams: make(map[*hubStream]struct{})}
+}
+
+// emit fans ev out to the matching streams. Caller holds h.mu, so streams
+// see mutations in the order they happened.
+func (h *pushHub) emit(ev WatchEvent) {
+	for s := range h.streams {
+		if !strings.HasPrefix(ev.Name, s.prefix) || (h.drop != nil && h.drop(s.prefix, ev)) {
+			continue
+		}
+		select {
+		case s.ch <- ev:
+		default:
+		}
+	}
+}
+
+func (h *pushHub) view() *hubView { return &hubView{hub: h, reads: make(map[string]int)} }
+
+type hubStream struct {
+	hub    *pushHub
+	prefix string
+	ch     chan WatchEvent
+}
+
+func (s *hubStream) Events() <-chan WatchEvent { return s.ch }
+
+func (s *hubStream) Close() error {
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
+	if _, ok := s.hub.streams[s]; ok {
+		delete(s.hub.streams, s)
+		close(s.ch)
+	}
+	return nil
+}
+
+// hubView is one node's mount of the hub; it counts its ReadAt calls per
+// file.
+type hubView struct {
+	hub   *pushHub
+	mu    sync.Mutex
+	reads map[string]int
+}
+
+func (v *hubView) readsOf(name string) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.reads[name]
+}
+
+func (v *hubView) Create(name string) error {
+	h := v.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.FS.Create(name); err != nil {
+		return err
+	}
+	h.emit(WatchEvent{Name: name})
+	return nil
+}
+
+func (v *hubView) Append(name string, data []byte) error {
+	h := v.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	off, _, err := h.FS.Stat(name)
+	if err != nil && !errors.Is(err, ErrNotExist) {
+		return err
+	}
+	if err := h.FS.Append(name, data); err != nil {
+		return err
+	}
+	ev := WatchEvent{Name: name}
+	if len(data) <= DefaultBatchBytes {
+		ev.Off, ev.Data = off, bytes.Clone(data)
+	}
+	h.emit(ev)
+	return nil
+}
+
+func (v *hubView) ReadAt(name string, p []byte, off int64) (int, error) {
+	v.mu.Lock()
+	v.reads[name]++
+	v.mu.Unlock()
+	return v.hub.FS.ReadAt(name, p, off)
+}
+
+func (v *hubView) Stat(name string) (int64, time.Time, error) { return v.hub.FS.Stat(name) }
+func (v *hubView) List() ([]string, error)                    { return v.hub.FS.List() }
+func (v *hubView) Remove(name string) error                   { return v.hub.FS.Remove(name) }
+func (v *hubView) Rename(oldname, newname string) error       { return v.hub.FS.Rename(oldname, newname) }
+
+func (v *hubView) Watch(prefix string) (WatchStream, error) {
+	s := &hubStream{hub: v.hub, prefix: prefix, ch: make(chan WatchEvent, 1024)}
+	v.hub.mu.Lock()
+	v.hub.streams[s] = struct{}{}
+	v.hub.mu.Unlock()
+	return s, nil
+}
+
+var _ WatchFS = (*hubView)(nil)
+
+// responseLine marshals an ok response record.
+func responseLine(t *testing.T, id, payload string) []byte {
+	t.Helper()
+	line, err := Record{Kind: KindResponse, ID: id, Status: StatusOK, Payload: []byte(payload)}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// requestLine marshals a request record.
+func requestLine(t *testing.T, id, payload string) []byte {
+	t.Helper()
+	line, err := Record{Kind: KindRequest, ID: id, Payload: []byte(payload)}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// TestFamPushInlineCostsNoRouterReads pins the tentpole: with every
+// response carried by its notify, N pushed invocations cost the host zero
+// ReadAt calls on the module log. The client's interval puts the safety
+// floor at one second, so only the notifies can answer in time.
+func TestFamPushInlineCostsNoRouterReads(t *testing.T) {
+	hub := newPushHub(t)
+	sd := hub.view()
+	reg := NewRegistry(sd)
+	if err := reg.Register(echoModule()); err != nil {
+		t.Fatal(err)
+	}
+	runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1),
+		WithResponseBatching(0, 0)))
+	host := hub.view()
+	c := NewClient(host, 100*time.Millisecond)
+	c.SetBatching(0, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const n = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			want := fmt.Sprintf("inline-%d", i)
+			out, err := c.Invoke(ctx, "echo", []byte(want))
+			if err == nil && string(out) != "echo:"+want {
+				err = fmt.Errorf("call %d: got %q", i, out)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if r := host.readsOf(LogName("echo")); r != 0 {
+		t.Fatalf("router issued %d ReadAt calls on the log, want 0", r)
+	}
+}
+
+// bareRouter builds a router over fsys with no watch armed: the test plays
+// the notify stream by calling take and scan itself.
+func bareRouter(fsys FS, module string) *respRouter {
+	return &respRouter{
+		c:       NewClient(fsys, time.Millisecond),
+		module:  module,
+		logName: LogName(module),
+		waiters: make(map[string]chan Record),
+	}
+}
+
+// TestRouterInlineFallbacks pins respRouter.take's decisions: bytes at the
+// offset are delivered without a read; a gap, and a torn inline tail, fall
+// back to a scan; a notify whose bytes a scan already consumed is skipped.
+func TestRouterInlineFallbacks(t *testing.T) {
+	hub := newPushHub(t)
+	log := LogName("m")
+	if err := hub.FS.Create(log); err != nil {
+		t.Fatal(err)
+	}
+	host := hub.view()
+	rt := bareRouter(host, "m")
+	chs := make(map[string]chan Record)
+	for _, id := range []string{"r1", "r2", "r3", "r4", "r5"} {
+		chs[id] = rt.register(id)
+	}
+	land := func(data []byte) WatchEvent {
+		t.Helper()
+		off, _, err := hub.FS.Stat(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hub.FS.Append(log, data); err != nil {
+			t.Fatal(err)
+		}
+		return WatchEvent{Name: log, Off: off, Data: data}
+	}
+	delivered := func(id string) {
+		t.Helper()
+		select {
+		case rec := <-chs[id]:
+			if string(rec.Payload) != "p-"+id {
+				t.Fatalf("%s: payload %q", id, rec.Payload)
+			}
+		default:
+			t.Fatalf("%s not delivered", id)
+		}
+	}
+	reads := func(want int) {
+		t.Helper()
+		if got := host.readsOf(log); got != want {
+			t.Fatalf("%d ReadAt calls so far, want %d", got, want)
+		}
+	}
+
+	if !rt.take(land(responseLine(t, "r1", "p-r1"))) {
+		t.Fatal("bytes at the offset not taken")
+	}
+	delivered("r1")
+	reads(0)
+
+	ev2 := land(responseLine(t, "r2", "p-r2")) // its notify is late
+	if rt.take(land(responseLine(t, "r3", "p-r3"))) {
+		t.Fatal("notify past a gap taken")
+	}
+	rt.scan(true)
+	delivered("r2")
+	delivered("r3")
+	reads(1)
+	if !rt.take(ev2) {
+		t.Fatal("notify for bytes a scan consumed not skipped")
+	}
+	reads(1)
+
+	r5 := responseLine(t, "r5", "p-r5")
+	if rt.take(land(append(responseLine(t, "r4", "p-r4"), r5[:len(r5)/2]...))) {
+		t.Fatal("torn inline tail taken whole")
+	}
+	delivered("r4")
+	rt.scan(true) // the quarantined half alone: nothing to deliver yet
+	if rt.take(land(r5[len(r5)/2:])) {
+		t.Fatal("tail completion past the quarantined record taken inline")
+	}
+	rt.scan(true)
+	delivered("r5")
+	if size, _, _ := hub.FS.Stat(log); rt.off != size {
+		t.Fatalf("router offset %d, log size %d", rt.off, size)
+	}
+}
+
+// invokeAsync runs one InvokeID in the background.
+func invokeAsync(ctx context.Context, c *Client, module, id, params string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		out, err := c.InvokeID(ctx, module, id, []byte(params))
+		if err == nil && string(out) != "echo:"+params {
+			err = fmt.Errorf("%s: got %q", id, out)
+		}
+		done <- err
+	}()
+	return done
+}
+
+// waitRequest polls the log until the request record for id has landed.
+func waitRequest(t *testing.T, fsys FS, module, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		data, _ := ReadFrom(fsys, LogName(module), 0)
+		recs, _, _, _ := ParseRecords(data)
+		for _, r := range recs {
+			if r.Kind == KindRequest && r.ID == id {
+				return
+			}
+		}
+	}
+	t.Fatalf("request %s never landed", id)
+}
+
+// waitPrompt fails unless done reports success well inside routerLinger:
+// a response the notifies should deliver must not be left to the safety
+// scan's compaction probe.
+func waitPrompt(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(routerLinger / 2):
+		t.Fatalf("%s: no response within %v", what, routerLinger/2)
+	}
+}
+
+// TestRouterCompactionMidStream pins the rewind: a compaction (Create,
+// then Append of the kept records) under a live router moves every offset
+// back, so the response landing behind the kept request arrives at an
+// offset the router's old image had long consumed. It must be delivered
+// at once — with a waiter pending, and after a compaction the router
+// slept through.
+func TestRouterCompactionMidStream(t *testing.T) {
+	hub := newPushHub(t)
+	sd := hub.view()
+	reg := NewRegistry(sd)
+	if err := reg.Register(echoModule()); err != nil {
+		t.Fatal(err)
+	}
+	log := LogName("echo")
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("old-%d", i)
+		pair := append(requestLine(t, id, "x"), responseLine(t, id, "echo:x")...)
+		if err := sd.Append(log, pair); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A one-second safety floor: only the notifies can answer in time.
+	c := NewClient(hub.view(), 100*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// w1's record pair outweighs w2's, so w2's whole exchange also lands
+	// below the offset the router holds after w1.
+	one := "one-" + strings.Repeat("x", 200)
+	w1 := invokeAsync(ctx, c, "echo", "w1", one)
+	waitRequest(t, hub.FS, "echo", "w1")
+	if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
+		t.Fatalf("CompactLog = (%d, %v), want the one pending request kept", kept, err)
+	}
+	if err := sd.Append(log, responseLine(t, "w1", "echo:"+one)); err != nil {
+		t.Fatal(err)
+	}
+	waitPrompt(t, w1, "waiter across the compaction")
+
+	// Idle router: the compaction's bare Create finds no waiter to scan for.
+	if kept, err := reg.CompactLog("echo"); err != nil || kept != 0 {
+		t.Fatalf("CompactLog = (%d, %v), want nothing kept", kept, err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	w2 := invokeAsync(ctx, c, "echo", "w2", "two")
+	waitRequest(t, hub.FS, "echo", "w2")
+	if err := sd.Append(log, responseLine(t, "w2", "echo:two")); err != nil {
+		t.Fatal(err)
+	}
+	waitPrompt(t, w2, "first invocation after an unseen compaction")
+}
+
+// TestRouterSafetyScanAnswers pins the safety scan's reach: a response
+// whose notify was dropped, and one from a daemon that bypasses the
+// notifying server altogether, are both answered within routerLinger
+// plus a round trip (here: none) even though the stream stays live.
+func TestRouterSafetyScanAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		daemon func(hub *pushHub) FS
+	}{
+		{"dropped notify", func(hub *pushHub) FS {
+			hub.drop = func(prefix string, ev WatchEvent) bool {
+				return prefix != "" && bytes.Contains(ev.Data, []byte("\n"+KindResponse+" "))
+			}
+			return hub.view()
+		}},
+		{"out-of-band writer", func(hub *pushHub) FS { return hub.FS }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := newPushHub(t)
+			sd := tc.daemon(hub)
+			reg := NewRegistry(sd)
+			if err := reg.Register(echoModule()); err != nil {
+				t.Fatal(err)
+			}
+			runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
+			host := hub.view()
+			c := NewClient(host, time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for i := 0; i < 5; i++ {
+				start := time.Now()
+				params := fmt.Sprintf("call-%d", i)
+				out, err := c.Invoke(ctx, "echo", []byte(params))
+				if err != nil || string(out) != "echo:"+params {
+					t.Fatalf("call %d: (%q, %v)", i, out, err)
+				}
+				if took := time.Since(start); took > routerLinger+250*time.Millisecond {
+					t.Fatalf("call %d answered after %v, want within routerLinger (%v)", i, took, routerLinger)
+				}
+			}
+			if host.readsOf(LogName("echo")) == 0 {
+				t.Fatal("no safety scan ran, yet every response's notify was missing")
+			}
+		})
+	}
+}

@@ -31,7 +31,14 @@ func startDaemon(t *testing.T, mods ...Module) (FS, *Registry) {
 			t.Fatal(err)
 		}
 	}
-	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithWorkers(4))
+	runDaemon(t, NewDaemon(fsys, reg, WithPollInterval(time.Millisecond), WithWorkers(4)))
+	return fsys, reg
+}
+
+// runDaemon runs d until the test ends; Run joins everything it starts, so
+// once the cleanup returns nothing writes to the share any more.
+func runDaemon(t *testing.T, d *Daemon) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -42,15 +49,6 @@ func startDaemon(t *testing.T, mods ...Module) (FS, *Registry) {
 		cancel()
 		<-done
 	})
-	// Run does not join its heartbeat goroutine, whose first stamp lands
-	// right after start-up: a test that returns within microseconds would
-	// race that write against TempDir's removal. Let the stamp land first.
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
-		if _, ok := ReadHeartbeat(fsys); ok {
-			break
-		}
-	}
-	return fsys, reg
 }
 
 func TestRegistryRegisterCreatesLog(t *testing.T) {
@@ -265,9 +263,7 @@ func TestDaemonMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(fsys, reg, WithPollInterval(time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go d.Run(ctx) //nolint:errcheck
+	runDaemon(t, d)
 
 	c := NewClient(fsys, time.Millisecond)
 	ictx, icancel := context.WithTimeout(context.Background(), 10*time.Second)

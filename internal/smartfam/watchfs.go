@@ -17,8 +17,10 @@ import (
 //     and mtime within one poll window still advances the generation).
 //
 // Consumers must treat both as best-effort accelerators: a stream can be
-// lost (its channel closes) and generations only advance for mutations the
-// server observed. Offsets and rescans stay the source of truth.
+// lost (its channel closes), events can be dropped, and generations only
+// advance for mutations the server observed. A notify may carry the bytes
+// an append wrote at their offset; offsets and record CRCs remain the
+// source of truth, and rescans the fallback.
 
 // ErrWatchUnsupported marks a transport that can never push notifications
 // (a pre-watch server). It is PERMANENT for the
@@ -29,10 +31,16 @@ var ErrWatchUnsupported = errors.New("push watch unsupported on this transport")
 
 // WatchEvent reports that a watched file changed: Name is the
 // share-relative file, Gen the server's change generation after the
-// mutation (0 when the source does not track generations).
+// mutation (0 when the source does not track generations). When the
+// mutation was an append the source chose to ship, Data holds the appended
+// bytes and Off the file offset they landed at; Data is empty for every
+// other event (a "bare" notify). Data is shared between subscribers and
+// must not be modified.
 type WatchEvent struct {
 	Name string
 	Gen  uint64
+	Off  int64
+	Data []byte
 }
 
 // WatchStream is one live change-notification subscription. Events are

@@ -1,7 +1,6 @@
 package smartfam
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/rand"
 	"encoding/base64"
@@ -106,20 +105,24 @@ func (r Record) Marshal() ([]byte, error) {
 // the parser resyncs at the next newline, counts the casualty, and keeps
 // going, so one damaged record cannot wedge a whole module log. Callers
 // surface the count through a `smartfam.corrupt_records` metric. err is
-// reserved for scanner-level failures (a line exceeding the 64 MB cap).
+// reserved for a line exceeding the maxRecordLine cap.
+//
+// It walks data in place — no scanner buffer — because the push router
+// parses every notify's inline bytes with it.
 func ParseRecords(data []byte) (recs []Record, consumed int, corrupt int, err error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	off := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := len(line) + 1 // +1 for the newline Scan consumed
-		if off+lineLen > len(data) {
+	for off < len(data) {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n > maxRecordLine || (n < 0 && len(data)-off > maxRecordLine) {
+			return recs, off, corrupt, fmt.Errorf("smartfam: scanning log: line at %d exceeds %d bytes", off, maxRecordLine)
+		}
+		if n < 0 {
 			// Partial final line without newline: leave for next poll.
 			break
 		}
+		line := data[off : off+n]
 		lineStart := off
-		off += lineLen
+		off += n + 1
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -131,11 +134,12 @@ func ParseRecords(data []byte) (recs []Record, consumed int, corrupt int, err er
 		rec.Pos = int64(lineStart)
 		recs = append(recs, rec)
 	}
-	if serr := sc.Err(); serr != nil {
-		return recs, off, corrupt, fmt.Errorf("smartfam: scanning log: %w", serr)
-	}
 	return recs, off, corrupt, nil
 }
+
+// maxRecordLine bounds one log line, so a newline-free run of garbage is
+// reported rather than waited on forever.
+const maxRecordLine = 64 << 20
 
 func parseLine(line []byte) (Record, error) {
 	fields := strings.Fields(string(line))
