@@ -1,13 +1,14 @@
 # Standard development entry points. `make check` is what CI (and the
 # pre-commit habit) should run: vet, lint, build, full test suite under the
-# race detector, and a short-mode smoke of the engine benchmarks. `lint`
+# race detector, and a one-iteration smoke of every benchmark. `lint`
 # runs mcsdlint, the repo's own analyzer suite (internal/lint): share-I/O
 # discipline, wire-error wrapping, context propagation, metric-name
 # registry, and sim determinism — see DESIGN.md §5d for the invariants.
+# `perf` is the one performance harness (cmd/perfbench, BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: all vet lint lint-new build test race bench-smoke bench-json bench-nfs bench-cluster bench-fam bench-compare perf perf-smoke chaos chaos-heal flake check
+.PHONY: all vet lint lint-new build test race bench-smoke perf perf-smoke chaos chaos-heal flake check
 
 all: check
 
@@ -69,50 +70,6 @@ FLAKE_COUNT ?= 50
 FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core
-
-# bench-json regenerates BENCH_mapreduce.json: the engine hot-path numbers
-# across the GOMAXPROCS sweep (zero-copy streaming combine vs staged emit,
-# the k-adaptive merge vs its forced strategies, parallel vs sequential
-# partition driver) plus the acceptance targets vs the pre-overhaul
-# baseline. Commit the regenerated file; bench-compare gates against it.
-bench-json:
-	$(GO) run ./cmd/mcsd-bench -engine -engine-out BENCH_mapreduce.json
-
-# bench-compare is the engine-performance regression gate: re-measure the
-# engine hot paths on this machine and compare against the committed
-# BENCH_mapreduce.json, failing on >10% throughput loss (ns/op rise for
-# rows without a MB/s figure) or >20% allocs/op growth per matched
-# (benchmark, gomaxprocs) row. Improvements never fail; regenerate the
-# committed file with bench-json when numbers legitimately move.
-bench-compare:
-	$(GO) run ./cmd/mcsd-bench -engine -engine-out /tmp/bench-new.json
-	$(GO) run ./cmd/mcsd-bench -compare BENCH_mapreduce.json /tmp/bench-new.json
-
-# bench-nfs regenerates BENCH_nfs.json: the NFS data-path numbers over a
-# modelled 1 GbE link with propagation delay — pipelined vs serial
-# sequential read, random reads, staged vs per-RPC append, and the block
-# cache's warm/cold split. The run fails if the acceptance gates regress
-# (pipelined >= 2x serial; warm cache reads move zero data bytes).
-bench-nfs:
-	$(GO) run ./cmd/mcsd-bench -nfs -nfs-out BENCH_nfs.json
-
-# bench-cluster regenerates BENCH_cluster.json: the multi-SD scale-out
-# numbers — a fleet word count scattered over N=1/2/4/8 in-process SD nodes,
-# each reading through a bandwidth-limited self-mount standing in for its
-# local disk, gathered and merged by the host over a modelled 1 GbE link.
-# The run fails if the near-linear-speedup gates regress (>= 1.7x at N=2,
-# >= 3.0x at N=4) or if any merged output differs from the N=1 bytes.
-bench-cluster:
-	$(GO) run ./cmd/mcsd-bench -cluster -cluster-out BENCH_cluster.json
-
-# bench-fam regenerates BENCH_fam.json: the fam v2 invocation front-door
-# numbers — the same concurrent echo invocations over the same modelled
-# 1 GbE + 10 ms link, once through the classic append-then-poll path and
-# once through push notify + group commit. The run fails if the acceptance
-# gates regress (push >= 10x polling throughput; push p99 <= 3x the 20 ms
-# RTT).
-bench-fam:
-	$(GO) run ./cmd/mcsd-bench -fam -fam-out BENCH_fam.json
 
 # perf runs the repository benchmark BENCHMARK.json declares: the four
 # perfbench workloads (invoke_open, offload_mix, hostpull_wc, fleet_wc) over

@@ -11,7 +11,6 @@ package mcsd_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -136,21 +135,40 @@ func benchEngineInput(b *testing.B) []byte {
 	return workloads.GenerateTextBytes(engineCorpus, 1)
 }
 
-// BenchmarkEngineWordCountParallel measures the real Phoenix-style runtime
-// on word count with the node's cores.
-func BenchmarkEngineWordCountParallel(b *testing.B) {
+// BenchmarkRunWordcount measures the real Phoenix-style runtime on word
+// count with the node's cores, and isolates what the streaming combine buys:
+// the same corpus with and without a combiner. The combine variant must
+// allocate strictly fewer bytes per op — raw pairs never hit the staging
+// buffers. The engine's core sweep is
+//
+//	go test -run '^$' -bench 'RunWordcount|PartitionDrivers' -cpu 1,2,4,8 .
+func BenchmarkRunWordcount(b *testing.B) {
 	input := benchEngineInput(b)
-	b.SetBytes(int64(len(input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mapreduce.Run(context.Background(), mapreduce.Config{},
-			workloads.WordCountSpec(), input); err != nil {
-			b.Fatal(err)
-		}
+	withCombine := workloads.WordCountSpec()
+	noCombine := workloads.WordCountSpec()
+	noCombine.Combine = nil
+	for _, v := range []struct {
+		name string
+		spec mapreduce.Spec[string, int, int]
+	}{
+		{"with-combine", withCombine},
+		{"no-combine", noCombine},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(input)))
+			for i := 0; i < b.N; i++ {
+				if _, err := mapreduce.Run(context.Background(), mapreduce.Config{},
+					v.spec, input); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkEngineWordCountSequential is the sequential baseline.
+// BenchmarkEngineWordCountSequential is the sequential baseline for
+// BenchmarkRunWordcount/with-combine.
 func BenchmarkEngineWordCountSequential(b *testing.B) {
 	input := benchEngineInput(b)
 	b.SetBytes(int64(len(input)))
@@ -189,32 +207,6 @@ func BenchmarkEngineMatMul(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPartitionOverhead compares the partitioned driver against one
-// native run over the same input — the cost of the Fig. 6 extension when
-// memory is NOT scarce.
-func BenchmarkPartitionOverhead(b *testing.B) {
-	input := benchEngineInput(b)
-	b.Run("native", func(b *testing.B) {
-		b.SetBytes(int64(len(input)))
-		for i := 0; i < b.N; i++ {
-			if _, err := mapreduce.Run(context.Background(), mapreduce.Config{},
-				workloads.WordCountSpec(), input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("partitioned-512K", func(b *testing.B) {
-		b.SetBytes(int64(len(input)))
-		for i := 0; i < b.N; i++ {
-			if _, err := partition.Run(context.Background(), mapreduce.Config{},
-				workloads.WordCountSpec(), bytes.NewReader(input),
-				partition.Options{FragmentSize: 512 << 10}, workloads.WordCountMerge); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSmartFAMRoundTrip measures one log-file invocation round trip
@@ -366,7 +358,9 @@ func BenchmarkEngineKMeans(b *testing.B) {
 }
 
 // BenchmarkPartitionDrivers compares the sequential out-of-core driver
-// against the fragment-parallel worker-pool driver on the same input.
+// against the fragment-parallel worker-pool driver on the same input; set
+// against BenchmarkRunWordcount/with-combine it is the cost of the Fig. 6
+// extension when memory is not scarce.
 func BenchmarkPartitionDrivers(b *testing.B) {
 	input := benchEngineInput(b)
 	drivers := []struct {
@@ -388,6 +382,7 @@ func BenchmarkPartitionDrivers(b *testing.B) {
 	}
 	for _, d := range drivers {
 		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(input)))
 			for i := 0; i < b.N; i++ {
 				if err := d.run(); err != nil {
@@ -433,28 +428,6 @@ func BenchmarkMultiSDScaling(b *testing.B) {
 				}
 			}
 			b.ReportMetric(s, "speedup")
-		})
-	}
-}
-
-// BenchmarkAblationCombiner quantifies the Phoenix combiner: word count
-// with and without worker-local pre-aggregation.
-func BenchmarkAblationCombiner(b *testing.B) {
-	input := benchEngineInput(b)
-	withSpec := workloads.WordCountSpec()
-	withoutSpec := workloads.WordCountSpec()
-	withoutSpec.Combine = nil
-	for _, tc := range []struct {
-		name string
-		spec mapreduce.Spec[string, int, int]
-	}{{"with-combiner", withSpec}, {"without-combiner", withoutSpec}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			for i := 0; i < b.N; i++ {
-				if _, err := mapreduce.Run(context.Background(), mapreduce.Config{}, tc.spec, input); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }
@@ -511,62 +484,4 @@ func formatMB(n int64) string {
 		n /= 10
 	}
 	return string(buf[i:]) + "MB"
-}
-
-// --- Shuffle/merge hot-path overhaul -------------------------------------
-
-// BenchmarkMergeSorted compares the heap-based k-way merge against the old
-// linear tournament across run counts. At k=2 the two are close (the heap
-// path degenerates to a two-pointer merge); at k=64 the heap's O(n log k)
-// pulls away from the tournament's O(n·k).
-func BenchmarkMergeSorted(b *testing.B) {
-	const total = 1 << 17
-	for _, k := range []int{2, 8, 64} {
-		runs := make([][]mapreduce.Pair[int, int], k)
-		for i := 0; i < total; i++ {
-			runs[i%k] = append(runs[i%k], mapreduce.Pair[int, int]{Key: i, Value: i})
-		}
-		less := func(a, c int) bool { return a < c }
-		b.Run(fmt.Sprintf("loser-tree/k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mapreduce.MergeSorted(runs, less)
-			}
-		})
-		b.Run(fmt.Sprintf("linear/k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mapreduce.MergeSortedLinear(runs, less)
-			}
-		})
-	}
-}
-
-// BenchmarkRunWordcount isolates what the streaming combine buys: the same
-// corpus through the full engine with and without a combiner. The combine
-// variant must allocate strictly fewer bytes per op — raw pairs never hit
-// the staging buffers.
-func BenchmarkRunWordcount(b *testing.B) {
-	input := benchEngineInput(b)
-	withCombine := workloads.WordCountSpec()
-	noCombine := workloads.WordCountSpec()
-	noCombine.Combine = nil
-	for _, v := range []struct {
-		name string
-		spec mapreduce.Spec[string, int, int]
-	}{
-		{"with-combine", withCombine},
-		{"no-combine", noCombine},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(input)))
-			for i := 0; i < b.N; i++ {
-				if _, err := mapreduce.Run(context.Background(), mapreduce.Config{},
-					v.spec, input); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -59,39 +59,21 @@ func emitFigure(fig *metrics.Figure) error {
 
 func main() {
 	var (
-		table1  = flag.Bool("table1", false, "Table I: cluster configuration")
-		fig8a   = flag.Bool("fig8a", false, "Fig. 8(a): single-application speedups")
-		fig8b   = flag.Bool("fig8b", false, "Fig. 8(b): WC growth curves")
-		fig8c   = flag.Bool("fig8c", false, "Fig. 8(c): SM growth curves")
-		fig9    = flag.Bool("fig9", false, "Fig. 9: MM/WC pair speedups")
-		fig10   = flag.Bool("fig10", false, "Fig. 10: MM/SM pair speedups")
-		claims  = flag.Bool("claims", false, "quantitative prose claims (PASS/FAIL)")
-		ext     = flag.Bool("ext", false, "extension studies: multi-SD, interconnect, SMB sweep")
-		scale   = flag.Bool("scale", false, "measured scale model: real engine + throttled TCP (slow; excluded from default)")
-		calib   = flag.Bool("calibrate", false, "measure the real engine on this machine and print the model scale factor")
-		engine  = flag.Bool("engine", false, "engine hot-path benchmarks: combine/merge/pipeline before-vs-after (slow; excluded from default)")
-		engOut  = flag.String("engine-out", "BENCH_mapreduce.json", "where -engine writes its JSON report")
-		nfsb    = flag.Bool("nfs", false, "NFS data-path benchmarks: pipelined vs serial, block cache warm/cold over a modelled 1 GbE link (slow; excluded from default)")
-		nfsOut  = flag.String("nfs-out", "BENCH_nfs.json", "where -nfs writes its JSON report")
-		clus    = flag.Bool("cluster", false, "multi-SD scale-out benchmark: fleet word count at N=1/2/4/8 in-process SD nodes over modelled links (slow; excluded from default)")
-		clusOut = flag.String("cluster-out", "BENCH_cluster.json", "where -cluster writes its JSON report")
-		famb    = flag.Bool("fam", false, "smartFAM invocation front-door benchmark: push+group-commit vs polling over a modelled 1 GbE link (slow; excluded from default)")
-		famOut  = flag.String("fam-out", "BENCH_fam.json", "where -fam writes its JSON report")
-		csvDir  = flag.String("csv", "", "also write each table/figure as CSV into this directory")
-		compare = flag.Bool("compare", false, "compare two -engine reports: mcsd-bench -compare old.json new.json (exits non-zero on regression)")
+		table1 = flag.Bool("table1", false, "Table I: cluster configuration")
+		fig8a  = flag.Bool("fig8a", false, "Fig. 8(a): single-application speedups")
+		fig8b  = flag.Bool("fig8b", false, "Fig. 8(b): WC growth curves")
+		fig8c  = flag.Bool("fig8c", false, "Fig. 8(c): SM growth curves")
+		fig9   = flag.Bool("fig9", false, "Fig. 9: MM/WC pair speedups")
+		fig10  = flag.Bool("fig10", false, "Fig. 10: MM/SM pair speedups")
+		claims = flag.Bool("claims", false, "quantitative prose claims (PASS/FAIL)")
+		ext    = flag.Bool("ext", false, "extension studies: multi-SD, interconnect, SMB sweep")
+		scale  = flag.Bool("scale", false, "measured scale model: real engine + throttled TCP (slow; excluded from default)")
+		calib  = flag.Bool("calibrate", false, "measure the real engine on this machine and print the model scale factor")
+		csvDir = flag.String("csv", "", "also write each table/figure as CSV into this directory")
 	)
 	flag.Parse()
 	outDir = *csvDir
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("mcsd-bench: -compare needs exactly two arguments: old.json new.json")
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1)); err != nil {
-			log.Fatalf("mcsd-bench: compare: %v", err)
-		}
-		return
-	}
-	all := !(*table1 || *fig8a || *fig8b || *fig8c || *fig9 || *fig10 || *claims || *ext || *scale || *calib || *engine || *nfsb || *clus || *famb)
+	all := !(*table1 || *fig8a || *fig8b || *fig8c || *fig9 || *fig10 || *claims || *ext || *scale || *calib)
 
 	if err := run(all, *table1, *fig8a, *fig8b, *fig8c, *fig9, *fig10, *claims, *ext); err != nil {
 		log.Fatalf("mcsd-bench: %v", err)
@@ -104,26 +86,6 @@ func main() {
 	if *calib {
 		if err := runCalibrate(); err != nil {
 			log.Fatalf("mcsd-bench: calibration: %v", err)
-		}
-	}
-	if *engine {
-		if err := runEngineBench(*engOut); err != nil {
-			log.Fatalf("mcsd-bench: engine benchmarks: %v", err)
-		}
-	}
-	if *nfsb {
-		if err := runNFSBench(*nfsOut); err != nil {
-			log.Fatalf("mcsd-bench: nfs benchmarks: %v", err)
-		}
-	}
-	if *clus {
-		if err := runClusterBench(*clusOut); err != nil {
-			log.Fatalf("mcsd-bench: cluster benchmarks: %v", err)
-		}
-	}
-	if *famb {
-		if err := runFamBench(*famOut); err != nil {
-			log.Fatalf("mcsd-bench: fam benchmarks: %v", err)
 		}
 	}
 }

@@ -146,16 +146,16 @@ func OpenRange(store DataStore, name string, off, length int64) (io.ReadCloser, 
 }
 
 // RemoteStore is the slice of the share-client surface a DataStore needs;
-// *nfs.Client and *nfs.CachedFS both satisfy it.
+// *nfs.Client satisfies it.
 type RemoteStore interface {
 	OpenReader(name string) (io.ReadCloser, error)
+	OpenReaderAt(name string, off int64) (io.ReadCloser, error)
+	OpenRangeReader(name string, off, length int64) (io.ReadCloser, error)
 	Stat(name string) (int64, time.Time, error)
 }
 
 // RemoteDataStore returns a DataStore over a mounted share — host-side
-// access to SD-resident data, paying network costs for every byte. Wrap the
-// client in an nfs.CachedFS first to serve repeated reads from the
-// host-side block cache instead of the wire.
+// access to SD-resident data, paying network costs for every byte.
 func RemoteDataStore(fs RemoteStore) DataStore { return &nfsStore{fs: fs} }
 
 type nfsStore struct {
@@ -167,36 +167,12 @@ func (s *nfsStore) Open(name string) (io.ReadCloser, error) {
 }
 
 func (s *nfsStore) OpenAt(name string, off int64) (io.ReadCloser, error) {
-	// Every share client (nfs.Client, nfs.CachedFS) supports
-	// offset opens; fall back to a skip for exotic RemoteStore stubs.
-	if ra, ok := s.fs.(interface {
-		OpenReaderAt(name string, off int64) (io.ReadCloser, error)
-	}); ok {
-		return ra.OpenReaderAt(name, off)
-	}
-	f, err := s.fs.OpenReader(name)
-	if err != nil {
-		return nil, err
-	}
-	if off > 0 {
-		if _, err := io.CopyN(io.Discard, f, off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: skipping to offset %d of %s: %w", off, name, err)
-		}
-	}
-	return f, nil
+	return s.fs.OpenReaderAt(name, off)
 }
 
+// OpenRange bounds the client's pipelined read-ahead to the declared range.
 func (s *nfsStore) OpenRange(name string, off, length int64) (io.ReadCloser, error) {
-	// nfs.Client bounds its pipelined read-ahead to a declared range;
-	// clients without that refinement (CachedFS) fall back to the
-	// plain offset open.
-	if rr, ok := s.fs.(interface {
-		OpenRangeReader(name string, off, length int64) (io.ReadCloser, error)
-	}); ok {
-		return rr.OpenRangeReader(name, off, length)
-	}
-	return s.OpenAt(name, off)
+	return s.fs.OpenRangeReader(name, off, length)
 }
 
 func (s *nfsStore) Size(name string) (int64, error) {

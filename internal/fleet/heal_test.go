@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,8 +180,24 @@ func TestExecuteHealsCorruptReplicaAfterGather(t *testing.T) {
 
 	// Each node's session reads the named object from that node's share and
 	// verifies the trailer — a miniature of the daemon-side sealed store.
+	// The survivor answers only after the home copy has been read: an idle
+	// survivor may steal the fragment before the home node's worker is
+	// ready, and the corrupt copy must be read either way (as the original
+	// attempt, or as the straggler speculation beside the stolen one).
+	homeRead := make(chan struct{})
+	var homeOnce sync.Once
 	serve := func(node string) func(ctx context.Context, id string, params []byte) ([]byte, error) {
 		return func(ctx context.Context, id string, params []byte) ([]byte, error) {
+			switch node {
+			case reps[0]:
+				defer homeOnce.Do(func() { close(homeRead) })
+			case reps[1]:
+				select {
+				case <-homeRead:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
 			raw, err := smartfam.ReadFrom(shares[node], string(params), 0)
 			if err != nil {
 				return nil, fmt.Errorf("read %s: %w", params, err)

@@ -79,7 +79,7 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 	ref := singleNodeReference(t, dir, 0)
 	want := CanonicalWordCount(ref)
 
-	for _, n := range []int{1, 2, 3, 4} {
+	for _, n := range []int{1, 2, 3, 4, 8} {
 		c := wcFleet(t, dir, n, nil)
 		res, err := c.WordCount(context.Background(), WordCountJob{
 			DataFile:      "corpus.txt",

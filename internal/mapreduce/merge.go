@@ -45,8 +45,8 @@ func (s MergeStrategy) String() string {
 
 // mergeTreeMinK is the fan-in at which the tree merge starts beating the
 // linear tournament. Below it the linear scan's predictable branches win;
-// the crossover is measured by the merge k-sweep in mcsd-bench (see
-// BENCH_mapreduce.json, merge/* rows).
+// BenchmarkMergeSorted (merge_test.go) measures the crossover by forcing
+// each strategy across a k = 2, 8, 16, 64 sweep.
 const mergeTreeMinK = 12
 
 // parallelMergeMin is the output size below which a parallel final merge is
@@ -93,25 +93,6 @@ func MergeSortedStats[K comparable, R any](runs [][]Pair[K, R], less func(a, b K
 	return mergeAs(strat, runs, less, total, live), strat
 }
 
-// MergeSortedWith merges with a forced strategy. It exists so benchmarks
-// and tests can pin strategies against each other at a given fan-in (the
-// crossover measurement behind mergeTreeMinK); production paths use
-// MergeSorted. A strategy that cannot handle the run shape (e.g.
-// MergeBinary over three non-empty runs) falls back to MergeTree.
-func MergeSortedWith[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool, strat MergeStrategy) []Pair[K, R] {
-	total, live := 0, 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			live++
-			total += len(r)
-		}
-	}
-	if (strat == MergeCopy && live > 1) || (strat == MergeBinary && live != 2) {
-		strat = MergeTree
-	}
-	return mergeAs(strat, runs, less, total, live)
-}
-
 func mergeAs[K comparable, R any](strat MergeStrategy, runs [][]Pair[K, R], less func(a, b K) bool, total, live int) []Pair[K, R] {
 	out := make([]Pair[K, R], total)
 	if live == 0 {
@@ -143,20 +124,6 @@ func mergeAs[K comparable, R any](strat MergeStrategy, runs [][]Pair[K, R], less
 	default:
 		mergeInto(out, runs, less)
 	}
-	return out
-}
-
-// MergeSortedLinear is the linear tournament exposed with the MergeSorted
-// signature: O(total·k) over run heads. Retained as the baseline the
-// adaptive strategies are benchmarked against, and used by MergeSorted
-// itself below the tree crossover.
-func MergeSortedLinear[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool) []Pair[K, R] {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]Pair[K, R], total)
-	linearMergeInto(out, runs, less)
 	return out
 }
 

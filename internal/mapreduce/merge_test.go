@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,7 +36,7 @@ func TestMergeSortedMatchesLinear(t *testing.T) {
 	} {
 		runs := makeRuns(tc.n, tc.k, int64(tc.n*31+tc.k))
 		got := MergeSorted(runs, intLess)
-		want := MergeSortedLinear(runs, intLess)
+		want := mergeSortedLinear(runs, intLess)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d k=%d: merged %d pairs, want %d", tc.n, tc.k, len(got), len(want))
 		}
@@ -57,7 +58,7 @@ func TestMergeSortedParallelPath(t *testing.T) {
 	n := parallelMergeMin + 5000 // comfortably over the threshold
 	runs := makeRuns(n, 16, 42)
 	got := MergeSorted(runs, intLess)
-	want := MergeSortedLinear(runs, intLess)
+	want := mergeSortedLinear(runs, intLess)
 	if len(got) != len(want) {
 		t.Fatalf("merged %d pairs, want %d", len(got), len(want))
 	}
@@ -81,7 +82,7 @@ func TestMergeSortedProperty(t *testing.T) {
 			runs[i%kk] = append(runs[i%kk], Pair[int, int]{Key: v, Value: i})
 		}
 		got := MergeSorted(runs, intLess)
-		want := MergeSortedLinear(runs, intLess)
+		want := mergeSortedLinear(runs, intLess)
 		if len(got) != len(want) {
 			return false
 		}
@@ -105,35 +106,55 @@ func TestMergeSortedSingleRun(t *testing.T) {
 	}
 }
 
-func BenchmarkMergeSortedInternal(b *testing.B) {
+// mergeSink keeps the benchmarked merges' results live.
+var mergeSink []Pair[int, int]
+
+// BenchmarkMergeSorted is the crossover measurement behind mergeTreeMinK:
+// forced linear tournament, forced tree merge and the adaptive pick over the
+// same 128 Ki pairs at each fan-in. Sweep cores with -cpu to see where the
+// adaptive merge switches to the parallel range split.
+func BenchmarkMergeSorted(b *testing.B) {
 	const total = 1 << 17
-	for _, k := range []int{2, 8, 64} {
+	for _, k := range []int{2, 8, 16, 64} {
 		runs := makeRuns(total, k, int64(k))
-		b.Run("loser-tree/k="+itoa(k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MergeSorted(runs, intLess)
-			}
-		})
-		b.Run("linear/k="+itoa(k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MergeSortedLinear(runs, intLess)
-			}
-		})
+		for _, v := range []struct {
+			name  string
+			merge func() []Pair[int, int]
+		}{
+			{"linear", func() []Pair[int, int] { return mergeSortedWith(runs, intLess, MergeLinear) }},
+			{"tree", func() []Pair[int, int] { return mergeSortedWith(runs, intLess, MergeTree) }},
+			{"adaptive", func() []Pair[int, int] { return MergeSorted(runs, intLess) }},
+		} {
+			b.Run(fmt.Sprintf("%s/k=%d", v.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					mergeSink = v.merge()
+				}
+			})
+		}
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// mergeSortedWith merges with a forced strategy, so tests and benchmarks
+// can pin strategies against each other at a given fan-in. A strategy that
+// cannot handle the run shape (e.g. MergeBinary over three non-empty runs)
+// falls back to MergeTree.
+func mergeSortedWith[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool, strat MergeStrategy) []Pair[K, R] {
+	total, live := 0, 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			live++
+			total += len(r)
+		}
 	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
+	if (strat == MergeCopy && live > 1) || (strat == MergeBinary && live != 2) {
+		strat = MergeTree
 	}
-	return string(buf[i:])
+	return mergeAs(strat, runs, less, total, live)
+}
+
+// mergeSortedLinear is the linear tournament, O(total·k) over run heads:
+// the reference every adaptive strategy is checked against.
+func mergeSortedLinear[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool) []Pair[K, R] {
+	return mergeSortedWith(runs, less, MergeLinear)
 }

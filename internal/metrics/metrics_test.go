@@ -250,23 +250,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", csv, want)
 	}
 }
-
-func TestPhaseTable(t *testing.T) {
-	tbl := PhaseTable("engine phases",
-		[]Phase{
-			{Name: "map", D: 300 * time.Millisecond},
-			{Name: "reduce", D: 100 * time.Millisecond},
-		},
-		Phase{Name: "shuffle", D: 40 * time.Millisecond},
-	)
-	// 2 phases + 1 contained sub-phase + total row.
-	if tbl.NumRows() != 4 {
-		t.Fatalf("NumRows = %d, want 4", tbl.NumRows())
-	}
-	s := tbl.String()
-	for _, want := range []string{"map", "75%", "(shuffle)", "total", "100%"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("table missing %q:\n%s", want, s)
-		}
-	}
-}

@@ -104,11 +104,4 @@ const (
 	NFSWatchNotifies = "nfs.watch.notifies" // notify frames written to watching connections
 	NFSWatchDropped  = "nfs.watch.dropped"  // notifies dropped on a full per-watcher queue (recovered by rescan)
 	NFSWatchEvents   = "nfs.watch.events"   // notify frames the client demux delivered to local streams
-
-	// NFS host-side block cache.
-	NFSCacheHits          = "nfs.cache.hits"          // block reads served from the cache
-	NFSCacheMisses        = "nfs.cache.misses"        // block reads that went to the wire
-	NFSCacheInvalidations = "nfs.cache.invalidations" // blocks dropped by local writes or version mismatches
-	NFSCacheEvictions     = "nfs.cache.evictions"     // blocks dropped by LRU pressure
-	NFSCacheBytesSaved    = "nfs.cache.bytes_saved"   // payload bytes served locally instead of over the wire
 )

@@ -50,7 +50,7 @@ const maxReplays = 2
 // NFS mount, but pipelines them: every request carries a tag, up to
 // DefaultWindow requests are on the wire at once, and a demux goroutine
 // matches responses back to callers by tag. Chunked helpers (ReadAt,
-// Append, OpenReader, CopyTo) issue their chunk RPCs through the window so
+// Append, OpenReader) issue their chunk RPCs through the window so
 // consecutive chunks overlap round trips instead of paying one RTT each.
 //
 // It is safe for concurrent use. A dropped connection fails every
@@ -67,7 +67,7 @@ type Client struct {
 	gen     uint64 // connection generation; bumped on every failure
 	nextTag uint64
 	pending map[uint64]chan outcome
-	window  chan struct{} // in-flight slots; capacity = pipeline depth
+	window  chan struct{} // in-flight slots; capacity = DefaultWindow
 
 	sendMu sync.Mutex // serializes request frames onto the connection
 
@@ -146,18 +146,6 @@ func NewClient(conn net.Conn) *Client {
 	}
 	c.setMetricsLocked(metrics.NewRegistry())
 	return c
-}
-
-// SetWindow resizes the pipeline window (minimum 1; 1 disables pipelining,
-// giving strict serial RPC). Must be called before the first operation on
-// the client.
-func (c *Client) SetWindow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	c.window = make(chan struct{}, n)
-	c.mu.Unlock()
 }
 
 // SetMetrics points the client's counters (inflight depth, pipeline
@@ -360,29 +348,20 @@ func (c *Client) demux(codec *binClientCodec, gen uint64) {
 // acquireSlot claims one window slot, blocking (and counting a pipeline
 // stall) when the window is full.
 func (c *Client) acquireSlot() {
-	c.mu.Lock()
-	w := c.window
-	c.mu.Unlock()
 	select {
-	case w <- struct{}{}:
+	case c.window <- struct{}{}:
 	default:
 		c.met.stalls.Inc()
 		//mcsdlint:allow chanbound -- blocking here IS the pipeline-window backpressure (§IV-B): every delivered outcome releases a slot, and failLocked fails all pending calls on disconnect, so the wait is bounded by in-flight completions
-		w <- struct{}{}
+		c.window <- struct{}{}
 	}
 	c.met.inflight.Add(1)
 }
 
 // releaseSlot frees a window slot; called by whichever path delivers the
-// request's outcome.
+// request's outcome, exactly once per acquireSlot.
 func (c *Client) releaseSlot() {
-	c.mu.Lock()
-	w := c.window
-	c.mu.Unlock()
-	select {
-	case <-w:
-	default: // window resized mid-flight (misuse); don't wedge
-	}
+	<-c.window
 	c.met.inflight.Add(-1)
 }
 
@@ -669,17 +648,6 @@ func (c *Client) List() ([]string, error) {
 	return names, nil
 }
 
-// ListDir lists a subdirectory of the share.
-func (c *Client) ListDir(dir string) ([]string, error) {
-	resp, err := c.do(&Request{Op: OpList, Name: dir}, true)
-	if err != nil {
-		return nil, err
-	}
-	names := resp.Names
-	resp.free()
-	return names, nil
-}
-
 // Remove implements smartfam.FS.
 func (c *Client) Remove(name string) error {
 	return c.doDiscard(&Request{Op: OpRemove, Name: name}, false)
@@ -713,32 +681,6 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:n], nil
-}
-
-// CopyTo streams a whole remote file into w without holding it in memory,
-// with read-ahead prefetch keeping the wire busy while w consumes.
-func (c *Client) CopyTo(w io.Writer, name string) (int64, error) {
-	r, err := c.openReaderAt(name, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	var total int64
-	for {
-		resp, err := r.nextChunk()
-		if err != nil {
-			return total, err
-		}
-		if resp == nil {
-			return total, nil
-		}
-		n, werr := w.Write(resp.Data)
-		resp.free()
-		total += int64(n)
-		if werr != nil {
-			return total, fmt.Errorf("nfs: copying %s: %w", name, werr)
-		}
-	}
 }
 
 // OpenReader returns a streaming reader over a remote file. Reads page

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -114,16 +115,22 @@ func TestChunkSum(t *testing.T) {
 func TestCopyTo(t *testing.T) {
 	c, _ := startServer(t)
 	data := bytes.Repeat([]byte("z"), 2<<20+17)
-	if err := c.WriteFile("stream.bin", data); err != nil {
+	// A nested path: the share creates the intermediate directories.
+	if err := c.WriteFile("inputs/wc/stream.bin", data); err != nil {
 		t.Fatal(err)
 	}
+	r, err := c.OpenReader("inputs/wc/stream.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	var sink bytes.Buffer
-	n, err := c.CopyTo(&sink, "stream.bin")
+	n, err := io.Copy(&sink, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(data)) || !bytes.Equal(sink.Bytes(), data) {
-		t.Fatalf("CopyTo moved %d bytes, want %d", n, len(data))
+		t.Fatalf("copied %d bytes, want %d", n, len(data))
 	}
 }
 
@@ -192,24 +199,6 @@ func TestRemove(t *testing.T) {
 	}
 	if _, _, err := c.Stat("gone.txt"); !errors.Is(err, smartfam.ErrNotExist) {
 		t.Fatal("file still present after Remove")
-	}
-}
-
-func TestSubdirectoriesAndListDir(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.WriteFile("inputs/wc/corpus.txt", []byte("deep file")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadFile("inputs/wc/corpus.txt")
-	if err != nil || string(got) != "deep file" {
-		t.Fatalf("nested read = (%q, %v)", got, err)
-	}
-	names, err := c.ListDir("inputs/wc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "corpus.txt" {
-		t.Fatalf("ListDir = %v", names)
 	}
 }
 

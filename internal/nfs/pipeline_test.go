@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"mcsd/internal/metrics"
+	"mcsd/internal/netsim"
 )
 
 // discardServer accepts connections and reads requests without ever
@@ -258,5 +260,49 @@ func TestPipelineDemuxMatchesTags(t *testing.T) {
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenReaderKeepsChunksInFlight is the read-ahead contract that lets a
+// stream run at link speed: over a 10 ms server-to-client delay, an
+// OpenReader stream of more than 8 chunks must have more than one chunk
+// request outstanding at once instead of paying the delay chunk by chunk.
+func TestOpenReaderKeepsChunksInFlight(t *testing.T) {
+	root := t.TempDir()
+	payload := make([]byte, 8*MaxChunk+17)
+	for i := range payload {
+		payload[i] = byte(i*131 + i>>9)
+	}
+	if err := os.WriteFile(filepath.Join(root, "stream.dat"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(root)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go srv.Serve(netsim.DelayListener(ctx, ln, 10*time.Millisecond)) //nolint:errcheck
+	t.Cleanup(func() { cancel(); ln.Close(); srv.Shutdown() })
+	c, err := Dial(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	r, err := c.OpenReader("stream.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("streamed %d bytes with wrong content, want %d", len(got), len(payload))
+	}
+	if peak := c.Metrics().Gauge(metrics.NFSClientInflight).Peak(); peak < 2 {
+		t.Fatalf("peak in-flight chunk requests = %d, want > 1: the stream paid one delay per chunk", peak)
 	}
 }
