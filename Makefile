@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint lint-new build test race bench-smoke perf perf-smoke chaos chaos-heal flake check
+.PHONY: all vet lint lint-new build test race bench-smoke fuzz-smoke perf perf-smoke chaos chaos-heal flake check
 
 all: check
 
@@ -43,6 +43,19 @@ race:
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
+# fuzz-smoke runs every Fuzz* target in the module for FUZZTIME each. A
+# plain `go test` only replays the seed corpora; this actually mutates. The
+# targets are discovered with `go test -list`, so a new one needs no edit
+# here. A failing input lands in that package's testdata/fuzz.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
+
 # chaos runs the crash/restart fault-injection test (DESIGN.md §5c)
 # repeatedly and under the race detector: a daemon is killed mid-batch
 # under torn-write and transient-error injection and must deliver exactly
@@ -63,11 +76,12 @@ chaos-heal:
 
 # flake loops the push front door and the chaos suites under the race
 # detector, FLAKE_COUNT times each (CI runs a short count): the notify
-# stream, its inline payloads and fallbacks, the push/poll differential,
-# daemon shutdown joins and the heartbeat memo. A tier-1 test that fails
-# one run in fifty here is a bug, not noise.
+# stream, its inline payloads and fallbacks (a fleet word count whose
+# fragment answers must all ride their notifies included), the push/poll
+# differential, daemon shutdown joins and the heartbeat memo. A tier-1
+# test that fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo
+FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core
 

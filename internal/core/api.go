@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding"
 	"encoding/json"
 	"fmt"
 )
@@ -30,9 +31,6 @@ type WordCountParams struct {
 	// time — the choice when the node's memory budget cannot spare the
 	// pool's extra resident fragments and in-flight fragment outputs.
 	Sequential bool `json:"sequential,omitempty"`
-	// Pipelined is accepted for backward compatibility; concurrent
-	// fragment processing is now the default, so the field has no effect.
-	Pipelined bool `json:"pipelined,omitempty"`
 	// RangeOffset/RangeBytes restrict the run to the word-aligned view of
 	// the byte range [RangeOffset, RangeOffset+RangeBytes) of DataFile —
 	// the fleet's scatter unit. RangeBytes <= 0 means the whole file.
@@ -60,24 +58,27 @@ type WordFreq struct {
 	Count int    `json:"count"`
 }
 
-// WordCountOutput is the wordcount module's result.
+// WordCountOutput is the wordcount module's result. Unlike the other
+// modules' outputs it travels as a front-coded binary record
+// (MarshalBinary, wcformat.go), which encode and Decode pick up on their
+// own.
 type WordCountOutput struct {
-	TotalWords  int64      `json:"total_words"`
-	UniqueWords int        `json:"unique_words"`
-	Top         []WordFreq `json:"top"`
-	Fragments   int        `json:"fragments"`
+	TotalWords  int64
+	UniqueWords int
+	Top         []WordFreq
+	Fragments   int
 	// FragmentKeys is the per-fragment unique-word sum; the gap to
 	// UniqueWords is the dedup work the fragment merge stage did.
-	FragmentKeys int   `json:"fragment_keys,omitempty"`
-	ElapsedMs    int64 `json:"elapsed_ms"`
+	FragmentKeys int
+	ElapsedMs    int64
 	// ShuffleMs and MergeMs break the engine time down: the summed
 	// reduce-task shuffle time and the final-merge wall time across
 	// fragments (see mapreduce.Stats).
-	ShuffleMs int64 `json:"shuffle_ms,omitempty"`
-	MergeMs   int64 `json:"merge_ms,omitempty"`
+	ShuffleMs int64
+	MergeMs   int64
 	// Pairs is the complete key-sorted (word, count) run, present only
 	// when the request set EmitPairs.
-	Pairs []WordFreq `json:"pairs,omitempty"`
+	Pairs []WordFreq
 }
 
 // StringMatchParams parametrizes the stringmatch module: the "encrypt"
@@ -92,9 +93,6 @@ type StringMatchParams struct {
 	SampleLines int `json:"sample_lines,omitempty"`
 	// Sequential opts out of the default fragment-parallel driver.
 	Sequential bool `json:"sequential,omitempty"`
-	// Pipelined is accepted for backward compatibility; it has no effect
-	// now that concurrent fragment processing is the default.
-	Pipelined bool `json:"pipelined,omitempty"`
 }
 
 // StringMatchOutput is the stringmatch module's result.
@@ -125,18 +123,32 @@ type MatMulOutput struct {
 	ElapsedMs int64   `json:"elapsed_ms"`
 }
 
-// encode marshals module parameters or results.
+// encode marshals module parameters or results: through MarshalBinary for
+// a type that has one (the word-count output), as JSON otherwise.
 func encode(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
+	var b []byte
+	var err error
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		b, err = m.MarshalBinary()
+	} else {
+		b, err = json.Marshal(v)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding %T: %w", v, err)
 	}
 	return b, nil
 }
 
-// Decode unmarshals a module result payload into out.
+// Decode unmarshals a module result payload into out, the way encode
+// marshalled it.
 func Decode(payload []byte, out any) error {
-	if err := json.Unmarshal(payload, out); err != nil {
+	var err error
+	if u, ok := out.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(payload)
+	} else {
+		err = json.Unmarshal(payload, out)
+	}
+	if err != nil {
 		return fmt.Errorf("core: decoding %T: %w", out, err)
 	}
 	return nil

@@ -27,9 +27,6 @@ type DBSelectParams struct {
 	Workers        int     `json:"workers,omitempty"`
 	// Sequential opts out of the default fragment-parallel driver.
 	Sequential bool `json:"sequential,omitempty"`
-	// Pipelined is accepted for backward compatibility; it has no effect
-	// now that concurrent fragment processing is the default.
-	Pipelined bool `json:"pipelined,omitempty"`
 }
 
 // DBSelectOutput is the dbselect module's result.

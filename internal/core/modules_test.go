@@ -216,7 +216,10 @@ func TestModuleConfigPartitionBytesResolution(t *testing.T) {
 	}
 }
 
-func TestWordCountModulePipelined(t *testing.T) {
+// TestWordCountModuleDriversAgree runs the sequential and the
+// fragment-parallel partition drivers over one corpus: same counts, same
+// fragment accounting.
+func TestWordCountModuleDriversAgree(t *testing.T) {
 	store, dir := dataDir(t)
 	text := workloads.GenerateTextBytes(50_000, 13)
 	writeFile(t, dir, "corpus.txt", text)
@@ -235,15 +238,15 @@ func TestWordCountModulePipelined(t *testing.T) {
 		}
 		return out
 	}
-	seq, pip := run(true), run(false)
-	if seq.TotalWords != pip.TotalWords || seq.UniqueWords != pip.UniqueWords ||
-		seq.Fragments != pip.Fragments {
-		t.Fatalf("pipelined output differs: %+v vs %+v", pip, seq)
+	seq, par := run(true), run(false)
+	if seq.TotalWords != par.TotalWords || seq.UniqueWords != par.UniqueWords ||
+		seq.Fragments != par.Fragments {
+		t.Fatalf("parallel output differs: %+v vs %+v", par, seq)
 	}
 	// Both drivers must report the per-fragment key sum.
-	if pip.FragmentKeys < pip.UniqueWords || seq.FragmentKeys != pip.FragmentKeys {
-		t.Fatalf("FragmentKeys: sequential %d, pipelined %d, unique %d",
-			seq.FragmentKeys, pip.FragmentKeys, pip.UniqueWords)
+	if par.FragmentKeys < par.UniqueWords || seq.FragmentKeys != par.FragmentKeys {
+		t.Fatalf("FragmentKeys: sequential %d, parallel %d, unique %d",
+			seq.FragmentKeys, par.FragmentKeys, par.UniqueWords)
 	}
 }
 

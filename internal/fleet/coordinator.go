@@ -266,6 +266,14 @@ type attemptKey struct {
 // them — and keeps going through node failures as long as one node
 // remains.
 func (c *Coordinator) Execute(ctx context.Context, module string, frags []Fragment) ([]FragmentResult, Stats, error) {
+	return c.execute(ctx, module, frags, nil)
+}
+
+// execute is Execute with an optional win hook: onWin sees each fragment's
+// first successful result as it lands, in arrival order, on the gather
+// loop itself — late duplicates and failed attempts never reach it. An
+// error from onWin fails the job like a module error.
+func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragment, onWin func(FragmentResult) error) ([]FragmentResult, Stats, error) {
 	stats := Stats{PerNode: make(map[string]int)}
 	if len(frags) == 0 {
 		return nil, stats, nil
@@ -656,14 +664,18 @@ func (c *Coordinator) Execute(ctx context.Context, module string, frags []Fragme
 				speculated[r.frag] = true
 			}
 			stats.PerNode[r.node]++
-			out = append(out, FragmentResult{
+			fr := FragmentResult{
 				Index:      frags[r.frag].Index,
 				Node:       r.node,
 				Payload:    r.payload,
 				Attempts:   fragTried[r.frag],
 				Speculated: r.spec,
 				Elapsed:    r.elapsed,
-			})
+			}
+			out = append(out, fr)
+			if onWin != nil {
+				return onWin(fr)
+			}
 			return nil
 		}
 		if ctx.Err() != nil {

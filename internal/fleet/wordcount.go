@@ -4,10 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"mcsd/internal/core"
-	"mcsd/internal/mapreduce"
 	"mcsd/internal/metrics"
 	"mcsd/internal/partition"
 	"mcsd/internal/workloads"
@@ -50,11 +51,10 @@ type WordCountResult struct {
 	Stats Stats
 }
 
-// WordCount scatters the file's ranges across the fleet, gathers each
-// node's sorted (word, count) run, and merges the runs through the
-// loser-tree into one globally sorted result. Addition is commutative and
-// associative and the merge is key-deterministic, so the output is
-// byte-identical to a single-node execution of the same file.
+// WordCount scatters the file's ranges across the fleet and folds each
+// node's sorted (word, count) run into the result as it lands. Addition is
+// commutative and associative and the final key sort is total, so the
+// output is byte-identical to a single-node execution of the same file.
 func (c *Coordinator) WordCount(ctx context.Context, job WordCountJob) (*WordCountResult, error) {
 	if job.DataFile == "" {
 		return nil, fmt.Errorf("fleet: wordcount requires a data file")
@@ -62,6 +62,16 @@ func (c *Coordinator) WordCount(ctx context.Context, job WordCountJob) (*WordCou
 	if job.TotalBytes <= 0 {
 		return nil, fmt.Errorf("fleet: wordcount requires the file size, got %d", job.TotalBytes)
 	}
+	frags, err := rangeFragments(job)
+	if err != nil {
+		return nil, err
+	}
+	return c.gatherWordCount(ctx, frags, job.TopN)
+}
+
+// rangeFragments plans a job's scatter units: one EmitPairs word count per
+// aligned byte range, placed by "<file>#<index>".
+func rangeFragments(job WordCountJob) ([]Fragment, error) {
 	ranges := partition.AlignedRanges(job.TotalBytes, job.FragmentBytes)
 	frags := make([]Fragment, len(ranges))
 	for i, rg := range ranges {
@@ -79,67 +89,58 @@ func (c *Coordinator) WordCount(ctx context.Context, job WordCountJob) (*WordCou
 		}
 		frags[i] = Fragment{Index: i, Key: fmt.Sprintf("%s#%d", job.DataFile, i), Params: params}
 	}
-
-	results, stats, err := c.Execute(ctx, core.ModuleWordCount, frags)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.mergeWordCount(results, job.TopN)
-	if err != nil {
-		return nil, err
-	}
-	return &WordCountResult{Output: out, Fragments: results, Stats: stats}, nil
+	return frags, nil
 }
 
-// mergeWordCount folds gathered per-fragment EmitPairs outputs into one
-// globally sorted result with single-node semantics.
-func (c *Coordinator) mergeWordCount(results []FragmentResult, topN int) (core.WordCountOutput, error) {
-	mergeStart := time.Now()
-	runs := make([][]mapreduce.Pair[string, int], len(results))
-	out := core.WordCountOutput{}
-	for i, fr := range results {
+// gatherWordCount executes word-count fragments and folds every first-win
+// result into one count table on the gather loop, as it arrives: by the
+// time the last fragment returns, only the key sort and the top table are
+// left. The host time spent folding and finishing is fleet.merge.
+func (c *Coordinator) gatherWordCount(ctx context.Context, frags []Fragment, topN int) (*WordCountResult, error) {
+	var (
+		out    core.WordCountOutput
+		counts = make(map[string]int)
+		spent  time.Duration
+	)
+	fold := func(fr FragmentResult) error {
+		start := time.Now()
+		defer func() { spent += time.Since(start) }()
 		var o core.WordCountOutput
 		if err := core.Decode(fr.Payload, &o); err != nil {
-			return out, fmt.Errorf("fleet: fragment %d result: %w", fr.Index, err)
+			return fmt.Errorf("fleet: fragment %d result: %w", fr.Index, err)
 		}
-		run := make([]mapreduce.Pair[string, int], len(o.Pairs))
-		for j, p := range o.Pairs {
-			run[j] = mapreduce.Pair[string, int]{Key: p.Word, Value: p.Count}
+		for _, p := range o.Pairs {
+			counts[p.Word] += p.Count
 		}
-		runs[i] = run
 		out.Fragments += o.Fragments
 		out.FragmentKeys += o.UniqueWords
 		out.ShuffleMs += o.ShuffleMs
 		out.MergeMs += o.MergeMs
+		return nil
+	}
+	results, stats, err := c.execute(ctx, core.ModuleWordCount, frags, fold)
+	if err != nil {
+		return nil, err
 	}
 
-	// Loser-tree merge of the per-fragment runs, then collapse adjacent
-	// equal keys by summing — integer addition is order-independent, so
-	// the collapsed run matches the single-node engine's exactly.
-	merged := mapreduce.MergeSorted(runs, func(a, b string) bool { return a < b })
-	counts := make(map[string]int, len(merged))
-	pairs := make([]core.WordFreq, 0, len(merged))
-	for _, p := range merged {
-		if n := len(pairs); n > 0 && pairs[n-1].Word == p.Key {
-			pairs[n-1].Count += p.Value
-		} else {
-			pairs = append(pairs, core.WordFreq{Word: p.Key, Count: p.Value})
+	start := time.Now()
+	if len(counts) > 0 {
+		out.Pairs = make([]core.WordFreq, 0, len(counts))
+		for w, n := range counts {
+			out.Pairs = append(out.Pairs, core.WordFreq{Word: w, Count: n})
+			out.TotalWords += int64(n)
 		}
+		slices.SortFunc(out.Pairs, func(a, b core.WordFreq) int { return strings.Compare(a.Word, b.Word) })
 	}
-	for _, p := range pairs {
-		out.TotalWords += int64(p.Count)
-		counts[p.Word] = p.Count
-	}
-	out.UniqueWords = len(pairs)
-	out.Pairs = pairs
+	out.UniqueWords = len(out.Pairs)
 	if topN <= 0 {
 		topN = 100
 	}
 	for _, pr := range workloads.TopWords(counts, topN) {
 		out.Top = append(out.Top, core.WordFreq{Word: pr.Key, Count: pr.Value})
 	}
-	c.cfg.Metrics.Timer(metrics.FleetMerge).Observe(time.Since(mergeStart))
-	return out, nil
+	c.cfg.Metrics.Timer(metrics.FleetMerge).Observe(spent + time.Since(start))
+	return &WordCountResult{Output: out, Fragments: results, Stats: stats}, nil
 }
 
 // SealedWordCountJob describes a word count over a replicated FileSet: the
@@ -159,7 +160,7 @@ type SealedWordCountJob struct {
 }
 
 // WordCountSealed scatters a replicated file's fragments across their
-// holder nodes and merges the gathered runs exactly like WordCount. A
+// holder nodes and folds the gathered runs exactly like WordCount. A
 // holder serving a bit-flipped copy fails CRC verification node-side; the
 // coordinator falls back to the next replica and repairs the bad copy after
 // the gather, so the output stays byte-identical to a single-node run even
@@ -187,15 +188,7 @@ func (c *Coordinator) WordCountSealed(ctx context.Context, job SealedWordCountJo
 		}
 		frags[i] = Fragment{Index: i, Key: obj, Replicas: c.cfg.Store.Replicas(obj), Params: params}
 	}
-	results, stats, err := c.Execute(ctx, core.ModuleWordCount, frags)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.mergeWordCount(results, job.TopN)
-	if err != nil {
-		return nil, err
-	}
-	return &WordCountResult{Output: out, Fragments: results, Stats: stats}, nil
+	return c.gatherWordCount(ctx, frags, job.TopN)
 }
 
 // CanonicalWordCount serializes the order-independent semantic fields of

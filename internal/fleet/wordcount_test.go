@@ -142,6 +142,115 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 	}
 }
 
+// scriptSession runs the word-count module in-process, with every attempt
+// handed to script first: it sees the fragment's params and decides
+// whether, when and how the real run answers.
+type scriptSession struct {
+	mod    smartfam.Module
+	script func(ctx context.Context, params []byte, run func() ([]byte, error)) ([]byte, error)
+}
+
+func (s *scriptSession) InvokeID(ctx context.Context, module, id string, params []byte) ([]byte, error) {
+	return s.script(ctx, params, func() ([]byte, error) { return s.mod.Run(ctx, params) })
+}
+
+// TestFleetWordCountFoldsOnlyFirstWins poisons every answer that must not
+// count: node a-sd answers fragment 0 only after b-sd's speculative attempt
+// has won it, and node c-sd fails fragment 2 with a payload attached. Both
+// payloads are well-formed records of a word the corpus does not hold, so
+// folding either one would show in the output.
+func TestFleetWordCountFoldsOnlyFirstWins(t *testing.T) {
+	dir := t.TempDir()
+	text := workloads.GenerateTextBytes(60_000, 9)
+	if err := os.WriteFile(filepath.Join(dir, "corpus.txt"), text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := CanonicalWordCount(singleNodeReference(t, dir, 0))
+	poison, err := core.WordCountOutput{TotalWords: 1 << 20, UniqueWords: 1,
+		Pairs: []core.WordFreq{{Word: "poison", Count: 1 << 20}}}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frags, err := rangeFragments(WordCountJob{DataFile: "corpus.txt", TotalBytes: int64(len(text)), FragmentBytes: 12 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pin placement: fragment 0 is a-sd's with b-sd as its speculation
+	// target, fragment 2 is c-sd's with b-sd as its fallback, the rest b-sd's.
+	for i := range frags {
+		frags[i].Replicas = []string{"b-sd"}
+	}
+	frags[0].Replicas = []string{"a-sd", "b-sd"}
+	frags[2].Replicas = []string{"c-sd", "b-sd"}
+	last := len(frags) - 1
+
+	var (
+		bWon     = make(chan struct{}) // b-sd has answered fragment 0
+		lateSent = make(chan struct{}) // a-sd's late duplicate is on its way
+		cCalls   atomic.Int64
+	)
+	wait := func(ctx context.Context, ch <-chan struct{}, d time.Duration) error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ch:
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(d):
+			return nil
+		}
+	}
+	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
+	nodes := []Node{
+		{Name: "a-sd", Session: &scriptSession{mod: mod, script: func(ctx context.Context, _ []byte, _ func() ([]byte, error)) ([]byte, error) {
+			// Answer well after the speculative win has been gathered.
+			if err := wait(ctx, bWon, 200*time.Millisecond); err != nil {
+				return nil, err
+			}
+			close(lateSent)
+			return poison, nil
+		}}},
+		{Name: "b-sd", Session: &scriptSession{mod: mod, script: func(ctx context.Context, params []byte, run func() ([]byte, error)) ([]byte, error) {
+			switch {
+			case bytes.Equal(params, frags[0].Params):
+				defer close(bWon)
+			case bytes.Equal(params, frags[last].Params):
+				// Hold the job open until the late duplicate has landed.
+				if err := wait(ctx, lateSent, 100*time.Millisecond); err != nil {
+					return nil, err
+				}
+			}
+			return run()
+		}}},
+		{Name: "c-sd", Session: &scriptSession{mod: mod, script: func(context.Context, []byte, func() ([]byte, error)) ([]byte, error) {
+			cCalls.Add(1)
+			return poison, errors.New("smartfam: transport torn down")
+		}}},
+	}
+	cfg := fastConfig()
+	cfg.MinStragglerAge = 20 * time.Millisecond
+	c := NewCoordinator(nodes, cfg)
+
+	res, err := c.gatherWordCount(context.Background(), frags, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+		t.Fatal("a late duplicate or a failed attempt reached the folded counts")
+	}
+	if res.Stats.DupResults < 1 || res.Fragments[0].Node != "b-sd" {
+		t.Fatalf("fragment 0 won on %s with %d duplicates, want b-sd's speculative win and a-sd's late duplicate",
+			res.Fragments[0].Node, res.Stats.DupResults)
+	}
+	if cCalls.Load() == 0 || res.Stats.NodeFailures != 1 || res.Fragments[2].Node != "b-sd" {
+		t.Fatalf("c-sd failed %d attempts, %d node failures, fragment 2 won on %s; want c-sd's failure re-placed onto b-sd",
+			cCalls.Load(), res.Stats.NodeFailures, res.Fragments[2].Node)
+	}
+}
+
 func TestFleetWordCountValidation(t *testing.T) {
 	c := wcFleet(t, t.TempDir(), 1, nil)
 	if _, err := c.WordCount(context.Background(), WordCountJob{TotalBytes: 10}); err == nil {

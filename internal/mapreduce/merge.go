@@ -70,17 +70,12 @@ func MergeStrategyFor(total, live int) MergeStrategy {
 	}
 }
 
-// MergeSorted k-way merges sorted runs into one sorted slice, picking the
-// strategy from the fan-in (see MergeStrategyFor).
+// MergeSortedStats k-way merges sorted runs into one sorted slice, picking
+// the strategy from the fan-in (see MergeStrategyFor), and reports the
+// strategy it chose.
 //
 // Ties between runs are broken by run index, so output is deterministic
 // for any input regardless of strategy.
-func MergeSorted[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool) []Pair[K, R] {
-	out, _ := MergeSortedStats(runs, less)
-	return out
-}
-
-// MergeSortedStats is MergeSorted, also reporting the strategy it chose.
 func MergeSortedStats[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool) ([]Pair[K, R], MergeStrategy) {
 	total, live := 0, 0
 	for _, r := range runs {

@@ -10,6 +10,12 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+// MergeSorted is MergeSortedStats without the strategy.
+func MergeSorted[K comparable, R any](runs [][]Pair[K, R], less func(a, b K) bool) []Pair[K, R] {
+	out, _ := MergeSortedStats(runs, less)
+	return out
+}
+
 // makeRuns deals n sorted pairs round-robin-ish into k sorted runs.
 func makeRuns(n, k int, seed int64) [][]Pair[int, int] {
 	rng := rand.New(rand.NewSource(seed))

@@ -57,6 +57,14 @@ type commitBatch struct {
 func (g *groupCommit) add(ctx context.Context, id string, line []byte) error {
 	g.mu.Lock()
 	batch := g.cur
+	if batch != nil && len(batch.buf)+len(line) > g.maxBytes {
+		// The record would push the open batch past the bound: close that
+		// batch as it is and lead the next one, so a batch of two or more
+		// records never outgrows maxBytes (and, at the default, always fits
+		// an inline notify). A lone over-bound record still goes alone.
+		close(batch.full)
+		batch = nil
+	}
 	leader := batch == nil
 	if leader {
 		batch = &commitBatch{full: make(chan struct{}), done: make(chan struct{})}

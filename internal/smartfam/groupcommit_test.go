@@ -84,6 +84,34 @@ func TestGroupCommit(t *testing.T) {
 			},
 		},
 		{
+			name:     "a record that would overflow closes the batch first",
+			maxBytes: 10, maxDelay: time.Hour,
+			run: func(t *testing.T, g *groupCommit, flushed <-chan flushCall) {
+				// Three records of 0.4 x maxBytes: the third would take the
+				// open batch to 12 bytes, so it leads a batch of its own.
+				a := addAsync(g, bg, "aaaa")
+				waitJoined(t, g, 1)
+				b := addAsync(g, bg, "bbbb")
+				waitJoined(t, g, 2)
+				ctx, cancel := context.WithCancel(bg)
+				addAsync(g, ctx, "cccc")
+				if got := within(t, flushed, "the closed batch's flush"); got.buf != "aaaabbbb" ||
+					!reflect.DeepEqual(got.ids, []string{"aaaa", "bbbb"}) {
+					t.Fatalf("first flush %+v, want aaaa+bbbb within the bound", got)
+				}
+				for _, res := range []<-chan error{a, b} {
+					if err := within(t, res, "a member of the closed batch"); err != nil {
+						t.Fatalf("member of the closed batch: %v", err)
+					}
+				}
+				waitJoined(t, g, 1)
+				cancel()
+				if got := within(t, flushed, "the overflowing record's flush"); got.buf != "cccc" {
+					t.Fatalf("second flush %+v, want cccc alone", got)
+				}
+			},
+		},
+		{
 			name:     "leader cancel still flushes followers",
 			maxBytes: 1 << 20, maxDelay: time.Hour,
 			run: func(t *testing.T, g *groupCommit, flushed <-chan flushCall) {

@@ -2,7 +2,7 @@ package workloads
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"mcsd/internal/mapreduce"
 	"mcsd/internal/partition"
@@ -91,20 +91,64 @@ func WordCountSeq(data []byte) map[string]int {
 }
 
 // TopWords returns the n most frequent words in decreasing count order
-// (ties broken alphabetically) — the paper's final word-count output format.
+// (ties broken alphabetically) — the paper's final word-count output format;
+// n <= 0 returns every word. Only the n best words seen so far are kept, in
+// a heap with the lowest-ranked at its root, so a short table over a large
+// vocabulary costs O(words · log n), not a sort of the whole vocabulary.
 func TopWords(counts map[string]int, n int) []mapreduce.Pair[string, int] {
-	pairs := make([]mapreduce.Pair[string, int], 0, len(counts))
-	for w, c := range counts {
-		pairs = append(pairs, mapreduce.Pair[string, int]{Key: w, Value: c})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Value != pairs[j].Value {
-			return pairs[i].Value > pairs[j].Value
+	type pair = mapreduce.Pair[string, int]
+	// ahead reports whether a ranks before b in the table.
+	ahead := func(a, b pair) bool {
+		if a.Value != b.Value {
+			return a.Value > b.Value
 		}
-		return pairs[i].Key < pairs[j].Key
-	})
-	if n > 0 && len(pairs) > n {
-		pairs = pairs[:n]
+		return a.Key < b.Key
 	}
-	return pairs
+	if n <= 0 || n > len(counts) {
+		n = len(counts)
+	}
+	top := make([]pair, 0, n)
+	for w, c := range counts {
+		p := pair{Key: w, Value: c}
+		if len(top) < n {
+			top = append(top, p)
+			for i := len(top) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !ahead(top[parent], top[i]) {
+					break
+				}
+				top[parent], top[i] = top[i], top[parent]
+				i = parent
+			}
+			continue
+		}
+		if !ahead(p, top[0]) {
+			continue
+		}
+		top[0] = p
+		for i := 0; ; {
+			worst, l := i, 2*i+1
+			if l < n && ahead(top[worst], top[l]) {
+				worst = l
+			}
+			if r := l + 1; r < n && ahead(top[worst], top[r]) {
+				worst = r
+			}
+			if worst == i {
+				break
+			}
+			top[i], top[worst] = top[worst], top[i]
+			i = worst
+		}
+	}
+	slices.SortFunc(top, func(a, b pair) int {
+		switch {
+		case ahead(a, b):
+			return -1
+		case ahead(b, a):
+			return 1
+		}
+		return 0
+	})
+	return top
 }

@@ -3,6 +3,10 @@ package workloads
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +138,38 @@ func TestTopWordsOrderingAndLimit(t *testing.T) {
 	}
 	if all := TopWords(counts, 0); len(all) != 4 {
 		t.Fatalf("n=0 should return all words, got %d", len(all))
+	}
+}
+
+// TestTopWordsMatchesFullSort checks the bounded selection against sorting
+// the whole vocabulary, over random counts full of ties and every table
+// size from empty to past the vocabulary.
+func TestTopWordsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 100; trial++ {
+		counts := make(map[string]int)
+		for i := rng.Intn(200); i > 0; i-- {
+			counts[fmt.Sprintf("w%d", rng.Intn(400))] = 1 + rng.Intn(8)
+		}
+		all := make([]mapreduce.Pair[string, int], 0, len(counts))
+		for w, c := range counts {
+			all = append(all, mapreduce.Pair[string, int]{Key: w, Value: c})
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Value != all[j].Value {
+				return all[i].Value > all[j].Value
+			}
+			return all[i].Key < all[j].Key
+		})
+		for _, n := range []int{0, 1, 2, 7, len(counts) / 2, len(counts), len(counts) + 3} {
+			want := all
+			if n > 0 && n < len(all) {
+				want = all[:n]
+			}
+			if got := TopWords(counts, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, n=%d: got %v, want %v", trial, n, got, want)
+			}
+		}
 	}
 }
 
