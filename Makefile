@@ -76,14 +76,16 @@ chaos-heal:
 
 # flake loops the push front door and the chaos suites under the race
 # detector, FLAKE_COUNT times each (CI runs a short count): the notify
-# stream, its inline payloads and fallbacks (a fleet word count whose
-# fragment answers must all ride their notifies included), the push/poll
-# differential, daemon shutdown joins and the heartbeat memo. A tier-1
-# test that fails one run in fifty here is a bug, not noise.
+# stream, its inline payloads, reassembly, size probe and fallbacks (fleet
+# word counts whose fragment answers must all ride their notifies, at a
+# one-second and at the default 25 ms router tick, included), the
+# push/poll differential, daemon shutdown joins, the heartbeat memo and
+# the fleet's corrupt-replica fallback. A tier-1 test that fails one run
+# in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo
+FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo|TestExecuteCorruptReplica
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core
+	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core ./internal/fleet
 
 # perf runs the repository benchmark BENCHMARK.json declares: the four
 # perfbench workloads (invoke_open, offload_mix, hostpull_wc, fleet_wc) over

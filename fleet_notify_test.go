@@ -15,6 +15,7 @@ import (
 	"mcsd/internal/core"
 	"mcsd/internal/fleet"
 	"mcsd/internal/metrics"
+	"mcsd/internal/netsim"
 	"mcsd/internal/nfs"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/workloads"
@@ -36,10 +37,15 @@ func (s *logReadCounter) ReadAt(name string, p []byte, off int64) (int, error) {
 	return s.Client.ReadAt(name, p, off)
 }
 
+// pushSDDiskBps paces each SD node's modelled disk: a ~175 KiB fragment
+// takes ~45 ms to scan, so every attempt outlasts a 25 ms router tick.
+const pushSDDiskBps = 4e6
+
 // startPushSD boots one SD node over dir the way mcsdd runs: a file
 // service, and a word-count daemon reaching the share through a looped-back
 // mount of that service (so its appends raise push notifies) with response
-// group commit on. It returns the service address.
+// group commit on. Its module reads through a second self-mount paced at
+// pushSDDiskBps, the node's disk. It returns the service address.
 func startPushSD(t *testing.T, dir string) string {
 	t.Helper()
 	srv := nfs.NewServer(dir)
@@ -52,8 +58,14 @@ func startPushSD(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	disk, err := nfs.DialThrottled(ctx, ln.Addr().String(), 5*time.Second,
+		netsim.NewLink(netsim.Profile{Name: "disk", BandwidthBps: pushSDDiskBps}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := smartfam.NewRegistry(loop)
-	if err := reg.Register(core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})); err != nil {
+	if err := reg.Register(core.WordCountModule(core.ModuleConfig{Store: core.RemoteDataStore(disk), Workers: 1})); err != nil {
 		t.Fatal(err)
 	}
 	daemon := smartfam.NewDaemon(loop, reg,
@@ -64,6 +76,8 @@ func startPushSD(t *testing.T, dir string) string {
 	kill := startChaosDaemon(daemon)
 	t.Cleanup(func() {
 		kill()
+		cancel()
+		disk.Close()
 		loop.Close()
 		ln.Close()
 		srv.Shutdown()
@@ -77,8 +91,21 @@ func startPushSD(t *testing.T, dir string) string {
 // one response batch, and a batch fits one inline notify: the host's
 // routers must deliver every answer from the notifies alone — not one read
 // of the module log, no fall back to polling — and the folded output must
-// be byte-identical to a single-node run.
+// be byte-identical to a single-node run. A one-second interval puts the
+// routers' size probe ten seconds out: only the notifies can answer.
 func TestFleetWordCountRidesTheNotify(t *testing.T) {
+	fleetWordCountRidesTheNotify(t, time.Second)
+}
+
+// TestFleetWordCountRidesTheNotifyAtSafetyTick is the same run at the
+// default interval, with the size probe ticking every 25 ms through each
+// attempt: a probe reads only bytes no notify brought, so the log is still
+// never read.
+func TestFleetWordCountRidesTheNotifyAtSafetyTick(t *testing.T) {
+	fleetWordCountRidesTheNotify(t, smartfam.DefaultPollInterval)
+}
+
+func fleetWordCountRidesTheNotify(t *testing.T, interval time.Duration) {
 	if testing.Short() {
 		t.Skip("multi-node fleet test skipped in -short mode")
 	}
@@ -118,9 +145,7 @@ func TestFleetWordCountRidesTheNotify(t *testing.T) {
 		t.Cleanup(func() { conn.Close() })
 		mount := &logReadCounter{Client: conn, log: smartfam.LogName(core.ModuleWordCount)}
 		mounts = append(mounts, mount)
-		// A one-second interval puts the router's safety scan ten seconds
-		// out: only the notifies can answer in time.
-		client := smartfam.NewClient(mount, time.Second)
+		client := smartfam.NewClient(mount, interval)
 		client.SetBatching(0, 0)
 		client.SetMetrics(hostReg)
 		nodes[i] = fleet.Node{Name: fmt.Sprintf("sd%d", i), Session: client}

@@ -102,6 +102,6 @@ const (
 	// NFS change-notification lane (OpWatch + unsolicited notify frames).
 	NFSWatchStreams  = "nfs.watch.streams"  // gauge: live server-side watch registrations
 	NFSWatchNotifies = "nfs.watch.notifies" // notify frames written to watching connections
-	NFSWatchDropped  = "nfs.watch.dropped"  // notifies dropped on a full per-watcher queue (recovered by rescan)
+	NFSWatchDropped  = "nfs.watch.dropped"  // notifies evicted, oldest first, from a full server queue or client stream (the consumer reads the change itself)
 	NFSWatchEvents   = "nfs.watch.events"   // notify frames the client demux delivered to local streams
 )

@@ -92,12 +92,13 @@ type Client struct {
 // clientCounters caches the client's hot-path metrics so pipelined sends
 // do not take the registry lock per request.
 type clientCounters struct {
-	inflight    *metrics.Gauge
-	stalls      *metrics.Counter
-	bytesSent   *metrics.Counter
-	bytesRecv   *metrics.Counter
-	replays     *metrics.Counter
-	watchEvents *metrics.Counter
+	inflight     *metrics.Gauge
+	stalls       *metrics.Counter
+	bytesSent    *metrics.Counter
+	bytesRecv    *metrics.Counter
+	replays      *metrics.Counter
+	watchEvents  *metrics.Counter
+	watchDropped *metrics.Counter
 }
 
 // outcome is the terminal state of one tagged request.
@@ -160,12 +161,13 @@ func (c *Client) SetMetrics(r *metrics.Registry) {
 func (c *Client) setMetricsLocked(r *metrics.Registry) {
 	c.reg = r
 	c.met = clientCounters{
-		inflight:    r.Gauge(metrics.NFSClientInflight),
-		stalls:      r.Counter(metrics.NFSClientPipelineStalls),
-		bytesSent:   r.Counter(metrics.NFSClientBytesSent),
-		bytesRecv:   r.Counter(metrics.NFSClientBytesRecv),
-		replays:     r.Counter(metrics.NFSClientReplays),
-		watchEvents: r.Counter(metrics.NFSWatchEvents),
+		inflight:     r.Gauge(metrics.NFSClientInflight),
+		stalls:       r.Counter(metrics.NFSClientPipelineStalls),
+		bytesSent:    r.Counter(metrics.NFSClientBytesSent),
+		bytesRecv:    r.Counter(metrics.NFSClientBytesRecv),
+		replays:      r.Counter(metrics.NFSClientReplays),
+		watchEvents:  r.Counter(metrics.NFSWatchEvents),
+		watchDropped: r.Counter(metrics.NFSWatchDropped),
 	}
 }
 
@@ -499,11 +501,23 @@ func (c *Client) Create(name string) error {
 // staged bytes onto the target under the server's append lock — so a crash
 // or disconnect mid-transfer can never leave a torn tail on the target
 // (the orphaned staging file is invisible to List and harmless).
+//
+// The server notifies every other watcher of a single-RPC append; this
+// connection's own streams hear of it from here, once the response says
+// where the bytes landed, so they never cross the wire twice.
 func (c *Client) Append(name string, data []byte) error {
-	if len(data) <= MaxChunk {
-		return c.doDiscard(&Request{Op: OpAppend, Name: name, Data: data}, false)
+	if len(data) > MaxChunk {
+		return c.stageAndCommit(name, data, CommitAppend)
 	}
-	return c.stageAndCommit(name, data, CommitAppend)
+	resp, err := c.do(&Request{Op: OpAppend, Name: name, Data: data}, false)
+	if err != nil {
+		return err
+	}
+	if resp.Landed {
+		c.deliverOwnAppend(name, resp.Gen, resp.Size, data)
+	}
+	resp.free()
+	return nil
 }
 
 // stageAndCommit pipelines data into a staging temp file and commits it

@@ -135,6 +135,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Tag: 5, Err: "nfs: nope", NotExist: true},
 		{Tag: 6, Size: 99, MTimeNs: 7, Gen: 1<<63 + 5},
 		{Tag: NotifyTag, Names: []string{"wc.log"}, Gen: 42},
+		{Tag: 8, Size: 4096, Gen: 3, Landed: true},
 	}
 	buf.Reset()
 	for _, r := range resps {
@@ -155,7 +156,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		got.frame = fb
 		if got.Tag != want.Tag || got.Size != want.Size || got.MTimeNs != want.MTimeNs ||
 			got.Gen != want.Gen || got.Err != want.Err || got.NotExist != want.NotExist ||
-			got.EOF != want.EOF || !bytes.Equal(got.Data, want.Data) {
+			got.EOF != want.EOF || got.Landed != want.Landed || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("response round trip mismatch: got %+v want %+v", got, want)
 		}
 		if len(got.Names) != len(want.Names) {

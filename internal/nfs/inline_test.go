@@ -86,6 +86,7 @@ func TestWatchBareNotifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	other := dialAlso(t, c)
 	if err := c.WriteFile("f.src", []byte("renamed")); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,9 @@ func TestWatchBareNotifies(t *testing.T) {
 		if err := m.do(); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		// The marker's notify queues behind every notify m raised.
-		if err := c.Append("f.mark", []byte("m")); err != nil {
+		// The marker's notify queues behind every notify m raised; m's own
+		// append was delivered locally before it returned.
+		if err := other.Append("f.mark", []byte("m")); err != nil {
 			t.Fatal(err)
 		}
 		for {

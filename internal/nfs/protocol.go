@@ -49,7 +49,9 @@ const (
 // streams instead of the pending map. A notify frame reuses the Response
 // encoding — Names[0] is the changed file, Gen its change generation, and
 // for an append of at most inlineNotifyMax bytes Data is the appended
-// bytes and Size the offset they landed at (Data is empty otherwise).
+// bytes and Size the offset they landed at (Data is empty otherwise). The
+// connection that made an append hears no notify for it: its OpAppend
+// response carries Landed, and the client delivers its own bytes locally.
 const NotifyTag = 0
 
 // encodePrefixes packs an OpWatch prefix set into Request.Data, each
@@ -103,6 +105,10 @@ type Response struct {
 	Err      string
 	NotExist bool
 	EOF      bool
+	// Landed marks an OpAppend reply whose Size is the offset the bytes
+	// landed at and Gen the file's generation after them: the server queued
+	// every watcher but the appending connection a notify for them.
+	Landed bool
 
 	frame *frameBuf // pooled backing buffer of Data (client side)
 }
@@ -178,6 +184,7 @@ func cleanName(name string) (string, error) {
 const (
 	flagEOF      = 1 << 0
 	flagNotExist = 1 << 1
+	flagLanded   = 1 << 2
 )
 
 // opCodes maps op names to their single-byte wire codes; opNames is the
@@ -284,6 +291,9 @@ func (e *frameEncoder) writeResponse(r *Response) error {
 	}
 	if r.NotExist {
 		flags |= flagNotExist
+	}
+	if r.Landed {
+		flags |= flagLanded
 	}
 	b := append(e.buf[:0], 0, 0, 0, 0)
 	b = binary.BigEndian.AppendUint64(b, r.Tag)
@@ -472,6 +482,7 @@ func decodeResponse(body []byte, r *Response) error {
 	}
 	r.EOF = flags&flagEOF != 0
 	r.NotExist = flags&flagNotExist != 0
+	r.Landed = flags&flagLanded != 0
 	r.Data = cur.b
 	return nil
 }

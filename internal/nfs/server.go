@@ -31,9 +31,10 @@ import (
 // (OpWatch registers a connection's prefix set; every mutation streams a
 // notify frame on the NotifyTag lane to each matching watcher, and an
 // append of at most inlineNotifyMax bytes ships those bytes and their
-// offset in the frame). Only mutations that pass through this server are
-// seen — out-of-band writes to the exported directory fall back on the
-// watchers' own rescan sweeps.
+// offset in the frame — to every watcher but the appending connection,
+// whose response says where its bytes landed). Only mutations that pass
+// through this server are seen — out-of-band writes to the exported
+// directory fall back on the watchers' own rescan sweeps.
 type Server struct {
 	root    string
 	metrics *metrics.Registry
@@ -47,8 +48,9 @@ type Server struct {
 }
 
 // watchQueueDepth bounds each watcher's pending-notify queue. A full queue
-// drops the notify (counted in nfs.watch.dropped) rather than blocking the
-// mutating request; the consumer's rescan sweep recovers the change.
+// drops its oldest notify (counted in nfs.watch.dropped) rather than
+// blocking the mutating request, so the newest — whose offset exposes the
+// gap — always goes out; the consumer reads the dropped change itself.
 const watchQueueDepth = 256
 
 // inlineNotifyMax caps the appended bytes a notify frame carries: one
@@ -84,6 +86,24 @@ func (w *connWatcher) matches(name string) bool {
 		}
 	}
 	return false
+}
+
+// sendDropOldest queues v on ch without blocking, evicting the oldest
+// queued value while ch is full — both notify queues' overflow policy —
+// and returns how many it evicted.
+func sendDropOldest[T any](ch chan T, v T) (evicted int) {
+	for {
+		select {
+		case ch <- v:
+			return evicted
+		default:
+		}
+		select {
+		case <-ch:
+			evicted++
+		default:
+		}
+	}
 }
 
 // NewServer returns a server exporting root.
@@ -158,7 +178,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.Op == OpWatch {
 			resp, watcher = s.handleWatch(&req, watcher, c, &writeMu)
 		} else {
-			resp = s.handle(&req)
+			resp = s.handle(&req, watcher)
 		}
 		resp.Tag = req.Tag // correlate on the client's pipelined demux
 		writeMu.Lock()
@@ -231,30 +251,32 @@ func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mut
 
 // touch records a successful mutation of name: the file's change
 // generation advances and every matching watcher is queued a bare notify.
-func (s *Server) touch(name string) { s.notify(name, 0, nil) }
+func (s *Server) touch(name string) { s.notify(name, 0, nil, nil) }
 
-// notify is touch for an append that just wrote data at off: when data
-// fits inlineNotifyMax, the notify carries it (copied once, and only if a
-// watcher matches — data aliases the request frame). Staging temps stay
-// invisible here just as they do in List.
-func (s *Server) notify(name string, off int64, data []byte) {
+// notify is touch for an append that just wrote data at off, made by the
+// connection whose watcher is self (nil when it watches nothing): self is
+// skipped, and when data fits inlineNotifyMax the other notifies carry it
+// (copied once, and only if a watcher matches — data aliases the request
+// frame). It returns the new generation; ok is false for staging temps,
+// which stay invisible here just as they do in List.
+func (s *Server) notify(name string, off int64, data []byte, self *connWatcher) (gen uint64, ok bool) {
 	clean, err := cleanName(name)
 	if err != nil {
-		return
+		return 0, false
 	}
 	base := clean
 	if i := strings.LastIndexByte(clean, '/'); i >= 0 {
 		base = clean[i+1:]
 	}
 	if isStagingTemp(base) {
-		return
+		return 0, false
 	}
 	s.mu.Lock()
 	s.gens[clean]++
-	gen := s.gens[clean]
+	gen = s.gens[clean]
 	var targets []*connWatcher
 	for w := range s.watchers {
-		if w.matches(clean) {
+		if w != self && w.matches(clean) {
 			targets = append(targets, w)
 		}
 	}
@@ -264,14 +286,11 @@ func (s *Server) notify(name string, off int64, data []byte) {
 		ev.off, ev.data = off, bytes.Clone(data)
 	}
 	for _, w := range targets {
-		select {
-		case w.queue <- ev:
-		default:
-			// Full queue: drop rather than stall the mutating request. The
-			// watcher's rescan sweep recovers the change.
-			s.metrics.Counter(metrics.NFSWatchDropped).Inc()
+		if n := sendDropOldest(w.queue, ev); n > 0 {
+			s.metrics.Counter(metrics.NFSWatchDropped).Add(int64(n))
 		}
 	}
+	return gen, true
 }
 
 // gen reads a file's current change generation (0 if never mutated through
@@ -298,7 +317,9 @@ func fail(err error) *Response {
 	return &Response{Err: err.Error(), NotExist: errors.Is(err, os.ErrNotExist)}
 }
 
-func (s *Server) handle(req *Request) *Response {
+// handle serves one request on the connection whose watch registration is
+// self (nil when it has none).
+func (s *Server) handle(req *Request, self *connWatcher) *Response {
 	s.metrics.Counter(metrics.NFSOpPrefix + req.Op).Inc()
 	switch req.Op {
 	case OpPing:
@@ -306,7 +327,7 @@ func (s *Server) handle(req *Request) *Response {
 	case OpCreate:
 		return s.handleCreate(req)
 	case OpAppend:
-		return s.handleAppend(req)
+		return s.handleAppend(req, self)
 	case OpReadAt:
 		return s.handleReadAt(req)
 	case OpStat:
@@ -345,7 +366,7 @@ func (s *Server) handleCreate(req *Request) *Response {
 	return &Response{}
 }
 
-func (s *Server) handleAppend(req *Request) *Response {
+func (s *Server) handleAppend(req *Request, self *connWatcher) *Response {
 	if len(req.Data) > MaxChunk {
 		return &Response{Err: "nfs: append exceeds MaxChunk"}
 	}
@@ -368,12 +389,20 @@ func (s *Server) handleAppend(req *Request) *Response {
 	// The descriptor's position after an O_APPEND write is the end of
 	// exactly these bytes, even if an out-of-band writer grew the file
 	// since the open.
-	if end, err := f.Seek(0, io.SeekCurrent); err == nil {
-		s.notify(req.Name, end-int64(len(req.Data)), req.Data)
-	} else {
-		s.touch(req.Name) // no trustworthy offset: notify bare
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		s.touch(req.Name) // no trustworthy offset: notify bare, the appender included
+		return &Response{}
 	}
-	return &Response{}
+	// The appender holds these bytes already: the response tells it where
+	// they landed and it delivers them to its own streams, so no notify
+	// carries them back across the wire.
+	off := end - int64(len(req.Data))
+	gen, ok := s.notify(req.Name, off, req.Data, self)
+	if !ok {
+		return &Response{}
+	}
+	return &Response{Size: off, Gen: gen, Landed: true}
 }
 
 func (s *Server) handleReadAt(req *Request) *Response {

@@ -20,6 +20,10 @@ import (
 // share's .queue and .heartbeat rewrites, whose inline bytes would
 // otherwise ride its link.
 //
+// The connection's own appends never come back as frames: the server
+// withholds their notifies and Append hands the bytes it sent to the
+// matching local streams itself, at the offset the response reports.
+//
 // Stream-loss semantics: when the connection fails (or the client closes),
 // every local stream's channel is closed. Consumers treat the close as
 // "fall back to polling, then re-Watch"; the next Watch call re-arms the
@@ -27,8 +31,9 @@ import (
 // connection.
 
 // watchStreamDepth bounds each local stream's event buffer; like the
-// server's queue, a full buffer drops (the consumer rescans from its own
-// offset, so a drop is a latency hiccup, not data loss).
+// server's queue, a full buffer drops its oldest event (counted in
+// nfs.watch.dropped), so the newest — whose offset exposes the gap — is
+// always delivered and the consumer reads the dropped change itself.
 const watchStreamDepth = 256
 
 // clientWatch is one local subscription.
@@ -136,30 +141,42 @@ func (c *Client) prefixSetLocked() []byte {
 }
 
 // deliverNotify routes one NotifyTag frame to every matching local stream.
-// Called from the demux goroutine; the frame is freed here, so inline
-// append bytes are copied out of it once and shared, read-only, by every
-// stream they reach.
+// Called from the demux goroutine; the frame is freed here.
 func (c *Client) deliverNotify(resp *Response) {
 	defer resp.free()
 	if len(resp.Names) == 0 || resp.Names[0] == "" {
 		return
 	}
-	ev := smartfam.WatchEvent{Name: resp.Names[0], Gen: resp.Gen}
 	c.met.watchEvents.Inc()
+	c.fanOut(resp.Names[0], resp.Gen, resp.Size, resp.Data)
+}
+
+// deliverOwnAppend is the notify the server withheld from this connection
+// for an append it made: data at off, inline up to inlineNotifyMax and bare
+// above it, exactly as another connection hears the append.
+func (c *Client) deliverOwnAppend(name string, gen uint64, off int64, data []byte) {
+	if len(data) > inlineNotifyMax {
+		data = nil
+	}
+	c.fanOut(name, gen, off, data)
+}
+
+// fanOut hands one change event to every matching local stream. Inline
+// append bytes are copied once and shared, read-only, by every stream they
+// reach; a full stream evicts its oldest event to take the new one.
+func (c *Client) fanOut(name string, gen uint64, off int64, data []byte) {
+	ev := smartfam.WatchEvent{Name: name, Gen: gen}
 	c.watchMu.Lock()
 	defer c.watchMu.Unlock()
 	for w := range c.watches {
-		if !strings.HasPrefix(ev.Name, w.prefix) {
+		if !strings.HasPrefix(name, w.prefix) {
 			continue
 		}
-		if ev.Data == nil && len(resp.Data) > 0 {
-			ev.Off, ev.Data = resp.Size, bytes.Clone(resp.Data)
+		if ev.Data == nil && len(data) > 0 {
+			ev.Off, ev.Data = off, bytes.Clone(data)
 		}
-		select {
-		case w.ch <- ev:
-		default:
-			// Consumer lagging: drop, like the polling Watcher does. The
-			// consumer re-reads from its own offset.
+		if n := sendDropOldest(w.ch, ev); n > 0 {
+			c.met.watchDropped.Add(int64(n))
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package smartfam
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,11 +14,12 @@ import (
 // This file is the host half of the fam v2 push-mode front door:
 //
 //   - respRouter replaces InvokeID's per-call polling loop when the share
-//     implements WatchFS: ONE notify-driven reader per module log parses
-//     the records each notify carries (scanning the log only when one does
-//     not) and hands each response to the waiter registered under its
-//     correlation ID. Waiters register BEFORE appending their request, so a
-//     response can never land unobserved.
+//     implements WatchFS: ONE notify-driven reader per module log rebuilds
+//     the log from the bytes the notifies carry — in offset order, however
+//     they arrive — reading the share only for what no notify brought, and
+//     hands each response to the waiter registered under its correlation
+//     ID. Waiters register BEFORE appending their request, so a response
+//     can never land unobserved.
 //   - batcher is the group-commit side (groupcommit.go): concurrent
 //     InvokeID calls against one module coalesce their request records into
 //     a single share append per batch window (bounded by bytes and delay),
@@ -30,12 +33,11 @@ import (
 // the capability, a pre-watch server) keeps the classic append-then-poll
 // path untouched.
 
-// pushSafetyFloor is how long the notify stream must stay silent, with
-// waiters pending, before the router's safety scan first reads the log
-// itself; it is also the router's tick. Push delivers the fast path; the
-// safety scan only covers dropped notifies (the server's per-watcher queue
-// is bounded) and writers that bypass the server, so it can be far lazier
-// than the polling interval.
+// pushSafetyFloor is the router's tick and, with waiters pending, its size
+// probe interval: bytes still undelivered a whole interval after a probe
+// saw them are read from the share. Push delivers the fast path; the probe
+// only covers dropped notifies (the server's per-watcher queue is bounded)
+// and writers that bypass the server.
 const pushSafetyFloor = 25 * time.Millisecond
 
 // SetBatching enables host-side group commit with the given bounds (<= 0
@@ -96,16 +98,21 @@ type respRouter struct {
 	mu      sync.Mutex
 	waiters map[string]chan Record
 
-	// off/gen/lost/buf are touched only by the router goroutine. lost marks
-	// an offset no longer known to match the log: a bare notify or a gap
-	// went unscanned for want of waiters (a compaction may have truncated
-	// the log under it), so until an inline append lands exactly on it or a
+	// The rest is touched only by the router goroutine. lost marks an
+	// offset no longer known to match the log: a bare notify or a gap went
+	// unscanned for want of waiters (a compaction may have truncated the
+	// log under it), so until an inline append lands exactly on it or a
 	// scan has re-run the compaction checks, no append is taken as already
-	// consumed.
-	off  int64
-	gen  int64
-	lost bool
-	buf  []byte // scan buffer, allocated on the first scan
+	// consumed and none is held.
+	off   int64
+	gen   int64
+	lost  bool
+	torn  bool         // the bytes at off end in a record torn mid-append
+	held  []WatchEvent // inline appends past off, by Off, awaiting the gap
+	heldN int          // bytes in held, bounded by scanChunk
+	seen  int64        // log size at the previous size probe
+	epoch int          // bumped by every rewind; older probes are stale
+	buf   []byte       // read buffer, allocated on the first read
 }
 
 // router returns the live response router for module, creating it (and
@@ -167,7 +174,11 @@ func (c *Client) router(module string) *respRouter {
 	}
 	c.routers[module] = rt
 	c.pushMu.Unlock()
-	//mcsdlint:allow goroleak -- run exits through expire(): its ticker fires at least every safety interval and retires the router once it has sat at zero refs past routerLinger (refcounted under c.pushMu); a stream loss inside run only degrades it to polling, the ticker keeps firing
+	// run exits through expire(): its ticker fires at least every probe
+	// interval and retires the router once it has sat at zero refs past
+	// routerLinger (refcounted under c.pushMu); a stream loss inside run
+	// only degrades it to polling, the ticker keeps firing. It joins its
+	// size probes before it returns.
 	go rt.run(st)
 	return rt
 }
@@ -234,15 +245,17 @@ func (rt *respRouter) expire() bool {
 }
 
 // run is the router goroutine. While the notify stream is live each event
-// is consumed as it comes: inline append bytes are parsed in place, and
-// only a bare notify or a gap costs a scan of the share. The safety scan
-// covers dropped notifies and writers that bypass the server: it starts
-// once the stream has been silent for the safety floor with waiters
-// pending, reads from the offset alone, backs off ×2 per empty result up
-// to routerLinger (reset by any event or find), and runs the full
-// compaction probe at least once per routerLinger. On stream loss the
-// router degrades to polling at the client's interval while periodically
-// trying to re-arm push.
+// is consumed as it comes: inline append bytes at the offset are parsed in
+// place, bytes past it wait in held until the gap closes, and only a bare
+// notify, a torn inline tail or a full held buffer costs a scan of the
+// share. With waiters pending, every tick launches one size probe (a Stat,
+// off this goroutine, so no event waits behind it); when it answers, the
+// bytes below the size the previous probe saw that no event has brought
+// are read — they sat on the server a whole interval with no notify. At
+// least once per routerLinger the probe also reads the generation, which
+// with the size catches a compaction no notify announced. On stream loss
+// the router degrades to polling at the client's interval while
+// periodically trying to re-arm push.
 func (rt *respRouter) run(st WatchStream) {
 	c := rt.c
 	floor := pushSafetyFloor
@@ -252,15 +265,32 @@ func (rt *respRouter) run(st WatchStream) {
 	tick := time.NewTicker(floor)
 	defer tick.Stop()
 	c.pushGaugeAdd(1)
+	var probes sync.WaitGroup
+	answers := make(chan sizeProbe, 1)
 	defer func() {
+		probes.Wait()
 		if st != nil {
 			st.Close()
 			c.pushGaugeAdd(-1)
 		}
 	}()
-	quiet := time.Now()  // the stream has been silent since
-	wait := floor        // silence that starts the next safety scan
-	probed := time.Now() // last safety-scan compaction probe
+	event := func(ev WatchEvent, ok bool) {
+		if !ok {
+			// Stream lost: degraded mode. Poll fast, like the classic
+			// path, and let the tick double as the re-arm probe.
+			st = nil
+			c.pushGaugeAdd(-1)
+			c.countDegraded()
+			tick.Reset(c.interval)
+			return
+		}
+		c.countPushEvent()
+		if !rt.take(ev) {
+			rt.scan()
+		}
+	}
+	probing := false
+	genProbed := time.Now() // last probe that read the generation
 	for {
 		var events <-chan WatchEvent
 		if st != nil {
@@ -268,19 +298,21 @@ func (rt *respRouter) run(st WatchStream) {
 		}
 		select {
 		case ev, ok := <-events:
-			if !ok {
-				// Stream lost: degraded mode. Poll fast, like the classic
-				// path, and let the tick double as the re-arm probe.
-				st = nil
-				c.pushGaugeAdd(-1)
-				c.countDegraded()
-				tick.Reset(c.interval)
-				continue
+			event(ev, ok)
+		case p := <-answers:
+			probing = false
+			// Events already queued are older than the answer: take them
+			// first, so the probe never reads what they carry.
+			for queued := true; queued && st != nil; {
+				select {
+				case ev, ok := <-st.Events():
+					event(ev, ok)
+				default:
+					queued = false
+				}
 			}
-			c.countPushEvent()
-			quiet, wait = time.Now(), floor
-			if !rt.take(ev) {
-				rt.scan(true)
+			if st != nil {
+				rt.probed(p)
 			}
 		case now := <-tick.C:
 			if rt.expire() {
@@ -291,42 +323,104 @@ func (rt *respRouter) run(st WatchStream) {
 					st = ns
 					c.pushGaugeAdd(1)
 					tick.Reset(floor)
-					quiet, wait = now, floor
 				} else if errors.Is(err, ErrWatchUnsupported) {
 					c.pushMu.Lock()
 					c.pushBroken = true
 					c.pushMu.Unlock()
 				}
-				rt.scan(true)
+				rt.scan()
 				continue
 			}
-			if now.Sub(quiet) < wait || !rt.armed() {
+			if probing || !rt.armed() {
 				continue
 			}
-			probe := now.Sub(probed) >= routerLinger
-			if probe {
-				probed = now
+			withGen := now.Sub(genProbed) >= routerLinger
+			if withGen {
+				genProbed = now
 			}
-			if rt.scan(probe) {
-				wait = floor
-			} else {
-				wait = min(2*wait, routerLinger)
-			}
-			quiet = time.Now()
+			probing = true
+			rt.probe(&probes, answers, withGen)
 		}
 	}
+}
+
+// sizeProbe is one size probe's answer, tagged with the offset and rewind
+// epoch it was launched against.
+type sizeProbe struct {
+	size    int64
+	err     error
+	withGen bool
+	gen     int64
+	from    int64
+	epoch   int
+}
+
+// probe stats the log (and reads its generation, withGen) on its own
+// goroutine and answers on out. run keeps one probe in flight, so out —
+// made with room for one — always takes the answer, and joins it through
+// wg before it retires.
+func (rt *respRouter) probe(wg *sync.WaitGroup, out chan<- sizeProbe, withGen bool) {
+	p := sizeProbe{withGen: withGen, from: rt.off, epoch: rt.epoch}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p.size, _, p.err = rt.c.fs.Stat(rt.logName)
+		if withGen {
+			p.gen = ReadGeneration(rt.c.fs, rt.module)
+		}
+		select {
+		case out <- p:
+		default:
+		}
+	}()
+}
+
+// probed acts on a size probe's answer. The log below the size the
+// previous probe saw has sat on the server a whole probe interval; what of
+// it no event has brought — from the offset up to the first held event —
+// is read now, and nothing else. A log shorter than the offset the probe
+// started from, or a new generation, is a compaction no notify announced:
+// the offset is lost and a scan rewinds it.
+func (rt *respRouter) probed(p sizeProbe) {
+	if p.err != nil || p.epoch != rt.epoch {
+		return
+	}
+	if p.size < p.from || (p.withGen && p.gen != rt.gen) {
+		rt.lost = true
+	}
+	end := rt.seen
+	rt.seen = p.size
+	if rt.lost {
+		rt.scan()
+		return
+	}
+	if len(rt.held) > 0 {
+		end = min(end, rt.held[0].Off)
+	}
+	if rt.off >= end || !rt.armed() {
+		return
+	}
+	rt.readLog(end)
+	if rt.off < end {
+		// The gap ends inside a record — torn mid-append, or completed by
+		// the held event after it: read on from the offset.
+		rt.scan()
+		return
+	}
+	rt.drain()
 }
 
 // take consumes a notify that carries the appended bytes at their offset,
 // without touching the share: bytes landing exactly at the offset go
 // straight to ParseRecords (CRCs and torn-tail quarantine apply as on a
-// read), and bytes a scan already consumed are skipped. It reports false
-// when the event cannot stand in for a read — a bare notify, a gap past
-// the offset (a dropped notify, a writer that bypassed the server), a
-// partial overlap, a torn inline tail, or an apparently consumed append
-// against a lost offset — and the caller scans. An exact match settles a
-// lost offset: Off is where the server wrote the bytes in the log as it
-// is now.
+// read) and release the held events they reach, bytes past the offset are
+// held until the gap before them closes, and bytes a scan already
+// consumed are skipped. It reports false when the event cannot stand in
+// for a read — a bare notify, a partial overlap, a torn inline tail or a
+// gap behind one, a held buffer past its bound, or any append but an exact
+// match against a lost offset — and the caller scans. An exact match
+// settles a lost offset: Off is where the server wrote the bytes in the
+// log as it is now.
 func (rt *respRouter) take(ev WatchEvent) bool {
 	if ev.Name != rt.logName {
 		return true // another file under the prefix: not ours to read
@@ -335,17 +429,76 @@ func (rt *respRouter) take(ev WatchEvent) bool {
 		return false
 	}
 	if ev.Off != rt.off {
-		return !rt.lost && ev.Off+int64(len(ev.Data)) <= rt.off
+		switch {
+		case rt.lost:
+			return false
+		case ev.Off+int64(len(ev.Data)) <= rt.off:
+			return true
+		case ev.Off < rt.off || rt.torn:
+			return false
+		}
+		return rt.hold(ev)
 	}
 	rt.lost = false
-	recs, consumed, corrupt, err := ParseRecords(ev.Data)
-	rt.c.countCorrupt(corrupt)
-	if err != nil {
+	return rt.parseWhole(ev.Data) && rt.drain()
+}
+
+// hold keeps an inline append that landed past the offset, in offset
+// order, until the gap before it closes. It reports false when the held
+// bytes would pass scanChunk: the caller scans instead.
+func (rt *respRouter) hold(ev WatchEvent) bool {
+	i, dup := slices.BinarySearchFunc(rt.held, ev.Off, func(h WatchEvent, off int64) int {
+		return cmp.Compare(h.Off, off)
+	})
+	if dup {
+		return true
+	}
+	if rt.heldN+len(ev.Data) > scanChunk {
 		return false
 	}
+	rt.held = slices.Insert(rt.held, i, ev)
+	rt.heldN += len(ev.Data)
+	return true
+}
+
+// drain consumes the held events the offset has reached and drops those a
+// read already covered. It reports false when one cannot be taken whole (a
+// partial overlap, a torn tail): the caller scans.
+func (rt *respRouter) drain() bool {
+	for len(rt.held) > 0 && rt.held[0].Off <= rt.off {
+		ev := rt.held[0]
+		rt.held[0] = WatchEvent{}
+		rt.held = rt.held[1:]
+		rt.heldN -= len(ev.Data)
+		if ev.Off+int64(len(ev.Data)) <= rt.off {
+			continue
+		}
+		if ev.Off < rt.off || !rt.parseWhole(ev.Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// parse hands the records in b — the log's bytes at the offset — to their
+// waiters and moves the offset past every complete one, returning how many
+// bytes that was; false when b cannot be parsed at all.
+func (rt *respRouter) parse(b []byte) (int, bool) {
+	recs, consumed, corrupt, err := ParseRecords(b)
+	rt.c.countCorrupt(corrupt)
+	if err != nil {
+		return 0, false
+	}
 	rt.off += int64(consumed)
+	rt.torn = consumed < len(b)
 	rt.deliver(recs)
-	return consumed == len(ev.Data)
+	return consumed, true
+}
+
+// parseWhole is parse for bytes that must be consumed entirely.
+func (rt *respRouter) parseWhole(b []byte) bool {
+	n, ok := rt.parse(b)
+	return ok && n == len(b)
 }
 
 // armed reports whether any invocation is waiting on this router.
@@ -355,81 +508,82 @@ func (rt *respRouter) armed() bool {
 	return len(rt.waiters) > 0
 }
 
-// scanChunk is the router's optimistic read size. Records are a few
-// hundred bytes, so one chunk covers thousands of them — and it stays
-// within the share's single-RPC read bound, keeping the hot scan at
+// scanChunk is the router's read size and its held-bytes bound. Records
+// are a few hundred bytes, so one chunk covers thousands of them — and it
+// stays within the share's single-RPC read bound, keeping a scan at
 // exactly one round trip.
 const scanChunk = 256 << 10
 
-// scan reads records appended since the offset, delivers responses to
-// their registered waiters and reports whether it consumed any. The read
-// is ONE round trip: the log grows append-only between compactions, so
-// the scan reads a chunk straight from the saved offset — no Stat first;
-// the short read bounds it, and ParseRecords quarantines a tail torn
-// mid-append until a later read completes it. With probe set, the
-// compaction checks run when the read comes back empty, which is exactly
-// what a shrunken log looks like from a stale offset; a lost offset is
-// checked before reading. With no waiters registered the scan is skipped
-// entirely and the offset marked lost; the next armed scan catches up.
-func (rt *respRouter) scan(probe bool) bool {
+// scan reads the records appended since the offset, delivers responses to
+// their registered waiters and releases the held events the offset then
+// reaches. The read is ONE round trip: the log grows append-only between
+// compactions, so the scan reads a chunk straight from the saved offset —
+// no Stat first; the short read bounds it, and ParseRecords quarantines a
+// tail torn mid-append until a later read completes it. The compaction
+// checks run when the read comes back empty, which is exactly what a
+// shrunken log looks like from a stale offset; a lost offset is checked
+// before reading. With no waiters registered the scan is skipped entirely
+// and the offset marked lost; the next armed scan catches up.
+func (rt *respRouter) scan() {
 	if !rt.armed() {
 		rt.lost = true
-		return false
+		rt.held, rt.heldN = nil, 0
+		return
 	}
 	if rt.lost {
 		rt.lost = false
 		rt.rewind()
 	}
+	// Nothing at the offset: usually just no news, but a compacted or
+	// truncated log shows the same face — check, rewind, rescan once.
+	if rt.readLog(-1) == 0 && rt.rewind() {
+		rt.readLog(-1)
+	}
+	rt.drain()
+}
+
+// readLog reads the log from the offset up to end (to the log's end when
+// end < 0), delivering what it parses, and returns the bytes it read. It
+// stops early at a torn tail with no complete record in front of it: the
+// append that terminates it has not landed yet.
+func (rt *respRouter) readLog(end int64) int {
 	if rt.buf == nil {
 		rt.buf = make([]byte, scanChunk)
 	}
-	found := false
-	for pass := 0; pass < 2; pass++ {
-		read := 0
-		for {
-			n, err := rt.c.fs.ReadAt(rt.logName, rt.buf, rt.off)
-			if n > 0 {
-				recs, consumed, corrupt, perr := ParseRecords(rt.buf[:n])
-				rt.c.countCorrupt(corrupt)
-				if perr != nil {
-					return found
-				}
-				rt.off += int64(consumed)
-				rt.deliver(recs)
-				read += n
-				found = found || consumed > 0
-				if consumed == 0 {
-					// A torn tail with no complete record in front of it:
-					// wait for the append that terminates it.
-					break
-				}
-			}
-			if err != nil || n < len(rt.buf) {
+	read := 0
+	for end < 0 || rt.off < end {
+		p := rt.buf
+		if end >= 0 && end-rt.off < int64(len(p)) {
+			p = p[:end-rt.off]
+		}
+		n, err := rt.c.fs.ReadAt(rt.logName, p, rt.off)
+		read += n
+		if n > 0 {
+			if consumed, ok := rt.parse(p[:n]); !ok || consumed == 0 {
 				break
 			}
 		}
-		// Nothing at the offset: usually just no news, but a compacted or
-		// truncated log shows the same face — check, rewind, rescan once.
-		if read > 0 || !probe || !rt.rewind() {
-			return found
+		if err != nil || n < len(p) {
+			break
 		}
 	}
-	return found
+	return read
 }
 
 // rewind runs the compaction checks — generation bump, truncation below
 // the offset — and restarts the offset at zero when either shows the log
-// is a different image. It reports whether it rewound.
+// is a different image, forgetting everything measured against the old
+// one. It reports whether it rewound.
 func (rt *respRouter) rewind() bool {
 	if g := ReadGeneration(rt.c.fs, rt.module); g != rt.gen {
-		rt.gen, rt.off = g, 0
-		return true
+		rt.gen = g
+	} else if size, _, err := rt.c.fs.Stat(rt.logName); err != nil || size >= rt.off {
+		return false
 	}
-	if size, _, err := rt.c.fs.Stat(rt.logName); err == nil && size < rt.off {
-		rt.off = 0
-		return true
-	}
-	return false
+	rt.off, rt.torn, rt.seen = 0, false, 0
+	rt.held, rt.heldN = nil, 0
+	rt.epoch++
+	return true
 }
 
 // deliver hands each response record to its registered waiter. Matching

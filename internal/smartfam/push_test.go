@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +44,9 @@ func (h *pushHub) emit(ev WatchEvent) {
 	}
 }
 
-func (h *pushHub) view() *hubView { return &hubView{hub: h, reads: make(map[string]int)} }
+func (h *pushHub) view() *hubView {
+	return &hubView{hub: h, reads: make(map[string]int), readBytes: make(map[string]int)}
+}
 
 type hubStream struct {
 	hub    *pushHub
@@ -62,18 +66,25 @@ func (s *hubStream) Close() error {
 	return nil
 }
 
-// hubView is one node's mount of the hub; it counts its ReadAt calls per
-// file.
+// hubView is one node's mount of the hub; it counts its ReadAt calls, and
+// the bytes they returned, per file.
 type hubView struct {
-	hub   *pushHub
-	mu    sync.Mutex
-	reads map[string]int
+	hub       *pushHub
+	mu        sync.Mutex
+	reads     map[string]int
+	readBytes map[string]int
 }
 
 func (v *hubView) readsOf(name string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.reads[name]
+}
+
+func (v *hubView) bytesReadOf(name string) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.readBytes[name]
 }
 
 func (v *hubView) Create(name string) error {
@@ -107,10 +118,12 @@ func (v *hubView) Append(name string, data []byte) error {
 }
 
 func (v *hubView) ReadAt(name string, p []byte, off int64) (int, error) {
+	n, err := v.hub.FS.ReadAt(name, p, off)
 	v.mu.Lock()
 	v.reads[name]++
+	v.readBytes[name] += n
 	v.mu.Unlock()
-	return v.hub.FS.ReadAt(name, p, off)
+	return n, err
 }
 
 func (v *hubView) Stat(name string) (int64, time.Time, error) { return v.hub.FS.Stat(name) }
@@ -205,8 +218,10 @@ func bareRouter(fsys FS, module string) *respRouter {
 }
 
 // TestRouterInlineFallbacks pins respRouter.take's decisions: bytes at the
-// offset are delivered without a read; a gap, and a torn inline tail, fall
-// back to a scan; a notify whose bytes a scan already consumed is skipped.
+// offset are delivered without a read, and so are bytes past it, held until
+// the notify for the gap arrives; a notify whose bytes a scan already
+// consumed is skipped; a torn inline tail, and a gap behind one, fall back
+// to a scan.
 func TestRouterInlineFallbacks(t *testing.T) {
 	hub := newPushHub(t)
 	log := LogName("m")
@@ -216,7 +231,7 @@ func TestRouterInlineFallbacks(t *testing.T) {
 	host := hub.view()
 	rt := bareRouter(host, "m")
 	chs := make(map[string]chan Record)
-	for _, id := range []string{"r1", "r2", "r3", "r4", "r5"} {
+	for _, id := range []string{"r1", "r2", "r3", "r4", "r5", "r6"} {
 		chs[id] = rt.register(id)
 	}
 	land := func(data []byte) WatchEvent {
@@ -255,29 +270,41 @@ func TestRouterInlineFallbacks(t *testing.T) {
 	reads(0)
 
 	ev2 := land(responseLine(t, "r2", "p-r2")) // its notify is late
-	if rt.take(land(responseLine(t, "r3", "p-r3"))) {
-		t.Fatal("notify past a gap taken")
+	if !rt.take(land(responseLine(t, "r3", "p-r3"))) {
+		t.Fatal("notify past a gap not held")
 	}
-	rt.scan(true)
+	select {
+	case <-chs["r3"]:
+		t.Fatal("r3 delivered before the gap in front of it closed")
+	default:
+	}
+	if !rt.take(ev2) {
+		t.Fatal("notify closing the gap not taken")
+	}
 	delivered("r2")
 	delivered("r3")
+	reads(0)
+
+	ev4 := land(responseLine(t, "r4", "p-r4")) // its notify is late
+	rt.scan()
+	delivered("r4")
 	reads(1)
-	if !rt.take(ev2) {
+	if !rt.take(ev4) {
 		t.Fatal("notify for bytes a scan consumed not skipped")
 	}
 	reads(1)
 
-	r5 := responseLine(t, "r5", "p-r5")
-	if rt.take(land(append(responseLine(t, "r4", "p-r4"), r5[:len(r5)/2]...))) {
+	r6 := responseLine(t, "r6", "p-r6")
+	if rt.take(land(append(responseLine(t, "r5", "p-r5"), r6[:len(r6)/2]...))) {
 		t.Fatal("torn inline tail taken whole")
 	}
-	delivered("r4")
-	rt.scan(true) // the quarantined half alone: nothing to deliver yet
-	if rt.take(land(r5[len(r5)/2:])) {
-		t.Fatal("tail completion past the quarantined record taken inline")
-	}
-	rt.scan(true)
 	delivered("r5")
+	rt.scan() // the quarantined half alone: nothing to deliver yet
+	if rt.take(land(r6[len(r6)/2:])) {
+		t.Fatal("tail completion behind the quarantined record held")
+	}
+	rt.scan()
+	delivered("r6")
 	if size, _, _ := hub.FS.Stat(log); rt.off != size {
 		t.Fatalf("router offset %d, log size %d", rt.off, size)
 	}
@@ -422,5 +449,152 @@ func TestRouterSafetyScanAnswers(t *testing.T) {
 				t.Fatal("no safety scan ran, yet every response's notify was missing")
 			}
 		})
+	}
+}
+
+// waitResponses polls the log until at least n response records have
+// landed.
+func waitResponses(t *testing.T, fsys FS, module string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		data, _ := ReadFrom(fsys, LogName(module), 0)
+		recs, _, _, _ := ParseRecords(data)
+		got := 0
+		for _, r := range recs {
+			if r.Kind == KindResponse {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
+	}
+	t.Fatalf("%d responses never landed", n)
+}
+
+// TestRouterReassemblesOutOfOrder pins the reassembly: the notifies of a
+// burst of invocations, held back until every response has landed and
+// then released reversed or shuffled, are consumed in log order as the
+// gaps close — every response reaches its waiter and the log is never
+// read. The client's interval puts the size probe ten seconds out, so no
+// read could stand in for a notify.
+func TestRouterReassemblesOutOfOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		permute func([]WatchEvent)
+	}{
+		{"reversed", slices.Reverse[[]WatchEvent]},
+		{"shuffled", func(evs []WatchEvent) {
+			rand.New(rand.NewSource(20)).Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := newPushHub(t)
+			sd := hub.view()
+			reg := NewRegistry(sd)
+			if err := reg.Register(echoModule()); err != nil {
+				t.Fatal(err)
+			}
+			runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
+			host := hub.view()
+			c := NewClient(host, time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			// One in-order invocation arms the router.
+			if out, err := c.Invoke(ctx, "echo", []byte("arm")); err != nil || string(out) != "echo:arm" {
+				t.Fatalf("arming call: (%q, %v)", out, err)
+			}
+
+			var held []WatchEvent // guarded by hub.mu
+			hub.mu.Lock()
+			hub.drop = func(prefix string, ev WatchEvent) bool {
+				if prefix == "" {
+					return false // the daemon's stream
+				}
+				held = append(held, ev)
+				return true
+			}
+			hub.mu.Unlock()
+			const n = 16
+			done := make([]<-chan error, n)
+			for i := range done {
+				done[i] = invokeAsync(ctx, c, "echo", fmt.Sprintf("ooo-%d", i), fmt.Sprintf("p%d", i))
+			}
+			waitResponses(t, hub.FS, "echo", n+1)
+
+			hub.mu.Lock()
+			hub.drop = nil
+			tc.permute(held)
+			for _, ev := range held {
+				for s := range hub.streams {
+					if s.prefix != "" && strings.HasPrefix(ev.Name, s.prefix) {
+						s.ch <- ev
+					}
+				}
+			}
+			hub.mu.Unlock()
+			for i, d := range done {
+				waitPrompt(t, d, fmt.Sprintf("call %d", i))
+			}
+			if r := host.readsOf(LogName("echo")); r != 0 {
+				t.Fatalf("router issued %d ReadAt calls on the log, want 0", r)
+			}
+		})
+	}
+}
+
+// TestRouterProbeReadsOnlyUndelivered pins what the size probe reads: with
+// every response's notify dropped under concurrent invocations, the bytes
+// the router reads from the log are exactly the dropped ones — never a
+// request appended behind a dropped response, though its notify exposes
+// the gap, and never a byte twice.
+func TestRouterProbeReadsOnlyUndelivered(t *testing.T) {
+	hub := newPushHub(t)
+	dropped := 0 // guarded by hub.mu
+	hub.drop = func(prefix string, ev WatchEvent) bool {
+		if prefix == "" || !bytes.Contains(ev.Data, []byte("\n"+KindResponse+" ")) {
+			return false
+		}
+		dropped += len(ev.Data)
+		return true
+	}
+	sd := hub.view()
+	reg := NewRegistry(sd)
+	if err := reg.Register(echoModule()); err != nil {
+		t.Fatal(err)
+	}
+	runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
+	host := hub.view()
+	c := NewClient(host, time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const callers, calls = 4, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, callers*calls)
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				params := fmt.Sprintf("call-%d-%d", w, i)
+				if out, err := c.Invoke(ctx, "echo", []byte(params)); err != nil || string(out) != "echo:"+params {
+					errs <- fmt.Errorf("%s: (%q, %v)", params, out, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	hub.mu.Lock()
+	want := dropped
+	hub.mu.Unlock()
+	if want == 0 {
+		t.Fatal("no response notify was dropped")
+	}
+	if got := host.bytesReadOf(LogName("echo")); got != want {
+		t.Fatalf("router read %d bytes of the log, want exactly the %d whose notifies were dropped", got, want)
 	}
 }
