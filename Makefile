@@ -78,14 +78,15 @@ chaos-heal:
 # detector, FLAKE_COUNT times each (CI runs a short count): the notify
 # stream, its inline payloads, reassembly, size probe and fallbacks (fleet
 # word counts whose fragment answers must all ride their notifies, at a
-# one-second and at the default 25 ms router tick, included), the
-# push/poll differential, daemon shutdown joins, the heartbeat memo and
-# the fleet's corrupt-replica fallback. A tier-1 test that fails one run
+# one-second and at the default 25 ms router tick, included), responses
+# longer than the router's scan buffer, the push/poll differential, daemon
+# shutdown joins, the heartbeat memo, the fleet's corrupt-replica fallback
+# and the scheduler's memory admission. A tier-1 test that fails one run
 # in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo|TestExecuteCorruptReplica
+FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core ./internal/fleet
+	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core ./internal/fleet ./internal/sched
 
 # perf runs the repository benchmark BENCHMARK.json declares: the four
 # perfbench workloads (invoke_open, offload_mix, hostpull_wc, fleet_wc) over

@@ -108,6 +108,12 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("wordcount not marked offloaded:\n%s", wcOut)
 	}
 
+	// log: the word count's request and response, read back over the share.
+	logOut := ctl("log", "wordcount")
+	if !strings.Contains(logOut, "\nRES ") || !strings.Contains(logOut, " 0 corrupt lines") {
+		t.Fatalf("log verb output malformed:\n%s", logOut)
+	}
+
 	// dbselect over generated sales data staged via put.
 	sales := filepath.Join(t.TempDir(), "sales.csv")
 	salesData := makeSalesCSV()

@@ -8,6 +8,7 @@
 //	mcsdctl -addr 127.0.0.1:9000 status
 //	mcsdctl -addr 127.0.0.1:9000 journal
 //	mcsdctl -addr 127.0.0.1:9000 fam
+//	mcsdctl -addr 127.0.0.1:9000 log wordcount
 //	mcsdctl -addr 127.0.0.1:9000 modules
 //	mcsdctl -addr 127.0.0.1:9000 put corpus.txt data/corpus.txt
 //	mcsdctl -addr 127.0.0.1:9000 wordcount -file data/corpus.txt -partition 64M -top 10
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -113,7 +115,7 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: mcsdctl [-addr host:port | -sds a:p,b:p] <status|queue|journal|fam|modules|put|wordcount|stringmatch|matmul|dbselect|kmeans|scrub|heal> ...")
+		return fmt.Errorf("usage: mcsdctl [-addr host:port | -sds a:p,b:p] <status|queue|journal|fam|log|modules|put|wordcount|stringmatch|matmul|dbselect|kmeans|scrub|heal> ...")
 	}
 
 	if *sds != "" {
@@ -151,6 +153,8 @@ func run(args []string) error {
 		return journalStatus(client)
 	case "fam":
 		return famStatus(client)
+	case "log":
+		return moduleLog(client, os.Stdout, cmdArgs)
 	case "put":
 		return put(client, cmdArgs)
 	case "wordcount":
@@ -332,6 +336,43 @@ func famStatus(client *nfs.Client) error {
 		fmt.Println("group commit: off or idle (no batched responses yet)")
 	}
 	return nil
+}
+
+// logPreview caps how much of each payload the log verb quotes.
+const logPreview = 80
+
+// moduleLog prints a module's log as the share holds it — payloads travel
+// raw there, so this is its readable form: one line per record with kind,
+// correlation ID, status, payload length and a quoted preview of the
+// payload's first logPreview bytes, then the record count, the corrupt
+// lines skipped and the bytes of an unterminated tail.
+func moduleLog(fsys smartfam.FS, w io.Writer, args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: log <module>")
+	}
+	module := args[0]
+	data, err := smartfam.ReadFrom(fsys, smartfam.LogName(module), 0)
+	if errors.Is(err, smartfam.ErrNotExist) {
+		return fmt.Errorf("%w: %q", smartfam.ErrUnknownModule, module)
+	}
+	if err != nil {
+		return err
+	}
+	recs, consumed, corrupt, err := smartfam.ParseRecords(data)
+	for _, r := range recs {
+		status := r.Status
+		if status == "" {
+			status = "-"
+		}
+		preview, more := r.Payload, ""
+		if len(preview) > logPreview {
+			preview, more = preview[:logPreview], "..."
+		}
+		fmt.Fprintf(w, "%s %s %-5s %8d B %q%s\n", r.Kind, r.ID, status, len(r.Payload), preview, more)
+	}
+	fmt.Fprintf(w, "%s: %d records, %d corrupt lines, %d B unterminated tail\n",
+		smartfam.LogName(module), len(recs), corrupt, len(data)-consumed)
+	return err
 }
 
 func put(client *nfs.Client, args []string) error {

@@ -97,6 +97,47 @@ func TestExitCodeQueueFullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogVerbPrintsRecords pins the log verb's readable view of a module
+// log whose payloads travel raw: one line per record with its kind, ID,
+// status, length and a quoted preview capped at 80 bytes, then the
+// corrupt-line and torn-tail counts. A missing log is an unknown module.
+func TestLogVerbPrintsRecords(t *testing.T) {
+	share := smartfam.DirFS(t.TempDir())
+	long := strings.Repeat("x", 200)
+	var log []byte
+	for _, r := range []smartfam.Record{
+		{Kind: smartfam.KindRequest, ID: "r1", Payload: []byte("two words\nand a line")},
+		{Kind: smartfam.KindResponse, ID: "r1", Status: smartfam.StatusOK, Payload: []byte(long)},
+		{Kind: smartfam.KindResponse, ID: "r2", Status: smartfam.StatusError},
+	} {
+		line, err := r.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, line...)
+	}
+	log = append(log, "\nRES r3 ok =bit-flipped 00000000\nRES r4 ok =torn"...)
+	if err := share.Append(smartfam.LogName("echo"), log); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := moduleLog(share, &out, []string{"echo"}); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		`REQ r1 -           20 B "two words\nand a line"`,
+		`RES r1 ok         200 B "` + long[:80] + `"...`,
+		`RES r2 error        0 B ""`,
+		`echo.log: 3 records, 1 corrupt lines, 15 B unterminated tail`,
+	}, "\n") + "\n"
+	if out.String() != want {
+		t.Fatalf("log verb printed\n%s\nwant\n%s", out.String(), want)
+	}
+	if err := moduleLog(share, &out, []string{"nosuch"}); !errors.Is(err, smartfam.ErrUnknownModule) {
+		t.Fatalf("log of a missing module: %v, want ErrUnknownModule", err)
+	}
+}
+
 func TestExitCodeClassification(t *testing.T) {
 	cases := []struct {
 		name string

@@ -177,7 +177,8 @@ func FuzzWordCountOutput(f *testing.F) {
 
 // TestWordCountOutputSizePin pins what the format buys at the fleet's
 // fragment shape: one 175 KiB range answered with EmitPairs is at most 30 %
-// of its JSON form, and its smartFAM response record fits twice into one
+// of its JSON form, its smartFAM response record is that payload raw plus
+// a few escapes and a header, and the record fits twice into one
 // group-commit batch — and so, batched, into one inline notify.
 func TestWordCountOutputSizePin(t *testing.T) {
 	store, dir := dataDir(t)
@@ -207,6 +208,9 @@ func TestWordCountOutputSizePin(t *testing.T) {
 	rec, err := smartfam.Record{Kind: smartfam.KindResponse, ID: smartfam.NewID(), Status: smartfam.StatusOK, Payload: raw}.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if limit := len(raw)*102/100 + 64; len(rec) > limit {
+		t.Fatalf("response record %d B for a %d B payload, want <= %d (the raw payload plus 2 %% of escapes and a header)", len(rec), len(raw), limit)
 	}
 	if len(rec) > smartfam.DefaultBatchBytes/2 {
 		t.Fatalf("response record %d B, want <= %d (half a group-commit batch)", len(rec), smartfam.DefaultBatchBytes/2)

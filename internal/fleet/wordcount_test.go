@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,6 +101,91 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 		if len(res.Fragments) != len(partitionRangeCount(int64(len(text)), 24<<10)) {
 			t.Fatalf("n=%d: %d fragments", n, len(res.Fragments))
 		}
+	}
+}
+
+// TestFleetNodeCombinePrediction puts the saving of a node-level combine on
+// record at perfbench's fleet_wc shape — 8 MiB of the generator's Zipf
+// text, 48 fragments, 4 nodes under HRW placement. It sums the distinct
+// keys, and the binary run bytes, that the fragments answer with against
+// one merged run per node, a node's keys being the union of its
+// fragments'. DESIGN.md §5g quotes the logged numbers.
+func TestFleetNodeCombinePrediction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("word-counts 8 MiB")
+	}
+	// perfbench's file name, node names and corpus generator seed: the
+	// same fragment keys, so the same placement.
+	dir := t.TempDir()
+	text := workloads.GenerateTextBytes(8<<20, 2012)
+	if err := os.MkdirAll(filepath.Join(dir, "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "data", "corpus.txt"), text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const fragments, nodes = 48, 4
+	frags, err := rangeFragments(WordCountJob{
+		DataFile:      "data/corpus.txt",
+		TotalBytes:    int64(len(text)),
+		FragmentBytes: (int64(len(text)) + fragments - 1) / fragments,
+	})
+	if err != nil || len(frags) != fragments {
+		t.Fatalf("%d fragments, err %v", len(frags), err)
+	}
+	ring := NewRing()
+	for i := 0; i < nodes; i++ {
+		ring.Add(fmt.Sprintf("sd%d", i))
+	}
+	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
+	perNode := make(map[string]map[string]int)
+	fragKeys, fragBytes := 0, 0
+	for _, fr := range frags {
+		raw, err := mod.Run(context.Background(), fr.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out core.WordCountOutput
+		if err := core.Decode(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		fragKeys += len(out.Pairs)
+		fragBytes += len(raw)
+		owner, _ := ring.Owner(fr.Key)
+		if perNode[owner] == nil {
+			perNode[owner] = make(map[string]int)
+		}
+		for _, p := range out.Pairs {
+			perNode[owner][p.Word] += p.Count
+		}
+	}
+	nodeKeys, nodeBytes := 0, 0
+	for _, counts := range perNode {
+		run := core.WordCountOutput{UniqueWords: len(counts)}
+		for w, n := range counts {
+			run.Pairs = append(run.Pairs, core.WordFreq{Word: w, Count: n})
+			run.TotalWords += int64(n)
+		}
+		slices.SortFunc(run.Pairs, func(a, b core.WordFreq) int { return strings.Compare(a.Word, b.Word) })
+		for _, p := range workloads.TopWords(counts, 1) {
+			run.Top = append(run.Top, core.WordFreq{Word: p.Key, Count: p.Value})
+		}
+		raw, err := run.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodeKeys += len(counts)
+		nodeBytes += len(raw)
+	}
+	if len(perNode) != nodes {
+		t.Fatalf("HRW placed the fragments on %d nodes, want %d", len(perNode), nodes)
+	}
+	t.Logf("distinct keys: %d summed over %d fragments, %d over %d nodes (%.1f %%)",
+		fragKeys, fragments, nodeKeys, nodes, 100*float64(nodeKeys)/float64(fragKeys))
+	t.Logf("binary run bytes: %d over fragments, %d over nodes (%.1f %%)",
+		fragBytes, nodeBytes, 100*float64(nodeBytes)/float64(fragBytes))
+	if nodeKeys >= fragKeys || nodeBytes >= fragBytes {
+		t.Fatalf("a node's union of keys saved nothing: %d vs %d keys, %d vs %d B", nodeKeys, fragKeys, nodeBytes, fragBytes)
 	}
 }
 

@@ -51,6 +51,13 @@ func TestMemoryAdmissionSerializesBigJobs(t *testing.T) {
 	peak := int64(0)
 	release := make(chan struct{})
 	smallDone := make(chan struct{})
+	// Admission reserves a job's footprint before its worker enters exec,
+	// so an admitted big job may not be resident yet when the small one
+	// runs. The small job waits for a big one to be resident: it overlaps
+	// only what the scheduler admitted beside it, and the peak is measured
+	// rather than raced.
+	bigResident := make(chan struct{})
+	var bigOnce sync.Once
 
 	exec := func(ctx context.Context, j *Job) ([]byte, error) {
 		fp := j.footprint()
@@ -61,8 +68,13 @@ func TestMemoryAdmissionSerializesBigJobs(t *testing.T) {
 		}
 		mu.Unlock()
 		if j.Tenant == "small" {
+			select {
+			case <-bigResident:
+			case <-ctx.Done():
+			}
 			close(smallDone)
 		} else {
+			bigOnce.Do(func() { close(bigResident) })
 			select {
 			case <-release:
 			case <-ctx.Done():

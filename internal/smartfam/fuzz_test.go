@@ -15,7 +15,19 @@ func FuzzParseRecords(f *testing.F) {
 	res, _ := (Record{Kind: KindResponse, ID: "abc", Status: StatusOK, Payload: []byte{0, 255}}).Marshal()
 	f.Add(append(req, res...))
 	f.Add([]byte("REQ x - -\n")) // legacy CRC-less line: corrupt now
-	f.Add([]byte("RES x ok aGk=\npartial tail without newline"))
+	f.Add([]byte("RES x ok =hi\npartial tail without newline"))
+	// Base64-era lines: CRC-valid, no sigil.
+	f.Add([]byte(sealed("REQ x - aGk=") + sealed("RES x ok -")))
+	// Every edge payload as a record, its torn head against the next
+	// record, and its bit-flipped form.
+	for _, payload := range edgePayloads {
+		line, _ := (Record{Kind: KindResponse, ID: "edge", Status: StatusOK, Payload: payload}).Marshal()
+		f.Add(line)
+		f.Add(append(append([]byte{}, line[:len(line)/2]...), req...))
+		flipped := append([]byte{}, line...)
+		flipped[len(flipped)/2] ^= 0x01
+		f.Add(flipped)
+	}
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte("REQ"))
@@ -70,14 +82,21 @@ func FuzzParseRecords(f *testing.F) {
 }
 
 // FuzzParseJournal holds the journal replay to the same standard: no
-// panics, no hard errors — a corrupted journal degrades, never wedges.
+// panics, no hard errors — a corrupted journal degrades, never wedges —
+// and every DONE entry it accepts survives compaction's rewrite.
 func FuzzParseJournal(f *testing.F) {
 	f.Add([]byte(string(journalLine(journalIntent, "id1", "mod", "0")) +
-		string(journalLine(journalDone, "id1", "mod", StatusOK, "aGk=")) +
+		string(doneLine("id1", "mod", StatusOK, []byte("hi"))) +
 		string(journalLine(journalResp, "id1"))))
 	f.Add([]byte("INTENT half a li"))
-	f.Add([]byte("DONE id mod ok aGk= deadbeef\n"))
+	f.Add([]byte("DONE id mod ok =hi deadbeef\n"))
+	f.Add([]byte(sealed("DONE id mod ok aGk="))) // base64 era: no sigil
 	f.Add([]byte(""))
+	for _, payload := range edgePayloads {
+		line := doneLine("id2", "mod", StatusError, payload)
+		f.Add(line)
+		f.Add(line[:len(line)/2]) // torn tail
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, corrupt := parseJournal(data)
 		if corrupt < 0 {
@@ -91,6 +110,15 @@ func FuzzParseJournal(f *testing.F) {
 			}
 			if e.ID == "" {
 				t.Fatalf("entry with empty ID survived parsing: %+v", e)
+			}
+			// A replayed DONE is what compaction rewrites: it must come
+			// back from its own rewrite unchanged.
+			if e.Kind == journalDone {
+				again, n := parseJournal(doneLine(e.ID, e.Module, e.Status, e.Payload))
+				if n != 0 || len(again) != 1 || again[0].ID != e.ID || again[0].Module != e.Module ||
+					again[0].Status != e.Status || !bytes.Equal(again[0].Payload, e.Payload) {
+					t.Fatalf("DONE entry %+v changed across its compaction rewrite", e)
+				}
 			}
 		}
 	})

@@ -1,14 +1,11 @@
 package smartfam
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -18,12 +15,12 @@ import (
 // share — the journal must survive exactly the failures the share does
 // not):
 //
-//	INTENT <id> <module> <offset> <crc>          before dispatch
-//	DONE   <id> <module> <status> <payload> <crc> after the module ran,
-//	                                              before the response is
-//	                                              appended to the log
-//	RESP   <id> <crc>                             after the response
-//	                                              record landed
+//	INTENT <id> <module> <offset> <crc>           before dispatch
+//	DONE   <id> <module> <status> =<payload> <crc> after the module ran,
+//	                                               before the response is
+//	                                               appended to the log
+//	RESP   <id> <crc>                              after the response
+//	                                               record landed
 //
 // On restart the replay classifies every request:
 //
@@ -38,8 +35,9 @@ import (
 // duplicate-execution window: a crash between execution and response
 // replays the cached result instead of running the module twice.
 //
-// Like the module logs, journal lines are newline-guarded and CRC'd, so
-// a torn tail from the crash itself is skipped (and counted) on replay.
+// Like the module logs, journal lines are newline-guarded and CRC'd, and a
+// DONE payload is the log record's escaped raw payload field, so a torn
+// tail from the crash itself is skipped (and counted) on replay.
 // Writes go straight to the fd with no userspace buffering: the failure
 // model is a daemon crash, not an OS crash, so page cache is durable
 // enough and no fsync is paid per record.
@@ -167,7 +165,7 @@ func OpenJournalFS(fsys FS, name string) (*Journal, *JournalState, error) {
 	}
 	for _, id := range order {
 		c := state.Completed[id]
-		buf.Write(journalLine(journalDone, id, c.Module, c.Status, encodePayload(c.Payload)))
+		buf.Write(doneLine(id, c.Module, c.Status, c.Payload))
 		if state.Acked[id] {
 			buf.Write(journalLine(journalResp, id))
 		}
@@ -202,7 +200,7 @@ func (j *Journal) Intent(id, module string, offset int64) error {
 // Done records a finished execution and its result, before the response is
 // appended to the module log.
 func (j *Journal) Done(id, module, status string, payload []byte) error {
-	return j.append(journalLine(journalDone, id, module, status, encodePayload(payload)))
+	return j.append(doneLine(id, module, status, payload))
 }
 
 // Resp records that the response append for id succeeded.
@@ -230,91 +228,89 @@ func (j *Journal) append(line []byte) error {
 	return nil
 }
 
-// journalLine builds one newline-guarded, CRC-trailed journal line.
+// journalLine builds one newline-guarded, CRC-trailed journal line in the
+// module-log line shape (wire.go).
 func journalLine(fields ...string) []byte {
-	body := strings.Join(fields, " ")
-	return []byte("\n" + body + " " + recordCRC(body) + "\n")
+	return sealLine(appendFields(nil, fields...))
 }
 
-func encodePayload(p []byte) string {
-	s := base64.StdEncoding.EncodeToString(p)
-	if s == "" {
-		s = "-"
-	}
-	return s
-}
-
-func decodePayload(s string) ([]byte, error) {
-	if s == "-" {
-		return nil, nil
-	}
-	return base64.StdEncoding.DecodeString(s)
+// doneLine builds a DONE line, its payload in the module log's escaped raw
+// payload field.
+func doneLine(id, module, status string, payload []byte) []byte {
+	b := make([]byte, 0, len(id)+len(module)+len(payload)+len(payload)/64+32)
+	return sealLine(appendPayload(appendFields(b, journalDone, id, module, status), payload))
 }
 
 // parseJournal decodes every valid journal line, skipping (and counting)
 // corrupt ones — the torn tail of a crashed daemon must not poison replay.
+// An unterminated last line is parsed too: no later append will come to
+// complete it, since replay runs before the journal is appended to again.
 func parseJournal(data []byte) (entries []JournalEntry, corrupt int) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		e, err := parseJournalLine(string(line))
+		e, err := parseJournalLine(line)
 		if err != nil {
 			corrupt++
 			continue
 		}
 		entries = append(entries, e)
 	}
-	if sc.Err() != nil {
-		corrupt++
-	}
 	return entries, corrupt
 }
 
-func parseJournalLine(line string) (JournalEntry, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return JournalEntry{}, fmt.Errorf("smartfam: short journal line %q", line)
+// parseJournalLine decodes one journal line: CRC first, then the fields
+// its kind calls for, the last one running up to the CRC field.
+func parseJournalLine(line []byte) (JournalEntry, error) {
+	body, err := openLine(line)
+	if err != nil {
+		return JournalEntry{}, err
 	}
-	body := strings.Join(fields[:len(fields)-1], " ")
-	if recordCRC(body) != fields[len(fields)-1] {
-		return JournalEntry{}, fmt.Errorf("smartfam: journal checksum mismatch on %q", line)
+	kind, rest, ok := cutField(body)
+	if !ok {
+		return JournalEntry{}, errLineFields
 	}
-	e := JournalEntry{Kind: fields[0]}
-	switch e.Kind {
+	var e JournalEntry
+	switch string(kind) {
 	case journalIntent:
-		if len(fields) != 5 {
-			return JournalEntry{}, fmt.Errorf("smartfam: malformed INTENT line %q", line)
+		id, rest, ok1 := cutField(rest)
+		module, off, ok2 := cutField(rest)
+		if !ok1 || !ok2 {
+			return JournalEntry{}, errLineFields
 		}
-		e.ID, e.Module = fields[1], fields[2]
-		off, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return JournalEntry{}, fmt.Errorf("smartfam: bad INTENT offset in %q", line)
+		if e.Offset, err = strconv.ParseInt(string(off), 10, 64); err != nil {
+			return JournalEntry{}, errLineFields
 		}
-		e.Offset = off
+		e.Kind, e.ID, e.Module = journalIntent, string(id), string(module)
 	case journalDone:
-		if len(fields) != 6 {
-			return JournalEntry{}, fmt.Errorf("smartfam: malformed DONE line %q", line)
+		id, rest, ok1 := cutField(rest)
+		module, rest, ok2 := cutField(rest)
+		status, payload, ok3 := cutField(rest)
+		if !ok1 || !ok2 || !ok3 {
+			return JournalEntry{}, errLineFields
 		}
-		e.ID, e.Module, e.Status = fields[1], fields[2], fields[3]
-		if e.Status != StatusOK && e.Status != StatusError {
-			return JournalEntry{}, fmt.Errorf("smartfam: bad DONE status in %q", line)
+		switch string(status) {
+		case StatusOK:
+			e.Status = StatusOK
+		case StatusError:
+			e.Status = StatusError
+		default:
+			return JournalEntry{}, errLineStatus
 		}
-		payload, err := decodePayload(fields[4])
-		if err != nil {
-			return JournalEntry{}, fmt.Errorf("smartfam: bad DONE payload in %q", line)
+		if e.Payload, err = decodePayload(payload); err != nil {
+			return JournalEntry{}, err
 		}
-		e.Payload = payload
+		e.Kind, e.ID, e.Module = journalDone, string(id), string(module)
 	case journalResp:
-		if len(fields) != 3 {
-			return JournalEntry{}, fmt.Errorf("smartfam: malformed RESP line %q", line)
+		if len(rest) == 0 || bytes.IndexByte(rest, ' ') >= 0 {
+			return JournalEntry{}, errLineFields
 		}
-		e.ID = fields[1]
+		e.Kind, e.ID = journalResp, string(rest)
 	default:
-		return JournalEntry{}, fmt.Errorf("smartfam: unknown journal entry kind %q", e.Kind)
+		return JournalEntry{}, errLineKind
 	}
 	return e, nil
 }

@@ -1,7 +1,9 @@
 package smartfam
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -72,7 +74,7 @@ func TestJournalSkipsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("\nDONE good echo ok aGVsb"); err != nil {
+	if _, err := f.WriteString("\nDONE good echo ok =hel"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -91,6 +93,64 @@ func TestJournalSkipsTornTail(t *testing.T) {
 	}
 	if len(state.Completed) != 0 {
 		t.Fatalf("torn DONE produced a cached response: %+v", state.Completed)
+	}
+}
+
+// A DONE payload travels raw in the journal too: one holding spaces,
+// newlines and escape bytes must come back intact from replay, and again
+// after compaction rewrote it — twice over, since every open compacts.
+func TestJournalDonePayloadSurvivesReplayAndCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string][]byte{}
+	for i, p := range edgePayloads {
+		id := fmt.Sprintf("d%d", i)
+		payloads[id] = p
+		if err := j.Done(id, "echo", StatusOK, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const mixed = "two words \n a line \\n later \t\xc2\xa0 end "
+	payloads["mixed"] = []byte(mixed)
+	if err := j.Done("mixed", "echo", StatusError, []byte(mixed)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		_, state, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state.Corrupt != 0 || len(state.Completed) != len(payloads) {
+			t.Fatalf("open %d: corrupt %d, %d completed; want 0 and %d", round, state.Corrupt, len(state.Completed), len(payloads))
+		}
+		for id, want := range payloads {
+			if got := state.Completed[id].Payload; !bytes.Equal(got, want) {
+				t.Fatalf("open %d: %s payload %q, want %q", round, id, got, want)
+			}
+		}
+	}
+}
+
+// A base64-era DONE line is CRC-valid but has no sigil: replay counts it
+// corrupt and leaves its intent open (re-run), rather than caching the
+// base64 text as the result.
+func TestJournalCountsBase64EraDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, []byte(sealed("INTENT old echo 0")+sealed("DONE old echo ok aGk=")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Corrupt != 1 || len(state.Completed) != 0 {
+		t.Fatalf("corrupt %d, completed %+v; want the DONE counted corrupt", state.Corrupt, state.Completed)
+	}
+	if _, open := state.Intents["old"]; !open {
+		t.Fatal("intent closed by a DONE replay could not read")
 	}
 }
 

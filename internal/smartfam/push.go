@@ -543,29 +543,43 @@ func (rt *respRouter) scan() {
 }
 
 // readLog reads the log from the offset up to end (to the log's end when
-// end < 0), delivering what it parses, and returns the bytes it read. It
-// stops early at a torn tail with no complete record in front of it: the
-// append that terminates it has not landed yet.
+// end < 0), delivering what it parses, and returns the bytes it read. The
+// unparsed tail of each read — a record's head — moves to the front of the
+// buffer and the next read continues behind it; a record longer than the
+// buffer doubles it, up to maxRecordLine, until the record completes, and
+// the buffer drops back to scanChunk when the read is done. It stops early
+// at a short read: a torn tail waits for the append that terminates it.
 func (rt *respRouter) readLog(end int64) int {
 	if rt.buf == nil {
 		rt.buf = make([]byte, scanChunk)
 	}
-	read := 0
-	for end < 0 || rt.off < end {
-		p := rt.buf
-		if end >= 0 && end-rt.off < int64(len(p)) {
-			p = p[:end-rt.off]
-		}
-		n, err := rt.c.fs.ReadAt(rt.logName, p, rt.off)
-		read += n
-		if n > 0 {
-			if consumed, ok := rt.parse(p[:n]); !ok || consumed == 0 {
+	read, head := 0, 0 // head: unparsed bytes at the front of rt.buf
+	for end < 0 || rt.off+int64(head) < end {
+		if head == len(rt.buf) {
+			if head >= maxRecordLine {
 				break
 			}
+			rt.buf = slices.Grow(rt.buf, head)[:2*head]
+		}
+		p := rt.buf[head:]
+		if end >= 0 {
+			p = p[:min(int64(len(p)), end-rt.off-int64(head))]
+		}
+		n, err := rt.c.fs.ReadAt(rt.logName, p, rt.off+int64(head))
+		read += n
+		if n > 0 {
+			consumed, ok := rt.parse(rt.buf[:head+n])
+			if !ok {
+				break
+			}
+			head = copy(rt.buf, rt.buf[consumed:head+n])
 		}
 		if err != nil || n < len(p) {
 			break
 		}
+	}
+	if len(rt.buf) > scanChunk {
+		rt.buf = nil
 	}
 	return read
 }

@@ -206,6 +206,36 @@ func TestFamPushInlineCostsNoRouterReads(t *testing.T) {
 	}
 }
 
+// TestFamPushLargeResponse pins the router's read of a record longer than
+// its scan buffer: the response arrives bare (past the inline bound) and
+// the whole of it sits beyond scanChunk, so the router must grow its buffer
+// until the record completes instead of waiting on a read that can never
+// hold it.
+func TestFamPushLargeResponse(t *testing.T) {
+	hub := newPushHub(t)
+	sd := hub.view()
+	reg := NewRegistry(sd)
+	if err := reg.Register(echoModule()); err != nil {
+		t.Fatal(err)
+	}
+	runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
+	c := NewClient(hub.view(), time.Millisecond)
+	rng := rand.New(rand.NewSource(21))
+	for _, size := range []int{300 << 10, 1 << 20} {
+		params := make([]byte, size)
+		rng.Read(params)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := c.Invoke(ctx, "echo", params)
+		cancel()
+		if err != nil {
+			t.Fatalf("%d B echo: %v", size, err)
+		}
+		if !bytes.Equal(out, append([]byte("echo:"), params...)) {
+			t.Fatalf("%d B echo: %d B answer differs", size, len(out))
+		}
+	}
+}
+
 // bareRouter builds a router over fsys with no watch armed: the test plays
 // the notify stream by calling take and scan itself.
 func bareRouter(fsys FS, module string) *respRouter {
@@ -550,12 +580,15 @@ func TestRouterReassemblesOutOfOrder(t *testing.T) {
 // the gap, and never a byte twice.
 func TestRouterProbeReadsOnlyUndelivered(t *testing.T) {
 	hub := newPushHub(t)
-	dropped := 0 // guarded by hub.mu
+	// Dropped appends by offset, guarded by hub.mu: callers racing to arm
+	// the router briefly hold a second host stream, and an append dropped
+	// on both streams is still only one append's bytes to read.
+	dropped := make(map[int64]int)
 	hub.drop = func(prefix string, ev WatchEvent) bool {
 		if prefix == "" || !bytes.Contains(ev.Data, []byte("\n"+KindResponse+" ")) {
 			return false
 		}
-		dropped += len(ev.Data)
+		dropped[ev.Off] = len(ev.Data)
 		return true
 	}
 	sd := hub.view()
@@ -589,7 +622,10 @@ func TestRouterProbeReadsOnlyUndelivered(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub.mu.Lock()
-	want := dropped
+	want := 0
+	for _, n := range dropped {
+		want += n
+	}
 	hub.mu.Unlock()
 	if want == 0 {
 		t.Fatal("no response notify was dropped")

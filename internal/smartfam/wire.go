@@ -3,8 +3,8 @@ package smartfam
 import (
 	"bytes"
 	"crypto/rand"
-	"encoding/base64"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -47,25 +47,147 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// recordCRC is the integrity checksum over a record's canonical body (the
-// space-joined fields before the CRC field).
-func recordCRC(body string) string {
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE([]byte(body)))
+// Every line the smartFAM layer writes — module-log records here, journal
+// entries in journal.go — has one shape:
+//
+//	\n<field> <field> ... [=<payload>] <crc32>\n
+//
+// Space-separated header fields, optionally a payload field, and a CRC32
+// (IEEE, eight lowercase hex digits) over everything between the guard
+// newline and the space before the CRC. The payload travels raw: only a
+// newline (written `\n`) and the escape byte itself (`\\`) are escaped, so
+// a line never holds a raw newline and the byte count barely grows. The
+// payload field opens with the sigil '=', which marks this codec: a
+// base64-era line, CRC-valid but without it, is malformed rather than
+// delivered with its base64 text as the payload.
+const (
+	payloadSigil  = '='
+	payloadEscape = '\\'
+)
+
+// Line parse failures. ParseRecords and the journal replay only count them.
+var (
+	errLineCRC    = errors.New("smartfam: line checksum missing or mismatched")
+	errLineFields = errors.New("smartfam: malformed line fields")
+	errLineSigil  = errors.New("smartfam: payload field without the '=' sigil")
+	errLineEscape = errors.New("smartfam: bad escape in payload")
+	errLineKind   = errors.New("smartfam: unknown record kind")
+	errLineStatus = errors.New("smartfam: unknown record status")
+)
+
+// appendFields begins a line in dst: the guard newline, then the fields
+// space-separated.
+func appendFields(dst []byte, fields ...string) []byte {
+	dst = append(dst, '\n')
+	for i, f := range fields {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, f...)
+	}
+	return dst
+}
+
+// appendPayload appends p as the line's payload field: a space, the sigil,
+// then p with every newline and escape byte escaped and every other byte
+// raw.
+func appendPayload(dst, p []byte) []byte {
+	dst = append(dst, ' ', payloadSigil)
+	for {
+		i := bytes.IndexAny(p, "\n\\")
+		if i < 0 {
+			return append(dst, p...)
+		}
+		esc := byte(payloadEscape)
+		if p[i] == '\n' {
+			esc = 'n'
+		}
+		dst = append(append(dst, p[:i]...), payloadEscape, esc)
+		p = p[i+1:]
+	}
+}
+
+// sealLine ends a line appendFields began at line[0]: a space, the CRC
+// field, the terminating newline.
+func sealLine(line []byte) []byte {
+	return append(appendCRC(append(line, ' '), crc32.ChecksumIEEE(line[1:])), '\n')
+}
+
+func appendCRC(dst []byte, sum uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[sum>>shift&0xf])
+	}
+	return dst
+}
+
+// openLine checks a line (no newlines) against its CRC field — the bytes
+// after its last space — and returns the body the CRC covers.
+func openLine(line []byte) ([]byte, error) {
+	last := bytes.LastIndexByte(line, ' ')
+	if last < 0 || len(line)-last-1 != 8 {
+		return nil, errLineCRC
+	}
+	var sum [8]byte
+	if !bytes.Equal(appendCRC(sum[:0], crc32.ChecksumIEEE(line[:last])), line[last+1:]) {
+		return nil, errLineCRC
+	}
+	return line[:last], nil
+}
+
+// cutField splits b at its first space into a non-empty field and the rest.
+func cutField(b []byte) (field, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, ' ')
+	if i <= 0 {
+		return nil, nil, false
+	}
+	return b[:i], b[i+1:], true
+}
+
+// decodePayload inverts appendPayload on a payload field, sigil included,
+// into a fresh slice (nil for the empty payload).
+func decodePayload(field []byte) ([]byte, error) {
+	if len(field) == 0 || field[0] != payloadSigil {
+		return nil, errLineSigil
+	}
+	field = field[1:]
+	if len(field) == 0 {
+		return nil, nil
+	}
+	out := make([]byte, 0, len(field))
+	for {
+		i := bytes.IndexByte(field, payloadEscape)
+		if i < 0 {
+			return append(out, field...), nil
+		}
+		if i+1 == len(field) {
+			return nil, errLineEscape
+		}
+		switch field[i+1] {
+		case 'n':
+			out = append(append(out, field[:i]...), '\n')
+		case payloadEscape:
+			out = append(append(out, field[:i]...), payloadEscape)
+		default:
+			return nil, errLineEscape
+		}
+		field = field[i+2:]
+	}
 }
 
 // Marshal encodes the record as one log line:
 //
-//	REQ <id> - <base64-payload> <crc32>\n
-//	RES <id> <status> <base64-payload> <crc32>\n
+//	\nREQ <id> - =<payload> <crc32>\n
+//	\nRES <id> <status> =<payload> <crc32>\n
 //
 // Line-oriented text keeps the log greppable on the share, as the paper's
-// debugging workflow expects, while base64 keeps arbitrary payloads safe.
-// The trailing CRC32 (over the preceding fields) lets readers detect
-// torn or bit-flipped lines on the shared medium. Every line is also
-// PREFIXED with a newline: appends to an NFS file are not guaranteed
-// atomic under writer crashes, and the leading newline terminates any
-// torn tail a previous writer left behind, so the parser can resync on
-// this record instead of fusing it with the garbage.
+// debugging workflow expects, and the escaped raw payload keeps it
+// compact. The trailing CRC32 lets readers detect torn or bit-flipped
+// lines on the shared medium. Every line is also PREFIXED with a newline:
+// appends to an NFS file are not guaranteed atomic under writer crashes,
+// and the leading newline terminates any torn tail a previous writer left
+// behind, so the parser can resync on this record instead of fusing it
+// with the garbage.
 func (r Record) Marshal() ([]byte, error) {
 	if r.Kind != KindRequest && r.Kind != KindResponse {
 		return nil, fmt.Errorf("smartfam: bad record kind %q", r.Kind)
@@ -79,19 +201,9 @@ func (r Record) Marshal() ([]byte, error) {
 	} else if status != StatusOK && status != StatusError {
 		return nil, fmt.Errorf("smartfam: bad response status %q", r.Status)
 	}
-	payload := base64.StdEncoding.EncodeToString(r.Payload)
-	if payload == "" {
-		payload = "-" // sentinel keeping the fixed line shape
-	}
-	body := r.Kind + " " + r.ID + " " + status + " " + payload
-	var b bytes.Buffer
-	b.Grow(len(body) + 16)
-	b.WriteByte('\n')
-	b.WriteString(body)
-	b.WriteByte(' ')
-	b.WriteString(recordCRC(body))
-	b.WriteByte('\n')
-	return b.Bytes(), nil
+	b := make([]byte, 0, len(r.ID)+len(r.Payload)+len(r.Payload)/64+32)
+	b = appendPayload(appendFields(b, r.Kind, r.ID, status), r.Payload)
+	return sealLine(b), nil
 }
 
 // ParseRecords decodes every complete record line in data, skipping a
@@ -141,35 +253,47 @@ func ParseRecords(data []byte) (recs []Record, consumed int, corrupt int, err er
 // reported rather than waited on forever.
 const maxRecordLine = 64 << 20
 
+// parseLine decodes one record line. Kind, ID and status are the fields
+// before the first three spaces, the CRC is the field after the last one,
+// and everything between is the payload, spaces included. The CRC is
+// mandatory and checked first: a torn append can truncate a line into
+// something that still splits into plausible fields, and only the checksum
+// reliably rejects it.
 func parseLine(line []byte) (Record, error) {
-	fields := strings.Fields(string(line))
-	// The CRC field is mandatory: a torn append can truncate a line into
-	// something that still splits into plausible fields, and only the
-	// checksum reliably rejects it.
-	if len(fields) != 5 {
-		return Record{}, fmt.Errorf("smartfam: malformed log line %q", line)
+	body, err := openLine(line)
+	if err != nil {
+		return Record{}, err
 	}
-	body := strings.Join(fields[:4], " ")
-	if recordCRC(body) != fields[4] {
-		return Record{}, fmt.Errorf("smartfam: record checksum mismatch on line %q", line)
+	kind, rest, ok1 := cutField(body)
+	id, rest, ok2 := cutField(rest)
+	status, payload, ok3 := cutField(rest)
+	if !ok1 || !ok2 || !ok3 {
+		return Record{}, errLineFields
 	}
-	rec := Record{Kind: fields[0], ID: fields[1]}
-	if rec.Kind != KindRequest && rec.Kind != KindResponse {
-		return Record{}, fmt.Errorf("smartfam: unknown record kind %q", rec.Kind)
-	}
-	if rec.Kind == KindResponse {
-		rec.Status = fields[2]
-		if rec.Status != StatusOK && rec.Status != StatusError {
-			return Record{}, fmt.Errorf("smartfam: unknown response status %q", rec.Status)
+	var rec Record
+	switch string(kind) {
+	case KindRequest:
+		rec.Kind = KindRequest
+		if string(status) != "-" {
+			return Record{}, errLineStatus
 		}
-	}
-	if fields[3] != "-" {
-		payload, err := base64.StdEncoding.DecodeString(fields[3])
-		if err != nil {
-			return Record{}, fmt.Errorf("smartfam: bad payload encoding: %w", err)
+	case KindResponse:
+		rec.Kind = KindResponse
+		switch string(status) {
+		case StatusOK:
+			rec.Status = StatusOK
+		case StatusError:
+			rec.Status = StatusError
+		default:
+			return Record{}, errLineStatus
 		}
-		rec.Payload = payload
+	default:
+		return Record{}, errLineKind
 	}
+	if rec.Payload, err = decodePayload(payload); err != nil {
+		return Record{}, err
+	}
+	rec.ID = string(id)
 	return rec, nil
 }
 

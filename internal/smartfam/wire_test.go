@@ -2,6 +2,7 @@ package smartfam
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,7 +65,7 @@ func TestParseRecordsSkipsPartialTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := []byte("RES x1 ok aGVsbG8") // no trailing newline
+	partial := []byte("RES x1 ok =hello") // no trailing newline
 	data := append(append([]byte{}, full...), partial...)
 	recs, consumed, corrupt, err := ParseRecords(data)
 	if err != nil {
@@ -81,15 +82,29 @@ func TestParseRecordsSkipsPartialTrailingLine(t *testing.T) {
 	}
 }
 
+// sealed returns body as a CRC-valid log line, whatever it holds.
+func sealed(body string) string {
+	return string(sealLine(append([]byte{'\n'}, body...)))
+}
+
 func TestParseRecordsCountsMalformed(t *testing.T) {
-	crc := func(body string) string { return recordCRC(body) }
 	for _, bad := range []string{
 		"REQ onlythree fields\n",
-		"BOGUS id - aGk= " + crc("BOGUS id - aGk=") + "\n",
-		"RES id wat aGk= " + crc("RES id wat aGk=") + "\n",
-		"REQ id - not-base64!! " + crc("REQ id - not-base64!!") + "\n",
-		"REQ id - aGk= 00000000\n", // wrong CRC
-		"REQ id - aGk=\n",          // missing CRC field entirely
+		sealed("BOGUS id - =hi"),
+		sealed("RES id wat =hi"),
+		sealed("REQ id ok =hi"),        // a request carries no status
+		sealed("REQ  - =hi"),           // empty id
+		sealed(`REQ id - =bad\escape`), // an escape other than \n and \\
+		sealed(`REQ id - =trailing\`),  // a lone escape byte at the end
+		// Base64 era: CRC-valid, but no sigil — counted corrupt, never
+		// delivered with the base64 text as the payload.
+		sealed("REQ id - aGk="),
+		sealed("RES 0123456789abcdef ok aGVsbG8gd29ybGQ="),
+		sealed("RES id error -"),  // the era's empty payload
+		sealed("REQ id -"),        // no payload field
+		"REQ id - =hi 00000000\n", // wrong CRC
+		"REQ id - =hi\n",          // missing CRC field entirely
+		"REQ id - =hi 0000000\n",  // short CRC field
 	} {
 		recs, consumed, corrupt, err := ParseRecords([]byte(bad))
 		if err != nil {
@@ -129,49 +144,78 @@ func TestParseRecordsResyncsAroundCorruption(t *testing.T) {
 	}
 }
 
-// A truncated record — the head of a line whose tail was lost — must be
-// rejected by the CRC even when the fragment still splits into fields.
-func TestParseRecordsRejectsTruncatedRecord(t *testing.T) {
-	full, _ := (Record{Kind: KindResponse, ID: "t1", Status: StatusOK, Payload: []byte("a longer payload here")}).Marshal()
-	// Cut mid-payload and terminate with the next record's leading newline.
-	next, _ := (Record{Kind: KindRequest, ID: "t2", Payload: []byte("p")}).Marshal()
-	torn := append(append([]byte{}, full[:len(full)/2]...), next...)
-	recs, _, corrupt, err := ParseRecords(torn)
+// edgePayloads are payloads the escaped raw codec must carry intact: its
+// two escaped bytes and their escaped forms as literal text, the bytes a
+// whitespace splitter would cut at (space, tab, \r\v\f, U+0085 and U+00A0
+// in UTF-8), the base64 era's empty-payload sentinel, the sigil, text that
+// looks like a CRC field, and a whole marshalled record.
+var edgePayloads = func() [][]byte {
+	inner, err := Record{Kind: KindResponse, ID: "inner", Status: StatusOK, Payload: []byte("nested \\ payload\n")}.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if corrupt < 1 {
-		t.Fatalf("corrupt = %d, want >= 1 (the truncated head)", corrupt)
+	return [][]byte{
+		nil,
+		[]byte("a longer payload here"),
+		[]byte("\n"),
+		[]byte(`\`),
+		[]byte(`\n`),
+		[]byte("\\\n\n\\\\n"),
+		[]byte(" "),
+		[]byte("  two  spaces  "),
+		[]byte("\ttab\r\v\f"),
+		[]byte("\xc2\x85next line"),
+		[]byte("no\xc2\xa0break"),
+		[]byte("-"),
+		[]byte("="),
+		[]byte(" 00000000"),
+		inner,
 	}
-	for _, r := range recs {
-		if r.ID == "t1" {
-			t.Fatalf("truncated record t1 was accepted: %+v", r)
+}()
+
+// A truncated record — the head of a line whose tail was lost — must be
+// rejected by the CRC even when the fragment still splits into fields, at
+// every cut point and whatever the payload escapes.
+func TestParseRecordsRejectsTruncatedRecord(t *testing.T) {
+	next, _ := (Record{Kind: KindRequest, ID: "t2", Payload: []byte("p")}).Marshal()
+	for _, payload := range edgePayloads {
+		full, _ := (Record{Kind: KindResponse, ID: "t1", Status: StatusOK, Payload: payload}).Marshal()
+		// Cut inside the line (a cut before its own newline leaves it
+		// whole) and terminate with the next record's leading newline.
+		for cut := 2; cut < len(full)-1; cut++ {
+			torn := append(append([]byte{}, full[:cut]...), next...)
+			recs, _, corrupt, err := ParseRecords(torn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if corrupt != 1 {
+				t.Fatalf("payload %q cut at %d: corrupt = %d, want 1 (the truncated head)", payload, cut, corrupt)
+			}
+			if len(recs) != 1 || recs[0].ID != "t2" {
+				t.Fatalf("payload %q cut at %d: recs = %+v, want only t2", payload, cut, recs)
+			}
 		}
-	}
-	if len(recs) != 1 || recs[0].ID != "t2" {
-		t.Fatalf("recs = %+v, want only t2", recs)
 	}
 }
 
 // A single flipped bit anywhere in a record must fail its CRC.
 func TestParseRecordsRejectsBitFlips(t *testing.T) {
-	line, _ := (Record{Kind: KindRequest, ID: "bf", Payload: []byte("sensitive payload")}).Marshal()
-	for i := 1; i < len(line)-1; i++ { // skip the guard newlines
-		mutated := append([]byte{}, line...)
-		mutated[i] ^= 0x40
-		if bytes.Equal(mutated, line) {
-			continue
-		}
-		recs, _, corrupt, err := ParseRecords(mutated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The mutated log must never yield the original record while
-		// claiming nothing was corrupt: every flip lands in the body, a
-		// separator, or the CRC field, and all three break the checksum.
-		for _, r := range recs {
-			if corrupt == 0 && r.ID == "bf" && string(r.Payload) == "sensitive payload" {
-				t.Fatalf("bit flip at byte %d accepted silently", i)
+	for _, payload := range edgePayloads {
+		line, _ := (Record{Kind: KindRequest, ID: "bf", Payload: payload}).Marshal()
+		for i := 1; i < len(line)-1; i++ { // skip the guard newlines
+			mutated := append([]byte{}, line...)
+			mutated[i] ^= 0x40
+			recs, _, corrupt, err := ParseRecords(mutated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The mutated log must never yield the original record while
+			// claiming nothing was corrupt: every flip lands in the body, a
+			// separator, or the CRC field, and all three break the checksum.
+			for _, r := range recs {
+				if corrupt == 0 && r.ID == "bf" && bytes.Equal(r.Payload, payload) {
+					t.Fatalf("payload %q: bit flip at byte %d accepted silently", payload, i)
+				}
 			}
 		}
 	}
@@ -179,23 +223,25 @@ func TestParseRecordsRejectsBitFlips(t *testing.T) {
 
 // Interleaved torn append: writer A dies mid-record, writer B's record
 // (with its leading guard newline) lands right after. A's fragment fuses
-// with nothing, B survives.
+// with nothing, B survives — whatever either payload escapes.
 func TestParseRecordsInterleavedTorn(t *testing.T) {
-	a, _ := (Record{Kind: KindRequest, ID: "aa", Payload: []byte("from writer a")}).Marshal()
-	b, _ := (Record{Kind: KindRequest, ID: "bb", Payload: []byte("from writer b")}).Marshal()
-	log := append(append([]byte{}, a[:len(a)-8]...), b...) // a torn before its CRC completes
-	recs, consumed, corrupt, err := ParseRecords(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrupt != 1 {
-		t.Fatalf("corrupt = %d, want 1 (writer a's fragment)", corrupt)
-	}
-	if len(recs) != 1 || recs[0].ID != "bb" {
-		t.Fatalf("recs = %+v, want only bb", recs)
-	}
-	if consumed != len(log) {
-		t.Fatalf("consumed %d, want %d", consumed, len(log))
+	for _, payload := range edgePayloads {
+		a, _ := (Record{Kind: KindRequest, ID: "aa", Payload: payload}).Marshal()
+		b, _ := (Record{Kind: KindRequest, ID: "bb", Payload: payload}).Marshal()
+		log := append(append([]byte{}, a[:len(a)-8]...), b...) // a torn before its CRC completes
+		recs, consumed, corrupt, err := ParseRecords(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if corrupt != 1 {
+			t.Fatalf("payload %q: corrupt = %d, want 1 (writer a's fragment)", payload, corrupt)
+		}
+		if len(recs) != 1 || recs[0].ID != "bb" || !bytes.Equal(recs[0].Payload, payload) {
+			t.Fatalf("payload %q: recs = %+v, want only bb", payload, recs)
+		}
+		if consumed != len(log) {
+			t.Fatalf("payload %q: consumed %d, want %d", payload, consumed, len(log))
+		}
 	}
 }
 
@@ -259,8 +305,34 @@ func TestLogNameRoundtrip(t *testing.T) {
 }
 
 // Property: any payload survives the log-line encoding, including newlines
-// and binary.
+// and binary — the edge payloads first, each as one record and all of them
+// in one log, then random ones. A payload holding a whole marshalled
+// record comes back as one record, never two.
 func TestRecordPayloadRoundtripProperty(t *testing.T) {
+	var log []byte
+	for i, payload := range edgePayloads {
+		rec := Record{Kind: KindResponse, ID: fmt.Sprintf("edge%d", i), Status: StatusOK, Payload: payload}
+		line, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.IndexByte(line[1:len(line)-1], '\n') >= 0 {
+			t.Fatalf("payload %q: raw newline inside the line", payload)
+		}
+		got, consumed, corrupt, err := ParseRecords(line)
+		if err != nil || corrupt != 0 || consumed != len(line) || len(got) != 1 {
+			t.Fatalf("payload %q: %d records, consumed %d of %d, corrupt %d, err %v",
+				payload, len(got), consumed, len(line), corrupt, err)
+		}
+		if got[0].ID != rec.ID || !bytes.Equal(got[0].Payload, payload) {
+			t.Fatalf("payload %q came back as %q under id %s", payload, got[0].Payload, got[0].ID)
+		}
+		log = append(log, line...)
+	}
+	if got, _, corrupt, err := ParseRecords(log); err != nil || corrupt != 0 || len(got) != len(edgePayloads) {
+		t.Fatalf("edge-payload log: %d records, corrupt %d, err %v; want %d records", len(got), corrupt, err, len(edgePayloads))
+	}
+
 	prop := func(payload []byte, isReq bool) bool {
 		rec := Record{Kind: KindResponse, ID: NewID(), Status: StatusOK, Payload: payload}
 		if isReq {
