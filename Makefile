@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint lint-new build test race bench-smoke fuzz-smoke perf perf-smoke chaos chaos-heal flake check
+.PHONY: all vet lint lint-new build test race bench-smoke fuzz-smoke perf perf-smoke chaos chaos-heal flake examples check
 
 all: check
 
@@ -80,13 +80,22 @@ chaos-heal:
 # word counts whose fragment answers must all ride their notifies, at a
 # one-second and at the default 25 ms router tick, included), responses
 # longer than the router's scan buffer, the push/poll differential, daemon
-# shutdown joins, the heartbeat memo, the fleet's corrupt-replica fallback
-# and the scheduler's memory admission. A tier-1 test that fails one run
-# in fifty here is a bug, not noise.
+# shutdown joins, the probe's heartbeat memo, the fleet's corrupt-replica
+# fallback, the scheduler's memory admission and the nfs pipeline's
+# disconnect handling. A tier-1 test that fails one run in fifty here is a
+# bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestPickHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs
+FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestPipelineDisconnect
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/core ./internal/fleet ./internal/sched
+	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched
+
+# examples runs every program under examples/ end to end (a few seconds in
+# all); each verifies its own result and exits non-zero on any failure.
+examples:
+	@set -e; for ex in examples/*/; do \
+		echo "examples: $$ex"; \
+		$(GO) run ./$$ex > /dev/null; \
+	done
 
 # perf runs the repository benchmark BENCHMARK.json declares: the four
 # perfbench workloads (invoke_open, offload_mix, hostpull_wc, fleet_wc) over

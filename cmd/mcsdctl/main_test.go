@@ -86,9 +86,11 @@ func TestExitCodeQueueFullRoundTrip(t *testing.T) {
 		t.Fatalf("wire text %q not recognised as queue-full", wireText)
 	}
 
-	// Host side: core re-types the recognised text (runtime.Invoke's
-	// mapping) so the sentinel survives end to end.
-	err := fmt.Errorf("core: node sd0: %w", sched.ErrQueueFull)
+	// Host side: the fleet coordinator re-types the recognised text once no
+	// other node can take the job, and the runtime wraps it again, so the
+	// sentinel survives end to end.
+	err := fmt.Errorf("core: offload of %q: %w", "wordcount",
+		fmt.Errorf("fleet: fragment 0: %w", sched.ErrQueueFull))
 	if !errors.Is(err, sched.ErrQueueFull) {
 		t.Fatal("re-typed error lost errors.Is identity")
 	}

@@ -9,7 +9,8 @@
 //     out-of-memory error that kills original Phoenix, while the
 //     partitioned run streams through fragment by fragment;
 //  2. multi-SD parallelism — the encrypt file is split across two SD
-//     nodes and both shards are searched concurrently via RunSharded.
+//     nodes and both shards are searched concurrently, each on the node
+//     that holds it, through fleet.Coordinator.Execute.
 //
 // Run with:
 //
@@ -18,6 +19,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"mcsd/internal/core"
+	"mcsd/internal/fleet"
 	"mcsd/internal/memsim"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/workloads"
@@ -73,6 +76,7 @@ func run() error {
 
 	rt := core.New()
 	var dirs []string
+	var nodes []fleet.Node
 	for i, name := range []string{"sd0", "sd1"} {
 		share, dir, err := startSD(ctx, name)
 		if err != nil {
@@ -91,6 +95,7 @@ func run() error {
 			return err
 		}
 		rt.AttachSD(name, share)
+		nodes = append(nodes, fleet.Node{Name: name, Session: smartfam.NewClient(share, 0)})
 	}
 	fmt.Printf("two SD nodes up, %d MiB shard each, searching for %d keys\n\n",
 		shardSize>>20, len(keys))
@@ -106,26 +111,32 @@ func run() error {
 	fmt.Println("native (no partition):  OUT OF MEMORY — the original-Phoenix wall")
 
 	// --- Partitioned + sharded: both nodes stream their shard in 512 KiB
-	// fragments concurrently.
-	params := []any{
-		core.StringMatchParams{DataFile: "encrypt.txt", KeysFile: "keys.txt", PartitionBytes: 512 << 10},
-		core.StringMatchParams{DataFile: "encrypt.txt", KeysFile: "keys.txt", PartitionBytes: 512 << 10},
+	// fragments concurrently, each shard pinned to the node holding it.
+	params, err := json.Marshal(core.StringMatchParams{
+		DataFile: "encrypt.txt", KeysFile: "keys.txt", PartitionBytes: 512 << 10,
+	})
+	if err != nil {
+		return err
+	}
+	var shards []fleet.Fragment
+	for i, n := range nodes {
+		shards = append(shards, fleet.Fragment{Index: i, Key: n.Name + "/encrypt.txt", Replicas: []string{n.Name}, Params: params})
 	}
 	start := time.Now()
-	shards := rt.RunSharded(ctx, core.ModuleStringMatch, params)
+	won, _, err := fleet.NewCoordinator(nodes, fleet.Config{}).Execute(ctx, core.ModuleStringMatch, shards)
+	if err != nil {
+		return err
+	}
 	elapsed := time.Since(start)
 
 	var outs []core.StringMatchOutput
-	for i, sr := range shards {
-		if sr.Err != nil {
-			return fmt.Errorf("shard %d: %w", i, sr.Err)
-		}
+	for _, fr := range won {
 		var out core.StringMatchOutput
-		if err := core.Decode(sr.Payload, &out); err != nil {
+		if err := core.Decode(fr.Payload, &out); err != nil {
 			return err
 		}
 		fmt.Printf("shard %d on %-4s: %5d hits in %d fragments (%dms)\n",
-			i, sr.Result.SD, out.TotalHits, out.Fragments, out.ElapsedMs)
+			fr.Index, fr.Node, out.TotalHits, out.Fragments, out.ElapsedMs)
 		outs = append(outs, out)
 	}
 	merged := core.MergeStringMatchOutputs(outs, 0)

@@ -25,8 +25,6 @@ type DBSelectParams struct {
 	MinPrice       float64 `json:"min_price,omitempty"`
 	PartitionBytes int64   `json:"partition_bytes,omitempty"`
 	Workers        int     `json:"workers,omitempty"`
-	// Sequential opts out of the default fragment-parallel driver.
-	Sequential bool `json:"sequential,omitempty"`
 }
 
 // DBSelectOutput is the dbselect module's result.
@@ -61,11 +59,7 @@ func DBSelectModule(cfg ModuleConfig) smartfam.Module {
 			defer f.Close()
 
 			start := time.Now()
-			driver := partition.RunParallel[string, float64, float64]
-			if p.Sequential {
-				driver = partition.Run[string, float64, float64]
-			}
-			res, err := driver(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.DBSelectSpec(q), bufio.NewReaderSize(f, 1<<20),
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, 1.5), Delimiters: []byte{'\n'}},
 				workloads.DBSelectMerge)

@@ -28,7 +28,7 @@ func TestTypedWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || !res.Offloaded {
+	if res == nil || res.SD != "sd0" {
 		t.Fatal("result metadata missing")
 	}
 	want := workloads.WordCountSeq(text)
@@ -96,8 +96,8 @@ func TestTypedKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Offloaded {
-		t.Fatal("kmeans not offloaded")
+	if res.SD != "sd0" {
+		t.Fatalf("kmeans served by %q, want sd0", res.SD)
 	}
 	if !out.Converged || len(out.Centroids) != 3 {
 		t.Fatalf("kmeans output suspicious: %+v", out)

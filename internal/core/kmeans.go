@@ -81,16 +81,3 @@ func KMeansModule(cfg ModuleConfig) smartfam.Module {
 		},
 	}
 }
-
-// KMeans is the typed wrapper for the kmeans module.
-func (r *Runtime) KMeans(ctx context.Context, p KMeansParams) (*KMeansOutput, *Result, error) {
-	res, err := r.Invoke(ctx, ModuleKMeans, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out KMeansOutput
-	if err := Decode(res.Payload, &out); err != nil {
-		return nil, res, err
-	}
-	return &out, res, nil
-}

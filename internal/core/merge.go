@@ -3,7 +3,8 @@ package core
 import "mcsd/internal/workloads"
 
 // Helpers for folding per-shard module outputs when a job is spread over
-// several SD nodes with RunSharded (§VI multi-SD parallelism). String
+// several SD nodes with fleet.Coordinator.Execute (§VI multi-SD
+// parallelism). String
 // match and dbselect merge exactly; word count's frequency table merges
 // only approximately because shards report truncated top lists.
 

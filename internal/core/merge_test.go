@@ -43,8 +43,8 @@ func TestMergeDBSelectOutputsExact(t *testing.T) {
 
 func TestMergeWordCountOutputs(t *testing.T) {
 	shards := []WordCountOutput{
-		{TotalWords: 100, Fragments: 2, Top: []WordFreq{{"the", 30}, {"fox", 10}}},
-		{TotalWords: 50, Fragments: 1, Top: []WordFreq{{"the", 20}, {"dog", 15}}},
+		{TotalWords: 100, Fragments: 2, Top: []WordFreq{{Word: "the", Count: 30}, {Word: "fox", Count: 10}}},
+		{TotalWords: 50, Fragments: 1, Top: []WordFreq{{Word: "the", Count: 20}, {Word: "dog", Count: 15}}},
 	}
 	got := MergeWordCountOutputs(shards, 2)
 	if got.TotalWords != 150 || got.Fragments != 3 {

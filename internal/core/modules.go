@@ -123,14 +123,7 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 			}
 
 			start := time.Now()
-			// The fragment-parallel driver is the module default; the
-			// strictly-sequential driver stays available for memory-tight
-			// nodes via Sequential.
-			driver := partition.RunParallel[string, int, int]
-			if p.Sequential {
-				driver = partition.Run[string, int, int]
-			}
-			res, err := driver(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.WordCountSpec(), input,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.WordCountFootprint)},
 				workloads.WordCountMerge)
@@ -194,11 +187,7 @@ func StringMatchModule(cfg ModuleConfig) smartfam.Module {
 			defer f.Close()
 
 			start := time.Now()
-			driver := partition.RunParallel[string, string, []string]
-			if p.Sequential {
-				driver = partition.Run[string, string, []string]
-			}
-			res, err := driver(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.StringMatchSpec(keys), bufio.NewReaderSize(f, 1<<20),
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.StringMatchFootprint), Delimiters: []byte{'\n'}},
 				workloads.StringMatchMerge)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"mcsd/internal/mapreduce"
 	"mcsd/internal/memsim"
+	"mcsd/internal/partition"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/workloads"
 )
@@ -216,37 +219,41 @@ func TestModuleConfigPartitionBytesResolution(t *testing.T) {
 	}
 }
 
-// TestWordCountModuleDriversAgree runs the sequential and the
-// fragment-parallel partition drivers over one corpus: same counts, same
-// fragment accounting.
+// TestWordCountModuleDriversAgree checks the module's fragment-parallel
+// driver against the sequential partition.Run over one corpus: same
+// counts, same fragment accounting.
 func TestWordCountModuleDriversAgree(t *testing.T) {
 	store, dir := dataDir(t)
 	text := workloads.GenerateTextBytes(50_000, 13)
 	writeFile(t, dir, "corpus.txt", text)
 	mod := WordCountModule(ModuleConfig{Store: store, Workers: 2})
-
-	run := func(sequential bool) WordCountOutput {
-		raw, err := mod.Run(context.Background(), mustEncode(t, WordCountParams{
-			DataFile: "corpus.txt", PartitionBytes: 8 << 10, Sequential: sequential,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out WordCountOutput
-		if err := Decode(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	raw, err := mod.Run(context.Background(), mustEncode(t, WordCountParams{
+		DataFile: "corpus.txt", PartitionBytes: 8 << 10,
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq, par := run(true), run(false)
-	if seq.TotalWords != par.TotalWords || seq.UniqueWords != par.UniqueWords ||
-		seq.Fragments != par.Fragments {
-		t.Fatalf("parallel output differs: %+v vs %+v", par, seq)
+	var par WordCountOutput
+	if err := Decode(raw, &par); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := partition.Run(context.Background(), mapreduce.Config{Workers: 2}, workloads.WordCountSpec(),
+		bytes.NewReader(text), partition.Options{FragmentSize: 8 << 10}, workloads.WordCountMerge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqTotal int64
+	for _, p := range seq.Pairs {
+		seqTotal += int64(p.Value)
+	}
+	if par.TotalWords != seqTotal || par.UniqueWords != len(seq.Pairs) || par.Fragments != seq.Fragments {
+		t.Fatalf("module output %+v differs from partition.Run: %d words, %d unique, %d fragments",
+			par, seqTotal, len(seq.Pairs), seq.Fragments)
 	}
 	// Both drivers must report the per-fragment key sum.
-	if par.FragmentKeys < par.UniqueWords || seq.FragmentKeys != par.FragmentKeys {
+	if par.FragmentKeys < par.UniqueWords || seq.Stats.FragmentKeys != par.FragmentKeys {
 		t.Fatalf("FragmentKeys: sequential %d, parallel %d, unique %d",
-			seq.FragmentKeys, par.FragmentKeys, par.UniqueWords)
+			seq.Stats.FragmentKeys, par.FragmentKeys, par.UniqueWords)
 	}
 }
 

@@ -25,7 +25,13 @@ func fakeSD(t *testing.T, mods ...smartfam.Module) smartfam.FS {
 			t.Fatal(err)
 		}
 	}
-	d := smartfam.NewDaemon(share, reg, smartfam.WithPollInterval(time.Millisecond), smartfam.WithWorkers(4))
+	runDaemon(t, smartfam.NewDaemon(share, reg, smartfam.WithPollInterval(time.Millisecond), smartfam.WithWorkers(4)))
+	return share
+}
+
+// runDaemon serves d until the test ends, and joins it.
+func runDaemon(t *testing.T, d *smartfam.Daemon) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -36,7 +42,6 @@ func fakeSD(t *testing.T, mods ...smartfam.Module) smartfam.FS {
 		cancel()
 		<-done
 	})
-	return share
 }
 
 func echoMod(name string) smartfam.Module {
@@ -62,7 +67,7 @@ func TestRunOffloadsToSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Offloaded || res.SD != "sd1" {
+	if res.SD != "sd1" {
 		t.Fatalf("result = %+v, want offloaded to sd1", res)
 	}
 	if string(res.Payload) != `ok:"hi"` {
@@ -133,9 +138,11 @@ func TestRunSkipsNodeWithoutModule(t *testing.T) {
 }
 
 func TestRunFailsOverFromDeadNode(t *testing.T) {
-	rt := New(WithPollInterval(time.Millisecond), WithAttemptTimeout(150*time.Millisecond))
-	// sd1's share has the module's log file, but no daemon serves it —
-	// a dead node. The attempt times out and fails over to sd2.
+	rt := New(WithPollInterval(time.Millisecond), WithAttemptTimeout(100*time.Millisecond))
+	// sd1's share has the module's log file, but no daemon serves it and no
+	// heartbeat was ever stamped — a dead node only a timeout can expose.
+	// Placement is random per job, so run jobs until one lands on sd1
+	// first: it must time out there and fail over to sd2.
 	deadShare := smartfam.DirFS(t.TempDir())
 	deadReg := smartfam.NewRegistry(deadShare)
 	if err := deadReg.Register(echoMod("echo")); err != nil {
@@ -144,30 +151,24 @@ func TestRunFailsOverFromDeadNode(t *testing.T) {
 	rt.AttachSD("sd1", deadShare)
 	rt.AttachSD("sd2", fakeSD(t, echoMod("echo")))
 
-	res, err := rt.Invoke(testCtx(t), "echo", "x")
-	if err != nil {
-		t.Fatal(err)
+	failedOver := int64(0)
+	for i := 0; i < 64 && failedOver == 0; i++ {
+		res, err := rt.Invoke(testCtx(t), "echo", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SD != "sd2" {
+			t.Fatalf("job %d served by %q, want sd2", i, res.SD)
+		}
+		if res.Attempts == 2 {
+			failedOver++
+		}
 	}
-	if res.SD != "sd2" || res.Attempts != 2 {
-		t.Fatalf("result = %+v, want failover to sd2 on attempt 2", res)
+	if failedOver == 0 {
+		t.Fatal("64 jobs and none placed on the dead node first")
 	}
-	if rt.Metrics().Counter("core.failovers").Value() != 1 {
-		t.Fatal("failover not counted")
-	}
-	// sd1 is now unhealthy: the next job goes straight to sd2.
-	res, err = rt.Invoke(testCtx(t), "echo", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SD != "sd2" || res.Attempts != 1 {
-		t.Fatalf("unhealthy node retried: %+v", res)
-	}
-	// Operator brings it back.
-	if !rt.MarkHealthy("sd1") {
-		t.Fatal("MarkHealthy failed")
-	}
-	if rt.MarkHealthy("nope") {
-		t.Fatal("MarkHealthy of unknown node succeeded")
+	if got := rt.Metrics().Counter("core.failovers").Value(); got != failedOver {
+		t.Fatalf("core.failovers = %d, want %d", got, failedOver)
 	}
 }
 
@@ -184,44 +185,42 @@ func TestRunSkipsStaleHeartbeatNode(t *testing.T) {
 	}
 
 	rt := New(WithPollInterval(time.Millisecond),
-		WithHeartbeatStaleness(100*time.Millisecond),
 		WithAttemptTimeout(30*time.Second)) // would be painful if burned
 	rt.AttachSD("stale", staleShare)
 	rt.AttachSD("live", fakeSD(t, echoMod("echo")))
 
 	start := time.Now()
-	res, err := rt.Invoke(testCtx(t), "echo", "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SD != "live" {
-		t.Fatalf("served by %q, want live node", res.SD)
-	}
-	if res.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (stale node skipped, not tried)", res.Attempts)
+	for i := 0; i < 4; i++ {
+		res, err := rt.Invoke(testCtx(t), "echo", "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SD != "live" || res.Attempts != 1 {
+			t.Fatalf("result = %+v, want the live node on attempt 1 (stale node skipped, not tried)", res)
+		}
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("skip took too long — attempt timeout was burned")
 	}
-	if rt.Metrics().Counter("core.heartbeat_skips").Value() == 0 {
-		t.Fatal("heartbeat skip not counted")
+	if got := rt.Metrics().Counter("core.heartbeat_skips").Value(); got != 4 {
+		t.Fatalf("core.heartbeat_skips = %d, want 4", got)
 	}
 }
 
 func TestRunStaleHeartbeatUnderConcurrentUpdates(t *testing.T) {
-	// Node selection reads heartbeats off the share while the daemons
-	// rewrite them — the steady state of a real cluster. One node's stamp
-	// is frozen in the past, the other's is refreshed concurrently; every
-	// pick must land on the live node, with the stamp file being
-	// overwritten mid-read. Run under -race this also proves the
-	// pick path shares no unsynchronized state with heartbeat writers.
+	// Probes read heartbeats off the share while the daemons rewrite them
+	// — the steady state of a real cluster. One node's stamp is frozen in
+	// the past, the other's is refreshed concurrently; every job must land
+	// on the live node, with the stamp file being overwritten mid-read.
+	// Run under -race this also proves the probe path shares no
+	// unsynchronized state with heartbeat writers.
 	staleShare := smartfam.DirFS(t.TempDir())
 	staleReg := smartfam.NewRegistry(staleShare)
 	if err := staleReg.Register(echoMod("echo")); err != nil {
 		t.Fatal(err)
 	}
 	liveShare := fakeSD(t, echoMod("echo"))
-	// Seed the stale stamp before any pick: a node with no heartbeat file
+	// Seed the stale stamp before any probe: a node with no heartbeat file
 	// at all is deliberately still tried (see the next test), which would
 	// burn the attempt timeout here.
 	if err := smartfam.WriteHeartbeat(staleShare, time.Now().Add(-time.Hour)); err != nil {
@@ -250,14 +249,12 @@ func TestRunStaleHeartbeatUnderConcurrentUpdates(t *testing.T) {
 		writers.Wait()
 	})
 
-	// WriteHeartbeat truncates before rewriting, so a pick racing a writer
+	// WriteHeartbeat truncates before rewriting, so a probe racing a writer
 	// can read a torn (empty) stamp and legitimately try the dead node —
 	// keep the attempt timeout short so that degrades to a quick failover
 	// rather than a stall. The end state asserted below is unchanged:
 	// every job is served by the live node.
-	rt := New(WithPollInterval(time.Millisecond),
-		WithHeartbeatStaleness(5*time.Second),
-		WithAttemptTimeout(200*time.Millisecond))
+	rt := New(WithPollInterval(time.Millisecond), WithAttemptTimeout(200*time.Millisecond))
 	rt.AttachSD("stale", staleShare)
 	rt.AttachSD("live", liveShare)
 
@@ -287,84 +284,25 @@ func TestRunStaleHeartbeatUnderConcurrentUpdates(t *testing.T) {
 }
 
 func TestRunNoHeartbeatFileStillTried(t *testing.T) {
-	// Shares without a heartbeat (old daemons) must not be skipped.
-	rt := New(WithPollInterval(time.Millisecond), WithHeartbeatStaleness(time.Millisecond))
-	share := fakeSD(t, echoMod("echo"))
-	// fakeSD's daemon stamps heartbeats; remove staleness concerns by
-	// attaching a second share that never had one.
+	// A share without a heartbeat (an old daemon, or none) passes the probe
+	// on reachability and is tried; only the attempt timeout exposes it.
 	bare := smartfam.DirFS(t.TempDir())
 	bareReg := smartfam.NewRegistry(bare)
 	if err := bareReg.Register(echoMod("other")); err != nil {
 		t.Fatal(err)
 	}
-	_ = share
+	rt := New(WithPollInterval(time.Millisecond), WithAttemptTimeout(50*time.Millisecond))
 	rt.AttachSD("bare", bare)
-	// "other" exists only on the bare share; with heartbeat checks on, the
-	// bare node must still be tried (and will fail only by timeout, so use
-	// a short one).
-	rtShort := New(WithPollInterval(time.Millisecond),
-		WithHeartbeatStaleness(time.Millisecond), WithAttemptTimeout(50*time.Millisecond))
-	rtShort.AttachSD("bare", bare)
-	_, err := rtShort.Invoke(testCtx(t), "other", nil)
-	if errors.Is(err, ErrNoExecutor) && rtShort.Metrics().Counter("core.heartbeat_skips").Value() > 0 {
-		t.Fatal("node without heartbeat file was skipped")
+	_, err := rt.Invoke(testCtx(t), "other", nil)
+	if !errors.Is(err, ErrNoExecutor) {
+		t.Fatalf("err = %v, want ErrNoExecutor once the only node timed out", err)
 	}
-}
-
-// countingShare counts every share call pick makes on a node.
-type countingShare struct {
-	smartfam.FS
-	calls atomic.Int64
-}
-
-func (s *countingShare) Stat(name string) (int64, time.Time, error) {
-	s.calls.Add(1)
-	return s.FS.Stat(name)
-}
-
-func (s *countingShare) ReadAt(name string, p []byte, off int64) (int, error) {
-	s.calls.Add(1)
-	return s.FS.ReadAt(name, p, off)
-}
-
-func TestPickHeartbeatMemo(t *testing.T) {
-	// Inside the staleness window the last stamp read answers "fresh" with
-	// no share I/O; past it pick reads once (Stat + ReadAt), and a stale
-	// verdict always comes from such a read.
-	const window = 150 * time.Millisecond
-	share := &countingShare{FS: smartfam.DirFS(t.TempDir())}
-	rt := New(WithHeartbeatStaleness(window))
-	rt.AttachSD("sd", share)
-	step := func(what string, wantPicked bool, wantCalls, wantSkips int64) {
-		t.Helper()
-		share.calls.Store(0)
-		h := rt.pick(nil)
-		if (h != nil) != wantPicked {
-			t.Fatalf("%s: picked = %v, want %v", what, h != nil, wantPicked)
-		}
-		if got := share.calls.Load(); got != wantCalls {
-			t.Fatalf("%s: %d share calls, want %d", what, got, wantCalls)
-		}
-		if got := rt.Metrics().Counter("core.heartbeat_skips").Value(); got != wantSkips {
-			t.Fatalf("%s: heartbeat_skips = %d, want %d", what, got, wantSkips)
-		}
+	if got := rt.Metrics().Counter("core.heartbeat_skips").Value(); got != 0 {
+		t.Fatalf("node without heartbeat file was skipped %d times", got)
 	}
-	stamp := func() {
-		if err := smartfam.WriteHeartbeat(share.FS, time.Now()); err != nil {
-			t.Fatal(err)
-		}
+	if got := rt.Metrics().Counter("core.failovers").Value(); got != 1 {
+		t.Fatalf("core.failovers = %d, want 1: the node must have been tried", got)
 	}
-
-	stamp()
-	step("first pick", true, 2, 0)
-	step("inside the window", true, 0, 0)
-	time.Sleep(window + 50*time.Millisecond)
-	stamp() // the node is alive: its daemon stamped again
-	step("past the window, live node", true, 2, 0)
-	step("inside the new window", true, 0, 0)
-	time.Sleep(window + 50*time.Millisecond) // no stamp: the node died
-	step("dead node", false, 2, 1)
-	step("dead node again", false, 2, 2)
 }
 
 func TestRunModuleErrorDoesNotFailOver(t *testing.T) {
@@ -387,44 +325,16 @@ func TestRunModuleErrorDoesNotFailOver(t *testing.T) {
 	}
 }
 
-func TestRunLocalFallback(t *testing.T) {
-	rt := New(WithPollInterval(time.Millisecond), WithAttemptTimeout(100*time.Millisecond))
-	// One dead node; a local fallback registered.
-	deadShare := smartfam.DirFS(t.TempDir())
-	deadReg := smartfam.NewRegistry(deadShare)
-	if err := deadReg.Register(echoMod("echo")); err != nil {
-		t.Fatal(err)
-	}
-	rt.AttachSD("sd1", deadShare)
-	rt.RegisterLocalFallback(smartfam.ModuleFunc{
-		ModuleName: "echo",
-		Fn: func(_ context.Context, p []byte) ([]byte, error) {
-			return []byte("local"), nil
-		},
-	})
-	res, err := rt.Invoke(testCtx(t), "echo", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Offloaded || res.SD != "" {
-		t.Fatalf("fallback result marked offloaded: %+v", res)
-	}
-	if string(res.Payload) != "local" {
-		t.Fatalf("payload = %q", res.Payload)
-	}
-	if rt.Metrics().Counter("core.local_fallbacks").Value() != 1 {
-		t.Fatal("fallback not counted")
-	}
-}
-
-func TestRunShardedSpreadsLoad(t *testing.T) {
+func TestRunSpreadsConcurrentJobs(t *testing.T) {
+	// Each job is placed on a random live node: 24 concurrent jobs over two
+	// nodes reach both (all on one node: p = 2^-23).
 	var served1, served2 atomic.Int64
 	slow := func(counter *atomic.Int64) smartfam.Module {
 		return smartfam.ModuleFunc{
 			ModuleName: "work",
 			Fn: func(_ context.Context, p []byte) ([]byte, error) {
 				counter.Add(1)
-				time.Sleep(30 * time.Millisecond)
+				time.Sleep(10 * time.Millisecond)
 				return p, nil
 			},
 		}
@@ -433,21 +343,25 @@ func TestRunShardedSpreadsLoad(t *testing.T) {
 	rt.AttachSD("sd1", fakeSD(t, slow(&served1)))
 	rt.AttachSD("sd2", fakeSD(t, slow(&served2)))
 
-	params := make([]any, 6)
-	for i := range params {
-		params[i] = i
+	ctx := testCtx(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 24; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := rt.Invoke(ctx, "work", i)
+			if err != nil {
+				t.Errorf("job %d: %v", i, err)
+				return
+			}
+			if string(res.Payload) != fmt.Sprint(i) {
+				t.Errorf("job %d payload = %q", i, res.Payload)
+			}
+		}(i)
 	}
-	results := rt.RunSharded(testCtx(t), "work", params)
-	for i, sr := range results {
-		if sr.Err != nil {
-			t.Fatalf("shard %d: %v", i, sr.Err)
-		}
-		if string(sr.Payload) != fmt.Sprint(i) {
-			t.Fatalf("shard %d payload = %q", i, sr.Payload)
-		}
-	}
+	wg.Wait()
 	if served1.Load() == 0 || served2.Load() == 0 {
-		t.Fatalf("load not balanced: sd1=%d sd2=%d", served1.Load(), served2.Load())
+		t.Fatalf("load not spread: sd1=%d sd2=%d", served1.Load(), served2.Load())
 	}
 }
 
@@ -485,38 +399,43 @@ func TestRunRecordsTrace(t *testing.T) {
 	}
 }
 
-func TestRunShardedPartialFailure(t *testing.T) {
-	// One shard fails (module error); the rest must complete untouched.
+func TestRunConcurrentPartialFailure(t *testing.T) {
+	// One of four concurrent jobs fails with a module error; the other
+	// three must complete untouched.
 	picky := smartfam.ModuleFunc{
 		ModuleName: "picky",
 		Fn: func(_ context.Context, p []byte) ([]byte, error) {
-			if strings.Contains(string(p), "2") {
-				return nil, fmt.Errorf("refusing shard 2")
+			if string(p) == "2" {
+				return nil, fmt.Errorf("refusing job 2")
 			}
 			return p, nil
 		},
 	}
 	rt := New(WithPollInterval(time.Millisecond))
 	rt.AttachSD("sd1", fakeSD(t, picky))
-	params := []any{0, 1, 2, 3}
-	results := rt.RunSharded(testCtx(t), "picky", params)
-	var failed, succeeded int
-	for i, sr := range results {
-		if sr.Err != nil {
-			failed++
-			var merr *smartfam.ModuleError
-			if !errors.As(sr.Err, &merr) {
-				t.Fatalf("shard %d error type %T", i, sr.Err)
+	ctx := testCtx(t)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := rt.Invoke(ctx, "picky", i)
+			if err == nil && string(res.Payload) != fmt.Sprint(i) {
+				err = fmt.Errorf("payload %q", res.Payload)
 			}
-			continue
-		}
-		succeeded++
-		if string(sr.Payload) != fmt.Sprint(i) {
-			t.Fatalf("shard %d payload %q", i, sr.Payload)
-		}
+			errs[i] = err
+		}(i)
 	}
-	if failed != 1 || succeeded != 3 {
-		t.Fatalf("failed=%d succeeded=%d, want 1/3", failed, succeeded)
+	wg.Wait()
+	for i, err := range errs {
+		var merr *smartfam.ModuleError
+		if i == 2 && !errors.As(err, &merr) {
+			t.Fatalf("job 2: err = %v, want its ModuleError", err)
+		}
+		if i != 2 && err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 }
 

@@ -10,48 +10,52 @@ import (
 	"mcsd/internal/smartfam"
 )
 
-// startSched runs a scheduler loop for the duration of the test.
-func startSched(t *testing.T, cfg sched.Config) *sched.Scheduler {
+// scheduledSD is fakeSD with the daemon routing every request through a
+// job scheduler — the mcsdd -queue path.
+func scheduledSD(t *testing.T, cfg sched.Config, mods ...smartfam.Module) (smartfam.FS, *sched.Scheduler) {
 	t.Helper()
-	s := sched.New(cfg, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = s.Run(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
+	share := smartfam.DirFS(t.TempDir())
+	reg := smartfam.NewRegistry(share)
+	for _, m := range mods {
+		if err := reg.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := sched.New(cfg, func(ctx context.Context, job *sched.Job) ([]byte, error) {
+		m, err := reg.Lookup(job.Module)
+		if err != nil {
+			return nil, err
+		}
+		return m.Run(ctx, job.Payload)
 	})
-	return s
+	runDaemon(t, smartfam.NewDaemon(share, reg, smartfam.WithPollInterval(time.Millisecond),
+		smartfam.WithWorkers(4), smartfam.WithScheduler(s)))
+	return share, s
 }
 
 func TestRunThroughScheduler(t *testing.T) {
-	s := startSched(t, sched.Config{Workers: 1})
-	rt := New(WithPollInterval(time.Millisecond), WithScheduler(s))
-	rt.AttachSD("sd1", fakeSD(t, echoMod("echo")))
+	share, s := scheduledSD(t, sched.Config{Workers: 1}, echoMod("echo"))
+	rt := New(WithPollInterval(time.Millisecond))
+	rt.AttachSD("sd1", share)
 
-	res, err := rt.Run(testCtx(t), Job{Module: "echo", Params: "hi", Tenant: "t1"})
+	res, err := rt.Run(testCtx(t), Job{Module: "echo", Params: "hi"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Offloaded || res.SD != "sd1" || string(res.Payload) != `ok:"hi"` {
-		t.Fatalf("result = %+v payload %q, want offload through scheduler", res, res.Payload)
+	if res.SD != "sd1" || string(res.Payload) != `ok:"hi"` {
+		t.Fatalf("result = %+v payload %q, want offload through the node's scheduler", res, res.Payload)
 	}
-	st := s.Status()
-	if st.Completed != 1 {
+	if st := s.Status(); st.Completed != 1 {
 		t.Fatalf("scheduler completed = %d, want the offload routed through it", st.Completed)
 	}
 }
 
 func TestRunSchedulerQueueFullSurfaces(t *testing.T) {
-	// Depth 1, single worker held by a blocking job: the queue fills and
-	// further Runs fail fast with the typed backpressure error.
+	// Depth 1, single worker held by a blocking job: the node's queue fills
+	// and a further Run fails with the typed backpressure error, even though
+	// the runtime has no other node to try.
 	release := make(chan struct{})
 	defer close(release)
-	s := startSched(t, sched.Config{Workers: 1, MaxQueueDepth: 1})
-	rt := New(WithPollInterval(time.Millisecond), WithScheduler(s))
 	blocker := smartfam.ModuleFunc{
 		ModuleName: "echo",
 		Fn: func(ctx context.Context, p []byte) ([]byte, error) {
@@ -63,14 +67,12 @@ func TestRunSchedulerQueueFullSurfaces(t *testing.T) {
 			}
 		},
 	}
-	rt.AttachSD("sd1", fakeSD(t, blocker))
+	share, s := scheduledSD(t, sched.Config{Workers: 1, MaxQueueDepth: 1}, blocker)
+	rt := New(WithPollInterval(time.Millisecond))
+	rt.AttachSD("sd1", share)
 
 	ctx := testCtx(t)
-	running := make(chan error, 2)
-	invoke := func() {
-		_, err := rt.Invoke(ctx, "echo", "held")
-		running <- err
-	}
+	invoke := func() { _, _ = rt.Invoke(ctx, "echo", "held") }
 	wait := func(cond func(sched.Status) bool) {
 		t.Helper()
 		for !cond(s.Status()) {
@@ -89,45 +91,48 @@ func TestRunSchedulerQueueFullSurfaces(t *testing.T) {
 	wait(func(st sched.Status) bool { return st.Queued == 1 })
 
 	_, err := rt.Invoke(ctx, "echo", "rejected")
-	if !errors.Is(err, sched.ErrQueueFull) {
-		t.Fatalf("err = %v, want sched.ErrQueueFull", err)
+	if !errors.Is(err, sched.ErrQueueFull) || errors.Is(err, ErrNoExecutor) {
+		t.Fatalf("err = %v, want sched.ErrQueueFull, not ErrNoExecutor", err)
 	}
 }
 
 func TestInvokeMapsWireQueueFull(t *testing.T) {
-	// A remote node's scheduler rejection arrives as a module error record
-	// whose message carries the queue-full text; invoke must re-type it so
-	// errors.Is works at the caller, and must not fail over.
+	// A node's scheduler rejection arrives as a module error record whose
+	// message carries the queue-full text; the runtime must re-type it so
+	// errors.Is works at the caller, and must not fail the node over —
+	// with one node as with two.
 	shedding := smartfam.ModuleFunc{
 		ModuleName: "busy",
 		Fn: func(context.Context, []byte) ([]byte, error) {
 			return nil, sched.ErrQueueFull
 		},
 	}
-	rt := New(WithPollInterval(time.Millisecond))
-	rt.AttachSD("sd1", fakeSD(t, shedding))
-	rt.AttachSD("sd2", fakeSD(t, shedding))
-
-	_, err := rt.Invoke(testCtx(t), "busy", nil)
-	if !errors.Is(err, sched.ErrQueueFull) {
-		t.Fatalf("err = %v, want sched.ErrQueueFull across the wire", err)
-	}
-	if rt.Metrics().Counter("core.failovers").Value() != 0 {
-		t.Fatal("queue-full must not burn a failover")
-	}
-	if rt.Metrics().Counter("core.queue_full_rejects").Value() == 0 {
-		t.Fatal("queue-full rejection not counted")
+	for _, n := range []int{1, 2} {
+		rt := New(WithPollInterval(time.Millisecond))
+		for i := 0; i < n; i++ {
+			rt.AttachSD(string(rune('a'+i)), fakeSD(t, shedding))
+		}
+		_, err := rt.Invoke(testCtx(t), "busy", nil)
+		if !errors.Is(err, sched.ErrQueueFull) || errors.Is(err, ErrNoExecutor) {
+			t.Fatalf("%d nodes: err = %v, want sched.ErrQueueFull across the wire", n, err)
+		}
+		if rt.Metrics().Counter("core.failovers").Value() != 0 {
+			t.Fatalf("%d nodes: queue-full burned a failover", n)
+		}
+		if rt.Metrics().Counter("core.queue_full_rejects").Value() != 1 {
+			t.Fatalf("%d nodes: queue-full rejection not counted once", n)
+		}
 	}
 }
 
 func TestRunSchedulerCancelledSubmit(t *testing.T) {
-	s := startSched(t, sched.Config{Workers: 1})
-	rt := New(WithPollInterval(time.Millisecond), WithScheduler(s))
-	rt.AttachSD("sd1", fakeSD(t, echoMod("echo")))
+	share, _ := scheduledSD(t, sched.Config{Workers: 1}, echoMod("echo"))
+	rt := New(WithPollInterval(time.Millisecond))
+	rt.AttachSD("sd1", share)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rt.Invoke(ctx, "echo", nil); err == nil {
-		t.Fatal("cancelled submit succeeded")
+	if _, err := rt.Invoke(ctx, "echo", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled invoke = %v, want context.Canceled", err)
 	}
 }

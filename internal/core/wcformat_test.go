@@ -90,9 +90,9 @@ func TestWordCountOutputRoundTrip(t *testing.T) {
 
 func TestWordCountOutputMarshalRejects(t *testing.T) {
 	for name, out := range map[string]WordCountOutput{
-		"descending pairs": {Pairs: []WordFreq{{"b", 1}, {"a", 1}}},
-		"duplicate pairs":  {Pairs: []WordFreq{{"a", 1}, {"a", 1}}},
-		"negative count":   {Pairs: []WordFreq{{"a", -1}}},
+		"descending pairs": {Pairs: []WordFreq{{Word: "b", Count: 1}, {Word: "a", Count: 1}}},
+		"duplicate pairs":  {Pairs: []WordFreq{{Word: "a", Count: 1}, {Word: "a", Count: 1}}},
+		"negative count":   {Pairs: []WordFreq{{Word: "a", Count: -1}}},
 		"negative field":   {TotalWords: -1},
 	} {
 		if _, err := out.MarshalBinary(); err == nil {
@@ -101,15 +101,24 @@ func TestWordCountOutputMarshalRejects(t *testing.T) {
 	}
 }
 
+// wcFormat is the format byte every word-count record opens with.
+var wcFormat = func() byte {
+	b, err := WordCountOutput{}.MarshalBinary()
+	if err != nil {
+		panic(err)
+	}
+	return b[0]
+}()
+
 // wcRecord builds a record by hand: a header of seven zero summary fields
 // and an empty top table, then the given pair section.
 func wcRecord(pairs ...byte) []byte {
-	return append([]byte{wcFormatV1, 0, 0, 0, 0, 0, 0, 0, 0}, pairs...)
+	return append([]byte{wcFormat, 0, 0, 0, 0, 0, 0, 0, 0}, pairs...)
 }
 
 func TestWordCountOutputUnmarshalRejects(t *testing.T) {
-	valid, err := WordCountOutput{TotalWords: 300, Top: []WordFreq{{"ab", 2}},
-		Pairs: []WordFreq{{"ab", 2}, {"abc", 1}, {"b", 297}}}.MarshalBinary()
+	valid, err := WordCountOutput{TotalWords: 300, Top: []WordFreq{{Word: "ab", Count: 2}},
+		Pairs: []WordFreq{{Word: "ab", Count: 2}, {Word: "abc", Count: 1}, {Word: "b", Count: 297}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestWordCountOutputUnmarshalRejects(t *testing.T) {
 		"unknown format byte":    append([]byte{0x02}, valid[1:]...),
 		"JSON payload":           []byte(`{"total_words":3,"unique_words":1}`),
 		"trailing bytes":         append(bytes.Clone(valid), 0),
-		"non-minimal uvarint":    {wcFormatV1, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
+		"non-minimal uvarint":    {wcFormat, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
 		"shared prefix too long": wcRecord(2, 0, 1, 'a', 1, 2, 1, 'b', 1),
 		"suffix past the end":    wcRecord(1, 0, 5, 'a', 'b', 1),
 		"non-ascending keys":     wcRecord(2, 0, 1, 'b', 1, 0, 1, 'a', 1),
@@ -149,8 +158,8 @@ func FuzzWordCountOutput(f *testing.F) {
 	for _, out := range []WordCountOutput{
 		{},
 		{TotalWords: 7, UniqueWords: 3, Fragments: 2, FragmentKeys: 4, ElapsedMs: 9, ShuffleMs: 1, MergeMs: 1,
-			Top: []WordFreq{{"the", 4}, {"a", 2}}, Pairs: []WordFreq{{"a", 2}, {"an", 1}, {"the", 4}}},
-		{Pairs: []WordFreq{{"", 1}, {"x", math.MaxInt64}}},
+			Top: []WordFreq{{Word: "the", Count: 4}, {Word: "a", Count: 2}}, Pairs: []WordFreq{{Word: "a", Count: 2}, {Word: "an", Count: 1}, {Word: "the", Count: 4}}},
+		{Pairs: []WordFreq{{Word: "", Count: 1}, {Word: "x", Count: math.MaxInt64}}},
 	} {
 		b, err := out.MarshalBinary()
 		if err != nil {
@@ -219,7 +228,8 @@ func TestWordCountOutputSizePin(t *testing.T) {
 }
 
 // TestParamsIgnoreRetiredPipelined pins that a caller still sending the
-// retired "pipelined" field decodes exactly as one that does not.
+// retired "pipelined" or "sequential" fields decodes exactly as one that
+// does not.
 func TestParamsIgnoreRetiredPipelined(t *testing.T) {
 	for _, tc := range []struct {
 		with, without string
@@ -228,6 +238,7 @@ func TestParamsIgnoreRetiredPipelined(t *testing.T) {
 		{`{"data_file":"f","pipelined":true,"top_n":3}`, `{"data_file":"f","top_n":3}`, func() any { return new(WordCountParams) }},
 		{`{"data_file":"f","keys_file":"k","pipelined":true}`, `{"data_file":"f","keys_file":"k"}`, func() any { return new(StringMatchParams) }},
 		{`{"data_file":"f","group_by":"region","pipelined":true}`, `{"data_file":"f","group_by":"region"}`, func() any { return new(DBSelectParams) }},
+		{`{"data_file":"f","sequential":true,"top_n":3}`, `{"data_file":"f","top_n":3}`, func() any { return new(WordCountParams) }},
 	} {
 		a, b := tc.into(), tc.into()
 		if err := Decode([]byte(tc.with), a); err != nil {

@@ -246,8 +246,8 @@ func jitter(d time.Duration) time.Duration {
 // nodeRun is the per-node dispatch state of one Execute call.
 type nodeRun struct {
 	node     Node
-	work     chan attemptJob
-	queue    []int // fragment indices awaiting dispatch here
+	work     chan attemptJob // Window slots: a launch never waits for a worker
+	queue    []int           // fragment indices awaiting dispatch here
 	inflight int
 	healthy  bool
 }
@@ -294,7 +294,7 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 	// Buffered so a worker finishing during teardown never blocks.
 	results := make(chan attemptResult, len(c.nodes)*c.cfg.Window+len(frags))
 	for _, n := range c.nodes {
-		nr := &nodeRun{node: n, work: make(chan attemptJob), healthy: true}
+		nr := &nodeRun{node: n, work: make(chan attemptJob, c.cfg.Window), healthy: true}
 		nodes[n.Name] = nr
 		order = append(order, n.Name)
 		for w := 0; w < c.cfg.Window; w++ {
@@ -530,12 +530,15 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 		return nil
 	}
 
-	launch := func(nr *nodeRun, fi int, spec bool) bool {
-		job := attemptJob{frag: fi, module: module, reqID: reqIDs[fi], params: frags[fi].Params, spec: spec}
+	// launch hands fragment fi to nr's workers. Callers launch only below
+	// the node's window, and the work channel holds a window's worth of
+	// jobs, so the send never waits — not even for workers that have not
+	// started yet, which would otherwise hold a job's first dispatch until
+	// the next scan tick.
+	launch := func(nr *nodeRun, fi int, spec bool) {
 		select {
-		case nr.work <- job:
-		default:
-			return false // all workers momentarily busy; retry next round
+		case nr.work <- attemptJob{frag: fi, module: module, reqID: reqIDs[fi], params: frags[fi].Params, spec: spec}:
+		case <-ctx.Done(): // Execute is returning; nothing below is read again
 		}
 		nr.inflight++
 		fragLive[fi]++
@@ -543,7 +546,6 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 		inFlight[attemptKey{fi, nr.node.Name}] = time.Now()
 		stats.Dispatches++
 		c.cfg.Metrics.Counter(metrics.FleetDispatches).Inc()
-		return true
 	}
 
 	// dispatch fills every healthy node's window from its queue, then lets
@@ -555,12 +557,8 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 			for nr.healthy && nr.inflight < c.cfg.Window && len(nr.queue) > 0 {
 				fi := nr.queue[0]
 				nr.queue = nr.queue[1:]
-				if done[fi] {
-					continue
-				}
-				if !launch(nr, fi, false) {
-					nr.queue = append([]int{fi}, nr.queue...)
-					break
+				if !done[fi] {
+					launch(nr, fi, false)
 				}
 			}
 		}
@@ -591,10 +589,7 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 				if done[fi] {
 					continue
 				}
-				if !launch(nr, fi, false) {
-					busiest.queue = append(busiest.queue, fi)
-					break
-				}
+				launch(nr, fi, false)
 				stats.QueueSteals++
 				c.cfg.Metrics.Counter(metrics.FleetQueueSteals).Inc()
 			}
@@ -640,10 +635,9 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 				// have an idle holder.
 				continue
 			}
-			if launch(idle, fi, true) {
-				stats.Speculations++
-				c.cfg.Metrics.Counter(metrics.FleetSpeculations).Inc()
-			}
+			launch(idle, fi, true)
+			stats.Speculations++
+			c.cfg.Metrics.Counter(metrics.FleetSpeculations).Inc()
 		}
 	}
 
@@ -714,7 +708,11 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 					return fmt.Errorf("fleet: fragment %d: %w", frags[r.frag].Index, sched.ErrQueueFull)
 				}
 				if fragShed[r.frag]%queueFullRequeueCap == 0 {
-					return rePlace(r.frag, r.node)
+					// No other node may take it: the fleet is busy, not down.
+					if rePlace(r.frag, r.node) != nil {
+						return fmt.Errorf("fleet: fragment %d: %w", frags[r.frag].Index, sched.ErrQueueFull)
+					}
+					return nil
 				}
 				nr.queue = append(nr.queue, r.frag)
 				return nil

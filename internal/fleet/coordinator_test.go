@@ -326,6 +326,23 @@ func TestExecuteQueueFullRequeues(t *testing.T) {
 	}
 }
 
+func TestExecuteSingleShedderReportsQueueFull(t *testing.T) {
+	// The only node sheds every attempt: after the requeue cap there is no
+	// other node to re-place onto, and the caller must see backpressure
+	// (retry later), not a fleet without nodes.
+	session := &fakeSession{name: "sd0", behave: func(ctx context.Context, id string, params []byte) ([]byte, error) {
+		return nil, &smartfam.ModuleError{Module: "m", Msg: sched.ErrQueueFull.Error()}
+	}}
+	c := NewCoordinator([]Node{{Name: "sd0", Session: session}}, fastConfig())
+	_, stats, err := c.Execute(context.Background(), "m", testFragments(1))
+	if !errors.Is(err, sched.ErrQueueFull) || errors.Is(err, ErrNoNodes) {
+		t.Fatalf("err = %v, want sched.ErrQueueFull and not ErrNoNodes", err)
+	}
+	if stats.QueueFullRequeues != queueFullRequeueCap || stats.NodeFailures != 0 {
+		t.Fatalf("stats = %+v, want %d requeues and no node failure", stats, queueFullRequeueCap)
+	}
+}
+
 func TestExecuteAllNodesDown(t *testing.T) {
 	die := func(ctx context.Context, id string, params []byte) ([]byte, error) {
 		return nil, errors.New("smartfam: transport down")

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"mcsd/internal/core"
 	"mcsd/internal/metrics"
 	"mcsd/internal/partition"
 	"mcsd/internal/workloads"
@@ -28,8 +27,8 @@ type WordCountJob struct {
 	// fragment.
 	FragmentBytes int64
 	// PartitionBytes is the node-side partition size within a range
-	// (core.WordCountParams semantics: 0 native, core.AutoPartition to let
-	// the node pick).
+	// (workloads.WordCountParams semantics: 0 native, core.AutoPartition
+	// to let the node pick).
 	PartitionBytes int64
 	// Workers overrides each node's worker count (0 = node default).
 	Workers int
@@ -44,7 +43,7 @@ type WordCountResult struct {
 	// single-node EmitPairs run: identical TotalWords, UniqueWords, Pairs
 	// and Top for identical input, regardless of node count, placement,
 	// straggler re-execution or failover.
-	Output core.WordCountOutput
+	Output workloads.WordCountOutput
 	// Fragments are the per-fragment wins, in index order.
 	Fragments []FragmentResult
 	// Stats is the coordinator's dispatch accounting.
@@ -75,7 +74,7 @@ func rangeFragments(job WordCountJob) ([]Fragment, error) {
 	ranges := partition.AlignedRanges(job.TotalBytes, job.FragmentBytes)
 	frags := make([]Fragment, len(ranges))
 	for i, rg := range ranges {
-		params, err := json.Marshal(core.WordCountParams{
+		params, err := json.Marshal(workloads.WordCountParams{
 			DataFile:       job.DataFile,
 			PartitionBytes: job.PartitionBytes,
 			Workers:        job.Workers,
@@ -98,15 +97,15 @@ func rangeFragments(job WordCountJob) ([]Fragment, error) {
 // left. The host time spent folding and finishing is fleet.merge.
 func (c *Coordinator) gatherWordCount(ctx context.Context, frags []Fragment, topN int) (*WordCountResult, error) {
 	var (
-		out    core.WordCountOutput
+		out    workloads.WordCountOutput
 		counts = make(map[string]int)
 		spent  time.Duration
 	)
 	fold := func(fr FragmentResult) error {
 		start := time.Now()
 		defer func() { spent += time.Since(start) }()
-		var o core.WordCountOutput
-		if err := core.Decode(fr.Payload, &o); err != nil {
+		var o workloads.WordCountOutput
+		if err := o.UnmarshalBinary(fr.Payload); err != nil {
 			return fmt.Errorf("fleet: fragment %d result: %w", fr.Index, err)
 		}
 		for _, p := range o.Pairs {
@@ -118,26 +117,26 @@ func (c *Coordinator) gatherWordCount(ctx context.Context, frags []Fragment, top
 		out.MergeMs += o.MergeMs
 		return nil
 	}
-	results, stats, err := c.execute(ctx, core.ModuleWordCount, frags, fold)
+	results, stats, err := c.execute(ctx, workloads.ModuleWordCount, frags, fold)
 	if err != nil {
 		return nil, err
 	}
 
 	start := time.Now()
 	if len(counts) > 0 {
-		out.Pairs = make([]core.WordFreq, 0, len(counts))
+		out.Pairs = make([]workloads.WordFreq, 0, len(counts))
 		for w, n := range counts {
-			out.Pairs = append(out.Pairs, core.WordFreq{Word: w, Count: n})
+			out.Pairs = append(out.Pairs, workloads.WordFreq{Word: w, Count: n})
 			out.TotalWords += int64(n)
 		}
-		slices.SortFunc(out.Pairs, func(a, b core.WordFreq) int { return strings.Compare(a.Word, b.Word) })
+		slices.SortFunc(out.Pairs, func(a, b workloads.WordFreq) int { return strings.Compare(a.Word, b.Word) })
 	}
 	out.UniqueWords = len(out.Pairs)
 	if topN <= 0 {
 		topN = 100
 	}
 	for _, pr := range workloads.TopWords(counts, topN) {
-		out.Top = append(out.Top, core.WordFreq{Word: pr.Key, Count: pr.Value})
+		out.Top = append(out.Top, workloads.WordFreq{Word: pr.Key, Count: pr.Value})
 	}
 	c.cfg.Metrics.Timer(metrics.FleetMerge).Observe(spent + time.Since(start))
 	return &WordCountResult{Output: out, Fragments: results, Stats: stats}, nil
@@ -151,7 +150,7 @@ type SealedWordCountJob struct {
 	// Set is the replicated input (from Store.PutFile).
 	Set *FileSet
 	// PartitionBytes is the node-side partition size within a fragment
-	// (core.WordCountParams semantics).
+	// (workloads.WordCountParams semantics).
 	PartitionBytes int64
 	// Workers overrides each node's worker count (0 = node default).
 	Workers int
@@ -175,7 +174,7 @@ func (c *Coordinator) WordCountSealed(ctx context.Context, job SealedWordCountJo
 	}
 	frags := make([]Fragment, len(job.Set.Objects))
 	for i, obj := range job.Set.Objects {
-		params, err := json.Marshal(core.WordCountParams{
+		params, err := json.Marshal(workloads.WordCountParams{
 			DataFile:       obj,
 			Sealed:         true,
 			PartitionBytes: job.PartitionBytes,
@@ -196,12 +195,12 @@ func (c *Coordinator) WordCountSealed(ctx context.Context, job SealedWordCountJo
 // run and any N-node fleet run over the same input. Timings and
 // fragment-accounting fields are excluded: they describe the execution,
 // not the answer.
-func CanonicalWordCount(out *core.WordCountOutput) []byte {
+func CanonicalWordCount(out *workloads.WordCountOutput) []byte {
 	b, err := json.Marshal(struct {
-		TotalWords  int64           `json:"total_words"`
-		UniqueWords int             `json:"unique_words"`
-		Top         []core.WordFreq `json:"top"`
-		Pairs       []core.WordFreq `json:"pairs"`
+		TotalWords  int64                `json:"total_words"`
+		UniqueWords int                  `json:"unique_words"`
+		Top         []workloads.WordFreq `json:"top"`
+		Pairs       []workloads.WordFreq `json:"pairs"`
 	}{out.TotalWords, out.UniqueWords, out.Top, out.Pairs})
 	if err != nil {
 		// Plain data marshals unconditionally; keep the signature clean.

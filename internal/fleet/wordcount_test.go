@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mcsd/internal/core"
+	"mcsd/internal/fleet"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/workloads"
 )
@@ -36,19 +37,19 @@ func (s *moduleSession) InvokeID(ctx context.Context, module, id string, params 
 
 // wcFleet builds an N-node coordinator where every node serves the
 // word-count module over the same directory store.
-func wcFleet(t *testing.T, dir string, n int, wraps map[int]func(func() ([]byte, error)) ([]byte, error)) *Coordinator {
+func wcFleet(t *testing.T, dir string, n int, wraps map[int]func(func() ([]byte, error)) ([]byte, error)) *fleet.Coordinator {
 	t.Helper()
-	nodes := make([]Node, n)
+	nodes := make([]fleet.Node, n)
 	for i := range nodes {
 		mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
-		nodes[i] = Node{
+		nodes[i] = fleet.Node{
 			Name:    nodeName(i),
 			Session: &moduleSession{mod: mod, wrap: wraps[i]},
 		}
 	}
-	cfg := fastConfig()
+	cfg := fleet.FastConfig()
 	cfg.MinStragglerAge = time.Hour // keep unit runs deterministic
-	return NewCoordinator(nodes, cfg)
+	return fleet.NewCoordinator(nodes, cfg)
 }
 
 func nodeName(i int) string { return string(rune('a'+i)) + "-sd" }
@@ -80,11 +81,11 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := singleNodeReference(t, dir, 0)
-	want := CanonicalWordCount(ref)
+	want := fleet.CanonicalWordCount(ref)
 
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		c := wcFleet(t, dir, n, nil)
-		res, err := c.WordCount(context.Background(), WordCountJob{
+		res, err := c.WordCount(context.Background(), fleet.WordCountJob{
 			DataFile:      "corpus.txt",
 			TotalBytes:    int64(len(text)),
 			FragmentBytes: 24 << 10,
@@ -92,7 +93,7 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+		if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: merged output differs from single-node reference", n)
 		}
 		if n > 1 && len(res.Stats.PerNode) < 2 {
@@ -125,7 +126,7 @@ func TestFleetNodeCombinePrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fragments, nodes = 48, 4
-	frags, err := rangeFragments(WordCountJob{
+	frags, err := fleet.RangeFragments(fleet.WordCountJob{
 		DataFile:      "data/corpus.txt",
 		TotalBytes:    int64(len(text)),
 		FragmentBytes: (int64(len(text)) + fragments - 1) / fragments,
@@ -133,7 +134,7 @@ func TestFleetNodeCombinePrediction(t *testing.T) {
 	if err != nil || len(frags) != fragments {
 		t.Fatalf("%d fragments, err %v", len(frags), err)
 	}
-	ring := NewRing()
+	ring := fleet.NewRing()
 	for i := 0; i < nodes; i++ {
 		ring.Add(fmt.Sprintf("sd%d", i))
 	}
@@ -201,7 +202,7 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := singleNodeReference(t, dir, 0)
-	want := CanonicalWordCount(ref)
+	want := fleet.CanonicalWordCount(ref)
 
 	// Node 0 dies on every attempt after its first success.
 	var calls atomic.Int64
@@ -214,7 +215,7 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 		},
 	}
 	c := wcFleet(t, dir, 3, wraps)
-	res, err := c.WordCount(context.Background(), WordCountJob{
+	res, err := c.WordCount(context.Background(), fleet.WordCountJob{
 		DataFile:      "corpus.txt",
 		TotalBytes:    int64(len(text)),
 		FragmentBytes: 16 << 10,
@@ -222,7 +223,7 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+	if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 		t.Fatal("output differs from single-node reference after node death")
 	}
 	if res.Stats.NodeFailures != 1 {
@@ -253,14 +254,14 @@ func TestFleetWordCountFoldsOnlyFirstWins(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "corpus.txt"), text, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := CanonicalWordCount(singleNodeReference(t, dir, 0))
+	want := fleet.CanonicalWordCount(singleNodeReference(t, dir, 0))
 	poison, err := core.WordCountOutput{TotalWords: 1 << 20, UniqueWords: 1,
 		Pairs: []core.WordFreq{{Word: "poison", Count: 1 << 20}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	frags, err := rangeFragments(WordCountJob{DataFile: "corpus.txt", TotalBytes: int64(len(text)), FragmentBytes: 12 << 10})
+	frags, err := fleet.RangeFragments(fleet.WordCountJob{DataFile: "corpus.txt", TotalBytes: int64(len(text)), FragmentBytes: 12 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestFleetWordCountFoldsOnlyFirstWins(t *testing.T) {
 		}
 	}
 	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
-	nodes := []Node{
+	nodes := []fleet.Node{
 		{Name: "a-sd", Session: &scriptSession{mod: mod, script: func(ctx context.Context, _ []byte, _ func() ([]byte, error)) ([]byte, error) {
 			// Answer well after the speculative win has been gathered.
 			if err := wait(ctx, bWon, 200*time.Millisecond); err != nil {
@@ -318,15 +319,15 @@ func TestFleetWordCountFoldsOnlyFirstWins(t *testing.T) {
 			return poison, errors.New("smartfam: transport torn down")
 		}}},
 	}
-	cfg := fastConfig()
+	cfg := fleet.FastConfig()
 	cfg.MinStragglerAge = 20 * time.Millisecond
-	c := NewCoordinator(nodes, cfg)
+	c := fleet.NewCoordinator(nodes, cfg)
 
-	res, err := c.gatherWordCount(context.Background(), frags, 0)
+	res, err := c.GatherWordCount(context.Background(), frags, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+	if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 		t.Fatal("a late duplicate or a failed attempt reached the folded counts")
 	}
 	if res.Stats.DupResults < 1 || res.Fragments[0].Node != "b-sd" {
@@ -341,10 +342,10 @@ func TestFleetWordCountFoldsOnlyFirstWins(t *testing.T) {
 
 func TestFleetWordCountValidation(t *testing.T) {
 	c := wcFleet(t, t.TempDir(), 1, nil)
-	if _, err := c.WordCount(context.Background(), WordCountJob{TotalBytes: 10}); err == nil {
+	if _, err := c.WordCount(context.Background(), fleet.WordCountJob{TotalBytes: 10}); err == nil {
 		t.Fatal("missing data file accepted")
 	}
-	if _, err := c.WordCount(context.Background(), WordCountJob{DataFile: "f"}); err == nil {
+	if _, err := c.WordCount(context.Background(), fleet.WordCountJob{DataFile: "f"}); err == nil {
 		t.Fatal("missing size accepted")
 	}
 }
@@ -352,22 +353,22 @@ func TestFleetWordCountValidation(t *testing.T) {
 // sealedFleet builds an N-node coordinator where each node serves the
 // word-count module over its own share, reading sealed replicated objects,
 // plus the host-side store over the same shares.
-func sealedFleet(t *testing.T, n, r int) (*Coordinator, *Store, map[string]smartfam.FS) {
+func sealedFleet(t *testing.T, n, r int) (*fleet.Coordinator, *fleet.Store, map[string]smartfam.FS) {
 	t.Helper()
 	shares := make(map[string]smartfam.FS, n)
-	nodes := make([]Node, n)
+	nodes := make([]fleet.Node, n)
 	for i := range nodes {
 		name := nodeName(i)
 		share := smartfam.DirFS(t.TempDir())
 		shares[name] = share
 		mod := core.WordCountModule(core.ModuleConfig{Store: core.FSStore(share), Workers: 1})
-		nodes[i] = Node{Name: name, Session: &moduleSession{mod: mod}}
+		nodes[i] = fleet.Node{Name: name, Session: &moduleSession{mod: mod}}
 	}
-	store := NewStore(shares, r, nil)
-	cfg := fastConfig()
+	store := fleet.NewStore(shares, r, nil)
+	cfg := fleet.FastConfig()
 	cfg.MinStragglerAge = time.Hour
 	cfg.Store = store
-	return NewCoordinator(nodes, cfg), store, shares
+	return fleet.NewCoordinator(nodes, cfg), store, shares
 }
 
 func TestFleetWordCountSealedMatchesSingleNode(t *testing.T) {
@@ -377,7 +378,7 @@ func TestFleetWordCountSealedMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := singleNodeReference(t, dir, 0)
-	want := CanonicalWordCount(ref)
+	want := fleet.CanonicalWordCount(ref)
 
 	for _, n := range []int{2, 3, 4} {
 		c, store, _ := sealedFleet(t, n, 2)
@@ -385,11 +386,11 @@ func TestFleetWordCountSealedMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: PutFile: %v", n, err)
 		}
-		res, err := c.WordCountSealed(context.Background(), SealedWordCountJob{Set: set})
+		res, err := c.WordCountSealed(context.Background(), fleet.SealedWordCountJob{Set: set})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+		if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: sealed fleet output differs from single-node reference", n)
 		}
 		if res.Stats.CorruptReplicas != 0 {
@@ -405,7 +406,7 @@ func TestFleetWordCountSealedHealsBitFlippedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := singleNodeReference(t, dir, 0)
-	want := CanonicalWordCount(ref)
+	want := fleet.CanonicalWordCount(ref)
 
 	c, store, shares := sealedFleet(t, 3, 2)
 	set, err := store.PutFile(context.Background(), "corpus", text, 12<<10)
@@ -428,11 +429,11 @@ func TestFleetWordCountSealedHealsBitFlippedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.WordCountSealed(context.Background(), SealedWordCountJob{Set: set})
+	res, err := c.WordCountSealed(context.Background(), fleet.SealedWordCountJob{Set: set})
 	if err != nil {
 		t.Fatalf("sealed word count with corrupt home replica: %v", err)
 	}
-	if got := CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+	if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 		t.Fatal("output differs from single-node reference with a corrupt replica in play")
 	}
 	if res.Stats.CorruptReplicas < 1 || res.Stats.ReplicaFallbacks < 1 {

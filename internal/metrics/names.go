@@ -57,11 +57,11 @@ const (
 
 	// Host-side programming framework (internal/core).
 	CoreOffloads         = "core.offloads"
-	CoreFailovers        = "core.failovers"
-	CoreLocalFallbacks   = "core.local_fallbacks"
+	CoreFailovers        = "core.failovers"       // nodes a job's coordinator marked down
+	CoreLocalFallbacks   = "core.local_fallbacks" // never incremented; kept because perfbench reports it
 	CoreQueueFullRejects = "core.queue_full_rejects"
-	CoreHeartbeatSkips   = "core.heartbeat_skips"
-	CoreInvokePrefix     = "core.invoke." // + module name: per-module invoke timer
+	CoreHeartbeatSkips   = "core.heartbeat_skips" // attached nodes left out of a job by a failed Probe
+	CoreInvokePrefix     = "core.invoke."         // + module name: per-module invoke timer
 
 	// Multi-SD scatter/gather coordinator (internal/fleet).
 	FleetDispatches        = "fleet.dispatches"          // fragment attempts handed to node sessions

@@ -21,7 +21,8 @@ import (
 // answering — a place to park RPCs in flight so a disconnect can be
 // injected at a known point.
 type discardServer struct {
-	ln net.Listener
+	ln       net.Listener
+	accepted chan struct{} // closed once the first connection is recorded
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -33,8 +34,9 @@ func startDiscardServer(t *testing.T) *discardServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := &discardServer{ln: ln}
+	ds := &discardServer{ln: ln, accepted: make(chan struct{})}
 	go func() {
+		var once sync.Once
 		for {
 			c, err := ln.Accept()
 			if err != nil {
@@ -43,18 +45,32 @@ func startDiscardServer(t *testing.T) *discardServer {
 			ds.mu.Lock()
 			ds.conns = append(ds.conns, c)
 			ds.mu.Unlock()
+			once.Do(func() { close(ds.accepted) })
 			go io.Copy(io.Discard, c) //nolint:errcheck
 		}
 	}()
 	t.Cleanup(func() {
 		ln.Close()
-		ds.dropConns()
+		ds.closeConns()
 	})
 	return ds
 }
 
 // dropConns severs every accepted connection — the injected network fault.
-func (d *discardServer) dropConns() {
+// Dial returns before the accept goroutine has recorded the connection,
+// and requests can be in flight by then, so it first waits for one:
+// severing nothing would leave them parked forever.
+func (d *discardServer) dropConns(t *testing.T) {
+	t.Helper()
+	select {
+	case <-d.accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("discard server never accepted the connection")
+	}
+	d.closeConns()
+}
+
+func (d *discardServer) closeConns() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range d.conns {
@@ -63,14 +79,22 @@ func (d *discardServer) dropConns() {
 	d.conns = nil
 }
 
-// waitInflight polls the client's inflight gauge until it reaches want.
+// waitInflight polls until want requests hold window slots and have their
+// tags registered. The gauge alone is not enough: it counts a request from
+// its slot, and one still short of its tag when the connection drops
+// redials and goes out on the next connection instead.
 func waitInflight(t *testing.T, c *Client, want int64) {
 	t.Helper()
 	g := c.Metrics().Gauge(metrics.NFSClientInflight)
+	pending := func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(len(c.pending))
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Value() != want {
+	for g.Value() != want || pending() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("inflight gauge stuck at %d, want %d", g.Value(), want)
+			t.Fatalf("inflight gauge %d with %d tags registered, want %d", g.Value(), pending(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -97,7 +121,7 @@ func TestPipelineDisconnectFailsAllInflight(t *testing.T) {
 		}(i)
 	}
 	waitInflight(t, c, K)
-	ds.dropConns()
+	ds.dropConns(t)
 
 	for i := 0; i < K; i++ {
 		select {
@@ -154,7 +178,7 @@ func TestIdempotentReplayAfterDisconnect(t *testing.T) {
 		close(done)
 	}()
 	waitInflight(t, c, 1)
-	ds.dropConns()
+	ds.dropConns(t)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -206,7 +230,7 @@ func TestNonIdempotentNotReplayed(t *testing.T) {
 		close(done)
 	}()
 	waitInflight(t, c, 1)
-	ds.dropConns()
+	ds.dropConns(t)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

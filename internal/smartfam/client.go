@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcsd/internal/metrics"
@@ -18,6 +19,7 @@ type Client struct {
 	interval   time.Duration
 	metrics    *metrics.Registry
 	staleAfter time.Duration
+	lastStamp  atomic.Int64 // last heartbeat stamp Probe read (UnixNano; 0 = none)
 
 	// fam v2 push-mode state (push.go). pushMu guards all of it.
 	pushMu     sync.Mutex
@@ -55,11 +57,24 @@ func (c *Client) SetProbeStaleAfter(d time.Duration) { c.staleAfter = d }
 // reachable and, when the daemon publishes a heartbeat, the heartbeat must
 // be fresh. A share with no heartbeat file (heartbeats disabled, or a
 // daemon too old to write one) probes as alive on reachability alone —
-// the caller's attempt timeout remains the backstop there. The fleet
-// coordinator uses Probe to mark failed nodes back up.
+// the caller's attempt timeout remains the backstop there. The host
+// runtime probes before every offload; the fleet coordinator probes to
+// mark failed nodes back up.
+//
+// Stamps only move forward, so while the last stamp read is inside the
+// window a fresh read could only agree: "alive" then costs no share I/O.
+// "Stale" only ever comes from a fresh read, and an invocation that fails
+// on the transport or times out forgets the stamp, so the next Probe reads.
 func (c *Client) Probe(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	stale := c.staleAfter
+	if stale <= 0 {
+		stale = DefaultProbeStaleAfter
+	}
+	if ns := c.lastStamp.Load(); ns != 0 && time.Since(time.Unix(0, ns)) <= stale {
+		return nil
 	}
 	ts, ok := ReadHeartbeat(c.fs)
 	if !ok {
@@ -69,10 +84,7 @@ func (c *Client) Probe(ctx context.Context) error {
 		}
 		return nil
 	}
-	stale := c.staleAfter
-	if stale <= 0 {
-		stale = DefaultProbeStaleAfter
-	}
+	c.lastStamp.Store(ts.UnixNano())
 	if age := time.Since(ts); age > stale {
 		return fmt.Errorf("smartfam: probe: heartbeat is %v old (stale after %v)", age, stale)
 	}
@@ -184,7 +196,13 @@ func (c *Client) Invoke(ctx context.Context, module string, params []byte) ([]by
 // key of the smartFAM protocol. Reusing the ID across retries makes the
 // invocation exactly-once: a daemon that already completed the work
 // re-appends its journaled response rather than re-running the module.
-func (c *Client) InvokeID(ctx context.Context, module, id string, params []byte) ([]byte, error) {
+func (c *Client) InvokeID(ctx context.Context, module, id string, params []byte) (_ []byte, err error) {
+	defer func() {
+		var merr *ModuleError
+		if err != nil && !errors.As(err, &merr) && !errors.Is(err, ErrUnknownModule) {
+			c.lastStamp.Store(0) // transport failure or timeout: the next Probe reads
+		}
+	}()
 	logName := LogName(module)
 	req := Record{Kind: KindRequest, ID: id, Payload: params}
 	line, err := req.Marshal()

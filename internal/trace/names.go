@@ -10,7 +10,6 @@ const (
 	SpanHostLocal     = "host-local"
 	SpanOffload       = "offload"
 	SpanAttemptPrefix = "attempt " // + node name: one child per SD node tried
-	SpanLocalFallback = "local-fallback"
 
 	// Scheduler job lifecycle.
 	SpanSchedPrefix = "sched " // + module and job ID

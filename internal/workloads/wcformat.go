@@ -1,4 +1,4 @@
-package core
+package workloads
 
 import (
 	"encoding/binary"
@@ -41,14 +41,14 @@ func (o WordCountOutput) MarshalBinary() ([]byte, error) {
 	for _, v := range [...]int64{o.TotalWords, int64(o.UniqueWords), int64(o.Fragments),
 		int64(o.FragmentKeys), o.ElapsedMs, o.ShuffleMs, o.MergeMs} {
 		if v < 0 {
-			return nil, fmt.Errorf("core: word-count record: negative field %d", v)
+			return nil, fmt.Errorf("workloads: word-count record: negative field %d", v)
 		}
 		b = binary.AppendUvarint(b, uint64(v))
 	}
 	b = binary.AppendUvarint(b, uint64(len(o.Top)))
 	for _, wf := range o.Top {
 		if wf.Count < 0 {
-			return nil, fmt.Errorf("core: word-count record: negative count for %q", wf.Word)
+			return nil, fmt.Errorf("workloads: word-count record: negative count for %q", wf.Word)
 		}
 		b = binary.AppendUvarint(b, uint64(len(wf.Word)))
 		b = append(b, wf.Word...)
@@ -58,10 +58,10 @@ func (o WordCountOutput) MarshalBinary() ([]byte, error) {
 	prev := ""
 	for i, wf := range o.Pairs {
 		if i > 0 && wf.Word <= prev {
-			return nil, fmt.Errorf("core: word-count record: pair %d (%q) does not ascend", i, wf.Word)
+			return nil, fmt.Errorf("workloads: word-count record: pair %d (%q) does not ascend", i, wf.Word)
 		}
 		if wf.Count < 0 {
-			return nil, fmt.Errorf("core: word-count record: negative count for %q", wf.Word)
+			return nil, fmt.Errorf("workloads: word-count record: negative count for %q", wf.Word)
 		}
 		shared := 0
 		for shared < len(prev) && shared < len(wf.Word) && prev[shared] == wf.Word[shared] {
@@ -81,7 +81,7 @@ func (o WordCountOutput) MarshalBinary() ([]byte, error) {
 // input MarshalBinary could not have produced.
 func (o *WordCountOutput) UnmarshalBinary(data []byte) error {
 	if len(data) == 0 || data[0] != wcFormatV1 {
-		return errors.New("core: word-count record: unknown format")
+		return errors.New("workloads: word-count record: unknown format")
 	}
 	r := wcReader{b: data[1:]}
 	var out WordCountOutput
@@ -124,7 +124,7 @@ func (o *WordCountOutput) UnmarshalBinary(data []byte) error {
 			// is non-empty and, unless it extends the whole previous key,
 			// opens with a byte above the previous key's byte at that spot.
 			if i > 0 && (len(suffix) == 0 || shared < prevLen && suffix[0] <= prev[shared]) {
-				return fmt.Errorf("core: word-count record: pair %d does not ascend or shares a short prefix", i)
+				return fmt.Errorf("workloads: word-count record: pair %d does not ascend or shares a short prefix", i)
 			}
 			start := keys.Len()
 			keys.WriteString(prev[:shared])
@@ -134,10 +134,10 @@ func (o *WordCountOutput) UnmarshalBinary(data []byte) error {
 		}
 	}
 	if r.err != nil {
-		return fmt.Errorf("core: word-count record: %w", r.err)
+		return fmt.Errorf("workloads: word-count record: %w", r.err)
 	}
 	if len(r.b) > 0 {
-		return fmt.Errorf("core: word-count record: %d trailing bytes", len(r.b))
+		return fmt.Errorf("workloads: word-count record: %d trailing bytes", len(r.b))
 	}
 	*o = out
 	return nil

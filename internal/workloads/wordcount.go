@@ -78,6 +78,71 @@ func WordCountSpec() mapreduce.Spec[string, int, int] {
 // classification to one load on the tokenizer hot loop.
 var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
 
+// ModuleWordCount is the smartFAM module name word count is served under.
+const ModuleWordCount = "wordcount"
+
+// WordCountParams parametrizes the wordcount module: the paper's
+// "wordcount [data-file] [partition-size]" command line (§IV-C).
+type WordCountParams struct {
+	// DataFile is the input path on the SD node's data store.
+	DataFile string `json:"data_file"`
+	// PartitionBytes is the fragment size; 0 runs in the native way;
+	// core.AutoPartition (-1) lets the node pick from its memory model
+	// (§IV-C's "automatically determined by the runtime system").
+	PartitionBytes int64 `json:"partition_bytes,omitempty"`
+	// Workers overrides the module's worker count (0 = node default).
+	Workers int `json:"workers,omitempty"`
+	// TopN bounds the returned frequency table (0 = 100).
+	TopN int `json:"top_n,omitempty"`
+	// RangeOffset/RangeBytes restrict the run to the word-aligned view of
+	// the byte range [RangeOffset, RangeOffset+RangeBytes) of DataFile —
+	// the fleet's scatter unit. RangeBytes <= 0 means the whole file.
+	// Alignment follows partition.RangeReader: a record belongs to the
+	// range containing its first byte, so adjacent ranges count every word
+	// exactly once.
+	RangeOffset int64 `json:"range_offset,omitempty"`
+	RangeBytes  int64 `json:"range_bytes,omitempty"`
+	// EmitPairs asks for the complete sorted (word, count) run in the
+	// output — what a fleet coordinator needs to merge per-fragment
+	// results deterministically — instead of only the TopN summary.
+	EmitPairs bool `json:"emit_pairs,omitempty"`
+	// Sealed marks DataFile as a sealed fragment object (payload + CRC32
+	// trailer, smartfam.SealBlob): the module reads it through a verifying
+	// store and fails with smartfam.ErrCorruptBlob — relayed over the wire
+	// as a recognizable ModuleError — instead of silently counting corrupt
+	// bytes. Sealed objects are whole fragments, so Sealed excludes
+	// RangeOffset/RangeBytes.
+	Sealed bool `json:"sealed,omitempty"`
+}
+
+// WordFreq is one row of the word-count output.
+type WordFreq struct {
+	Word  string `json:"word"`
+	Count int    `json:"count"`
+}
+
+// WordCountOutput is the wordcount module's result. Unlike the other
+// modules' outputs it travels as a front-coded binary record
+// (MarshalBinary, wcformat.go).
+type WordCountOutput struct {
+	TotalWords  int64
+	UniqueWords int
+	Top         []WordFreq
+	Fragments   int
+	// FragmentKeys is the per-fragment unique-word sum; the gap to
+	// UniqueWords is the dedup work the fragment merge stage did.
+	FragmentKeys int
+	ElapsedMs    int64
+	// ShuffleMs and MergeMs break the engine time down: the summed
+	// reduce-task shuffle time and the final-merge wall time across
+	// fragments (see mapreduce.Stats).
+	ShuffleMs int64
+	MergeMs   int64
+	// Pairs is the complete key-sorted (word, count) run, present only
+	// when the request set EmitPairs.
+	Pairs []WordFreq
+}
+
 // WordCountMerge folds per-fragment counts: partial counts add.
 func WordCountMerge(acc, next int) int { return partition.SumMerge(acc, next) }
 
