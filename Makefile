@@ -77,15 +77,15 @@ chaos-heal:
 # flake loops the push front door and the chaos suites under the race
 # detector, FLAKE_COUNT times each (CI runs a short count): the notify
 # stream, its inline payloads, reassembly, size probe and fallbacks (fleet
-# word counts whose fragment answers must all ride their notifies, at a
+# word counts whose bundle answers must all ride their notifies, at a
 # one-second and at the default 25 ms router tick, included), responses
 # longer than the router's scan buffer, the push/poll differential, daemon
 # shutdown joins, the probe's heartbeat memo, the fleet's corrupt-replica
-# fallback, the scheduler's memory admission and the nfs pipeline's
-# disconnect handling. A tier-1 test that fails one run in fifty here is a
+# fallback, late-answer drop and no-median speculation rule, the
+# scheduler's memory admission and the nfs pipeline's disconnect handling. A tier-1 test that fails one run in fifty here is a
 # bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestPipelineDisconnect
+FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestPipelineDisconnect
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched
 

@@ -230,11 +230,11 @@ func TestChaosCrashRestartExactlyOnce(t *testing.T) {
 }
 
 // TestChaosFleetNodeKillMidJob scatters a word count over three SD
-// daemons, then kills one mid-job — while it is provably executing a
-// fragment and with transient faults injected into its share. The fleet
-// coordinator must mark the node down, re-place its fragments on the
-// survivors, and still produce output byte-identical to a single-node run
-// with every fragment answered exactly once.
+// daemons, one bundle each, then kills one mid-job — while it is provably
+// executing its bundle and with transient faults injected into its share.
+// The fleet coordinator must mark the node down, re-place the bundle whole
+// on a survivor, and still produce output byte-identical to a single-node
+// run with every bundle answered exactly once.
 func TestChaosFleetNodeKillMidJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
@@ -263,11 +263,15 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 	want := fleet.CanonicalWordCount(&refOut)
 
 	// Three daemons over their own shares; node 0 is the victim. Its first
-	// word-count invocation parks mid-execution (closing started) until its
-	// daemon dies, so the kill is guaranteed to land mid-fragment.
+	// word-count invocation, its bundle, parks mid-execution (closing
+	// started) until its daemon dies, so the kill is guaranteed to land
+	// while the bundle is in flight.
 	const victim = 0
 	started := make(chan struct{})
-	var startedOnce sync.Once
+	var (
+		startedOnce  sync.Once
+		parkedParams []byte // the parked invocation's; written before started closes
+	)
 	nodes := make([]fleet.Node, 3)
 	var victimKill func()
 	for i := range nodes {
@@ -283,7 +287,10 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 				first = false
 				mu.Unlock()
 				if blocking {
-					startedOnce.Do(func() { close(started) })
+					startedOnce.Do(func() {
+						parkedParams = p
+						close(started)
+					})
 					<-ctx.Done() // park until the daemon dies
 					return nil, ctx.Err()
 				}
@@ -346,11 +353,15 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	// Kill the victim only once it is provably mid-fragment.
+	// Kill the victim only once it is provably mid-bundle.
 	select {
 	case <-started:
 	case <-time.After(30 * time.Second):
-		t.Fatal("timed out waiting for the victim to start a fragment")
+		t.Fatal("timed out waiting for the victim to start its bundle")
+	}
+	var parked core.WordCountParams
+	if err := json.Unmarshal(parkedParams, &parked); err != nil || len(parked.Ranges) < 2 {
+		t.Fatalf("the victim parked on %d ranges (err %v), want its multi-range bundle", len(parked.Ranges), err)
 	}
 	victimKill()
 
@@ -373,17 +384,20 @@ func TestChaosFleetNodeKillMidJob(t *testing.T) {
 		t.Errorf("MovedFragments = %d, want >= 1 (re-placement off the dead node)", out.res.Stats.MovedFragments)
 	}
 
-	// Exactly once: every fragment has one winning result, and none of the
-	// winners is the dead node's parked fragment.
+	// Exactly once: every bundle, one per node, has one winning result,
+	// and none of the winners is the dead node.
 	seen := make(map[int]bool)
 	for _, fr := range out.res.Fragments {
 		if seen[fr.Index] {
-			t.Fatalf("fragment %d returned twice", fr.Index)
+			t.Fatalf("bundle %d returned twice", fr.Index)
 		}
 		seen[fr.Index] = true
+		if fr.Node == "sd-a" {
+			t.Fatalf("bundle %d won on the killed node", fr.Index)
+		}
 	}
-	if len(seen) != len(out.res.Fragments) {
-		t.Fatalf("fragment set inconsistent: %d unique of %d", len(seen), len(out.res.Fragments))
+	if len(seen) != len(nodes) {
+		t.Fatalf("%d bundles answered, want one per node (%d)", len(seen), len(nodes))
 	}
 }
 

@@ -437,7 +437,7 @@ func wordcount(ctx context.Context, rt *core.Runtime, args []string) error {
 func fleetWordcount(ctx context.Context, addrs []string, args []string) error {
 	fs := flag.NewFlagSet("wordcount", flag.ContinueOnError)
 	file := fs.String("file", "", "data file reachable from every SD node")
-	fragFlag := fs.String("fragment", "", "scatter fragment size (e.g. 64M); empty = 4 fragments per node")
+	fragFlag := fs.String("fragment", "", "placement range size (e.g. 64M); empty = 4 ranges per node")
 	partFlag := fs.String("partition", "", "node-side partition size within a fragment; empty = native")
 	top := fs.Int("top", 20, "rows of the frequency table to print")
 	workers := fs.Int("workers", 0, "per-node worker override (0 = node default)")
@@ -496,10 +496,10 @@ func fleetWordcount(ctx context.Context, addrs []string, args []string) error {
 		return err
 	}
 	out := res.Output
-	fmt.Printf("total words: %d  unique: %d  fragments: %d  (scattered over %d nodes)\n",
+	fmt.Printf("total words: %d  unique: %d  bundles: %d  (scattered over %d nodes)\n",
 		out.TotalWords, out.UniqueWords, len(res.Fragments), len(nodes))
 	for _, n := range nodes {
-		fmt.Printf("node %-22s %d fragments\n", n.Name, res.Stats.PerNode[n.Name])
+		fmt.Printf("node %-22s %d bundles\n", n.Name, res.Stats.PerNode[n.Name])
 	}
 	if res.Stats.Speculations+res.Stats.NodeFailures+res.Stats.QueueSteals > 0 {
 		fmt.Printf("speculated: %d  re-placed: %d  stolen: %d  node failures: %d\n",

@@ -37,8 +37,8 @@ func (s *logReadCounter) ReadAt(name string, p []byte, off int64) (int, error) {
 	return s.Client.ReadAt(name, p, off)
 }
 
-// pushSDDiskBps paces each SD node's modelled disk: a ~175 KiB fragment
-// takes ~45 ms to scan, so every attempt outlasts a 25 ms router tick.
+// pushSDDiskBps paces each SD node's modelled disk: a ~175 KiB range takes
+// ~45 ms to scan, so every attempt outlasts a 25 ms router tick.
 const pushSDDiskBps = 4e6
 
 // startPushSD boots one SD node over dir the way mcsdd runs: a file
@@ -86,13 +86,14 @@ func startPushSD(t *testing.T, dir string) string {
 }
 
 // TestFleetWordCountRidesTheNotify runs a fleet word count over two live
-// SD nodes at the fleet benchmark's fragment shape (~175 KiB ranges). Each
-// fragment answers with a front-coded pair run small enough that two fit
-// one response batch, and a batch fits one inline notify: the host's
-// routers must deliver every answer from the notifies alone — not one read
-// of the module log, no fall back to polling — and the folded output must
-// be byte-identical to a single-node run. A one-second interval puts the
-// routers' size probe ten seconds out: only the notifies can answer.
+// SD nodes at the fleet benchmark's range shape (~175 KiB ranges). Each
+// node answers its bundle of ranges with one merged front-coded pair run
+// small enough for one response batch, and a batch fits one inline
+// notify: the host's routers must deliver every answer from the notifies
+// alone — not one read of the module log, no fall back to polling — and
+// the folded output must be byte-identical to a single-node run. A
+// one-second interval puts the routers' size probe ten seconds out: only
+// the notifies can answer.
 func TestFleetWordCountRidesTheNotify(t *testing.T) {
 	fleetWordCountRidesTheNotify(t, time.Second)
 }

@@ -92,27 +92,25 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 			}
 			store := cfg.Store
 			if p.Sealed {
-				if p.RangeBytes > 0 {
+				if len(p.Ranges) > 0 {
 					return nil, fmt.Errorf("core: wordcount: sealed fragments exclude byte ranges")
 				}
 				store = SealedStore(store)
 			}
 			var input io.Reader
-			if p.RangeBytes > 0 {
-				// Fleet scatter unit: open one byte of lead-in context and
-				// serve the word-aligned view of the byte range. The scan
-				// length is declared so remote stores prefetch only the
-				// range, not their full read-ahead window.
-				lead := partition.LeadIn(p.RangeOffset)
-				f, err := OpenRange(store, p.DataFile, lead, p.RangeOffset+p.RangeBytes-lead)
+			if len(p.Ranges) > 0 {
+				// Fleet bundle: the word-aligned views of the ranges, back
+				// to back. Each range declares its scan length, so remote
+				// stores prefetch only the range, not their full read-ahead
+				// window.
+				rc, err := partition.NewRangeChain(p.Ranges, func(off, length int64) (io.ReadCloser, error) {
+					return OpenRange(store, p.DataFile, off, length)
+				})
 				if err != nil {
 					return nil, err
 				}
-				defer f.Close()
-				input, err = partition.NewRangeReader(f, p.RangeOffset, p.RangeOffset+p.RangeBytes, nil)
-				if err != nil {
-					return nil, err
-				}
+				defer rc.Close()
+				input = rc
 			} else {
 				f, err := store.Open(p.DataFile)
 				if err != nil {

@@ -492,7 +492,7 @@ func TestWordCountModuleRangeScatter(t *testing.T) {
 		}
 		raw, err := mod.Run(context.Background(), mustEncode(t, WordCountParams{
 			DataFile: "corpus.txt", PartitionBytes: 4 << 10,
-			RangeOffset: off, RangeBytes: n, EmitPairs: true,
+			Ranges: [][2]int64{{off, off + n}}, EmitPairs: true,
 		}))
 		if err != nil {
 			t.Fatalf("range at %d: %v", off, err)

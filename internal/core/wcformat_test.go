@@ -195,7 +195,7 @@ func TestWordCountOutputSizePin(t *testing.T) {
 	writeFile(t, dir, "corpus.txt", workloads.GenerateTextBytes(2*rangeBytes, 2012))
 	mod := WordCountModule(ModuleConfig{Store: store, Workers: 1})
 	raw, err := mod.Run(context.Background(), mustEncode(t, WordCountParams{
-		DataFile: "corpus.txt", RangeOffset: rangeBytes / 2, RangeBytes: rangeBytes, EmitPairs: true, TopN: 1,
+		DataFile: "corpus.txt", Ranges: [][2]int64{{rangeBytes / 2, rangeBytes / 2 * 3}}, EmitPairs: true, TopN: 1,
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,8 @@ type Config struct {
 	// (an unresponsive node then hangs the job).
 	AttemptTimeout time.Duration
 	// StragglerFactor speculates an attempt older than factor x the median
-	// completed-attempt time (default 3).
+	// completed-attempt time (default 3). Nothing is speculated before an
+	// attempt of the job has completed.
 	StragglerFactor float64
 	// MinStragglerAge floors the speculation threshold so short jobs are
 	// not speculated on noise (default 500ms).
@@ -164,6 +165,12 @@ type Fragment struct {
 	// holders, and a holder that serves corrupt data is excluded per
 	// fragment instead of marked down.
 	Replicas []string
+	// Home optionally names the node a shared-file fragment is first
+	// queued on, in place of the ring owner of Key: a planner that balances
+	// the load itself pins its choice here. Unlike Replicas it restricts
+	// nothing; stealing, speculation and failover along Rank(Key) work as
+	// for any shared-file fragment, and the Store never heals it.
+	Home string
 	// Params is the encoded module parameter payload.
 	Params []byte
 }
@@ -328,6 +335,14 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 				}
 			}
 			nodes[f.Replicas[0]].queue = append(nodes[f.Replicas[0]].queue, i)
+			continue
+		}
+		if f.Home != "" {
+			home, known := nodes[f.Home]
+			if !known {
+				return nil, stats, fmt.Errorf("fleet: fragment %d: unknown home node %q", f.Index, f.Home)
+			}
+			home.queue = append(home.queue, i)
 			continue
 		}
 		owner, ok := c.ring.Owner(f.Key)
@@ -597,19 +612,18 @@ func (c *Coordinator) execute(ctx context.Context, module string, frags []Fragme
 	}
 
 	// speculate re-executes attempts that have run well past the median.
+	// Until an attempt of this job has completed there is no median, and
+	// an attempt is not a straggler just for being older than the floor:
+	// a job of a few long attempts (one bundle per node) would otherwise
+	// be re-executed whole at the first tick past MinStragglerAge.
 	speculate := func() {
-		if len(inFlight) == 0 {
+		if len(inFlight) == 0 || len(durations) == 0 {
 			return
 		}
-		threshold := c.cfg.MinStragglerAge
-		if len(durations) > 0 {
-			ds := make([]time.Duration, len(durations))
-			copy(ds, durations)
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-			if t := time.Duration(float64(ds[len(ds)/2]) * c.cfg.StragglerFactor); t > threshold {
-				threshold = t
-			}
-		}
+		ds := make([]time.Duration, len(durations))
+		copy(ds, durations)
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		threshold := max(c.cfg.MinStragglerAge, time.Duration(float64(ds[len(ds)/2])*c.cfg.StragglerFactor))
 		for key, started := range inFlight {
 			fi := key.frag
 			if done[fi] || fragLive[fi] >= c.cfg.MaxAttempts || time.Since(started) < threshold {

@@ -207,6 +207,49 @@ func TestExecuteSpeculationAndFirstWinsDedup(t *testing.T) {
 	}
 }
 
+// TestExecuteNoSpeculationWithoutMedian runs one equally slow attempt per
+// node, each pinned Home and each well past MinStragglerAge before any
+// completes. With no completed attempt there is no median to straggle
+// behind, so nothing may be speculated; once the first lands, the others
+// are within the median of it.
+func TestExecuteNoSpeculationWithoutMedian(t *testing.T) {
+	slow := func(ctx context.Context, id string, params []byte) ([]byte, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(150 * time.Millisecond):
+		}
+		return params, nil
+	}
+	nodes := []Node{
+		{Name: "sd0", Session: &fakeSession{name: "sd0", behave: slow}},
+		{Name: "sd1", Session: &fakeSession{name: "sd1", behave: slow}},
+		{Name: "sd2", Session: &fakeSession{name: "sd2", behave: slow}},
+	}
+	c := NewCoordinator(nodes, fastConfig())
+	frags := testFragments(3)
+	for i := range frags {
+		frags[i].Home = nodes[i].Name
+	}
+	results, stats, err := c.Execute(context.Background(), "m", frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Node != nodes[i].Name {
+			t.Fatalf("fragment %d ran on %s, not its home %s", i, r.Node, nodes[i].Name)
+		}
+	}
+	if stats.Speculations != 0 || stats.Dispatches != 3 {
+		t.Fatalf("%d speculations in %d dispatches, want 0 in 3", stats.Speculations, stats.Dispatches)
+	}
+
+	frags[0].Home = "ghost"
+	if _, _, err := c.Execute(context.Background(), "m", frags); err == nil {
+		t.Fatal("unknown home node accepted")
+	}
+}
+
 func TestExecuteNodeFailureRePlaces(t *testing.T) {
 	// sd1 dies on every attempt with a transport error; its fragments must
 	// re-place onto survivors and the job still completes exactly once.

@@ -1,11 +1,11 @@
 // Package fleet turns the single-SD engine into an N-node scatter/gather
-// cluster: rendezvous-hash placement of partition fragments across smart
-// storage nodes, a host-side coordinator that fans fragment jobs out over
-// per-node smartFAM sessions with straggler re-execution, and a cross-node
-// merge that streams per-fragment sorted runs through the engine's
-// loser-tree so the final result is byte-identical to single-node
-// execution (ROADMAP multi-SD scale-out; the paper's §VI "parallelisms
-// among multiple McSD smart disks").
+// cluster: rendezvous-hash placement of a file's byte ranges across smart
+// storage nodes, a host-side coordinator that fans jobs out over per-node
+// smartFAM sessions with failover and straggler re-execution, and a word
+// count that sends each node one bundle of its ranges and folds the one
+// sorted run each node answers with into a result byte-identical to
+// single-node execution (the paper's §VI "parallelisms among multiple McSD
+// smart disks"). It is also the replicated object store and its scrubber.
 package fleet
 
 import (
@@ -137,10 +137,11 @@ func (r *Ring) Owner(key string) (node string, ok bool) {
 // ring would pick with the dead node removed (the minimal-movement
 // property extended to failover).
 func (r *Ring) Rank(key string) []string {
-	r.mu.RLock()
-	nodes := make([]string, len(r.nodes))
-	copy(nodes, r.nodes)
-	r.mu.RUnlock()
+	return rank(r.Nodes(), key)
+}
+
+// rank sorts nodes, in place, into key's preference list.
+func rank(nodes []string, key string) []string {
 	sort.SliceStable(nodes, func(i, j int) bool {
 		si, sj := score(nodes[i], key), score(nodes[j], key)
 		if si != sj {
@@ -149,4 +150,35 @@ func (r *Ring) Rank(key string) []string {
 		return nodes[i] < nodes[j]
 	})
 	return nodes
+}
+
+// BoundedOwners places keys by bounded-load HRW: in key order, each key
+// goes to the highest-ranked node in its Rank that holds fewer than
+// ⌈len(keys)/N⌉ keys so far. A key therefore stays with its HRW owner
+// while that owner has room, and no node ends up with more than its even
+// share. Plain HRW is fair only in expectation; over a few dozen keys it
+// can be badly skewed (48 fragment keys on 4 nodes: 22/10/9/7), which
+// matters when each node's keys run as one unit that cannot be rebalanced
+// once started. The result is deterministic for a given membership and
+// key list, and nil on an empty ring.
+func (r *Ring) BoundedOwners(keys []string) []string {
+	members := r.Nodes()
+	if len(members) == 0 {
+		return nil
+	}
+	limit := (len(keys) + len(members) - 1) / len(members)
+	load := make(map[string]int, len(members))
+	owners := make([]string, len(keys))
+	prefs := make([]string, len(members))
+	for i, k := range keys {
+		copy(prefs, members)
+		for _, node := range rank(prefs, k) {
+			if load[node] < limit {
+				owners[i] = node
+				load[node]++
+				break
+			}
+		}
+	}
+	return owners
 }

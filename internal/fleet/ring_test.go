@@ -221,6 +221,61 @@ func TestRingLeaveMovesBoundedReplicaSlots(t *testing.T) {
 	}
 }
 
+// TestRingBoundedOwners checks bounded-load placement: deterministic
+// across instances and join orders, no node past ⌈keys/N⌉, and every key
+// on its HRW owner whenever that owner still had room when the key came.
+func TestRingBoundedOwners(t *testing.T) {
+	for _, tc := range []struct{ keys, nodes int }{{48, 4}, {9, 8}, {13, 3}, {200, 5}, {3, 4}, {0, 2}} {
+		names := make([]string, tc.nodes)
+		for i := range names {
+			names[i] = fmt.Sprintf("sd%d", i)
+		}
+		r := NewRing(names...)
+		rev := NewRing()
+		for i := len(names) - 1; i >= 0; i-- {
+			rev.Add(names[i])
+		}
+		keys := ringKeys(tc.keys)
+		owners := r.BoundedOwners(keys)
+		if again := rev.BoundedOwners(keys); fmt.Sprint(again) != fmt.Sprint(owners) {
+			t.Fatalf("%d keys on %d nodes: placement depends on the instance:\n%v\n%v", tc.keys, tc.nodes, owners, again)
+		}
+		limit := (tc.keys + tc.nodes - 1) / tc.nodes
+		load := map[string]int{}
+		for i, k := range keys {
+			if owner, _ := r.Owner(k); load[owner] < limit && owners[i] != owner {
+				t.Fatalf("%d keys on %d nodes: key %q went to %s while its owner %s had room", tc.keys, tc.nodes, k, owners[i], owner)
+			}
+			load[owners[i]]++
+			if load[owners[i]] > limit {
+				t.Fatalf("%d keys on %d nodes: %s holds %d keys, cap %d", tc.keys, tc.nodes, owners[i], load[owners[i]], limit)
+			}
+		}
+	}
+	if NewRing().BoundedOwners(ringKeys(3)) != nil {
+		t.Fatal("empty ring placed keys")
+	}
+}
+
+// TestRingGoldenBoundedPlacement pins the fleet_wc shape: perfbench's 48
+// range keys on its four nodes. Plain HRW skews them 22/10/9/7 (sd3 would
+// run 1.8× its share as one bundle); bounded-load placement evens them.
+func TestRingGoldenBoundedPlacement(t *testing.T) {
+	r := NewRing("sd0", "sd1", "sd2", "sd3")
+	keys := ringKeys(48)
+	plain, bounded := map[string]int{}, map[string]int{}
+	for i, owner := range r.BoundedOwners(keys) {
+		o, _ := r.Owner(keys[i])
+		plain[o]++
+		bounded[owner]++
+	}
+	wantPlain := map[string]int{"sd0": 10, "sd1": 9, "sd2": 7, "sd3": 22}
+	wantBounded := map[string]int{"sd0": 12, "sd1": 12, "sd2": 12, "sd3": 12}
+	if fmt.Sprint(plain) != fmt.Sprint(wantPlain) || fmt.Sprint(bounded) != fmt.Sprint(wantBounded) {
+		t.Fatalf("plain HRW %v, bounded %v; want pinned %v and %v", plain, bounded, wantPlain, wantBounded)
+	}
+}
+
 func TestRingGoldenReplicaPlacement(t *testing.T) {
 	// Pinned R=2 preference prefixes: the replicated store depends on these
 	// never drifting, or every deployed fleet would lose track of its

@@ -22,13 +22,14 @@ type WordCountJob struct {
 	// TotalBytes is the file size; the coordinator plans ranges from it
 	// without touching file content.
 	TotalBytes int64
-	// FragmentBytes is the scatter granularity (draft range size; the
+	// FragmentBytes is the placement granularity (draft range size; the
 	// word alignment happens node-side). Zero or >= TotalBytes means one
-	// fragment.
+	// range.
 	FragmentBytes int64
-	// PartitionBytes is the node-side partition size within a range
-	// (workloads.WordCountParams semantics: 0 native, core.AutoPartition
-	// to let the node pick).
+	// PartitionBytes is the node-side partition size within a bundle
+	// (workloads.WordCountParams semantics, core.AutoPartition to let the
+	// node pick). Zero means FragmentBytes: one partition per range, so a
+	// node's engine counts one range while its disk serves the next.
 	PartitionBytes int64
 	// Workers overrides each node's worker count (0 = node default).
 	Workers int
@@ -44,16 +45,18 @@ type WordCountResult struct {
 	// and Top for identical input, regardless of node count, placement,
 	// straggler re-execution or failover.
 	Output workloads.WordCountOutput
-	// Fragments are the per-fragment wins, in index order.
+	// Fragments are the winning attempts, in index order: one per bundle
+	// for WordCount, one per sealed object for WordCountSealed.
 	Fragments []FragmentResult
 	// Stats is the coordinator's dispatch accounting.
 	Stats Stats
 }
 
-// WordCount scatters the file's ranges across the fleet and folds each
-// node's sorted (word, count) run into the result as it lands. Addition is
-// commutative and associative and the final key sort is total, so the
-// output is byte-identical to a single-node execution of the same file.
+// WordCount scatters the file's ranges across the fleet as one bundle per
+// node and folds each node's sorted (word, count) run into the result as
+// it lands. Addition is commutative and associative and the final key sort
+// is total, so the output is byte-identical to a single-node execution of
+// the same file.
 func (c *Coordinator) WordCount(ctx context.Context, job WordCountJob) (*WordCountResult, error) {
 	if job.DataFile == "" {
 		return nil, fmt.Errorf("fleet: wordcount requires a data file")
@@ -61,32 +64,58 @@ func (c *Coordinator) WordCount(ctx context.Context, job WordCountJob) (*WordCou
 	if job.TotalBytes <= 0 {
 		return nil, fmt.Errorf("fleet: wordcount requires the file size, got %d", job.TotalBytes)
 	}
-	frags, err := rangeFragments(job)
+	frags, err := c.bundleFragments(job)
 	if err != nil {
 		return nil, err
 	}
 	return c.gatherWordCount(ctx, frags, job.TopN)
 }
 
-// rangeFragments plans a job's scatter units: one EmitPairs word count per
-// aligned byte range, placed by "<file>#<index>".
-func rangeFragments(job WordCountJob) ([]Fragment, error) {
+// bundleFragments plans a shared-file job as one bundle per node. The
+// file's aligned ranges are placed by bounded-load HRW over their
+// "<file>#<index>" keys (Ring.BoundedOwners), and each node's ranges
+// travel as one EmitPairs word count that the node answers with one merged
+// run. A bundle is keyed "<file>@<node>", pinned Home to its node, and
+// never split: it is dispatched, re-placed and folded whole, so every
+// range is counted exactly once by the existing one-correlation-ID,
+// first-wins rule (DESIGN.md §5g).
+func (c *Coordinator) bundleFragments(job WordCountJob) ([]Fragment, error) {
 	ranges := partition.AlignedRanges(job.TotalBytes, job.FragmentBytes)
-	frags := make([]Fragment, len(ranges))
-	for i, rg := range ranges {
+	keys := make([]string, len(ranges))
+	for i := range ranges {
+		keys[i] = fmt.Sprintf("%s#%d", job.DataFile, i)
+	}
+	owners := c.ring.BoundedOwners(keys)
+	if owners == nil {
+		return nil, fmt.Errorf("fleet: %w", ErrNoNodes)
+	}
+	partBytes := job.PartitionBytes
+	if partBytes == 0 && job.FragmentBytes > 0 {
+		partBytes = job.FragmentBytes
+	}
+	var frags []Fragment
+	for _, n := range c.nodes {
+		var mine [][2]int64
+		for i, owner := range owners {
+			if owner == n.Name {
+				mine = append(mine, ranges[i])
+			}
+		}
+		if len(mine) == 0 {
+			continue
+		}
 		params, err := json.Marshal(workloads.WordCountParams{
 			DataFile:       job.DataFile,
-			PartitionBytes: job.PartitionBytes,
+			PartitionBytes: partBytes,
 			Workers:        job.Workers,
-			RangeOffset:    rg[0],
-			RangeBytes:     rg[1] - rg[0],
+			Ranges:         mine,
 			EmitPairs:      true,
-			TopN:           1, // per-range tops are discarded; keep them tiny
+			TopN:           1, // per-bundle tops are discarded; keep them tiny
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fleet: encoding fragment %d: %w", i, err)
+			return nil, fmt.Errorf("fleet: encoding %s's bundle: %w", n.Name, err)
 		}
-		frags[i] = Fragment{Index: i, Key: fmt.Sprintf("%s#%d", job.DataFile, i), Params: params}
+		frags = append(frags, Fragment{Index: len(frags), Key: job.DataFile + "@" + n.Name, Home: n.Name, Params: params})
 	}
 	return frags, nil
 }

@@ -8,8 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,11 +84,12 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		c := wcFleet(t, dir, n, nil)
-		res, err := c.WordCount(context.Background(), fleet.WordCountJob{
+		job := fleet.WordCountJob{
 			DataFile:      "corpus.txt",
 			TotalBytes:    int64(len(text)),
 			FragmentBytes: 24 << 10,
-		})
+		}
+		res, err := c.WordCount(context.Background(), job)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,24 +99,43 @@ func TestFleetWordCountMatchesSingleNode(t *testing.T) {
 		if n > 1 && len(res.Stats.PerNode) < 2 {
 			t.Fatalf("n=%d: work did not spread: %v", n, res.Stats.PerNode)
 		}
-		if len(res.Fragments) != len(partitionRangeCount(int64(len(text)), 24<<10)) {
-			t.Fatalf("n=%d: %d fragments", n, len(res.Fragments))
+		// One bundle per node that owns ranges, together naming every range.
+		plan, err := c.BundleFragments(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges := 0
+		for _, b := range plan {
+			ranges += len(bundleRanges(t, b))
+		}
+		if len(res.Fragments) != len(plan) || len(plan) > n || ranges != (len(text)+24<<10-1)/(24<<10) {
+			t.Fatalf("n=%d: %d bundles answered, %d planned naming %d ranges", n, len(res.Fragments), len(plan), ranges)
 		}
 	}
 }
 
-// TestFleetNodeCombinePrediction puts the saving of a node-level combine on
-// record at perfbench's fleet_wc shape — 8 MiB of the generator's Zipf
-// text, 48 fragments, 4 nodes under HRW placement. It sums the distinct
-// keys, and the binary run bytes, that the fragments answer with against
-// one merged run per node, a node's keys being the union of its
-// fragments'. DESIGN.md §5g quotes the logged numbers.
+// bundleRanges decodes the byte ranges a bundle names.
+func bundleRanges(t *testing.T, b fleet.Fragment) [][2]int64 {
+	t.Helper()
+	var p core.WordCountParams
+	if err := json.Unmarshal(b.Params, &p); err != nil {
+		t.Fatal(err)
+	}
+	return p.Ranges
+}
+
+// TestFleetNodeCombinePrediction pins what the shipped planner sends at
+// perfbench's fleet_wc shape: 8 MiB of the generator's Zipf text in 48
+// ranges over 4 nodes, with perfbench's file and node names, so the same
+// placement. Bounded-load placement gives every node 12 ranges. Each
+// node's bundle answers with one merged run whose response record still
+// rides one inline notify (64 KiB), and the four runs together are at most
+// a quarter of the 48 per-range runs they replace. DESIGN.md §5g quotes
+// the logged numbers.
 func TestFleetNodeCombinePrediction(t *testing.T) {
 	if testing.Short() {
-		t.Skip("word-counts 8 MiB")
+		t.Skip("word-counts 8 MiB twice")
 	}
-	// perfbench's file name, node names and corpus generator seed: the
-	// same fragment keys, so the same placement.
 	dir := t.TempDir()
 	text := workloads.GenerateTextBytes(8<<20, 2012)
 	if err := os.MkdirAll(filepath.Join(dir, "data"), 0o755); err != nil {
@@ -126,73 +145,58 @@ func TestFleetNodeCombinePrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fragments, nodes = 48, 4
-	frags, err := fleet.RangeFragments(fleet.WordCountJob{
+	job := fleet.WordCountJob{
 		DataFile:      "data/corpus.txt",
 		TotalBytes:    int64(len(text)),
 		FragmentBytes: (int64(len(text)) + fragments - 1) / fragments,
-	})
+	}
+	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
+	run := func(params []byte) []byte {
+		raw, err := mod.Run(context.Background(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	frags, err := fleet.RangeFragments(job)
 	if err != nil || len(frags) != fragments {
 		t.Fatalf("%d fragments, err %v", len(frags), err)
 	}
-	ring := fleet.NewRing()
-	for i := 0; i < nodes; i++ {
-		ring.Add(fmt.Sprintf("sd%d", i))
-	}
-	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
-	perNode := make(map[string]map[string]int)
-	fragKeys, fragBytes := 0, 0
+	fragBytes := 0
 	for _, fr := range frags {
-		raw, err := mod.Run(context.Background(), fr.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out core.WordCountOutput
-		if err := core.Decode(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		fragKeys += len(out.Pairs)
-		fragBytes += len(raw)
-		owner, _ := ring.Owner(fr.Key)
-		if perNode[owner] == nil {
-			perNode[owner] = make(map[string]int)
-		}
-		for _, p := range out.Pairs {
-			perNode[owner][p.Word] += p.Count
-		}
+		fragBytes += len(run(fr.Params))
 	}
-	nodeKeys, nodeBytes := 0, 0
-	for _, counts := range perNode {
-		run := core.WordCountOutput{UniqueWords: len(counts)}
-		for w, n := range counts {
-			run.Pairs = append(run.Pairs, core.WordFreq{Word: w, Count: n})
-			run.TotalWords += int64(n)
+
+	ns := make([]fleet.Node, nodes)
+	for i := range ns {
+		ns[i] = fleet.Node{Name: fmt.Sprintf("sd%d", i)}
+	}
+	plan, err := fleet.NewCoordinator(ns, fleet.Config{}).BundleFragments(job)
+	if err != nil || len(plan) != nodes {
+		t.Fatalf("%d bundles, err %v", len(plan), err)
+	}
+	nodeBytes := 0
+	for _, b := range plan {
+		if got := len(bundleRanges(t, b)); got != fragments/nodes {
+			t.Fatalf("%s's bundle names %d ranges, want %d", b.Home, got, fragments/nodes)
 		}
-		slices.SortFunc(run.Pairs, func(a, b core.WordFreq) int { return strings.Compare(a.Word, b.Word) })
-		for _, p := range workloads.TopWords(counts, 1) {
-			run.Top = append(run.Top, core.WordFreq{Word: p.Key, Count: p.Value})
-		}
-		raw, err := run.MarshalBinary()
+		raw := run(b.Params)
+		rec, err := smartfam.Record{Kind: smartfam.KindResponse, ID: smartfam.NewID(), Status: smartfam.StatusOK, Payload: raw}.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodeKeys += len(counts)
+		if len(rec) > smartfam.DefaultBatchBytes {
+			t.Fatalf("%s's response record is %d B, past the %d B inline notify", b.Home, len(rec), smartfam.DefaultBatchBytes)
+		}
+		t.Logf("%s: run %d B, response record %d B", b.Home, len(raw), len(rec))
 		nodeBytes += len(raw)
 	}
-	if len(perNode) != nodes {
-		t.Fatalf("HRW placed the fragments on %d nodes, want %d", len(perNode), nodes)
+	t.Logf("binary run bytes: %d over %d ranges, %d over %d bundles (%.1f %%)",
+		fragBytes, fragments, nodeBytes, nodes, 100*float64(nodeBytes)/float64(fragBytes))
+	if 4*nodeBytes > fragBytes {
+		t.Fatalf("bundle runs %d B are more than a quarter of the per-range runs' %d B", nodeBytes, fragBytes)
 	}
-	t.Logf("distinct keys: %d summed over %d fragments, %d over %d nodes (%.1f %%)",
-		fragKeys, fragments, nodeKeys, nodes, 100*float64(nodeKeys)/float64(fragKeys))
-	t.Logf("binary run bytes: %d over fragments, %d over nodes (%.1f %%)",
-		fragBytes, nodeBytes, 100*float64(nodeBytes)/float64(fragBytes))
-	if nodeKeys >= fragKeys || nodeBytes >= fragBytes {
-		t.Fatalf("a node's union of keys saved nothing: %d vs %d keys, %d vs %d B", nodeKeys, fragKeys, nodeBytes, fragBytes)
-	}
-}
-
-func partitionRangeCount(total, frag int64) []struct{} {
-	n := int((total + frag - 1) / frag)
-	return make([]struct{}, n)
 }
 
 func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
@@ -204,14 +208,13 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 	ref := singleNodeReference(t, dir, 0)
 	want := fleet.CanonicalWordCount(ref)
 
-	// Node 0 dies on every attempt after its first success.
+	// Node 0 dies on its bundle, its one attempt: the bundle must move
+	// whole to a survivor.
 	var calls atomic.Int64
 	wraps := map[int]func(func() ([]byte, error)) ([]byte, error){
-		0: func(next func() ([]byte, error)) ([]byte, error) {
-			if calls.Add(1) > 1 {
-				return nil, errors.New("smartfam: transport torn down")
-			}
-			return next()
+		0: func(func() ([]byte, error)) ([]byte, error) {
+			calls.Add(1)
+			return nil, errors.New("smartfam: transport torn down")
 		},
 	}
 	c := wcFleet(t, dir, 3, wraps)
@@ -226,8 +229,106 @@ func TestFleetWordCountSurvivesNodeDeath(t *testing.T) {
 	if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
 		t.Fatal("output differs from single-node reference after node death")
 	}
-	if res.Stats.NodeFailures != 1 {
-		t.Fatalf("NodeFailures = %d, want 1", res.Stats.NodeFailures)
+	if calls.Load() != 1 || res.Stats.NodeFailures != 1 || res.Stats.MovedFragments != 1 {
+		t.Fatalf("%d attempts on the dead node, %d node failures, %d bundles moved; want 1, 1, 1",
+			calls.Load(), res.Stats.NodeFailures, res.Stats.MovedFragments)
+	}
+	if len(res.Fragments) != 3 {
+		t.Fatalf("%d bundles answered, want 3", len(res.Fragments))
+	}
+	for _, fr := range res.Fragments {
+		if fr.Node == nodeName(0) {
+			t.Fatalf("bundle %d won on the dead node", fr.Index)
+		}
+	}
+}
+
+// TestFleetWordCountDropsLateBundleAnswer lets a-sd's bundle straggle: a
+// speculative copy wins it on another node, and a-sd's own answer, a
+// correct run of the same ranges, lands after that win while c-sd's bundle
+// still holds the job open. Folding it would double every count in those
+// ranges, so the byte-identical output shows first-wins dropped it, and
+// Stats counts it as a duplicate.
+func TestFleetWordCountDropsLateBundleAnswer(t *testing.T) {
+	dir := t.TempDir()
+	text := workloads.GenerateTextBytes(90_000, 17)
+	if err := os.WriteFile(filepath.Join(dir, "corpus.txt"), text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fleet.CanonicalWordCount(singleNodeReference(t, dir, 0))
+	job := fleet.WordCountJob{DataFile: "corpus.txt", TotalBytes: int64(len(text)), FragmentBytes: 12 << 10}
+
+	var (
+		homeOf   = make(map[string]string) // bundle params -> home node; written before the job
+		specWon  = make(chan struct{})     // a-sd's bundle has been answered elsewhere
+		lateSent = make(chan struct{})     // a-sd's late answer is on its way
+		specOnce sync.Once
+	)
+	wait := func(ctx context.Context, ch <-chan struct{}, d time.Duration) error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ch:
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(d):
+			return nil
+		}
+	}
+	mod := core.WordCountModule(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1})
+	script := func(node string) func(context.Context, []byte, func() ([]byte, error)) ([]byte, error) {
+		return func(ctx context.Context, params []byte, run func() ([]byte, error)) ([]byte, error) {
+			switch home := homeOf[string(params)]; {
+			case home == "a-sd" && node == "a-sd":
+				// The straggler answers, correctly, after its copy has won.
+				if err := wait(ctx, specWon, 100*time.Millisecond); err != nil {
+					return nil, err
+				}
+				defer close(lateSent)
+				return run()
+			case home == "a-sd":
+				defer specOnce.Do(func() { close(specWon) })
+			case home == "c-sd":
+				// Every attempt at c-sd's bundle holds the job open until the
+				// late answer has landed.
+				if err := wait(ctx, lateSent, 100*time.Millisecond); err != nil {
+					return nil, err
+				}
+			}
+			return run()
+		}
+	}
+	nodes := make([]fleet.Node, 3)
+	for i := range nodes {
+		nodes[i] = fleet.Node{Name: nodeName(i), Session: &scriptSession{mod: mod, script: script(nodeName(i))}}
+	}
+	cfg := fleet.FastConfig()
+	cfg.MinStragglerAge = 20 * time.Millisecond
+	c := fleet.NewCoordinator(nodes, cfg)
+	plan, err := c.BundleFragments(job)
+	if err != nil || len(plan) != 3 {
+		t.Fatalf("%d bundles, err %v", len(plan), err)
+	}
+	aIdx := -1
+	for _, b := range plan {
+		homeOf[string(b.Params)] = b.Home
+		if b.Home == "a-sd" {
+			aIdx = b.Index
+		}
+	}
+
+	res, err := c.WordCount(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fleet.CanonicalWordCount(&res.Output); !bytes.Equal(got, want) {
+		t.Fatal("the straggler's late answer reached the folded counts")
+	}
+	if fr := res.Fragments[aIdx]; fr.Node == "a-sd" || !fr.Speculated || res.Stats.DupResults < 1 {
+		t.Fatalf("a-sd's bundle won on %s (speculated %v) with %d duplicates; want a speculative win elsewhere and the late answer dropped",
+			fr.Node, fr.Speculated, res.Stats.DupResults)
 	}
 }
 

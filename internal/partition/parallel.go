@@ -80,7 +80,9 @@ func RunParallel[K comparable, V any, R any](
 	// Scan stage: a producer goroutine owns the Scanner and keeps one
 	// prefetched fragment in flight beyond what the pool holds.
 	fragCh := make(chan scanned, 1)
+	scanDone := make(chan struct{})
 	go func() {
+		defer close(scanDone)
 		defer close(fragCh)
 		sc := NewScanner(input, opts)
 		for serial := 0; ; serial++ {
@@ -156,6 +158,10 @@ func RunParallel[K comparable, V any, R any](
 		}
 	}
 	acc.close()
+	// The scanner reads input until it exits, which on a cancelled run can
+	// be after the workers have gone. Wait for it, so the caller may close
+	// input as soon as RunParallel returns.
+	<-scanDone
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -160,6 +161,124 @@ func (rr *RangeReader) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 	}
+}
+
+// RangeChain reads the word-aligned views of several ascending, disjoint
+// byte ranges of one file back to back, as one stream: a fleet node's
+// bundle. A view ends on a delimiter unless it reaches EOF, which only the
+// last range can, so the concatenation holds exactly the records of the
+// ranges with none glued to its neighbour.
+//
+// Ranges open in order and one ahead: the next range is opened when the
+// current one starts serving. A store that prefetches at open, as
+// nfs.Client's range reader does, fetches range i+1 while range i is
+// scanned, but no further. With every range open at once the store serves
+// them in arbitrary order, and a scan that needs the bytes in order waits
+// for whichever range lands last.
+type RangeChain struct {
+	open      func(off, length int64) (io.ReadCloser, error)
+	todo      [][2]int64 // ranges not opened yet
+	cur, next *rangeView
+	err       error // sticky: a failed open leaves a hole in the stream
+}
+
+// rangeView is one opened range: the file and its aligned view.
+type rangeView struct {
+	f  io.ReadCloser
+	rr *RangeReader
+}
+
+// NewRangeChain validates ranges (each [start, end) with 0 <= start <=
+// end, ascending, not overlapping), drops empty ones, coalesces adjacent
+// ones, and opens the first two. open(off, length) must return the file
+// positioned at off for a scan of about length bytes; it must still serve
+// bytes past off+length, where a range finishes its last record.
+func NewRangeChain(ranges [][2]int64, open func(off, length int64) (io.ReadCloser, error)) (*RangeChain, error) {
+	todo := make([][2]int64, 0, len(ranges))
+	for _, rg := range ranges {
+		if rg[0] < 0 || rg[1] < rg[0] {
+			return nil, fmt.Errorf("partition: invalid range [%d, %d)", rg[0], rg[1])
+		}
+		if rg[0] == rg[1] {
+			continue // owns no record start
+		}
+		if k := len(todo) - 1; k >= 0 {
+			if rg[0] < todo[k][1] {
+				return nil, fmt.Errorf("partition: range [%d, %d) overlaps or precedes [%d, %d)", rg[0], rg[1], todo[k][0], todo[k][1])
+			}
+			if rg[0] == todo[k][1] {
+				todo[k][1] = rg[1]
+				continue
+			}
+		}
+		todo = append(todo, rg)
+	}
+	c := &RangeChain{open: open, todo: todo}
+	var err error
+	if c.cur, err = c.openNext(); err == nil {
+		c.next, err = c.openNext()
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// openNext opens the first range not opened yet; nil when none is left.
+func (c *RangeChain) openNext() (*rangeView, error) {
+	if len(c.todo) == 0 {
+		return nil, nil
+	}
+	rg := c.todo[0]
+	c.todo = c.todo[1:]
+	lead := LeadIn(rg[0])
+	f, err := c.open(lead, rg[1]-lead)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := NewRangeReader(f, rg[0], rg[1], nil)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &rangeView{f: f, rr: rr}, nil
+}
+
+// Read implements io.Reader over the chained views.
+func (c *RangeChain) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	for c.err == nil && c.cur != nil {
+		n, err := c.cur.rr.Read(p)
+		if !errors.Is(err, io.EOF) {
+			return n, err
+		}
+		// RangeReader reports EOF with no bytes: move to the next range
+		// and open the one after it.
+		c.cur.f.Close()
+		c.cur, c.next = c.next, nil
+		c.next, c.err = c.openNext()
+	}
+	if c.err != nil {
+		return 0, c.err
+	}
+	return 0, io.EOF
+}
+
+// Close releases the open ranges.
+func (c *RangeChain) Close() error {
+	var err error
+	for _, v := range []*rangeView{c.cur, c.next} {
+		if v != nil {
+			if cerr := v.f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	c.cur, c.next = nil, nil
+	return err
 }
 
 // AlignedRanges cuts total bytes into ceil(total/rangeBytes) draft ranges

@@ -106,6 +106,75 @@ func TestRangeReaderEdges(t *testing.T) {
 	}
 }
 
+// countedCloser is a range opened by a RangeChain test, tracking how many
+// are open at once.
+type countedCloser struct {
+	io.Reader
+	open *int
+}
+
+func (c *countedCloser) Close() error {
+	*c.open--
+	return nil
+}
+
+// TestRangeChainMatchesRangeViews chains random subsets of random cut sets:
+// the stream must be the chosen ranges' aligned views back to back
+// (adjacent ranges coalescing changes nothing), the ranges must open in
+// order, never more than two at once, and all be closed at the end.
+func TestRangeChainMatchesRangeViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	data := randomText(rng, 20_000)
+	for trial := 0; trial < 200; trial++ {
+		cuts := randomCuts(rng, int64(len(data)))
+		var chosen [][2]int64
+		var want []byte
+		for i := 0; i+1 < len(cuts); i++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			chosen = append(chosen, [2]int64{cuts[i], cuts[i+1]})
+			want = append(want, readRange(t, data, cuts[i], cuts[i+1])...)
+		}
+		open, maxOpen, last := 0, 0, int64(-1)
+		rc, err := NewRangeChain(chosen, func(off, _ int64) (io.ReadCloser, error) {
+			if off <= last {
+				t.Fatalf("cuts %v: opened offset %d after %d", cuts, off, last)
+			}
+			last = off
+			open++
+			maxOpen = max(maxOpen, open)
+			return &countedCloser{Reader: bytes.NewReader(data[off:]), open: &open}, nil
+		})
+		if err != nil {
+			t.Fatalf("ranges %v: %v", chosen, err)
+		}
+		got, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatalf("ranges %v: %v", chosen, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ranges %v: chain served %q, views %q", chosen, got, want)
+		}
+		if maxOpen > 2 || open != 0 {
+			t.Fatalf("ranges %v: %d open at once, %d left open", chosen, maxOpen, open)
+		}
+	}
+}
+
+func TestRangeChainRejectsDisorder(t *testing.T) {
+	open := func(int64, int64) (io.ReadCloser, error) {
+		t.Fatal("a rejected range list was opened")
+		return nil, nil
+	}
+	for _, rs := range [][][2]int64{{{5, 2}}, {{-1, 3}}, {{0, 10}, {5, 20}}, {{10, 20}, {0, 5}}} {
+		if _, err := NewRangeChain(rs, open); err == nil {
+			t.Errorf("ranges %v accepted", rs)
+		}
+	}
+}
+
 func TestAlignedRanges(t *testing.T) {
 	if got := AlignedRanges(0, 10); got != nil {
 		t.Fatalf("empty input: %v", got)

@@ -94,14 +94,15 @@ type WordCountParams struct {
 	Workers int `json:"workers,omitempty"`
 	// TopN bounds the returned frequency table (0 = 100).
 	TopN int `json:"top_n,omitempty"`
-	// RangeOffset/RangeBytes restrict the run to the word-aligned view of
-	// the byte range [RangeOffset, RangeOffset+RangeBytes) of DataFile —
-	// the fleet's scatter unit. RangeBytes <= 0 means the whole file.
-	// Alignment follows partition.RangeReader: a record belongs to the
-	// range containing its first byte, so adjacent ranges count every word
-	// exactly once.
-	RangeOffset int64 `json:"range_offset,omitempty"`
-	RangeBytes  int64 `json:"range_bytes,omitempty"`
+	// Ranges restrict the run to the word-aligned views of these byte
+	// ranges [start, end) of DataFile, which must be ascending and
+	// disjoint; adjacent ones coalesce. One run answers them all: this is
+	// the fleet's bundle, one request per node naming every range placed
+	// there (a single range is a one-element list). Empty means the whole
+	// file. Alignment follows partition.RangeReader: a record belongs to
+	// the range containing its first byte, so ranges that tile the file
+	// count every word exactly once.
+	Ranges [][2]int64 `json:"ranges,omitempty"`
 	// EmitPairs asks for the complete sorted (word, count) run in the
 	// output — what a fleet coordinator needs to merge per-fragment
 	// results deterministically — instead of only the TopN summary.
@@ -110,8 +111,7 @@ type WordCountParams struct {
 	// trailer, smartfam.SealBlob): the module reads it through a verifying
 	// store and fails with smartfam.ErrCorruptBlob — relayed over the wire
 	// as a recognizable ModuleError — instead of silently counting corrupt
-	// bytes. Sealed objects are whole fragments, so Sealed excludes
-	// RangeOffset/RangeBytes.
+	// bytes. Sealed objects are whole fragments, so Sealed excludes Ranges.
 	Sealed bool `json:"sealed,omitempty"`
 }
 
