@@ -1,7 +1,10 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
+	"math/rand/v2"
 	"reflect"
 )
 
@@ -50,10 +53,45 @@ func putWordTable[V any](t *wordTable[V]) {
 	poolFor(reflect.TypeFor[wordTable[V]]()).Put(t)
 }
 
+// internSeedA and internSeedLen key internHash's short-key path; like
+// hashSeed they are drawn once per process. The second load is keyed per
+// key length: two lengths' loads can read the same bytes ("aaaaaaaaa" and
+// "aaaaaaaaaa"), and xoring the length itself into a load would only move
+// the collision to keys whose bytes differ by that xor.
+var (
+	internSeedA   = rand.Uint64()
+	internSeedLen = func() (s [17]uint64) {
+		for i := range s {
+			s[i] = rand.Uint64()
+		}
+		return s
+	}()
+)
+
 // internHash hashes a key's bytes, biased non-zero so it can double as the
-// slot occupancy marker.
+// slot occupancy marker. Keys of up to 16 bytes — nearly every word — take
+// an inline path in the style of wyhash's short-input case: two loads that
+// together cover every byte (overlapping 8- or 4-byte little-endian loads,
+// or bytes 0, n/2 and n-1 below 4 bytes), keyed by the seed for their
+// length and folded through one 128-bit multiply. That costs about half of a
+// maphash.Bytes call, which longer keys still use.
 func internHash(kb []byte) uint64 {
-	return maphash.Bytes(hashSeed, kb) | 1
+	n := len(kb)
+	var a, b uint64
+	switch {
+	case n > 16:
+		return maphash.Bytes(hashSeed, kb) | 1
+	case n >= 8:
+		a = binary.LittleEndian.Uint64(kb)
+		b = binary.LittleEndian.Uint64(kb[n-8:])
+	case n >= 4:
+		a = uint64(binary.LittleEndian.Uint32(kb))
+		b = uint64(binary.LittleEndian.Uint32(kb[n-4:]))
+	case n > 0:
+		a = uint64(kb[0])<<16 | uint64(kb[n>>1])<<8 | uint64(kb[n-1])
+	}
+	hi, lo := bits.Mul64(a^internSeedA, b^internSeedLen[n])
+	return (hi ^ lo) | 1
 }
 
 // lookup returns the record interned for kb (whose hash is h), or nil.

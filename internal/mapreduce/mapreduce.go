@@ -95,7 +95,9 @@ type Config struct {
 	// key space. Zero means Workers.
 	NumReducers int
 	// ChunkSize is the map-task granularity in bytes. Zero means
-	// max(64 KiB, len(input)/(4*Workers)).
+	// max(64 KiB, len(input)/(4*Workers)) — except with a single worker,
+	// where there is no load to balance and the input is one task of at
+	// most soloTaskMax bytes.
 	ChunkSize int
 	// Memory, when non-nil, admission-controls the run: the estimated
 	// footprint (FootprintFactor x input) is reserved up front and the
@@ -133,11 +135,23 @@ func (c Config) reducers() int {
 	return c.workers()
 }
 
+// soloTaskMax caps the one map task of a single-worker run. Extra tasks
+// buy a single worker nothing — each one re-interns and re-splices the
+// same vocabulary — but the engine checks for cancellation only between
+// tasks, so a native run over a large input still gets a task boundary
+// every soloTaskMax bytes. Partition-driver fragments are smaller than
+// this and map as one task.
+const soloTaskMax = 8 << 20
+
 func (c Config) chunkSize(inputLen int) int {
 	if c.ChunkSize > 0 {
 		return c.ChunkSize
 	}
-	n := inputLen / (4 * c.workers())
+	w := c.workers()
+	n := inputLen / (4 * w)
+	if w == 1 {
+		n = min(inputLen, soloTaskMax)
+	}
 	if n < 64<<10 {
 		n = 64 << 10
 	}

@@ -39,10 +39,14 @@ func TestPooledBuffersPoisonedOnRecycle(t *testing.T) {
 	want := naiveCount(string(input))
 
 	for _, workers := range []int{1, 2, 4} {
+		// Small tasks give every worker several, so known keys splice
+		// and recycle their buffers (a default single-worker run maps
+		// this corpus as one task and never would).
+		cfg := Config{Workers: workers, ChunkSize: 4 << 10}
 		// Repeats force cross-job reuse through the sync.Pools, so later
 		// jobs consume buffers earlier jobs poisoned.
 		for rep := 0; rep < 3; rep++ {
-			res, err := Run(ctx, Config{Workers: workers}, orderedWCSpec(), input)
+			res, err := Run(ctx, cfg, orderedWCSpec(), input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +64,7 @@ func TestPooledBuffersPoisonedOnRecycle(t *testing.T) {
 			}
 
 			// The staged path recycles through the same pools.
-			sm, err := Run(ctx, Config{Workers: workers}, sortMergeSpec(), input)
+			sm, err := Run(ctx, cfg, sortMergeSpec(), input)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,11 +8,11 @@ import (
 )
 
 // Limiter is a token-bucket rate limiter measured in bytes per second.
-// Tokens accrue continuously up to Burst; WaitN blocks until n tokens are
-// available. It is safe for concurrent use, which makes one Limiter usable
-// as a shared medium: several connections throttled by the same Limiter
-// contend for the same modelled link, the way NFS traffic and SMB
-// background traffic shared the testbed's switch.
+// Tokens accrue continuously up to Burst; WaitN takes n tokens and blocks
+// until any deficit they leave is repaid. It is safe for concurrent use,
+// which makes one Limiter usable as a shared medium: several connections
+// throttled by the same Limiter contend for the same modelled link, the
+// way NFS traffic and SMB background traffic shared the testbed's switch.
 type Limiter struct {
 	mu     sync.Mutex
 	rate   float64 // tokens (bytes) per second
@@ -66,46 +66,44 @@ func (l *Limiter) advance() {
 	}
 }
 
-// WaitN blocks until n tokens are available or ctx is done. Requests larger
+// WaitN blocks until n tokens are paid for or ctx is done. Requests larger
 // than the burst are admitted in burst-sized slices, so arbitrarily large
 // transfers still pace at the configured rate.
+//
+// Each slice is paced by debt: it takes its tokens at once, driving the
+// bucket negative if need be, and sleeps off only the deficit. Time slept
+// past the deficit refills the bucket for the next slice instead of being
+// lost to the burst cap, so a run of slices paces at the rate however
+// coarse the sleep is. A deficit below minSleep is carried, not slept. A
+// slice that would have to sleep on a done ctx hands its tokens back and
+// returns ctx.Err().
 func (l *Limiter) WaitN(ctx context.Context, n int) error {
 	for n > 0 {
 		slice := n
 		if float64(slice) > l.burst {
 			slice = int(l.burst)
 		}
-		if err := l.waitSlice(ctx, slice); err != nil {
-			return err
+		l.mu.Lock()
+		l.advance()
+		l.tokens -= float64(slice)
+		wait := time.Duration(-l.tokens / l.rate * float64(time.Second))
+		if wait >= minSleep && ctx.Err() != nil {
+			l.tokens += float64(slice)
+			l.mu.Unlock()
+			return ctx.Err()
+		}
+		l.mu.Unlock()
+		if wait >= minSleep {
+			l.sleep(wait)
 		}
 		n -= slice
 	}
 	return nil
 }
 
-func (l *Limiter) waitSlice(ctx context.Context, n int) error {
-	for {
-		l.mu.Lock()
-		l.advance()
-		if l.tokens >= float64(n) {
-			l.tokens -= float64(n)
-			l.mu.Unlock()
-			return nil
-		}
-		need := float64(n) - l.tokens
-		wait := time.Duration(need / l.rate * float64(time.Second))
-		l.mu.Unlock()
-		if wait < 50*time.Microsecond {
-			wait = 50 * time.Microsecond
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		l.sleep(wait)
-	}
-}
+// minSleep is the smallest deficit WaitN sleeps off; a smaller one stays
+// on the bucket for the next caller to pay.
+const minSleep = 50 * time.Microsecond
 
 // AllowN reports whether n tokens are immediately available, consuming them
 // if so. It never blocks.

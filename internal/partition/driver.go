@@ -38,9 +38,10 @@ func (r *Result[K, R]) Map() map[K]R {
 //
 //	Partition -> [ Split -> Map -> Sort -> Reduce -> Merge ]* -> Merge
 //
-// Only one fragment's footprint is resident at a time, so a data set much
-// larger than cfg.Memory still runs — and runs faster than a thrashing
-// native execution.
+// except that the Sort runs once, over the merged result, not per fragment
+// (see unordered). Only one fragment's footprint is resident at a time, so
+// a data set much larger than cfg.Memory still runs — and runs faster than
+// a thrashing native execution.
 func Run[K comparable, V any, R any](
 	ctx context.Context,
 	cfg mapreduce.Config,
@@ -53,6 +54,7 @@ func Run[K comparable, V any, R any](
 		return nil, fmt.Errorf("partition: %q: merge function is required", spec.Name)
 	}
 	sc := NewScanner(input, opts)
+	engSpec := unordered(spec)
 	var acc map[K]R
 	res := &Result[K, R]{}
 	for {
@@ -66,7 +68,7 @@ func Run[K comparable, V any, R any](
 		if err != nil {
 			return nil, err
 		}
-		fragRes, err := mapreduce.Run(ctx, cfg, spec, frag)
+		fragRes, err := mapreduce.Run(ctx, cfg, engSpec, frag)
 		if err != nil {
 			return nil, fmt.Errorf("partition: fragment %d: %w", res.Fragments+1, err)
 		}
@@ -97,6 +99,17 @@ func Run[K comparable, V any, R any](
 	}
 	res.Stats.UniqueKeys = len(res.Pairs)
 	return res, nil
+}
+
+// unordered returns spec without its key ordering, for the per-fragment
+// engine runs: the drivers fold fragment outputs into a hash accumulator
+// and sort once at the end, so a per-fragment key sort and k-way merge
+// would order keys only for the accumulator to discard the order. Each
+// key's fragment values still fold in scan order, so non-commutative
+// merges (ConcatMerge) are unaffected.
+func unordered[K comparable, V any, R any](spec mapreduce.Spec[K, V, R]) mapreduce.Spec[K, V, R] {
+	spec.Less = nil
+	return spec
 }
 
 // accumulateStats folds one fragment's engine statistics into the run

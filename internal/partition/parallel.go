@@ -46,6 +46,7 @@ func RunParallel[K comparable, V any, R any](
 		return nil, fmt.Errorf("partition: %q: merge function is required", spec.Name)
 	}
 	pool := cfg.EffectiveWorkers()
+	engSpec := unordered(spec)
 	engCfg := cfg
 	if pool > 1 {
 		// One core per fragment: the pool supplies the parallelism, each
@@ -117,7 +118,7 @@ func RunParallel[K comparable, V any, R any](
 				if runCtx.Err() != nil {
 					return
 				}
-				fragRes, err := mapreduce.Run(runCtx, engCfg, spec, it.frag)
+				fragRes, err := mapreduce.Run(runCtx, engCfg, engSpec, it.frag)
 				if err != nil {
 					fail(fmt.Errorf("partition: fragment %d: %w", it.serial+1, err))
 					return

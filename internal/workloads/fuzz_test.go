@@ -1,6 +1,10 @@
 package workloads
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // FuzzParseSalesLine asserts the CSV row parser never panics and accepts
 // exactly well-formed rows.
@@ -40,5 +44,22 @@ func FuzzWordCountSeq(f *testing.F) {
 			total += c
 		}
 		_ = total
+	})
+}
+
+// FuzzStringMatchMap checks Map against StringMatchSeq on arbitrary chunks
+// and up to two arbitrary keys.
+func FuzzStringMatchMap(f *testing.F) {
+	f.Add("ab--ab\n\nxab", "ab", "b")
+	f.Add("ab\r\nxx\r\nab", "\r", "")
+	f.Add("", "a", "a")
+	f.Add("a\nb\n", "a\nb", "\n")
+	f.Fuzz(func(t *testing.T, data, k1, k2 string) {
+		keys := []string{k1, k2}
+		got := mapByKey(t, keys, []byte(data))
+		if want := seqByKey(keys, []byte(data)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("data %q keys %q: Map = %q, StringMatchSeq = %q",
+				data, strings.Join(keys, "|"), got, want)
+		}
 	})
 }

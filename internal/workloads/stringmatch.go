@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"strings"
 
 	"mcsd/internal/mapreduce"
 )
@@ -21,31 +22,63 @@ type Match struct {
 // searches one line in the 'encrypt' file to check whether the target
 // string from a 'keys' file is in the line. Neither sort or the reduce
 // stage is required" — Reduce is the identity and no key ordering is set.
-// Map emits one (key, line) pair per hit.
+// Map emits one (key, line) pair per line that contains the key.
+//
+// The search is still the paper's line-wise one, run key-major: rather
+// than testing every line against every key, Map sweeps each key across
+// the whole chunk with bytes.Index and widens a hit to its line. A key
+// holds no '\n' (one that does can never lie within a line and is
+// dropped), so a hit cannot span two lines; resuming past the hit's line
+// keeps one pair per (key, line), and each key's lines come out in input
+// order. Per key, the emitted lines are exactly those of the line-by-line
+// scan (StringMatchSeq).
 func StringMatchSpec(keys []string) mapreduce.Spec[string, string, []string] {
-	targets := make([][]byte, len(keys))
-	for i, k := range keys {
-		targets[i] = []byte(k)
+	// A key listed n times is swept once and emits n pairs per hit, as n
+	// line-wise tests would.
+	type target struct {
+		key string
+		pat []byte
+		n   int
+	}
+	var targets []target
+	seen := make(map[string]int, len(keys))
+	for _, k := range keys {
+		if strings.IndexByte(k, '\n') >= 0 {
+			continue
+		}
+		if i, ok := seen[k]; ok {
+			targets[i].n++
+			continue
+		}
+		seen[k] = len(targets)
+		targets = append(targets, target{key: k, pat: []byte(k), n: 1})
 	}
 	return mapreduce.Spec[string, string, []string]{
 		Name:  "stringmatch",
 		Split: mapreduce.LineSplitter,
 		Map: func(chunk []byte, emit func(string, string)) error {
-			for len(chunk) > 0 {
-				nl := bytes.IndexByte(chunk, '\n')
-				var line []byte
-				if nl < 0 {
-					line, chunk = chunk, nil
-				} else {
-					line, chunk = chunk[:nl], chunk[nl+1:]
-				}
-				if len(line) == 0 {
-					continue
-				}
-				for i, tgt := range targets {
-					if bytes.Contains(line, tgt) {
-						emit(keys[i], string(line))
+			for _, tg := range targets {
+				// off is always a line start.
+				for off := 0; off < len(chunk); {
+					i := bytes.Index(chunk[off:], tg.pat)
+					if i < 0 {
+						break
 					}
+					hit := off + i
+					start := off + bytes.LastIndexByte(chunk[off:hit], '\n') + 1
+					end := bytes.IndexByte(chunk[hit+len(tg.pat):], '\n')
+					if end < 0 {
+						end = len(chunk)
+					} else {
+						end += hit + len(tg.pat)
+					}
+					if end > start { // only an empty key hits an empty line
+						line := string(chunk[start:end])
+						for range tg.n {
+							emit(tg.key, line)
+						}
+					}
+					off = end + 1
 				}
 			}
 			return nil
