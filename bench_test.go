@@ -357,39 +357,20 @@ func BenchmarkEngineKMeans(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionDrivers compares the sequential out-of-core driver
-// against the fragment-parallel worker-pool driver on the same input; set
-// against BenchmarkRunWordcount/with-combine it is the cost of the Fig. 6
-// extension when memory is not scarce.
-func BenchmarkPartitionDrivers(b *testing.B) {
+// BenchmarkPartitionDriver runs word count through the out-of-core driver
+// at 512 KiB fragments; set against BenchmarkRunWordcount/with-combine it is
+// the cost of the Fig. 6 extension when memory is not scarce.
+func BenchmarkPartitionDriver(b *testing.B) {
 	input := benchEngineInput(b)
-	drivers := []struct {
-		name string
-		run  func() error
-	}{
-		{"sequential-driver", func() error {
-			_, err := partition.Run(context.Background(), mapreduce.Config{},
-				workloads.WordCountSpec(), bytes.NewReader(input),
-				partition.Options{FragmentSize: 512 << 10}, workloads.WordCountMerge)
-			return err
-		}},
-		{"parallel-driver", func() error {
-			_, err := partition.RunParallel(context.Background(), mapreduce.Config{},
-				workloads.WordCountSpec(), bytes.NewReader(input),
-				partition.Options{FragmentSize: 512 << 10}, workloads.WordCountMerge)
-			return err
-		}},
-	}
-	for _, d := range drivers {
-		b.Run(d.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(input)))
-			for i := 0; i < b.N; i++ {
-				if err := d.run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.SetBytes(int64(len(input)))
+	for i := 0; i < b.N; i++ {
+		_, err := partition.Run(context.Background(), mapreduce.Config{},
+			workloads.WordCountSpec(), bytes.NewReader(input),
+			partition.Options{FragmentSize: 512 << 10}, workloads.WordCountMerge)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

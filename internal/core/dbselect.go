@@ -59,7 +59,7 @@ func DBSelectModule(cfg ModuleConfig) smartfam.Module {
 			defer f.Close()
 
 			start := time.Now()
-			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.DBSelectSpec(q), bufio.NewReaderSize(f, 1<<20),
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, 1.5), Delimiters: []byte{'\n'}},
 				workloads.DBSelectMerge)

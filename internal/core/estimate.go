@@ -16,22 +16,14 @@ import (
 // scheduler can keep concurrent jobs out of the swap-thrash region.
 //
 // Partitioned runs never hold the whole input resident: the effective
-// input charged is capped at two fragments (the pipelined driver's
-// resident fragment plus the one in flight). An unknown module, a
+// input charged is what partition.Run's fragment pool may hold at once
+// (partition.ResidentBytes), capped at the file size. An unknown module, a
 // malformed payload, or a missing file estimates to zero bytes — the
 // scheduler admits such jobs freely rather than guessing.
 func NewFootprintEstimator(store DataStore, mem *memsim.Accountant) sched.Estimator {
 	memCfg := memsim.DefaultConfig()
 	if mem != nil {
 		memCfg = mem.Config()
-	}
-	// resolve mirrors ModuleConfig.partitionBytes for AutoPartition so the
-	// estimate matches what the module will actually do.
-	resolve := func(requested int64, factor float64) int64 {
-		if requested >= 0 {
-			return requested
-		}
-		return partition.AutoFragmentSize(memCfg, factor)
 	}
 	size := func(name string) int64 {
 		if name == "" || store == nil {
@@ -43,12 +35,16 @@ func NewFootprintEstimator(store DataStore, mem *memsim.Accountant) sched.Estima
 		}
 		return n
 	}
-	// charge caps a partitioned run at two resident fragments.
-	charge := func(total, fragment int64) int64 {
-		if fragment <= 0 || total <= 2*fragment {
-			return total
+	// partitioned prices a partitioned module run at the workload's factor.
+	// The fragment size resolves through the module's own partitionBytes,
+	// so the estimate matches what the module will actually do.
+	modCfg := ModuleConfig{Memory: mem}
+	partitioned := func(file string, requested int64, factor float64) (int64, float64) {
+		total, frag := size(file), modCfg.partitionBytes(requested, factor)
+		if frag <= 0 {
+			return total, factor
 		}
-		return 2 * fragment
+		return min(total, partition.ResidentBytes(memCfg, frag, factor)), factor
 	}
 
 	return func(module string, params []byte) (int64, float64) {
@@ -58,31 +54,27 @@ func NewFootprintEstimator(store DataStore, mem *memsim.Accountant) sched.Estima
 			if json.Unmarshal(params, &p) != nil {
 				return 0, 0
 			}
-			frag := resolve(p.PartitionBytes, workloads.WordCountFootprint)
-			return charge(size(p.DataFile), frag), workloads.WordCountFootprint
+			return partitioned(p.DataFile, p.PartitionBytes, workloads.WordCountFootprint)
 		case ModuleStringMatch:
 			var p StringMatchParams
 			if json.Unmarshal(params, &p) != nil {
 				return 0, 0
 			}
-			frag := resolve(p.PartitionBytes, workloads.StringMatchFootprint)
-			return charge(size(p.DataFile), frag), workloads.StringMatchFootprint
+			return partitioned(p.DataFile, p.PartitionBytes, workloads.StringMatchFootprint)
 		case ModuleDBSelect:
 			var p DBSelectParams
 			if json.Unmarshal(params, &p) != nil {
 				return 0, 0
 			}
 			const dbFootprint = 1.5
-			frag := resolve(p.PartitionBytes, dbFootprint)
-			return charge(size(p.DataFile), frag), dbFootprint
+			return partitioned(p.DataFile, p.PartitionBytes, dbFootprint)
 		case ModuleKMeans:
 			var p KMeansParams
 			if json.Unmarshal(params, &p) != nil {
 				return 0, 0
 			}
 			const kmFootprint = 1.1 // nearly streaming: fixed centroid table
-			frag := resolve(p.PartitionBytes, kmFootprint)
-			return charge(size(p.DataFile), frag), kmFootprint
+			return partitioned(p.DataFile, p.PartitionBytes, kmFootprint)
 		case ModuleMatMul:
 			var p MatMulParams
 			if json.Unmarshal(params, &p) != nil || p.N <= 0 {

@@ -35,10 +35,17 @@ func TestFootprintEstimatorSizesModules(t *testing.T) {
 		t.Fatalf("wordcount native = (%d, %v), want whole input at %v×", in, f, workloads.WordCountFootprint)
 	}
 
-	// A partitioned run holds at most two fragments resident.
+	// A partitioned run holds what partition.Run's fragment pool may: as
+	// many fragments as fit half of usable RAM by footprint, at least one.
+	mem := memsim.DefaultConfig()
+	budget := int64(float64(mem.Usable()) / (2 * workloads.WordCountFootprint))
 	in, _ = est(ModuleWordCount, mustEncode(t, WordCountParams{DataFile: "big.txt", PartitionBytes: 64 << 20}))
-	if in != 2*(64<<20) {
-		t.Fatalf("wordcount partitioned = %d, want two fragments", in)
+	if in != budget {
+		t.Fatalf("wordcount partitioned = %d, want the fragment budget %d", in, budget)
+	}
+	in, _ = est(ModuleWordCount, mustEncode(t, WordCountParams{DataFile: "big.txt", PartitionBytes: 512 << 20}))
+	if in != 512<<20 {
+		t.Fatalf("wordcount partitioned past the budget = %d, want one fragment", in)
 	}
 
 	// Inputs smaller than two fragments charge their true size.
@@ -50,12 +57,13 @@ func TestFootprintEstimatorSizesModules(t *testing.T) {
 		t.Fatalf("stringmatch factor = %v, want %v", f, workloads.StringMatchFootprint)
 	}
 
-	// AutoPartition resolves through the memory model like the module will.
+	// AutoPartition resolves through the memory model like the module will:
+	// an auto-sized fragment fills the budget, so the pool holds one.
 	acct := memsim.NewAccountant(memsim.DefaultConfig())
 	est = NewFootprintEstimator(store, acct)
 	frag := partition.AutoFragmentSize(acct.Config(), workloads.WordCountFootprint)
 	in, _ = est(ModuleWordCount, mustEncode(t, WordCountParams{DataFile: "big.txt", PartitionBytes: AutoPartition}))
-	if want := min(int64(1<<30), 2*frag); in != want {
+	if want := min(int64(1<<30), frag); in != want {
 		t.Fatalf("auto-partitioned charge = %d, want %d", in, want)
 	}
 

@@ -121,7 +121,7 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 			}
 
 			start := time.Now()
-			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.WordCountSpec(), input,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.WordCountFootprint)},
 				workloads.WordCountMerge)
@@ -185,7 +185,7 @@ func StringMatchModule(cfg ModuleConfig) smartfam.Module {
 			defer f.Close()
 
 			start := time.Now()
-			res, err := partition.RunParallel(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
+			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
 				workloads.StringMatchSpec(keys), bufio.NewReaderSize(f, 1<<20),
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.StringMatchFootprint), Delimiters: []byte{'\n'}},
 				workloads.StringMatchMerge)

@@ -219,9 +219,9 @@ func TestModuleConfigPartitionBytesResolution(t *testing.T) {
 	}
 }
 
-// TestWordCountModuleDriversAgree checks the module's fragment-parallel
-// driver against the sequential partition.Run over one corpus: same
-// counts, same fragment accounting.
+// TestWordCountModuleDriversAgree checks the module's output against a
+// direct partition.Run over one corpus: same counts, same fragment
+// accounting.
 func TestWordCountModuleDriversAgree(t *testing.T) {
 	store, dir := dataDir(t)
 	text := workloads.GenerateTextBytes(50_000, 13)
@@ -237,23 +237,23 @@ func TestWordCountModuleDriversAgree(t *testing.T) {
 	if err := Decode(raw, &par); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := partition.Run(context.Background(), mapreduce.Config{Workers: 2}, workloads.WordCountSpec(),
+	ref, err := partition.Run(context.Background(), mapreduce.Config{Workers: 2}, workloads.WordCountSpec(),
 		bytes.NewReader(text), partition.Options{FragmentSize: 8 << 10}, workloads.WordCountMerge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqTotal int64
-	for _, p := range seq.Pairs {
-		seqTotal += int64(p.Value)
+	var refTotal int64
+	for _, p := range ref.Pairs {
+		refTotal += int64(p.Value)
 	}
-	if par.TotalWords != seqTotal || par.UniqueWords != len(seq.Pairs) || par.Fragments != seq.Fragments {
+	if par.TotalWords != refTotal || par.UniqueWords != len(ref.Pairs) || par.Fragments != ref.Fragments {
 		t.Fatalf("module output %+v differs from partition.Run: %d words, %d unique, %d fragments",
-			par, seqTotal, len(seq.Pairs), seq.Fragments)
+			par, refTotal, len(ref.Pairs), ref.Fragments)
 	}
-	// Both drivers must report the per-fragment key sum.
-	if par.FragmentKeys < par.UniqueWords || seq.Stats.FragmentKeys != par.FragmentKeys {
-		t.Fatalf("FragmentKeys: sequential %d, parallel %d, unique %d",
-			seq.Stats.FragmentKeys, par.FragmentKeys, par.UniqueWords)
+	// The module must report the per-fragment key sum.
+	if par.FragmentKeys < par.UniqueWords || ref.Stats.FragmentKeys != par.FragmentKeys {
+		t.Fatalf("FragmentKeys: partition.Run %d, module %d, unique %d",
+			ref.Stats.FragmentKeys, par.FragmentKeys, par.UniqueWords)
 	}
 }
 

@@ -82,6 +82,16 @@ type Spec[K comparable, V any, R any] struct {
 	FootprintFactor float64
 }
 
+// EffectiveFootprint is the footprint factor charged for a Spec's
+// FootprintFactor: zero or negative means 2. The engine, the sequential
+// baseline and the partition driver's memory sizing all resolve it here.
+func EffectiveFootprint(factor float64) float64 {
+	if factor <= 0 {
+		return 2
+	}
+	return factor
+}
+
 // Config tunes the runtime for one node.
 type Config struct {
 	// Workers is the number of concurrent map (and reduce) workers —
@@ -112,9 +122,8 @@ type Config struct {
 
 // EffectiveWorkers is the worker count a zero-value-tolerant Config
 // resolves to (see Workers). Drivers that schedule whole engine runs —
-// internal/partition's parallel driver sizes its fragment pool with it —
-// use this so their pool and the engine agree on what "one core each"
-// means.
+// partition.Run sizes its fragment pool with it — use this so their pool
+// and the engine agree on what "one core each" means.
 func (c Config) EffectiveWorkers() int { return c.workers() }
 
 func (c Config) workers() int {

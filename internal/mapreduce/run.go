@@ -41,12 +41,8 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 
 	// Memory admission (the native-Phoenix wall): both the input and the
 	// emitted intermediate pairs live in memory for the whole run.
-	factor := spec.FootprintFactor
-	if factor <= 0 {
-		factor = 2
-	}
 	if cfg.Memory != nil {
-		h, err := cfg.Memory.ReserveHandle(int64(float64(len(input)) * factor))
+		h, err := cfg.Memory.ReserveHandle(int64(float64(len(input)) * EffectiveFootprint(spec.FootprintFactor)))
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %q: %w", spec.Name, err)
 		}

@@ -198,6 +198,38 @@ func TestSequentialMemoryAdmission(t *testing.T) {
 	}
 }
 
+// TestEffectiveFootprintCharged: both engines reserve input × the factor
+// EffectiveFootprint resolves — an unset factor charges 2, a factor below 1
+// charges as given.
+func TestEffectiveFootprintCharged(t *testing.T) {
+	input := bytes.Repeat([]byte("w "), 300) // 600 bytes
+	for _, tc := range []struct {
+		factor, charged float64
+	}{
+		{0, 2},
+		{-1, 2},
+		{0.5, 0.5},
+		{3, 3},
+	} {
+		if got := EffectiveFootprint(tc.factor); got != tc.charged {
+			t.Fatalf("EffectiveFootprint(%v) = %v, want %v", tc.factor, got, tc.charged)
+		}
+		spec := wcSpec()
+		spec.FootprintFactor = tc.factor
+		for name, run := range map[string]func(context.Context, Config, Spec[string, int, int], []byte) (*Result[string, int], error){
+			"Run": Run[string, int, int], "RunSequential": RunSequential[string, int, int],
+		} {
+			acct := memsim.NewAccountant(memsim.Config{CapacityBytes: 4096, UsableFraction: 1.0})
+			if _, err := run(context.Background(), Config{Workers: 2, Memory: acct}, spec, input); err != nil {
+				t.Fatalf("%s factor %v: %v", name, tc.factor, err)
+			}
+			if want := int64(float64(len(input)) * tc.charged); acct.Peak() != want {
+				t.Fatalf("%s factor %v: charged %d bytes, want %d", name, tc.factor, acct.Peak(), want)
+			}
+		}
+	}
+}
+
 func TestRunMapPanicFailsAfterRetries(t *testing.T) {
 	spec := wcSpec()
 	spec.Map = func(chunk []byte, emit func(string, int)) error {

@@ -36,12 +36,8 @@ func RunSequential[K comparable, V any, R any](ctx context.Context, cfg Config, 
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	factor := spec.FootprintFactor
-	if factor <= 0 {
-		factor = 2
-	}
 	if cfg.Memory != nil {
-		h, err := cfg.Memory.ReserveHandle(int64(float64(len(input)) * factor))
+		h, err := cfg.Memory.ReserveHandle(int64(float64(len(input)) * EffectiveFootprint(spec.FootprintFactor)))
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %q: %w", spec.Name, err)
 		}

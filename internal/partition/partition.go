@@ -6,13 +6,15 @@
 // thrashes long before that. The extension cuts a large input into
 // fragments no bigger than a partition size, pushes every fragment boundary
 // forward to the next delimiter so no record is torn (the integrity check
-// of Fig. 7), runs the unmodified MapReduce procedure over each fragment in
-// turn, and folds the per-fragment outputs together with a user-supplied
-// Merge function (Fig. 6's two-stage workflow).
+// of Fig. 7), runs the unmodified MapReduce procedure over each fragment —
+// as many at once as the node's memory allows — and folds the per-fragment
+// outputs, in scan order, together with a user-supplied Merge function
+// (Fig. 6's two-stage workflow).
 package partition
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -49,9 +51,9 @@ func (o Options) delims() []byte {
 // finding a delimiter — the input is not partition-able at this size.
 var ErrScanLimit = errors.New("partition: no delimiter within MaxScan of fragment boundary")
 
-// Scanner yields fragments of a stream, one at a time, so only one fragment
-// is ever resident — the property that lets McSD process data sets larger
-// than the storage node's memory.
+// Scanner yields fragments of a stream, one at a time, so a run holds only
+// the fragments in flight, never the whole stream — the property that lets
+// McSD process data sets larger than the storage node's memory.
 type Scanner struct {
 	r      *bufio.Reader
 	opts   Options
@@ -141,7 +143,7 @@ func (s *Scanner) Fragments() int { return s.serial }
 // once. It is a convenience for tests and small inputs; large inputs should
 // stream through a Scanner.
 func Split(data []byte, opts Options) ([][]byte, error) {
-	s := NewScanner(newBytesReader(data), opts)
+	s := NewScanner(bytes.NewReader(data), opts)
 	var out [][]byte
 	for {
 		frag, err := s.Next()
@@ -183,20 +185,4 @@ func IntegrityDisplacement(data []byte, pos int, delims []byte) (extra int, ok b
 		}
 	}
 	return extra, false
-}
-
-// newBytesReader avoids importing bytes just for one constructor.
-func newBytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct {
-	b []byte
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

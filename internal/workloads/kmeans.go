@@ -229,7 +229,8 @@ func KMeans(ctx context.Context, cfg mapreduce.Config, encoded []byte, dim, k, m
 // KMeansPartitioned is the out-of-core composition of the paper's two
 // contributions: every k-means round streams the encoded points through
 // the partitioned runtime (partition.Run), so the data set never needs to
-// be resident — only one fragment at a time. openInput must return a fresh
+// be resident — only the fragments its pool holds, which fit the node's
+// fragment budget (partition.ResidentBytes). openInput must return a fresh
 // reader over the same encoded points for every round (on an SD node, a
 // reopened data file).
 //
