@@ -82,11 +82,12 @@ chaos-heal:
 # longer than the router's scan buffer, the push/poll differential, daemon
 # shutdown joins, the probe's heartbeat memo, the fleet's corrupt-replica
 # fallback, late-answer drop and no-median speculation rule, the
-# scheduler's memory admission, the nfs pipeline's disconnect handling, and
+# scheduler's memory admission, the daemon's shed path driven through the
+# fleet's same-node requeue, the nfs pipeline's disconnect handling, and
 # the partition driver's memory-bounded fragment pool and cancellation. A
 # tier-1 test that fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel
+FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition
 

@@ -49,7 +49,7 @@ func run() error {
 		memFlag = flag.String("mem", "", "optional memory limit for module admission control (e.g. 2G)")
 		poll    = flag.Duration("poll", smartfam.DefaultPollInterval, "smartFAM watcher poll interval")
 		compact = flag.Duration("compact", 5*time.Minute, "compact module logs after this long idle (0 disables)")
-		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 disables the scheduler)")
+		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 = the default)")
 		journal = flag.String("journal", "auto", "crash-recovery journal path on local disk; \"auto\" = <dir>/.journal, \"none\" disables")
 		batch   = flag.Bool("batch", false, "group-commit response records: one share append per batch window (fam v2)")
 	)
@@ -108,9 +108,7 @@ func run() error {
 	}
 	log.Printf("mcsdd: preloaded modules: %v", reg.Names())
 
-	daemonOpts := []smartfam.DaemonOption{
-		smartfam.WithPollInterval(*poll), smartfam.WithWorkers(*workers),
-	}
+	daemonOpts := []smartfam.DaemonOption{smartfam.WithPollInterval(*poll)}
 	if *batch {
 		daemonOpts = append(daemonOpts, smartfam.WithResponseBatching(0, 0))
 		log.Printf("mcsdd: response group commit on (-batch)")
@@ -125,26 +123,24 @@ func run() error {
 		daemonOpts = append(daemonOpts, smartfam.WithJournal(*journal))
 		log.Printf("mcsdd: crash-recovery journal at %s", *journal)
 	}
-	if *queue > 0 {
-		// The scheduler sits between the smartFAM log files and the module
-		// registry: per-module fair ordering, memory-aware admission against
-		// the node's budget, and queue-full backpressure to callers.
-		sd := sched.New(sched.Config{
-			MaxQueueDepth: *queue,
-			Workers:       *workers,
-			Memory:        acct,
-		}, func(ctx context.Context, job *sched.Job) ([]byte, error) {
-			m, err := reg.Lookup(job.Module)
-			if err != nil {
-				return nil, err
-			}
-			return m.Run(ctx, job.Payload)
-		})
-		daemonOpts = append(daemonOpts,
-			smartfam.WithScheduler(sd),
-			smartfam.WithFootprintEstimator(core.NewFootprintEstimator(modCfg.Store, acct)))
-		log.Printf("mcsdd: scheduler on (queue depth %d, %d workers)", *queue, *workers)
-	}
+	// The scheduler sits between the smartFAM log files and the module
+	// registry: per-module fair ordering, memory-aware admission against
+	// the node's budget, and queue-full backpressure to callers.
+	sd := sched.New(sched.Config{
+		MaxQueueDepth: *queue,
+		Workers:       *workers,
+		Memory:        acct,
+	}, func(ctx context.Context, job *sched.Job) ([]byte, error) {
+		m, err := reg.Lookup(job.Module)
+		if err != nil {
+			return nil, err
+		}
+		return m.Run(ctx, job.Payload)
+	})
+	daemonOpts = append(daemonOpts,
+		smartfam.WithScheduler(sd),
+		smartfam.WithFootprintEstimator(core.NewFootprintEstimator(modCfg.Store, acct)))
+	log.Printf("mcsdd: scheduler queue depth %d, %d workers", sd.Status().MaxQueueDepth, *workers)
 	daemon := smartfam.NewDaemon(share, reg, daemonOpts...)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

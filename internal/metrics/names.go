@@ -29,7 +29,6 @@ const (
 
 	// smartFAM — daemon (SD node) side.
 	DaemonRequests      = "smartfam.daemon.requests"       // request records accepted
-	DaemonInvoke        = "smartfam.daemon.invoke"         // module execution timer
 	DaemonErrors        = "smartfam.daemon.errors"         // module executions that returned an error
 	DaemonAborted       = "smartfam.daemon.aborted"        // executions aborted by daemon shutdown
 	DaemonDeduped       = "smartfam.daemon.deduped"        // host retries answered from the response cache
@@ -46,7 +45,7 @@ const (
 	SchedCompleted          = "sched.completed"
 	SchedFailed             = "sched.failed"
 	SchedCancelled          = "sched.cancelled"
-	SchedRetries            = "sched.retries"
+	SchedRetries            = "sched.retries" // never incremented (the scheduler does not retry); kept because perfbench reports it
 	SchedQueueFullRejects   = "sched.queue_full_rejects"
 	SchedAdmissionDeferrals = "sched.admission_deferrals"
 	SchedQueueDepth         = "sched.queue_depth"

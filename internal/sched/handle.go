@@ -2,85 +2,28 @@ package sched
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"mcsd/internal/metrics"
 	"mcsd/internal/trace"
 )
-
-// State is a job's position in its lifecycle:
-// queued → admitted → running → done / failed / cancelled.
-type State int32
-
-// Lifecycle states.
-const (
-	StateQueued State = iota
-	StateAdmitted
-	StateRunning
-	StateDone
-	StateFailed
-	StateCancelled
-)
-
-// String names the state for status output.
-func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateAdmitted:
-		return "admitted"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCancelled:
-		return "cancelled"
-	default:
-		return "unknown"
-	}
-}
 
 // Handle tracks one submitted job.
 type Handle struct {
 	job *Job
-	s   *Scheduler
 	ctx context.Context
 
 	done          chan struct{}
-	once          sync.Once
 	payload       []byte
 	err           error
 	enqueuedAt    time.Time
 	reservedBytes int64
-	state         atomic.Int32
-	attempts      atomic.Int32
 	span          *trace.Span
 	queueSpan     *trace.Span
-
-	mu        sync.Mutex
-	cancelled bool
-	cancelRun context.CancelFunc
 }
 
-// Job returns the submitted job.
-func (h *Handle) Job() *Job { return h.job }
-
-// State returns the job's current lifecycle state.
-func (h *Handle) State() State { return State(h.state.Load()) }
-
-// Attempts returns how many times the executor has been entered.
-func (h *Handle) Attempts() int { return int(h.attempts.Load()) }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (h *Handle) Done() <-chan struct{} { return h.done }
-
 // Wait blocks until the job finishes (returning its payload or error) or
-// ctx is done. A Wait that times out does not cancel the job.
+// ctx is done. A Wait that times out does not withdraw the job; cancel
+// the context it was submitted with for that.
 func (h *Handle) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-ctx.Done():
@@ -90,76 +33,11 @@ func (h *Handle) Wait(ctx context.Context) ([]byte, error) {
 	}
 }
 
-// Err returns the job's terminal error, nil before completion or on
-// success.
-func (h *Handle) Err() error {
-	select {
-	case <-h.done:
-		return h.err
-	default:
-		return nil
-	}
-}
-
-// Cancel withdraws the job. A still-queued job is dequeued immediately —
-// it never reaches the engine, and Wait returns ErrCancelled at once; a
-// running job has its context cancelled. Cancel is idempotent and safe
-// after completion.
-func (h *Handle) Cancel() {
-	h.mu.Lock()
-	h.cancelled = true
-	cancel := h.cancelRun
-	h.mu.Unlock()
-	// Flip a queued job straight to cancelled so it can never be admitted,
-	// then pull it out of its tenant's queue ourselves — waiting for a
-	// free worker to reap it would stall Wait behind running jobs.
-	if h.state.CompareAndSwap(int32(StateQueued), int32(StateCancelled)) {
-		s := h.s
-		found := false
-		s.mu.Lock()
-		if t, ok := s.tenants[tenantKey(h.job.Tenant)]; ok {
-			for i, q := range t.queue {
-				if q == h {
-					t.queue = append(t.queue[:i], t.queue[i+1:]...)
-					s.queued--
-					s.metrics.Gauge(metrics.SchedQueueDepth).Set(int64(s.queued))
-					found = true
-					break
-				}
-			}
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if found {
-			// Not found means a concurrent dispatch pass reaped it first
-			// (dropLocked), which also finishes and counts it.
-			s.metrics.Counter(metrics.SchedCancelled).Inc()
-			h.finish(nil, ErrCancelled)
-		}
-		return
-	}
-	if cancel != nil {
-		cancel()
-	}
-	h.s.mu.Lock()
-	h.s.cond.Broadcast()
-	h.s.mu.Unlock()
-}
-
-// finish records the terminal result exactly once.
+// finish records the terminal result. Each job finishes exactly once:
+// a queued job is either dispatched, reaped, or orphaned by Run's exit.
 func (h *Handle) finish(payload []byte, err error) {
-	h.once.Do(func() {
-		h.payload, h.err = payload, err
-		switch {
-		case err == nil:
-			h.state.Store(int32(StateDone))
-		case errors.Is(err, ErrCancelled):
-			h.state.Store(int32(StateCancelled))
-		default:
-			h.state.Store(int32(StateFailed))
-		}
-		h.queueSpan.Finish()
-		h.span.Finish()
-		close(h.done)
-	})
+	h.payload, h.err = payload, err
+	h.queueSpan.Finish()
+	h.span.Finish()
+	close(h.done)
 }

@@ -1,15 +1,15 @@
 // Package sched is the SD node's control plane between "request arrived"
-// and "engine runs": a multi-tenant job scheduler with admission control,
-// priorities, and backpressure.
+// and "engine runs": the one path every smartFAM invocation takes to a
+// module, with admission control and backpressure.
 //
 // The paper's McSD daemon invokes one module per smartFAM log write with
 // no notion of concurrent callers. A node serving heavy traffic needs
 // three things the raw daemon lacks, and this package provides them:
 //
-//   - Ordering. Submitted jobs queue per tenant; dispatch interleaves
-//     tenants by weighted fair queuing (FIFO within a tenant, a served/
-//     weight virtual clock across tenants) with an explicit Priority
-//     override that jumps the fair order entirely.
+//   - Ordering. Submitted jobs queue per tenant (the daemon uses one
+//     tenant per module); dispatch interleaves tenants fairly — FIFO
+//     within a tenant, the tenant served least so far first across them —
+//     so one busy module cannot starve the others.
 //   - Memory-aware admission. A job's resident footprint is estimated as
 //     input size × workload footprint factor (word count 3×, string match
 //     2× — DESIGN.md §5b) and charged against the node's memsim budget of
@@ -21,19 +21,18 @@
 //     caller through the smartFAM result record instead of silently
 //     stalling the share.
 //
-// Each job walks a lifecycle — queued → admitted → running → done /
-// failed / cancelled — with context cancellation, deadlines, and
-// retry-with-jittered-backoff for failures the caller marks retryable.
-// Queue depth, wait time, and admission decisions are counted in an
-// internal/metrics registry, and the queued/running phases are recorded
-// as spans in internal/trace so the Gantt renderer shows queueing delay.
+// A job is withdrawn by cancelling the context it was submitted with: a
+// queued job then never reaches the engine, a running one sees its
+// context cancelled. Queue depth, wait time, and admission decisions are
+// counted in an internal/metrics registry, and the queued/running phases
+// are recorded as spans in internal/trace so the Gantt renderer shows
+// queueing delay.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -51,7 +50,8 @@ var (
 	// crosses the smartFAM wire as message text; use IsQueueFullMessage
 	// to recognise it on the far side.
 	ErrQueueFull = errors.New("sched: queue full")
-	// ErrCancelled reports a job cancelled before or during execution.
+	// ErrCancelled reports a job whose submit context was cancelled
+	// before or during execution.
 	ErrCancelled = errors.New("sched: job cancelled")
 	// ErrStopped reports a scheduler whose Run loop has exited.
 	ErrStopped = errors.New("sched: scheduler stopped")
@@ -84,25 +84,11 @@ type Job struct {
 	Module string
 	// Payload is the opaque parameter blob handed to the Executor.
 	Payload []byte
-	// Priority overrides fair ordering: higher dispatches first.
-	Priority int
 	// InputBytes and FootprintFactor size the job's resident footprint
 	// for admission control (footprint = InputBytes × FootprintFactor,
 	// factor ≤ 0 meaning 1). InputBytes ≤ 0 bypasses admission.
 	InputBytes      int64
 	FootprintFactor float64
-	// Deadline, when set, fails the job if it has not finished by then —
-	// including jobs still waiting in the queue.
-	Deadline time.Time
-	// MaxRetries bounds re-executions after retryable failures
-	// (0 = scheduler default).
-	MaxRetries int
-	// Retryable classifies failures worth retrying (nil = scheduler
-	// default; both nil = never retry).
-	Retryable func(error) bool
-	// Exec, when set, runs instead of the scheduler-wide Executor — how
-	// the host runtime routes an offload attempt through the scheduler.
-	Exec Executor
 
 	seq uint64 // submit order, fixes FIFO within a tenant
 }
@@ -138,20 +124,8 @@ type Config struct {
 	// Memory, when set, supplies the admission budget: the node's usable
 	// RAM per its memsim configuration. Admitted footprints never sum
 	// past it, keeping co-scheduled jobs out of the swap-thrash region.
+	// Without it, admission control is disabled.
 	Memory *memsim.Accountant
-	// BudgetBytes overrides the Memory-derived budget when > 0. With
-	// neither set, admission control is disabled.
-	BudgetBytes int64
-	// TenantWeights biases fair ordering; absent tenants weigh 1.
-	TenantWeights map[string]float64
-	// MaxRetries is the default retry bound for retryable failures.
-	MaxRetries int
-	// Retryable is the default failure classifier (nil = never retry).
-	Retryable func(error) bool
-	// BaseBackoff and MaxBackoff shape the jittered exponential backoff
-	// between retries (defaults 10ms and 2s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Metrics receives scheduler counters/gauges/timers (fresh registry
 	// when nil).
 	Metrics *metrics.Registry
@@ -173,35 +147,10 @@ func (c Config) workers() int {
 	return DefaultWorkers
 }
 
-func (c Config) budget() int64 {
-	if c.BudgetBytes > 0 {
-		return c.BudgetBytes
-	}
-	if c.Memory != nil {
-		return c.Memory.Config().Usable()
-	}
-	return 0
-}
-
-func (c Config) baseBackoff() time.Duration {
-	if c.BaseBackoff > 0 {
-		return c.BaseBackoff
-	}
-	return 10 * time.Millisecond
-}
-
-func (c Config) maxBackoff() time.Duration {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return 2 * time.Second
-}
-
 // tenant is one fair-queuing flow.
 type tenant struct {
 	name   string
-	weight float64
-	served float64   // virtual service received: +1/weight per dispatch
+	served int64     // dispatches received: the fair-queuing clock
 	queue  []*Handle // FIFO
 }
 
@@ -220,22 +169,20 @@ type Scheduler struct {
 	seq      uint64
 	stopped  bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	metrics *metrics.Registry
 }
 
-// New returns a scheduler executing admitted jobs with exec (which a
-// per-job Job.Exec overrides). Nothing dispatches until Run is called.
+// New returns a scheduler executing admitted jobs with exec. Nothing
+// dispatches until Run is called.
 func New(cfg Config, exec Executor) *Scheduler {
 	s := &Scheduler{
 		cfg:     cfg,
 		exec:    exec,
-		budget:  cfg.budget(),
 		tenants: make(map[string]*tenant),
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		metrics: cfg.Metrics,
+	}
+	if cfg.Memory != nil {
+		s.budget = cfg.Memory.Config().Usable()
 	}
 	if s.metrics == nil {
 		s.metrics = metrics.NewRegistry()
@@ -249,15 +196,13 @@ func (s *Scheduler) Metrics() *metrics.Registry { return s.metrics }
 
 // Submit enqueues a job. It fails fast with ErrQueueFull when the bounded
 // queue is at capacity and ErrStopped after Run has exited; otherwise it
-// returns a Handle to wait on or cancel. ctx governs the job's whole
-// life: cancelling it while the job is queued prevents it from ever
-// reaching the engine.
+// returns a Handle to wait on. ctx governs the job's whole life:
+// cancelling it while the job is queued prevents it from ever reaching
+// the engine, and cancelling it while the job runs cancels the
+// executor's context.
 func (s *Scheduler) Submit(ctx context.Context, job *Job) (*Handle, error) {
 	if job == nil || job.Module == "" {
 		return nil, errors.New("sched: job must name a module")
-	}
-	if job.Exec == nil && s.exec == nil {
-		return nil, errors.New("sched: no executor for job")
 	}
 	s.mu.Lock()
 	if s.stopped {
@@ -276,12 +221,10 @@ func (s *Scheduler) Submit(ctx context.Context, job *Job) (*Handle, error) {
 	}
 	h := &Handle{
 		job:        job,
-		s:          s,
 		ctx:        ctx,
 		done:       make(chan struct{}),
 		enqueuedAt: time.Now(),
 	}
-	h.state.Store(int32(StateQueued))
 	h.span = s.cfg.Tracer.Start(trace.SpanSchedPrefix + job.Module + " " + job.ID)
 	h.queueSpan = h.span.Child(trace.SpanQueued)
 	t := s.tenantLocked(job.Tenant)
@@ -294,39 +237,27 @@ func (s *Scheduler) Submit(ctx context.Context, job *Job) (*Handle, error) {
 	return h, nil
 }
 
-// tenantKey maps the empty tenant to its flow name.
-func tenantKey(name string) string {
-	if name == "" {
-		return "default"
-	}
-	return name
-}
-
 func (s *Scheduler) tenantLocked(name string) *tenant {
-	name = tenantKey(name)
+	if name == "" {
+		name = "default"
+	}
 	t, ok := s.tenants[name]
 	if !ok {
-		w := s.cfg.TenantWeights[name]
-		if w <= 0 {
-			w = 1
-		}
-		// A new flow starts at the maximum virtual time already served so
+		// A new flow starts at the most service any flow has received so
 		// it cannot claim a catch-up burst against established tenants.
-		var maxServed float64
+		var maxServed int64
 		for _, other := range s.tenants {
-			if other.served > maxServed {
-				maxServed = other.served
-			}
+			maxServed = max(maxServed, other.served)
 		}
-		t = &tenant{name: name, weight: w, served: maxServed}
+		t = &tenant{name: name, served: maxServed}
 		s.tenants[name] = t
 	}
 	return t
 }
 
 // Run dispatches jobs on cfg.Workers goroutines until ctx is done, then
-// fails every still-queued job with ctx's error and returns it. Run is
-// the scheduler's only dispatch loop; call it exactly once.
+// fails every still-queued job with ErrStopped and returns ctx's error.
+// Run is the scheduler's only dispatch loop; call it exactly once.
 func (s *Scheduler) Run(ctx context.Context) error {
 	stopWake := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
@@ -368,7 +299,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 }
 
 // next blocks until a job can be admitted (or ctx ends) and returns it
-// with its memory reservation taken and its state advanced to running.
+// with its memory reservation taken.
 func (s *Scheduler) next(ctx context.Context) *Handle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,7 +315,6 @@ func (s *Scheduler) next(ctx context.Context) *Handle {
 			s.metrics.Gauge(metrics.SchedRunning).Set(int64(s.running))
 			s.metrics.Gauge(metrics.SchedReservedBytes).Set(s.reserved)
 			s.metrics.Timer(metrics.SchedWait).Observe(time.Since(h.enqueuedAt))
-			h.state.Store(int32(StateAdmitted))
 			h.queueSpan.Finish()
 			return h
 		}
@@ -392,80 +322,49 @@ func (s *Scheduler) next(ctx context.Context) *Handle {
 	}
 }
 
-// selectLocked picks the next admissible job: all queued jobs ordered by
-// (priority desc, tenant virtual time asc, submit order asc), first one
-// whose footprint fits the remaining memory budget. Skipping a too-big
-// job lets small jobs run alongside what is already admitted — the big
-// job waits for memory, it is not failed. Cancelled and deadline-expired
-// jobs are reaped here, before they can reach the engine.
+// selectLocked picks the next admissible job: each tenant's head, ordered
+// by (dispatches served asc, submit order asc), first one whose footprint
+// fits the remaining memory budget. Skipping a too-big job lets small
+// jobs run alongside what is already admitted — the big job waits for
+// memory, it is not failed. Jobs whose submit context is done are reaped
+// here, before they can reach the engine.
 func (s *Scheduler) selectLocked() *Handle {
-	type cand struct {
-		h *Handle
-		t *tenant
-	}
-	var cands []cand
-	now := time.Now()
+	var cands []*tenant
 	for _, t := range s.tenants {
 		kept := t.queue[:0]
 		for _, h := range t.queue {
-			if h.State() == StateCancelled {
-				s.dropLocked(h, nil)
-				continue
-			}
 			if err := h.ctx.Err(); err != nil {
-				s.dropLocked(h, err)
-				continue
-			}
-			if !h.job.Deadline.IsZero() && now.After(h.job.Deadline) {
-				s.dropLocked(h, context.DeadlineExceeded)
+				s.queued--
+				s.metrics.Counter(metrics.SchedCancelled).Inc()
+				h.finish(nil, fmt.Errorf("%w in queue: %w", ErrCancelled, err))
 				continue
 			}
 			kept = append(kept, h)
 		}
 		t.queue = kept
 		if len(kept) > 0 {
-			// FIFO within the tenant except for the priority override:
-			// the highest-priority job (earliest among equals) leads.
-			best := 0
-			for i := 1; i < len(kept); i++ {
-				if kept[i].job.Priority > kept[best].job.Priority {
-					best = i
-				}
-			}
-			cands = append(cands, cand{h: kept[best], t: t})
+			cands = append(cands, t)
 		}
 	}
-	if len(cands) == 0 {
-		return nil
-	}
+	s.metrics.Gauge(metrics.SchedQueueDepth).Set(int64(s.queued))
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		if a.h.job.Priority != b.h.job.Priority {
-			return a.h.job.Priority > b.h.job.Priority
+		if a.served != b.served {
+			return a.served < b.served
 		}
-		if a.t.served != b.t.served {
-			return a.t.served < b.t.served
-		}
-		return a.h.job.seq < b.h.job.seq
+		return a.queue[0].job.seq < b.queue[0].job.seq
 	})
-	for _, c := range cands {
-		if !s.fitsLocked(c.h.job.footprint()) {
+	for _, t := range cands {
+		h := t.queue[0]
+		if !s.fitsLocked(h.job.footprint()) {
 			s.metrics.Counter(metrics.SchedAdmissionDeferrals).Inc()
 			continue
 		}
-		// Dequeue c.h from its tenant (it may not be the head when the
-		// priority override selected a later job).
-		q := c.t.queue
-		for i, h := range q {
-			if h == c.h {
-				c.t.queue = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-		c.t.served += 1 / c.t.weight
+		t.queue = t.queue[1:]
+		t.served++
 		s.queued--
 		s.metrics.Gauge(metrics.SchedQueueDepth).Set(int64(s.queued))
-		return c.h
+		return h
 	}
 	return nil
 }
@@ -484,21 +383,8 @@ func (s *Scheduler) fitsLocked(fp int64) bool {
 	return fp > s.budget && s.reserved == 0 && s.running == 0
 }
 
-// dropLocked removes a queued job without running it.
-func (s *Scheduler) dropLocked(h *Handle, err error) {
-	s.queued--
-	s.metrics.Gauge(metrics.SchedQueueDepth).Set(int64(s.queued))
-	if err == nil {
-		s.metrics.Counter(metrics.SchedCancelled).Inc()
-		go h.finish(nil, ErrCancelled)
-		return
-	}
-	s.metrics.Counter(metrics.SchedFailed).Inc()
-	go h.finish(nil, fmt.Errorf("sched: job %s expired in queue: %w", h.job.ID, err))
-}
-
-// execute runs one admitted job to completion, honouring cancellation,
-// the deadline, and the retry policy.
+// execute runs one admitted job to completion. The executor's context
+// ends with the job's submit context or with the scheduler's Run.
 func (s *Scheduler) execute(runCtx context.Context, h *Handle) {
 	defer func() {
 		s.mu.Lock()
@@ -514,98 +400,23 @@ func (s *Scheduler) execute(runCtx context.Context, h *Handle) {
 	defer cancel()
 	stop := context.AfterFunc(runCtx, cancel)
 	defer stop()
-	if !h.job.Deadline.IsZero() {
-		var dcancel context.CancelFunc
-		ctx, dcancel = context.WithDeadline(ctx, h.job.Deadline)
-		defer dcancel()
-	}
-	h.mu.Lock()
-	if h.cancelled {
-		h.mu.Unlock()
-		s.metrics.Counter(metrics.SchedCancelled).Inc()
-		h.finish(nil, ErrCancelled)
-		return
-	}
-	h.cancelRun = cancel
-	h.mu.Unlock()
 
-	h.state.Store(int32(StateRunning))
 	runSpan := h.span.Child(trace.SpanRunning)
 	runStart := time.Now()
-
-	exec := h.job.Exec
-	if exec == nil {
-		exec = s.exec
-	}
-	maxRetries := h.job.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = s.cfg.MaxRetries
-	}
-	retryable := h.job.Retryable
-	if retryable == nil {
-		retryable = s.cfg.Retryable
-	}
-
-	var payload []byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		payload, err = runGuarded(ctx, exec, h.job)
-		h.attempts.Add(1)
-		if err == nil || ctx.Err() != nil || retryable == nil ||
-			!retryable(err) || attempt >= maxRetries {
-			break
-		}
-		s.metrics.Counter(metrics.SchedRetries).Inc()
-		if !sleepCtx(ctx, s.backoff(attempt)) {
-			break
-		}
-	}
+	payload, err := runGuarded(ctx, s.exec, h.job)
 	runSpan.Finish()
 	s.metrics.Timer(metrics.SchedRun).Observe(time.Since(runStart))
 
-	if err != nil {
-		// Distinguish explicit Cancel from an unrelated failure.
-		h.mu.Lock()
-		wasCancelled := h.cancelled
-		h.mu.Unlock()
-		if wasCancelled {
-			err = fmt.Errorf("%w: %w", ErrCancelled, err)
-		}
-	}
-	if err != nil {
-		if errors.Is(err, ErrCancelled) {
-			s.metrics.Counter(metrics.SchedCancelled).Inc()
-		} else {
-			s.metrics.Counter(metrics.SchedFailed).Inc()
-		}
-	} else {
+	switch {
+	case err == nil:
 		s.metrics.Counter(metrics.SchedCompleted).Inc()
+	case h.ctx.Err() != nil:
+		s.metrics.Counter(metrics.SchedCancelled).Inc()
+		err = fmt.Errorf("%w: %w", ErrCancelled, err)
+	default:
+		s.metrics.Counter(metrics.SchedFailed).Inc()
 	}
 	h.finish(payload, err)
-}
-
-// backoff returns the jittered exponential delay before retry attempt+1:
-// base·2^attempt capped at max, then ±50% jitter.
-func (s *Scheduler) backoff(attempt int) time.Duration {
-	d := s.cfg.baseBackoff() << uint(attempt)
-	if max := s.cfg.maxBackoff(); d > max || d <= 0 {
-		d = max
-	}
-	s.rngMu.Lock()
-	jitter := 0.5 + s.rng.Float64() // 0.5x .. 1.5x
-	s.rngMu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 func runGuarded(ctx context.Context, exec Executor, job *Job) (out []byte, err error) {

@@ -11,12 +11,10 @@ import (
 
 // TenantStatus is one tenant's view in a Status snapshot.
 type TenantStatus struct {
-	Name   string  `json:"name"`
-	Queued int     `json:"queued"`
-	Weight float64 `json:"weight"`
-	// Served is the tenant's virtual service time — how much weighted
-	// dispatch it has received; the fair-queuing clock.
-	Served float64 `json:"served"`
+	Name   string `json:"name"`
+	Queued int    `json:"queued"`
+	// Served counts the tenant's dispatches — the fair-queuing clock.
+	Served int64 `json:"served"`
 }
 
 // Status is a point-in-time snapshot of the scheduler, JSON-encodable so
@@ -34,7 +32,6 @@ type Status struct {
 	Failed             int64 `json:"failed"`
 	Cancelled          int64 `json:"cancelled"`
 	QueueFullRejects   int64 `json:"queue_full_rejects"`
-	Retries            int64 `json:"retries"`
 	AdmissionDeferrals int64 `json:"admission_deferrals"`
 	// WaitMeanMs and WaitMaxMs summarise time spent queued before
 	// admission.
@@ -65,7 +62,7 @@ func (s *Scheduler) Status() Status {
 			continue
 		}
 		st.Tenants = append(st.Tenants, TenantStatus{
-			Name: t.name, Queued: len(t.queue), Weight: t.weight, Served: t.served,
+			Name: t.name, Queued: len(t.queue), Served: t.served,
 		})
 	}
 	s.mu.Unlock()
@@ -76,7 +73,6 @@ func (s *Scheduler) Status() Status {
 	st.Failed = s.metrics.Counter(metrics.SchedFailed).Value()
 	st.Cancelled = s.metrics.Counter(metrics.SchedCancelled).Value()
 	st.QueueFullRejects = s.metrics.Counter(metrics.SchedQueueFullRejects).Value()
-	st.Retries = s.metrics.Counter(metrics.SchedRetries).Value()
 	st.AdmissionDeferrals = s.metrics.Counter(metrics.SchedAdmissionDeferrals).Value()
 	wait := s.metrics.Timer(metrics.SchedWait)
 	st.WaitMeanMs = wait.Mean().Milliseconds()
@@ -114,12 +110,12 @@ func (st Status) Format() string {
 	}
 	fmt.Fprintf(&b, "lifetime:  %d submitted, %d done, %d failed, %d cancelled\n",
 		st.Submitted, st.Completed, st.Failed, st.Cancelled)
-	fmt.Fprintf(&b, "pressure:  %d queue-full rejects, %d admission deferrals, %d retries\n",
-		st.QueueFullRejects, st.AdmissionDeferrals, st.Retries)
+	fmt.Fprintf(&b, "pressure:  %d queue-full rejects, %d admission deferrals\n",
+		st.QueueFullRejects, st.AdmissionDeferrals)
 	fmt.Fprintf(&b, "wait:      mean %dms, max %dms\n", st.WaitMeanMs, st.WaitMaxMs)
 	for _, t := range st.Tenants {
-		fmt.Fprintf(&b, "tenant:    %-14s %d queued, weight %g, served %.2f\n",
-			t.Name, t.Queued, t.Weight, t.Served)
+		fmt.Fprintf(&b, "tenant:    %-14s %d queued, served %d\n",
+			t.Name, t.Queued, t.Served)
 	}
 	if len(st.Extra) > 0 {
 		keys := make([]string, 0, len(st.Extra))

@@ -57,15 +57,18 @@ func (r *Registry) CompactLog(module string) (kept int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("smartfam: compacting %s: %w", logName, err)
 	}
-	answered := make(map[string]bool)
-	for _, rec := range recs {
+	// A request is answered when a response with its ID follows it; a
+	// request after its ID's last response — a resubmit after a queue-full
+	// shed — is still pending.
+	lastResp := make(map[string]int)
+	for i, rec := range recs {
 		if rec.Kind == KindResponse {
-			answered[rec.ID] = true
+			lastResp[rec.ID] = i
 		}
 	}
 	var keep bytes.Buffer
-	for _, rec := range recs {
-		if rec.Kind == KindRequest && !answered[rec.ID] {
+	for i, rec := range recs {
+		if last, answered := lastResp[rec.ID]; rec.Kind == KindRequest && (!answered || i > last) {
 			line, err := rec.Marshal()
 			if err != nil {
 				return kept, err

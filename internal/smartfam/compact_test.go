@@ -3,8 +3,11 @@ package smartfam
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"mcsd/internal/sched"
 )
 
 func TestCompactLogDropsAnsweredPairs(t *testing.T) {
@@ -29,13 +32,26 @@ func TestCompactLogDropsAnsweredPairs(t *testing.T) {
 	if err := fsys.Append(log, pending); err != nil {
 		t.Fatal(err)
 	}
+	// A request shed by a full queue, then resubmitted under its ID: the
+	// resubmit follows the shed response, so it is still pending.
+	shedMsg := fmt.Errorf("%w: 1 jobs waiting", sched.ErrQueueFull).Error()
+	for _, r := range []Record{
+		{Kind: KindRequest, ID: "s1", Payload: []byte("p")},
+		{Kind: KindResponse, ID: "s1", Status: StatusError, Payload: []byte(shedMsg)},
+		{Kind: KindRequest, ID: "s1", Payload: []byte("p")},
+	} {
+		line, _ := r.Marshal()
+		if err := fsys.Append(log, line); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	kept, err := reg.CompactLog("echo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != 1 {
-		t.Fatalf("kept %d records, want 1 pending request", kept)
+	if kept != 2 {
+		t.Fatalf("kept %d records, want the pending request and the resubmit", kept)
 	}
 	data, err := ReadFrom(fsys, log, 0)
 	if err != nil {
@@ -45,7 +61,8 @@ func TestCompactLogDropsAnsweredPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].ID != "p9" || recs[0].Kind != KindRequest {
+	if len(recs) != 2 || recs[0].ID != "p9" || recs[1].ID != "s1" ||
+		recs[0].Kind != KindRequest || recs[1].Kind != KindRequest {
 		t.Fatalf("compacted log = %+v", recs)
 	}
 }
@@ -154,7 +171,8 @@ func TestCompactionRegrowPastStaleOffset(t *testing.T) {
 	if len(got) != 1 || got[0].ID != "req-one" {
 		t.Fatalf("first drain = %+v", got)
 	}
-	d.serve(context.Background(), "echo", got[0])
+	// Answer it the way a served run does.
+	d.finish(context.Background(), "echo", got[0].ID, StatusOK, []byte("echo:1"))
 	if got := d.drainRequests(t.Context(), logName); len(got) != 0 {
 		t.Fatalf("drain after serve returned %+v", got)
 	}

@@ -3,7 +3,6 @@ package smartfam
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -17,11 +16,12 @@ import (
 // host appends a request, it retrieves the parameters, invokes the module,
 // and appends the results as a response record.
 //
-// With a scheduler attached (WithScheduler), requests are submitted to it
-// instead of being invoked inline: the scheduler's worker pool drains the
-// queue in fair order under memory-aware admission control, and a full
-// queue is reported back to the caller through the result record as an
-// error response — backpressure instead of a silent stall.
+// Every request is submitted to one job scheduler (internal/sched): its
+// worker pool drains the queue in per-module fair order under
+// memory-aware admission control, and a full queue is reported back to
+// the caller through the result record as an error response —
+// backpressure instead of a silent stall. A shed request is not answered
+// for good: the caller may resubmit it under the same ID.
 //
 // With a journal attached (WithJournal), the daemon is crash-safe: every
 // request is journaled through INTENT → DONE → RESP states on local disk,
@@ -70,7 +70,8 @@ func WithPollInterval(d time.Duration) DaemonOption {
 }
 
 // WithWorkers bounds concurrent module invocations — the number of cores
-// the SD node dedicates to data-intensive modules.
+// the SD node dedicates to data-intensive modules (default 2). It sizes
+// the scheduler NewDaemon builds; with WithScheduler it is ignored.
 func WithWorkers(n int) DaemonOption {
 	return func(dm *Daemon) {
 		if n > 0 {
@@ -85,7 +86,8 @@ func WithMetrics(m *metrics.Registry) DaemonOption {
 }
 
 // WithTracer records spans for the daemon's recovery pass and replayed
-// requests, renderable with trace.Render.
+// requests, and — on the scheduler NewDaemon builds — each job's queued
+// and running phases, renderable with trace.Render.
 func WithTracer(tr *trace.Tracer) DaemonOption {
 	return func(dm *Daemon) { dm.tracer = tr }
 }
@@ -108,11 +110,13 @@ func WithRescanInterval(d time.Duration) DaemonOption {
 	}
 }
 
-// WithScheduler routes module invocations through a job scheduler instead
-// of the inline bounded-goroutine path. The daemon drives the scheduler's
-// Run loop and publishes its queue status on the share (QueueStatusName)
-// for mcsdctl's queue verb. The scheduler's executor — not the daemon —
-// decides how a job runs; build it over this daemon's Registry.
+// WithScheduler replaces the scheduler NewDaemon would build (WithWorkers
+// workers, the default queue depth, no memory budget, the daemon's
+// metrics and tracer) — how a node sets its queue depth and memory
+// budget. The daemon drives the scheduler's Run loop and publishes its
+// queue status on the share (QueueStatusName) for mcsdctl's queue verb.
+// The scheduler's executor decides how a job runs; build it over this
+// daemon's Registry.
 func WithScheduler(s *sched.Scheduler) DaemonOption {
 	return func(dm *Daemon) { dm.sched = s }
 }
@@ -151,7 +155,6 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 		interval:       DefaultPollInterval,
 		heartbeat:      DefaultHeartbeatInterval,
 		statusInterval: DefaultQueueStatusInterval,
-		workers:        2,
 		metrics:        metrics.NewRegistry(),
 		offsets:        make(map[string]int64),
 		gens:           make(map[string]int64),
@@ -160,6 +163,9 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 	}
 	for _, o := range opts {
 		o(d)
+	}
+	if d.sched == nil {
+		d.sched = sched.New(sched.Config{Workers: d.workers, Metrics: d.metrics, Tracer: d.tracer}, d.execute)
 	}
 	if d.journalPath != "" {
 		j, state, err := OpenJournal(d.journalPath)
@@ -182,6 +188,16 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 // Metrics returns the daemon's metrics registry.
 func (d *Daemon) Metrics() *metrics.Registry { return d.metrics }
 
+// execute is the executor of the scheduler NewDaemon builds: it runs the
+// job's module from the daemon's registry.
+func (d *Daemon) execute(ctx context.Context, job *sched.Job) ([]byte, error) {
+	m, err := d.reg.Lookup(job.Module)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(ctx, job.Payload)
+}
+
 // Run serves until ctx is done. It always returns ctx.Err(), except when
 // the configured journal could not be opened. Everything Run starts —
 // invocations, the notify source, heartbeat, scheduler, status publisher,
@@ -191,10 +207,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if d.journalErr != nil {
 		return d.journalErr
 	}
-	// Crash recovery replays unfinished journal entries before any new
-	// work: cached responses are re-appended, open intents re-executed.
-	d.recoverPass(ctx)
-
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		wg sync.WaitGroup // invocations
@@ -223,6 +235,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}()
 	}
 
+	spawn(func() { _ = d.sched.Run(ctx) })
+	// Crash recovery replays unfinished journal entries before any new
+	// work: cached responses are re-appended, open intents re-executed.
+	d.recoverPass(ctx)
+
 	// Change-notification source: server-push stream when the share can
 	// provide one, the polling watcher otherwise (and on stream loss) —
 	// see runNotify.
@@ -231,40 +248,22 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if d.heartbeat >= 0 {
 		spawn(func() { _ = RunHeartbeat(ctx, d.fs, d.heartbeat) })
 	}
-	if d.sched != nil {
-		spawn(func() { _ = d.sched.Run(ctx) })
-	}
-	if d.sched != nil || d.journal != nil {
-		spawn(func() { _ = d.publishQueueStatus(ctx) })
-	}
+	spawn(func() { _ = d.publishQueueStatus(ctx) })
 
-	sem := make(chan struct{}, d.workers)
-
-	dispatch := func(logName string) error {
+	dispatch := func(logName string) {
 		module, ok := ModuleFromLog(logName)
 		if !ok {
-			return nil
+			return
 		}
 		for _, req := range d.drainRequests(ctx, logName) {
-			req := req
-			if d.sched != nil {
-				d.submit(ctx, &wg, module, req)
-				continue
+			if h := d.submit(ctx, module, req); h != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					d.await(ctx, module, req.ID, h)
+				}()
 			}
-			wg.Add(1)
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				wg.Done()
-				return ctx.Err()
-			}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				d.serve(ctx, module, req)
-			}()
 		}
-		return nil
 	}
 
 	// Change notifications are the fast path; the rescan sweep is the
@@ -286,18 +285,14 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case name := <-changed:
-			if err := dispatch(name); err != nil {
-				return err
-			}
+			dispatch(name)
 		case <-rescan.C:
 			names, err := d.fs.List()
 			if err != nil {
 				continue // transient; the next sweep retries
 			}
 			for _, name := range names {
-				if err := dispatch(name); err != nil {
-					return err
-				}
+				dispatch(name)
 			}
 		}
 	}
@@ -351,7 +346,9 @@ func (d *Daemon) scanShare(ctx context.Context) shareIndex {
 				idx.requests[rec.ID] = rec
 				idx.reqModule[rec.ID] = module
 			case KindResponse:
-				idx.responded[rec.ID] = struct{}{}
+				if !isShed(rec) {
+					idx.responded[rec.ID] = struct{}{}
+				}
 			}
 		}
 	}
@@ -360,9 +357,11 @@ func (d *Daemon) scanShare(ctx context.Context) shareIndex {
 
 // recoverPass finishes what a crashed predecessor started: DONE entries
 // whose response never reached the log get their cached result
-// re-appended (no re-execution); INTENT entries with no DONE are re-run.
-// Everything it touches is marked responded so the main loop's drain —
-// which restarts from offset zero — cannot serve it again.
+// re-appended (no re-execution); INTENT entries with no DONE are re-run
+// through the scheduler, one at a time, so recovery finishes before new
+// requests are read and never sheds its own intents. Everything it
+// touches is marked responded so the main loop's drain — which restarts
+// from offset zero — cannot serve it again.
 func (d *Daemon) recoverPass(ctx context.Context) {
 	if d.recovery == nil {
 		return
@@ -410,7 +409,9 @@ func (d *Daemon) recoverPass(ctx context.Context) {
 			module = idx.reqModule[id]
 		}
 		child := span.Child(trace.SpanRerunIntentPrefix + id)
-		d.serve(ctx, module, req)
+		if h := d.submit(ctx, module, req); h != nil {
+			d.await(ctx, module, id, h)
+		}
 		child.Finish()
 		d.metrics.Counter(metrics.DaemonRecovered).Inc()
 	}
@@ -468,14 +469,17 @@ func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
 	d.offsets[logName] = off + int64(consumed)
 	// Pass 1: index this batch's responses (latest position per ID) so a
 	// request and its answer arriving together — the whole-log rescan a
-	// restarted daemon performs — never re-serves the request.
+	// restarted daemon performs — never re-serves the request. A shed
+	// answers only the requests before it: a resubmit after it is new work.
 	batchRes := make(map[string]int64)
 	for _, rec := range recs {
 		if rec.Kind == KindResponse {
 			if pos, ok := batchRes[rec.ID]; !ok || rec.Pos > pos {
 				batchRes[rec.ID] = rec.Pos
 			}
-			d.responded[rec.ID] = struct{}{}
+			if !isShed(rec) {
+				d.responded[rec.ID] = struct{}{}
+			}
 		}
 	}
 	// Pass 2: classify requests.
@@ -518,25 +522,13 @@ func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
 	return reqs
 }
 
-// serve runs one module invocation and appends the response record
-// (steps 3-4 of Fig. 5's parameter passing, step 1 of result return),
-// journaling the INTENT → DONE → RESP transitions around it.
-func (d *Daemon) serve(ctx context.Context, module string, req Record) {
-	d.metrics.Counter(metrics.DaemonRequests).Inc()
-	timer := d.metrics.Timer(metrics.DaemonInvoke)
-	start := time.Now()
-
-	if err := d.journal.Intent(req.ID, module, req.Pos); err != nil {
-		d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
-	}
-	var (
-		payload []byte
-		status  = StatusOK
-	)
-	m, err := d.reg.Lookup(module)
-	if err == nil {
-		payload, err = runGuarded(ctx, m, req.Payload)
-	}
+// await waits for one admitted request and answers it (step 1 of
+// Fig. 5's result return). It waits past ctx: the handle always finishes
+// (the scheduler cancels a running job with ctx and fails queued ones
+// when its Run exits), and a module that completed as the daemon shut
+// down must still get its DONE journaled, or the next life re-runs it.
+func (d *Daemon) await(ctx context.Context, module, reqID string, h *sched.Handle) {
+	payload, err := h.Wait(context.WithoutCancel(ctx))
 	if err != nil && ctx.Err() != nil {
 		// The daemon is shutting down mid-execution. Answering now would
 		// turn the crash into a spurious module error at the host; leave
@@ -544,13 +536,12 @@ func (d *Daemon) serve(ctx context.Context, module string, req Record) {
 		d.metrics.Counter(metrics.DaemonAborted).Inc()
 		return
 	}
+	status := StatusOK
 	if err != nil {
-		status = StatusError
-		payload = []byte(err.Error())
+		status, payload = StatusError, []byte(err.Error())
 		d.metrics.Counter(metrics.DaemonErrors).Inc()
 	}
-	timer.Observe(time.Since(start))
-	d.finish(ctx, module, req.ID, status, payload)
+	d.finish(ctx, module, reqID, status, payload)
 }
 
 // finish journals a completed execution, caches it for dedupe, and
@@ -629,10 +620,7 @@ func retryShare(ctx context.Context, op func() error) error {
 }
 
 // respond appends the response record for one request and marks it
-// answered, retrying transient append failures with bounded backoff. It
-// reports whether the record reached the log; a final failure is counted
-// in smartfam.respond_errors (the reply is then lost until a restart or
-// host retry replays it from the journal cache).
+// answered. It reports whether the record reached the log.
 func (d *Daemon) respond(ctx context.Context, module, reqID, status string, payload []byte) bool {
 	res := Record{Kind: KindResponse, ID: reqID, Status: status, Payload: payload}
 	line, err := res.Marshal()
@@ -643,6 +631,15 @@ func (d *Daemon) respond(ctx context.Context, module, reqID, status string, payl
 	d.mu.Lock()
 	d.responded[reqID] = struct{}{}
 	d.mu.Unlock()
+	return d.appendResponse(ctx, module, line)
+}
+
+// appendResponse appends one marshalled response record, retrying
+// transient append failures with bounded backoff. A final failure is
+// counted in smartfam.respond_errors (the reply is then lost until a
+// restart or host retry replays it from the journal cache).
+func (d *Daemon) appendResponse(ctx context.Context, module string, line []byte) bool {
+	var err error
 	backoff := respondBackoff
 	for attempt := 0; attempt < respondAttempts; attempt++ {
 		if attempt > 0 {
@@ -668,15 +665,12 @@ func (d *Daemon) respond(ctx context.Context, module, reqID, status string, payl
 	return false
 }
 
-// submit routes one request through the scheduler (steps 3-4 of Fig. 5
-// under admission control). A rejected submission — queue full, scheduler
-// stopped — is answered immediately with an error response so the remote
-// caller sees backpressure instead of a stall.
-func (d *Daemon) submit(ctx context.Context, wg *sync.WaitGroup, module string, req Record) {
+// submit hands one request to the scheduler (steps 3-4 of Fig. 5 under
+// admission control) and journals its INTENT once admitted to the queue.
+// It returns nil when the request was not queued: shed by a full queue,
+// or refused by a scheduler that stopped with the daemon.
+func (d *Daemon) submit(ctx context.Context, module string, req Record) *sched.Handle {
 	d.metrics.Counter(metrics.DaemonRequests).Inc()
-	if err := d.journal.Intent(req.ID, module, req.Pos); err != nil {
-		d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
-	}
 	in, factor := int64(0), 0.0
 	if d.estimate != nil {
 		in, factor = d.estimate(module, req.Payload)
@@ -689,31 +683,41 @@ func (d *Daemon) submit(ctx context.Context, wg *sync.WaitGroup, module string, 
 		InputBytes:      in,
 		FootprintFactor: factor,
 	})
+	if errors.Is(err, sched.ErrQueueFull) {
+		d.metrics.Counter(metrics.DaemonQueueFull).Inc()
+		d.shed(ctx, module, req.ID, err)
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, sched.ErrQueueFull) {
-			d.metrics.Counter(metrics.DaemonQueueFull).Inc()
-		}
-		d.metrics.Counter(metrics.DaemonErrors).Inc()
-		d.finish(ctx, module, req.ID, StatusError, []byte(err.Error()))
+		// Only a stopped scheduler refuses a named module: shutdown.
+		d.metrics.Counter(metrics.DaemonAborted).Inc()
+		return nil
+	}
+	if err := d.journal.Intent(req.ID, module, req.Pos); err != nil {
+		d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
+	}
+	return h
+}
+
+// shed tells the caller the queue turned its request away. The rejection
+// is backpressure, not a verdict: it is not journaled, cached or marked
+// responded, so a resubmit under the same ID is admitted afresh once the
+// queue has room, and a restarted daemon neither re-runs the shed request
+// (no INTENT was written) nor answers its resubmit from the cache.
+func (d *Daemon) shed(ctx context.Context, module, reqID string, err error) {
+	res := Record{Kind: KindResponse, ID: reqID, Status: StatusError, Payload: []byte(err.Error())}
+	line, merr := res.Marshal()
+	if merr != nil {
+		d.metrics.Counter(metrics.DaemonMarshalErrors).Inc()
 		return
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		payload, err := h.Wait(ctx)
-		if err != nil && ctx.Err() != nil {
-			// Shutdown, not a module verdict: leave the intent open for
-			// the restarted daemon (see serve).
-			d.metrics.Counter(metrics.DaemonAborted).Inc()
-			return
-		}
-		if err != nil {
-			d.metrics.Counter(metrics.DaemonErrors).Inc()
-			d.finish(ctx, module, req.ID, StatusError, []byte(err.Error()))
-			return
-		}
-		d.finish(ctx, module, req.ID, StatusOK, payload)
-	}()
+	d.appendResponse(ctx, module, line)
+}
+
+// isShed reports whether a response record carries a queue-full shed
+// rather than an answer.
+func isShed(rec Record) bool {
+	return rec.Status == StatusError && sched.IsQueueFullMessage(string(rec.Payload))
 }
 
 // QueueStatusName is the share file carrying the published status
@@ -744,10 +748,7 @@ var statusExtraCounters = []string{
 // publishQueueStatus rewrites QueueStatusName until ctx is done.
 func (d *Daemon) publishQueueStatus(ctx context.Context) error {
 	write := func() {
-		var st sched.Status
-		if d.sched != nil {
-			st = d.sched.Status()
-		}
+		st := d.sched.Status()
 		st.Extra = make(map[string]int64, len(statusExtraCounters))
 		for _, name := range statusExtraCounters {
 			//mcsdlint:allow metrickey -- statusExtraCounters holds registry constants only
@@ -776,15 +777,4 @@ func (d *Daemon) publishQueueStatus(ctx context.Context) error {
 			write()
 		}
 	}
-}
-
-// runGuarded converts module panics into errors so one bad invocation
-// cannot kill the daemon.
-func runGuarded(ctx context.Context, m Module, params []byte) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("smartfam: module %q panicked: %v", m.Name(), r)
-		}
-	}()
-	return m.Run(ctx, params)
 }

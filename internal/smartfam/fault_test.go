@@ -62,14 +62,17 @@ func TestDaemonRetriesFailedResponseAppend(t *testing.T) {
 	if err := reg.Register(faultEchoModule()); err != nil {
 		t.Fatal(err)
 	}
-	// No heartbeat/scheduler/journal: the daemon's only appends through
-	// ffs are response records, so the armed failure hits the response.
+	// No heartbeat, and one status publish at start: once that has
+	// landed, the daemon's only appends through ffs are response records,
+	// so the armed failure hits the response.
 	d := smartfam.NewDaemon(ffs, reg,
 		smartfam.WithPollInterval(time.Millisecond),
-		smartfam.WithHeartbeat(-1))
+		smartfam.WithHeartbeat(-1),
+		smartfam.WithStatusInterval(time.Hour))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go d.Run(ctx) //nolint:errcheck
+	waitStatusPublished(t, inner)
 
 	ffs.FailNext(faultfs.OpAppend, 1)
 	c := smartfam.NewClient(inner, time.Millisecond)
@@ -87,6 +90,22 @@ func TestDaemonRetriesFailedResponseAppend(t *testing.T) {
 	}
 	if v := d.Metrics().Counter("smartfam.respond_errors").Value(); v != 0 {
 		t.Fatalf("respond_errors = %d, want 0 (retry succeeded)", v)
+	}
+}
+
+// waitStatusPublished blocks until the daemon's first status snapshot is
+// on the share.
+func waitStatusPublished(t *testing.T, fsys smartfam.FS) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if size, _, err := fsys.Stat(smartfam.QueueStatusName); err == nil && size > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("status snapshot never published")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 // share — the journal must survive exactly the failures the share does
 // not):
 //
-//	INTENT <id> <module> <offset> <crc>           before dispatch
+//	INTENT <id> <module> <offset> <crc>           once the scheduler has
+//	                                               queued it (a request
+//	                                               shed by a full queue
+//	                                               never gets one)
 //	DONE   <id> <module> <status> =<payload> <crc> after the module ran,
 //	                                               before the response is
 //	                                               appended to the log

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mcsd/internal/sched"
 )
 
 func TestJournalRoundtrip(t *testing.T) {
@@ -344,6 +346,58 @@ func TestDaemonRestartDoesNotReserveAnsweredPair(t *testing.T) {
 	}
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("module executed %d times, want 1 (old pair must not re-run)", n)
+	}
+}
+
+// A queue-full shed is backpressure, not an answer: a daemon restarted
+// over a log holding a request and its shed must neither re-run the shed
+// request nor answer its resubmit (same ID) from the cache — the
+// resubmit runs, exactly once.
+func TestDaemonRestartTreatsShedAsBackpressure(t *testing.T) {
+	dir := t.TempDir()
+	share := DirFS(dir)
+	var executions atomic.Int64
+	mod := ModuleFunc{ModuleName: "pair", Fn: func(_ context.Context, p []byte) ([]byte, error) {
+		executions.Add(1)
+		return p, nil
+	}}
+	shedMsg := fmt.Errorf("%w: 1 jobs waiting", sched.ErrQueueFull).Error()
+	req := Record{Kind: KindRequest, ID: "shed1", Payload: []byte("x")}
+	shed := Record{Kind: KindResponse, ID: "shed1", Status: StatusError, Payload: []byte(shedMsg)}
+	for _, r := range []Record{req, shed} {
+		line, _ := r.Marshal()
+		if err := share.Append(LogName("pair"), line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := NewRegistry(share)
+	if err := reg.Register(mod); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDaemon(share, reg, WithPollInterval(time.Millisecond),
+		WithJournal(filepath.Join(t.TempDir(), "journal")))
+	runDaemon(t, d)
+
+	c := NewClient(share, time.Millisecond)
+	ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer icancel()
+	got, err := c.InvokeID(ictx, "pair", "shed1", []byte("again"))
+	if err != nil {
+		t.Fatalf("resubmit after shed: %v", err)
+	}
+	if string(got) != "again" {
+		t.Fatalf("resubmit result = %q", got)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Fatalf("module executed %d times, want 1 (the resubmit only)", n)
+	}
+	if v := d.Metrics().Counter("smartfam.daemon.deduped").Value(); v != 0 {
+		t.Fatalf("deduped = %d, want 0 (a shed is not cached)", v)
+	}
+
+	// Compaction drops the shed pair and the answered resubmit alike.
+	if kept, err := reg.CompactLog("pair"); err != nil || kept != 0 {
+		t.Fatalf("compaction = (%d, %v), want nothing pending", kept, err)
 	}
 }
 

@@ -274,7 +274,8 @@ func TestDaemonMetrics(t *testing.T) {
 	if d.Metrics().Counter("smartfam.daemon.requests").Value() != 1 {
 		t.Fatal("request not counted")
 	}
-	if d.Metrics().Timer("smartfam.daemon.invoke").Count() != 1 {
+	// The daemon's own scheduler times the run on the daemon's registry.
+	if d.Metrics().Timer("sched.run").Count() != 1 {
 		t.Fatal("invoke not timed")
 	}
 }
