@@ -136,12 +136,12 @@ func benchEngineInput(b *testing.B) []byte {
 }
 
 // BenchmarkRunWordcount measures the real Phoenix-style runtime on word
-// count with the node's cores, and isolates what the streaming combine buys:
-// the same corpus with and without a combiner. The combine variant must
-// allocate strictly fewer bytes per op — raw pairs never hit the staging
-// buffers. The engine's core sweep is
+// count with the node's cores, with and without a combiner. The map kernel
+// already combines within each map call (one pair per distinct word per
+// task), so the two variants differ only in how the engine folds those
+// pairs: streaming records against staged pairs. The engine's core sweep is
 //
-//	go test -run '^$' -bench 'RunWordcount|PartitionDrivers' -cpu 1,2,4,8 .
+//	go test -run '^$' -bench 'RunWordcount|PartitionDriver' -cpu 1,2,4,8 .
 func BenchmarkRunWordcount(b *testing.B) {
 	input := benchEngineInput(b)
 	withCombine := workloads.WordCountSpec()

@@ -125,6 +125,63 @@ func TestWordCountModuleNativeMode(t *testing.T) {
 	}
 }
 
+// TestWordCountOneBoundaryRule pins word count's one word-boundary rule:
+// only ASCII whitespace separates words, so U+0085 and U+00A0 sit inside
+// them. The engine, the sequential baseline, WordCountSeq and the module
+// at native and 64 KiB partitions must all count the same words.
+func TestWordCountOneBoundaryRule(t *testing.T) {
+	const line = "alpha beta gamma\u0085delta epsilon\u00a0zeta\n"
+	const lines = 4000 // ~170 KB: several 64 KiB fragments
+	text := []byte(strings.Repeat(line, lines))
+	want := workloads.WordCountSeq(text)
+	if want["gamma\u0085delta"] != lines || want["epsilon\u00a0zeta"] != lines || len(want) != 4 {
+		t.Fatalf("WordCountSeq = %v, want 4 words, each %d times", want, lines)
+	}
+	check := func(path string, got map[string]int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d distinct words %v, want %d", path, len(got), got, len(want))
+		}
+		for w, n := range want {
+			if got[w] != n {
+				t.Fatalf("%s: count[%q] = %d, want %d", path, w, got[w], n)
+			}
+		}
+	}
+	ctx := context.Background()
+	par, err := mapreduce.Run(ctx, mapreduce.Config{Workers: 2}, workloads.WordCountSpec(), text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", par.Map())
+	seq, err := mapreduce.RunSequential(ctx, mapreduce.Config{}, workloads.WordCountSpec(), text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunSequential", seq.Map())
+
+	store, dir := dataDir(t)
+	writeFile(t, dir, "corpus.txt", text)
+	mod := WordCountModule(ModuleConfig{Store: store, Workers: 2})
+	for _, part := range []int64{0, 64 << 10} {
+		raw, err := mod.Run(ctx, mustEncode(t, WordCountParams{
+			DataFile: "corpus.txt", PartitionBytes: part, EmitPairs: true,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out WordCountOutput
+		if err := Decode(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int, len(out.Pairs))
+		for _, p := range out.Pairs {
+			got[p.Word] = p.Count
+		}
+		check(fmt.Sprintf("module, partition %d", part), got)
+	}
+}
+
 func TestWordCountModuleErrors(t *testing.T) {
 	store, _ := dataDir(t)
 	mod := WordCountModule(ModuleConfig{Store: store})

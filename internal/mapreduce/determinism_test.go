@@ -34,16 +34,11 @@ func serialize[R any](pairs []Pair[string, R]) []byte {
 	return buf.Bytes()
 }
 
-// orderedWCSpec is word count over the zero-copy bytes path with a sorted
-// final merge — the engine's most optimized configuration.
+// orderedWCSpec is word count emitting one pair per word through the
+// streaming combiner, with a sorted final merge: every word folds through
+// the engine's pooled records and value buffers.
 func orderedWCSpec() Spec[string, int, int] {
 	s := wcSpec()
-	s.MapBytes = func(chunk []byte, emit func([]byte, int)) error {
-		for _, w := range bytes.Fields(chunk) {
-			emit(w, 1)
-		}
-		return nil
-	}
 	s.Combine = func(_ string, vs []int) []int {
 		sum := 0
 		for _, v := range vs {

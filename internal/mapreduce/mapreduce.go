@@ -42,18 +42,11 @@ type Spec[K comparable, V any, R any] struct {
 
 	// Map processes one chunk, emitting intermediate pairs. It runs
 	// concurrently on many chunks; emit is safe for the calling goroutine
-	// only.
+	// only. A failed map task is retried from scratch, so whatever a Map
+	// accumulates before emitting must be local to the call — word count
+	// counts its chunk in a call-local table and emits one pair per
+	// distinct word.
 	Map func(chunk []byte, emit func(K, V)) error
-
-	// MapBytes is the zero-copy alternative to Map for specs whose key
-	// type is string: it emits keys as byte subslices of the chunk (no
-	// per-emission string conversion). The runtime interns each distinct
-	// key at most once per task and never retains the emitted bytes, so
-	// the callback may pass subslices of the chunk — or of a reusable
-	// scratch buffer — directly. When both Map and MapBytes are set the
-	// runtime prefers MapBytes; Run fails with ErrMapBytesKey when
-	// MapBytes is set on a spec whose K is not string.
-	MapBytes func(chunk []byte, emit func(word []byte, v V)) error
 
 	// Combine optionally folds a key's values worker-locally after the map
 	// phase (Phoenix's combiner), shrinking the intermediate footprint.
@@ -145,8 +138,8 @@ func (c Config) reducers() int {
 }
 
 // soloTaskMax caps the one map task of a single-worker run. Extra tasks
-// buy a single worker nothing — each one re-interns and re-splices the
-// same vocabulary — but the engine checks for cancellation only between
+// buy a single worker nothing — each one re-emits and re-splices the same
+// vocabulary — but the engine checks for cancellation only between
 // tasks, so a native run over a large input still gets a task boundary
 // every soloTaskMax bytes. Partition-driver fragments are smaller than
 // this and map as one task.
@@ -237,13 +230,8 @@ func (r *Result[K, R]) Map() map[K]R {
 	return m
 }
 
-// ErrSpecIncomplete reports a Spec missing Map (or MapBytes) or Reduce.
-var ErrSpecIncomplete = errors.New("mapreduce: spec requires Map (or MapBytes) and Reduce")
-
-// ErrMapBytesKey reports a Spec whose MapBytes is set but whose key type
-// is not string — the zero-copy emit path interns byte keys into strings
-// and has no meaning for other key types.
-var ErrMapBytesKey = errors.New("mapreduce: MapBytes requires the spec key type to be string")
+// ErrSpecIncomplete reports a Spec missing Map or Reduce.
+var ErrSpecIncomplete = errors.New("mapreduce: spec requires Map and Reduce")
 
 // taskError wraps a recovered panic or returned error from a user callback.
 type taskError struct {

@@ -117,7 +117,7 @@ func putTaskMap[K comparable, V any](m map[K]*kvrec[K, V]) {
 	poolFor(reflect.TypeFor[map[K]*kvrec[K, V]]()).Put(m)
 }
 
-// kvrec is one emit record: an interned key and its value run. Records
+// kvrec is one emit record: a key and its value run. Records
 // live in a recArena and are referenced only by task-local state, so a
 // whole task's records are reclaimed with one arena reset.
 type kvrec[K comparable, V any] struct {
@@ -152,8 +152,8 @@ func (a *recArena[K, V]) alloc() *kvrec[K, V] {
 	return r
 }
 
-// each visits every live record in allocation (first-emission) order. It
-// lets the zero-copy path splice a task without iterating a map.
+// each visits every live record in allocation (first-emission) order, so
+// a task splices without iterating its map.
 func (a *recArena[K, V]) each(f func(*kvrec[K, V])) {
 	for i := 0; i < a.cur; i++ {
 		blk := a.blocks[i]

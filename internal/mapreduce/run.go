@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,15 +24,8 @@ const streamFoldLen = 64
 // admit the estimated footprint, with ctx.Err() when cancelled, and with a
 // task error when a map or reduce task keeps failing past its retry budget.
 func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[K, V, R], input []byte) (*Result[K, R], error) {
-	if (spec.Map == nil && spec.MapBytes == nil) || spec.Reduce == nil {
+	if spec.Map == nil || spec.Reduce == nil {
 		return nil, ErrSpecIncomplete
-	}
-	useBytes := spec.MapBytes != nil
-	if useBytes {
-		var zk K
-		if _, ok := any(zk).(string); !ok {
-			return nil, fmt.Errorf("mapreduce: %q: %w", spec.Name, ErrMapBytesKey)
-		}
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -115,12 +107,9 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 				st.free = nil
 				putFreeList(fl)
 			}()
-			switch {
-			case useBytes:
-				mp.runBytes(st, taskCh)
-			case spec.Combine != nil:
+			if spec.Combine != nil {
 				mp.runStreaming(st, taskCh)
-			default:
+			} else {
 				mp.runStaged(st, taskCh)
 			}
 		}()
@@ -445,106 +434,5 @@ func (mp *mapPhase[K, V, R]) runStaged(st *mapWorker[K, V], taskCh <-chan int) {
 			dst[kv.Key] = append(vs, kv.Value)
 		}
 		st.emitted += int64(len(staging))
-	}
-}
-
-// runBytes is the zero-copy emit path for string-keyed specs using
-// MapBytes: the callback emits keys as byte subslices of the chunk, and
-// the runtime interns each distinct key into a string at most once per
-// task — a repeated key costs one map probe and zero allocations. The
-// generic callbacks are specialized to string once up front (K is
-// guaranteed to be string here, so the assertions cannot fail).
-func (mp *mapPhase[K, V, R]) runBytes(st *mapWorker[K, V], taskCh <-chan int) {
-	var combine func(string, []V) []V
-	if mp.spec.Combine != nil {
-		combine = any(mp.spec.Combine).(func(string, []V) []V)
-	}
-	var partFn func(string, int) int
-	if mp.spec.PartitionFn != nil {
-		partFn = any(mp.spec.PartitionFn).(func(string, int) int)
-	}
-	parts := make([]map[string][]V, len(st.parts))
-	for i, m := range st.parts {
-		parts[i] = any(m).(map[string][]V)
-	}
-	partition := func(k string) int {
-		if mp.numReducers == 1 {
-			return 0
-		}
-		if partFn != nil {
-			p := partFn(k, mp.numReducers) % mp.numReducers
-			if p < 0 {
-				p += mp.numReducers
-			}
-			return p
-		}
-		return int(maphash.String(hashSeed, k) % uint64(mp.numReducers))
-	}
-
-	tbl := getWordTable[V]()
-	defer putWordTable(tbl)
-	arena := getArena[string, V]()
-	defer putArena(arena)
-	var taskEmitted int64
-	emit := func(kb []byte, v V) {
-		h := internHash(kb)
-		e := tbl.lookup(kb, h)
-		if e == nil {
-			e = arena.alloc()
-			e.key = string(kb) // the one allocation: intern on first sight
-			e.vs = st.getBuf()
-			tbl.insert(h, e)
-		}
-		e.vs = append(e.vs, v)
-		if combine != nil && len(e.vs) >= streamFoldLen {
-			e.vs = combine(e.key, e.vs)
-		}
-		taskEmitted++
-	}
-	discard := func() {
-		arena.each(func(e *kvrec[string, V]) { st.putBuf(e.vs) })
-		tbl.reset()
-		arena.reset()
-	}
-	for idx := range taskCh {
-		if ctxErr(mp.ctx) != nil {
-			return
-		}
-		chunk := mp.chunks[idx]
-		var err error
-		for attempt := 0; ; attempt++ {
-			err = guard(func() error { return mp.spec.MapBytes(chunk, emit) })
-			if err == nil {
-				break
-			}
-			discard()
-			taskEmitted = 0
-			if attempt >= mp.maxRetries {
-				break
-			}
-			mp.retries.Add(1)
-		}
-		if err != nil {
-			mp.fail(&taskError{phase: "map", spec: mp.spec.Name, err: err})
-			return
-		}
-		// Splice by scanning the arena (emission order), not the table.
-		arena.each(func(e *kvrec[string, V]) {
-			dst := parts[partition(e.key)]
-			if cur, ok := dst[e.key]; ok {
-				cur = append(cur, e.vs...)
-				if combine != nil && len(cur) >= streamFoldLen {
-					cur = combine(e.key, cur)
-				}
-				dst[e.key] = cur
-				st.putBuf(e.vs)
-			} else {
-				dst[e.key] = e.vs
-			}
-		})
-		tbl.reset()
-		arena.reset()
-		st.emitted += taskEmitted
-		taskEmitted = 0
 	}
 }

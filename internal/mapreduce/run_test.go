@@ -642,3 +642,50 @@ func TestRunShuffleAndFragmentStats(t *testing.T) {
 			res.Stats.FragmentKeys, res.Stats.UniqueKeys)
 	}
 }
+
+// TestSingleWorkerMapsOneTask pins the one-task rule: a single worker has
+// no load to balance, so its run maps the whole input as one task — and a
+// cancelled run still reports the cancellation.
+func TestSingleWorkerMapsOneTask(t *testing.T) {
+	input := bytes.Repeat([]byte("alpha beta gamma "), 20_000) // 340 KB
+	res, err := Run(context.Background(), Config{Workers: 1}, wcSpec(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.MapTasks != 1 {
+		t.Fatalf("single-worker MapTasks = %d, want 1", res.Stats.MapTasks)
+	}
+	if got := res.Map()["beta"]; got != 20_000 {
+		t.Fatalf("count[beta] = %d, want 20000", got)
+	}
+	if got := (Config{Workers: 1}).chunkSize(3 * soloTaskMax); got != soloTaskMax {
+		t.Fatalf("single-worker task size over a large input = %d, want the %d cap", got, soloTaskMax)
+	}
+	if got := (Config{Workers: 2}).chunkSize(len(input)); got >= len(input) {
+		t.Fatalf("two-worker task size %d, want several tasks over %d B", got, len(input))
+	}
+
+	spec := wcSpec()
+	started := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	spec.Map = func(chunk []byte, emit func(string, int)) error {
+		close(started)
+		<-ctx.Done()
+		return nil
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, Config{Workers: 1}, spec, input)
+		errCh <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled single-worker run: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled single-worker run did not return")
+	}
+}

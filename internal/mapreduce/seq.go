@@ -15,23 +15,8 @@ import (
 // Memory admission applies exactly as in Run — the sequential Phoenix
 // baseline hits the same memory wall.
 func RunSequential[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[K, V, R], input []byte) (*Result[K, R], error) {
-	if (spec.Map == nil && spec.MapBytes == nil) || spec.Reduce == nil {
+	if spec.Map == nil || spec.Reduce == nil {
 		return nil, ErrSpecIncomplete
-	}
-	if spec.Map == nil {
-		// Adapt the zero-copy callback: the sequential baseline keeps its
-		// simple one-map structure and just converts keys eagerly. (Specs
-		// meant to be fast sequentially should also set Map.)
-		var zk K
-		if _, ok := any(zk).(string); !ok {
-			return nil, fmt.Errorf("mapreduce: %q: %w", spec.Name, ErrMapBytesKey)
-		}
-		mb := spec.MapBytes
-		spec.Map = func(chunk []byte, emit func(K, V)) error {
-			return mb(chunk, func(kb []byte, v V) {
-				emit(any(string(kb)).(K), v)
-			})
-		}
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
