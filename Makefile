@@ -74,20 +74,23 @@ chaos-heal:
 	$(GO) test -run TestChaosHeal -count=10 -v .
 	$(GO) test -race -run TestChaosHeal -count=3 .
 
-# flake loops the push front door and the chaos suites under the race
-# detector, FLAKE_COUNT times each (CI runs a short count): the notify
-# stream, its inline payloads, reassembly, size probe and fallbacks (fleet
-# word counts whose bundle answers must all ride their notifies, at a
-# one-second and at the default 25 ms router tick, included), responses
-# longer than the router's scan buffer, the push/poll differential, daemon
-# shutdown joins, the probe's heartbeat memo, the fleet's corrupt-replica
-# fallback, late-answer drop and no-median speculation rule, the
-# scheduler's memory admission, the daemon's shed path driven through the
-# fleet's same-node requeue, the nfs pipeline's disconnect handling, and
-# the partition driver's memory-bounded fragment pool and cancellation. A
-# tier-1 test that fails one run in fifty here is a bug, not noise.
+# flake loops the host's response router and the chaos suites under the
+# race detector, FLAKE_COUNT times each (CI runs a short count). The router
+# notify-driven: the stream, its inline payloads, reassembly, size probe
+# and fallbacks (fleet word counts whose bundle answers must all ride their
+# notifies, at a one-second and at the default 25 ms router tick,
+# included), responses longer than the router's scan buffer. The router
+# tick-driven on a share that cannot push: the smartfam invocation tests,
+# compaction under a live reader, pushless callers sharing one reader, and
+# the push/poll differential. Beyond the router: daemon shutdown joins, the
+# probe's heartbeat memo, the fleet's corrupt-replica fallback, late-answer
+# drop and no-median speculation rule, the scheduler's memory admission,
+# the daemon's shed path driven through the fleet's same-node requeue, the
+# nfs pipeline's disconnect handling, and the partition driver's
+# memory-bounded fragment pool and cancellation. A tier-1 test that fails
+# one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel
+FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition
 

@@ -47,7 +47,8 @@ func seededFamBatch(seed int64, n int) []famBatchCall {
 
 // runFamBatch serves calls over a fresh share — push end to end, or with
 // both the daemon's and the host's view of their connections hiding
-// WatchFS so every notice comes from polling — compacting both module
+// WatchFS so every notice comes from polling (the daemon's watcher, the
+// host's tick-driven router) — compacting both module
 // logs between the two halves. It returns each call's outcome by
 // correlation ID and the daemon's journal once Run has returned.
 func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]string, *smartfam.JournalState) {
@@ -164,7 +165,8 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 
 // TestFamPushVsPollDifferential runs one seeded batch — an error module
 // and a mid-batch compaction included — over push and over a pushless view
-// of the same kind of share. Notify-carried responses must change nothing
+// of the same kind of share: the host's one router, notify-driven against
+// tick-driven. Notify-carried responses must change nothing
 // observable: the response for every correlation ID and the journal's end
 // state are identical.
 func TestFamPushVsPollDifferential(t *testing.T) {

@@ -162,13 +162,20 @@ type pushlessFS struct{ smartfam.FS }
 
 // TestFamPushlessViewFallsBackToPolling pins the fallback matrix's wrapper
 // row end to end: a host whose view of a live connection hides WatchFS
-// cannot push, yet invocations complete through the classic
-// append-then-poll path, with zero push events routed.
+// cannot push, yet invocations complete through the tick-driven router,
+// with zero push events routed. A share that never pushed is not
+// degraded: the degraded counter and the push-active gauge stay 0.
 func TestFamPushlessViewFallsBackToPolling(t *testing.T) {
 	addr, _ := startFamTestbed(t)
 	hc, hostMetrics := famHostClient(t, addr, func(c *Client) smartfam.FS { return pushlessFS{c} })
 	famInvokeAll(t, hc, 8)
 	if v := hostMetrics.Counter(metrics.FamPushEvents).Value(); v != 0 {
 		t.Fatalf("push-less host routed %d push events, want 0", v)
+	}
+	if v := hostMetrics.Counter(metrics.FamDegraded).Value(); v != 0 {
+		t.Fatalf("push-less host counted %d degradations, want 0: it never had a stream to lose", v)
+	}
+	if g := hostMetrics.Gauge(metrics.FamPushActive); g.Peak() != 0 || g.Value() != 0 {
+		t.Fatalf("push-less host push_active gauge peaked at %d (now %d), want 0", g.Peak(), g.Value())
 	}
 }

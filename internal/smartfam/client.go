@@ -12,8 +12,9 @@ import (
 )
 
 // Client is the host-node side of smartFAM: it writes input parameters into
-// a module's log file on the share (step 1 of Fig. 5) and watches the log
-// for the module's results (steps 2-4 of result return).
+// a module's log file on the share (step 1 of Fig. 5) and one response
+// router per module log watches it for the module's results (steps 2-4 of
+// result return) on behalf of every waiting caller.
 type Client struct {
 	fs         FS
 	interval   time.Duration
@@ -21,17 +22,19 @@ type Client struct {
 	staleAfter time.Duration
 	lastStamp  atomic.Int64 // last heartbeat stamp Probe read (UnixNano; 0 = none)
 
-	// fam v2 push-mode state (push.go). pushMu guards all of it.
+	// Response routers and group commit (push.go). pushMu guards the maps.
 	pushMu     sync.Mutex
 	routers    map[string]*respRouter  // live response routers, by module
 	batchers   map[string]*groupCommit // group-commit batchers, by log name
-	pushBroken bool                    // share can never push; stop trying
+	pushBroken atomic.Bool             // share can never push; stop trying
 	batchBytes int                     // 0: batching disabled (the default)
 	batchDelay time.Duration
 }
 
-// NewClient returns a client over the shared folder fsys, polling for
-// responses at the given interval (DefaultPollInterval when <= 0).
+// NewClient returns a client over the shared folder fsys. interval
+// (DefaultPollInterval when <= 0) is the response routers' tick on a share
+// that delivers no change notifications; on one that does, the routers'
+// safety probe runs at ten times it, never below 25ms.
 func NewClient(fsys FS, interval time.Duration) *Client {
 	if interval <= 0 {
 		interval = DefaultPollInterval
@@ -210,66 +213,27 @@ func (c *Client) InvokeID(ctx context.Context, module, id string, params []byte)
 		return nil, err
 	}
 
-	// Push fast path (fam v2): when the share streams change
-	// notifications, a per-module router delivers the response without
-	// polling. The router registers the waiter BEFORE the append. No
-	// per-call existence Stat here: the router stat'ed the log when it
-	// armed its watch, so a live router IS the existence check — the hot
-	// path costs one (batched) append, not an extra round trip.
-	if rt := c.router(module); rt != nil {
-		return c.invokePush(ctx, rt, module, logName, id, line)
-	}
-
-	// Degraded/legacy path: append, then poll the log for the response.
-	// The log file is created at preload time; its absence means the
-	// module does not exist on the SD node.
-	off, _, err := c.fs.Stat(logName)
+	// One reader per module log: the router registers the waiter BEFORE
+	// the append, so a response can never land unobserved. No per-call
+	// existence Stat here: the router stat'ed the log when it armed, so a
+	// live router IS the existence check — the hot path costs one
+	// (batched) append, not an extra round trip.
+	rt, err := c.router(module)
 	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownModule, module)
-		}
 		return nil, err
 	}
+	ch := rt.register(id)
+	defer rt.unregister(id)
 	if err := c.appendRequest(ctx, module, logName, id, line); err != nil {
 		return nil, err
 	}
-
-	// Watch the log from just before our own request; our request record
-	// is skipped by kind, and the daemon's response is matched by ID.
-	gen := ReadGeneration(c.fs, module)
-	ticker := time.NewTicker(c.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ticker.C:
-			// Tolerate a compacted/recreated log: restart from the top
-			// (our pending request survives compaction by design).
-			if g := ReadGeneration(c.fs, module); g != gen {
-				gen, off = g, 0
-			} else if size, _, err := c.fs.Stat(logName); err == nil && size < off {
-				off = 0
-			}
-			data, err := ReadFrom(c.fs, logName, off)
-			if err != nil || len(data) == 0 {
-				continue
-			}
-			recs, consumed, corrupt, err := ParseRecords(data)
-			c.countCorrupt(corrupt)
-			if err != nil {
-				return nil, err
-			}
-			off += int64(consumed)
-			for _, rec := range recs {
-				if rec.Kind != KindResponse || rec.ID != id {
-					continue
-				}
-				if rec.Status == StatusError {
-					return nil, &ModuleError{Module: module, Msg: string(rec.Payload)}
-				}
-				return rec.Payload, nil
-			}
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case rec := <-ch:
+		if rec.Status == StatusError {
+			return nil, &ModuleError{Module: module, Msg: string(rec.Payload)}
 		}
+		return rec.Payload, nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -11,15 +12,19 @@ import (
 	"mcsd/internal/metrics"
 )
 
-// This file is the host half of the fam v2 push-mode front door:
+// This file is the host's one response reader and the host half of the
+// fam v2 push-mode front door:
 //
-//   - respRouter replaces InvokeID's per-call polling loop when the share
-//     implements WatchFS: ONE notify-driven reader per module log rebuilds
-//     the log from the bytes the notifies carry — in offset order, however
-//     they arrive — reading the share only for what no notify brought, and
-//     hands each response to the waiter registered under its correlation
-//     ID. Waiters register BEFORE appending their request, so a response
-//     can never land unobserved.
+//   - respRouter is the ONE reader per module log, shared by every InvokeID
+//     waiting on it. On a share that implements WatchFS it is notify-driven:
+//     it rebuilds the log from the bytes the notifies carry — in offset
+//     order, however they arrive — reading the share only for what no
+//     notify brought. On a share that cannot push (DirFS, a wrapper hiding
+//     the capability, a pre-watch server) it is tick-driven: one scan of
+//     the log per client interval, whatever the number of waiters. Either
+//     way it hands each response to the waiter registered under its
+//     correlation ID, and waiters register BEFORE appending their request,
+//     so a response can never land unobserved.
 //   - batcher is the group-commit side (groupcommit.go): concurrent
 //     InvokeID calls against one module coalesce their request records into
 //     a single share append per batch window (bounded by bytes and delay),
@@ -27,17 +32,16 @@ import (
 //     from a torn-flush retry are deduped by the daemon's journal, so
 //     exactly-once survives batching.
 //
-// Both degrade loudly, never wedge: a lost notify stream flips the router
-// to fast polling (counted under smartfam.fam.degraded) and periodically
-// re-arms push; a share that cannot push at all (DirFS, a wrapper hiding
-// the capability, a pre-watch server) keeps the classic append-then-poll
-// path untouched.
+// Both degrade loudly, never wedge: a lost notify stream drops the router
+// into the same tick mode (counted under smartfam.fam.degraded) and each
+// tick tries to re-arm push; a share without WatchFS, or one that reported
+// ErrWatchUnsupported, is tick-driven from the start and never re-probed.
 
-// pushSafetyFloor is the router's tick and, with waiters pending, its size
-// probe interval: bytes still undelivered a whole interval after a probe
-// saw them are read from the share. Push delivers the fast path; the probe
-// only covers dropped notifies (the server's per-watcher queue is bounded)
-// and writers that bypass the server.
+// pushSafetyFloor is the notify-driven router's tick and, with waiters
+// pending, its size probe interval: bytes still undelivered a whole
+// interval after a probe saw them are read from the share. Push delivers
+// the fast path; the probe only covers dropped notifies (the server's
+// per-watcher queue is bounded) and writers that bypass the server.
 const pushSafetyFloor = 25 * time.Millisecond
 
 // SetBatching enables host-side group commit with the given bounds (<= 0
@@ -79,14 +83,13 @@ func (c *Client) pushGaugeAdd(delta int64) {
 // arm latency; a watch held idle costs the server one map entry.
 const routerLinger = time.Second
 
-// respRouter is the notify-driven response reader for one module log. It
-// is reference-counted by in-flight invocations: the first creates it (and
+// respRouter is the response reader for one module log. It is
+// reference-counted by in-flight invocations: the first creates it (and
 // its goroutine); after the last leaves the router lingers routerLinger
 // before retiring, so an idle client eventually holds no goroutines and no
 // server-side watch.
 type respRouter struct {
 	c       *Client
-	wfs     WatchFS
 	module  string
 	logName string
 
@@ -100,10 +103,10 @@ type respRouter struct {
 
 	// The rest is touched only by the router goroutine. lost marks an
 	// offset no longer known to match the log: a bare notify or a gap went
-	// unscanned for want of waiters (a compaction may have truncated the
-	// log under it), so until an inline append lands exactly on it or a
-	// scan has re-run the compaction checks, no append is taken as already
-	// consumed and none is held.
+	// unscanned for want of waiters, or no stream announces compactions at
+	// all (a compaction may have truncated the log under it), so until an
+	// inline append lands exactly on it or a scan has re-run the compaction
+	// checks, no append is taken as already consumed and none is held.
 	off   int64
 	gen   int64
 	lost  bool
@@ -115,38 +118,33 @@ type respRouter struct {
 	buf   []byte       // read buffer, allocated on the first read
 }
 
-// router returns the live response router for module, creating it (and
-// arming a server watch) on first use. nil means push is unavailable —
-// the caller runs the classic polling path. A share that reports
-// ErrWatchUnsupported is remembered as permanently pushless. The arm
-// I/O — watch, stat, generation, three round trips — runs with pushMu
-// released; when two first-callers race, the loser joins the winner's
-// router and folds its own watch.
-func (c *Client) router(module string) *respRouter {
-	wfs, ok := c.fs.(WatchFS)
-	if !ok {
-		return nil
-	}
-	if rt, broken := c.joinRouter(module); rt != nil || broken {
-		return rt
+// router returns module's live response router with a reference taken,
+// creating it on first use. Arming stats the log — the existence check:
+// a missing log is ErrUnknownModule — after it has tried to open a notify
+// stream; without one the router starts tick-driven. The arm I/O — watch,
+// stat, generation, three round trips — runs with pushMu released; when
+// two first-callers race, the loser joins the winner's router and folds
+// its own watch.
+func (c *Client) router(module string) (*respRouter, error) {
+	if rt := c.joinRouter(module); rt != nil {
+		return rt, nil
 	}
 	logName := LogName(module)
-	st, err := wfs.Watch(logName)
-	if err != nil {
-		if errors.Is(err, ErrWatchUnsupported) {
-			c.pushMu.Lock()
-			c.pushBroken = true
-			c.pushMu.Unlock()
-		}
-		return nil
-	}
+	st := c.watch(logName)
 	// Snapshot the scan start BEFORE any caller appends its request (the
 	// caller registers first, then appends — and only after this router is
 	// published), so responses to our requests always land at or after off.
 	size, _, err := c.fs.Stat(logName)
 	if err != nil {
-		st.Close()
-		return nil
+		if st != nil {
+			st.Close()
+		}
+		if errors.Is(err, ErrNotExist) {
+			// The log file is created at preload time; its absence means
+			// the module does not exist on the SD node.
+			return nil, fmt.Errorf("%w: %q", ErrUnknownModule, module)
+		}
+		return nil, err
 	}
 	gen := ReadGeneration(c.fs, module)
 
@@ -156,12 +154,13 @@ func (c *Client) router(module string) *respRouter {
 		rt.refs++
 		rt.idleSince = time.Time{}
 		c.pushMu.Unlock()
-		st.Close()
-		return rt
+		if st != nil {
+			st.Close()
+		}
+		return rt, nil
 	}
 	rt := &respRouter{
 		c:       c,
-		wfs:     wfs,
 		module:  module,
 		logName: logName,
 		refs:    1,
@@ -177,27 +176,41 @@ func (c *Client) router(module string) *respRouter {
 	// run exits through expire(): its ticker fires at least every probe
 	// interval and retires the router once it has sat at zero refs past
 	// routerLinger (refcounted under c.pushMu); a stream loss inside run
-	// only degrades it to polling, the ticker keeps firing. It joins its
+	// only drops it to tick mode, the ticker keeps firing. It joins its
 	// size probes before it returns.
 	go rt.run(st)
-	return rt
+	return rt, nil
 }
 
 // joinRouter takes a reference on module's live router when one exists.
-// The second return reports the permanently-pushless verdict so callers
-// skip the arm I/O.
-func (c *Client) joinRouter(module string) (*respRouter, bool) {
+func (c *Client) joinRouter(module string) *respRouter {
 	c.pushMu.Lock()
 	defer c.pushMu.Unlock()
-	if c.pushBroken {
-		return nil, true
+	rt := c.routers[module]
+	if rt == nil || rt.stopped {
+		return nil
 	}
-	if rt := c.routers[module]; rt != nil && !rt.stopped {
-		rt.refs++
-		rt.idleSince = time.Time{}
-		return rt, false
+	rt.refs++
+	rt.idleSince = time.Time{}
+	return rt
+}
+
+// watch opens a notify stream on logName, or returns nil when the share
+// cannot push: it lacks WatchFS, the watch failed, or the share once
+// reported ErrWatchUnsupported — remembered, so it is never asked again.
+func (c *Client) watch(logName string) WatchStream {
+	wfs, ok := c.fs.(WatchFS)
+	if !ok || c.pushBroken.Load() {
+		return nil
 	}
-	return nil, false
+	st, err := wfs.Watch(logName)
+	if err != nil {
+		if errors.Is(err, ErrWatchUnsupported) {
+			c.pushBroken.Store(true)
+		}
+		return nil
+	}
+	return st
 }
 
 // register installs a waiter for the response carrying id. Must be called
@@ -253,18 +266,22 @@ func (rt *respRouter) expire() bool {
 // bytes below the size the previous probe saw that no event has brought
 // are read — they sat on the server a whole interval with no notify. At
 // least once per routerLinger the probe also reads the generation, which
-// with the size catches a compaction no notify announced. On stream loss
-// the router degrades to polling at the client's interval while
-// periodically trying to re-arm push.
+// with the size catches a compaction no notify announced. With no stream —
+// a share that cannot push, or a stream lost — the router is tick-driven
+// at the client's interval: each tick tries to re-arm push, then scans.
 func (rt *respRouter) run(st WatchStream) {
 	c := rt.c
 	floor := pushSafetyFloor
 	if d := 10 * c.interval; d > floor {
 		floor = d
 	}
-	tick := time.NewTicker(floor)
+	every := c.interval
+	if st != nil {
+		every = floor
+		c.pushGaugeAdd(1)
+	}
+	tick := time.NewTicker(every)
 	defer tick.Stop()
-	c.pushGaugeAdd(1)
 	var probes sync.WaitGroup
 	answers := make(chan sizeProbe, 1)
 	defer func() {
@@ -276,8 +293,8 @@ func (rt *respRouter) run(st WatchStream) {
 	}()
 	event := func(ev WatchEvent, ok bool) {
 		if !ok {
-			// Stream lost: degraded mode. Poll fast, like the classic
-			// path, and let the tick double as the re-arm probe.
+			// Stream lost: degraded to tick mode, where the tick doubles
+			// as the re-arm probe.
 			st = nil
 			c.pushGaugeAdd(-1)
 			c.countDegraded()
@@ -319,14 +336,12 @@ func (rt *respRouter) run(st WatchStream) {
 				return
 			}
 			if st == nil {
-				if ns, err := rt.wfs.Watch(rt.logName); err == nil {
-					st = ns
+				// No stream announced a compaction since the last tick:
+				// the scan re-runs the checks before it reads.
+				rt.lost = true
+				if st = c.watch(rt.logName); st != nil {
 					c.pushGaugeAdd(1)
 					tick.Reset(floor)
-				} else if errors.Is(err, ErrWatchUnsupported) {
-					c.pushMu.Lock()
-					c.pushBroken = true
-					c.pushMu.Unlock()
 				}
 				rt.scan()
 				continue
@@ -522,21 +537,22 @@ const scanChunk = 256 << 10
 // tail torn mid-append until a later read completes it. The compaction
 // checks run when the read comes back empty, which is exactly what a
 // shrunken log looks like from a stale offset; a lost offset is checked
-// before reading. With no waiters registered the scan is skipped entirely
-// and the offset marked lost; the next armed scan catches up.
+// before reading instead. With no waiters registered the scan is skipped
+// entirely and the offset marked lost; the next armed scan catches up.
 func (rt *respRouter) scan() {
 	if !rt.armed() {
 		rt.lost = true
 		rt.held, rt.heldN = nil, 0
 		return
 	}
-	if rt.lost {
+	checked := rt.lost
+	if checked {
 		rt.lost = false
 		rt.rewind()
 	}
 	// Nothing at the offset: usually just no news, but a compacted or
 	// truncated log shows the same face — check, rewind, rescan once.
-	if rt.readLog(-1) == 0 && rt.rewind() {
+	if rt.readLog(-1) == 0 && !checked && rt.rewind() {
 		rt.readLog(-1)
 	}
 	rt.drain()
@@ -625,25 +641,6 @@ func (rt *respRouter) deliver(recs []Record) {
 	for _, dv := range due {
 		//mcsdlint:allow chanbound -- the waiter channel is made with cap 1 in register and was removed from the map under rt.mu above, so this is its single delivery; it cannot block
 		dv.ch <- dv.rec
-	}
-}
-
-// invokePush is InvokeID's fast path: register the waiter, append the
-// request (batched or direct), block on the routed response.
-func (c *Client) invokePush(ctx context.Context, rt *respRouter, module, logName, id string, line []byte) ([]byte, error) {
-	ch := rt.register(id)
-	defer rt.unregister(id)
-	if err := c.appendRequest(ctx, module, logName, id, line); err != nil {
-		return nil, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case rec := <-ch:
-		if rec.Status == StatusError {
-			return nil, &ModuleError{Module: module, Msg: string(rec.Payload)}
-		}
-		return rec.Payload, nil
 	}
 }
 

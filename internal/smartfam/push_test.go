@@ -45,7 +45,7 @@ func (h *pushHub) emit(ev WatchEvent) {
 }
 
 func (h *pushHub) view() *hubView {
-	return &hubView{hub: h, reads: make(map[string]int), readBytes: make(map[string]int)}
+	return &hubView{hub: h, stats: make(map[string]int), reads: make(map[string]int), readBytes: make(map[string]int)}
 }
 
 type hubStream struct {
@@ -66,13 +66,27 @@ func (s *hubStream) Close() error {
 	return nil
 }
 
-// hubView is one node's mount of the hub; it counts its ReadAt calls, and
-// the bytes they returned, per file.
+// hubView is one node's mount of the hub; it counts its Stat and ReadAt
+// calls, and the bytes the reads returned, per file.
 type hubView struct {
 	hub       *pushHub
 	mu        sync.Mutex
+	stats     map[string]int
 	reads     map[string]int
 	readBytes map[string]int
+}
+
+// calls snapshots the view's Stat and ReadAt counts: all of them, and the
+// Stats and ReadAts of name.
+func (v *hubView) calls(name string) (all, stats, reads int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, m := range []map[string]int{v.stats, v.reads} {
+		for _, n := range m {
+			all += n
+		}
+	}
+	return all, v.stats[name], v.reads[name]
 }
 
 func (v *hubView) readsOf(name string) int {
@@ -126,10 +140,16 @@ func (v *hubView) ReadAt(name string, p []byte, off int64) (int, error) {
 	return n, err
 }
 
-func (v *hubView) Stat(name string) (int64, time.Time, error) { return v.hub.FS.Stat(name) }
-func (v *hubView) List() ([]string, error)                    { return v.hub.FS.List() }
-func (v *hubView) Remove(name string) error                   { return v.hub.FS.Remove(name) }
-func (v *hubView) Rename(oldname, newname string) error       { return v.hub.FS.Rename(oldname, newname) }
+func (v *hubView) Stat(name string) (int64, time.Time, error) {
+	v.mu.Lock()
+	v.stats[name]++
+	v.mu.Unlock()
+	return v.hub.FS.Stat(name)
+}
+
+func (v *hubView) List() ([]string, error)              { return v.hub.FS.List() }
+func (v *hubView) Remove(name string) error             { return v.hub.FS.Remove(name) }
+func (v *hubView) Rename(oldname, newname string) error { return v.hub.FS.Rename(oldname, newname) }
 
 func (v *hubView) Watch(prefix string) (WatchStream, error) {
 	s := &hubStream{hub: v.hub, prefix: prefix, ch: make(chan WatchEvent, 1024)}
@@ -388,51 +408,135 @@ func waitPrompt(t *testing.T, done <-chan error, what string) {
 // back, so the response landing behind the kept request arrives at an
 // offset the router's old image had long consumed. It must be delivered
 // at once — with a waiter pending, and after a compaction the router
-// slept through.
+// slept through — by a notify-driven router and by a tick-driven one on a
+// share that cannot push, which no notify ever tells of a compaction.
 func TestRouterCompactionMidStream(t *testing.T) {
-	hub := newPushHub(t)
-	sd := hub.view()
-	reg := NewRegistry(sd)
-	if err := reg.Register(echoModule()); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		host func(hub *pushHub) FS
+	}{
+		{"notify-driven", func(hub *pushHub) FS { return hub.view() }},
+		{"tick-driven", func(hub *pushHub) FS { return hub.FS }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := newPushHub(t)
+			sd := hub.view()
+			reg := NewRegistry(sd)
+			if err := reg.Register(echoModule()); err != nil {
+				t.Fatal(err)
+			}
+			log := LogName("echo")
+			for i := 0; i < 20; i++ {
+				id := fmt.Sprintf("old-%d", i)
+				pair := append(requestLine(t, id, "x"), responseLine(t, id, "echo:x")...)
+				if err := sd.Append(log, pair); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A one-second safety floor: pushed, only the notifies can
+			// answer in time; pushless, the 100ms tick must.
+			c := NewClient(tc.host(hub), 100*time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+
+			// w1's record pair outweighs w2's, so w2's whole exchange also
+			// lands below the offset the router holds after w1.
+			one := "one-" + strings.Repeat("x", 200)
+			w1 := invokeAsync(ctx, c, "echo", "w1", one)
+			waitRequest(t, hub.FS, "echo", "w1")
+			if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
+				t.Fatalf("CompactLog = (%d, %v), want the one pending request kept", kept, err)
+			}
+			if err := sd.Append(log, responseLine(t, "w1", "echo:"+one)); err != nil {
+				t.Fatal(err)
+			}
+			waitPrompt(t, w1, "waiter across the compaction")
+
+			// Idle router: the compaction's bare Create finds no waiter to
+			// scan for.
+			if kept, err := reg.CompactLog("echo"); err != nil || kept != 0 {
+				t.Fatalf("CompactLog = (%d, %v), want nothing kept", kept, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+			w2 := invokeAsync(ctx, c, "echo", "w2", "two")
+			waitRequest(t, hub.FS, "echo", "w2")
+			if err := sd.Append(log, responseLine(t, "w2", "echo:two")); err != nil {
+				t.Fatal(err)
+			}
+			waitPrompt(t, w2, "first invocation after an unseen compaction")
+		})
 	}
-	log := LogName("echo")
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("old-%d", i)
-		pair := append(requestLine(t, id, "x"), responseLine(t, id, "echo:x")...)
-		if err := sd.Append(log, pair); err != nil {
+}
+
+// TestPushlessCallersShareOneReader pins the tick-driven router: on a share
+// that cannot push, the callers waiting on one module log share one reader,
+// so the share I/O of a wait does not grow with the number of callers.
+// Sixteen callers waiting out twenty ticks on a module that holds every
+// answer cost about what one caller does, and every Stat of the log after
+// the router armed is a tick's compaction check, paired with that tick's
+// read — a caller that joins the router issues none of its own.
+func TestPushlessCallersShareOneReader(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	wait := func(t *testing.T, callers int) int {
+		hub := newPushHub(t)
+		release := make(chan struct{})
+		reg := NewRegistry(hub.FS)
+		if err := reg.Register(ModuleFunc{
+			ModuleName: "echo",
+			Fn: func(ctx context.Context, params []byte) ([]byte, error) {
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return append([]byte("echo:"), params...), nil
+			},
+		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A one-second safety floor: only the notifies can answer in time.
-	c := NewClient(hub.view(), 100*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+		runDaemon(t, NewDaemon(hub.FS, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1), WithWorkers(callers)))
+		host := hub.view()
+		c := NewClient(struct{ FS }{host}, interval) // hides WatchFS
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
 
-	// w1's record pair outweighs w2's, so w2's whole exchange also lands
-	// below the offset the router holds after w1.
-	one := "one-" + strings.Repeat("x", 200)
-	w1 := invokeAsync(ctx, c, "echo", "w1", one)
-	waitRequest(t, hub.FS, "echo", "w1")
-	if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
-		t.Fatalf("CompactLog = (%d, %v), want the one pending request kept", kept, err)
+		done := []<-chan error{invokeAsync(ctx, c, "echo", "c0", "p0")}
+		waitRequest(t, hub.FS, "echo", "c0")
+		// The router armed before c0 appended: from here on, the log's
+		// Stats are the router's own unless a caller issues one.
+		log := LogName("echo")
+		all0, stats0, reads0 := host.calls(log)
+		for i := 1; i < callers; i++ {
+			done = append(done, invokeAsync(ctx, c, "echo", fmt.Sprintf("c%d", i), fmt.Sprintf("p%d", i)))
+		}
+		for i := 1; i < callers; i++ {
+			waitRequest(t, hub.FS, "echo", fmt.Sprintf("c%d", i))
+		}
+		time.Sleep(20 * interval)
+		all, stats, reads := host.calls(log)
+		all, stats, reads = all-all0, stats-stats0, reads-reads0
+		close(release)
+		for _, d := range done {
+			if err := <-d; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reads == 0 {
+			t.Fatalf("%d callers: no tick read the log in %v", callers, 20*interval)
+		}
+		if stats > reads {
+			t.Fatalf("%d callers: %d Stats of the log against %d reads after the router armed; want no Stat without a tick's read",
+				callers, stats, reads)
+		}
+		return all
 	}
-	if err := sd.Append(log, responseLine(t, "w1", "echo:"+one)); err != nil {
-		t.Fatal(err)
+	one := wait(t, 1)
+	many := wait(t, 16)
+	t.Logf("share Stat/ReadAt calls over the wait: 1 caller %d, 16 callers %d", one, many)
+	if many > 2*one+8 {
+		t.Fatalf("16 callers cost %d share Stat/ReadAt calls over the wait, 1 caller %d: the reader is not shared",
+			many, one)
 	}
-	waitPrompt(t, w1, "waiter across the compaction")
-
-	// Idle router: the compaction's bare Create finds no waiter to scan for.
-	if kept, err := reg.CompactLog("echo"); err != nil || kept != 0 {
-		t.Fatalf("CompactLog = (%d, %v), want nothing kept", kept, err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	w2 := invokeAsync(ctx, c, "echo", "w2", "two")
-	waitRequest(t, hub.FS, "echo", "w2")
-	if err := sd.Append(log, responseLine(t, "w2", "echo:two")); err != nil {
-		t.Fatal(err)
-	}
-	waitPrompt(t, w2, "first invocation after an unseen compaction")
 }
 
 // TestRouterSafetyScanAnswers pins the safety scan's reach: a response

@@ -113,12 +113,48 @@ func TestInvokeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestInvokeUnknownModule pins the router's arm-time existence check on
+// both kinds of share: a module with no log is ErrUnknownModule, and the
+// failed arm publishes no router — so starts no router goroutine — and, on
+// a share that pushes, leaves no watch armed.
 func TestInvokeUnknownModule(t *testing.T) {
-	fsys, _ := startDaemon(t, echoModule())
-	c := NewClient(fsys, time.Millisecond)
-	_, err := c.Invoke(context.Background(), "missing", nil)
-	if !errors.Is(err, ErrUnknownModule) {
-		t.Fatalf("err = %v, want ErrUnknownModule", err)
+	for _, tc := range []struct {
+		name  string
+		share func(t *testing.T) (FS, func() int) // the share and its armed-watch count
+	}{
+		{"pushless", func(t *testing.T) (FS, func() int) {
+			fsys, _ := startDaemon(t, echoModule())
+			return fsys, func() int { return 0 }
+		}},
+		{"push", func(t *testing.T) (FS, func() int) {
+			hub := newPushHub(t)
+			if err := NewRegistry(hub.view()).Register(echoModule()); err != nil {
+				t.Fatal(err)
+			}
+			return hub.view(), func() int {
+				hub.mu.Lock()
+				defer hub.mu.Unlock()
+				return len(hub.streams)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			share, watches := tc.share(t)
+			c := NewClient(share, time.Millisecond)
+			_, err := c.Invoke(context.Background(), "missing", nil)
+			if !errors.Is(err, ErrUnknownModule) {
+				t.Fatalf("err = %v, want ErrUnknownModule", err)
+			}
+			c.pushMu.Lock()
+			routers := len(c.routers)
+			c.pushMu.Unlock()
+			if routers != 0 {
+				t.Fatalf("%d routers left behind for a missing module", routers)
+			}
+			if n := watches(); n != 0 {
+				t.Fatalf("%d watches left armed for a missing module", n)
+			}
+		})
 	}
 }
 
