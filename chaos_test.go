@@ -87,7 +87,12 @@ func TestChaosCrashRestartExactlyOnce(t *testing.T) {
 		size, _, err := share.Stat(smartfam.QueueStatusName)
 		return err == nil && size > 0
 	})
-	ffs1.TearNext(1, 0.5)            // first response append is torn mid-record
+	// The first response append is torn mid-record. It carries a batch of
+	// k equal-length 58 B records (k <= 12), and the tear keeps
+	// int(58k × 0.37) bytes: for k = 1..12 the cut falls 21, 42, 6, 27,
+	// 49, 12, 34, 55, 19, 40, 4, 25 bytes into a record, never within a
+	// byte of a record boundary, so some record is always cut.
+	ffs1.TearNext(1, 0.37)
 	ffs1.FailNext(faultfs.OpStat, 3) // plus a burst of transient errors
 	ffs1.FailNextWith(faultfs.OpRead, 1, faultfs.ErrInjected)
 
@@ -439,7 +444,6 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 		smartfam.WithHeartbeat(-1),
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
-		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
 	kill1 := startChaosDaemon(d1)
 	defer kill1()
@@ -502,7 +506,6 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 		smartfam.WithHeartbeat(-1),
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
-		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
 	defer startChaosDaemon(d2)()
 
@@ -587,7 +590,6 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 		smartfam.WithHeartbeat(-1),
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
-		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
 	kill1 := startChaosDaemon(d1)
 	defer kill1()
@@ -596,7 +598,6 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 	hconn := dial()
 	defer hconn.Close()
 	hc := smartfam.NewClient(hconn, time.Millisecond)
-	hc.SetBatching(0, 0)
 	hm := metrics.NewRegistry()
 	hc.SetMetrics(hm)
 
@@ -657,7 +658,6 @@ func TestChaosPushDaemonKillMidNotifyStream(t *testing.T) {
 		smartfam.WithHeartbeat(-1),
 		smartfam.WithWorkers(3),
 		smartfam.WithStatusInterval(time.Hour),
-		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
 	defer startChaosDaemon(d2)()
 

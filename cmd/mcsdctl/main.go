@@ -333,7 +333,7 @@ func famStatus(client *nfs.Client) error {
 		fmt.Printf("group commit: %d flushes carrying %d responses (avg %.1f/flush)\n",
 			flushes, records, float64(records)/float64(flushes))
 	} else {
-		fmt.Println("group commit: off or idle (no batched responses yet)")
+		fmt.Println("group commit: idle (no batched responses yet)")
 	}
 	return nil
 }

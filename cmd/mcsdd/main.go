@@ -51,7 +51,6 @@ func run() error {
 		compact = flag.Duration("compact", 5*time.Minute, "compact module logs after this long idle (0 disables)")
 		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 = the default)")
 		journal = flag.String("journal", "auto", "crash-recovery journal path on local disk; \"auto\" = <dir>/.journal, \"none\" disables")
-		batch   = flag.Bool("batch", false, "group-commit response records: one share append per batch window (fam v2)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -109,10 +108,6 @@ func run() error {
 	log.Printf("mcsdd: preloaded modules: %v", reg.Names())
 
 	daemonOpts := []smartfam.DaemonOption{smartfam.WithPollInterval(*poll)}
-	if *batch {
-		daemonOpts = append(daemonOpts, smartfam.WithResponseBatching(0, 0))
-		log.Printf("mcsdd: response group commit on (-batch)")
-	}
 	switch *journal {
 	case "none":
 	case "auto":

@@ -71,8 +71,7 @@ func startPushSD(t *testing.T, dir string) string {
 	daemon := smartfam.NewDaemon(loop, reg,
 		smartfam.WithPollInterval(smartfam.DefaultPollInterval),
 		smartfam.WithHeartbeat(-1),
-		smartfam.WithWorkers(2),
-		smartfam.WithResponseBatching(0, 0))
+		smartfam.WithWorkers(2))
 	kill := startChaosDaemon(daemon)
 	t.Cleanup(func() {
 		kill()
@@ -147,7 +146,6 @@ func fleetWordCountRidesTheNotify(t *testing.T, interval time.Duration) {
 		mount := &logReadCounter{Client: conn, log: smartfam.LogName(core.ModuleWordCount)}
 		mounts = append(mounts, mount)
 		client := smartfam.NewClient(mount, interval)
-		client.SetBatching(0, 0)
 		client.SetMetrics(hostReg)
 		nodes[i] = fleet.Node{Name: fmt.Sprintf("sd%d", i), Session: client}
 	}

@@ -27,10 +27,6 @@ type Runtime struct {
 	metrics        *metrics.Registry
 	tracer         *trace.Tracer
 
-	invokeBatch bool
-	batchBytes  int
-	batchDelay  time.Duration
-
 	mu  sync.Mutex
 	sds []attachedSD
 }
@@ -72,16 +68,12 @@ func WithTracer(tr *trace.Tracer) Option {
 	return func(r *Runtime) { r.tracer = tr }
 }
 
-// WithInvokeBatching enables host-side group commit (fam v2) on every
-// node attached afterwards: concurrent invocations of one module coalesce
-// their request records into a single share append per batch window.
-// Bounds <= 0 select smartfam's defaults. Exactly-once semantics are
-// unchanged — batching only alters how records reach the share.
-func WithInvokeBatching(maxBytes int, maxDelay time.Duration) Option {
-	return func(r *Runtime) {
-		r.invokeBatch = true
-		r.batchBytes, r.batchDelay = maxBytes, maxDelay
-	}
+// WithInvokeBatching is a no-op kept for its callers: every attached
+// node's client group-commits its requests at smartfam's defaults.
+//
+// Deprecated: requests are always group-committed.
+func WithInvokeBatching(int, time.Duration) Option {
+	return func(*Runtime) {}
 }
 
 // New returns an empty runtime; attach SD nodes with AttachSD.
@@ -105,9 +97,6 @@ func (r *Runtime) Metrics() *metrics.Registry { return r.metrics }
 func (r *Runtime) AttachSD(name string, share smartfam.FS) {
 	client := smartfam.NewClient(share, r.pollInterval)
 	client.SetMetrics(r.metrics)
-	if r.invokeBatch {
-		client.SetBatching(r.batchBytes, r.batchDelay)
-	}
 	r.mu.Lock()
 	r.sds = append(r.sds, attachedSD{name: name, client: client})
 	r.mu.Unlock()

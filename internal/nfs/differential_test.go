@@ -91,7 +91,6 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 		smartfam.WithWorkers(4),
 		smartfam.WithPollInterval(time.Millisecond),
 		smartfam.WithHeartbeat(-1),
-		smartfam.WithResponseBatching(0, 0),
 		smartfam.WithJournal(jpath))
 	dctx, stop := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -110,7 +109,6 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 	}
 	t.Cleanup(func() { hconn.Close() })
 	hc := smartfam.NewClient(view(hconn), time.Millisecond)
-	hc.SetBatching(0, 0)
 	hostMetrics := metrics.NewRegistry()
 	hc.SetMetrics(hostMetrics)
 

@@ -116,10 +116,8 @@ func famInvokeAll(t *testing.T, hc *smartfam.Client, calls int) {
 // push, daemon response batching — and pins that the push path (not the
 // polling fallback) carried them.
 func TestFamPushEndToEnd(t *testing.T) {
-	addr, daemonMetrics := startFamTestbed(t,
-		smartfam.WithResponseBatching(0, 0)) // defaults
+	addr, daemonMetrics := startFamTestbed(t)
 	hc, hostMetrics := famHostClient(t, addr, nil)
-	hc.SetBatching(0, 0) // defaults
 
 	const calls = 32
 	famInvokeAll(t, hc, calls)

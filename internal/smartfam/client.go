@@ -27,8 +27,6 @@ type Client struct {
 	routers    map[string]*respRouter  // live response routers, by module
 	batchers   map[string]*groupCommit // group-commit batchers, by log name
 	pushBroken atomic.Bool             // share can never push; stop trying
-	batchBytes int                     // 0: batching disabled (the default)
-	batchDelay time.Duration
 }
 
 // NewClient returns a client over the shared folder fsys. interval
@@ -135,21 +133,11 @@ func (c *Client) Modules() ([]string, error) {
 	return mods, nil
 }
 
-// appendAttempts bounds the request-append retry loop.
-const appendAttempts = 4
-
-var appendBackoff = 2 * time.Millisecond
-
-// appendRequest lands one marshalled request record on the module log,
-// through the group-commit batcher when batching is enabled, else with a
-// direct append. A caller whose ctx is done gets the ctx error bare.
+// appendRequest lands one marshalled request record on the module log
+// through the log's group-commit batcher. A caller whose ctx is done gets
+// the ctx error bare.
 func (c *Client) appendRequest(ctx context.Context, module, logName, id string, line []byte) error {
-	var err error
-	if b := c.batcher(logName); b != nil {
-		err = b.add(ctx, id, line)
-	} else {
-		err = c.appendRetrying(ctx, logName, line)
-	}
+	err := c.batcher(logName).add(ctx, id, line)
 	if err == nil {
 		return nil
 	}
@@ -157,32 +145,6 @@ func (c *Client) appendRequest(ctx context.Context, module, logName, id string, 
 		return cerr
 	}
 	return fmt.Errorf("smartfam: sending request to %q: %w", module, err)
-}
-
-// appendRetrying appends data to logName with bounded retry. A transient
-// share error must not fail the invocation outright, and each record's
-// leading newline makes a retry after a torn attempt safe — the partial
-// bytes parse as one corrupt line and the retried record resyncs the log.
-// A done ctx stops the retries but the append error is what is returned:
-// it is the cause a batch's other members care about.
-func (c *Client) appendRetrying(ctx context.Context, logName string, data []byte) error {
-	backoff := appendBackoff
-	for attempt := 1; ; attempt++ {
-		err := c.fs.Append(logName, data)
-		if err == nil {
-			return nil
-		}
-		c.countAppendRetry()
-		if attempt >= appendAttempts {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
 }
 
 // Invoke calls the named module with params and blocks until its results

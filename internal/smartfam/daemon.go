@@ -47,10 +47,7 @@ type Daemon struct {
 	journalErr  error
 	recovery    *JournalState
 
-	// Response-side group commit (daemonpush.go); respBytes == 0 keeps the
-	// classic one-append-per-response path.
-	respBytes    int
-	respDelay    time.Duration
+	// Response-side group commit (daemonpush.go).
 	respBatchers map[string]*groupCommit // guarded by mu
 
 	mu         sync.Mutex
@@ -216,15 +213,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		cancel()
 		wg.Wait()
 		// Invocations are done, so no response joins a batch any more.
-		d.mu.Lock()
-		batchers := make([]*groupCommit, 0, len(d.respBatchers))
-		for _, b := range d.respBatchers {
-			batchers = append(batchers, b)
-		}
-		d.mu.Unlock()
-		for _, b := range batchers {
-			b.leaders.Wait()
-		}
+		d.joinResponses()
 		bg.Wait()
 	}()
 	spawn := func(fn func()) {
@@ -238,7 +227,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 	spawn(func() { _ = d.sched.Run(ctx) })
 	// Crash recovery replays unfinished journal entries before any new
 	// work: cached responses are re-appended, open intents re-executed.
+	// The re-runs' answers land before the first drain, which reads from
+	// offset zero: it must see each re-run request with its response behind
+	// it, or it takes the request for a host retry and answers it twice.
 	d.recoverPass(ctx)
+	d.joinResponses()
 
 	// Change-notification source: server-push stream when the share can
 	// provide one, the polling watcher otherwise (and on stream loss) —
@@ -314,8 +307,8 @@ func (d *Daemon) scanShare(ctx context.Context) shareIndex {
 		responded: make(map[string]struct{}),
 	}
 	// The scan backs the recovery pass: a transient share error here would
-	// silently misclassify open intents as lost, so retry with the same
-	// bounded backoff the response path uses.
+	// silently misclassify open intents as lost, so it retries under
+	// retryShare like the appends do.
 	var names []string
 	if err := retryShare(ctx, func() error {
 		var err error
@@ -500,10 +493,12 @@ func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
 		_, answered := d.responded[rec.ID]
 		cached, inCache := d.completed[rec.ID]
 		if answered || inCache {
-			// A duplicate of an already-served request: a host retry
-			// reusing its original ID. Re-append the cached response —
-			// the retrying host watches the log only from its retry
-			// onward — and never re-execute.
+			// A duplicate of an admitted request: a host retry reusing its
+			// original ID, or a request a torn batch retry landed twice.
+			// Re-append the cached response when the request has finished —
+			// the retrying host watches the log only from its retry onward
+			// — and never re-execute; a copy of a request still running
+			// gets that run's answer.
 			d.metrics.Counter(metrics.DaemonDeduped).Inc()
 			if inCache {
 				replays = append(replays, cached)
@@ -558,23 +553,14 @@ func (d *Daemon) finish(ctx context.Context, module, reqID, status string, paylo
 	// Group commit (fam v2): the batcher appends the record with a batch
 	// of its peers and journals RESP itself once the batch lands. DONE is
 	// already journaled above, so the crash-safety story is unchanged.
-	if b := d.respBatcherFor(module); b != nil {
-		res := Record{Kind: KindResponse, ID: reqID, Status: status, Payload: payload}
-		if line, err := res.Marshal(); err == nil {
-			d.mu.Lock()
-			d.responded[reqID] = struct{}{}
-			d.mu.Unlock()
-			_ = b.add(ctx, reqID, line) // detached: never blocks, never fails
-			return
-		}
+	res := Record{Kind: KindResponse, ID: reqID, Status: status, Payload: payload}
+	line, err := res.Marshal()
+	if err != nil {
 		d.metrics.Counter(metrics.DaemonMarshalErrors).Inc()
 		return
 	}
-	if d.respond(ctx, module, reqID, status, payload) {
-		if err := d.journal.Resp(reqID); err != nil {
-			d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
-		}
-	}
+	// submit marked the ID responded when it admitted the request.
+	_ = d.respBatcherFor(module).add(ctx, reqID, line) // detached: never blocks, never fails
 }
 
 // cacheLocked inserts into the bounded dedupe/replay cache; the caller
@@ -589,34 +575,6 @@ func (d *Daemon) cacheLocked(id string, c CachedResponse) {
 		d.cacheOrder = d.cacheOrder[1:]
 		delete(d.completed, evict)
 	}
-}
-
-// respondAttempts and respondBackoff bound the response-append retry loop:
-// a share hiccup must not silently eat a computed result.
-const respondAttempts = 4
-
-var respondBackoff = 2 * time.Millisecond
-
-// retryShare runs a share operation under the same bounded-backoff policy
-// as the response path: reads whose failure would otherwise be silently
-// absorbed (the recovery scan), and the response-batch flush.
-func retryShare(ctx context.Context, op func() error) error {
-	backoff := respondBackoff
-	var err error
-	for attempt := 0; attempt < respondAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return err
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		if err = op(); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // respond appends the response record for one request and marks it
@@ -634,35 +592,23 @@ func (d *Daemon) respond(ctx context.Context, module, reqID, status string, payl
 	return d.appendResponse(ctx, module, line)
 }
 
-// appendResponse appends one marshalled response record, retrying
-// transient append failures with bounded backoff. A final failure is
-// counted in smartfam.respond_errors (the reply is then lost until a
-// restart or host retry replays it from the journal cache).
+// appendResponse appends one marshalled response record under retryShare;
+// its leading newline makes a retry after a torn attempt safe. A final
+// failure is counted in smartfam.respond_errors (the reply is then lost
+// until a restart or host retry replays it from the journal cache).
 func (d *Daemon) appendResponse(ctx context.Context, module string, line []byte) bool {
-	var err error
-	backoff := respondBackoff
-	for attempt := 0; attempt < respondAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				// Shutdown mid-retry: give up now; the journal replays the
-				// cached response on restart.
-				d.metrics.Counter(metrics.SmartfamRespondErrors).Inc()
-				return false
-			case <-time.After(backoff):
-			}
-			backoff *= 2
+	err := retryShare(ctx, func() error {
+		err := d.fs.Append(LogName(module), line)
+		if err != nil {
+			d.metrics.Counter(metrics.DaemonAppendErrors).Inc()
 		}
-		// The line's leading newline makes the retry safe after a torn
-		// first attempt: the partial bytes become one corrupt line the
-		// parser skips, and this record starts cleanly after it.
-		if err = d.fs.Append(LogName(module), line); err == nil {
-			return true
-		}
-		d.metrics.Counter(metrics.DaemonAppendErrors).Inc()
+		return err
+	})
+	if err != nil {
+		d.metrics.Counter(metrics.SmartfamRespondErrors).Inc()
+		return false
 	}
-	d.metrics.Counter(metrics.SmartfamRespondErrors).Inc()
-	return false
+	return true
 }
 
 // submit hands one request to the scheduler (steps 3-4 of Fig. 5 under
@@ -696,6 +642,12 @@ func (d *Daemon) submit(ctx context.Context, module string, req Record) *sched.H
 	if err := d.journal.Intent(req.ID, module, req.Pos); err != nil {
 		d.metrics.Counter(metrics.DaemonJournalErrors).Inc()
 	}
+	// Admitted means answered or being answered: a copy that re-lands while
+	// the request runs — a torn request batch the host retried whole — is
+	// deduped by the next drain, never run a second time.
+	d.mu.Lock()
+	d.responded[req.ID] = struct{}{}
+	d.mu.Unlock()
 	return h
 }
 

@@ -20,32 +20,26 @@ import (
 //     (DirFS, a pre-watch server) runs pure polling from the start. The
 //     rescan sweep in Run stays on in every mode — it remains the source
 //     of truth for lost notifications.
-//   - respBatcherFor is the response-side group commit (groupcommit.go),
-//     enabled with WithResponseBatching: completed executions coalesce
-//     their response records into one share append per batch window. DONE
-//     is journaled per record BEFORE it joins a batch and RESP per record
-//     after the batch lands, so the journal's exactly-once argument is
-//     untouched — a crash between the two replays cached responses, never
-//     re-runs.
+//   - respBatcherFor is the response-side group commit (groupcommit.go)
+//     and the only way a fresh answer reaches the share: completed
+//     executions coalesce their response records into one share append per
+//     batch window. DONE is journaled per record BEFORE it joins a batch
+//     and RESP per record after the batch lands, so the journal's
+//     exactly-once argument is untouched — a crash between the two replays
+//     cached responses, never re-runs. A failed flush re-sends only the
+//     members with no response on the log yet. Replays (recovery, dedupe)
+//     and sheds append one record directly (appendResponse).
 
 // rearmEvery is how many degraded-mode poll ticks pass between attempts
 // to re-arm the push stream.
 const rearmEvery = 100
 
-// WithResponseBatching turns on daemon-side group commit for response
-// records with the given bounds (<= 0 selects DefaultBatchBytes /
-// DefaultBatchDelay). Off by default: the classic one-append-per-response
-// path is the reference behaviour.
-func WithResponseBatching(maxBytes int, maxDelay time.Duration) DaemonOption {
-	return func(dm *Daemon) {
-		if maxBytes <= 0 {
-			maxBytes = DefaultBatchBytes
-		}
-		if maxDelay <= 0 {
-			maxDelay = DefaultBatchDelay
-		}
-		dm.respBytes, dm.respDelay = maxBytes, maxDelay
-	}
+// WithResponseBatching is a no-op kept for its callers: response group
+// commit is always on, at DefaultBatchBytes and DefaultBatchDelay.
+//
+// Deprecated: responses are always group-committed.
+func WithResponseBatching(int, time.Duration) DaemonOption {
+	return func(*Daemon) {}
 }
 
 // runNotify multiplexes change notifications into names until ctx is
@@ -151,25 +145,22 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 	}
 }
 
-// respBatcherFor returns the response batcher for module, or nil when
-// response batching is disabled. It runs detached: an enqueuer returns at
-// once, so a worker is never parked behind the batch window and the
-// responder's throughput stays workers-independent. By the time a record
-// joins, its response is cached and journaled DONE, so whether the flush
-// lands (RESP journaled) or dies with the daemon (restart replays the
-// cache), exactly-once holds without the worker waiting around.
+// respBatcherFor returns the response batcher for module. It runs
+// detached: an enqueuer returns at once, so a worker is never parked
+// behind the batch window and the responder's throughput stays
+// workers-independent. By the time a record joins, its response is cached
+// and journaled DONE, so whether the flush lands (RESP journaled) or dies
+// with the daemon (restart replays the cache), exactly-once holds without
+// the worker waiting around.
 func (d *Daemon) respBatcherFor(module string) *groupCommit {
-	if d.respBytes <= 0 {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	b := d.respBatchers[module]
 	if b == nil {
 		logName := LogName(module)
 		b = &groupCommit{
-			maxBytes: d.respBytes,
-			maxDelay: d.respDelay,
+			maxBytes: DefaultBatchBytes,
+			maxDelay: DefaultBatchDelay,
 			detached: true,
 			flush: func(ctx context.Context, buf []byte, ids []string) error {
 				return d.flushResponses(ctx, logName, buf, ids)
@@ -183,22 +174,49 @@ func (d *Daemon) respBatcherFor(module string) *groupCommit {
 	return b
 }
 
-// flushResponses lands one response batch with the respond path's bounded
-// retry. On success every member's RESP is journaled; on final failure the
-// responses stay cached and journaled DONE, so a restart (or a host retry)
-// replays them.
+// joinResponses waits until every response batch already joined has
+// landed or failed for good. Run calls it after the recovery pass and at
+// shutdown, when no response can join a batch concurrently.
+func (d *Daemon) joinResponses() {
+	d.mu.Lock()
+	batchers := make([]*groupCommit, 0, len(d.respBatchers))
+	for _, b := range d.respBatchers {
+		batchers = append(batchers, b)
+	}
+	d.mu.Unlock()
+	for _, b := range batchers {
+		b.leaders.Wait()
+	}
+}
+
+// flushResponses lands one response batch under retryShare. A failed
+// attempt may have landed a prefix of the batch, so each retry re-sends
+// only the members with no response record on the log yet. On success
+// every member's RESP is journaled; on final failure the responses stay
+// cached and journaled DONE, so a restart (or a host retry) replays them.
 func (d *Daemon) flushResponses(ctx context.Context, logName string, buf []byte, ids []string) error {
-	// Leading newlines per record keep a whole-batch retry after a torn
-	// append safe, exactly as on the single-record path.
+	// The batch lands past what the dispatch loop has consumed.
+	d.mu.Lock()
+	from := d.offsets[logName]
+	d.mu.Unlock()
+	pending, left := buf, len(ids)
+	failed := false
 	err := retryShare(ctx, func() error {
-		err := d.fs.Append(logName, buf)
+		if failed {
+			pending, left = d.unlanded(logName, from, buf)
+			if left == 0 {
+				return nil
+			}
+		}
+		err := d.fs.Append(logName, pending)
 		if err != nil {
+			failed = true
 			d.metrics.Counter(metrics.DaemonAppendErrors).Inc()
 		}
 		return err
 	})
 	if err != nil {
-		d.metrics.Counter(metrics.SmartfamRespondErrors).Add(int64(len(ids)))
+		d.metrics.Counter(metrics.SmartfamRespondErrors).Add(int64(left))
 		return err
 	}
 	d.metrics.Counter(metrics.FamRespFlushes).Inc()
@@ -209,4 +227,35 @@ func (d *Daemon) flushResponses(ctx context.Context, logName string, buf []byte,
 		}
 	}
 	return nil
+}
+
+// unlanded returns the records of batch buf that have no answer on
+// logName at or past from, and how many there are. Only a non-shed
+// response counts as landed: a queue-full shed for the same ID can sit in
+// the log before the answer, and skipping a member on it would strand its
+// caller. When the log cannot be read it returns the whole batch — a
+// duplicate response is ignored by the host's router, a missing one is not.
+func (d *Daemon) unlanded(logName string, from int64, buf []byte) ([]byte, int) {
+	members, _, _, _ := ParseRecords(buf)
+	data, err := ReadFrom(d.fs, logName, from)
+	if err != nil {
+		return buf, len(members)
+	}
+	onLog, _, _, _ := ParseRecords(data)
+	landed := make(map[string]bool, len(onLog))
+	for _, rec := range onLog {
+		if rec.Kind == KindResponse && !isShed(rec) {
+			landed[rec.ID] = true
+		}
+	}
+	var out []byte
+	left := 0
+	for _, m := range members {
+		if !landed[m.ID] {
+			line, _ := m.Marshal() // it parsed, so it re-encodes
+			out = append(out, line...)
+			left++
+		}
+	}
+	return out, left
 }

@@ -16,6 +16,7 @@ package smartfam
 //mcsdlint:fsboundary -- dirFS is the os-backed leaf of the FS abstraction; every other package reaches disk through it
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -193,4 +194,34 @@ func ReadFrom(fsys FS, name string, off int64) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:n], nil
+}
+
+// shareAttempts and shareBackoff are the one retry policy for share
+// operations: at most four attempts, 2 ms before the second, doubling.
+const (
+	shareAttempts = 4
+	shareBackoff  = 2 * time.Millisecond
+)
+
+// retryShare runs op under the share retry policy, so a transient share
+// error neither fails an invocation, eats a computed result, nor makes the
+// recovery scan misclassify work. op counts its own failures. A done ctx
+// stops the retries; the error returned is op's last.
+func retryShare(ctx context.Context, op func() error) error {
+	backoff := shareBackoff
+	var err error
+	for attempt := 0; attempt < shareAttempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-ctx.Done():
+				return err
+			case <-time.After(backoff):
+			}
+			backoff *= 2
+		}
+		if err = op(); err == nil {
+			return nil
+		}
+	}
+	return err
 }

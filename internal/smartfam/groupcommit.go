@@ -20,7 +20,8 @@ const (
 // opens a batch is its leader: the leader waits out the window (byte bound
 // hit, delay elapsed, or its ctx cancelled), detaches the batch and hands
 // it to flush — exactly once per batch. Record framing (leading newline +
-// CRC) makes concatenated batches and whole-batch retries safe.
+// CRC) makes concatenated batches safe; how a torn flush is retried is the
+// flush's business.
 //
 // Both halves of the fam v2 front door run one: the host client blocks
 // every member on the flush result; the daemon's responder sets detached,

@@ -25,12 +25,13 @@ import (
 //     way it hands each response to the waiter registered under its
 //     correlation ID, and waiters register BEFORE appending their request,
 //     so a response can never land unobserved.
-//   - batcher is the group-commit side (groupcommit.go): concurrent
-//     InvokeID calls against one module coalesce their request records into
-//     a single share append per batch window (bounded by bytes and delay),
-//     cutting the per-invocation RPC cost to ~1/batch. Duplicate records
-//     from a torn-flush retry are deduped by the daemon's journal, so
-//     exactly-once survives batching.
+//   - batcher is the group-commit side (groupcommit.go) and the only way a
+//     request reaches the share: concurrent InvokeID calls against one
+//     module coalesce their request records into a single share append per
+//     batch window (bounded by bytes and delay), cutting the per-invocation
+//     RPC cost to ~1/batch. A torn flush is retried whole: a request that
+//     lands twice still runs once (the daemon's dedupe), and the router
+//     delivers only the first response per ID.
 //
 // Both degrade loudly, never wedge: a lost notify stream drops the router
 // into the same tick mode (counted under smartfam.fam.degraded) and each
@@ -44,19 +45,11 @@ import (
 // per-watcher queue is bounded) and writers that bypass the server.
 const pushSafetyFloor = 25 * time.Millisecond
 
-// SetBatching enables host-side group commit with the given bounds (<= 0
-// selects the defaults). Call before sharing the client across
-// goroutines; batching changes only how request records reach the share,
-// not the protocol on it.
-func (c *Client) SetBatching(maxBytes int, maxDelay time.Duration) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultBatchBytes
-	}
-	if maxDelay <= 0 {
-		maxDelay = DefaultBatchDelay
-	}
-	c.batchBytes, c.batchDelay = maxBytes, maxDelay
-}
+// SetBatching is a no-op kept for its callers: request group commit is
+// always on, at DefaultBatchBytes and DefaultBatchDelay.
+//
+// Deprecated: requests are always group-committed.
+func (c *Client) SetBatching(int, time.Duration) {}
 
 func (c *Client) countPushEvent() {
 	if c.metrics != nil {
@@ -644,24 +637,29 @@ func (rt *respRouter) deliver(recs []Record) {
 	}
 }
 
-// batcher returns the group-commit batcher for logName, or nil when
-// batching is disabled (the default). Every member blocks on the one
-// append its batch leader performs; a retry under the same correlation ID
-// is deduped by the daemon's journal, so a member that left early on its
-// ctx loses nothing.
+// batcher returns the group-commit batcher for logName. Every member
+// blocks on the one append its batch leader performs; a retry under the
+// same correlation ID is deduped by the daemon's journal, so a member that
+// left early on its ctx loses nothing.
 func (c *Client) batcher(logName string) *groupCommit {
-	if c.batchBytes <= 0 {
-		return nil
-	}
 	c.pushMu.Lock()
 	defer c.pushMu.Unlock()
 	b := c.batchers[logName]
 	if b == nil {
 		b = &groupCommit{
-			maxBytes: c.batchBytes,
-			maxDelay: c.batchDelay,
+			maxBytes: DefaultBatchBytes,
+			maxDelay: DefaultBatchDelay,
 			flush: func(ctx context.Context, buf []byte, ids []string) error {
-				err := c.appendRetrying(ctx, logName, buf)
+				// Each record's leading newline makes a retry after a torn
+				// attempt safe: the partial bytes parse as one corrupt line
+				// and the retried batch resyncs the log.
+				err := retryShare(ctx, func() error {
+					err := c.fs.Append(logName, buf)
+					if err != nil {
+						c.countAppendRetry()
+					}
+					return err
+				})
 				if err == nil && c.metrics != nil {
 					c.metrics.Counter(metrics.FamBatchFlushes).Inc()
 					c.metrics.Counter(metrics.FamBatchRecords).Add(int64(len(ids)))

@@ -192,11 +192,9 @@ func TestFamPushInlineCostsNoRouterReads(t *testing.T) {
 	if err := reg.Register(echoModule()); err != nil {
 		t.Fatal(err)
 	}
-	runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1),
-		WithResponseBatching(0, 0)))
+	runDaemon(t, NewDaemon(sd, reg, WithPollInterval(time.Millisecond), WithHeartbeat(-1)))
 	host := hub.view()
 	c := NewClient(host, 100*time.Millisecond)
-	c.SetBatching(0, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const n = 32
