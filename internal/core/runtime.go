@@ -69,7 +69,8 @@ func WithTracer(tr *trace.Tracer) Option {
 }
 
 // WithInvokeBatching is a no-op kept for its callers: every attached
-// node's client group-commits its requests at smartfam's defaults.
+// node's client group-commits its requests, bounded at
+// smartfam.DefaultBatchBytes, with no delay to set.
 //
 // Deprecated: requests are always group-committed.
 func WithInvokeBatching(int, time.Duration) Option {

@@ -3,7 +3,10 @@ package nfs
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +46,25 @@ func FuzzFrameDecode(f *testing.F) {
 	watchReq := frameBytes(f, func(e *frameEncoder) error {
 		return e.writeRequest(&Request{Tag: 11, Op: OpWatch, Name: "prefix-"})
 	})
+	// Varint boundaries of the header: one- and two-byte tags, the top
+	// bit, negative and wall-clock signed fields, a maximal name.
+	for _, tag := range []uint64{127, 128, 1 << 63} {
+		f.Add(frameBytes(f, func(e *frameEncoder) error {
+			return e.writeRequest(&Request{Tag: tag, Op: OpAppend, Name: "wc.log", Data: []byte("x")})
+		}))
+	}
+	f.Add(frameBytes(f, func(e *frameEncoder) error {
+		return e.writeRequest(&Request{Tag: 3, Op: OpReadAt, Name: "f", Off: -1, N: -5})
+	}))
+	f.Add(frameBytes(f, func(e *frameEncoder) error {
+		return e.writeResponse(&Response{Tag: 4, Size: 1 << 40, MTimeNs: 1760000000123456789})
+	}))
+	f.Add(frameBytes(f, func(e *frameEncoder) error {
+		return e.writeRequest(&Request{Tag: 5, Op: OpStat, Name: strings.Repeat("n", maxName)})
+	}))
+	f.Add(frameBytes(f, func(e *frameEncoder) error {
+		return e.writeResponse(&Response{Tag: NotifyTag, Names: []string{"wc.log"}, Gen: 1<<63 + 1, Size: 300, Data: []byte("rec\n")})
+	}))
 	f.Add(notifyResp)
 	f.Add(watchReq)
 	f.Add(req)
@@ -168,5 +190,111 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 		got.free()
+	}
+}
+
+// TestFrameDecodeRejectsMalformed pins the header's varint checks: every
+// case is a body the decoder must refuse as ErrFrame, not misread.
+func TestFrameDecodeRejectsMalformed(t *testing.T) {
+	uv := func(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+	// reqHead and respHead are well-formed headers up to the first name
+	// or the error; respList up to the name count.
+	reqHead := func() []byte { return []byte{1, opCodes[OpStat], 0, 0} }
+	respHead := func() []byte { return []byte{1, 0, 0, 0, 0} }
+	respList := func() []byte { return append(respHead(), 0) }
+	overlong := append(bytes.Repeat([]byte{0xff}, 10), 0x01) // past 64 bits
+	tooLong := append(uv(nil, maxName+1), bytes.Repeat([]byte{'n'}, maxName+1)...)
+	cases := []struct {
+		name string
+		req  bool // decode as a request, else as a response
+		body []byte
+	}{
+		{"empty request", true, nil},
+		{"truncated request tag", true, []byte{0x80}},
+		{"over-long request tag", true, overlong},
+		{"truncated offset", true, []byte{1, opCodes[OpReadAt], 0x80}},
+		{"over-long offset", true, append([]byte{1, opCodes[OpReadAt]}, overlong...)},
+		{"over-long count", true, append([]byte{1, opCodes[OpReadAt], 0}, overlong...)},
+		{"truncated name length", true, append(reqHead(), 0x80)},
+		{"name past the frame", true, append(reqHead(), 5, 'a')},
+		{"name over 0xffff", true, append(reqHead(), tooLong...)},
+		{"to over 0xffff", true, append(append(reqHead(), 0), tooLong...)},
+		{"empty response", false, nil},
+		{"truncated response tag", false, []byte{0xff, 0xff}},
+		{"over-long response tag", false, overlong},
+		{"over-long size", false, append([]byte{1, 0}, overlong...)},
+		{"over-long gen", false, append([]byte{1, 0, 0, 0}, overlong...)},
+		{"error over 0xffff", false, append(respHead(), tooLong...)},
+		{"name count past the frame", false, append(uv(respList(), 5), 0, 0, 0)},
+		{"name count past 2^63", false, append(uv(respList(), 1<<63), 0)},
+		{"truncated name count", false, append(respList(), 0x80)},
+		{"name in the list over 0xffff", false, append(uv(respList(), 1), tooLong...)},
+	}
+	for _, tc := range cases {
+		var err error
+		if tc.req {
+			err = decodeRequest(tc.body, &Request{})
+		} else {
+			err = decodeResponse(tc.body, &Response{})
+		}
+		if !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: decode error = %v, want ErrFrame", tc.name, err)
+		}
+	}
+}
+
+// TestFrameHeaderVarints round-trips the header's integers at their varint
+// boundaries and pins what one smartFAM record's append costs in header
+// bytes.
+func TestFrameHeaderVarints(t *testing.T) {
+	for _, want := range []Request{
+		{Tag: 127, Op: OpAppend, Name: "echo.log", Data: []byte("rec")},
+		{Tag: 128, Op: OpReadAt, Name: "f", Off: -1, N: -5},
+		{Tag: 1 << 63, Op: OpReadAt, Name: "f", Off: 1<<63 - 1, N: MaxChunk},
+		{Tag: 9, Op: OpStat, Name: strings.Repeat("n", maxName), To: "t"},
+	} {
+		frame := frameBytes(t, func(e *frameEncoder) error { return e.writeRequest(&want) })
+		var got Request
+		if err := decodeRequest(frame[4:], &got); err != nil {
+			t.Fatalf("tag %d: %v", want.Tag, err)
+		}
+		if got.Tag != want.Tag || got.Op != want.Op || got.Name != want.Name || got.To != want.To ||
+			got.Off != want.Off || got.N != want.N || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("request round trip: got %+v want %+v", got, want)
+		}
+	}
+	for _, want := range []Response{
+		{Tag: 127, Size: -1, MTimeNs: 1760000000123456789, Gen: 128},
+		{Tag: NotifyTag, Names: []string{"echo.log"}, Gen: 1<<63 + 1, Size: 1 << 40, Data: []byte("rec")},
+		{Tag: 128, Err: strings.Repeat("e", maxName), NotExist: true, Landed: true, EOF: true},
+	} {
+		frame := frameBytes(t, func(e *frameEncoder) error { return e.writeResponse(&want) })
+		var got Response
+		if err := decodeResponse(frame[4:], &got); err != nil {
+			t.Fatalf("tag %d: %v", want.Tag, err)
+		}
+		if got.Tag != want.Tag || got.Size != want.Size || got.MTimeNs != want.MTimeNs || got.Gen != want.Gen ||
+			got.Err != want.Err || got.NotExist != want.NotExist || got.EOF != want.EOF ||
+			got.Landed != want.Landed || strings.Join(got.Names, "/") != strings.Join(want.Names, "/") ||
+			!bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("response round trip: got %+v want %+v", got, want)
+		}
+	}
+
+	// A record append on tag 100 and its Landed reply at a 1 MiB offset:
+	// past the length prefix, 6 + len(name) header bytes out and 10 back
+	// (the size takes 4; every other field, 1).
+	rec := []byte("rec\n")
+	req := frameBytes(t, func(e *frameEncoder) error {
+		return e.writeRequest(&Request{Tag: 100, Op: OpAppend, Name: "echo.log", Data: rec})
+	})
+	if head := len(req) - len(rec); head != 4+6+len("echo.log") {
+		t.Fatalf("append request header = %d B, want %d", head, 4+6+len("echo.log"))
+	}
+	resp := frameBytes(t, func(e *frameEncoder) error {
+		return e.writeResponse(&Response{Tag: 100, Size: 1 << 20, Gen: 7, Landed: true})
+	})
+	if len(resp) != 4+10 {
+		t.Fatalf("landed reply = %d B, want %d", len(resp), 4+10)
 	}
 }

@@ -24,9 +24,10 @@ type appendCutter struct {
 
 func (a *appendCutter) Write(p []byte) (int, error) {
 	n, err := a.Conn.Write(p)
-	// A request frame: length u32 | tag u64 | op u8 | ...
-	if err == nil && len(p) > 12 && p[12] == opCodes[OpAppend] &&
-		bytes.Contains(p, []byte(a.log)) && a.cut.CompareAndSwap(false, true) {
+	// The encoder writes one whole frame per Write: length u32 | body.
+	var req Request
+	if err == nil && len(p) > 4 && decodeRequest(p[4:], &req) == nil &&
+		req.Op == OpAppend && req.Name == a.log && a.cut.CompareAndSwap(false, true) {
 		a.Conn.Close()
 	}
 	return n, err

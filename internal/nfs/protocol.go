@@ -169,16 +169,20 @@ func cleanName(name string) (string, error) {
 //
 // Request body:
 //
-//	tag u64 | op u8 | off i64 | n i32 | nameLen u16 | name | toLen u16 | to | data…
+//	tag uv | op u8 | off v | n v | nameLen uv | name | toLen uv | to | data…
 //
 // Response body:
 //
-//	tag u64 | flags u8 | size i64 | mtimeNs i64 | gen u64 | errLen u16 | err |
-//	nameCount u32 | { nameLen u16 | name }… | data…
+//	tag uv | flags u8 | size v | mtimeNs v | gen uv | errLen uv | err |
+//	nameCount uv | { nameLen uv | name }… | data…
 //
-// The payload is the unframed tail in both directions, so decoding hands
-// out a zero-copy subslice of the frame buffer instead of re-allocating
-// per chunk.
+// uv is an unsigned varint (binary.AppendUvarint), v a zig-zag signed one
+// (binary.AppendVarint): a small tag, offset or length costs one byte, so
+// a frame carrying one smartFAM record pays a few header bytes, not the
+// tens a fixed-width layout costs. flags holds EOF, NotExist and Landed. A
+// name, path or error is at most 0xffff bytes. The payload is the
+// unframed tail in both directions, so decoding hands out a zero-copy
+// subslice of the frame buffer instead of re-allocating per chunk.
 
 // Response flag bits.
 const (
@@ -251,8 +255,11 @@ func (e *frameEncoder) flushFrame() error {
 	return nil
 }
 
-func appendU16Bytes(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
+// maxName bounds a name, path or error string on the wire.
+const maxName = 0xffff
+
+func appendName(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
@@ -263,16 +270,16 @@ func (e *frameEncoder) writeRequest(r *Request) error {
 		// "unknown op" error, which is how a pre-watch server is probed.
 		code = 0
 	}
-	if len(r.Name) > 0xffff || len(r.To) > 0xffff {
+	if len(r.Name) > maxName || len(r.To) > maxName {
 		return fmt.Errorf("%w: path too long", ErrFrame)
 	}
 	b := append(e.buf[:0], 0, 0, 0, 0) // length backpatched by flushFrame
-	b = binary.BigEndian.AppendUint64(b, r.Tag)
+	b = binary.AppendUvarint(b, r.Tag)
 	b = append(b, code)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.Off))
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(r.N)))
-	b = appendU16Bytes(b, r.Name)
-	b = appendU16Bytes(b, r.To)
+	b = binary.AppendVarint(b, r.Off)
+	b = binary.AppendVarint(b, int64(r.N))
+	b = appendName(b, r.Name)
+	b = appendName(b, r.To)
 	b = append(b, r.Data...)
 	e.buf = b
 	if err := e.flushFrame(); err != nil {
@@ -282,8 +289,8 @@ func (e *frameEncoder) writeRequest(r *Request) error {
 }
 
 func (e *frameEncoder) writeResponse(r *Response) error {
-	if len(r.Err) > 0xffff {
-		r = &Response{Tag: r.Tag, Err: r.Err[:0xffff], Gen: r.Gen, NotExist: r.NotExist, EOF: r.EOF}
+	if len(r.Err) > maxName {
+		r = &Response{Tag: r.Tag, Err: r.Err[:maxName], Gen: r.Gen, NotExist: r.NotExist, EOF: r.EOF}
 	}
 	var flags byte
 	if r.EOF {
@@ -296,18 +303,18 @@ func (e *frameEncoder) writeResponse(r *Response) error {
 		flags |= flagLanded
 	}
 	b := append(e.buf[:0], 0, 0, 0, 0)
-	b = binary.BigEndian.AppendUint64(b, r.Tag)
+	b = binary.AppendUvarint(b, r.Tag)
 	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.Size))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.MTimeNs))
-	b = binary.BigEndian.AppendUint64(b, r.Gen)
-	b = appendU16Bytes(b, r.Err)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Names)))
+	b = binary.AppendVarint(b, r.Size)
+	b = binary.AppendVarint(b, r.MTimeNs)
+	b = binary.AppendUvarint(b, r.Gen)
+	b = appendName(b, r.Err)
+	b = binary.AppendUvarint(b, uint64(len(r.Names)))
 	for _, n := range r.Names {
-		if len(n) > 0xffff {
+		if len(n) > maxName {
 			return fmt.Errorf("%w: name too long", ErrFrame)
 		}
-		b = appendU16Bytes(b, n)
+		b = appendName(b, n)
 	}
 	b = append(b, r.Data...)
 	e.buf = b
@@ -373,7 +380,7 @@ func (d *frameDecoder) readFrame() ([]byte, *frameBuf, error) {
 }
 
 // cursor walks a frame body with bounds checking; ok flips false on the
-// first short read and stays false.
+// first short read, bad varint or over-long name, and stays false.
 type cursor struct {
 	b  []byte
 	ok bool
@@ -389,34 +396,44 @@ func (c *cursor) u8() byte {
 	return v
 }
 
-func (c *cursor) u16() uint16 {
-	if !c.ok || len(c.b) < 2 {
+// uvarint reads an unsigned varint; a truncated one, or one past 64 bits,
+// fails the cursor.
+func (c *cursor) uvarint() uint64 {
+	if !c.ok {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 {
 		c.ok = false
 		return 0
 	}
-	v := binary.BigEndian.Uint16(c.b)
-	c.b = c.b[2:]
+	c.b = c.b[n:]
 	return v
 }
 
-func (c *cursor) u32() uint32 {
-	if !c.ok || len(c.b) < 4 {
+// varint reads a zig-zag signed varint, failing as uvarint does.
+func (c *cursor) varint() int64 {
+	if !c.ok {
+		return 0
+	}
+	v, n := binary.Varint(c.b)
+	if n <= 0 {
 		c.ok = false
 		return 0
 	}
-	v := binary.BigEndian.Uint32(c.b)
-	c.b = c.b[4:]
+	c.b = c.b[n:]
 	return v
 }
 
-func (c *cursor) u64() uint64 {
-	if !c.ok || len(c.b) < 8 {
+// name reads a length-prefixed name, path or error string of at most
+// maxName bytes.
+func (c *cursor) name() string {
+	n := c.uvarint()
+	if n > maxName {
 		c.ok = false
-		return 0
+		return ""
 	}
-	v := binary.BigEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
+	return string(c.bytes(int(n)))
 }
 
 func (c *cursor) bytes(n int) []byte {
@@ -433,12 +450,12 @@ func (c *cursor) bytes(n int) []byte {
 func decodeRequest(body []byte, r *Request) error {
 	cur := cursor{b: body, ok: true}
 	*r = Request{}
-	r.Tag = cur.u64()
+	r.Tag = cur.uvarint()
 	code := cur.u8()
-	r.Off = int64(cur.u64())
-	r.N = int(int32(cur.u32()))
-	r.Name = string(cur.bytes(int(cur.u16())))
-	r.To = string(cur.bytes(int(cur.u16())))
+	r.Off = cur.varint()
+	r.N = int(cur.varint())
+	r.Name = cur.name()
+	r.To = cur.name()
 	if !cur.ok {
 		return fmt.Errorf("%w: truncated request header", ErrFrame)
 	}
@@ -456,25 +473,25 @@ func decodeRequest(body []byte, r *Request) error {
 func decodeResponse(body []byte, r *Response) error {
 	cur := cursor{b: body, ok: true}
 	*r = Response{}
-	r.Tag = cur.u64()
+	r.Tag = cur.uvarint()
 	flags := cur.u8()
-	r.Size = int64(cur.u64())
-	r.MTimeNs = int64(cur.u64())
-	r.Gen = cur.u64()
-	r.Err = string(cur.bytes(int(cur.u16())))
-	nNames := cur.u32()
+	r.Size = cur.varint()
+	r.MTimeNs = cur.varint()
+	r.Gen = cur.uvarint()
+	r.Err = cur.name()
+	nNames := cur.uvarint()
 	if !cur.ok {
 		return fmt.Errorf("%w: truncated response header", ErrFrame)
 	}
-	// Each listed name costs at least its 2-byte length, which bounds the
+	// Each listed name costs at least its 1-byte length, which bounds the
 	// count before any allocation happens.
-	if int64(nNames)*2 > int64(len(cur.b)) {
+	if nNames > uint64(len(cur.b)) {
 		return fmt.Errorf("%w: name count %d exceeds frame", ErrFrame, nNames)
 	}
 	if nNames > 0 {
 		r.Names = make([]string, 0, nNames)
-		for i := uint32(0); i < nNames; i++ {
-			r.Names = append(r.Names, string(cur.bytes(int(cur.u16()))))
+		for i := uint64(0); i < nNames; i++ {
+			r.Names = append(r.Names, cur.name())
 		}
 		if !cur.ok {
 			return fmt.Errorf("%w: truncated name list", ErrFrame)

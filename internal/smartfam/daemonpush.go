@@ -23,19 +23,20 @@ import (
 //   - respBatcherFor is the response-side group commit (groupcommit.go)
 //     and the only way a fresh answer reaches the share: completed
 //     executions coalesce their response records into one share append per
-//     batch window. DONE is journaled per record BEFORE it joins a batch
-//     and RESP per record after the batch lands, so the journal's
-//     exactly-once argument is untouched — a crash between the two replays
-//     cached responses, never re-runs. A failed flush re-sends only the
-//     members with no response on the log yet. Replays (recovery, dedupe)
-//     and sheds append one record directly (appendResponse).
+//     batch (the leader yields once, then flushes). DONE is journaled per
+//     record BEFORE it joins a batch and RESP per record after the batch
+//     lands, so the journal's exactly-once argument is untouched — a crash
+//     between the two replays cached responses, never re-runs. A failed
+//     flush re-sends only the members with no response on the log yet.
+//     Replays (recovery, dedupe) and sheds append one record directly
+//     (appendResponse).
 
 // rearmEvery is how many degraded-mode poll ticks pass between attempts
 // to re-arm the push stream.
 const rearmEvery = 100
 
 // WithResponseBatching is a no-op kept for its callers: response group
-// commit is always on, at DefaultBatchBytes and DefaultBatchDelay.
+// commit is always on, bounded at DefaultBatchBytes, with no delay to set.
 //
 // Deprecated: responses are always group-committed.
 func WithResponseBatching(int, time.Duration) DaemonOption {
@@ -147,7 +148,7 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 
 // respBatcherFor returns the response batcher for module. It runs
 // detached: an enqueuer returns at once, so a worker is never parked
-// behind the batch window and the responder's throughput stays
+// behind the leader's flush and the responder's throughput stays
 // workers-independent. By the time a record joins, its response is cached
 // and journaled DONE, so whether the flush lands (RESP journaled) or dies
 // with the daemon (restart replays the cache), exactly-once holds without
@@ -160,7 +161,6 @@ func (d *Daemon) respBatcherFor(module string) *groupCommit {
 		logName := LogName(module)
 		b = &groupCommit{
 			maxBytes: DefaultBatchBytes,
-			maxDelay: DefaultBatchDelay,
 			detached: true,
 			flush: func(ctx context.Context, buf []byte, ids []string) error {
 				return d.flushResponses(ctx, logName, buf, ids)

@@ -2,53 +2,65 @@ package smartfam
 
 import (
 	"context"
+	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
-// Group-commit defaults: a batch flushes at DefaultBatchBytes of encoded
-// records or DefaultBatchDelay after its first record, whichever comes
-// first. The delay is deliberately small against the modelled 20 ms RTT —
-// batching should buy throughput, not visible latency.
+// Group-commit bounds. A batch closes at DefaultBatchBytes of encoded
+// records, so a batch of two or more records always fits an inline notify.
+// At most maxFlushesInFlight flushes of one log are in flight at once: the
+// depth of the nfs client's pipeline window (nfs.DefaultWindow), past
+// which a flush would only queue for a wire slot. A leader that finds the
+// bound reached waits for a flush to land with its batch still open, so
+// the records that arrive meanwhile ride along.
 const (
-	DefaultBatchBytes = 64 << 10
-	DefaultBatchDelay = time.Millisecond
+	DefaultBatchBytes  = 64 << 10
+	maxFlushesInFlight = 32
 )
 
 // groupCommit coalesces the records concurrent callers add to one module
-// log into a single share append per batch window. The caller whose record
-// opens a batch is its leader: the leader waits out the window (byte bound
-// hit, delay elapsed, or its ctx cancelled), detaches the batch and hands
-// it to flush — exactly once per batch. Record framing (leading newline +
-// CRC) makes concatenated batches safe; how a torn flush is retried is the
-// flush's business.
+// log into a single share append per batch. The caller whose record opens
+// a batch is its leader: the leader yields the processor once, so callers
+// that are already runnable join its batch, then detaches the batch and
+// hands it to flush — exactly once per batch. There is no timer: a lone
+// record goes after one yield. A burst that outruns the yields batches
+// behind the in-flight bound instead: its first maxFlushesInFlight flushes
+// go at once, and the next batch gathers until one of them lands. A record
+// that would push the open batch past maxBytes closes it and leads the
+// next one. Record framing (leading newline + CRC) makes concatenated
+// batches safe; how a torn flush is retried is the flush's business.
 //
 // Both halves of the fam v2 front door run one: the host client blocks
 // every member on the flush result; the daemon's responder sets detached,
 // so the leader runs on its own goroutine and add never parks a worker
-// behind the batch window.
+// behind the flush.
 type groupCommit struct {
 	maxBytes int
-	maxDelay time.Duration
 	detached bool
 	// flush lands one detached batch: buf is the members' records
 	// concatenated in join order, ids their correlation IDs.
 	flush func(ctx context.Context, buf []byte, ids []string) error
 
-	mu  sync.Mutex
-	cur *commitBatch // the open batch; nil between batches
+	mu       sync.Mutex
+	cur      *commitBatch  // the open batch; nil between batches
+	inflight chan struct{} // semaphore: one token per flush in flight
 
-	leaders sync.WaitGroup // detached leaders still waiting or flushing
+	leaders sync.WaitGroup // detached leaders still gathering or flushing
 }
 
 // commitBatch is one in-flight group commit.
 type commitBatch struct {
 	buf  []byte
 	ids  []string
-	full chan struct{} // closed when buf reaches the byte bound
 	done chan struct{} // closed after the flush; err is set first
 	err  error
 }
+
+// testYield, when set, is what a leader calls in place of its yield, with
+// its batcher and batch: tests hold a batch open through it until it has
+// the members they want. It is never set outside tests.
+var testYield atomic.Pointer[func(*groupCommit, *commitBatch)]
 
 // add joins (or opens) the current batch. Detached, it returns nil at
 // once: the record's fate is the leader's business. Otherwise it blocks
@@ -63,26 +75,25 @@ func (g *groupCommit) add(ctx context.Context, id string, line []byte) error {
 		// batch as it is and lead the next one, so a batch of two or more
 		// records never outgrows maxBytes (and, at the default, always fits
 		// an inline notify). A lone over-bound record still goes alone.
-		close(batch.full)
 		batch = nil
 	}
 	leader := batch == nil
 	if leader {
-		batch = &commitBatch{full: make(chan struct{}), done: make(chan struct{})}
+		batch = &commitBatch{done: make(chan struct{})}
 		g.cur = batch
+		if g.inflight == nil {
+			g.inflight = make(chan struct{}, maxFlushesInFlight)
+		}
 	}
 	batch.buf = append(batch.buf, line...)
 	batch.ids = append(batch.ids, id)
 	if len(batch.buf) >= g.maxBytes {
-		close(batch.full)
 		g.cur = nil // next record opens a fresh batch
 	}
 	g.mu.Unlock()
 
 	if g.detached {
 		if leader {
-			// lead performs exactly one flush and returns: the window wait
-			// is capped by maxDelay and ctx cancellation short-circuits it.
 			g.leaders.Add(1)
 			go func() {
 				defer g.leaders.Done()
@@ -102,17 +113,19 @@ func (g *groupCommit) add(ctx context.Context, id string, line []byte) error {
 	}
 }
 
-// lead waits out the batch window, detaches the batch and flushes it. A
-// cancelled leader flushes what has gathered rather than strand the
-// followers' records behind it.
+// lead yields once, takes an in-flight slot (waiting, batch still open,
+// while the log has maxFlushesInFlight flushes out), detaches the batch
+// and flushes it. The flush runs even under a cancelled ctx rather than
+// strand the followers' records.
 func (g *groupCommit) lead(ctx context.Context, batch *commitBatch) {
-	timer := time.NewTimer(g.maxDelay)
-	select {
-	case <-batch.full:
-	case <-timer.C:
-	case <-ctx.Done():
+	if hold := testYield.Load(); hold != nil {
+		(*hold)(g, batch)
+	} else {
+		runtime.Gosched()
 	}
-	timer.Stop()
+	//mcsdlint:allow chanbound -- the in-flight bound IS the wait: every slot is released when its flush returns, and a flush is bounded by retryShare's attempts, so the wait ends with some flush already out
+	g.inflight <- struct{}{}
+	defer func() { <-g.inflight }()
 	g.mu.Lock()
 	if g.cur == batch {
 		g.cur = nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mcsd/internal/faultfs"
+	"mcsd/internal/metrics"
 	"mcsd/internal/smartfam"
 )
 
@@ -138,6 +139,8 @@ func invokeEach(c *smartfam.Client, module string, payloads []string) ([]string,
 
 // TestDaemonTornResponseBatchLandsEachOnce tears a four-record response
 // batch on a record boundary: two answers land before the cut, two do not.
+// The batch is held open until all four have joined (HoldNextBatch) and
+// the counters confirm the torn flush carried all four.
 // The retry must re-send only the two that did not, so the log holds one
 // answer per ID.
 func TestDaemonTornResponseBatchLandsEachOnce(t *testing.T) {
@@ -173,8 +176,8 @@ func TestDaemonTornResponseBatchLandsEachOnce(t *testing.T) {
 		ids, err := invokeEach(c, "gated", payloads)
 		res <- outcome{ids, err}
 	}()
-	// Every worker holds an answer; released together, the four answers
-	// share one batch window.
+	// Every worker holds an answer. The next leader, the first answer's,
+	// holds its batch until all four answers have joined it.
 	for range payloads {
 		select {
 		case <-entered:
@@ -182,6 +185,7 @@ func TestDaemonTornResponseBatchLandsEachOnce(t *testing.T) {
 			t.Fatal("the four requests never all reached a worker")
 		}
 	}
+	smartfam.HoldNextBatch(t, n)
 	ffs.TearNext(1, 0.5)
 	close(gate)
 	out := <-res
@@ -191,6 +195,16 @@ func TestDaemonTornResponseBatchLandsEachOnce(t *testing.T) {
 
 	if ffs.Torn() != 1 {
 		t.Fatalf("Torn() = %d, want 1", ffs.Torn())
+	}
+	// The counters move after the batch lands, which the callers may beat.
+	flushes := d.Metrics().Counter(metrics.FamRespFlushes)
+	for deadline := time.Now().Add(10 * time.Second); flushes.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the torn response batch never counted as flushed")
+		}
+	}
+	if f, r := flushes.Value(), d.Metrics().Counter(metrics.FamRespRecords).Value(); f != 1 || r != n {
+		t.Fatalf("response batches: %d flushes carrying %d records, want 1 carrying %d", f, r, n)
 	}
 	mod.assertRanOnce(t, payloads...)
 	counts := responseCounts(t, inner, "gated")
@@ -298,7 +312,8 @@ func TestDaemonRecoveryRerunAnsweredOnce(t *testing.T) {
 // on a record boundary. The host retries the batch whole, so two requests
 // land twice; each must still run once and answer its caller once. The
 // daemon dedupes a re-landed request, and the host router delivers only the
-// first response per ID.
+// first response per ID. The batch is held open until all four requests
+// have joined, and the counters confirm the torn flush carried all four.
 func TestClientTornRequestBatchRunsEachOnce(t *testing.T) {
 	inner := smartfam.DirFS(t.TempDir())
 	mod := newCountingModule("torn")
@@ -313,15 +328,26 @@ func TestClientTornRequestBatchRunsEachOnce(t *testing.T) {
 
 	ffs := faultfs.New(inner)
 	c := smartfam.NewClient(ffs, time.Millisecond)
+	hostMetrics := metrics.NewRegistry()
+	c.SetMetrics(hostMetrics)
 	// Arm the router first, so the four calls below only register and
-	// append, well inside one batch window.
+	// append. The next leader, the first request's, holds its batch until
+	// all four requests have joined it.
 	invokeAll(t, c, "torn", []string{"warm"})
+	smartfam.HoldNextBatch(t, 4)
 	ffs.TearNext(1, 0.5)
 	payloads := []string{"p0", "p1", "p2", "p3"} // equal-length records
 	invokeAll(t, c, "torn", payloads)
 
 	if ffs.Torn() != 1 {
 		t.Fatalf("Torn() = %d, want 1", ffs.Torn())
+	}
+	// The warm call's batch, then the torn one.
+	flushes := hostMetrics.Counter(metrics.FamBatchFlushes).Value()
+	records := hostMetrics.Counter(metrics.FamBatchRecords).Value()
+	if flushes != 2 || records != 1+int64(len(payloads)) {
+		t.Fatalf("request batches: %d flushes carrying %d records, want the warm call's 1 then the torn batch's %d",
+			flushes, records, len(payloads))
 	}
 	mod.assertRanOnce(t, append(payloads, "warm")...)
 }

@@ -28,10 +28,11 @@ import (
 //   - batcher is the group-commit side (groupcommit.go) and the only way a
 //     request reaches the share: concurrent InvokeID calls against one
 //     module coalesce their request records into a single share append per
-//     batch window (bounded by bytes and delay), cutting the per-invocation
-//     RPC cost to ~1/batch. A torn flush is retried whole: a request that
-//     lands twice still runs once (the daemon's dedupe), and the router
-//     delivers only the first response per ID.
+//     batch — the leader yields once, then flushes; the byte bound closes a
+//     batch early — cutting a burst's per-invocation RPC cost to ~1/batch
+//     while a lone call pays no wait. A torn flush is retried whole: a
+//     request that lands twice still runs once (the daemon's dedupe), and
+//     the router delivers only the first response per ID.
 //
 // Both degrade loudly, never wedge: a lost notify stream drops the router
 // into the same tick mode (counted under smartfam.fam.degraded) and each
@@ -46,7 +47,7 @@ import (
 const pushSafetyFloor = 25 * time.Millisecond
 
 // SetBatching is a no-op kept for its callers: request group commit is
-// always on, at DefaultBatchBytes and DefaultBatchDelay.
+// always on, bounded at DefaultBatchBytes, with no delay to set.
 //
 // Deprecated: requests are always group-committed.
 func (c *Client) SetBatching(int, time.Duration) {}
@@ -648,7 +649,6 @@ func (c *Client) batcher(logName string) *groupCommit {
 	if b == nil {
 		b = &groupCommit{
 			maxBytes: DefaultBatchBytes,
-			maxDelay: DefaultBatchDelay,
 			flush: func(ctx context.Context, buf []byte, ids []string) error {
 				// Each record's leading newline makes a retry after a torn
 				// attempt safe: the partial bytes parse as one corrupt line
