@@ -287,10 +287,10 @@ func journalStatus(client *nfs.Client) error {
 	if len(st.Extra) == 0 {
 		return fmt.Errorf("status snapshot has no journal counters (old daemon?)")
 	}
+	// The snapshot carries the daemon's registry whole, so a counter
+	// that never moved is simply absent: it reads as zero.
 	show := func(label, key string) {
-		if v, ok := st.Extra[key]; ok {
-			fmt.Printf("%-11s%d\n", label+":", v)
-		}
+		fmt.Printf("%-11s%d\n", label+":", st.Extra[key])
 	}
 	show("recovered", "smartfam.daemon.recovered")
 	show("deduped", "smartfam.daemon.deduped")
@@ -301,9 +301,10 @@ func journalStatus(client *nfs.Client) error {
 }
 
 // famStatus prints the push-mode front door's state (fam v2): whether the
-// daemon's notify stream is live or the node has degraded to polling, how
-// many push events it served, and the response group-commit counters —
-// read from the same published snapshot as the queue and journal verbs.
+// daemon's notify stream is live or the node has degraded to per-tick
+// sweeps, how many push events it served, and the response group-commit
+// counters — read from the same published snapshot as the queue and
+// journal verbs.
 func famStatus(client *nfs.Client) error {
 	if err := client.Ping(); err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
@@ -316,17 +317,16 @@ func famStatus(client *nfs.Client) error {
 	if err != nil {
 		return fmt.Errorf("status snapshot unreadable: %w", err)
 	}
-	active, ok := st.Extra["smartfam.fam.push_active"]
-	if !ok {
-		return fmt.Errorf("status snapshot has no fam counters (pre-push daemon?)")
+	if len(st.Extra) == 0 {
+		return fmt.Errorf("status snapshot has no fam counters (old daemon?)")
 	}
-	mode := "degraded (polling + rescan sweep)"
-	if active == 1 {
+	mode := "degraded (no push stream: the daemon sweeps every log each tick)"
+	if st.Extra["smartfam.fam.push_active"] == 1 {
 		mode = "push (server-push notify stream live)"
 	}
 	fmt.Printf("notify:      %s\n", mode)
 	fmt.Printf("push events: %d\n", st.Extra["smartfam.fam.push_events"])
-	fmt.Printf("degraded:    %d transition(s) to polling\n", st.Extra["smartfam.fam.degraded"])
+	fmt.Printf("degraded:    %d transition(s) to per-tick sweeps\n", st.Extra["smartfam.fam.degraded"])
 	flushes := st.Extra["smartfam.fam.resp_batch_flushes"]
 	records := st.Extra["smartfam.fam.resp_batch_records"]
 	if flushes > 0 {

@@ -16,11 +16,11 @@ import (
 	"mcsd/internal/smartfam"
 )
 
-// TestAttachedShareInvokesOverPush pins the front door mcsdctl actually
-// uses: against mcsdd's default topology (daemon share I/O looped back
-// through the file service) the share attach hands the runtime can push,
-// and one verb through it is carried by notifies, not the polling fallback.
-func TestAttachedShareInvokesOverPush(t *testing.T) {
+// startNode runs a daemon in mcsdd's default topology — its share I/O
+// looped back through the file service — with the standard modules plus
+// extra, and returns the service's address and a context bound to the test.
+func startNode(t *testing.T, extra []smartfam.Module, opts ...smartfam.DaemonOption) (string, context.Context) {
+	t.Helper()
 	dir := t.TempDir()
 	srv := nfs.NewServer(dir)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -40,22 +40,32 @@ func TestAttachedShareInvokesOverPush(t *testing.T) {
 	}
 	t.Cleanup(func() { loop.Close() })
 	reg := smartfam.NewRegistry(loop)
-	for _, m := range core.StandardModules(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1}) {
+	mods := append(core.StandardModules(core.ModuleConfig{Store: core.DirStore(dir), Workers: 1}), extra...)
+	for _, m := range mods {
 		if err := reg.Register(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	done := make(chan struct{})
+	opts = append([]smartfam.DaemonOption{smartfam.WithPollInterval(time.Millisecond)}, opts...)
 	go func() {
 		defer close(done)
-		_ = smartfam.NewDaemon(loop, reg, smartfam.WithPollInterval(time.Millisecond)).Run(ctx)
+		_ = smartfam.NewDaemon(loop, reg, opts...).Run(ctx)
 	}()
 	t.Cleanup(func() {
 		cancel()
 		<-done
 	})
+	return addr, ctx
+}
 
+// TestAttachedShareInvokesOverPush pins the front door mcsdctl actually
+// uses: against mcsdd's default topology (daemon share I/O looped back
+// through the file service) the share attach hands the runtime can push,
+// and one verb through it is carried by notifies, not the polling fallback.
+func TestAttachedShareInvokesOverPush(t *testing.T) {
+	addr, ctx := startNode(t, nil)
 	client, rt, err := attach(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +80,50 @@ func TestAttachedShareInvokesOverPush(t *testing.T) {
 	}
 	if v := rt.Metrics().Counter(metrics.FamPushEvents).Value(); v == 0 {
 		t.Fatal("host routed zero push events; the invocation ran on the polling path")
+	}
+}
+
+// TestStatusSnapshotCarriesDaemonRegistry reads the published status
+// snapshot the way the journal and fam verbs do: after a host retry
+// reusing a request's ID, it must carry the daemon's dedupe counter and
+// its push gauge by name.
+func TestStatusSnapshotCarriesDaemonRegistry(t *testing.T) {
+	echo := smartfam.ModuleFunc{
+		ModuleName: "echo",
+		Fn:         func(_ context.Context, p []byte) ([]byte, error) { return p, nil },
+	}
+	addr, ctx := startNode(t, []smartfam.Module{echo},
+		smartfam.WithStatusInterval(5*time.Millisecond))
+	client, err := mount(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	c := smartfam.NewClient(client, time.Millisecond)
+	id := smartfam.NewID()
+	for range 2 {
+		if out, err := c.InvokeID(ctx, "echo", id, []byte("twice")); err != nil || string(out) != "twice" {
+			t.Fatalf("InvokeID = (%q, %v)", out, err)
+		}
+	}
+
+	// The snapshot is rewritten in place, so a read can catch it
+	// half-written: only a snapshot that parses counts.
+	var extra map[string]int64
+	for {
+		if data, err := smartfam.ReadFrom(client, smartfam.QueueStatusName, 0); err == nil {
+			if st, err := sched.UnmarshalStatus(data); err == nil {
+				extra = st.Extra
+				if extra[metrics.DaemonDeduped] >= 1 && extra[metrics.FamPushActive] == 1 {
+					return
+				}
+			}
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("snapshot never showed deduped >= 1 and push_active = 1: extra = %v", extra)
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func run() error {
 		listen  = flag.String("listen", "127.0.0.1:9000", "address of the file-service export")
 		workers = flag.Int("workers", 2, "cores dedicated to data-intensive modules (duo-core SD default)")
 		memFlag = flag.String("mem", "", "optional memory limit for module admission control (e.g. 2G)")
-		poll    = flag.Duration("poll", smartfam.DefaultPollInterval, "smartFAM watcher poll interval")
+		poll    = flag.Duration("poll", smartfam.DefaultPollInterval, "smartFAM daemon tick: its sweep period while no push stream is live")
 		compact = flag.Duration("compact", 5*time.Minute, "compact module logs after this long idle (0 disables)")
 		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 = the default)")
 		journal = flag.String("journal", "auto", "crash-recovery journal path on local disk; \"auto\" = <dir>/.journal, \"none\" disables")

@@ -204,6 +204,21 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
+// Values returns the current value of every counter and gauge by name,
+// the form a published status snapshot carries. Timers are left out.
+func (r *Registry) Values() map[string]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]int64, len(r.counters)+len(r.gauges))
+	for name, c := range r.counters {
+		out[name] = c.Value()
+	}
+	for name, g := range r.gauges {
+		out[name] = g.Value()
+	}
+	return out
+}
+
 // Snapshot returns a sorted, human-readable dump of every metric.
 func (r *Registry) Snapshot() []string {
 	r.mu.Lock()

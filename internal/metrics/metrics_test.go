@@ -164,6 +164,24 @@ func TestRegistrySnapshotSortedAndComplete(t *testing.T) {
 	}
 }
 
+func TestRegistryValuesCountersAndGauges(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(3)
+	r.Counter("idle")
+	r.Gauge("g").Set(7)
+	r.Timer("t").Observe(time.Millisecond)
+	got := r.Values()
+	want := map[string]int64{"c": 3, "idle": 0, "g": 7}
+	if len(got) != len(want) {
+		t.Fatalf("Values() = %v, want %v (timers left out)", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("Values()[%q] = %d, want %d", k, got[k], v)
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Cfg", "Node", "Cores", "Speed")
 	tb.AddRow("host", 4, 2.66)

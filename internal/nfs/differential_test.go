@@ -47,8 +47,8 @@ func seededFamBatch(seed int64, n int) []famBatchCall {
 
 // runFamBatch serves calls over a fresh share — push end to end, or with
 // both the daemon's and the host's view of their connections hiding
-// WatchFS so every notice comes from polling (the daemon's watcher, the
-// host's tick-driven router) — compacting both module
+// WatchFS so every notice comes from polling (the daemon's tick sweep,
+// the host's tick-driven router) — compacting both module
 // logs between the two halves. It returns each call's outcome by
 // correlation ID and the daemon's journal once Run has returned.
 func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]string, *smartfam.JournalState) {

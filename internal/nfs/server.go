@@ -34,7 +34,8 @@ import (
 // offset in the frame — to every watcher but the appending connection,
 // whose response says where its bytes landed). Only mutations that pass
 // through this server are seen — out-of-band writes to the exported
-// directory fall back on the watchers' own rescan sweeps.
+// directory fall back on the readers' own sweeps (the daemon's tick sweep,
+// the host router's size probe).
 type Server struct {
 	root    string
 	metrics *metrics.Registry
@@ -470,8 +471,9 @@ func (s *Server) handleStat(req *Request) *Response {
 	if err != nil {
 		return fail(err)
 	}
-	// The change generation rides along so pollers can catch rewrites that
-	// restore size and mtime within one poll window (the Watcher ABA case).
+	// The change generation rides along so a size probe can tell a rewrite
+	// that restored size and mtime (a compacted log regrown to its old
+	// size) from no change at all.
 	return &Response{Size: fi.Size(), MTimeNs: fi.ModTime().UnixNano(), Gen: s.gen(req.Name)}
 }
 

@@ -2,7 +2,9 @@ package smartfam
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 )
@@ -16,17 +18,20 @@ import (
 func GenName(module string) string { return module + ".gen" }
 
 // ReadGeneration returns the log's current generation (0 when never
-// compacted).
+// compacted). The sidecar is one decimal int64, so one ReadAt into a
+// fixed buffer reads it whole: a generation check costs one share
+// operation, compacted log or not.
 func ReadGeneration(fsys FS, module string) int64 {
-	data, err := ReadFrom(fsys, GenName(module), 0)
-	if err != nil || len(data) == 0 {
+	var buf [24]byte
+	n, err := fsys.ReadAt(GenName(module), buf[:], 0)
+	if (err != nil && !errors.Is(err, io.EOF)) || n == 0 {
 		return 0
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64)
+	g, err := strconv.ParseInt(strings.TrimSpace(string(buf[:n])), 10, 64)
 	if err != nil {
 		return 0
 	}
-	return n
+	return g
 }
 
 // CompactLog rewrites a module's log file, dropping request/response pairs

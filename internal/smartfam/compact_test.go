@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,63 +152,112 @@ func TestDaemonSurvivesCompaction(t *testing.T) {
 }
 
 func TestCompactionRegrowPastStaleOffset(t *testing.T) {
-	// Regression: after compaction, the log regrows PAST a reader's stale
-	// offset before the reader drains again. Without the generation
-	// sidecar the reader would resume mid-record (or silently skip new
-	// requests); with it, every new request is recovered.
-	fsys := DirFS(t.TempDir())
-	reg := NewRegistry(fsys)
-	if err := reg.Register(echoModule()); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDaemon(fsys, reg) // not running; we drive drains by hand
-	logName := LogName("echo")
+	// Regression: after compaction, the log regrows to or past a reader's
+	// stale offset before the reader drains again. Without the generation
+	// sidecar the reader would resume mid-record, or — when the log regrew
+	// to exactly its old size with its mtime restored, the ABA case a
+	// size-and-mtime watcher cannot see — read nothing at all; with it,
+	// every new request is recovered.
+	for _, tc := range []struct {
+		name  string
+		exact bool
+	}{
+		{name: "past", exact: false},
+		{name: "exact-size-same-mtime", exact: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := DirFS(dir)
+			reg := NewRegistry(fsys)
+			if err := reg.Register(echoModule()); err != nil {
+				t.Fatal(err)
+			}
+			d := NewDaemon(fsys, reg) // not running; we drive drains by hand
+			logName := LogName("echo")
 
-	// One full served round to advance the daemon's offset.
-	req1 := Record{Kind: KindRequest, ID: "req-one", Payload: []byte("1")}
-	line, _ := req1.Marshal()
-	if err := fsys.Append(logName, line); err != nil {
-		t.Fatal(err)
+			// One full served round to advance the daemon's offset.
+			req1 := Record{Kind: KindRequest, ID: "req-one", Payload: []byte("1")}
+			line, _ := req1.Marshal()
+			if err := fsys.Append(logName, line); err != nil {
+				t.Fatal(err)
+			}
+			got := d.drainRequests(t.Context(), logName)
+			if len(got) != 1 || got[0].ID != "req-one" {
+				t.Fatalf("first drain = %+v", got)
+			}
+			// Answer it the way a served run does, and let the answer land.
+			d.finish(context.Background(), "echo", got[0].ID, StatusOK, []byte("echo:1"))
+			d.joinResponses()
+			if got := d.drainRequests(t.Context(), logName); len(got) != 0 {
+				t.Fatalf("drain after serve returned %+v", got)
+			}
+			oldSize, oldMtime, err := fsys.Stat(logName)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := reg.CompactLog("echo"); err != nil {
+				t.Fatal(err)
+			}
+
+			// Regrow before any drain: past the old offset, or to exactly it.
+			var ids []string
+			appendReq := func(payload string) int64 {
+				id := NewID()
+				ids = append(ids, id)
+				line, _ := (Record{Kind: KindRequest, ID: id, Payload: []byte(payload)}).Marshal()
+				if err := fsys.Append(logName, line); err != nil {
+					t.Fatal(err)
+				}
+				return int64(len(line))
+			}
+			if tc.exact {
+				regrowTo(t, fsys, logName, oldSize, appendReq)
+				if err := os.Chtimes(filepath.Join(dir, logName), oldMtime, oldMtime); err != nil {
+					t.Fatal(err)
+				}
+				size, mtime, err := fsys.Stat(logName)
+				if err != nil || size != oldSize || !mtime.Equal(oldMtime) {
+					t.Fatalf("regrown log = (%d, %v, %v), want (%d, %v)", size, mtime, err, oldSize, oldMtime)
+				}
+			} else {
+				for grown := int64(0); grown <= oldSize; {
+					grown += appendReq("x")
+				}
+			}
+
+			got = d.drainRequests(t.Context(), logName)
+			if len(got) != len(ids) {
+				t.Fatalf("drain after regrow returned %d requests, want %d (records lost)",
+					len(got), len(ids))
+			}
+			for i, id := range ids {
+				if got[i].ID != id {
+					t.Fatalf("request %d = %q, want %q", i, got[i].ID, id)
+				}
+			}
+		})
 	}
-	got := d.drainRequests(t.Context(), logName)
-	if len(got) != 1 || got[0].ID != "req-one" {
-		t.Fatalf("first drain = %+v", got)
-	}
-	// Answer it the way a served run does.
-	d.finish(context.Background(), "echo", got[0].ID, StatusOK, []byte("echo:1"))
-	if got := d.drainRequests(t.Context(), logName); len(got) != 0 {
-		t.Fatalf("drain after serve returned %+v", got)
-	}
-	oldSize, _, err := fsys.Stat(logName)
+}
+
+// regrowTo appends requests through appendReq until logName is exactly
+// size bytes long, padding the last one's payload to land on it.
+func regrowTo(t *testing.T, fsys FS, logName string, size int64, appendReq func(payload string) int64) {
+	t.Helper()
+	cur, _, err := fsys.Stat(logName)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := reg.CompactLog("echo"); err != nil {
-		t.Fatal(err)
+	line, _ := (Record{Kind: KindRequest, ID: NewID(), Payload: []byte("x")}).Marshal()
+	base := int64(len(line))
+	for size-cur >= 2*base {
+		cur += appendReq("x")
 	}
-
-	// Regrow beyond the old offset with fresh requests before any drain.
-	var ids []string
-	for grown := int64(0); grown <= oldSize; {
-		id := NewID()
-		ids = append(ids, id)
-		line, _ := (Record{Kind: KindRequest, ID: id, Payload: []byte("x")}).Marshal()
-		if err := fsys.Append(logName, line); err != nil {
-			t.Fatal(err)
-		}
-		grown += int64(len(line))
-	}
-
-	got = d.drainRequests(t.Context(), logName)
-	if len(got) != len(ids) {
-		t.Fatalf("drain after regrow returned %d requests, want %d (records lost)",
-			len(got), len(ids))
-	}
-	for i, id := range ids {
-		if got[i].ID != id {
-			t.Fatalf("request %d = %q, want %q", i, got[i].ID, id)
-		}
+	// base <= size-cur < 2*base: one padded record fills the rest, as a
+	// payload byte that needs no escape adds exactly one byte to its line.
+	pad := "x" + strings.Repeat("y", int(size-cur-base))
+	if cur += appendReq(pad); cur != size {
+		t.Fatalf("regrew to %d bytes, want %d", cur, size)
 	}
 }
 

@@ -3,6 +3,7 @@ package smartfam
 import (
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"time"
 
@@ -34,7 +35,6 @@ type Daemon struct {
 	reg            *Registry
 	interval       time.Duration
 	heartbeat      time.Duration
-	rescan         time.Duration
 	statusInterval time.Duration
 	workers        int
 	metrics        *metrics.Registry
@@ -61,9 +61,19 @@ type Daemon struct {
 // DaemonOption configures a Daemon.
 type DaemonOption func(*Daemon)
 
-// WithPollInterval sets the watcher poll interval.
+// DefaultPollInterval is the daemon's tick: its sweep period while no
+// push stream is live. 2 ms keeps invocation latency well under the
+// network round-trip it accompanies.
+const DefaultPollInterval = 2 * time.Millisecond
+
+// WithPollInterval sets the daemon's tick: its sweep period while no push
+// stream is live (see serve).
 func WithPollInterval(d time.Duration) DaemonOption {
-	return func(dm *Daemon) { dm.interval = d }
+	return func(dm *Daemon) {
+		if d > 0 {
+			dm.interval = d
+		}
+	}
 }
 
 // WithWorkers bounds concurrent module invocations — the number of cores
@@ -93,18 +103,6 @@ func WithTracer(tr *trace.Tracer) DaemonOption {
 // disables the heartbeat entirely.
 func WithHeartbeat(d time.Duration) DaemonOption {
 	return func(dm *Daemon) { dm.heartbeat = d }
-}
-
-// WithRescanInterval overrides how often the daemon sweeps every log file
-// for requests whose change notification was lost (default 50× the poll
-// interval, floored at 20ms). The sweep is the recovery path for the
-// watcher's acceptable-loss case — see Watcher.
-func WithRescanInterval(d time.Duration) DaemonOption {
-	return func(dm *Daemon) {
-		if d > 0 {
-			dm.rescan = d
-		}
-	}
 }
 
 // WithScheduler replaces the scheduler NewDaemon would build (WithWorkers
@@ -197,7 +195,7 @@ func (d *Daemon) execute(ctx context.Context, job *sched.Job) ([]byte, error) {
 
 // Run serves until ctx is done. It always returns ctx.Err(), except when
 // the configured journal could not be opened. Everything Run starts —
-// invocations, the notify source, heartbeat, scheduler, status publisher,
+// invocations, the notify stream, heartbeat, scheduler, status publisher,
 // detached response flushes — has finished when it returns, so nothing
 // touches the share afterwards.
 func (d *Daemon) Run(ctx context.Context) error {
@@ -233,17 +231,12 @@ func (d *Daemon) Run(ctx context.Context) error {
 	d.recoverPass(ctx)
 	d.joinResponses()
 
-	// Change-notification source: server-push stream when the share can
-	// provide one, the polling watcher otherwise (and on stream loss) —
-	// see runNotify.
-	changed := make(chan string, 64)
-	spawn(func() { d.runNotify(ctx, changed) })
 	if d.heartbeat >= 0 {
 		spawn(func() { _ = RunHeartbeat(ctx, d.fs, d.heartbeat) })
 	}
 	spawn(func() { _ = d.publishQueueStatus(ctx) })
 
-	dispatch := func(logName string) {
+	d.serve(ctx, func(logName string) {
 		module, ok := ModuleFromLog(logName)
 		if !ok {
 			return
@@ -257,38 +250,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 				}()
 			}
 		}
-	}
-
-	// Change notifications are the fast path; the rescan sweep is the
-	// safety net that recovers requests whose event was dropped (watcher
-	// backlog, or the missed-notification case documented on Watcher) or
-	// whose drain hit a transient share error.
-	rescanEvery := d.rescan
-	if rescanEvery <= 0 {
-		rescanEvery = 50 * d.interval
-		if rescanEvery < 20*time.Millisecond {
-			rescanEvery = 20 * time.Millisecond
-		}
-	}
-	rescan := time.NewTicker(rescanEvery)
-	defer rescan.Stop()
-
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case name := <-changed:
-			dispatch(name)
-		case <-rescan.C:
-			names, err := d.fs.List()
-			if err != nil {
-				continue // transient; the next sweep retries
-			}
-			for _, name := range names {
-				dispatch(name)
-			}
-		}
-	}
+	})
+	return ctx.Err()
 }
 
 // shareIndex is a point-in-time scan of every module log, used by the
@@ -426,21 +389,31 @@ func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
 
 	// A changed compaction generation (or a log smaller than our offset)
 	// means the saved offset points into a different file image: restart
-	// from the top. The responded set keeps replayed requests idempotent.
+	// from the top. Both checks come before the read: a compacted log that
+	// regrew to its old size, mtime and all, differs only in generation.
+	// The responded set keeps replayed requests idempotent.
 	gen := ReadGeneration(d.fs, module)
-	size, _, statErr := d.fs.Stat(logName)
-	if gen != lastGen || (statErr == nil && size < off) {
+	size, _, err := d.fs.Stat(logName)
+	if err != nil {
+		return nil
+	}
+	if gen != lastGen || size < off {
 		off = 0
 		d.mu.Lock()
 		d.offsets[logName] = 0
 		d.gens[logName] = gen
 		d.mu.Unlock()
 	}
-
-	data, err := ReadFrom(d.fs, logName, off)
-	if err != nil || len(data) == 0 {
+	if off >= size {
 		return nil
 	}
+	// One stat per drain: read [off, size) at the size already in hand.
+	data := make([]byte, size-off)
+	n, err := d.fs.ReadAt(logName, data, off)
+	if (err != nil && !errors.Is(err, io.EOF)) || n == 0 {
+		return nil
+	}
+	data = data[:n]
 	recs, consumed, corrupt, err := ParseRecords(data)
 	if corrupt > 0 {
 		d.metrics.Counter(metrics.SmartfamCorruptRecords).Add(int64(corrupt))
@@ -673,42 +646,23 @@ func isShed(rec Record) bool {
 }
 
 // QueueStatusName is the share file carrying the published status
-// snapshot (JSON): the scheduler's queue state plus, under Extra, the
-// daemon's recovery/dedupe/corruption counters. Like the heartbeat it is
-// not a module log, so discovery ignores it; mcsdctl's queue and journal
-// verbs read it.
+// snapshot (JSON): the scheduler's queue state plus, under Extra, every
+// counter and gauge of the daemon's metrics registry. Like the heartbeat
+// it is not a module log, so discovery ignores it; mcsdctl's queue,
+// journal and fam verbs read it.
 const QueueStatusName = ".queue"
 
 // DefaultQueueStatusInterval is how often the status snapshot is
 // republished.
 const DefaultQueueStatusInterval = 250 * time.Millisecond
 
-// statusExtraCounters are the daemon-side counters published in the
-// snapshot's Extra map for mcsdctl's journal verb.
-var statusExtraCounters = []string{
-	metrics.DaemonRecovered,
-	metrics.DaemonDeduped,
-	metrics.DaemonAborted,
-	metrics.SmartfamCorruptRecords,
-	metrics.SmartfamRespondErrors,
-	metrics.FamPushEvents,
-	metrics.FamDegraded,
-	metrics.FamRespFlushes,
-	metrics.FamRespRecords,
-}
-
 // publishQueueStatus rewrites QueueStatusName until ctx is done.
 func (d *Daemon) publishQueueStatus(ctx context.Context) error {
 	write := func() {
 		st := d.sched.Status()
-		st.Extra = make(map[string]int64, len(statusExtraCounters))
-		for _, name := range statusExtraCounters {
-			//mcsdlint:allow metrickey -- statusExtraCounters holds registry constants only
-			st.Extra[name] = d.metrics.Counter(name).Value()
-		}
-		// The push gauge rides along so mcsdctl's fam verb can tell push
-		// from degraded without reaching into the daemon process.
-		st.Extra[metrics.FamPushActive] = d.metrics.Gauge(metrics.FamPushActive).Value()
+		// The whole registry rides along: mcsdctl's journal and fam verbs
+		// read their counters, and the push gauge, from it by name.
+		st.Extra = d.metrics.Values()
 		data, err := sched.MarshalStatus(st)
 		if err != nil {
 			return

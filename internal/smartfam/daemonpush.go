@@ -11,15 +11,14 @@ import (
 
 // This file is the SD-node half of the fam v2 push-mode front door:
 //
-//   - runNotify feeds the daemon's dispatch loop with changed log names.
-//     When the share implements WatchFS it arms ONE server-push stream
-//     over the whole share and the polling Watcher stays parked; the
-//     moment the stream dies (connection loss, server restart) the
-//     watcher engages at the classic poll interval and the loop
-//     periodically tries to re-arm push. A share that can never push
-//     (DirFS, a pre-watch server) runs pure polling from the start. The
-//     rescan sweep in Run stays on in every mode — it remains the source
-//     of truth for lost notifications.
+//   - serve is the daemon's one reader: the only change-driven path into
+//     drainRequests. When the share implements WatchFS it arms ONE
+//     server-push stream over the whole share and drains each log a notify
+//     names; one ticker sweeps every log, rarely while the stream lives
+//     (a dropped notify, a drain that hit a share error) and every tick
+//     once it is lost, when the loop also tries now and then to re-arm
+//     push. A share that can never push (DirFS, a pre-watch server) is
+//     swept every tick from the start.
 //   - respBatcherFor is the response-side group commit (groupcommit.go)
 //     and the only way a fresh answer reaches the share: completed
 //     executions coalesce their response records into one share append per
@@ -31,8 +30,8 @@ import (
 //     Replays (recovery, dedupe) and sheds append one record directly
 //     (appendResponse).
 
-// rearmEvery is how many degraded-mode poll ticks pass between attempts
-// to re-arm the push stream.
+// rearmEvery is how many degraded-mode ticks pass between attempts to
+// re-arm the push stream.
 const rearmEvery = 100
 
 // WithResponseBatching is a no-op kept for its callers: response group
@@ -43,15 +42,20 @@ func WithResponseBatching(int, time.Duration) DaemonOption {
 	return func(*Daemon) {}
 }
 
-// runNotify multiplexes change notifications into names until ctx is
-// done. Push mode is reported on the smartfam.fam.push_active gauge (one
-// trace span covers each stream attachment); every fallback transition
-// counts under smartfam.fam.degraded.
-func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
-	wfs, _ := d.fs.(WatchFS)
-	w := NewWatcher(d.fs, d.interval)
-	w.AddAll()
+// serve feeds dispatch the log names to drain until ctx is done: the log
+// a push notify names, and every log on each tick's sweep. The one ticker
+// runs at the poll interval while no stream is live and at the sweep
+// period, max(50 × interval, 20 ms), while one is, so a push-mode node
+// does not wake every poll interval to idle. Push mode is reported on the
+// smartfam.fam.push_active gauge (one trace span covers each stream
+// attachment); every fallback transition counts under
+// smartfam.fam.degraded.
+func (d *Daemon) serve(ctx context.Context, dispatch func(logName string)) {
+	sweepEvery := max(50*d.interval, 20*time.Millisecond)
+	tick := time.NewTicker(d.interval)
+	defer tick.Stop()
 
+	wfs, _ := d.fs.(WatchFS)
 	var (
 		st   WatchStream
 		span *trace.Span
@@ -70,6 +74,7 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 		st = s
 		span = d.tracer.Start(trace.SpanFamPush)
 		d.metrics.Gauge(metrics.FamPushActive).Set(1)
+		tick.Reset(sweepEvery)
 	}
 	degrade := func() {
 		st = nil
@@ -77,6 +82,7 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 		span = nil
 		d.metrics.Gauge(metrics.FamPushActive).Set(0)
 		d.metrics.Counter(metrics.FamDegraded).Inc()
+		tick.Reset(d.interval)
 	}
 	arm()
 	if st == nil {
@@ -92,17 +98,6 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 		}
 	}()
 
-	forward := func(name string) bool {
-		select {
-		case names <- name:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-
-	tick := time.NewTicker(d.interval)
-	defer tick.Stop()
 	sinceArm := 0
 	for {
 		var events <-chan WatchEvent
@@ -119,24 +114,16 @@ func (d *Daemon) runNotify(ctx context.Context, names chan<- string) {
 				continue
 			}
 			d.metrics.Counter(metrics.FamPushEvents).Inc()
-			if !forward(ev.Name) {
-				return
-			}
+			dispatch(ev.Name)
 		case <-tick.C:
-			if st != nil {
-				continue // push carries the load; the tick just idles
-			}
-			w.Poll()
-		drain:
-			for {
-				select {
-				case ev := <-w.Events():
-					if !forward(ev.Name) {
-						return
-					}
-				default:
-					break drain
+			// A failed List is transient: the next tick sweeps again.
+			if names, err := d.fs.List(); err == nil {
+				for _, name := range names {
+					dispatch(name)
 				}
+			}
+			if st != nil {
+				continue
 			}
 			if sinceArm++; sinceArm >= rearmEvery {
 				sinceArm = 0

@@ -183,24 +183,48 @@ func TestClientRetriesTransientAppendFault(t *testing.T) {
 	}
 }
 
-func TestWatcherToleratesStatFaults(t *testing.T) {
+// TestDaemonSweepRidesOutShareFaults: with no push stream, the daemon's
+// tick sweep is its only reader. Stat and List failing for many ticks in a
+// row must only delay a request, which is served once they recover.
+func TestDaemonSweepRidesOutShareFaults(t *testing.T) {
 	inner := smartfam.DirFS(t.TempDir())
 	ffs := faultfs.New(inner)
-	if err := inner.Append("mod.log", []byte("x")); err != nil {
+	reg := smartfam.NewRegistry(inner)
+	if err := reg.Register(faultEchoModule()); err != nil {
 		t.Fatal(err)
 	}
-	w := smartfam.NewWatcher(ffs, time.Hour)
-	w.Add("mod.log")
-	ffs.FailNext(faultfs.OpStat, 1)
-	w.Poll() // stat fails: treated as absent, no crash
-	w.Poll() // recovers: change event fires
-	select {
-	case ev := <-w.Events():
-		if ev.Name != "mod.log" {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("watcher never recovered from stat fault")
+	d := smartfam.NewDaemon(ffs, reg,
+		smartfam.WithPollInterval(time.Millisecond),
+		smartfam.WithHeartbeat(-1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = d.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	// Each failed tick consumes one List fault; once List recovers, each
+	// sweep's drain consumes Stat faults until those run out too.
+	const faults = 20
+	ffs.FailNext(faultfs.OpList, faults)
+	ffs.FailNext(faultfs.OpStat, faults)
+	c := smartfam.NewClient(inner, time.Millisecond)
+	ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer icancel()
+	got, err := c.Invoke(ictx, "echo", []byte("after faults"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "echo:after faults" {
+		t.Fatalf("result = %q", got)
+	}
+	if n := ffs.Injected(); n != 2*faults {
+		t.Fatalf("%d faults injected, want all %d spent before the answer", n, 2*faults)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestDirFSCreateAppendRead(t *testing.T) {
@@ -124,98 +123,5 @@ func TestReadFrom(t *testing.T) {
 	got, err = ReadFrom(fsys, "a.log", 99)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("ReadFrom past EOF = (%q, %v)", got, err)
-	}
-}
-
-func TestWatcherSeesAppendAndCreate(t *testing.T) {
-	fsys := DirFS(t.TempDir())
-	w := NewWatcher(fsys, time.Hour) // manual polling only
-	w.Add("mod.log")
-
-	w.Poll() // file absent: no event
-	select {
-	case ev := <-w.Events():
-		t.Fatalf("unexpected event %+v for absent file", ev)
-	default:
-	}
-
-	if err := fsys.Append("mod.log", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll()
-	select {
-	case ev := <-w.Events():
-		if ev.Name != "mod.log" || ev.Size != 4 {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("no event after file creation")
-	}
-
-	// No change: no event.
-	w.Poll()
-	select {
-	case ev := <-w.Events():
-		t.Fatalf("spurious event %+v", ev)
-	default:
-	}
-
-	if err := fsys.Append("mod.log", []byte("more")); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll()
-	select {
-	case ev := <-w.Events():
-		if ev.Size != 8 {
-			t.Fatalf("event size = %d, want 8", ev.Size)
-		}
-	default:
-		t.Fatal("no event after append")
-	}
-}
-
-func TestWatcherAddAllSeesNewFiles(t *testing.T) {
-	fsys := DirFS(t.TempDir())
-	w := NewWatcher(fsys, time.Hour)
-	w.AddAll()
-	w.Poll()
-	if err := fsys.Append("later.log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll()
-	select {
-	case ev := <-w.Events():
-		if ev.Name != "later.log" {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("AddAll watcher missed new file")
-	}
-}
-
-func TestWatcherDeleteAndReappear(t *testing.T) {
-	fsys := DirFS(t.TempDir())
-	w := NewWatcher(fsys, time.Hour)
-	w.Add("a.log")
-	if err := fsys.Append("a.log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll()
-	<-w.Events()
-	if err := fsys.Remove("a.log"); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll() // deletion itself: no event, but state forgotten
-	if err := fsys.Append("a.log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	w.Poll()
-	select {
-	case ev := <-w.Events():
-		if ev.Name != "a.log" {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("no event after reappearance")
 	}
 }

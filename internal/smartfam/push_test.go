@@ -45,7 +45,8 @@ func (h *pushHub) emit(ev WatchEvent) {
 }
 
 func (h *pushHub) view() *hubView {
-	return &hubView{hub: h, stats: make(map[string]int), reads: make(map[string]int), readBytes: make(map[string]int)}
+	return &hubView{hub: h, stats: make(map[string]int), reads: make(map[string]int),
+		readBytes: make(map[string]int), statOpen: make(map[string]bool)}
 }
 
 type hubStream struct {
@@ -67,13 +68,16 @@ func (s *hubStream) Close() error {
 }
 
 // hubView is one node's mount of the hub; it counts its Stat and ReadAt
-// calls, and the bytes the reads returned, per file.
+// calls, and the bytes the reads returned, per file. A Stat counts before
+// the call and a ReadAt once it returns, so statOpen names the files whose
+// last counted operation is a Stat with no ReadAt after it yet.
 type hubView struct {
 	hub       *pushHub
 	mu        sync.Mutex
 	stats     map[string]int
 	reads     map[string]int
 	readBytes map[string]int
+	statOpen  map[string]bool
 }
 
 // calls snapshots the view's Stat and ReadAt counts: all of them, and the
@@ -81,12 +85,36 @@ type hubView struct {
 func (v *hubView) calls(name string) (all, stats, reads int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.callsLocked(name)
+}
+
+func (v *hubView) callsLocked(name string) (all, stats, reads int) {
 	for _, m := range []map[string]int{v.stats, v.reads} {
 		for _, n := range m {
 			all += n
 		}
 	}
 	return all, v.stats[name], v.reads[name]
+}
+
+// settledCalls is calls taken at a moment when name's last counted
+// operation is a ReadAt, so the snapshot never splits a Stat from the
+// read that follows it.
+func (v *hubView) settledCalls(t *testing.T, name string) (all, stats, reads int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		v.mu.Lock()
+		if !v.statOpen[name] {
+			defer v.mu.Unlock()
+			return v.callsLocked(name)
+		}
+		v.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: a Stat with no ReadAt after it for 5s", name)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 func (v *hubView) readsOf(name string) int {
@@ -136,6 +164,7 @@ func (v *hubView) ReadAt(name string, p []byte, off int64) (int, error) {
 	v.mu.Lock()
 	v.reads[name]++
 	v.readBytes[name] += n
+	v.statOpen[name] = false
 	v.mu.Unlock()
 	return n, err
 }
@@ -143,6 +172,7 @@ func (v *hubView) ReadAt(name string, p []byte, off int64) (int, error) {
 func (v *hubView) Stat(name string) (int64, time.Time, error) {
 	v.mu.Lock()
 	v.stats[name]++
+	v.statOpen[name] = true
 	v.mu.Unlock()
 	return v.hub.FS.Stat(name)
 }
@@ -511,7 +541,7 @@ func TestPushlessCallersShareOneReader(t *testing.T) {
 			waitRequest(t, hub.FS, "echo", fmt.Sprintf("c%d", i))
 		}
 		time.Sleep(20 * interval)
-		all, stats, reads := host.calls(log)
+		all, stats, reads := host.settledCalls(t, log)
 		all, stats, reads = all-all0, stats-stats0, reads-reads0
 		close(release)
 		for _, d := range done {

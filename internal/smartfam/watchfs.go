@@ -9,22 +9,22 @@ import (
 // capabilities, both implemented by the internal/nfs client and not by
 // DirFS:
 //
-//   - WatchFS streams server-push change notifications, replacing the
-//     polling Watcher on the hot path (the Watcher and the rescan sweep
-//     remain the degraded-mode fallback).
-//   - GenStat exposes the server's per-file change generation, closing the
-//     Watcher's documented ABA blind spot (a rewrite that restores size
-//     and mtime within one poll window still advances the generation).
+//   - WatchFS streams server-push change notifications: the daemon's serve
+//     loop and the host's response routers drain the log a notify names,
+//     and fall back to their ticks when no stream is live.
+//   - GenStat exposes the server's per-file change generation, so a size
+//     probe can tell a rewrite that restored size and mtime from no change
+//     at all.
 //
 // Consumers must treat both as best-effort accelerators: a stream can be
 // lost (its channel closes), events can be dropped, and generations only
 // advance for mutations the server observed. A notify may carry the bytes
 // an append wrote at their offset; offsets and record CRCs remain the
-// source of truth, and rescans the fallback.
+// source of truth, and the readers' sweeps the fallback.
 
 // ErrWatchUnsupported marks a transport that can never push notifications
 // (a pre-watch server). It is PERMANENT for the
-// connection: consumers stop retrying Watch and run pure polling.
+// connection: consumers stop retrying Watch and run on their tick alone.
 // Transient Watch failures are reported as other errors and may be
 // retried. Transport implementations wrap this sentinel.
 var ErrWatchUnsupported = errors.New("push watch unsupported on this transport")
@@ -47,7 +47,7 @@ type WatchEvent struct {
 // delivered best-effort (dropped, never blocked on, when the consumer
 // lags) and the channel CLOSES when the stream is lost — connection drop,
 // server shutdown, or Close — which is the consumer's signal to fall back
-// to polling and optionally re-subscribe.
+// to its tick and optionally re-subscribe.
 type WatchStream interface {
 	// Events returns the notification channel. It is closed exactly once,
 	// when the stream dies.

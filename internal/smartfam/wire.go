@@ -207,7 +207,7 @@ func (r Record) Marshal() ([]byte, error) {
 }
 
 // ParseRecords decodes every complete record line in data, skipping a
-// trailing partial line (the watcher may observe a log mid-append, and a
+// trailing partial line (a reader may observe a log mid-append, and a
 // crashed writer can leave a torn tail — both wait, quarantined, until a
 // later append terminates them). It returns the records, the number of
 // bytes consumed, and the number of complete-but-corrupt lines skipped.
