@@ -87,7 +87,8 @@ chaos-heal:
 # drop and no-median speculation rule, the scheduler's memory admission,
 # the daemon's shed path driven through the fleet's same-node requeue, the
 # nfs pipeline's disconnect handling, the partition driver's
-# memory-bounded fragment pool and cancellation, and group commit: its
+# memory-bounded fragment pool, cancellation and recycled fragment
+# buffers (poisoned on recycle, under every workload), and group commit: its
 # batch edges (a torn response or request batch, a recovery re-run
 # answered before the first drain) and its timer-free trigger (the
 # leader's yield, and a 512-caller burst over the modelled link that must
@@ -96,7 +97,7 @@ chaos-heal:
 # every notify, an idle tick's share-operation bound). A tier-1 test that
 # fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps
+FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"time"
@@ -60,7 +59,7 @@ func DBSelectModule(cfg ModuleConfig) smartfam.Module {
 
 			start := time.Now()
 			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
-				workloads.DBSelectSpec(q), bufio.NewReaderSize(f, 1<<20),
+				workloads.DBSelectSpec(q), f,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, 1.5), Delimiters: []byte{'\n'}},
 				workloads.DBSelectMerge)
 			if err != nil {

@@ -117,7 +117,7 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 					return nil, err
 				}
 				defer f.Close()
-				input = bufio.NewReaderSize(f, 1<<20)
+				input = f
 			}
 
 			start := time.Now()
@@ -186,7 +186,7 @@ func StringMatchModule(cfg ModuleConfig) smartfam.Module {
 
 			start := time.Now()
 			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
-				workloads.StringMatchSpec(keys), bufio.NewReaderSize(f, 1<<20),
+				workloads.StringMatchSpec(keys), f,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.StringMatchFootprint), Delimiters: []byte{'\n'}},
 				workloads.StringMatchMerge)
 			if err != nil {

@@ -489,7 +489,7 @@ func TestStandardModulesNames(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, v any) []byte {
+func mustEncode(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := encode(v)
 	if err != nil {

@@ -46,6 +46,11 @@ type Spec[K comparable, V any, R any] struct {
 	// accumulates before emitting must be local to the call — word count
 	// counts its chunk in a call-local table and emits one pair per
 	// distinct word.
+	//
+	// chunk is valid only for the call: the partition driver reads later
+	// fragments into the same memory once Run returns. A Map that keeps
+	// bytes of its chunk, in a key or a value, must copy them, as string
+	// match's string(line) and word count's string keys do.
 	Map func(chunk []byte, emit func(K, V)) error
 
 	// Combine optionally folds a key's values worker-locally after the map

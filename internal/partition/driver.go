@@ -58,6 +58,11 @@ func (r *Result[K, R]) Map() map[K]R {
 //
 // Fragments complete out of order, but the merge folds them in scan order,
 // so non-commutative merge functions (ConcatMerge) stay deterministic.
+//
+// A partitioned run recycles each fragment's buffer once the engine has
+// returned from it, so the scanner reads later fragments into the same
+// memory; input is read once, straight into those buffers, and needs no
+// buffering of its own.
 func Run[K comparable, V any, R any](
 	ctx context.Context,
 	cfg mapreduce.Config,
@@ -143,6 +148,12 @@ func Run[K comparable, V any, R any](
 					return
 				}
 				fragRes, err := mapreduce.Run(runCtx, engCfg, engSpec, it.frag)
+				if opts.FragmentSize > 0 {
+					// Safe: nothing keeps a byte of the fragment past
+					// mapreduce.Run (see mapreduce.Spec.Map). A native
+					// fragment is the whole input, not a pool buffer.
+					recycleFrag(it.frag)
+				}
 				if err != nil {
 					fail(fmt.Errorf("partition: fragment %d: %w", it.serial+1, err))
 					return

@@ -300,12 +300,6 @@ func TestMergeHelpers(t *testing.T) {
 	if SumMerge(2, 3) != 5 {
 		t.Fatal("SumMerge broken")
 	}
-	if MaxMerge(2, 3) != 3 || MaxMerge(5, 1) != 5 {
-		t.Fatal("MaxMerge broken")
-	}
-	if KeepFirstMerge("a", "b") != "a" {
-		t.Fatal("KeepFirstMerge broken")
-	}
 	got := ConcatMerge([]int{1}, []int{2, 3})
 	if len(got) != 3 || got[2] != 3 {
 		t.Fatal("ConcatMerge broken")

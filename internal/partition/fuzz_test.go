@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -47,6 +48,45 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
+// FuzzSplitShortReads drives the scanner through a fuzzed reader shape
+// (whole, one-byte, half and data-with-EOF reads) and asserts its fragments,
+// or its ErrScanLimit, equal the reference cut of the whole input.
+func FuzzSplitShortReads(f *testing.F) {
+	f.Add([]byte("hello world foo bar"), int64(5), int64(0), uint8(1))
+	f.Add([]byte("nodershere at all"), int64(2), int64(3), uint8(2))
+	f.Add(bytes.Repeat([]byte("abc\n"), 50), int64(7), int64(4), uint8(4))
+	f.Add(bytes.Repeat([]byte("x"), 300), int64(1), int64(0), uint8(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, fragSize, maxScan int64, mode uint8) {
+		if fragSize <= 0 {
+			return // native mode has no cut to compare
+		}
+		fragSize = min(fragSize, int64(len(data))+10)
+		maxScan = max(maxScan, 0) % 100
+		opts := Options{FragmentSize: fragSize, MaxScan: maxScan}
+		want, wantErr := referenceCut(data, opts)
+		rd := shortReaders[int(mode)%len(shortReaders)]
+		got, err := scanAll(rd.wrap(bytes.NewReader(data)), opts)
+		if wantErr != nil {
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("%s: err = %v, want %v", rd.name, err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", rd.name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d fragments, reference %d", rd.name, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: fragment %d = %q, reference %q", rd.name, i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // FuzzIntegrityDisplacement asserts the Fig. 7 pure function never panics
 // and the returned displacement lands one past a delimiter (or EOF).
 func FuzzIntegrityDisplacement(f *testing.F) {
@@ -54,7 +94,7 @@ func FuzzIntegrityDisplacement(f *testing.F) {
 	f.Add([]byte(""), 0)
 	f.Add([]byte("x"), 5)
 	f.Fuzz(func(t *testing.T, data []byte, pos int) {
-		extra, ok := IntegrityDisplacement(data, pos, nil)
+		extra, ok := integrityDisplacement(data, pos, Options{}.delimTable())
 		if extra < 0 {
 			t.Fatalf("negative displacement %d", extra)
 		}

@@ -14,16 +14,3 @@ func SumMerge[R int | int64 | float64](acc, next R) R { return acc + next }
 // ConcatMerge appends per-fragment slices — the string-match merger, where
 // each fragment contributes the matching lines it found.
 func ConcatMerge[E any](acc, next []E) []E { return append(acc, next...) }
-
-// MaxMerge keeps the larger value.
-func MaxMerge[R int | int64 | float64](acc, next R) R {
-	if next > acc {
-		return next
-	}
-	return acc
-}
-
-// KeepFirstMerge keeps the value from the earliest fragment — the identity
-// merger for computations whose keys cannot repeat across fragments (e.g.
-// matrix multiplication, where each output cell is produced exactly once).
-func KeepFirstMerge[R any](acc, _ R) R { return acc }
