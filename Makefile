@@ -88,18 +88,21 @@ chaos-heal:
 # the daemon's shed path driven through the fleet's same-node requeue, the
 # nfs pipeline's disconnect handling, the partition driver's
 # memory-bounded fragment pool, cancellation and recycled fragment
-# buffers (poisoned on recycle, under every workload), and group commit: its
-# batch edges (a torn response or request batch, a recovery re-run
-# answered before the first drain) and its timer-free trigger (the
-# leader's yield, and a 512-caller burst over the modelled link that must
-# still batch). And the daemon's one reader: push, sweep and no-stream
+# buffers (poisoned on recycle, under every workload), the engine's pooled
+# value runs (poisoned on recycle, one-task runs included) and map
+# retries (a streaming-combine attempt that fails after emitting; one-task
+# runs of every workload against multi-worker and sequential ones), and
+# group commit: its batch edges (a torn response or request batch, a
+# recovery re-run answered before the first drain) and its timer-free
+# trigger (the leader's yield, and a 512-caller burst over the modelled
+# link that must still batch). And the daemon's one reader: push, sweep and no-stream
 # ticks (a sweep that rides out share faults, a live stream that drops
 # every notify, an idle tick's share-operation bound). A tier-1 test that
 # fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned
+FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestOneTaskRunMatchesParallel
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition
+	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition ./internal/mapreduce ./internal/workloads
 
 # examples runs every program under examples/ end to end (a few seconds in
 # all); each verifies its own result and exits non-zero on any failure.

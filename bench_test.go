@@ -138,8 +138,10 @@ func benchEngineInput(b *testing.B) []byte {
 // BenchmarkRunWordcount measures the real Phoenix-style runtime on word
 // count with the node's cores, with and without a combiner. The map kernel
 // already combines within each map call (one pair per distinct word per
-// task), so the two variants differ only in how the engine folds those
-// pairs: streaming records against staged pairs. The engine's core sweep is
+// task), so with several workers the two variants differ only in how the
+// engine folds those pairs: streaming records against staged pairs. At
+// -cpu 1 the input is one task, which both variants reduce straight from
+// its records. The engine's core sweep is
 //
 //	go test -run '^$' -bench 'RunWordcount|PartitionDriver' -cpu 1,2,4,8 .
 func BenchmarkRunWordcount(b *testing.B) {

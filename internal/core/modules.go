@@ -120,9 +120,16 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 				input = f
 			}
 
+			// Only the EmitPairs run returns its pairs; the top table
+			// ranks them by count itself, so a run without them skips
+			// the key sort.
+			spec := workloads.WordCountSpec()
+			if !p.EmitPairs {
+				spec.Less = nil
+			}
 			start := time.Now()
 			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
-				workloads.WordCountSpec(), input,
+				spec, input,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.WordCountFootprint)},
 				workloads.WordCountMerge)
 			if err != nil {
@@ -136,16 +143,21 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 				ShuffleMs:    res.Stats.ShuffleTime.Milliseconds(),
 				MergeMs:      res.Stats.MergeTime.Milliseconds(),
 			}
-			counts := make(map[string]int, len(res.Pairs))
 			for _, pr := range res.Pairs {
 				out.TotalWords += int64(pr.Value)
-				counts[pr.Key] = pr.Value
+			}
+			pairs := func(yield func(string, int) bool) {
+				for _, pr := range res.Pairs {
+					if !yield(pr.Key, pr.Value) {
+						return
+					}
+				}
 			}
 			topN := p.TopN
 			if topN <= 0 {
 				topN = 100
 			}
-			for _, pr := range workloads.TopWords(counts, topN) {
+			for _, pr := range workloads.TopWordsSeq(pairs, topN) {
 				out.Top = append(out.Top, WordFreq{Word: pr.Key, Count: pr.Value})
 			}
 			if p.EmitPairs {

@@ -108,6 +108,72 @@ func TestWordCountModule(t *testing.T) {
 	}
 }
 
+// TestWordCountModuleEmitPairsPin pins the word-count module's summary
+// against its EmitPairs setting: a run without pairs skips the key sort,
+// yet its totals, top table and fragment figures must be those of the run
+// that returns them. The corpus ties three words at the top and many more
+// below, so the table's alphabetical tie-break is exercised, and the top
+// table must equal TopWords of the sequential count.
+func TestWordCountModuleEmitPairsPin(t *testing.T) {
+	store, dir := dataDir(t)
+	text := workloads.GenerateTextBytes(60_000, 9)
+	text = append(text, strings.Repeat("tiec tieb tiea ", 3000)...)
+	writeFile(t, dir, "corpus.txt", text)
+	want := workloads.WordCountSeq(text)
+	mod := WordCountModule(ModuleConfig{Store: store, Workers: 2})
+	run := func(topN int, emit bool) WordCountOutput {
+		t.Helper()
+		raw, err := mod.Run(context.Background(), mustEncode(t, WordCountParams{
+			DataFile: "corpus.txt", PartitionBytes: 8 << 10, TopN: topN, EmitPairs: emit,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out WordCountOutput
+		if err := Decode(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, topN := range []int{2, 0} {
+		plain, full := run(topN, false), run(topN, true)
+		if plain.TotalWords != full.TotalWords || plain.UniqueWords != full.UniqueWords ||
+			plain.Fragments != full.Fragments || plain.FragmentKeys != full.FragmentKeys {
+			t.Fatalf("topN=%d: without pairs %d words, %d unique, %d fragments, %d fragment keys; with pairs %d, %d, %d, %d",
+				topN, plain.TotalWords, plain.UniqueWords, plain.Fragments, plain.FragmentKeys,
+				full.TotalWords, full.UniqueWords, full.Fragments, full.FragmentKeys)
+		}
+		if plain.Fragments < 2 || plain.UniqueWords != len(want) {
+			t.Fatalf("topN=%d: %d fragments, %d unique words, want a partitioned run over %d", topN, plain.Fragments, plain.UniqueWords, len(want))
+		}
+		n := topN
+		if n <= 0 {
+			n = 100
+		}
+		var wantTop []WordFreq
+		for _, p := range workloads.TopWords(want, n) {
+			wantTop = append(wantTop, WordFreq{Word: p.Key, Count: p.Value})
+		}
+		if fmt.Sprint(plain.Top) != fmt.Sprint(wantTop) || fmt.Sprint(full.Top) != fmt.Sprint(wantTop) {
+			t.Fatalf("topN=%d: top without pairs %v, with pairs %v, want %v", topN, plain.Top, full.Top, wantTop)
+		}
+		if len(plain.Pairs) != 0 || len(full.Pairs) != len(want) {
+			t.Fatalf("topN=%d: %d pairs without EmitPairs, %d with, want 0 and %d", topN, len(plain.Pairs), len(full.Pairs), len(want))
+		}
+		for i, p := range full.Pairs {
+			if i > 0 && full.Pairs[i-1].Word >= p.Word {
+				t.Fatalf("topN=%d: pairs not key-sorted at %d: %q then %q", topN, i, full.Pairs[i-1].Word, p.Word)
+			}
+			if want[p.Word] != p.Count {
+				t.Fatalf("topN=%d: count[%q] = %d, want %d", topN, p.Word, p.Count, want[p.Word])
+			}
+		}
+	}
+	if top := run(2, false).Top; len(top) != 2 || top[0].Word != "tiea" || top[1].Word != "tieb" {
+		t.Fatalf("top 2 = %v, want the tied tiea and tieb", top)
+	}
+}
+
 func TestWordCountModuleNativeMode(t *testing.T) {
 	store, dir := dataDir(t)
 	writeFile(t, dir, "small.txt", []byte("a b a"))

@@ -53,15 +53,21 @@ type Spec[K comparable, V any, R any] struct {
 	// match's string(line) and word count's string keys do.
 	Map func(chunk []byte, emit func(K, V)) error
 
-	// Combine optionally folds a key's values worker-locally after the map
-	// phase (Phoenix's combiner), shrinking the intermediate footprint.
-	// It must be associative and commutative over values.
+	// Combine optionally folds a key's values worker-locally (Phoenix's
+	// combiner), shrinking the intermediate footprint: during the map
+	// call, whenever a key's run reaches streamFoldLen values, and over
+	// the remainders after the map phase. A one-task run (one worker, one
+	// chunk) skips the after-map pass and hands Reduce the remainder
+	// itself, so Reduce must accept uncombined values. Combine must be
+	// associative and commutative over values.
 	Combine func(key K, values []V) []V
 
 	// Reduce folds all values for one key into the final result value.
 	// Like Phoenix, the runtime assumes Reduce is a pure function of its
 	// inputs: a Reduce that mutates values and then fails will see its own
-	// mutations when retried.
+	// mutations when retried. Reduce may return values itself, or a
+	// subslice of it, as its result: the engine never recycles a run it
+	// has handed to Reduce.
 	Reduce func(key K, values []V) (R, error)
 
 	// Less optionally orders keys; when set, Results are globally sorted
@@ -105,7 +111,7 @@ type Config struct {
 	// ChunkSize is the map-task granularity in bytes. Zero means
 	// max(64 KiB, len(input)/(4*Workers)) — except with a single worker,
 	// where there is no load to balance and the input is one task of at
-	// most soloTaskMax bytes.
+	// most soloTaskMax bytes, which reduces straight from its records.
 	ChunkSize int
 	// Memory, when non-nil, admission-controls the run: the estimated
 	// footprint (FootprintFactor x input) is reserved up front and the
@@ -147,7 +153,8 @@ func (c Config) reducers() int {
 // vocabulary — but the engine checks for cancellation only between
 // tasks, so a native run over a large input still gets a task boundary
 // every soloTaskMax bytes. Partition-driver fragments are smaller than
-// this and map as one task.
+// this and map as one task, which reduces straight from its task records
+// (runOneTask) with no shuffle or merge behind it.
 const soloTaskMax = 8 << 20
 
 func (c Config) chunkSize(inputLen int) int {

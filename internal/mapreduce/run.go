@@ -56,6 +56,10 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 
 	workers := cfg.workers()
 	numReducers := cfg.reducers()
+	j := &job[K, V, R]{spec: spec, numReducers: numReducers, maxRetries: cfg.retries()}
+	if workers == 1 && numReducers == 1 && len(chunks) == 1 {
+		return j.runOneTask(ctx, chunks[0], res)
+	}
 
 	// Map phase: dynamic task scheduling over a shared channel. Each
 	// worker accumulates one task-local keyed map (no locking on the hot
@@ -70,7 +74,6 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
-		retries  atomic.Int64
 	)
 	fail := func(err error) {
 		errOnce.Do(func() {
@@ -78,16 +81,7 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 			cancel()
 		})
 	}
-
-	mp := &mapPhase[K, V, R]{
-		ctx:         runCtx,
-		spec:        spec,
-		chunks:      chunks,
-		numReducers: numReducers,
-		maxRetries:  cfg.retries(),
-		retries:     &retries,
-		fail:        fail,
-	}
+	mp := &mapPhase[K, V, R]{job: j, ctx: runCtx, chunks: chunks, fail: fail}
 
 	states := make([]*mapWorker[K, V], workers)
 	taskCh := make(chan int)
@@ -206,24 +200,9 @@ feed:
 				shuffleNanos.Add(int64(time.Since(shStart)))
 				out := make([]Pair[K, R], 0, len(keys))
 				for _, k := range keys {
-					var rv R
-					var err error
-					for attempt := 0; ; attempt++ {
-						err = guard(func() error {
-							var e error
-							rv, e = spec.Reduce(k, merged[k])
-							return e
-						})
-						if err == nil {
-							break
-						}
-						if attempt >= cfg.retries() {
-							break
-						}
-						retries.Add(1)
-					}
+					rv, err := j.reduce(k, merged[k])
 					if err != nil {
-						fail(&taskError{phase: "reduce", spec: spec.Name, err: err})
+						fail(err)
 						return
 					}
 					out = append(out, Pair[K, R]{Key: k, Value: rv})
@@ -250,7 +229,7 @@ feedReduce:
 		return nil, err
 	}
 	res.Stats.ReduceTasks = numReducers
-	res.Stats.TaskRetries = int(retries.Load())
+	res.Stats.TaskRetries = int(j.retries.Load())
 	for _, u := range uniq {
 		res.Stats.UniqueKeys += u
 	}
@@ -288,19 +267,117 @@ type mapWorker[K comparable, V any] struct {
 	emitted int64
 }
 
-// mapPhase bundles the per-run constants the map workers share.
-type mapPhase[K comparable, V any, R any] struct {
-	ctx         context.Context
+// job bundles the per-run constants that map and reduce tasks share.
+type job[K comparable, V any, R any] struct {
 	spec        Spec[K, V, R]
-	chunks      [][]byte
 	numReducers int
 	maxRetries  int
-	retries     *atomic.Int64
-	fail        func(error)
+	retries     atomic.Int64
 }
 
-// partition maps a key to its reduce partition. Single-reducer runs (the
-// common single-worker shape) skip hashing entirely.
+// try runs f, a task attempt, retrying it up to maxRetries times; undo,
+// when set, clears a failed attempt's partial state first. The last
+// failure comes back as the phase's task error.
+func (j *job[K, V, R]) try(phase string, f func() error, undo func()) error {
+	for attempt := 0; ; attempt++ {
+		err := guard(f)
+		if err == nil {
+			return nil
+		}
+		if undo != nil {
+			undo()
+		}
+		if attempt >= j.maxRetries {
+			return &taskError{phase: phase, spec: j.spec.Name, err: err}
+		}
+		j.retries.Add(1)
+	}
+}
+
+// reduce folds one key's values with spec.Reduce, with retries.
+func (j *job[K, V, R]) reduce(k K, vs []V) (R, error) {
+	var rv R
+	err := j.try("reduce", func() error {
+		var e error
+		rv, e = j.spec.Reduce(k, vs)
+		return e
+	}, nil)
+	return rv, err
+}
+
+// mapTask runs Map over chunk into recs, with retries. A failed attempt's
+// records are discarded, so a retry starts from a clean slate.
+func (j *job[K, V, R]) mapTask(recs *taskRecords[K, V], chunk []byte) error {
+	return j.try("map", func() error { return j.spec.Map(chunk, recs.emit) }, recs.discard)
+}
+
+// runOneTask is Run for a single worker whose input split into one chunk
+// — every fragment of a partition.Run pool wider than one. The task's
+// records are then the run's whole intermediate state, so each one
+// reduces straight from its record, in first-emission order, and the
+// output is sorted by Less only when the spec orders keys: no partition
+// map, post-map combine pass, reducer goroutine or k-way merge.
+func (j *job[K, V, R]) runOneTask(ctx context.Context, chunk []byte, res *Result[K, R]) (*Result[K, R], error) {
+	st := &mapWorker[K, V]{free: getFreeList[V]()}
+	recs := newTaskRecords(st, j.spec.Combine)
+	defer func() {
+		recs.release()
+		putFreeList(st.free)
+	}()
+
+	start := time.Now()
+	if err := j.mapTask(recs, chunk); err != nil {
+		return nil, err
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	res.Stats.MapTime = time.Since(start)
+
+	// The value runs handed to Reduce are never recycled: a Reduce may
+	// return its run as the result (string match does).
+	start = time.Now()
+	out := make([]Pair[K, R], 0, len(recs.index))
+	var err error
+	recs.arena.each(func(e *kvrec[K, V]) {
+		if err != nil {
+			return
+		}
+		var rv R
+		rv, err = j.reduce(e.key, e.vs)
+		out = append(out, Pair[K, R]{Key: e.key, Value: rv})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if less := j.spec.Less; less != nil {
+		shStart := time.Now()
+		sort.Slice(out, func(a, b int) bool { return less(out[a].Key, out[b].Key) })
+		res.Stats.ShuffleTime = time.Since(shStart)
+		res.Stats.MergeStrategy = MergeCopy.String()
+	}
+	res.Stats.ReduceTime = time.Since(start)
+
+	res.Pairs = out
+	res.Stats.ReduceTasks = 1
+	res.Stats.PairsEmitted = recs.emitted
+	res.Stats.UniqueKeys = len(out)
+	res.Stats.FragmentKeys = len(out)
+	res.Stats.TaskRetries = int(j.retries.Load())
+	return res, nil
+}
+
+// mapPhase is the multi-task map phase of one run: the job plus the task
+// list and the run's cancellation.
+type mapPhase[K comparable, V any, R any] struct {
+	*job[K, V, R]
+	ctx    context.Context
+	chunks [][]byte
+	fail   func(error)
+}
+
+// partition maps a key to its reduce partition. Single-reducer runs skip
+// hashing entirely.
 func (mp *mapPhase[K, V, R]) partition(k K) int {
 	if mp.numReducers == 1 {
 		return 0
@@ -308,12 +385,66 @@ func (mp *mapPhase[K, V, R]) partition(k K) int {
 	return partitionOf(k, mp.numReducers, mp.spec.PartitionFn)
 }
 
+// taskRecords holds one map task's emissions folded by key: a record per
+// distinct key, dealt from a pooled arena in first-emission order and
+// found through a pooled index, holding the key's value run. No raw pair
+// is ever staged; with a combiner, a run is compacted as it crosses
+// streamFoldLen.
+type taskRecords[K comparable, V any] struct {
+	st      *mapWorker[K, V] // supplies and takes back value runs
+	index   map[K]*kvrec[K, V]
+	arena   *recArena[K, V]
+	emitted int64
+	emit    func(K, V)
+}
+
+func newTaskRecords[K comparable, V any](st *mapWorker[K, V], combine func(K, []V) []V) *taskRecords[K, V] {
+	index, arena := getTaskMap[K, V](), getArena[K, V]()
+	r := &taskRecords[K, V]{st: st, index: index, arena: arena}
+	r.emit = func(k K, v V) {
+		e, ok := index[k]
+		if !ok {
+			e = arena.alloc()
+			e.key = k
+			e.vs = st.getBuf()
+			index[k] = e
+		}
+		e.vs = append(e.vs, v)
+		if combine != nil && len(e.vs) >= streamFoldLen {
+			e.vs = combine(k, e.vs)
+		}
+		r.emitted++
+	}
+	return r
+}
+
+// reset forgets every record without recycling a value run: each has been
+// moved elsewhere or handed to Reduce.
+func (r *taskRecords[K, V]) reset() {
+	clear(r.index)
+	r.arena.reset()
+	r.emitted = 0
+}
+
+// discard drops a failed attempt's records, recycling their value runs.
+func (r *taskRecords[K, V]) discard() {
+	r.arena.each(func(e *kvrec[K, V]) { r.st.putBuf(e.vs) })
+	r.reset()
+}
+
+// release returns the index and the arena to their pools.
+func (r *taskRecords[K, V]) release() {
+	putTaskMap(r.index)
+	putArena(r.arena)
+}
+
 // splice folds a finished task's records into the worker's per-partition
 // buffers: a key new to its partition adopts the task's value run
 // outright (move, no copy); a known key appends and recycles the run.
 // Partition hashing happens here — once per distinct key per task.
-func (mp *mapPhase[K, V, R]) splice(st *mapWorker[K, V], task map[K]*kvrec[K, V], arena *recArena[K, V]) {
-	arena.each(func(e *kvrec[K, V]) {
+func (mp *mapPhase[K, V, R]) splice(recs *taskRecords[K, V]) {
+	st := recs.st
+	recs.arena.each(func(e *kvrec[K, V]) {
 		p := mp.partition(e.key)
 		dst := st.parts[p]
 		if cur, ok := dst[e.key]; ok {
@@ -327,69 +458,26 @@ func (mp *mapPhase[K, V, R]) splice(st *mapWorker[K, V], task map[K]*kvrec[K, V]
 			dst[e.key] = e.vs
 		}
 	})
-	clear(task)
-	arena.reset()
+	st.emitted += recs.emitted
+	recs.reset()
 }
 
-// discard drops a failed attempt's task-local records, recycling their
-// value runs, so the retry starts from a clean slate.
-func (mp *mapPhase[K, V, R]) discard(st *mapWorker[K, V], task map[K]*kvrec[K, V], arena *recArena[K, V]) {
-	arena.each(func(e *kvrec[K, V]) { st.putBuf(e.vs) })
-	clear(task)
-	arena.reset()
-}
-
-// runStreaming is the emit path when the spec has a combiner: emissions
-// fold into a task-local record map during the map call itself — no raw
-// pair is ever staged — and the combiner compacts each key's run as it
-// crosses streamFoldLen. The task-local records are discarded on a failed
-// attempt (preserving retry idempotence) and spliced into the worker's
-// buffers on success.
+// runStreaming is the emit path when the spec has a combiner: each task
+// folds into task records during the map call itself, which are discarded
+// on a failed attempt (preserving retry idempotence) and spliced into the
+// worker's buffers on success.
 func (mp *mapPhase[K, V, R]) runStreaming(st *mapWorker[K, V], taskCh <-chan int) {
-	task := getTaskMap[K, V]()
-	defer putTaskMap(task)
-	arena := getArena[K, V]()
-	defer putArena(arena)
-	var taskEmitted int64
-	emit := func(k K, v V) {
-		e, ok := task[k]
-		if !ok {
-			e = arena.alloc()
-			e.key = k
-			e.vs = st.getBuf()
-			task[k] = e
-		}
-		e.vs = append(e.vs, v)
-		if len(e.vs) >= streamFoldLen {
-			e.vs = mp.spec.Combine(k, e.vs)
-		}
-		taskEmitted++
-	}
+	recs := newTaskRecords(st, mp.spec.Combine)
+	defer recs.release()
 	for idx := range taskCh {
 		if ctxErr(mp.ctx) != nil {
 			return
 		}
-		chunk := mp.chunks[idx]
-		var err error
-		for attempt := 0; ; attempt++ {
-			err = guard(func() error { return mp.spec.Map(chunk, emit) })
-			if err == nil {
-				break
-			}
-			mp.discard(st, task, arena)
-			taskEmitted = 0
-			if attempt >= mp.maxRetries {
-				break
-			}
-			mp.retries.Add(1)
-		}
-		if err != nil {
-			mp.fail(&taskError{phase: "map", spec: mp.spec.Name, err: err})
+		if err := mp.mapTask(recs, mp.chunks[idx]); err != nil {
+			mp.fail(err)
 			return
 		}
-		mp.splice(st, task, arena)
-		st.emitted += taskEmitted
-		taskEmitted = 0
+		mp.splice(recs)
 	}
 }
 
@@ -408,20 +496,12 @@ func (mp *mapPhase[K, V, R]) runStaged(st *mapWorker[K, V], taskCh <-chan int) {
 			return
 		}
 		chunk := mp.chunks[idx]
-		var err error
-		for attempt := 0; ; attempt++ {
+		err := mp.try("map", func() error {
 			staging = staging[:0]
-			err = guard(func() error { return mp.spec.Map(chunk, emit) })
-			if err == nil {
-				break
-			}
-			if attempt >= mp.maxRetries {
-				break
-			}
-			mp.retries.Add(1)
-		}
+			return mp.spec.Map(chunk, emit)
+		}, nil)
 		if err != nil {
-			mp.fail(&taskError{phase: "map", spec: mp.spec.Name, err: err})
+			mp.fail(err)
 			return
 		}
 		for _, kv := range staging {

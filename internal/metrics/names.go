@@ -102,5 +102,5 @@ const (
 	NFSWatchStreams  = "nfs.watch.streams"  // gauge: live server-side watch registrations
 	NFSWatchNotifies = "nfs.watch.notifies" // notify frames written to watching connections
 	NFSWatchDropped  = "nfs.watch.dropped"  // notifies evicted, oldest first, from a full server queue or client stream (the consumer reads the change itself)
-	NFSWatchEvents   = "nfs.watch.events"   // notify frames the client demux delivered to local streams
+	NFSWatchEvents   = "nfs.watch.events"   // notify frames the client demux has delivered to its local streams, counted after delivery
 )

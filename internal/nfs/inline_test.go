@@ -153,7 +153,7 @@ func TestWatchPrefixSetFilters(t *testing.T) {
 	if ev, _ := waitEvent(t, a); ev.Name != "a.log" {
 		t.Fatalf("a stream got %+v", ev)
 	}
-	if got := frames.Value() - before; got != 1 {
+	if got := watchEventsSettled(t, c) - before; got != 1 {
 		t.Fatalf("%d notify frames reached the client, want 1 (a.log only)", got)
 	}
 	if err := b.Close(); err != nil {
@@ -166,7 +166,7 @@ func TestWatchPrefixSetFilters(t *testing.T) {
 		}
 	}
 	waitEvent(t, a)
-	if got := frames.Value() - before; got != 1 {
+	if got := watchEventsSettled(t, c) - before; got != 1 {
 		t.Fatalf("%d notify frames after b closed, want 1 (a.log only)", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestWatchPrefixSetSurvivesReconnect(t *testing.T) {
 			t.Fatalf("stream %s got %+v (open %v)", name, ev, ok)
 		}
 	}
-	if got := c.met.watchEvents.Value() - before; got != 2 {
+	if got := watchEventsSettled(t, c) - before; got != 2 {
 		t.Fatalf("%d notify frames after the reconnect, want 2", got)
 	}
 }

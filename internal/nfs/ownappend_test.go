@@ -76,7 +76,7 @@ func TestWatchOwnAppendStaysLocal(t *testing.T) {
 				t.Fatalf("first append: got %+v (open %v)", ev, ok)
 			}
 		}
-		frames := c.met.watchEvents.Value()
+		frames := watchEventsSettled(t, c)
 
 		own := []byte("the appender's own bytes\n")
 		if err := c.Append("fam.log", own); err != nil {
@@ -97,7 +97,7 @@ func TestWatchOwnAppendStaysLocal(t *testing.T) {
 		if ev, _ := waitEvent(t, streams[0]); !bytes.Equal(ev.Data, mark) {
 			t.Fatalf("after the own append, c heard %+v, want the marker", ev)
 		}
-		if got := c.met.watchEvents.Value() - frames; got != 1 {
+		if got := watchEventsSettled(t, c) - frames; got != 1 {
 			t.Fatalf("%d notify frames reached the appending connection, want 1 (the marker)", got)
 		}
 	})

@@ -147,8 +147,10 @@ func (c *Client) deliverNotify(resp *Response) {
 	if len(resp.Names) == 0 || resp.Names[0] == "" {
 		return
 	}
-	c.met.watchEvents.Inc()
 	c.fanOut(resp.Names[0], resp.Gen, resp.Size, resp.Data)
+	// Counted once delivered, so a reader that sees the count can drain
+	// every event it counts.
+	c.met.watchEvents.Inc()
 }
 
 // deliverOwnAppend is the notify the server withheld from this connection

@@ -10,6 +10,19 @@ import (
 	"mcsd/internal/smartfam"
 )
 
+// watchEventsSettled reads c's nfs.watch.events once its demux has
+// finished every frame it read before the call. The counter moves after an
+// event is delivered, so a stream can hold an event its frame has not yet
+// counted; a round trip's response is read by the same demux after those
+// frames, so once Ping returns each of them has been counted.
+func watchEventsSettled(t *testing.T, c *Client) int64 {
+	t.Helper()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	return c.met.watchEvents.Value()
+}
+
 // waitEvent receives one event from a watch stream with a deadline.
 func waitEvent(t *testing.T, st smartfam.WatchStream) (smartfam.WatchEvent, bool) {
 	t.Helper()

@@ -3,6 +3,9 @@ package workloads
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"iter"
+	"maps"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -21,7 +24,8 @@ const WordCountFootprint = 3.0
 // words of its chunk and emits one (word, count) pair per distinct word;
 // Reduce sums; the final output is sorted so it can be "printed out in
 // accordance with the frequency" — the spec sorts by key, and TopWords
-// re-sorts by count for the report.
+// ranks by count for the report. A caller that only ranks (the wordcount
+// module without EmitPairs) clears Less and skips the key sort.
 //
 // A word is a maximal run of bytes outside asciiSpace. That one rule is
 // shared by the kernel, the parallel engine, RunSequential and
@@ -418,12 +422,19 @@ func WordCountSeq(data []byte) map[string]int {
 	return counts
 }
 
-// TopWords returns the n most frequent words in decreasing count order
-// (ties broken alphabetically) — the paper's final word-count output format;
-// n <= 0 returns every word. Only the n best words seen so far are kept, in
-// a heap with the lowest-ranked at its root, so a short table over a large
-// vocabulary costs O(words · log n), not a sort of the whole vocabulary.
+// TopWords returns the n most frequent words of counts in decreasing count
+// order (ties broken alphabetically) — the paper's final word-count output
+// format; n <= 0 returns every word. See TopWordsSeq.
 func TopWords(counts map[string]int, n int) []mapreduce.Pair[string, int] {
+	return TopWordsSeq(maps.All(counts), n)
+}
+
+// TopWordsSeq ranks the (word, count) pairs of seq, whose words must be
+// distinct, as TopWords does. Only the n best words seen so far are kept,
+// in a heap with the lowest-ranked at its root, so a short table over a
+// large vocabulary costs O(words · log n), not a sort of the whole
+// vocabulary, and the words may come in any order.
+func TopWordsSeq(seq iter.Seq2[string, int], n int) []mapreduce.Pair[string, int] {
 	type pair = mapreduce.Pair[string, int]
 	// ahead reports whether a ranks before b in the table.
 	ahead := func(a, b pair) bool {
@@ -432,11 +443,11 @@ func TopWords(counts map[string]int, n int) []mapreduce.Pair[string, int] {
 		}
 		return a.Key < b.Key
 	}
-	if n <= 0 || n > len(counts) {
-		n = len(counts)
+	if n <= 0 {
+		n = math.MaxInt
 	}
-	top := make([]pair, 0, n)
-	for w, c := range counts {
+	var top []pair
+	for w, c := range seq {
 		p := pair{Key: w, Value: c}
 		if len(top) < n {
 			top = append(top, p)
