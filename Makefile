@@ -56,10 +56,14 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-# chaos runs the crash/restart fault-injection test (DESIGN.md §5c)
+# chaos runs the crash/restart fault-injection tests (DESIGN.md §5c, §5j)
 # repeatedly and under the race detector: a daemon is killed mid-batch
 # under torn-write and transient-error injection and must deliver exactly
-# one response per request after restart.
+# one response per request after restart; log compaction must lose no
+# request when a host append races it, when the node crashes at any of its
+# share operations, or when it drops a response a waiter never read; and
+# a torn append that keeps all of a record but its final newline must
+# still run once and answer once.
 chaos:
 	$(GO) test -run TestChaos -count=10 -v .
 	$(GO) test -race -run TestChaos -count=3 .
@@ -97,7 +101,11 @@ chaos-heal:
 # trigger (the leader's yield, and a 512-caller burst over the modelled
 # link that must still batch). And the daemon's one reader: push, sweep and no-stream
 # ticks (a sweep that rides out share faults, a live stream that drops
-# every notify, an idle tick's share-operation bound). A tier-1 test that
+# every notify, an idle tick's share-operation bound). And log compaction,
+# one conditional replace: under traffic in the push/poll differential,
+# against a racing append, a crash at every compactor share operation and
+# a compacted-away waiter (the TestChaos compaction tests), and the
+# router's two-round-trip arm. A tier-1 test that
 # fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
 FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestOneTaskRunMatchesParallel

@@ -531,8 +531,12 @@ func TestChaosGroupCommitFlushCrashExactlyOnce(t *testing.T) {
 	}
 	mu.Unlock()
 	assertOneResponsePerID(t, share, "gcommit", ids)
-	if v := d2.Metrics().Counter("smartfam.daemon.recovered").Value(); v < n {
-		t.Errorf("daemon2 recovered = %d, want >= %d (one cached-response replay per lost batch member)", v, n)
+	// The recovery pass counts a replay once its append has returned, so
+	// the caller it answers can return first: wait for the count, do not
+	// sample it.
+	recovered := d2.Metrics().Counter("smartfam.daemon.recovered")
+	if !waitUntil(10*time.Second, func() bool { return recovered.Value() >= n }) {
+		t.Errorf("daemon2 recovered = %d, want >= %d (one cached-response replay per lost batch member)", recovered.Value(), n)
 	}
 }
 
@@ -749,11 +753,19 @@ func startChaosDaemon(d *smartfam.Daemon) (kill func()) {
 
 func chaosWait(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
+	if !waitUntil(d, cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// waitUntil polls cond every 2 ms for up to d and reports whether it held.
+func waitUntil(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+			return false
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return true
 }

@@ -237,13 +237,12 @@ func status(client *nfs.Client) error {
 	}
 	for _, n := range names {
 		if module, ok := smartfam.ModuleFromLog(n); ok {
-			size, _, err := client.Stat(n)
+			size, _, id, err := client.StatGen(n)
 			if err != nil {
 				continue
 			}
-			gen := smartfam.ReadGeneration(client, module)
-			fmt.Printf("module:    %-14s log %s, compaction generation %d\n",
-				module, units.FormatBytes(size), gen)
+			fmt.Printf("module:    %-14s log %s, identity %016x\n",
+				module, units.FormatBytes(size), id)
 		}
 	}
 	return nil

@@ -27,7 +27,6 @@ import (
 
 	"mcsd/internal/core"
 	"mcsd/internal/memsim"
-	"mcsd/internal/metrics"
 	"mcsd/internal/sched"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/units"
@@ -48,7 +47,7 @@ func run() error {
 		workers = flag.Int("workers", 2, "cores dedicated to data-intensive modules (duo-core SD default)")
 		memFlag = flag.String("mem", "", "optional memory limit for module admission control (e.g. 2G)")
 		poll    = flag.Duration("poll", smartfam.DefaultPollInterval, "smartFAM daemon tick: its sweep period while no push stream is live")
-		compact = flag.Duration("compact", 5*time.Minute, "compact module logs after this long idle (0 disables)")
+		compact = flag.Duration("compact", 5*time.Minute, "compact every module log this often, under traffic or not (0 disables)")
 		queue   = flag.Int("queue", sched.DefaultMaxQueueDepth, "job queue depth before requests are rejected with backpressure (0 = the default)")
 		journal = flag.String("journal", "auto", "crash-recovery journal path on local disk; \"auto\" = <dir>/.journal, \"none\" disables")
 	)
@@ -93,6 +92,13 @@ func run() error {
 	loop, err := nfssrv.Dial(ln.Addr().String(), 5*time.Second)
 	if err != nil {
 		log.Printf("mcsdd: notify loopback dial failed (%v); hosts fall back to polling", err)
+		// Hosts append through the file service's append lock, which a
+		// replace through the directory does not hold: compacting here
+		// could lose a request.
+		if *compact > 0 {
+			log.Printf("mcsdd: log compaction off: it needs the loopback")
+			*compact = 0
+		}
 	} else {
 		defer loop.Close()
 		share = loop
@@ -142,26 +148,23 @@ func run() error {
 	defer stop()
 
 	// Module logs grow one record per parameter write and one per result;
-	// compact them whenever the node has been idle for a full interval.
+	// compact them every interval. A compaction is one conditional replace
+	// through the file service, safe under traffic: an append that races
+	// it makes it re-read the log.
 	if *compact > 0 {
 		go func() {
 			ticker := time.NewTicker(*compact)
 			defer ticker.Stop()
-			var last int64
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					cur := daemon.Metrics().Counter(metrics.DaemonRequests).Value()
-					if cur == last {
-						if n, err := reg.CompactAll(); err != nil {
-							log.Printf("mcsdd: log compaction: %v", err)
-						} else if n > 0 {
-							log.Printf("mcsdd: compacted %d module logs", n)
-						}
+					if n, err := reg.CompactAll(); err != nil {
+						log.Printf("mcsdd: log compaction: %v", err)
+					} else if n > 0 {
+						log.Printf("mcsdd: compacted %d module logs", n)
 					}
-					last = cur
 				}
 			}
 		}()

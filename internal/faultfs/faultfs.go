@@ -25,14 +25,15 @@ type Op string
 
 // Fault-injectable operations.
 const (
-	OpCreate Op = "create"
-	OpAppend Op = "append"
-	OpRead   Op = "read"
-	OpStat   Op = "stat"
-	OpList   Op = "list"
-	OpRemove Op = "remove"
-	OpRename Op = "rename"
-	OpWatch  Op = "watch"
+	OpCreate  Op = "create"
+	OpAppend  Op = "append"
+	OpRead    Op = "read"
+	OpStat    Op = "stat"
+	OpList    Op = "list"
+	OpRemove  Op = "remove"
+	OpRename  Op = "rename"
+	OpWatch   Op = "watch"
+	OpReplace Op = "replace"
 )
 
 // ErrInjected is the default error returned by armed transient faults.
@@ -57,6 +58,8 @@ type FS struct {
 	corruptOps   map[Op]int // op -> remaining bit-flips
 	corruptMatch string     // substring filter on file names ("" = any)
 	corrupted    int64
+
+	onOp func(op Op, name string) error
 }
 
 // New wraps inner with an (initially inert) fault layer.
@@ -161,6 +164,15 @@ func (f *FS) CrashAfter(op Op, n int, fn func()) {
 	f.mu.Unlock()
 }
 
+// OnOp runs fn before every operation and its armed faults (nil removes
+// it); an error from fn fails the operation. Tests count operations with
+// it, crash at an exact one, or slip another writer's operation in.
+func (f *FS) OnOp(fn func(op Op, name string) error) {
+	f.mu.Lock()
+	f.onOp = fn
+	f.mu.Unlock()
+}
+
 // Injected returns how many transient errors have been injected so far.
 func (f *FS) Injected() int64 {
 	f.mu.Lock()
@@ -175,8 +187,17 @@ func (f *FS) Torn() int64 {
 	return f.torn
 }
 
-// enter applies latency and the transient-failure countdown for op.
-func (f *FS) enter(op Op) error {
+// enter runs the OnOp hook, then applies latency and the transient-failure
+// countdown for op on name.
+func (f *FS) enter(op Op, name string) error {
+	f.mu.Lock()
+	hook := f.onOp
+	f.mu.Unlock()
+	if hook != nil {
+		if err := hook(op, name); err != nil {
+			return err
+		}
+	}
 	f.mu.Lock()
 	delay := f.latency
 	var err error
@@ -214,107 +235,88 @@ func (f *FS) exit(op Op) {
 	fn()
 }
 
-// Create implements smartfam.FS.
-func (f *FS) Create(name string) error {
-	if err := f.enter(OpCreate); err != nil {
+// do runs fn as op on name: the armed faults first, and after a success a
+// pending crash point.
+func (f *FS) do(op Op, name string, fn func() error) error {
+	if err := f.enter(op, name); err != nil {
 		return err
 	}
-	err := f.inner.Create(name)
+	err := fn()
 	if err == nil {
-		f.exit(OpCreate)
+		f.exit(op)
 	}
 	return err
+}
+
+// Create implements smartfam.FS.
+func (f *FS) Create(name string) error {
+	return f.do(OpCreate, name, func() error { return f.inner.Create(name) })
 }
 
 // Append implements smartfam.FS, honouring armed torn appends.
 func (f *FS) Append(name string, data []byte) error {
-	if err := f.enter(OpAppend); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	tear := f.tearNext > 0 && len(data) > 1
-	keep := f.tearKeep
-	if tear {
-		f.tearNext--
-		f.torn++
-	}
-	f.mu.Unlock()
-	if tear {
-		n := int(float64(len(data)) * keep)
-		if n < 1 {
-			n = 1
+	return f.do(OpAppend, name, func() error {
+		f.mu.Lock()
+		tear := f.tearNext > 0 && len(data) > 1
+		keep := f.tearKeep
+		if tear {
+			f.tearNext--
+			f.torn++
 		}
-		if n >= len(data) {
-			n = len(data) - 1
+		f.mu.Unlock()
+		if tear {
+			n := min(max(int(float64(len(data))*keep), 1), len(data)-1)
+			_ = f.inner.Append(name, data[:n])
+			return ErrInjected
 		}
-		_ = f.inner.Append(name, data[:n])
-		return ErrInjected
-	}
-	if len(data) > 0 && f.corruptArmed(OpAppend, name) {
-		// At-rest corruption: one flipped bit lands on the inner FS and the
-		// append still reports success, like silent media rot.
-		bad := append([]byte(nil), data...)
-		bad[len(bad)/2] ^= 0x01
-		data = bad
-	}
-	err := f.inner.Append(name, data)
-	if err == nil {
-		f.exit(OpAppend)
-	}
-	return err
+		if len(data) > 0 && f.corruptArmed(OpAppend, name) {
+			// At-rest corruption: one flipped bit lands on the inner FS and
+			// the append still reports success, like silent media rot.
+			bad := append([]byte(nil), data...)
+			bad[len(bad)/2] ^= 0x01
+			data = bad
+		}
+		return f.inner.Append(name, data)
+	})
 }
 
 // ReadAt implements smartfam.FS.
-func (f *FS) ReadAt(name string, p []byte, off int64) (int, error) {
-	if err := f.enter(OpRead); err != nil {
-		return 0, err
-	}
-	n, err := f.inner.ReadAt(name, p, off)
-	if n > 0 && f.corruptArmed(OpRead, name) {
-		// Transient read-side corruption: the caller sees one flipped bit,
-		// the bytes at rest stay intact.
-		p[n/2] ^= 0x01
-	}
-	if err == nil {
-		f.exit(OpRead)
-	}
+func (f *FS) ReadAt(name string, p []byte, off int64) (n int, err error) {
+	err = f.do(OpRead, name, func() (err error) {
+		n, err = f.inner.ReadAt(name, p, off)
+		if n > 0 && f.corruptArmed(OpRead, name) {
+			// Transient read-side corruption: the caller sees one flipped
+			// bit, the bytes at rest stay intact.
+			p[n/2] ^= 0x01
+		}
+		return err
+	})
 	return n, err
 }
 
 // Stat implements smartfam.FS.
 func (f *FS) Stat(name string) (int64, time.Time, error) {
-	if err := f.enter(OpStat); err != nil {
-		return 0, time.Time{}, err
-	}
-	size, mtime, err := f.inner.Stat(name)
-	if err == nil {
-		f.exit(OpStat)
-	}
+	size, mtime, _, err := f.StatGen(name)
 	return size, mtime, err
 }
 
 // List implements smartfam.FS.
-func (f *FS) List() ([]string, error) {
-	if err := f.enter(OpList); err != nil {
-		return nil, err
-	}
-	names, err := f.inner.List()
-	if err == nil {
-		f.exit(OpList)
-	}
+func (f *FS) List() (names []string, err error) {
+	err = f.do(OpList, "", func() (err error) {
+		names, err = f.inner.List()
+		return err
+	})
 	return names, err
 }
 
 // Remove implements smartfam.FS.
 func (f *FS) Remove(name string) error {
-	if err := f.enter(OpRemove); err != nil {
-		return err
-	}
-	err := f.inner.Remove(name)
-	if err == nil {
-		f.exit(OpRemove)
-	}
-	return err
+	return f.do(OpRemove, name, func() error { return f.inner.Remove(name) })
+}
+
+// Rename implements smartfam.FS.
+func (f *FS) Rename(oldname, newname string) error {
+	return f.do(OpRename, oldname, func() error { return f.inner.Rename(oldname, newname) })
 }
 
 // Watch implements smartfam.WatchFS by delegating to the inner FS's push
@@ -325,54 +327,42 @@ func (f *FS) Remove(name string) error {
 // the same permanent fall-back-to-polling decision they would without the
 // wrapper. Armed OpWatch faults fail the subscription attempt itself —
 // the transient-arm-failure case push consumers must ride out.
-func (f *FS) Watch(prefix string) (smartfam.WatchStream, error) {
-	if err := f.enter(OpWatch); err != nil {
-		return nil, err
-	}
-	wfs, ok := f.inner.(smartfam.WatchFS)
-	if !ok {
-		return nil, fmt.Errorf("faultfs: %w", smartfam.ErrWatchUnsupported)
-	}
-	st, err := wfs.Watch(prefix)
-	if err == nil {
-		f.exit(OpWatch)
-	}
+func (f *FS) Watch(prefix string) (st smartfam.WatchStream, err error) {
+	err = f.do(OpWatch, prefix, func() (err error) {
+		wfs, ok := f.inner.(smartfam.WatchFS)
+		if !ok {
+			return fmt.Errorf("faultfs: %w", smartfam.ErrWatchUnsupported)
+		}
+		st, err = wfs.Watch(prefix)
+		return err
+	})
 	return st, err
 }
 
 // StatGen implements smartfam.GenStat, delegating to the inner FS's
-// generation tracking when present and falling back to a plain Stat with
-// generation 0 (the "not tracked" value) otherwise. It shares OpStat's
-// fault countdown with Stat: a stat is a stat to the fault model.
-func (f *FS) StatGen(name string) (int64, time.Time, uint64, error) {
-	if err := f.enter(OpStat); err != nil {
-		return 0, time.Time{}, 0, err
-	}
-	var (
-		size  int64
-		mtime time.Time
-		gen   uint64
-		err   error
-	)
-	if gs, ok := f.inner.(smartfam.GenStat); ok {
-		size, mtime, gen, err = gs.StatGen(name)
-	} else {
-		size, mtime, err = f.inner.Stat(name)
-	}
-	if err == nil {
-		f.exit(OpStat)
-	}
+// identity when present and falling back to a plain Stat with identity 0
+// (the "not tracked" value) otherwise. Stat goes through it: a stat is a
+// stat to the fault model.
+func (f *FS) StatGen(name string) (size int64, mtime time.Time, gen uint64, err error) {
+	err = f.do(OpStat, name, func() (err error) {
+		if gs, ok := f.inner.(smartfam.GenStat); ok {
+			size, mtime, gen, err = gs.StatGen(name)
+		} else {
+			size, mtime, err = f.inner.Stat(name)
+		}
+		return err
+	})
 	return size, mtime, gen, err
 }
 
-// Rename implements smartfam.FS.
-func (f *FS) Rename(oldname, newname string) error {
-	if err := f.enter(OpRename); err != nil {
-		return err
-	}
-	err := f.inner.Rename(oldname, newname)
-	if err == nil {
-		f.exit(OpRename)
-	}
-	return err
+// ReplaceIf implements smartfam.ReplaceFS by delegating to the inner FS,
+// and fails where the inner FS cannot replace.
+func (f *FS) ReplaceIf(name string, data []byte, size int64) error {
+	return f.do(OpReplace, name, func() error {
+		rfs, ok := f.inner.(smartfam.ReplaceFS)
+		if !ok {
+			return fmt.Errorf("faultfs: replace %s: inner share cannot replace", name)
+		}
+		return rfs.ReplaceIf(name, data, size)
+	})
 }

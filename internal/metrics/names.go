@@ -34,7 +34,6 @@ const (
 	DaemonDeduped       = "smartfam.daemon.deduped"        // host retries answered from the response cache
 	DaemonRecovered     = "smartfam.daemon.recovered"      // journal replays (cached response or re-run) after restart
 	DaemonIntentsLost   = "smartfam.daemon.intents_lost"   // journaled intents whose request record vanished
-	DaemonParseErrors   = "smartfam.daemon.parse_errors"   // log scans that failed outright
 	DaemonJournalErrors = "smartfam.daemon.journal_errors" // journal appends that failed
 	DaemonMarshalErrors = "smartfam.daemon.marshal_errors" // response records that failed to encode
 	DaemonAppendErrors  = "smartfam.daemon.append_errors"  // response appends that failed (per attempt)

@@ -460,6 +460,9 @@ func respErr(req *Request, resp *Response) error {
 	if resp.NotExist {
 		return fmt.Errorf("%w: %s: %s", smartfam.ErrNotExist, req.Name, resp.Err)
 	}
+	if resp.Err == errReplaceChanged {
+		return fmt.Errorf("%w: %s", smartfam.ErrLogChanged, req.To)
+	}
 	return fmt.Errorf("%w: %s", ErrRemote, resp.Err)
 }
 
@@ -507,7 +510,7 @@ func (c *Client) Create(name string) error {
 // where the bytes landed, so they never cross the wire twice.
 func (c *Client) Append(name string, data []byte) error {
 	if len(data) > MaxChunk {
-		return c.stageAndCommit(name, data, CommitAppend)
+		return c.stageAndCommit(name, data, CommitAppend, 0)
 	}
 	resp, err := c.do(&Request{Op: OpAppend, Name: name, Data: data}, false)
 	if err != nil {
@@ -521,8 +524,9 @@ func (c *Client) Append(name string, data []byte) error {
 }
 
 // stageAndCommit pipelines data into a staging temp file and commits it
-// onto name in one server-side splice (append or replace).
-func (c *Client) stageAndCommit(name string, data []byte, mode int) error {
+// onto name in one server-side splice (append or replace). A replace with
+// expect > 0 happens only while name is expect bytes long.
+func (c *Client) stageAndCommit(name string, data []byte, mode int, expect int64) error {
 	clean, err := cleanName(name)
 	if err != nil {
 		return err
@@ -549,7 +553,7 @@ func (c *Client) stageAndCommit(name string, data []byte, mode int) error {
 		}
 	}
 	if firstErr == nil {
-		firstErr = c.doDiscard(&Request{Op: OpCommit, Name: tmp, To: name, N: mode}, false)
+		firstErr = c.doDiscard(&Request{Op: OpCommit, Name: tmp, To: name, N: mode, Off: expect}, false)
 		if firstErr == nil {
 			return nil
 		}
@@ -642,13 +646,8 @@ func (c *Client) ChunkSum(name string, off int64, n int) (uint32, int, error) {
 
 // Stat implements smartfam.FS.
 func (c *Client) Stat(name string) (int64, time.Time, error) {
-	resp, err := c.do(&Request{Op: OpStat, Name: name}, true)
-	if err != nil {
-		return 0, time.Time{}, err
-	}
-	size, mtime := resp.Size, time.Unix(0, resp.MTimeNs)
-	resp.free()
-	return size, mtime, nil
+	size, mtime, _, err := c.StatGen(name)
+	return size, mtime, err
 }
 
 // List implements smartfam.FS (share root).
@@ -679,7 +678,18 @@ func (c *Client) WriteFile(name string, data []byte) error {
 	if len(data) <= MaxChunk {
 		return c.doDiscard(&Request{Op: OpWrite, Name: name, Data: data}, true)
 	}
-	return c.stageAndCommit(name, data, CommitReplace)
+	return c.stageAndCommit(name, data, CommitReplace, 0)
+}
+
+// ReplaceIf implements smartfam.ReplaceFS: data is staged beside name and
+// committed over it in one server-side rename, under the append lock,
+// only while name is still size bytes long (smartfam.ErrLogChanged
+// otherwise). The server gives name a new identity.
+func (c *Client) ReplaceIf(name string, data []byte, size int64) error {
+	if size <= 0 {
+		return fmt.Errorf("nfs: replace %s: expected size %d, want > 0", name, size)
+	}
+	return c.stageAndCommit(name, data, CommitReplace, size)
 }
 
 // ReadFile fetches a whole file. The chunk fan-out in ReadAt pipelines the

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mcsd/internal/faultfs"
 	"mcsd/internal/metrics"
 	"mcsd/internal/smartfam"
 )
@@ -45,11 +47,21 @@ func seededFamBatch(seed int64, n int) []famBatchCall {
 	return calls
 }
 
+// pollView is a view of a connection that cannot push: it hides WatchFS
+// and keeps the file identity (GenStat), as a share whose server predates
+// the notify lane would.
+type pollView struct {
+	smartfam.FS
+	smartfam.GenStat
+}
+
 // runFamBatch serves calls over a fresh share — push end to end, or with
 // both the daemon's and the host's view of their connections hiding
 // WatchFS so every notice comes from polling (the daemon's tick sweep,
-// the host's tick-driven router) — compacting both module
-// logs between the two halves. It returns each call's outcome by
+// the host's tick-driven router) — and compacts the echo log in the
+// middle of the second half's traffic: its requests land between the
+// compaction's read of the log and its rewrite, and wait in their modules
+// until the compaction is done. It returns each call's outcome by
 // correlation ID and the daemon's journal once Run has returned.
 func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]string, *smartfam.JournalState) {
 	t.Helper()
@@ -57,7 +69,7 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 		if push {
 			return c
 		}
-		return pushlessFS{c}
+		return pollView{c, c}
 	}
 	srv := NewServer(t.TempDir())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -75,10 +87,36 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 	}
 	t.Cleanup(func() { dconn.Close() })
 	share := view(dconn)
-	reg := smartfam.NewRegistry(share)
+	// The compactor works on the connection itself — only it can replace —
+	// through a fault layer that lets the test act inside CompactLog.
+	compactor := faultfs.New(dconn)
+	reg := smartfam.NewRegistry(compactor)
+	// While hold is set, every module call waits for release: the second
+	// half's requests stay pending across the compaction.
+	var hold atomic.Bool
+	release := make(chan struct{})
+	wait := func(ctx context.Context) error {
+		if !hold.Load() {
+			return nil
+		}
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 	for _, m := range []smartfam.Module{
-		smartfam.ModuleFunc{ModuleName: "echo", Fn: func(_ context.Context, p []byte) ([]byte, error) { return p, nil }},
-		smartfam.ModuleFunc{ModuleName: "fail", Fn: func(_ context.Context, p []byte) ([]byte, error) {
+		smartfam.ModuleFunc{ModuleName: "echo", Fn: func(ctx context.Context, p []byte) ([]byte, error) {
+			if err := wait(ctx); err != nil {
+				return nil, err
+			}
+			return p, nil
+		}},
+		smartfam.ModuleFunc{ModuleName: "fail", Fn: func(ctx context.Context, p []byte) ([]byte, error) {
+			if err := wait(ctx); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("refused %d bytes", len(p))
 		}},
 	} {
@@ -88,7 +126,7 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 	}
 	jpath := filepath.Join(t.TempDir(), "journal")
 	d := smartfam.NewDaemon(share, reg,
-		smartfam.WithWorkers(4),
+		smartfam.WithWorkers(len(calls)),
 		smartfam.WithPollInterval(time.Millisecond),
 		smartfam.WithHeartbeat(-1),
 		smartfam.WithJournal(jpath))
@@ -98,7 +136,10 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 		defer close(done)
 		_ = d.Run(dctx)
 	}()
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
 	defer func() {
+		open()
 		stop()
 		<-done
 	}()
@@ -116,7 +157,7 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 	defer cancel()
 	var mu sync.Mutex
 	out := make(map[string]string, len(calls))
-	invoke := func(part []famBatchCall) {
+	invoke := func(part []famBatchCall) (wait func()) {
 		var wg sync.WaitGroup
 		for _, c := range part {
 			wg.Add(1)
@@ -136,18 +177,45 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 				mu.Unlock()
 			}(c)
 		}
-		wg.Wait()
+		return wg.Wait
 	}
 	half := len(calls) / 2
-	invoke(calls[:half])
-	// Mid-batch compaction, quiescent as CompactLog requires: every
-	// request of the first half has its answer, so nothing is kept.
-	for _, m := range []string{"echo", "fail"} {
-		if kept, err := reg.CompactLog(m); err != nil || kept != 0 {
-			t.Fatalf("CompactLog(%s) = (%d, %v)", m, kept, err)
+	invoke(calls[:half])()
+	// Compaction in the middle of traffic: the second half's requests land
+	// after CompactLog has read the log and before it rewrites it, and wait
+	// in their modules until it is done, so every one of them is pending.
+	hold.Store(true)
+	landed := func(c famBatchCall) bool {
+		data, err := smartfam.ReadFrom(dconn, smartfam.LogName(c.module), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		recs, _, _, _ := smartfam.ParseRecords(data)
+		for _, r := range recs {
+			if r.Kind == smartfam.KindRequest && r.ID == c.id {
+				return true
+			}
+		}
+		return false
 	}
-	invoke(calls[half:])
+	var second func()
+	pending := 0
+	compactor.CrashAfter(faultfs.OpRead, 0, func() {
+		second = invoke(calls[half:])
+		for _, c := range calls[half:] {
+			for !landed(c) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if c.module == "echo" {
+				pending++
+			}
+		}
+	})
+	if kept, err := reg.CompactLog("echo"); err != nil || kept < pending || second == nil {
+		t.Fatalf("CompactLog(echo) = (%d, %v), want every one of %d requests that landed during it kept", kept, err, pending)
+	}
+	open()
+	second()
 	if events := hostMetrics.Counter(metrics.FamPushEvents).Value(); push != (events > 0) {
 		t.Fatalf("push=%v run routed %d push events", push, events)
 	}
@@ -162,7 +230,7 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 }
 
 // TestFamPushVsPollDifferential runs one seeded batch — an error module
-// and a mid-batch compaction included — over push and over a pushless view
+// and compactions under traffic included — over push and over a pushless view
 // of the same kind of share: the host's one router, notify-driven against
 // tick-driven. Notify-carried responses must change nothing
 // observable: the response for every correlation ID and the journal's end

@@ -47,7 +47,7 @@ const (
 // (transmit pre-increments), so tag 0 can never collide with a pending
 // call: the demux routes any frame carrying it to the connection's watch
 // streams instead of the pending map. A notify frame reuses the Response
-// encoding — Names[0] is the changed file, Gen its change generation, and
+// encoding — Names[0] is the changed file, Gen its identity, and
 // for an append of at most inlineNotifyMax bytes Data is the appended
 // bytes and Size the offset they landed at (Data is empty otherwise). The
 // connection that made an append hears no notify for it: its OpAppend
@@ -74,10 +74,15 @@ func decodePrefixes(data []byte) []string {
 }
 
 // Commit modes, carried in Request.N of an OpCommit: whether the staged
-// temp file is appended to the target or atomically replaces it.
+// temp file is appended to the target or atomically replaces it. A
+// replace with a positive Request.Off happens only while the target is
+// Off bytes long, else it fails with errReplaceChanged, which the client
+// maps to smartfam.ErrLogChanged.
 const (
 	CommitAppend  = 0
 	CommitReplace = 1
+
+	errReplaceChanged = "nfs: replace: target changed size"
 )
 
 // Request is one client->server message. Tag correlates the response on a
@@ -100,13 +105,13 @@ type Response struct {
 	Data     []byte
 	Size     int64
 	MTimeNs  int64
-	Gen      uint64 // server change generation (OpStat replies, notify frames)
+	Gen      uint64 // the file's identity (OpStat and OpAppend replies, notify frames)
 	Names    []string
 	Err      string
 	NotExist bool
 	EOF      bool
 	// Landed marks an OpAppend reply whose Size is the offset the bytes
-	// landed at and Gen the file's generation after them: the server queued
+	// landed at and Gen the file's identity: the server queued
 	// every watcher but the appending connection a notify for them.
 	Landed bool
 

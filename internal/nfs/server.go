@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"net"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,9 +27,10 @@ import (
 // §III-B).
 //
 // Beyond request/response the server keeps two pieces of change-tracking
-// state for the push-mode invocation path: a per-file change generation
-// (monotonic, bumped by every mutating op, reported in OpStat replies so
-// pollers can detect size+mtime-reverting rewrites) and a watch registry
+// state for the push-mode invocation path: a per-file identity (see
+// smartfam.GenStat: changed by every rewrite, left alone by appends,
+// reported in OpStat and OpAppend replies and notify frames, so a reader
+// finds a rewrite from the Stat it makes anyway) and a watch registry
 // (OpWatch registers a connection's prefix set; every mutation streams a
 // notify frame on the NotifyTag lane to each matching watcher, and an
 // append of at most inlineNotifyMax bytes ships those bytes and their
@@ -43,7 +46,8 @@ type Server struct {
 	mu       sync.Mutex
 	applock  sync.Mutex // serializes appends/commits for cross-client atomicity
 	conns    map[net.Conn]struct{}
-	gens     map[string]uint64 // per-file change generation (cleaned name)
+	epoch    uint64            // low 16 bits of every identity, drawn per server, never 0
+	rewrites map[string]uint64 // the bits above: rewrites per file (cleaned name), never reset
 	watchers map[*connWatcher]struct{}
 	closed   bool
 }
@@ -63,7 +67,7 @@ const inlineNotifyMax = smartfam.DefaultBatchBytes
 // append's bytes at off — one copy shared by every watcher it is queued to.
 type notifyEvt struct {
 	name string
-	gen  uint64
+	id   uint64
 	off  int64
 	data []byte
 }
@@ -110,10 +114,13 @@ func sendDropOldest[T any](ch chan T, v T) (evicted int) {
 // NewServer returns a server exporting root.
 func NewServer(root string) *Server {
 	return &Server{
-		root:     root,
-		metrics:  metrics.NewRegistry(),
-		conns:    make(map[net.Conn]struct{}),
-		gens:     make(map[string]uint64),
+		root:    root,
+		metrics: metrics.NewRegistry(),
+		conns:   make(map[net.Conn]struct{}),
+		// A restarted server draws a new epoch, so every identity changes;
+		// 16 bits keep an identity a 3-byte varint on the wire.
+		epoch:    uint64(rand.IntN(1<<16-1) + 1),
+		rewrites: make(map[string]uint64),
 		watchers: make(map[*connWatcher]struct{}),
 	}
 }
@@ -240,7 +247,7 @@ func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mut
 			return
 		case ev := <-w.queue:
 			writeMu.Lock()
-			err := c.writeResponse(&Response{Tag: NotifyTag, Names: []string{ev.name}, Gen: ev.gen, Size: ev.off, Data: ev.data})
+			err := c.writeResponse(&Response{Tag: NotifyTag, Names: []string{ev.name}, Gen: ev.id, Size: ev.off, Data: ev.data})
 			writeMu.Unlock()
 			if err != nil {
 				return
@@ -250,31 +257,37 @@ func (s *Server) runWatcher(w *connWatcher, c *binServerCodec, writeMu *sync.Mut
 	}
 }
 
-// touch records a successful mutation of name: the file's change
-// generation advances and every matching watcher is queued a bare notify.
+// rewrite gives name a new identity. Every mutation but an append calls it
+// BEFORE changing the file, and OpStat reads the identity after its stat,
+// so a Stat that sees the new file sees its new identity.
+func (s *Server) rewrite(name string) {
+	clean, err := cleanName(name)
+	if err != nil || isStagingTemp(path.Base(clean)) {
+		return
+	}
+	s.mu.Lock()
+	s.rewrites[clean]++
+	s.mu.Unlock()
+}
+
+// touch queues every matching watcher a bare notify for a successful
+// mutation of name.
 func (s *Server) touch(name string) { s.notify(name, 0, nil, nil) }
 
 // notify is touch for an append that just wrote data at off, made by the
 // connection whose watcher is self (nil when it watches nothing): self is
 // skipped, and when data fits inlineNotifyMax the other notifies carry it
 // (copied once, and only if a watcher matches — data aliases the request
-// frame). It returns the new generation; ok is false for staging temps,
-// which stay invisible here just as they do in List.
-func (s *Server) notify(name string, off int64, data []byte, self *connWatcher) (gen uint64, ok bool) {
+// frame). Every notify carries the file's identity, which it returns; ok
+// is false for staging temps, which stay invisible here just as they do
+// in List.
+func (s *Server) notify(name string, off int64, data []byte, self *connWatcher) (id uint64, ok bool) {
 	clean, err := cleanName(name)
-	if err != nil {
-		return 0, false
-	}
-	base := clean
-	if i := strings.LastIndexByte(clean, '/'); i >= 0 {
-		base = clean[i+1:]
-	}
-	if isStagingTemp(base) {
+	if err != nil || isStagingTemp(path.Base(clean)) {
 		return 0, false
 	}
 	s.mu.Lock()
-	s.gens[clean]++
-	gen = s.gens[clean]
+	id = s.rewrites[clean]<<16 | s.epoch
 	var targets []*connWatcher
 	for w := range s.watchers {
 		if w != self && w.matches(clean) {
@@ -282,7 +295,7 @@ func (s *Server) notify(name string, off int64, data []byte, self *connWatcher) 
 		}
 	}
 	s.mu.Unlock()
-	ev := notifyEvt{name: clean, gen: gen}
+	ev := notifyEvt{name: clean, id: id}
 	if len(targets) > 0 && len(data) > 0 && len(data) <= inlineNotifyMax {
 		ev.off, ev.data = off, bytes.Clone(data)
 	}
@@ -291,19 +304,7 @@ func (s *Server) notify(name string, off int64, data []byte, self *connWatcher) 
 			s.metrics.Counter(metrics.NFSWatchDropped).Add(int64(n))
 		}
 	}
-	return gen, true
-}
-
-// gen reads a file's current change generation (0 if never mutated through
-// this server).
-func (s *Server) gen(name string) uint64 {
-	clean, err := cleanName(name)
-	if err != nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gens[clean]
+	return id, true
 }
 
 func (s *Server) path(name string) (string, error) {
@@ -358,6 +359,7 @@ func (s *Server) handleCreate(req *Request) *Response {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fail(err)
 	}
+	s.rewrite(req.Name)
 	f, err := os.Create(p)
 	if err != nil {
 		return fail(err)
@@ -399,11 +401,11 @@ func (s *Server) handleAppend(req *Request, self *connWatcher) *Response {
 	// they landed and it delivers them to its own streams, so no notify
 	// carries them back across the wire.
 	off := end - int64(len(req.Data))
-	gen, ok := s.notify(req.Name, off, req.Data, self)
+	id, ok := s.notify(req.Name, off, req.Data, self)
 	if !ok {
 		return &Response{}
 	}
-	return &Response{Size: off, Gen: gen, Landed: true}
+	return &Response{Size: off, Gen: id, Landed: true}
 }
 
 func (s *Server) handleReadAt(req *Request) *Response {
@@ -471,10 +473,14 @@ func (s *Server) handleStat(req *Request) *Response {
 	if err != nil {
 		return fail(err)
 	}
-	// The change generation rides along so a size probe can tell a rewrite
-	// that restored size and mtime (a compacted log regrown to its old
-	// size) from no change at all.
-	return &Response{Size: fi.Size(), MTimeNs: fi.ModTime().UnixNano(), Gen: s.gen(req.Name)}
+	// The identity — the epoch and the rewrite count, read after the stat
+	// (see rewrite) — tells a rewritten log from the old one, even one
+	// regrown to its old size and mtime.
+	clean, _ := cleanName(req.Name) // s.path checked it
+	s.mu.Lock()
+	id := s.rewrites[clean]<<16 | s.epoch
+	s.mu.Unlock()
+	return &Response{Size: fi.Size(), MTimeNs: fi.ModTime().UnixNano(), Gen: id}
 }
 
 func (s *Server) handleList(req *Request) *Response {
@@ -508,6 +514,7 @@ func (s *Server) handleRemove(req *Request) *Response {
 	if err != nil {
 		return fail(err)
 	}
+	s.rewrite(req.Name)
 	if err := os.Remove(p); err != nil {
 		return fail(err)
 	}
@@ -524,6 +531,8 @@ func (s *Server) handleRename(req *Request) *Response {
 	if err != nil {
 		return fail(err)
 	}
+	s.rewrite(req.Name)
+	s.rewrite(req.To)
 	if err := os.Rename(from, to); err != nil {
 		return fail(err)
 	}
@@ -542,7 +551,9 @@ func isStagingTemp(name string) bool {
 // step under the append lock: CommitReplace renames it over the target,
 // CommitAppend copies it onto the target's tail server-side (no data
 // re-crosses the wire) and removes it. Either way the target goes from
-// old-state to fully-committed with no observable torn intermediate.
+// old-state to fully-committed with no observable torn intermediate. A
+// replace with a positive Off happens only while the target is Off bytes
+// long; the append lock keeps appends out between the check and the rename.
 func (s *Server) handleCommit(req *Request) *Response {
 	src, err := s.path(req.Name)
 	if err != nil {
@@ -555,9 +566,19 @@ func (s *Server) handleCommit(req *Request) *Response {
 	s.applock.Lock()
 	defer s.applock.Unlock()
 	if req.N == CommitReplace {
+		if req.Off > 0 {
+			fi, err := os.Stat(dst)
+			if err != nil {
+				return fail(err)
+			}
+			if fi.Size() != req.Off {
+				return &Response{Err: errReplaceChanged}
+			}
+		}
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			return fail(err)
 		}
+		s.rewrite(req.To)
 		if err := os.Rename(src, dst); err != nil {
 			return fail(err)
 		}
@@ -596,6 +617,7 @@ func (s *Server) handleWrite(req *Request) *Response {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fail(err)
 	}
+	s.rewrite(req.Name)
 	if err := os.WriteFile(p, req.Data, 0o644); err != nil {
 		return fail(err)
 	}

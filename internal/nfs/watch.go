@@ -156,18 +156,18 @@ func (c *Client) deliverNotify(resp *Response) {
 // deliverOwnAppend is the notify the server withheld from this connection
 // for an append it made: data at off, inline up to inlineNotifyMax and bare
 // above it, exactly as another connection hears the append.
-func (c *Client) deliverOwnAppend(name string, gen uint64, off int64, data []byte) {
+func (c *Client) deliverOwnAppend(name string, id uint64, off int64, data []byte) {
 	if len(data) > inlineNotifyMax {
 		data = nil
 	}
-	c.fanOut(name, gen, off, data)
+	c.fanOut(name, id, off, data)
 }
 
 // fanOut hands one change event to every matching local stream. Inline
 // append bytes are copied once and shared, read-only, by every stream they
 // reach; a full stream evicts its oldest event to take the new one.
-func (c *Client) fanOut(name string, gen uint64, off int64, data []byte) {
-	ev := smartfam.WatchEvent{Name: name, Gen: gen}
+func (c *Client) fanOut(name string, id uint64, off int64, data []byte) {
+	ev := smartfam.WatchEvent{Name: name, Gen: id}
 	c.watchMu.Lock()
 	defer c.watchMu.Unlock()
 	for w := range c.watches {
@@ -197,20 +197,19 @@ func (c *Client) closeWatches() {
 	c.watchMu.Unlock()
 }
 
-// StatGen implements smartfam.GenStat: Stat plus the server's change
-// generation for the file (0 from servers that never mutated it, or from
-// mutations that bypassed the server).
+// StatGen implements smartfam.GenStat: Stat plus the file's identity on
+// the server, in the same reply.
 func (c *Client) StatGen(name string) (int64, time.Time, uint64, error) {
 	resp, err := c.do(&Request{Op: OpStat, Name: name}, true)
 	if err != nil {
 		return 0, time.Time{}, 0, err
 	}
-	size, mtime, gen := resp.Size, time.Unix(0, resp.MTimeNs), resp.Gen
+	size, mtime, id := resp.Size, time.Unix(0, resp.MTimeNs), resp.Gen
 	resp.free()
-	return size, mtime, gen, nil
+	return size, mtime, id, nil
 }
 
 var (
-	_ smartfam.WatchFS = (*Client)(nil)
-	_ smartfam.GenStat = (*Client)(nil)
+	_ smartfam.WatchFS   = (*Client)(nil)
+	_ smartfam.ReplaceFS = (*Client)(nil)
 )

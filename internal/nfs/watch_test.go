@@ -36,8 +36,8 @@ func waitEvent(t *testing.T, st smartfam.WatchStream) (smartfam.WatchEvent, bool
 }
 
 // TestWatchPushNotify pins the tentpole wire behaviour: a registered watch
-// stream receives a notify frame for every matching mutation, with the
-// change generation advancing monotonically.
+// stream receives a notify frame for every matching mutation, carrying the
+// file's identity: an append keeps it, a rewrite changes it.
 func TestWatchPushNotify(t *testing.T) {
 	c, _ := startServer(t)
 	st, err := c.Watch("wc")
@@ -54,7 +54,7 @@ func TestWatchPushNotify(t *testing.T) {
 		t.Fatal("stream closed unexpectedly")
 	}
 	if ev.Name != "wc.log" || ev.Gen == 0 {
-		t.Fatalf("event = %+v, want wc.log with nonzero gen", ev)
+		t.Fatalf("event = %+v, want wc.log with a nonzero identity", ev)
 	}
 	first := ev.Gen
 
@@ -62,8 +62,15 @@ func TestWatchPushNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, _ = waitEvent(t, st)
-	if ev.Gen <= first {
-		t.Fatalf("gen did not advance: %d then %d", first, ev.Gen)
+	if ev.Gen != first {
+		t.Fatalf("identity changed across an append: %d then %d", first, ev.Gen)
+	}
+	if err := c.Create("wc.log"); err != nil {
+		t.Fatal(err)
+	}
+	ev, _ = waitEvent(t, st)
+	if ev.Gen == first {
+		t.Fatalf("identity %d kept across a truncating Create", ev.Gen)
 	}
 
 	// A non-matching prefix must not reach this stream; a matching one on a
@@ -162,8 +169,8 @@ func TestServerClosesNonFrameConnection(t *testing.T) {
 	}
 }
 
-// TestStatGen pins the ABA counter: a rewrite that restores a file's exact
-// size still advances the change generation OpStat reports.
+// TestStatGen pins the ABA case: a rewrite that restores a file's exact
+// size still changes the identity OpStat reports.
 func TestStatGen(t *testing.T) {
 	c, _ := startServer(t)
 	if err := c.WriteFile("f.log", []byte("aaaa")); err != nil {
@@ -174,7 +181,7 @@ func TestStatGen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gen1 == 0 {
-		t.Fatal("gen after first write = 0, want > 0")
+		t.Fatal("identity after first write = 0, want nonzero")
 	}
 	if err := c.WriteFile("f.log", []byte("bbbb")); err != nil {
 		t.Fatal(err)
@@ -186,8 +193,8 @@ func TestStatGen(t *testing.T) {
 	if size2 != size1 {
 		t.Fatalf("sizes differ (%d vs %d); rewrite should preserve size", size1, size2)
 	}
-	if gen2 <= gen1 {
-		t.Fatalf("gen did not advance across same-size rewrite: %d then %d", gen1, gen2)
+	if gen2 == gen1 {
+		t.Fatalf("identity %d kept across a same-size rewrite", gen2)
 	}
 }
 

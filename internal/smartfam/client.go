@@ -184,7 +184,7 @@ func (c *Client) InvokeID(ctx context.Context, module, id string, params []byte)
 	if err != nil {
 		return nil, err
 	}
-	ch := rt.register(id)
+	ch := rt.register(ctx, id, line)
 	defer rt.unregister(id)
 	if err := c.appendRequest(ctx, module, logName, id, line); err != nil {
 		return nil, err

@@ -4,46 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 )
 
-// GenName returns the name of a module log's generation sidecar: a tiny
-// file holding a counter that CompactLog bumps on every rewrite. Readers
-// (daemon and client) re-read it before consuming from a saved offset; a
-// changed generation means their offset points into a different file
-// image, so they restart from zero. Size checks alone cannot catch the
-// case where a compacted log regrows past a stale offset.
-func GenName(module string) string { return module + ".gen" }
-
-// ReadGeneration returns the log's current generation (0 when never
-// compacted). The sidecar is one decimal int64, so one ReadAt into a
-// fixed buffer reads it whole: a generation check costs one share
-// operation, compacted log or not.
-func ReadGeneration(fsys FS, module string) int64 {
-	var buf [24]byte
-	n, err := fsys.ReadAt(GenName(module), buf[:], 0)
-	if (err != nil && !errors.Is(err, io.EOF)) || n == 0 {
-		return 0
-	}
-	g, err := strconv.ParseInt(strings.TrimSpace(string(buf[:n])), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return g
-}
+// compactAttempts bounds how often CompactLog re-reads a log that kept
+// growing under it before it gives up until the next call.
+const compactAttempts = 8
 
 // CompactLog rewrites a module's log file, dropping request/response pairs
 // that have completed and keeping only requests still awaiting a response
 // (and nothing else). Module log files otherwise grow without bound — one
-// line per parameter write and one per result, forever.
+// line per parameter write and one per result, forever. Corrupt lines are
+// dropped too: compaction doubles as the log's repair pass.
 //
-// Compaction requires quiescence on the share for the module being
-// compacted: a host append racing the rewrite can be lost. mcsdd invokes
-// it only for idle modules; tests and operators call it directly. Both the
-// daemon and the client detect the shrink (size < their offset) and restart
-// from offset zero; the daemon's responded-ID set prevents double serving.
+// The rewrite is one conditional replace (ReplaceFS, which the share must
+// have): the survivors replace the log only while it still has the size
+// that was read, so a request appended meanwhile sends CompactLog back to
+// read on, and a crash leaves the old log or the new one whole. Readers
+// see the new identity and restart from offset zero (DESIGN §5j).
 func (r *Registry) CompactLog(module string) (kept int, err error) {
 	r.mu.Lock()
 	_, ok := r.modules[module]
@@ -52,19 +29,45 @@ func (r *Registry) CompactLog(module string) (kept int, err error) {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownModule, module)
 	}
 	logName := LogName(module)
-	data, err := ReadFrom(r.fs, logName, 0)
-	if err != nil {
-		return 0, err
+	rfs, ok := r.fs.(ReplaceFS)
+	if !ok {
+		return 0, fmt.Errorf("smartfam: compacting %s: the share cannot replace a file atomically", logName)
 	}
-	// Corrupt lines are dropped by the rewrite: compaction doubles as the
-	// log's repair pass.
-	recs, _, _, err := ParseRecords(data)
-	if err != nil {
-		return 0, fmt.Errorf("smartfam: compacting %s: %w", logName, err)
+	// One compactor at a time: then only appends change the log between
+	// its read and its replace, so an unchanged size is an unchanged log,
+	// and a retry reads on from where the last read stopped.
+	r.compactMu.Lock()
+	defer r.compactMu.Unlock()
+	var recs []Record
+	cur := &logCursor{fs: r.fs, name: logName}
+	for range compactAttempts {
+		size, id, err := statLog(r.fs, logName)
+		if err != nil {
+			return 0, err
+		}
+		if cur.look(size, id) {
+			recs = recs[:0]
+		}
+		if size == 0 {
+			return 0, nil
+		}
+		if _, err := cur.read(size, func(batch []Record) { recs = append(recs, batch...) }); err != nil {
+			return 0, err
+		}
+		keep, kept := survivors(recs)
+		err = rfs.ReplaceIf(logName, keep, size)
+		if !errors.Is(err, ErrLogChanged) {
+			return kept, err
+		}
 	}
-	// A request is answered when a response with its ID follows it; a
-	// request after its ID's last response — a resubmit after a queue-full
-	// shed — is still pending.
+	return 0, fmt.Errorf("smartfam: compacting %s: %w %d times", logName, ErrLogChanged, compactAttempts)
+}
+
+// survivors returns the records of a log that compaction keeps,
+// re-encoded, and how many there are. A request is answered when a
+// response with its ID follows it; a request after its ID's last response
+// — a resubmit after a queue-full shed — is still pending.
+func survivors(recs []Record) ([]byte, int) {
 	lastResp := make(map[string]int)
 	for i, rec := range recs {
 		if rec.Kind == KindResponse {
@@ -72,34 +75,15 @@ func (r *Registry) CompactLog(module string) (kept int, err error) {
 		}
 	}
 	var keep bytes.Buffer
+	kept := 0
 	for i, rec := range recs {
 		if last, answered := lastResp[rec.ID]; rec.Kind == KindRequest && (!answered || i > last) {
-			line, err := rec.Marshal()
-			if err != nil {
-				return kept, err
-			}
+			line, _ := rec.Marshal() // it parsed, so it re-encodes
 			keep.Write(line)
 			kept++
 		}
 	}
-	// Bump the generation FIRST so a reader that observes the truncated
-	// log always also observes the new generation.
-	gen := ReadGeneration(r.fs, module) + 1
-	if err := r.fs.Create(GenName(module)); err != nil {
-		return kept, err
-	}
-	if err := r.fs.Append(GenName(module), []byte(strconv.FormatInt(gen, 10))); err != nil {
-		return kept, err
-	}
-	if err := r.fs.Create(logName); err != nil {
-		return kept, err
-	}
-	if keep.Len() > 0 {
-		if err := r.fs.Append(logName, keep.Bytes()); err != nil {
-			return kept, err
-		}
-	}
-	return kept, nil
+	return keep.Bytes(), kept
 }
 
 // CompactAll compacts every registered module's log and returns the number

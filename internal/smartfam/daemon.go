@@ -3,7 +3,6 @@ package smartfam
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
 	"time"
 
@@ -50,9 +49,12 @@ type Daemon struct {
 	// Response-side group commit (daemonpush.go).
 	respBatchers map[string]*groupCommit // guarded by mu
 
+	// cursors holds the dispatch loop's cursor per log file; only the
+	// goroutine that runs drainRequests touches it.
+	cursors map[string]*logCursor
+
 	mu         sync.Mutex
-	offsets    map[string]int64 // consumed bytes per log file
-	gens       map[string]int64 // observed compaction generation per log
+	offsets    map[string]int64 // consumed bytes per log file, as of the last drain
 	responded  map[string]struct{}
 	completed  map[string]CachedResponse // bounded dedupe/replay cache
 	cacheOrder []string
@@ -151,8 +153,8 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 		heartbeat:      DefaultHeartbeatInterval,
 		statusInterval: DefaultQueueStatusInterval,
 		metrics:        metrics.NewRegistry(),
+		cursors:        make(map[string]*logCursor),
 		offsets:        make(map[string]int64),
-		gens:           make(map[string]int64),
 		responded:      make(map[string]struct{}),
 		completed:      make(map[string]CachedResponse),
 	}
@@ -182,6 +184,11 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 
 // Metrics returns the daemon's metrics registry.
 func (d *Daemon) Metrics() *metrics.Registry { return d.metrics }
+
+// countCorrupt counts corrupt log lines a cursor skipped.
+func (d *Daemon) countCorrupt(n int) {
+	d.metrics.Counter(metrics.SmartfamCorruptRecords).Add(int64(n))
+}
 
 // execute is the executor of the scheduler NewDaemon builds: it runs the
 // job's module from the daemon's registry.
@@ -285,28 +292,24 @@ func (d *Daemon) scanShare(ctx context.Context) shareIndex {
 		if !ok {
 			continue
 		}
-		var data []byte
-		err := retryShare(ctx, func() error {
-			var err error
-			data, err = ReadFrom(d.fs, name, 0)
+		cur := &logCursor{fs: d.fs, name: name, corrupt: d.countCorrupt}
+		// A retry reads on from where the failed read stopped.
+		_ = retryShare(ctx, func() error {
+			_, err := cur.read(-1, func(recs []Record) {
+				for _, rec := range recs {
+					switch rec.Kind {
+					case KindRequest:
+						idx.requests[rec.ID] = rec
+						idx.reqModule[rec.ID] = module
+					case KindResponse:
+						if !isShed(rec) {
+							idx.responded[rec.ID] = struct{}{}
+						}
+					}
+				}
+			})
 			return err
 		})
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		recs, _, corrupt, _ := ParseRecords(data)
-		d.metrics.Counter(metrics.SmartfamCorruptRecords).Add(int64(corrupt))
-		for _, rec := range recs {
-			switch rec.Kind {
-			case KindRequest:
-				idx.requests[rec.ID] = rec
-				idx.reqModule[rec.ID] = module
-			case KindResponse:
-				if !isShed(rec) {
-					idx.responded[rec.ID] = struct{}{}
-				}
-			}
-		}
 	}
 	return idx
 }
@@ -381,72 +384,53 @@ func (d *Daemon) recoverPass(ctx context.Context) {
 // host retried after missing it — answered again from the cache without
 // re-executing the module.
 func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
-	module, _ := ModuleFromLog(logName)
-	d.mu.Lock()
-	off := d.offsets[logName]
-	lastGen := d.gens[logName]
-	d.mu.Unlock()
-
-	// A changed compaction generation (or a log smaller than our offset)
-	// means the saved offset points into a different file image: restart
-	// from the top. Both checks come before the read: a compacted log that
-	// regrew to its old size, mtime and all, differs only in generation.
-	// The responded set keeps replayed requests idempotent.
-	gen := ReadGeneration(d.fs, module)
-	size, _, err := d.fs.Stat(logName)
+	cur := d.cursors[logName]
+	if cur == nil {
+		cur = &logCursor{fs: d.fs, name: logName, corrupt: d.countCorrupt}
+		d.cursors[logName] = cur
+	}
+	// A new identity (or a log shorter than the offset) means the saved
+	// offset points into a different file image: restart from the top.
+	// The look comes before the read: a compacted log that regrew past
+	// the offset differs only in identity. The responded set keeps
+	// replayed requests idempotent.
+	size, id, err := statLog(d.fs, logName)
 	if err != nil {
 		return nil
 	}
-	if gen != lastGen || size < off {
-		off = 0
-		d.mu.Lock()
-		d.offsets[logName] = 0
-		d.gens[logName] = gen
-		d.mu.Unlock()
-	}
-	if off >= size {
-		return nil
-	}
-	// One stat per drain: read [off, size) at the size already in hand.
-	data := make([]byte, size-off)
-	n, err := d.fs.ReadAt(logName, data, off)
-	if (err != nil && !errors.Is(err, io.EOF)) || n == 0 {
-		return nil
-	}
-	data = data[:n]
-	recs, consumed, corrupt, err := ParseRecords(data)
-	if corrupt > 0 {
-		d.metrics.Counter(metrics.SmartfamCorruptRecords).Add(int64(corrupt))
-	}
-	if err != nil {
-		d.metrics.Counter(metrics.DaemonParseErrors).Inc()
-		// Skip the poisoned region to avoid wedging on one bad line.
-		d.mu.Lock()
-		d.offsets[logName] = off + int64(len(data))
-		d.mu.Unlock()
-		return nil
-	}
-	// Make record positions absolute file offsets.
-	for i := range recs {
-		recs[i].Pos += off
-	}
-
-	d.mu.Lock()
-	d.offsets[logName] = off + int64(consumed)
-	// Pass 1: index this batch's responses (latest position per ID) so a
-	// request and its answer arriving together — the whole-log rescan a
-	// restarted daemon performs — never re-serves the request. A shed
+	cur.look(size, id)
+	// Pass 1, chunk by chunk up to the size in hand: index the responses
+	// (latest position per ID) so a request and its answer arriving
+	// together — the whole-log rescan a restarted daemon performs — never
+	// re-serves the request, and keep the requests for pass 2. A shed
 	// answers only the requests before it: a resubmit after it is new work.
-	batchRes := make(map[string]int64)
-	for _, rec := range recs {
-		if rec.Kind == KindResponse {
-			if pos, ok := batchRes[rec.ID]; !ok || rec.Pos > pos {
-				batchRes[rec.ID] = rec.Pos
+	var (
+		recs     []Record
+		resIDs   []string // non-shed responses
+		batchRes map[string]int64
+	)
+	if cur.off < size {
+		batchRes = make(map[string]int64)
+		_, _ = cur.read(size, func(batch []Record) {
+			for _, rec := range batch {
+				if rec.Kind != KindResponse {
+					recs = append(recs, rec)
+					continue
+				}
+				if pos, ok := batchRes[rec.ID]; !ok || rec.Pos > pos {
+					batchRes[rec.ID] = rec.Pos
+				}
+				if !isShed(rec) {
+					resIDs = append(resIDs, rec.ID)
+				}
 			}
-			if !isShed(rec) {
-				d.responded[rec.ID] = struct{}{}
-			}
-		}
+		})
+	}
+
+	d.mu.Lock()
+	d.offsets[logName] = cur.off
+	for _, id := range resIDs {
+		d.responded[id] = struct{}{}
 	}
 	// Pass 2: classify requests.
 	var reqs []Record
@@ -454,9 +438,6 @@ func (d *Daemon) drainRequests(ctx context.Context, logName string) []Record {
 	var replayIDs []string
 	queued := make(map[string]bool)
 	for _, rec := range recs {
-		if rec.Kind != KindRequest {
-			continue
-		}
 		if pos, ok := batchRes[rec.ID]; ok && rec.Pos < pos {
 			continue // answered pair replayed in order: nothing to do
 		}

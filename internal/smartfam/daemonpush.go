@@ -18,7 +18,9 @@ import (
 //     (a dropped notify, a drain that hit a share error) and every tick
 //     once it is lost, when the loop also tries now and then to re-arm
 //     push. A share that can never push (DirFS, a pre-watch server) is
-//     swept every tick from the start.
+//     swept every tick from the start. A drain costs one StatGen — the
+//     log's size and identity, so a compaction rewinds the log's cursor
+//     to offset zero — plus bounded reads of what the log grew by.
 //   - respBatcherFor is the response-side group commit (groupcommit.go)
 //     and the only way a fresh answer reaches the share: completed
 //     executions coalesce their response records into one share append per
@@ -224,16 +226,16 @@ func (d *Daemon) flushResponses(ctx context.Context, logName string, buf []byte,
 // duplicate response is ignored by the host's router, a missing one is not.
 func (d *Daemon) unlanded(logName string, from int64, buf []byte) ([]byte, int) {
 	members, _, _, _ := ParseRecords(buf)
-	data, err := ReadFrom(d.fs, logName, from)
-	if err != nil {
-		return buf, len(members)
-	}
-	onLog, _, _, _ := ParseRecords(data)
-	landed := make(map[string]bool, len(onLog))
-	for _, rec := range onLog {
-		if rec.Kind == KindResponse && !isShed(rec) {
-			landed[rec.ID] = true
+	landed := make(map[string]bool)
+	cur := &logCursor{fs: d.fs, name: logName, off: from}
+	if _, err := cur.read(-1, func(recs []Record) {
+		for _, rec := range recs {
+			if rec.Kind == KindResponse && !isShed(rec) {
+				landed[rec.ID] = true
+			}
 		}
+	}); err != nil {
+		return buf, len(members)
 	}
 	var out []byte
 	left := 0

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -55,12 +56,33 @@ var ErrNotExist = os.ErrNotExist
 
 // DirFS returns an FS rooted at a local directory, the single-node
 // configuration. Name components are validated so a log name cannot escape
-// the share.
-func DirFS(root string) FS { return &dirFS{root: root} }
+// the share. It is a ReplaceFS: every DirFS over one directory in this
+// process shares one lock, which Append and the conditional replace take,
+// and one table of rewrites per file, which Create, Remove, Rename and the
+// replace bump; a file's identity is its rewrite count plus one. Writers
+// outside the process are not seen; they may only append.
+func DirFS(root string) FS {
+	key, err := filepath.Abs(root)
+	if err != nil {
+		key = filepath.Clean(root)
+	}
+	st, _ := dirStates.LoadOrStore(key, &dirState{rewrites: make(map[string]uint64)})
+	return &dirFS{root: root, st: st.(*dirState)}
+}
 
 type dirFS struct {
 	root string
+	st   *dirState
 }
+
+// dirState is what the DirFS values over one directory share; dirStates
+// maps each absolute directory to its own.
+type dirState struct {
+	mu       sync.Mutex
+	rewrites map[string]uint64 // per file name, never reset
+}
+
+var dirStates sync.Map
 
 func (d *dirFS) path(name string) (string, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." {
@@ -74,6 +96,9 @@ func (d *dirFS) Create(name string) error {
 	if err != nil {
 		return err
 	}
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	d.st.rewrites[name]++
 	f, err := os.Create(p)
 	if err != nil {
 		return fmt.Errorf("smartfam: create %s: %w", name, err)
@@ -86,6 +111,8 @@ func (d *dirFS) Append(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
 	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("smartfam: append %s: %w", name, err)
@@ -152,6 +179,9 @@ func (d *dirFS) Remove(name string) error {
 	if err != nil {
 		return err
 	}
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	d.st.rewrites[name]++
 	if err := os.Remove(p); err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return ErrNotExist
@@ -170,11 +200,51 @@ func (d *dirFS) Rename(oldname, newname string) error {
 	if err != nil {
 		return err
 	}
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	d.st.rewrites[oldname]++
+	d.st.rewrites[newname]++
 	if err := os.Rename(from, to); err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return ErrNotExist
 		}
 		return fmt.Errorf("smartfam: rename %s -> %s: %w", oldname, newname, err)
+	}
+	return nil
+}
+
+// StatGen implements GenStat, reading size and identity under the lock.
+func (d *dirFS) StatGen(name string) (int64, time.Time, uint64, error) {
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	size, mtime, err := d.Stat(name)
+	return size, mtime, d.st.rewrites[name] + 1, err
+}
+
+// ReplaceIf implements ReplaceFS: data is staged beside name, then renamed
+// over it under the lock if name is still size bytes long.
+func (d *dirFS) ReplaceIf(name string, data []byte, size int64) error {
+	p, err := d.path(name)
+	if err != nil {
+		return err
+	}
+	tmp := p + ".append-" + NewID() + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("smartfam: replace %s: %w", name, err)
+	}
+	defer os.Remove(tmp) //nolint:errcheck // renamed away on success
+	d.st.mu.Lock()
+	defer d.st.mu.Unlock()
+	now, _, err := d.Stat(name)
+	if err != nil {
+		return err
+	}
+	if now != size {
+		return fmt.Errorf("%w: %s is %d bytes, read at %d", ErrLogChanged, name, now, size)
+	}
+	d.st.rewrites[name]++
+	if err := os.Rename(tmp, p); err != nil {
+		return fmt.Errorf("smartfam: replace %s: %w", name, err)
 	}
 	return nil
 }

@@ -218,9 +218,7 @@ func TestDaemonRecoversIntent(t *testing.T) {
 	runDaemon(t, d)
 
 	waitForResponse(t, share, "echo", "lost1", "echo:redo")
-	if v := d.Metrics().Counter("smartfam.daemon.recovered").Value(); v < 1 {
-		t.Fatalf("recovered = %d, want >= 1", v)
-	}
+	waitRecovered(t, d, 1)
 }
 
 // A daemon that crashed after DONE but before the response landed must
@@ -258,9 +256,7 @@ func TestDaemonReplaysCachedDone(t *testing.T) {
 	if n := executions.Load(); n != 0 {
 		t.Fatalf("module executed %d times during replay, want 0", n)
 	}
-	if v := d.Metrics().Counter("smartfam.daemon.recovered").Value(); v < 1 {
-		t.Fatalf("recovered = %d, want >= 1", v)
-	}
+	waitRecovered(t, d, 1)
 }
 
 // A host retry that reuses its original request ID must be answered from
@@ -403,6 +399,19 @@ func TestDaemonRestartTreatsShedAsBackpressure(t *testing.T) {
 
 // waitForResponse polls the module log until a response with the given ID
 // and payload appears.
+// waitRecovered waits until d has counted n recovery replays. A replay is
+// counted once its append returns, so its response can be on the log
+// first: the count is waited for, not sampled.
+func waitRecovered(t *testing.T, d *Daemon, n int64) {
+	t.Helper()
+	c := d.Metrics().Counter("smartfam.daemon.recovered")
+	for deadline := time.Now().Add(10 * time.Second); c.Value() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("recovered = %d, want >= %d", c.Value(), n)
+		}
+	}
+}
+
 func waitForResponse(t *testing.T, fsys FS, module, id, want string) {
 	t.Helper()
 	deadline := time.After(10 * time.Second)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -38,6 +39,13 @@ import (
 // into the same tick mode (counted under smartfam.fam.degraded) and each
 // tick tries to re-arm push; a share without WatchFS, or one that reported
 // ErrWatchUnsupported, is tick-driven from the start and never re-probed.
+//
+// The router reads the log through a logCursor (cursor.go), like every
+// other log reader. A notify, size probe or empty read that shows a new
+// file identity — a compaction — rewinds it to offset zero, and it
+// appends every pending waiter's request again, so a response the
+// compaction dropped before the router read it is answered from the
+// daemon's cache.
 
 // pushSafetyFloor is the notify-driven router's tick and, with waiters
 // pending, its size probe interval: bytes still undelivered a whole
@@ -72,9 +80,10 @@ func (c *Client) pushGaugeAdd(delta int64) {
 
 // routerLinger is how long an idle router keeps its goroutine and
 // server-side watch armed after the last in-flight invocation leaves.
-// Re-arming costs three round trips (watch, stat, generation), so tearing
-// down between the bursts of a busy caller would tax every burst with the
-// arm latency; a watch held idle costs the server one map entry.
+// Re-arming costs two round trips (watch, then a Stat that also reports
+// the log's identity), so tearing down between the bursts of a busy
+// caller would tax every burst with the arm latency; a watch held idle
+// costs the server one map entry.
 const routerLinger = time.Second
 
 // respRouter is the response reader for one module log. It is
@@ -93,32 +102,38 @@ type respRouter struct {
 	idleSince time.Time // set when refs hits 0; zeroed on reuse
 
 	mu      sync.Mutex
-	waiters map[string]chan Record
+	waiters map[string]waiter
 
-	// The rest is touched only by the router goroutine. lost marks an
-	// offset no longer known to match the log: a bare notify or a gap went
-	// unscanned for want of waiters, or no stream announces compactions at
-	// all (a compaction may have truncated the log under it), so until an
-	// inline append lands exactly on it or a scan has re-run the compaction
-	// checks, no append is taken as already consumed and none is held.
-	off   int64
-	gen   int64
+	// The rest is touched only by the router goroutine. cur reads the log
+	// and knows its identity. lost marks an offset no longer known to
+	// match the log: a bare notify or a gap went unscanned for want of
+	// waiters, a notify named another identity, or no stream announces
+	// rewrites at all, so until an inline append lands exactly on it or a
+	// scan has looked at the log first, no append is taken as already
+	// consumed and none is held.
+	cur   logCursor
 	lost  bool
-	torn  bool         // the bytes at off end in a record torn mid-append
-	held  []WatchEvent // inline appends past off, by Off, awaiting the gap
+	held  []WatchEvent // inline appends past the offset, by Off, awaiting the gap
 	heldN int          // bytes in held, bounded by scanChunk
 	seen  int64        // log size at the previous size probe
 	epoch int          // bumped by every rewind; older probes are stale
-	buf   []byte       // read buffer, allocated on the first read
+}
+
+// waiter is one invocation waiting on a router: where its response goes,
+// and the request line it appended under ctx, which a rewind appends again.
+type waiter struct {
+	ch   chan Record
+	ctx  context.Context
+	line []byte
 }
 
 // router returns module's live response router with a reference taken,
 // creating it on first use. Arming stats the log — the existence check:
 // a missing log is ErrUnknownModule — after it has tried to open a notify
 // stream; without one the router starts tick-driven. The arm I/O — watch,
-// stat, generation, three round trips — runs with pushMu released; when
-// two first-callers race, the loser joins the winner's router and folds
-// its own watch.
+// then one Stat that also reports the log's identity, two round trips —
+// runs with pushMu released; when two first-callers race, the loser joins
+// the winner's router and folds its own watch.
 func (c *Client) router(module string) (*respRouter, error) {
 	if rt := c.joinRouter(module); rt != nil {
 		return rt, nil
@@ -128,7 +143,7 @@ func (c *Client) router(module string) (*respRouter, error) {
 	// Snapshot the scan start BEFORE any caller appends its request (the
 	// caller registers first, then appends — and only after this router is
 	// published), so responses to our requests always land at or after off.
-	size, _, err := c.fs.Stat(logName)
+	size, id, err := statLog(c.fs, logName)
 	if err != nil {
 		if st != nil {
 			st.Close()
@@ -140,7 +155,6 @@ func (c *Client) router(module string) (*respRouter, error) {
 		}
 		return nil, err
 	}
-	gen := ReadGeneration(c.fs, module)
 
 	c.pushMu.Lock()
 	if rt := c.routers[module]; rt != nil && !rt.stopped {
@@ -158,9 +172,8 @@ func (c *Client) router(module string) (*respRouter, error) {
 		module:  module,
 		logName: logName,
 		refs:    1,
-		waiters: make(map[string]chan Record),
-		off:     size,
-		gen:     gen,
+		waiters: make(map[string]waiter),
+		cur:     logCursor{fs: c.fs, name: logName, off: size, id: id, corrupt: c.countCorrupt},
 	}
 	if c.routers == nil {
 		c.routers = make(map[string]*respRouter)
@@ -207,12 +220,13 @@ func (c *Client) watch(logName string) WatchStream {
 	return st
 }
 
-// register installs a waiter for the response carrying id. Must be called
-// before the request record is appended.
-func (rt *respRouter) register(id string) chan Record {
+// register installs a waiter for the response carrying id, whose request
+// line is line, appended under ctx. Must be called before the request
+// record is appended.
+func (rt *respRouter) register(ctx context.Context, id string, line []byte) chan Record {
 	ch := make(chan Record, 1)
 	rt.mu.Lock()
-	rt.waiters[id] = ch
+	rt.waiters[id] = waiter{ch: ch, ctx: ctx, line: line}
 	rt.mu.Unlock()
 	return ch
 }
@@ -258,11 +272,11 @@ func (rt *respRouter) expire() bool {
 // share. With waiters pending, every tick launches one size probe (a Stat,
 // off this goroutine, so no event waits behind it); when it answers, the
 // bytes below the size the previous probe saw that no event has brought
-// are read — they sat on the server a whole interval with no notify. At
-// least once per routerLinger the probe also reads the generation, which
-// with the size catches a compaction no notify announced. With no stream —
-// a share that cannot push, or a stream lost — the router is tick-driven
-// at the client's interval: each tick tries to re-arm push, then scans.
+// are read — they sat on the server a whole interval with no notify. The
+// probe's Stat reports the log's identity too, so it also catches a
+// rewrite no notify announced. With no stream — a share that cannot push,
+// or a stream lost — the router is tick-driven at the client's interval:
+// each tick tries to re-arm push, then scans.
 func (rt *respRouter) run(st WatchStream) {
 	c := rt.c
 	floor := pushSafetyFloor
@@ -301,7 +315,6 @@ func (rt *respRouter) run(st WatchStream) {
 		}
 	}
 	probing := false
-	genProbed := time.Now() // last probe that read the generation
 	for {
 		var events <-chan WatchEvent
 		if st != nil {
@@ -325,13 +338,13 @@ func (rt *respRouter) run(st WatchStream) {
 			if st != nil {
 				rt.probed(p)
 			}
-		case now := <-tick.C:
+		case <-tick.C:
 			if rt.expire() {
 				return
 			}
 			if st == nil {
-				// No stream announced a compaction since the last tick:
-				// the scan re-runs the checks before it reads.
+				// No stream announced a rewrite since the last tick: the
+				// scan looks at the log before it reads.
 				rt.lost = true
 				if st = c.watch(rt.logName); st != nil {
 					c.pushGaugeAdd(1)
@@ -343,12 +356,8 @@ func (rt *respRouter) run(st WatchStream) {
 			if probing || !rt.armed() {
 				continue
 			}
-			withGen := now.Sub(genProbed) >= routerLinger
-			if withGen {
-				genProbed = now
-			}
 			probing = true
-			rt.probe(&probes, answers, withGen)
+			rt.probe(&probes, answers)
 		}
 	}
 }
@@ -356,27 +365,23 @@ func (rt *respRouter) run(st WatchStream) {
 // sizeProbe is one size probe's answer, tagged with the offset and rewind
 // epoch it was launched against.
 type sizeProbe struct {
-	size    int64
-	err     error
-	withGen bool
-	gen     int64
-	from    int64
-	epoch   int
+	size  int64
+	id    uint64
+	err   error
+	from  int64
+	epoch int
 }
 
-// probe stats the log (and reads its generation, withGen) on its own
-// goroutine and answers on out. run keeps one probe in flight, so out —
-// made with room for one — always takes the answer, and joins it through
-// wg before it retires.
-func (rt *respRouter) probe(wg *sync.WaitGroup, out chan<- sizeProbe, withGen bool) {
-	p := sizeProbe{withGen: withGen, from: rt.off, epoch: rt.epoch}
+// probe looks at the log — size and identity — on its own goroutine and
+// answers on out. run keeps one probe in flight, so out — made with room
+// for one — always takes the answer, and joins it through wg before it
+// retires.
+func (rt *respRouter) probe(wg *sync.WaitGroup, out chan<- sizeProbe) {
+	p := sizeProbe{from: rt.cur.off, epoch: rt.epoch}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.size, _, p.err = rt.c.fs.Stat(rt.logName)
-		if withGen {
-			p.gen = ReadGeneration(rt.c.fs, rt.module)
-		}
+		p.size, p.id, p.err = statLog(rt.c.fs, rt.logName)
 		select {
 		case out <- p:
 		default:
@@ -388,13 +393,13 @@ func (rt *respRouter) probe(wg *sync.WaitGroup, out chan<- sizeProbe, withGen bo
 // previous probe saw has sat on the server a whole probe interval; what of
 // it no event has brought — from the offset up to the first held event —
 // is read now, and nothing else. A log shorter than the offset the probe
-// started from, or a new generation, is a compaction no notify announced:
-// the offset is lost and a scan rewinds it.
+// started from, or a new identity, is a rewrite no notify announced: the
+// offset is lost and a scan rewinds it.
 func (rt *respRouter) probed(p sizeProbe) {
 	if p.err != nil || p.epoch != rt.epoch {
 		return
 	}
-	if p.size < p.from || (p.withGen && p.gen != rt.gen) {
+	if p.size < p.from || p.id != rt.cur.id {
 		rt.lost = true
 	}
 	end := rt.seen
@@ -406,11 +411,11 @@ func (rt *respRouter) probed(p sizeProbe) {
 	if len(rt.held) > 0 {
 		end = min(end, rt.held[0].Off)
 	}
-	if rt.off >= end || !rt.armed() {
+	if rt.cur.off >= end || !rt.armed() {
 		return
 	}
-	rt.readLog(end)
-	if rt.off < end {
+	rt.cur.read(end, rt.deliver)
+	if rt.cur.off < end {
 		// The gap ends inside a record — torn mid-append, or completed by
 		// the held event after it: read on from the offset.
 		rt.scan()
@@ -421,12 +426,13 @@ func (rt *respRouter) probed(p sizeProbe) {
 
 // take consumes a notify that carries the appended bytes at their offset,
 // without touching the share: bytes landing exactly at the offset go
-// straight to ParseRecords (CRCs and torn-tail quarantine apply as on a
-// read) and release the held events they reach, bytes past the offset are
-// held until the gap before them closes, and bytes a scan already
-// consumed are skipped. It reports false when the event cannot stand in
-// for a read — a bare notify, a partial overlap, a torn inline tail or a
-// gap behind one, a held buffer past its bound, or any append but an exact
+// straight to the cursor's parse (CRCs and torn-tail quarantine apply as
+// on a read) and release the held events they reach, bytes past the
+// offset are held until the gap before them closes, and bytes a scan
+// already consumed are skipped. It reports false when the event cannot
+// stand in for a read — a notify naming another identity than the
+// cursor's, a bare notify, a partial overlap, a torn inline tail or a gap
+// behind one, a held buffer past its bound, or any append but an exact
 // match against a lost offset — and the caller scans. An exact match
 // settles a lost offset: Off is where the server wrote the bytes in the
 // log as it is now.
@@ -434,22 +440,29 @@ func (rt *respRouter) take(ev WatchEvent) bool {
 	if ev.Name != rt.logName {
 		return true // another file under the prefix: not ours to read
 	}
+	if ev.Gen != rt.cur.id && ev.Gen != 0 && rt.cur.id != 0 {
+		// The log was rewritten (or the server restarted): the offset may
+		// point into another file, and the bytes belong to one. A view
+		// without GenStat knows no identity to compare.
+		rt.lost = true
+		return false
+	}
 	if len(ev.Data) == 0 {
 		return false
 	}
-	if ev.Off != rt.off {
+	if ev.Off != rt.cur.off {
 		switch {
 		case rt.lost:
 			return false
-		case ev.Off+int64(len(ev.Data)) <= rt.off:
+		case ev.Off+int64(len(ev.Data)) <= rt.cur.off:
 			return true
-		case ev.Off < rt.off || rt.torn:
+		case ev.Off < rt.cur.off || rt.cur.torn:
 			return false
 		}
 		return rt.hold(ev)
 	}
 	rt.lost = false
-	return rt.parseWhole(ev.Data) && rt.drain()
+	return rt.cur.parse(ev.Data, rt.deliver) == len(ev.Data) && rt.drain()
 }
 
 // hold keeps an inline append that landed past the offset, in offset
@@ -474,40 +487,19 @@ func (rt *respRouter) hold(ev WatchEvent) bool {
 // read already covered. It reports false when one cannot be taken whole (a
 // partial overlap, a torn tail): the caller scans.
 func (rt *respRouter) drain() bool {
-	for len(rt.held) > 0 && rt.held[0].Off <= rt.off {
+	for len(rt.held) > 0 && rt.held[0].Off <= rt.cur.off {
 		ev := rt.held[0]
 		rt.held[0] = WatchEvent{}
 		rt.held = rt.held[1:]
 		rt.heldN -= len(ev.Data)
-		if ev.Off+int64(len(ev.Data)) <= rt.off {
+		if ev.Off+int64(len(ev.Data)) <= rt.cur.off {
 			continue
 		}
-		if ev.Off < rt.off || !rt.parseWhole(ev.Data) {
+		if ev.Off < rt.cur.off || rt.cur.parse(ev.Data, rt.deliver) != len(ev.Data) {
 			return false
 		}
 	}
 	return true
-}
-
-// parse hands the records in b — the log's bytes at the offset — to their
-// waiters and moves the offset past every complete one, returning how many
-// bytes that was; false when b cannot be parsed at all.
-func (rt *respRouter) parse(b []byte) (int, bool) {
-	recs, consumed, corrupt, err := ParseRecords(b)
-	rt.c.countCorrupt(corrupt)
-	if err != nil {
-		return 0, false
-	}
-	rt.off += int64(consumed)
-	rt.torn = consumed < len(b)
-	rt.deliver(recs)
-	return consumed, true
-}
-
-// parseWhole is parse for bytes that must be consumed entirely.
-func (rt *respRouter) parseWhole(b []byte) bool {
-	n, ok := rt.parse(b)
-	return ok && n == len(b)
 }
 
 // armed reports whether any invocation is waiting on this router.
@@ -517,21 +509,15 @@ func (rt *respRouter) armed() bool {
 	return len(rt.waiters) > 0
 }
 
-// scanChunk is the router's read size and its held-bytes bound. Records
-// are a few hundred bytes, so one chunk covers thousands of them — and it
-// stays within the share's single-RPC read bound, keeping a scan at
-// exactly one round trip.
-const scanChunk = 256 << 10
-
 // scan reads the records appended since the offset, delivers responses to
 // their registered waiters and releases the held events the offset then
 // reaches. The read is ONE round trip: the log grows append-only between
-// compactions, so the scan reads a chunk straight from the saved offset —
-// no Stat first; the short read bounds it, and ParseRecords quarantines a
-// tail torn mid-append until a later read completes it. The compaction
-// checks run when the read comes back empty, which is exactly what a
-// shrunken log looks like from a stale offset; a lost offset is checked
-// before reading instead. With no waiters registered the scan is skipped
+// rewrites, so the scan reads a chunk straight from the saved offset — no
+// Stat first; the short read bounds it, and the cursor holds back a tail
+// torn mid-append until a later read completes it. The look at the log
+// runs when the read comes back empty, which is exactly what a shrunken
+// log looks like from a stale offset; a lost offset is looked at before
+// reading instead. With no waiters registered the scan is skipped
 // entirely and the offset marked lost; the next armed scan catches up.
 func (rt *respRouter) scan() {
 	if !rt.armed() {
@@ -545,68 +531,44 @@ func (rt *respRouter) scan() {
 		rt.rewind()
 	}
 	// Nothing at the offset: usually just no news, but a compacted or
-	// truncated log shows the same face — check, rewind, rescan once.
-	if rt.readLog(-1) == 0 && !checked && rt.rewind() {
-		rt.readLog(-1)
+	// truncated log shows the same face — look, rewind, rescan once.
+	if n, _ := rt.cur.read(-1, rt.deliver); n == 0 && !checked && rt.rewind() {
+		rt.cur.read(-1, rt.deliver)
 	}
 	rt.drain()
 }
 
-// readLog reads the log from the offset up to end (to the log's end when
-// end < 0), delivering what it parses, and returns the bytes it read. The
-// unparsed tail of each read — a record's head — moves to the front of the
-// buffer and the next read continues behind it; a record longer than the
-// buffer doubles it, up to maxRecordLine, until the record completes, and
-// the buffer drops back to scanChunk when the read is done. It stops early
-// at a short read: a torn tail waits for the append that terminates it.
-func (rt *respRouter) readLog(end int64) int {
-	if rt.buf == nil {
-		rt.buf = make([]byte, scanChunk)
-	}
-	read, head := 0, 0 // head: unparsed bytes at the front of rt.buf
-	for end < 0 || rt.off+int64(head) < end {
-		if head == len(rt.buf) {
-			if head >= maxRecordLine {
-				break
-			}
-			rt.buf = slices.Grow(rt.buf, head)[:2*head]
-		}
-		p := rt.buf[head:]
-		if end >= 0 {
-			p = p[:min(int64(len(p)), end-rt.off-int64(head))]
-		}
-		n, err := rt.c.fs.ReadAt(rt.logName, p, rt.off+int64(head))
-		read += n
-		if n > 0 {
-			consumed, ok := rt.parse(rt.buf[:head+n])
-			if !ok {
-				break
-			}
-			head = copy(rt.buf, rt.buf[consumed:head+n])
-		}
-		if err != nil || n < len(p) {
-			break
-		}
-	}
-	if len(rt.buf) > scanChunk {
-		rt.buf = nil
-	}
-	return read
-}
-
-// rewind runs the compaction checks — generation bump, truncation below
-// the offset — and restarts the offset at zero when either shows the log
-// is a different image, forgetting everything measured against the old
-// one. It reports whether it rewound.
+// rewind looks at the log — size and identity, one share operation — and
+// restarts the offset at zero when the log is no longer the file the
+// offset points into, forgetting everything measured against the old one.
+// A response that landed past the offset may have gone with the old file,
+// so every pending waiter's request is appended again under its ID — all
+// in one group commit, before the router reads on: the daemon answers a
+// finished one from its response cache and skips one still running. It
+// reports whether it rewound.
 func (rt *respRouter) rewind() bool {
-	if g := ReadGeneration(rt.c.fs, rt.module); g != rt.gen {
-		rt.gen = g
-	} else if size, _, err := rt.c.fs.Stat(rt.logName); err != nil || size >= rt.off {
+	size, id, err := statLog(rt.c.fs, rt.logName)
+	if err != nil || !rt.cur.look(size, id) {
 		return false
 	}
-	rt.off, rt.torn, rt.seen = 0, false, 0
+	rt.seen = 0
 	rt.held, rt.heldN = nil, 0
 	rt.epoch++
+	rt.mu.Lock()
+	pending := maps.Clone(rt.waiters)
+	rt.mu.Unlock()
+	b := rt.c.batcher(rt.logName)
+	var wg sync.WaitGroup
+	for id, w := range pending {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The waiter's own deadline bounds the append; a copy that
+			// fails costs only that waiter, as a lost response would.
+			_ = b.add(w.ctx, id, w.line)
+		}()
+	}
+	wg.Wait()
 	return true
 }
 
@@ -624,12 +586,12 @@ func (rt *respRouter) deliver(recs []Record) {
 		if rec.Kind != KindResponse {
 			continue
 		}
-		ch, ok := rt.waiters[rec.ID]
+		w, ok := rt.waiters[rec.ID]
 		if !ok {
 			continue
 		}
 		delete(rt.waiters, rec.ID)
-		due = append(due, delivery{ch, rec})
+		due = append(due, delivery{w.ch, rec})
 	}
 	rt.mu.Unlock()
 	for _, dv := range due {

@@ -30,6 +30,12 @@ func newPushHub(t *testing.T) *pushHub {
 	return &pushHub{FS: DirFS(t.TempDir()), streams: make(map[*hubStream]struct{})}
 }
 
+// id is name's identity on the hub's DirFS. Caller holds h.mu.
+func (h *pushHub) id(name string) uint64 {
+	_, _, id, _ := h.FS.(GenStat).StatGen(name)
+	return id
+}
+
 // emit fans ev out to the matching streams. Caller holds h.mu, so streams
 // see mutations in the order they happened.
 func (h *pushHub) emit(ev WatchEvent) {
@@ -136,7 +142,7 @@ func (v *hubView) Create(name string) error {
 	if err := h.FS.Create(name); err != nil {
 		return err
 	}
-	h.emit(WatchEvent{Name: name})
+	h.emit(WatchEvent{Name: name, Gen: h.id(name)})
 	return nil
 }
 
@@ -151,7 +157,7 @@ func (v *hubView) Append(name string, data []byte) error {
 	if err := h.FS.Append(name, data); err != nil {
 		return err
 	}
-	ev := WatchEvent{Name: name}
+	ev := WatchEvent{Name: name, Gen: h.id(name)}
 	if len(data) <= DefaultBatchBytes {
 		ev.Off, ev.Data = off, bytes.Clone(data)
 	}
@@ -177,6 +183,28 @@ func (v *hubView) Stat(name string) (int64, time.Time, error) {
 	return v.hub.FS.Stat(name)
 }
 
+// StatGen counts as a Stat.
+func (v *hubView) StatGen(name string) (int64, time.Time, uint64, error) {
+	v.mu.Lock()
+	v.stats[name]++
+	v.statOpen[name] = true
+	v.mu.Unlock()
+	return v.hub.FS.(GenStat).StatGen(name)
+}
+
+// ReplaceIf replaces through the hub, which notifies bare with the new
+// identity, as the nfs server does after a commit.
+func (v *hubView) ReplaceIf(name string, data []byte, size int64) error {
+	h := v.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.FS.(ReplaceFS).ReplaceIf(name, data, size); err != nil {
+		return err
+	}
+	h.emit(WatchEvent{Name: name, Gen: h.id(name)})
+	return nil
+}
+
 func (v *hubView) List() ([]string, error)              { return v.hub.FS.List() }
 func (v *hubView) Remove(name string) error             { return v.hub.FS.Remove(name) }
 func (v *hubView) Rename(oldname, newname string) error { return v.hub.FS.Rename(oldname, newname) }
@@ -189,7 +217,10 @@ func (v *hubView) Watch(prefix string) (WatchStream, error) {
 	return s, nil
 }
 
-var _ WatchFS = (*hubView)(nil)
+var (
+	_ WatchFS   = (*hubView)(nil)
+	_ ReplaceFS = (*hubView)(nil)
+)
 
 // responseLine marshals an ok response record.
 func responseLine(t *testing.T, id, payload string) []byte {
@@ -291,7 +322,8 @@ func bareRouter(fsys FS, module string) *respRouter {
 		c:       NewClient(fsys, time.Millisecond),
 		module:  module,
 		logName: LogName(module),
-		waiters: make(map[string]chan Record),
+		waiters: make(map[string]waiter),
+		cur:     logCursor{fs: fsys, name: LogName(module)},
 	}
 }
 
@@ -310,7 +342,7 @@ func TestRouterInlineFallbacks(t *testing.T) {
 	rt := bareRouter(host, "m")
 	chs := make(map[string]chan Record)
 	for _, id := range []string{"r1", "r2", "r3", "r4", "r5", "r6"} {
-		chs[id] = rt.register(id)
+		chs[id] = rt.register(t.Context(), id, requestLine(t, id, "p"))
 	}
 	land := func(data []byte) WatchEvent {
 		t.Helper()
@@ -383,8 +415,8 @@ func TestRouterInlineFallbacks(t *testing.T) {
 	}
 	rt.scan()
 	delivered("r6")
-	if size, _, _ := hub.FS.Stat(log); rt.off != size {
-		t.Fatalf("router offset %d, log size %d", rt.off, size)
+	if size, _, _ := hub.FS.Stat(log); rt.cur.off != size {
+		t.Fatalf("router offset %d, log size %d", rt.cur.off, size)
 	}
 }
 
@@ -404,16 +436,27 @@ func invokeAsync(ctx context.Context, c *Client, module, id, params string) <-ch
 // waitRequest polls the log until the request record for id has landed.
 func waitRequest(t *testing.T, fsys FS, module, id string) {
 	t.Helper()
+	waitRequestCopies(t, fsys, module, id, 1)
+}
+
+// waitRequestCopies polls the log until n request records for id have
+// landed.
+func waitRequestCopies(t *testing.T, fsys FS, module, id string, n int) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		data, _ := ReadFrom(fsys, LogName(module), 0)
 		recs, _, _, _ := ParseRecords(data)
+		copies := 0
 		for _, r := range recs {
 			if r.Kind == KindRequest && r.ID == id {
-				return
+				copies++
 			}
 		}
+		if copies >= n {
+			return
+		}
 	}
-	t.Fatalf("request %s never landed", id)
+	t.Fatalf("request %s never landed %d times", id, n)
 }
 
 // waitPrompt fails unless done reports success well inside routerLinger:
@@ -431,13 +474,15 @@ func waitPrompt(t *testing.T, done <-chan error, what string) {
 	}
 }
 
-// TestRouterCompactionMidStream pins the rewind: a compaction (Create,
-// then Append of the kept records) under a live router moves every offset
-// back, so the response landing behind the kept request arrives at an
-// offset the router's old image had long consumed. It must be delivered
-// at once — with a waiter pending, and after a compaction the router
-// slept through — by a notify-driven router and by a tick-driven one on a
-// share that cannot push, which no notify ever tells of a compaction.
+// TestRouterCompactionMidStream pins the rewind: a compaction (one
+// conditional replace by the kept records) under a live router moves
+// every offset back, so the response landing behind the kept request
+// arrives at an offset the router's old image had long consumed. The
+// rewind appends the pending waiter's request again, and the response
+// must be delivered at once — with a waiter pending, and after a
+// compaction the router slept through — by a notify-driven router and by
+// a tick-driven one on a share that cannot push, which no notify ever
+// tells of a compaction.
 func TestRouterCompactionMidStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -475,6 +520,8 @@ func TestRouterCompactionMidStream(t *testing.T) {
 			if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
 				t.Fatalf("CompactLog = (%d, %v), want the one pending request kept", kept, err)
 			}
+			// The kept request and the rewind's copy, then the answer.
+			waitRequestCopies(t, hub.FS, "echo", "w1", 2)
 			if err := sd.Append(log, responseLine(t, "w1", "echo:"+one)); err != nil {
 				t.Fatal(err)
 			}

@@ -48,6 +48,8 @@ type Registry struct {
 	// the same name both passing the duplicate check. Lookup sits on the
 	// daemon's per-request hot path; it must never wait out a share RPC.
 	pending map[string]bool
+	// compactMu serialises CompactLog: one compactor per share.
+	compactMu sync.Mutex
 }
 
 // NewRegistry returns an empty registry whose log files live on fsys.
@@ -86,27 +88,6 @@ func (r *Registry) Register(m Module) error {
 	r.mu.Lock()
 	r.modules[name] = m
 	r.mu.Unlock()
-	return nil
-}
-
-// Unregister removes a module and deletes its log file. The module stops
-// resolving immediately; the file removals run after the lock is released
-// (a failure leaves the module unregistered with its files orphaned, which
-// a re-Register after restart tolerates).
-func (r *Registry) Unregister(name string) error {
-	r.mu.Lock()
-	if _, ok := r.modules[name]; !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownModule, name)
-	}
-	delete(r.modules, name)
-	r.mu.Unlock()
-	if err := r.fs.Remove(LogName(name)); err != nil && !errors.Is(err, ErrNotExist) {
-		return fmt.Errorf("smartfam: removing log for %q: %w", name, err)
-	}
-	if err := r.fs.Remove(GenName(name)); err != nil && !errors.Is(err, ErrNotExist) {
-		return fmt.Errorf("smartfam: removing generation file for %q: %w", name, err)
-	}
 	return nil
 }
 

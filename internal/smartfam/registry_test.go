@@ -1,5 +1,5 @@
-// Regression tests for the registry's lock discipline: Register and
-// Unregister do share I/O (log probe/create/remove), and an earlier
+// Regression tests for the registry's lock discipline: Register does
+// share I/O (log probe and create), and an earlier
 // version held r.mu across those calls — so a slow share stalled Lookup,
 // which sits on the daemon's per-request hot path. These tests pin the
 // fix: the FS work runs outside the lock, with a pending-name reservation

@@ -29,9 +29,10 @@ var _ WatchFS = deafFS{}
 // status snapshot it republishes on its own timer.
 type countFS struct {
 	FS
-	mu    sync.Mutex
-	ops   int
-	lists int
+	mu     sync.Mutex
+	ops    int
+	lists  int
+	byName map[string]int
 }
 
 func (c *countFS) count(name string) {
@@ -40,7 +41,18 @@ func (c *countFS) count(name string) {
 	}
 	c.mu.Lock()
 	c.ops++
+	if c.byName == nil {
+		c.byName = make(map[string]int)
+	}
+	c.byName[name]++
 	c.mu.Unlock()
+}
+
+// opsOn returns how many counted operations named name.
+func (c *countFS) opsOn(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.byName[name]
 }
 
 func (c *countFS) Create(name string) error {
@@ -51,6 +63,12 @@ func (c *countFS) Create(name string) error {
 func (c *countFS) Append(name string, data []byte) error {
 	c.count(name)
 	return c.FS.Append(name, data)
+}
+
+// StatGen counts like Stat, and keeps the daemon on the identity path.
+func (c *countFS) StatGen(name string) (int64, time.Time, uint64, error) {
+	c.count(name)
+	return c.FS.(GenStat).StatGen(name)
 }
 
 func (c *countFS) ReadAt(name string, p []byte, off int64) (int, error) {
@@ -149,10 +167,10 @@ func TestDaemonSweepServesDroppedNotify(t *testing.T) {
 }
 
 // TestDaemonIdleSweepShareOps pins what an idle daemon costs the share. With
-// no stream, each tick is one sweep: a List, then per module log one read
-// of its generation and one Stat, whatever else the share holds and
-// whether or not the log has been compacted (m0 has a .gen sidecar). With
-// a live stream, the sweeps come once per sweep period and not in between.
+// no stream, each tick is one sweep: a List, then per module log one
+// StatGen, whatever else the share holds and whether or not the log has
+// been compacted (m0 has been). With a live stream, the sweeps come once
+// per sweep period and not in between.
 func TestDaemonIdleSweepShareOps(t *testing.T) {
 	const logs = 5
 	setup := func(t *testing.T) (FS, *Registry) {
@@ -168,11 +186,17 @@ func TestDaemonIdleSweepShareOps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		pair := append(requestLine(t, "done", "p"), responseLine(t, "done", "r")...)
+		if err := fsys.Append(LogName("m0"), pair); err != nil {
+			t.Fatal(err)
+		}
+		_, _, before, _ := fsys.(GenStat).StatGen(LogName("m0"))
 		if _, err := reg.CompactLog("m0"); err != nil {
 			t.Fatal(err)
 		}
-		if g := ReadGeneration(fsys, "m0"); g != 1 {
-			t.Fatalf("m0 generation %d after one compaction, want 1", g)
+		size, _, after, err := fsys.(GenStat).StatGen(LogName("m0"))
+		if err != nil || size != 0 || after == before {
+			t.Fatalf("m0 after compaction: %d bytes, identity %d (was %d), %v; want an empty new log", size, after, before, err)
 		}
 		return fsys, reg
 	}
@@ -195,9 +219,9 @@ func TestDaemonIdleSweepShareOps(t *testing.T) {
 		if sweeps < 10 {
 			t.Fatalf("only %d sweeps in 300ms at a 2ms tick", sweeps)
 		}
-		if limit := sweeps * (1 + 2*logs); ops > limit {
+		if limit := sweeps * (1 + logs); ops > limit {
 			t.Fatalf("%d share ops over %d idle sweeps (%.1f each), want <= %d each",
-				ops, sweeps, float64(ops)/float64(sweeps), 1+2*logs)
+				ops, sweeps, float64(ops)/float64(sweeps), 1+logs)
 		}
 		t.Logf("%d share ops over %d idle sweeps", ops, sweeps)
 	})

@@ -75,23 +75,6 @@ func TestRegistryRegisterCreatesLog(t *testing.T) {
 	}
 }
 
-func TestRegistryUnregisterRemovesLog(t *testing.T) {
-	fsys := DirFS(t.TempDir())
-	reg := NewRegistry(fsys)
-	if err := reg.Register(echoModule()); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Unregister("echo"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := fsys.Stat("echo.log"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("log file not removed")
-	}
-	if err := reg.Unregister("echo"); !errors.Is(err, ErrUnknownModule) {
-		t.Fatalf("second unregister err = %v", err)
-	}
-}
-
 func TestRegistryRejectsAnonymousModule(t *testing.T) {
 	reg := NewRegistry(DirFS(t.TempDir()))
 	if err := reg.Register(ModuleFunc{ModuleName: ""}); err == nil {

@@ -5,22 +5,22 @@ import (
 	"time"
 )
 
-// The push-mode invocation front door ("fam v2") rests on two optional FS
-// capabilities, both implemented by the internal/nfs client and not by
-// DirFS:
+// The push-mode invocation front door ("fam v2") and log compaction rest
+// on three optional FS capabilities, implemented by the internal/nfs
+// client; DirFS has the last two:
 //
 //   - WatchFS streams server-push change notifications: the daemon's serve
 //     loop and the host's response routers drain the log a notify names,
 //     and fall back to their ticks when no stream is live.
-//   - GenStat exposes the server's per-file change generation, so a size
-//     probe can tell a rewrite that restored size and mtime from no change
-//     at all.
+//   - GenStat reports a file's identity with its size, so a reader finds a
+//     rewrite from the one Stat it makes anyway.
+//   - ReplaceFS swaps a log for its compacted image in one conditional,
+//     atomic step.
 //
-// Consumers must treat both as best-effort accelerators: a stream can be
-// lost (its channel closes), events can be dropped, and generations only
-// advance for mutations the server observed. A notify may carry the bytes
-// an append wrote at their offset; offsets and record CRCs remain the
-// source of truth, and the readers' sweeps the fallback.
+// Consumers must treat push as a best-effort accelerator: a stream can be
+// lost (its channel closes) and events can be dropped. A notify may carry
+// the bytes an append wrote at their offset; offsets, identities and
+// record CRCs remain the source of truth, the readers' sweeps the fallback.
 
 // ErrWatchUnsupported marks a transport that can never push notifications
 // (a pre-watch server). It is PERMANENT for the
@@ -30,12 +30,12 @@ import (
 var ErrWatchUnsupported = errors.New("push watch unsupported on this transport")
 
 // WatchEvent reports that a watched file changed: Name is the
-// share-relative file, Gen the server's change generation after the
-// mutation (0 when the source does not track generations). When the
-// mutation was an append the source chose to ship, Data holds the appended
-// bytes and Off the file offset they landed at; Data is empty for every
-// other event (a "bare" notify). Data is shared between subscribers and
-// must not be modified.
+// share-relative file, Gen its identity after the mutation (see GenStat;
+// 0 when the source does not track one). When the mutation was an append
+// the source chose to ship, Data holds the appended bytes and Off the
+// file offset they landed at; Data is empty for every other event (a
+// "bare" notify). Data is shared between subscribers and must not be
+// modified.
 type WatchEvent struct {
 	Name string
 	Gen  uint64
@@ -63,10 +63,24 @@ type WatchFS interface {
 	Watch(prefix string) (WatchStream, error)
 }
 
-// GenStat is an FS that reports a per-file change generation alongside
-// size and mtime. The generation is monotonic per file and advances on
-// every mutation the backing server performs, even one that leaves size
-// and mtime bit-identical.
+// GenStat is an FS that reports a file's identity with its size and
+// mtime: a replace, a truncating rewrite, a rename onto or away from the
+// name and a remove change it, an append leaves it alone, so two looks
+// that report one identity see one file, grown at most by appends. 0
+// means the share does not track identities.
 type GenStat interface {
 	StatGen(name string) (size int64, mtime time.Time, gen uint64, err error)
 }
+
+// ReplaceFS is a share that can replace a file atomically on a condition:
+// ReplaceIf swaps name's contents for data, giving it a new identity, only
+// while name is still size bytes long (else ErrLogChanged), and no append
+// lands between the check and the swap. Registry.CompactLog needs it.
+type ReplaceFS interface {
+	GenStat
+	ReplaceIf(name string, data []byte, size int64) error
+}
+
+// ErrLogChanged reports a conditional replace whose file no longer had the
+// size the replacer read.
+var ErrLogChanged = errors.New("smartfam: log changed since it was read")
