@@ -3,7 +3,8 @@
 # race detector, and a one-iteration smoke of every benchmark. `lint`
 # runs mcsdlint, the repo's own analyzer suite (internal/lint): share-I/O
 # discipline, wire-error wrapping, context propagation, metric-name
-# registry, and sim determinism — see DESIGN.md §5d for the invariants.
+# registry, sim determinism, goroutine lifecycle, lock discipline, channel
+# bounds and dead exported surface — see DESIGN.md §5d for the invariants.
 # `perf` is the one performance harness (cmd/perfbench, BENCHMARK.json).
 
 GO ?= go
@@ -94,8 +95,10 @@ chaos-heal:
 # memory-bounded fragment pool, cancellation and recycled fragment
 # buffers (poisoned on recycle, under every workload), the engine's pooled
 # value runs (poisoned on recycle, one-task runs included) and map
-# retries (a streaming-combine attempt that fails after emitting; one-task
-# runs of every workload against multi-worker and sequential ones), and
+# retries (a streaming-combine attempt that fails after emitting, and
+# every task of a two-worker run failing once after emitting, with and
+# without a combiner; one-task runs of every workload against multi-worker
+# and sequential ones), and
 # group commit: its batch edges (a torn response or request batch, a
 # recovery re-run answered before the first drain) and its timer-free
 # trigger (the leader's yield, and a 512-caller burst over the modelled
@@ -108,7 +111,7 @@ chaos-heal:
 # router's two-round-trip arm. A tier-1 test that
 # fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestOneTaskRunMatchesParallel
+FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestRunMultiTaskRetryIdempotent|TestOneTaskRunMatchesParallel
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition ./internal/mapreduce ./internal/workloads
 

@@ -136,7 +136,7 @@ func TestChaosCompactionRacingAppendAnswered(t *testing.T) {
 			return logRecords(t, share, "cmp")["REQ racer"] > 0
 		})
 	})
-	if _, err := reg.CompactLog("cmp"); err != nil {
+	if _, _, err := reg.CompactLog("cmp"); err != nil {
 		t.Fatal(err)
 	}
 	if racer == nil {
@@ -171,9 +171,9 @@ func TestChaosCompactionCrashAtEveryShareOp(t *testing.T) {
 	errCrashed := errors.New("node crashed")
 	// run plays the scenario with a crash at the compactor's share
 	// operation crashAt (counting from 0; past the last one, CompactLog
-	// completes and the node dies after it) and returns how many share
+	// completes and the node dies after it) and returns the share
 	// operations the compactor made.
-	run := func(t *testing.T, crashAt int) int {
+	run := func(t *testing.T, crashAt int) []faultfs.Op {
 		share := smartfam.DirFS(t.TempDir())
 		jpath := filepath.Join(t.TempDir(), "journal")
 		var crashed atomic.Bool
@@ -221,14 +221,14 @@ func TestChaosCompactionCrashAtEveryShareOp(t *testing.T) {
 			return d1.Metrics().Counter("smartfam.daemon.requests").Value() >= 6
 		})
 
-		made := 0
+		var made []faultfs.Op
 		compFS.OnOp(func(op faultfs.Op, name string) error {
-			if made++; made > crashAt {
+			if made = append(made, op); len(made) > crashAt {
 				crashed.Store(true)
 			}
 			return down(op, name)
 		})
-		_, err := reg1.CompactLog("cmp")
+		_, _, err := reg1.CompactLog("cmp")
 		if err != nil && !errors.Is(err, errCrashed) {
 			t.Fatalf("CompactLog: %v", err)
 		}
@@ -257,11 +257,11 @@ func TestChaosCompactionCrashAtEveryShareOp(t *testing.T) {
 		return made
 	}
 
-	total := run(t, 1<<30)
-	if total < 3 {
-		t.Fatalf("CompactLog made %d share operations, want at least a look, a read and a replace", total)
+	ops := run(t, 1<<30)
+	if len(ops) < 3 || ops[len(ops)-1] != faultfs.OpReplace {
+		t.Fatalf("CompactLog made share operations %v, want a look and a read ending in a replace", ops)
 	}
-	for crashAt := 0; crashAt <= total; crashAt++ {
+	for crashAt := 0; crashAt <= len(ops); crashAt++ {
 		t.Run(fmt.Sprintf("crash-at-%d", crashAt), func(t *testing.T) { run(t, crashAt) })
 	}
 }
@@ -314,7 +314,7 @@ func TestChaosCompactionAnswersCompactedAwayWaiter(t *testing.T) {
 	chaosWait(t, 10*time.Second, "the response to land", func() bool {
 		return logRecords(t, share, "cmp")["RES w"] > 0
 	})
-	if kept, err := reg.CompactLog("cmp"); err != nil || kept != 0 {
+	if kept, _, err := reg.CompactLog("cmp"); err != nil || kept != 0 {
 		t.Fatalf("CompactLog = (%d, %v), want the answered pair dropped", kept, err)
 	}
 	host.held.Store(false)

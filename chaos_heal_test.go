@@ -255,7 +255,7 @@ func TestChaosHealKillAndCorruptReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrub pass 1: %v", err)
 	}
-	if rep1.Repairs() < 1 {
+	if rep1.RepairedReplicas+rep1.ReReplicated < 1 {
 		t.Fatalf("scrub pass 1 repaired nothing: %+v", rep1)
 	}
 	if len(rep1.Errors) != 0 || len(rep1.UnreachableNodes) != 0 {
@@ -265,7 +265,7 @@ func TestChaosHealKillAndCorruptReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrub pass 2: %v", err)
 	}
-	if rep2.Repairs() != 0 || rep2.CorruptReplicas != 0 {
+	if rep2.RepairedReplicas != 0 || rep2.ReReplicated != 0 || rep2.CorruptReplicas != 0 {
 		t.Fatalf("scrub pass 2 still found damage: %+v", rep2)
 	}
 	if rep2.Objects != len(set.Objects) {

@@ -409,12 +409,8 @@ func wordcount(ctx context.Context, rt *core.Runtime, args []string) error {
 		}
 		params.PartitionBytes = n
 	}
-	res, err := rt.Invoke(ctx, core.ModuleWordCount, params)
+	out, res, err := rt.WordCount(ctx, params)
 	if err != nil {
-		return err
-	}
-	var out core.WordCountOutput
-	if err := core.Decode(res.Payload, &out); err != nil {
 		return err
 	}
 	fmt.Printf("total words: %d  unique: %d  fragments: %d  module time: %dms  (offloaded to %s)\n",
@@ -634,12 +630,8 @@ func stringmatch(ctx context.Context, rt *core.Runtime, args []string) error {
 		}
 		params.PartitionBytes = n
 	}
-	res, err := rt.Invoke(ctx, core.ModuleStringMatch, params)
+	out, _, err := rt.StringMatch(ctx, params)
 	if err != nil {
-		return err
-	}
-	var out core.StringMatchOutput
-	if err := core.Decode(res.Payload, &out); err != nil {
 		return err
 	}
 	fmt.Printf("total hits: %d across %d keys  fragments: %d  module time: %dms\n",
@@ -673,12 +665,8 @@ func dbselect(ctx context.Context, rt *core.Runtime, args []string) error {
 		}
 		params.PartitionBytes = n
 	}
-	res, err := rt.Invoke(ctx, core.ModuleDBSelect, params)
+	out, _, err := rt.DBSelect(ctx, params)
 	if err != nil {
-		return err
-	}
-	var out core.DBSelectOutput
-	if err := core.Decode(res.Payload, &out); err != nil {
 		return err
 	}
 	fmt.Printf("%d groups  fragments: %d  module time: %dms\n",
@@ -730,12 +718,8 @@ func matmul(ctx context.Context, rt *core.Runtime, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := rt.Invoke(ctx, core.ModuleMatMul, core.MatMulParams{N: *n, SeedA: *seedA, SeedB: *seedB})
+	out, _, err := rt.MatMul(ctx, core.MatMulParams{N: *n, SeedA: *seedA, SeedB: *seedB})
 	if err != nil {
-		return err
-	}
-	var out core.MatMulOutput
-	if err := core.Decode(res.Payload, &out); err != nil {
 		return err
 	}
 	fmt.Printf("matmul %dx%d: trace=%.6f frob^2=%.6f  module time: %dms\n",

@@ -27,6 +27,7 @@ import (
 
 	"mcsd/internal/core"
 	"mcsd/internal/memsim"
+	"mcsd/internal/metrics"
 	"mcsd/internal/sched"
 	"mcsd/internal/smartfam"
 	"mcsd/internal/units"
@@ -126,11 +127,14 @@ func run() error {
 	}
 	// The scheduler sits between the smartFAM log files and the module
 	// registry: per-module fair ordering, memory-aware admission against
-	// the node's budget, and queue-full backpressure to callers.
+	// the node's budget, and queue-full backpressure to callers. It counts
+	// into the daemon's registry, so the published status carries both.
+	met := metrics.NewRegistry()
 	sd := sched.New(sched.Config{
 		MaxQueueDepth: *queue,
 		Workers:       *workers,
 		Memory:        acct,
+		Metrics:       met,
 	}, func(ctx context.Context, job *sched.Job) ([]byte, error) {
 		m, err := reg.Lookup(job.Module)
 		if err != nil {
@@ -139,6 +143,7 @@ func run() error {
 		return m.Run(ctx, job.Payload)
 	})
 	daemonOpts = append(daemonOpts,
+		smartfam.WithMetrics(met),
 		smartfam.WithScheduler(sd),
 		smartfam.WithFootprintEstimator(core.NewFootprintEstimator(modCfg.Store, acct)))
 	log.Printf("mcsdd: scheduler queue depth %d, %d workers", sd.Status().MaxQueueDepth, *workers)

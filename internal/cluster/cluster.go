@@ -69,11 +69,6 @@ type Node struct {
 	DiskReadBps float64
 }
 
-// NewAccountant returns a fresh memory accountant for the node.
-func (n *Node) NewAccountant() *memsim.Accountant {
-	return memsim.NewAccountant(n.Memory)
-}
-
 // Cluster is the full testbed.
 type Cluster struct {
 	Nodes   []Node
@@ -125,58 +120,12 @@ func TraditionalSDNode() Node {
 	}
 }
 
-// TableIWithSDs returns the Table I testbed generalized to k smart-storage
-// nodes named sd0..sd{k-1} (each the same E4400 duo with 2 GB and a local
-// SATA disk), the multi-SD scale-out configuration of §VI. k must be at
-// least 1; TableIWithSDs(1) is Table I with the SD node renamed sd0.
-func TableIWithSDs(k int) Cluster {
-	if k < 1 {
-		k = 1
-	}
-	mem := memsim.DefaultConfig()
-	mkNode := func(name string, role Role, cpu CPU) Node {
-		return Node{Name: name, Role: role, CPU: cpu, Memory: mem, DiskReadBps: sataDiskBps}
-	}
-	nodes := []Node{mkNode("host", RoleHost, cpuQ9400)}
-	for i := 0; i < k; i++ {
-		nodes = append(nodes, mkNode(fmt.Sprintf("sd%d", i), RoleSmartStorage, cpuE4400))
-	}
-	nodes = append(nodes,
-		mkNode("node1", RoleCompute, cpuC450),
-		mkNode("node2", RoleCompute, cpuC450),
-		mkNode("node3", RoleCompute, cpuC450),
-	)
-	return Cluster{Nodes: nodes, Network: netsim.ProfileGigabitEthernet}
-}
-
 // Host returns the host computing node.
 func (c Cluster) Host() *Node { return c.byRole(RoleHost) }
 
 // SD returns the first smart-storage node — the whole fleet in the
 // paper's single-SD testbed, the N=1 accessor in a multi-SD one.
 func (c Cluster) SD() *Node { return c.byRole(RoleSmartStorage) }
-
-// SDs returns every smart-storage node in declaration order.
-func (c Cluster) SDs() []*Node {
-	var out []*Node
-	for i := range c.Nodes {
-		if c.Nodes[i].Role == RoleSmartStorage {
-			out = append(out, &c.Nodes[i])
-		}
-	}
-	return out
-}
-
-// ComputeNodes returns the general-purpose nodes.
-func (c Cluster) ComputeNodes() []*Node {
-	var out []*Node
-	for i := range c.Nodes {
-		if c.Nodes[i].Role == RoleCompute {
-			out = append(out, &c.Nodes[i])
-		}
-	}
-	return out
-}
 
 func (c Cluster) byRole(r Role) *Node {
 	for i := range c.Nodes {

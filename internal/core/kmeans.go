@@ -26,7 +26,7 @@ type KMeansParams struct {
 	// Tol is the convergence threshold on centroid movement (0 = 1e-6).
 	Tol float64 `json:"tol,omitempty"`
 	// PartitionBytes streams each round in fragments; 0 = native,
-	// AutoPartition picks from the node's memory model.
+	// negative picks from the node's memory model.
 	PartitionBytes int64 `json:"partition_bytes,omitempty"`
 	Workers        int   `json:"workers,omitempty"`
 }

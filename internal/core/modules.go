@@ -42,15 +42,8 @@ func (c ModuleConfig) mrConfig(workers int) mapreduce.Config {
 	return mapreduce.Config{Workers: workers, Memory: c.Memory}
 }
 
-// AutoPartition is the sentinel for PartitionBytes meaning "let the
-// runtime pick" — the automatic path of §IV-C: the fragment size is
-// derived from the node's memory configuration and the workload's
-// footprint factor so a fragment's whole footprint fits comfortably in
-// RAM.
-const AutoPartition int64 = -1
-
 // partitionBytes resolves a requested partition size: >0 passes through,
-// 0 stays native, AutoPartition asks partition.AutoFragmentSize with the
+// 0 stays native, a negative size asks partition.AutoFragmentSize with the
 // node's memory model (or the default Table I node when the module has no
 // accountant).
 func (c ModuleConfig) partitionBytes(requested int64, footprintFactor float64) int64 {

@@ -42,6 +42,8 @@ type Option func(*Runtime)
 
 // WithPollInterval sets how often the runtime polls the share for module
 // responses.
+//
+//mcsdlint:allow deadexport -- seam: the root integration and chaos tests poll at 1 ms
 func WithPollInterval(d time.Duration) Option {
 	return func(r *Runtime) {
 		if d > 0 {
@@ -52,13 +54,10 @@ func WithPollInterval(d time.Duration) Option {
 
 // WithAttemptTimeout bounds each offload attempt; on expiry the runtime
 // fails over to the next node. Zero disables per-attempt timeouts.
+//
+//mcsdlint:allow deadexport -- seam: the root failover integration test bounds each attempt
 func WithAttemptTimeout(d time.Duration) Option {
 	return func(r *Runtime) { r.attemptTimeout = d }
-}
-
-// WithMetrics attaches a metrics registry.
-func WithMetrics(m *metrics.Registry) Option {
-	return func(r *Runtime) { r.metrics = m }
 }
 
 // WithTracer records a span tree per job (offload leg, host-side leg,
@@ -101,17 +100,6 @@ func (r *Runtime) AttachSD(name string, share smartfam.FS) {
 	r.mu.Lock()
 	r.sds = append(r.sds, attachedSD{name: name, client: client})
 	r.mu.Unlock()
-}
-
-// SDNames lists attached nodes in attachment order.
-func (r *Runtime) SDNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.sds))
-	for i, sd := range r.sds {
-		names[i] = sd.name
-	}
-	return names
 }
 
 // Job is one McSD computation: a data-intensive module invocation that the

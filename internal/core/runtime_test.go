@@ -443,9 +443,8 @@ func TestSDNames(t *testing.T) {
 	rt := New()
 	rt.AttachSD("a", smartfam.DirFS(t.TempDir()))
 	rt.AttachSD("b", smartfam.DirFS(t.TempDir()))
-	names := rt.SDNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("SDNames = %v", names)
+	if len(rt.sds) != 2 || rt.sds[0].name != "a" || rt.sds[1].name != "b" {
+		t.Fatalf("attached nodes = %v", rt.sds)
 	}
 }
 

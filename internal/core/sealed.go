@@ -13,6 +13,8 @@ import (
 // read data objects that live on the share itself — the replicated
 // fragment objects the fleet tier writes next to the log files — and so
 // tests can route module data reads through a faultfs-wrapped share.
+//
+//mcsdlint:allow deadexport -- the sealed-object store the ROADMAP "one fleet word count" item wires; chaos-heal and fleet tests read through it today
 func FSStore(fsys smartfam.FS) DataStore { return &fsStore{fs: fsys} }
 
 type fsStore struct {

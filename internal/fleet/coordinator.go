@@ -146,9 +146,6 @@ func NewCoordinator(nodes []Node, cfg Config) *Coordinator {
 	return &Coordinator{cfg: cfg.withDefaults(), ring: NewRing(names...), nodes: ns}
 }
 
-// Ring exposes the placement ring (read-only use: Owner/Rank).
-func (c *Coordinator) Ring() *Ring { return c.ring }
-
 // Fragment is one scatter unit.
 type Fragment struct {
 	// Index identifies the fragment within the job; results return in

@@ -305,7 +305,7 @@ func TestExecuteFailoverMatchesRingRank(t *testing.T) {
 	found := false
 	for i := 0; i < 1000 && !found; i++ {
 		key := fmt.Sprintf("probe#%d", i)
-		if owner, _ := c.Ring().Owner(key); owner == "sd0" {
+		if owner, _ := c.ring.Owner(key); owner == "sd0" {
 			frag = Fragment{Index: 0, Key: key, Params: []byte("p")}
 			found = true
 		}
@@ -317,7 +317,7 @@ func TestExecuteFailoverMatchesRingRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNode := c.Ring().Rank(frag.Key)[1]
+	wantNode := c.ring.Rank(frag.Key)[1]
 	if results[0].Node != wantNode {
 		t.Fatalf("fragment failed over to %s, want rank[1] = %s", results[0].Node, wantNode)
 	}

@@ -11,7 +11,6 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
-	"sync"
 )
 
 // Ring assigns fragment keys to SD nodes by rendezvous (highest-random-
@@ -26,9 +25,8 @@ import (
 //     scorer is that node (≈1/N of them); removing a node moves only the
 //     keys it owned, each to its next-ranked survivor.
 //
-// A Ring is safe for concurrent use.
+// A Ring never changes after NewRing, so it is safe for concurrent use.
 type Ring struct {
-	mu    sync.RWMutex
 	nodes []string // sorted, unique
 }
 
@@ -36,14 +34,13 @@ type Ring struct {
 func NewRing(nodes ...string) *Ring {
 	r := &Ring{}
 	for _, n := range nodes {
-		r.addLocked(n)
+		r.add(n)
 	}
 	return r
 }
 
-// addLocked inserts name keeping nodes sorted and unique. Callers must
-// hold mu (or own the ring exclusively, as NewRing does).
-func (r *Ring) addLocked(name string) {
+// add inserts name keeping nodes sorted and unique.
+func (r *Ring) add(name string) {
 	i := sort.SearchStrings(r.nodes, name)
 	if i < len(r.nodes) && r.nodes[i] == name {
 		return
@@ -53,34 +50,8 @@ func (r *Ring) addLocked(name string) {
 	r.nodes[i] = name
 }
 
-// Add joins a node to the ring.
-func (r *Ring) Add(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.addLocked(name)
-}
-
-// Remove leaves a node from the ring. Unknown names are ignored.
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := sort.SearchStrings(r.nodes, name)
-	if i < len(r.nodes) && r.nodes[i] == name {
-		r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-	}
-}
-
-// Len reports the number of nodes on the ring.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
 // Nodes returns the ring membership in sorted order.
 func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]string, len(r.nodes))
 	copy(out, r.nodes)
 	return out
@@ -116,8 +87,6 @@ func mix64(x uint64) uint64 {
 // Owner returns the node that owns key: the highest HRW score, ties broken
 // by name order. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (node string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.nodes) == 0 {
 		return "", false
 	}

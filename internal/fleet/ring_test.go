@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ func TestRingJoinMovesOnlyToNewNode(t *testing.T) {
 	for _, k := range keys {
 		before[k], _ = r.Owner(k)
 	}
-	r.Add("sd4")
+	r = NewRing("sd0", "sd1", "sd2", "sd3", "sd4")
 	moved := 0
 	for _, k := range keys {
 		after, _ := r.Owner(k)
@@ -89,7 +90,7 @@ func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
 			owned++
 		}
 	}
-	r.Remove("sd2")
+	r = NewRing("sd0", "sd1", "sd3")
 	moved := 0
 	for _, k := range keys {
 		after, _ := r.Owner(k)
@@ -119,12 +120,13 @@ func TestRingRankConsistentWithFailover(t *testing.T) {
 		if owner, _ := full.Owner(k); rank[0] != owner {
 			t.Fatalf("rank[0] %s != owner %s", rank[0], owner)
 		}
-		survivors := NewRing()
+		var rest []string
 		for _, n := range full.Nodes() {
 			if n != rank[0] {
-				survivors.Add(n)
+				rest = append(rest, n)
 			}
 		}
+		survivors := NewRing(rest...)
 		if next, _ := survivors.Owner(k); next != rank[1] {
 			t.Fatalf("key %q: rank[1] = %s, survivors' owner = %s", k, rank[1], next)
 		}
@@ -152,20 +154,13 @@ func TestRingEmptyAndMembership(t *testing.T) {
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring returned an owner")
 	}
-	r.Add("sd1")
-	r.Add("sd0")
-	r.Add("sd1") // duplicate
+	r = NewRing("sd1", "sd0", "sd1") // duplicate
 	if got := r.Nodes(); len(got) != 2 || got[0] != "sd0" || got[1] != "sd1" {
 		t.Fatalf("Nodes() = %v", got)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len() = %d", r.Len())
-	}
-	r.Remove("sd0")
-	if o, ok := r.Owner("k"); !ok || o != "sd1" {
+	if o, ok := NewRing("sd1").Owner("k"); !ok || o != "sd1" {
 		t.Fatalf("Owner = %s,%v", o, ok)
 	}
-	r.Remove("ghost") // no-op
 }
 
 func TestRingRankReplicaSetsDisjointAndComplete(t *testing.T) {
@@ -196,8 +191,7 @@ func TestRingLeaveMovesBoundedReplicaSlots(t *testing.T) {
 	const n, repl = 2000, 2
 	nodes := []string{"sd0", "sd1", "sd2", "sd3", "sd4"}
 	before := NewRing(nodes...)
-	after := NewRing(nodes...)
-	after.Remove("sd2")
+	after := NewRing("sd0", "sd1", "sd3", "sd4")
 	moved, held := 0, 0
 	for _, k := range ringKeys(n) {
 		b := before.Rank(k)[:repl]
@@ -231,10 +225,9 @@ func TestRingBoundedOwners(t *testing.T) {
 			names[i] = fmt.Sprintf("sd%d", i)
 		}
 		r := NewRing(names...)
-		rev := NewRing()
-		for i := len(names) - 1; i >= 0; i-- {
-			rev.Add(names[i])
-		}
+		reversed := slices.Clone(names)
+		slices.Reverse(reversed)
+		rev := NewRing(reversed...)
 		keys := ringKeys(tc.keys)
 		owners := r.BoundedOwners(keys)
 		if again := rev.BoundedOwners(keys); fmt.Sprint(again) != fmt.Sprint(owners) {

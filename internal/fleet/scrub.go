@@ -47,9 +47,6 @@ type ScrubReport struct {
 	Errors            []string // objects the pass could not restore
 }
 
-// Repairs reports the total copies the pass rewrote.
-func (r *ScrubReport) Repairs() int { return r.RepairedReplicas + r.ReReplicated }
-
 // pacer meters scrub I/O to a byte rate. It accumulates debt and sleeps it
 // off in coarse quanta, waking early on ctx cancellation.
 type pacer struct {

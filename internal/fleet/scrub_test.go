@@ -25,7 +25,7 @@ func TestScrubCleanFleetReportsNoRepairs(t *testing.T) {
 	if rep.Objects != len(set.Objects) {
 		t.Fatalf("Objects = %d, want %d", rep.Objects, len(set.Objects))
 	}
-	if rep.Repairs() != 0 || rep.CorruptReplicas != 0 || len(rep.Errors) != 0 {
+	if rep.RepairedReplicas != 0 || rep.ReReplicated != 0 || rep.CorruptReplicas != 0 || len(rep.Errors) != 0 {
 		t.Fatalf("clean scrub did work: %+v", rep)
 	}
 	if rep.FilesScanned == 0 || rep.BytesScanned == 0 {
@@ -50,7 +50,7 @@ func TestScrubRepairsCorruptReplica(t *testing.T) {
 	if rep.CorruptReplicas != 1 || rep.RepairedReplicas != 1 {
 		t.Fatalf("first scrub = %+v, want 1 corrupt found and repaired", rep)
 	}
-	if v := s.Metrics().Counter(metrics.FleetScrubRepairs).Value(); v != 1 {
+	if v := s.reg.Counter(metrics.FleetScrubRepairs).Value(); v != 1 {
 		t.Fatalf("fleet.scrub.repairs = %d, want 1", v)
 	}
 
@@ -59,7 +59,7 @@ func TestScrubRepairsCorruptReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Scrub: %v", err)
 	}
-	if rep.Repairs() != 0 || rep.CorruptReplicas != 0 {
+	if rep.RepairedReplicas != 0 || rep.ReReplicated != 0 || rep.CorruptReplicas != 0 {
 		t.Fatalf("second scrub still found damage: %+v", rep)
 	}
 }
@@ -114,7 +114,7 @@ func TestScrubCountsCorruptLogRecords(t *testing.T) {
 	if rep.CorruptLogRecords != 1 {
 		t.Fatalf("CorruptLogRecords = %d, want 1", rep.CorruptLogRecords)
 	}
-	if v := s.Metrics().Counter(metrics.FleetScrubCorruptRecord).Value(); v != 1 {
+	if v := s.reg.Counter(metrics.FleetScrubCorruptRecord).Value(); v != 1 {
 		t.Fatalf("fleet.scrub.corrupt_records = %d, want 1", v)
 	}
 }
@@ -150,7 +150,7 @@ func TestScrubUsesChunkSumFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if rep.Repairs() != 0 || rep.CorruptReplicas != 0 {
+	if rep.RepairedReplicas != 0 || rep.ReReplicated != 0 || rep.CorruptReplicas != 0 {
 		t.Fatalf("clean scrub did work: %+v", rep)
 	}
 	total := shares["a-sd"].(*summingFS).sums.Load() + shares["b-sd"].(*summingFS).sums.Load()

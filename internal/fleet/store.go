@@ -63,20 +63,8 @@ func NewStore(shares map[string]smartfam.FS, r int, reg *metrics.Registry) *Stor
 	}
 }
 
-// ReplicationFactor reports R.
-func (s *Store) ReplicationFactor() int { return s.r }
-
-// Metrics returns the store's registry.
-func (s *Store) Metrics() *metrics.Registry { return s.reg }
-
 // Nodes returns the member node names in sorted order.
 func (s *Store) Nodes() []string { return s.ring.Nodes() }
-
-// Share returns the FS for a member node.
-func (s *Store) Share(node string) (smartfam.FS, bool) {
-	fs, ok := s.shares[node]
-	return fs, ok
-}
 
 // Replicas returns the R nodes holding name, in preference order:
 // Replicas(name)[0] is the object's home, the rest are failover ranks.
@@ -248,6 +236,8 @@ func isWordBreak(b byte) bool {
 // fragment forward to the next break if the window ends mid-word), so no
 // word straddles a fragment boundary and per-fragment word counts merge
 // exactly.
+//
+//mcsdlint:allow deadexport -- replicated-store entry point; the ROADMAP "one fleet word count" item wires it into mcsdctl
 func (s *Store) PutFile(ctx context.Context, base string, data []byte, fragBytes int) (*FileSet, error) {
 	if base == "" || strings.ContainsAny(base, "/\\.") {
 		return nil, fmt.Errorf("fleet: file base %q must be flat and dot-free", base)

@@ -88,7 +88,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if copies != 2 {
 		t.Fatalf("object has %d copies, want 2", copies)
 	}
-	if got := s.Metrics().Counter(metrics.FleetReplicaWrites).Value(); got != 2 {
+	if got := s.reg.Counter(metrics.FleetReplicaWrites).Value(); got != 2 {
 		t.Fatalf("fleet.replica_writes = %d, want 2", got)
 	}
 	got, err := s.Get(ctx, name)
@@ -118,10 +118,10 @@ func TestGetReadRepairsCorruptPrimary(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("Get returned damaged payload")
 	}
-	if v := s.Metrics().Counter(metrics.FleetReadRepairs).Value(); v != 1 {
+	if v := s.reg.Counter(metrics.FleetReadRepairs).Value(); v != 1 {
 		t.Fatalf("fleet.read_repairs = %d, want 1", v)
 	}
-	if v := s.Metrics().Counter(metrics.FleetCorruptReplicas).Value(); v != 1 {
+	if v := s.reg.Counter(metrics.FleetCorruptReplicas).Value(); v != 1 {
 		t.Fatalf("fleet.corrupt_replicas = %d, want 1", v)
 	}
 	// The primary's copy was rewritten and verifies again.
@@ -148,7 +148,7 @@ func TestGetReplacesMissingPrimary(t *testing.T) {
 	if _, err := s.Get(ctx, name); err != nil {
 		t.Fatalf("Get with missing primary: %v", err)
 	}
-	if v := s.Metrics().Counter(metrics.FleetReadRepairs).Value(); v != 1 {
+	if v := s.reg.Counter(metrics.FleetReadRepairs).Value(); v != 1 {
 		t.Fatalf("fleet.read_repairs = %d, want 1", v)
 	}
 	if _, err := smartfam.ReadFrom(shares[primary], name, 0); err != nil {

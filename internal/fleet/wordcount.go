@@ -27,8 +27,8 @@ type WordCountJob struct {
 	// range.
 	FragmentBytes int64
 	// PartitionBytes is the node-side partition size within a bundle
-	// (workloads.WordCountParams semantics, core.AutoPartition to let the
-	// node pick). Zero means FragmentBytes: one partition per range, so a
+	// (workloads.WordCountParams semantics, negative to let the node
+	// pick). Zero means FragmentBytes: one partition per range, so a
 	// node's engine counts one range while its disk serves the next.
 	PartitionBytes int64
 	// Workers overrides each node's worker count (0 = node default).
@@ -194,6 +194,8 @@ type SealedWordCountJob struct {
 // the gather, so the output stays byte-identical to a single-node run even
 // through simultaneous node death and replica corruption. Requires
 // Config.Store.
+//
+//mcsdlint:allow deadexport -- replicated word count; the ROADMAP "one fleet word count" item folds it into WordCount and gives it a caller
 func (c *Coordinator) WordCountSealed(ctx context.Context, job SealedWordCountJob) (*WordCountResult, error) {
 	if c.cfg.Store == nil {
 		return nil, fmt.Errorf("fleet: sealed wordcount requires Config.Store")

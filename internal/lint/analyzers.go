@@ -5,6 +5,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		ChanBound,
 		CtxFlow,
+		DeadExport,
 		FSDiscipline,
 		GoRoLeak,
 		LockHold,

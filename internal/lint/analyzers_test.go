@@ -47,6 +47,17 @@ func TestChanBound(t *testing.T) {
 		"mcsd/internal/pipe", "mcsd/cmd/tool")
 }
 
+// TestDeadExport pins the dead-surface rule over two packages: unused
+// exported funcs, types, consts, vars and methods are flagged, and so is
+// one referenced only from a _test.go or only by itself; a reference from
+// another package counts, a method named like an interface method is
+// exempt, an allow with a reason suppresses, and a package nothing imports
+// is skipped.
+func TestDeadExport(t *testing.T) {
+	linttest.Run(t, linttest.TestData(t, "deadexport"), lint.DeadExport,
+		"mcsd/internal/store", "mcsd/internal/app")
+}
+
 // TestDirectiveHygiene pins that a reason-less or unknown //mcsdlint:
 // directive is itself a diagnostic and suppresses nothing.
 func TestDirectiveHygiene(t *testing.T) {
@@ -55,18 +66,21 @@ func TestDirectiveHygiene(t *testing.T) {
 }
 
 // TestAllowHygiene pins the unused-allow sweep and its interplay with the
-// concurrency analyzers: a stale allow for a ran analyzer is reported, a
-// used allow and a blanket "all" are not, and fsboundary silences nothing
-// but fsdiscipline.
+// concurrency analyzers and deadexport: a stale allow for a ran analyzer is
+// reported (a deadexport allow on an identifier another package now uses
+// among them), a used allow and a blanket "all" are not, and fsboundary
+// silences nothing but fsdiscipline.
 func TestAllowHygiene(t *testing.T) {
 	linttest.Run(t, linttest.TestData(t, "directives"), lint.GoRoLeak,
 		"mcsd/internal/concurrency")
+	linttest.Run(t, linttest.TestData(t, "directives"), lint.DeadExport,
+		"mcsd/internal/seam", "mcsd/internal/caller")
 }
 
 // TestAll pins the suite roster: a new analyzer must be registered here
 // and in All() together.
 func TestAll(t *testing.T) {
-	want := []string{"chanbound", "ctxflow", "fsdiscipline", "goroleak",
+	want := []string{"chanbound", "ctxflow", "deadexport", "fsdiscipline", "goroleak",
 		"lockhold", "metrickey", "simdet", "wirewrap"}
 	all := lint.All()
 	if len(all) != len(want) {

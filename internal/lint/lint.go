@@ -5,12 +5,17 @@
 // contract, a type-checking package loader, suppression directives, and —
 // in the sibling linttest package — an analysistest-style fixture runner.
 //
-// The analyzers themselves (fsdiscipline, wirewrap, ctxflow, metrickey,
-// simdet) encode the invariants DESIGN.md §5d documents: the correctness
-// machinery built by the earlier PRs only holds if every share byte goes
-// through smartfam.FS, typed errors survive the wire, nothing below cmd/
-// manufactures its own context, metric keys come from the checked
-// registry, and the scale-model sim stays replayable.
+// The analyzers themselves encode the invariants DESIGN.md §5d documents:
+// every share byte goes through smartfam.FS (fsdiscipline), typed errors
+// survive the wire (wirewrap), nothing below cmd/ manufactures its own
+// context (ctxflow), metric keys come from the checked registry
+// (metrickey), the scale-model sim stays replayable (simdet), goroutines
+// terminate, locks are not held across blocking calls and channels are
+// bounded (goroleak, lockhold, chanbound), and every exported identifier
+// in internal/ has a non-test reference somewhere in the module
+// (deadexport). Analyzers see one package at a time; one whose invariant
+// spans packages reads Pass.Module and keeps its whole-module facts in
+// Pass.Memo.
 package lint
 
 import (
@@ -51,9 +56,24 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module is every package this run was given, for an analyzer whose
+	// invariant spans packages (deadexport).
+	Module []*Package
 
 	dirs  *directives
 	diags *[]Diagnostic
+	memo  map[*Analyzer]any
+}
+
+// Memo returns build's result, calling build only on the first Memo of this
+// analyzer in one Run: the place to keep whole-module facts.
+func (p *Pass) Memo(build func() any) any {
+	v, ok := p.memo[p.Analyzer]
+	if !ok {
+		v = build()
+		p.memo[p.Analyzer] = v
+	}
+	return v
 }
 
 // Reportf records a diagnostic at pos unless an //mcsdlint:allow directive
@@ -123,6 +143,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		ran[a.Name] = true
 	}
 	var diags []Diagnostic
+	memo := make(map[*Analyzer]any)
 	for _, pkg := range pkgs {
 		dirs, derrs := parseDirectives(pkg.Fset, pkg.Files)
 		diags = append(diags, derrs...)
@@ -133,8 +154,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
+				Module:    pkgs,
 				dirs:      dirs,
 				diags:     &diags,
+				memo:      memo,
 			}
 			if err := a.Run(pass); err != nil {
 				return diags, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)

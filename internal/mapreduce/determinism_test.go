@@ -53,7 +53,7 @@ func orderedWCSpec() Spec[string, int, int] {
 
 // sortMergeSpec groups value multisets per key and returns them sorted:
 // an order-insensitive reduce whose output fingerprints every emitted
-// value, exercising the staged (no-combine) path and the k-way merge.
+// value, exercising no-combine task records and the k-way merge.
 func sortMergeSpec() Spec[string, int, []int] {
 	return Spec[string, int, []int]{
 		Name:  "sort-merge-test",

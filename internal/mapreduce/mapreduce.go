@@ -234,6 +234,8 @@ type Result[K comparable, R any] struct {
 // Map returns the results as a map. It is a convenience for tests and
 // callers that do not care about order; duplicate keys (impossible in a
 // well-formed run) keep the last value.
+//
+//mcsdlint:allow deadexport -- seam: the core, partition and workloads tests compare runs as maps
 func (r *Result[K, R]) Map() map[K]R {
 	m := make(map[K]R, len(r.Pairs))
 	for _, p := range r.Pairs {

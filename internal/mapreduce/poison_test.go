@@ -157,7 +157,7 @@ func TestPooledBuffersPoisonedOnRecycle(t *testing.T) {
 			}
 			checkCounts(name, res.Map())
 
-			// The staged path recycles through the same pools.
+			// A no-combine run recycles through the same pools.
 			sm, err := Run(ctx, cfg, tracked(handed, sortMergeSpec()), input)
 			if err != nil {
 				t.Fatal(err)

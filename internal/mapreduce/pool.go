@@ -17,13 +17,10 @@ import (
 //     worker retires, so steady state allocates no buffer memory across
 //     jobs;
 //   - emit KV records (key + value-run header) are dealt from a per-worker
-//     arena that is reset — not freed — after every task;
-//   - the staged (no-combine) raw-pair staging buffers live in the same
-//     process-wide pools.
+//     arena that is reset — not freed — after every task.
 
 // freeBufCap is the initial capacity of a fresh value run buffer. Most
-// keys see few values per task (the streaming combiner folds at
-// streamFoldLen), so buffers start small and grow only for hot keys.
+// keys see few values per task (a combiner folds at streamFoldLen), so buffers start small and grow only for hot keys.
 const freeBufCap = 8
 
 // maxRecycledCap bounds the capacity of a buffer the free list will keep.
@@ -73,20 +70,6 @@ func putFreeList[V any](fl [][]V) {
 	poolFor(reflect.TypeFor[[][]V]()).Put(&fl)
 }
 
-// getStaging returns a recycled raw-pair staging buffer for the staged
-// emit path.
-func getStaging[K comparable, V any]() []Pair[K, V] {
-	if v := poolFor(reflect.TypeFor[[]Pair[K, V]]()).Get(); v != nil {
-		return (*(v.(*[]Pair[K, V])))[:0]
-	}
-	return make([]Pair[K, V], 0, 512)
-}
-
-func putStaging[K comparable, V any](s []Pair[K, V]) {
-	s = s[:0]
-	poolFor(reflect.TypeFor[[]Pair[K, V]]()).Put(&s)
-}
-
 // getPartMap hands a worker a recycled (empty) per-partition buffer map.
 func getPartMap[K comparable, V any]() map[K][]V {
 	if v := poolFor(reflect.TypeFor[map[K][]V]()).Get(); v != nil {
@@ -103,8 +86,7 @@ func putPartMap[K comparable, V any](m map[K][]V) {
 	poolFor(reflect.TypeFor[map[K][]V]()).Put(m)
 }
 
-// getTaskMap hands a streaming-combine worker a recycled task-local record
-// map.
+// getTaskMap hands a map worker a recycled task-local record map.
 func getTaskMap[K comparable, V any]() map[K]*kvrec[K, V] {
 	if v := poolFor(reflect.TypeFor[map[K]*kvrec[K, V]]()).Get(); v != nil {
 		return v.(map[K]*kvrec[K, V])

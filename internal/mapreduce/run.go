@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// streamFoldLen is how many values may pile up behind one key of a
-// streaming-combine buffer before the combiner folds them. Folding every
+// streamFoldLen is how many values may pile up behind one key of a task
+// record before the combiner folds them. Folding every
 // emission would call Combine once per pair; folding only at task flush
 // would stage every raw pair again. 64 amortizes the call without letting
 // the buffer grow meaningfully.
@@ -101,11 +101,7 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 				st.free = nil
 				putFreeList(fl)
 			}()
-			if spec.Combine != nil {
-				mp.runStreaming(st, taskCh)
-			} else {
-				mp.runStaged(st, taskCh)
-			}
+			mp.mapTasks(st, taskCh)
 		}()
 	}
 feed:
@@ -125,9 +121,9 @@ feed:
 		return nil, err
 	}
 
-	// Worker-local combine (Phoenix combiner) before the shuffle. The
-	// streaming path already folds during the map call; this pass only
-	// compacts the sub-threshold remainders it left behind.
+	// Worker-local combine (Phoenix combiner) before the shuffle. The map
+	// tasks already fold during the map call; this pass only compacts the
+	// sub-threshold remainders they left behind.
 	if spec.Combine != nil {
 		var cwg sync.WaitGroup
 		for _, st := range states {
@@ -462,11 +458,11 @@ func (mp *mapPhase[K, V, R]) splice(recs *taskRecords[K, V]) {
 	recs.reset()
 }
 
-// runStreaming is the emit path when the spec has a combiner: each task
-// folds into task records during the map call itself, which are discarded
-// on a failed attempt (preserving retry idempotence) and spliced into the
-// worker's buffers on success.
-func (mp *mapPhase[K, V, R]) runStreaming(st *mapWorker[K, V], taskCh <-chan int) {
+// mapTasks runs one worker's share of the map tasks. Each task folds into
+// task records during the map call itself (compacted by the combiner when
+// the spec has one), which are discarded on a failed attempt, preserving
+// retry idempotence, and spliced into the worker's buffers on success.
+func (mp *mapPhase[K, V, R]) mapTasks(st *mapWorker[K, V], taskCh <-chan int) {
 	recs := newTaskRecords(st, mp.spec.Combine)
 	defer recs.release()
 	for idx := range taskCh {
@@ -478,41 +474,5 @@ func (mp *mapPhase[K, V, R]) runStreaming(st *mapWorker[K, V], taskCh <-chan int
 			return
 		}
 		mp.splice(recs)
-	}
-}
-
-// runStaged is the emit path when the spec has no combiner: emissions are
-// staged per attempt in a pooled buffer and folded into the worker's
-// partition buffers only on success, so a retried task cannot leave
-// duplicates behind.
-func (mp *mapPhase[K, V, R]) runStaged(st *mapWorker[K, V], taskCh <-chan int) {
-	staging := getStaging[K, V]()
-	defer func() { putStaging(staging) }()
-	emit := func(k K, v V) {
-		staging = append(staging, Pair[K, V]{Key: k, Value: v})
-	}
-	for idx := range taskCh {
-		if ctxErr(mp.ctx) != nil {
-			return
-		}
-		chunk := mp.chunks[idx]
-		err := mp.try("map", func() error {
-			staging = staging[:0]
-			return mp.spec.Map(chunk, emit)
-		}, nil)
-		if err != nil {
-			mp.fail(err)
-			return
-		}
-		for _, kv := range staging {
-			p := mp.partition(kv.Key)
-			dst := st.parts[p]
-			vs, ok := dst[kv.Key]
-			if !ok {
-				vs = st.getBuf()
-			}
-			dst[kv.Key] = append(vs, kv.Value)
-		}
-		st.emitted += int64(len(staging))
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -547,6 +549,64 @@ func TestRunStreamingCombineRetryIdempotent(t *testing.T) {
 	}
 }
 
+// TestRunMultiTaskRetryIdempotent is the multi-task analogue of the two
+// one-task retry tests above: two workers over several chunks, with and
+// without a combiner, where every task's first attempt fails after
+// emitting. The retried run must count exactly what a sequential run
+// counts: a failed attempt's records never reach the worker's buffers.
+func TestRunMultiTaskRetryIdempotent(t *testing.T) {
+	text := strings.Repeat("alpha beta gamma alpha delta beta alpha\n", 40)
+	want, err := RunSequential(context.Background(), Config{}, wcSpec(), []byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(_ string, values []int) []int {
+		total := 0
+		for _, v := range values {
+			total += v
+		}
+		values[0] = total
+		return values[:1]
+	}
+	for _, tc := range []struct {
+		name    string
+		combine func(string, []int) []int
+	}{{"no-combine", nil}, {"combine", sum}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := wcSpec()
+			spec.Combine = tc.combine
+			var failed sync.Map // first byte of a chunk -> its attempt failed once
+			inner := spec.Map
+			spec.Map = func(chunk []byte, emit func(string, int)) error {
+				if err := inner(chunk, emit); err != nil {
+					return err
+				}
+				if _, again := failed.LoadOrStore(&chunk[0], true); !again {
+					return fmt.Errorf("transient failure after emitting")
+				}
+				return nil
+			}
+			cfg := Config{Workers: 2, ChunkSize: 64, MaxTaskRetries: 1}
+			res, err := Run(context.Background(), cfg, spec, []byte(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.MapTasks < 4 {
+				t.Fatalf("%d map tasks, want several", res.Stats.MapTasks)
+			}
+			if res.Stats.TaskRetries != res.Stats.MapTasks {
+				t.Fatalf("%d retries over %d tasks, want one each", res.Stats.TaskRetries, res.Stats.MapTasks)
+			}
+			if got, wantM := res.Map(), want.Map(); !maps.Equal(got, wantM) {
+				t.Fatalf("counts = %v, want %v (a failed attempt leaked emissions?)", got, wantM)
+			}
+			if res.Stats.PairsEmitted != want.Stats.PairsEmitted {
+				t.Fatalf("PairsEmitted = %d, want %d", res.Stats.PairsEmitted, want.Stats.PairsEmitted)
+			}
+		})
+	}
+}
+
 // TestRunStreamingCombineFoldsLongKeys pushes one key far past the
 // streaming fold threshold so the in-flight folds (emit-side and
 // flush-side) are both exercised.
@@ -575,8 +635,9 @@ func TestRunStreamingCombineFoldsLongKeys(t *testing.T) {
 	}
 }
 
-// TestRunStreamingEqualsStagedProperty: the streaming-combine emit path and
-// the staged path must be observationally identical.
+// TestRunStreamingEqualsStagedProperty: a run whose task records fold
+// through a combiner as they stream in and one whose records stage every
+// value until the task splices them must be observationally identical.
 func TestRunStreamingEqualsStagedProperty(t *testing.T) {
 	prop := func(words []string, workers, chunk uint8) bool {
 		var sb strings.Builder
@@ -590,12 +651,12 @@ func TestRunStreamingEqualsStagedProperty(t *testing.T) {
 		}
 		text := sb.String()
 		cfg := Config{Workers: int(workers)%8 + 1, ChunkSize: int(chunk)%97 + 1}
-		staged, err := Run(context.Background(), cfg, wcSpec(), []byte(text))
+		plain, err := Run(context.Background(), cfg, wcSpec(), []byte(text))
 		if err != nil {
 			return false
 		}
-		streamSpec := wcSpec()
-		streamSpec.Combine = func(_ string, values []int) []int {
+		combSpec := wcSpec()
+		combSpec.Combine = func(_ string, values []int) []int {
 			sum := 0
 			for _, v := range values {
 				sum += v
@@ -603,14 +664,14 @@ func TestRunStreamingEqualsStagedProperty(t *testing.T) {
 			values[0] = sum
 			return values[:1]
 		}
-		streaming, err := Run(context.Background(), cfg, streamSpec, []byte(text))
+		combined, err := Run(context.Background(), cfg, combSpec, []byte(text))
 		if err != nil {
 			return false
 		}
-		if staged.Stats.PairsEmitted != streaming.Stats.PairsEmitted {
+		if plain.Stats.PairsEmitted != combined.Stats.PairsEmitted {
 			return false
 		}
-		sm, tm := staged.Map(), streaming.Map()
+		sm, tm := plain.Map(), combined.Map()
 		if len(sm) != len(tm) {
 			return false
 		}

@@ -21,7 +21,6 @@ package memsim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -34,11 +33,6 @@ type Config struct {
 	UsableFraction float64
 	// SwapBytes is swap space; reservations beyond usable RAM spill here.
 	SwapBytes int64
-	// ThrashCoeff and ThrashExponent shape the slowdown once the footprint
-	// exceeds usable RAM: mult = 1 + coeff*(ratio-1)^exponent. The defaults
-	// reproduce the paper's ~6x at 1.5x overcommit and ~17x at ~1.9x.
-	ThrashCoeff    float64
-	ThrashExponent float64
 	// SwapPasses calibrates the additive swap-I/O model used by the
 	// discrete-event simulator (SwapSeconds): how many times, on average,
 	// each excess byte crosses the backing store over a run. Zero means 10.
@@ -46,14 +40,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table I node memory model: 2 GB RAM, 90%
-// usable, 2 GB swap, quadratic thrash curve.
+// usable, 2 GB swap.
 func DefaultConfig() Config {
 	return Config{
 		CapacityBytes:  2 << 30,
 		UsableFraction: 0.9,
 		SwapBytes:      2 << 30,
-		ThrashCoeff:    20,
-		ThrashExponent: 2,
 	}
 }
 
@@ -68,24 +60,6 @@ func (c Config) Usable() int64 {
 
 // Limit returns the hard reservation limit (usable RAM + swap).
 func (c Config) Limit() int64 { return c.Usable() + c.SwapBytes }
-
-// MultiplierFor returns the thrash multiplier for a given footprint: 1.0
-// while the footprint fits in usable RAM, and a superlinear penalty beyond.
-func (c Config) MultiplierFor(footprint int64) float64 {
-	usable := c.Usable()
-	if usable <= 0 || footprint <= usable {
-		return 1.0
-	}
-	ratio := float64(footprint) / float64(usable)
-	coeff, exp := c.ThrashCoeff, c.ThrashExponent
-	if coeff <= 0 {
-		coeff = 20
-	}
-	if exp <= 0 {
-		exp = 2
-	}
-	return 1 + coeff*math.Pow(ratio-1, exp)
-}
 
 // SwapSeconds models the swap-I/O cost of running with a resident set
 // larger than usable RAM against a backing store of the given bandwidth.
@@ -167,6 +141,8 @@ func (a *Accountant) Release(n int64) {
 }
 
 // Footprint returns the live reservation in bytes.
+//
+//mcsdlint:allow deadexport -- seam: the mapreduce and partition memory-budget tests read the live footprint
 func (a *Accountant) Footprint() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -174,15 +150,12 @@ func (a *Accountant) Footprint() int64 {
 }
 
 // Peak returns the high-water mark of the reservation.
+//
+//mcsdlint:allow deadexport -- seam: the mapreduce, partition and workloads memory-budget tests assert the high-water mark
 func (a *Accountant) Peak() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.peak
-}
-
-// Multiplier returns the thrash multiplier at the current footprint.
-func (a *Accountant) Multiplier() float64 {
-	return a.cfg.MultiplierFor(a.Footprint())
 }
 
 // Reset clears usage and the peak.
@@ -213,6 +186,3 @@ func (a *Accountant) ReserveHandle(n int64) (*Reservation, error) {
 func (r *Reservation) Release() {
 	r.once.Do(func() { r.a.Release(r.n) })
 }
-
-// Bytes returns the size of the reservation.
-func (r *Reservation) Bytes() int64 { return r.n }

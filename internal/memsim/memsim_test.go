@@ -26,42 +26,6 @@ func TestConfigUsableFractionFallback(t *testing.T) {
 	}
 }
 
-func TestMultiplierInsideRAMIsOne(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, fp := range []int64{0, 1 << 20, cfg.Usable()} {
-		if m := cfg.MultiplierFor(fp); m != 1.0 {
-			t.Fatalf("MultiplierFor(%d) = %v, want 1.0", fp, m)
-		}
-	}
-}
-
-func TestMultiplierMatchesPaperBlowups(t *testing.T) {
-	cfg := DefaultConfig()
-	usable := float64(cfg.Usable())
-	// Paper: ~6x once the footprint is ~1.5x RAM, ~17x near ~1.9x (the
-	// non-partitioned WC runs of Fig. 9 at 1 GB / 1.25 GB inputs with a 3x
-	// memory footprint).
-	at := func(ratio float64) float64 { return cfg.MultiplierFor(int64(usable * ratio)) }
-	if m := at(1.5); m < 4 || m > 8 {
-		t.Fatalf("multiplier at 1.5x = %.2f, want ~6", m)
-	}
-	if m := at(1.9); m < 12 || m > 22 {
-		t.Fatalf("multiplier at 1.9x = %.2f, want ~17", m)
-	}
-}
-
-func TestMultiplierMonotonic(t *testing.T) {
-	cfg := DefaultConfig()
-	prev := 0.0
-	for fp := int64(0); fp < cfg.Limit(); fp += cfg.Limit() / 50 {
-		m := cfg.MultiplierFor(fp)
-		if m < prev {
-			t.Fatalf("multiplier decreased at footprint %d: %v < %v", fp, m, prev)
-		}
-		prev = m
-	}
-}
-
 func TestSwapSecondsZeroInsideRAM(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, resident := range []int64{0, 1 << 20, cfg.Usable()} {
@@ -172,8 +136,8 @@ func TestPhoenixMemoryWall(t *testing.T) {
 	if err := a.Reserve(3 * gb); err != nil {
 		t.Fatalf("3 GB footprint should fit in RAM+swap: %v", err)
 	}
-	if m := a.Multiplier(); m <= 1.0 {
-		t.Fatalf("3 GB footprint on 2 GB node should thrash, multiplier = %v", m)
+	if s := a.cfg.SwapSeconds(a.Footprint(), 90e6); s <= 0 {
+		t.Fatalf("3 GB footprint on 2 GB node should thrash, swap time = %vs", s)
 	}
 	a.Release(3 * gb)
 	if err := a.Reserve(4*gb + gb/2); !errors.Is(err, ErrOutOfMemory) {
@@ -187,8 +151,8 @@ func TestReservationHandleIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Bytes() != 400 {
-		t.Fatalf("Bytes = %d, want 400", r.Bytes())
+	if a.Footprint() != 400 {
+		t.Fatalf("footprint = %d, want 400", a.Footprint())
 	}
 	r.Release()
 	r.Release()

@@ -6,8 +6,6 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +66,8 @@ func (g *Gauge) Value() int64 {
 
 // Peak returns the highest value the gauge has held since creation or the
 // last Reset.
+//
+//mcsdlint:allow deadexport -- seam: the nfs pipeline and push tests assert a gauge high-water mark
 func (g *Gauge) Peak() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -82,34 +82,23 @@ func (g *Gauge) Reset() {
 }
 
 // Timer accumulates durations of repeated events and exposes count, total,
-// mean, min and max.
+// mean and max.
 type Timer struct {
 	mu    sync.Mutex
 	n     int64
 	total time.Duration
-	min   time.Duration
 	max   time.Duration
 }
 
 // Observe records one event duration.
 func (t *Timer) Observe(d time.Duration) {
 	t.mu.Lock()
-	if t.n == 0 || d < t.min {
-		t.min = d
-	}
 	if d > t.max {
 		t.max = d
 	}
 	t.n++
 	t.total += d
 	t.mu.Unlock()
-}
-
-// Time runs f and records its duration.
-func (t *Timer) Time(f func()) {
-	start := time.Now()
-	f()
-	t.Observe(time.Since(start))
 }
 
 // Count returns the number of observations.
@@ -134,13 +123,6 @@ func (t *Timer) Mean() time.Duration {
 		return 0
 	}
 	return t.total / time.Duration(t.n)
-}
-
-// Min returns the shortest observation, or zero with no observations.
-func (t *Timer) Min() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.min
 }
 
 // Max returns the longest observation.
@@ -217,22 +199,4 @@ func (r *Registry) Values() map[string]int64 {
 		out[name] = g.Value()
 	}
 	return out
-}
-
-// Snapshot returns a sorted, human-readable dump of every metric.
-func (r *Registry) Snapshot() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %-30s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge   %-30s %d (peak %d)", name, g.Value(), g.Peak()))
-	}
-	for name, t := range r.timers {
-		lines = append(lines, fmt.Sprintf("timer   %-30s n=%d total=%v mean=%v", name, t.Count(), t.Total(), t.Mean()))
-	}
-	sort.Strings(lines)
-	return lines
 }

@@ -103,26 +103,15 @@ func TestTimerStats(t *testing.T) {
 	if tm.Mean() != 20*time.Millisecond {
 		t.Fatalf("mean = %v, want 20ms", tm.Mean())
 	}
-	if tm.Min() != 10*time.Millisecond || tm.Max() != 30*time.Millisecond {
-		t.Fatalf("min/max = %v/%v, want 10ms/30ms", tm.Min(), tm.Max())
+	if tm.Max() != 30*time.Millisecond {
+		t.Fatalf("max = %v, want 30ms", tm.Max())
 	}
 }
 
 func TestTimerEmpty(t *testing.T) {
 	var tm Timer
-	if tm.Mean() != 0 || tm.Min() != 0 || tm.Max() != 0 {
+	if tm.Mean() != 0 || tm.Max() != 0 {
 		t.Fatal("empty timer should report zeros")
-	}
-}
-
-func TestTimerTime(t *testing.T) {
-	var tm Timer
-	tm.Time(func() { time.Sleep(time.Millisecond) })
-	if tm.Count() != 1 {
-		t.Fatalf("count = %d, want 1", tm.Count())
-	}
-	if tm.Total() < time.Millisecond {
-		t.Fatalf("total = %v, want >= 1ms", tm.Total())
 	}
 }
 
@@ -145,22 +134,6 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	tm.Observe(time.Second)
 	if r.Timer("t").Count() != 1 {
 		t.Fatal("timer lookup not stable")
-	}
-}
-
-func TestRegistrySnapshotSortedAndComplete(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zz").Inc()
-	r.Counter("aa").Inc()
-	r.Gauge("mid").Set(5)
-	lines := r.Snapshot()
-	if len(lines) != 3 {
-		t.Fatalf("snapshot has %d lines, want 3", len(lines))
-	}
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			t.Fatalf("snapshot not sorted: %q > %q", lines[i-1], lines[i])
-		}
 	}
 }
 
@@ -193,8 +166,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "2.66") {
 		t.Fatalf("float not rendered with 2 decimals:\n%s", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(tb.rows))
 	}
 }
 

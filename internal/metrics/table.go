@@ -37,9 +37,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports how many rows have been added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteTo renders the table. It satisfies io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.headers))

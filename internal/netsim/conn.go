@@ -44,27 +44,6 @@ func (t *throttledConn) Write(p []byte) (int, error) {
 	return t.Conn.Write(p)
 }
 
-// Listener wraps a net.Listener so every accepted connection is throttled by
-// the shared limiters, with waits bounded by ctx as in Throttle.
-func Listener(ctx context.Context, l net.Listener, read, write *Limiter) net.Listener {
-	return &throttledListener{Listener: l, ctx: ctx, read: read, write: write}
-}
-
-type throttledListener struct {
-	net.Listener
-	ctx   context.Context
-	read  *Limiter
-	write *Limiter
-}
-
-func (l *throttledListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Throttle(l.ctx, c, l.read, l.write), nil
-}
-
 // Delay wraps a conn so every Write is delivered to the underlying conn
 // one-way latency later, asynchronously: the writer returns immediately
 // and a pump goroutine releases each buffered write at its due time. That

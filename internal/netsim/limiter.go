@@ -104,19 +104,3 @@ func (l *Limiter) WaitN(ctx context.Context, n int) error {
 // minSleep is the smallest deficit WaitN sleeps off; a smaller one stays
 // on the bucket for the next caller to pay.
 const minSleep = 50 * time.Microsecond
-
-// AllowN reports whether n tokens are immediately available, consuming them
-// if so. It never blocks.
-func (l *Limiter) AllowN(n int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advance()
-	if l.tokens >= float64(n) {
-		l.tokens -= float64(n)
-		return true
-	}
-	return false
-}
-
-// Rate returns the configured rate in bytes per second.
-func (l *Limiter) Rate() float64 { return l.rate }

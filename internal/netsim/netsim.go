@@ -56,16 +56,6 @@ var (
 	}
 )
 
-// TransferTime returns the analytic time to move n payload bytes across an
-// otherwise idle link.
-func (p Profile) TransferTime(n int64) time.Duration {
-	if n < 0 {
-		n = 0
-	}
-	bytes := float64(n + int64(p.PerMessageOverhead))
-	return p.Latency + time.Duration(bytes/p.BandwidthBps*float64(time.Second))
-}
-
 // TransferTimeLoaded returns the transfer time when a fraction load of the
 // link bandwidth is consumed by background traffic (0 <= load < 1).
 func (p Profile) TransferTimeLoaded(n int64, load float64) time.Duration {

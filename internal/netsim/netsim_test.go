@@ -13,7 +13,7 @@ func TestTransferTimeMonotonicInSize(t *testing.T) {
 	p := ProfileGigabitEthernet
 	prev := time.Duration(0)
 	for _, n := range []int64{0, 1, 1 << 10, 1 << 20, 1 << 30} {
-		d := p.TransferTime(n)
+		d := p.TransferTimeLoaded(n, 0)
 		if d <= prev && n > 0 {
 			t.Fatalf("TransferTime(%d) = %v, not greater than previous %v", n, d, prev)
 		}
@@ -23,14 +23,14 @@ func TestTransferTimeMonotonicInSize(t *testing.T) {
 
 func TestTransferTimeNegativeClamped(t *testing.T) {
 	p := ProfileGigabitEthernet
-	if got, want := p.TransferTime(-5), p.TransferTime(0); got != want {
+	if got, want := p.TransferTimeLoaded(-5, 0), p.TransferTimeLoaded(0, 0); got != want {
 		t.Fatalf("TransferTime(-5) = %v, want %v", got, want)
 	}
 }
 
 func TestTransferTimeGigabitScale(t *testing.T) {
 	// 1 GiB over ~109 MB/s should take roughly 9.9 s (+latency).
-	d := ProfileGigabitEthernet.TransferTime(1 << 30)
+	d := ProfileGigabitEthernet.TransferTimeLoaded(1<<30, 0)
 	if d < 9*time.Second || d > 11*time.Second {
 		t.Fatalf("1 GiB over 1GbE = %v, want ~10s", d)
 	}
@@ -61,9 +61,9 @@ func TestTransferTimeLoadClamped(t *testing.T) {
 
 func TestProfileOrdering(t *testing.T) {
 	n := int64(100 << 20)
-	ib := ProfileInfiniBand.TransferTime(n)
-	ge := ProfileGigabitEthernet.TransferTime(n)
-	fe := ProfileFastEthernet.TransferTime(n)
+	ib := ProfileInfiniBand.TransferTimeLoaded(n, 0)
+	ge := ProfileGigabitEthernet.TransferTimeLoaded(n, 0)
+	fe := ProfileFastEthernet.TransferTimeLoaded(n, 0)
 	if !(ib < ge && ge < fe) {
 		t.Fatalf("profile ordering wrong: IB=%v 1GbE=%v 100MbE=%v", ib, ge, fe)
 	}
@@ -259,46 +259,4 @@ func TestNewLinkPanicsOnZeroBandwidth(t *testing.T) {
 		}
 	}()
 	NewLink(Profile{Name: "broken", BandwidthBps: 0})
-}
-
-func TestSMBLoadClamping(t *testing.T) {
-	if s := NewSMB(-0.5); s.Load != 0 {
-		t.Fatalf("negative load = %v, want 0", s.Load)
-	}
-	if s := NewSMB(2.0); s.Load != 0.95 {
-		t.Fatalf("over-unity load = %v, want 0.95", s.Load)
-	}
-}
-
-func TestSMBInjectsTraffic(t *testing.T) {
-	link := NewLink(Profile{Name: "test", BandwidthBps: 10e6, Latency: 0})
-	smb := NewSMB(0.5)
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	err := smb.Run(ctx, link)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("Run returned %v, want context.DeadlineExceeded", err)
-	}
-	sent := smb.BytesSent()
-	if sent == 0 {
-		t.Fatal("SMB injected no traffic")
-	}
-	// At 50% of 10 MB/s for ~0.15 s in each direction, expect on the order
-	// of 1.5 MB; allow generous slack but catch runaway injection.
-	if sent > 4<<20 {
-		t.Fatalf("SMB injected %d bytes in 150ms, exceeds configured load", sent)
-	}
-}
-
-func TestSMBZeroLoadIdles(t *testing.T) {
-	link := NewLink(ProfileGigabitEthernet)
-	smb := NewSMB(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := smb.Run(ctx, link); err != context.DeadlineExceeded {
-		t.Fatalf("Run returned %v, want context.DeadlineExceeded", err)
-	}
-	if smb.BytesSent() != 0 {
-		t.Fatal("zero-load SMB sent bytes")
-	}
 }

@@ -135,76 +135,31 @@ func DialThrottled(ctx context.Context, addr string, timeout time.Duration, link
 }
 
 // NewClient wraps an established connection (possibly already throttled).
-// Without a redial function (see SetRedial) a dropped connection is
-// permanent: every later call fails with ErrDisconnected.
+// Without a redial function (Dial and DialThrottled install one) a dropped
+// connection is permanent: every later call fails with ErrDisconnected.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
+	r := metrics.NewRegistry()
+	return &Client{
 		conn:        conn,
 		pending:     make(map[uint64]chan outcome),
 		window:      make(chan struct{}, DefaultWindow),
 		backoffInit: defaultRedialInitial,
 		backoffMax:  defaultRedialMax,
-	}
-	c.setMetricsLocked(metrics.NewRegistry())
-	return c
-}
-
-// SetMetrics points the client's counters (inflight depth, pipeline
-// stalls, wire bytes, replays) at a shared registry. Must be called before
-// the first operation on the client.
-func (c *Client) SetMetrics(r *metrics.Registry) {
-	c.mu.Lock()
-	c.setMetricsLocked(r)
-	c.mu.Unlock()
-}
-
-func (c *Client) setMetricsLocked(r *metrics.Registry) {
-	c.reg = r
-	c.met = clientCounters{
-		inflight:     r.Gauge(metrics.NFSClientInflight),
-		stalls:       r.Counter(metrics.NFSClientPipelineStalls),
-		bytesSent:    r.Counter(metrics.NFSClientBytesSent),
-		bytesRecv:    r.Counter(metrics.NFSClientBytesRecv),
-		replays:      r.Counter(metrics.NFSClientReplays),
-		watchEvents:  r.Counter(metrics.NFSWatchEvents),
-		watchDropped: r.Counter(metrics.NFSWatchDropped),
+		reg:         r,
+		met: clientCounters{
+			inflight:     r.Gauge(metrics.NFSClientInflight),
+			stalls:       r.Counter(metrics.NFSClientPipelineStalls),
+			bytesSent:    r.Counter(metrics.NFSClientBytesSent),
+			bytesRecv:    r.Counter(metrics.NFSClientBytesRecv),
+			replays:      r.Counter(metrics.NFSClientReplays),
+			watchEvents:  r.Counter(metrics.NFSWatchEvents),
+			watchDropped: r.Counter(metrics.NFSWatchDropped),
+		},
 	}
 }
 
 // Metrics returns the registry the client reports into.
-func (c *Client) Metrics() *metrics.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reg
-}
-
-// SetRedial installs (or replaces) the function used to re-establish a
-// dropped connection.
-func (c *Client) SetRedial(fn func() (net.Conn, error)) {
-	c.mu.Lock()
-	c.redial = fn
-	c.mu.Unlock()
-}
-
-// SetRedialBackoff overrides the reconnect backoff window (initial delay
-// after a failed redial, doubling up to max). Zero values keep defaults.
-func (c *Client) SetRedialBackoff(initial, max time.Duration) {
-	c.mu.Lock()
-	if initial > 0 {
-		c.backoffInit = initial
-	}
-	if max > 0 {
-		c.backoffMax = max
-	}
-	c.mu.Unlock()
-}
-
-// Reconnects reports how many times the client has successfully redialed.
-func (c *Client) Reconnects() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
-}
+func (c *Client) Metrics() *metrics.Registry { return c.reg }
 
 // Close tears down the connection, fails every in-flight request and
 // disables redialing.

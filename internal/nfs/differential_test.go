@@ -211,7 +211,7 @@ func runFamBatch(t *testing.T, calls []famBatchCall, push bool) (map[string]stri
 			}
 		}
 	})
-	if kept, err := reg.CompactLog("echo"); err != nil || kept < pending || second == nil {
+	if kept, _, err := reg.CompactLog("echo"); err != nil || kept < pending || second == nil {
 		t.Fatalf("CompactLog(echo) = (%d, %v), want every one of %d requests that landed during it kept", kept, err, pending)
 	}
 	open()

@@ -30,6 +30,8 @@ type Result[K comparable, R any] struct {
 }
 
 // Map returns the merged results as a map.
+//
+//mcsdlint:allow deadexport -- seam: the partition and workloads tests compare runs as maps
 func (r *Result[K, R]) Map() map[K]R {
 	m := make(map[K]R, len(r.Pairs))
 	for _, p := range r.Pairs {

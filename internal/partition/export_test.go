@@ -7,3 +7,7 @@ func SetRecyclePoison(fn func(buf []byte)) (restore func()) {
 	testRecyclePoison = fn
 	return func() { testRecyclePoison = nil }
 }
+
+// ConcatMerge appends per-fragment slices — the string-match merger, where
+// each fragment contributes the matching lines it found.
+func ConcatMerge[E any](acc, next []E) []E { return append(acc, next...) }

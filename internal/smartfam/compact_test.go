@@ -49,7 +49,7 @@ func TestCompactLogDropsAnsweredPairs(t *testing.T) {
 		}
 	}
 
-	kept, err := reg.CompactLog("echo")
+	kept, _, err := reg.CompactLog("echo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestCompactLogEmptyAndUnknown(t *testing.T) {
 	if err := reg.Register(echoModule()); err != nil {
 		t.Fatal(err)
 	}
-	kept, err := reg.CompactLog("echo")
+	kept, _, err := reg.CompactLog("echo")
 	if err != nil || kept != 0 {
 		t.Fatalf("empty log compaction = (%d, %v)", kept, err)
 	}
-	if _, err := reg.CompactLog("ghost"); !errors.Is(err, ErrUnknownModule) {
+	if _, _, err := reg.CompactLog("ghost"); !errors.Is(err, ErrUnknownModule) {
 		t.Fatalf("unknown module err = %v", err)
 	}
 }
@@ -95,8 +95,58 @@ func TestCompactAll(t *testing.T) {
 		}
 	}
 	n, err := reg.CompactAll()
-	if err != nil || n != 2 {
-		t.Fatalf("CompactAll = (%d, %v), want 2 logs", n, err)
+	if err != nil || n != 0 {
+		t.Fatalf("CompactAll over two empty logs = (%d, %v), want 0 replaced", n, err)
+	}
+	appendRecords(t, fsys, LogName("m1"),
+		Record{Kind: KindRequest, ID: "a", Payload: []byte("p")},
+		Record{Kind: KindResponse, ID: "a", Status: StatusOK, Payload: []byte("p")})
+	n, err = reg.CompactAll()
+	if err != nil || n != 1 {
+		t.Fatalf("CompactAll with one answered pair = (%d, %v), want 1 replaced", n, err)
+	}
+}
+
+// TestCompactAllKeepsPendingOnlyLog pins that a log with nothing to drop
+// is not replaced: it keeps its identity, so no reader rewinds and no host
+// router re-appends its pending requests.
+func TestCompactAllKeepsPendingOnlyLog(t *testing.T) {
+	fsys := DirFS(t.TempDir())
+	reg := NewRegistry(fsys)
+	if err := reg.Register(echoModule()); err != nil {
+		t.Fatal(err)
+	}
+	log := LogName("echo")
+	appendRecords(t, fsys, log,
+		Record{Kind: KindRequest, ID: "p1", Payload: []byte("x")},
+		Record{Kind: KindRequest, ID: "p2", Payload: []byte("y")})
+	size, _, id, err := fsys.(GenStat).StatGen(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := reg.CompactAll()
+	if err != nil || n != 0 {
+		t.Fatalf("CompactAll over pending requests = (%d, %v), want 0 replaced", n, err)
+	}
+	size2, _, id2, err := fsys.(GenStat).StatGen(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id2 != id || size2 != size {
+		t.Fatalf("pending-only log went from (size %d, id %d) to (size %d, id %d); want it untouched", size, id, size2, id2)
+	}
+}
+
+func appendRecords(t *testing.T, fsys FS, log string, recs ...Record) {
+	t.Helper()
+	for _, r := range recs {
+		line, err := r.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fsys.Append(log, line); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -126,7 +176,7 @@ func TestDaemonSurvivesCompaction(t *testing.T) {
 		t.Fatal("log empty after an invocation")
 	}
 
-	if _, err := reg.CompactLog("echo"); err != nil {
+	if _, _, err := reg.CompactLog("echo"); err != nil {
 		t.Fatal(err)
 	}
 	size2, _, err := fsys.Stat(LogName("echo"))
@@ -196,7 +246,7 @@ func TestCompactionRegrowPastStaleOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if _, err := reg.CompactLog("echo"); err != nil {
+			if _, _, err := reg.CompactLog("echo"); err != nil {
 				t.Fatal(err)
 			}
 
@@ -274,7 +324,7 @@ func TestCompactionPreservesPendingInvocation(t *testing.T) {
 	if err := fsys.Append(LogName("echo"), line); err != nil {
 		t.Fatal(err)
 	}
-	if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
+	if kept, _, err := reg.CompactLog("echo"); err != nil || kept != 1 {
 		t.Fatalf("compaction = (%d, %v), want pending kept", kept, err)
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"mcsd/internal/metrics"
 	"mcsd/internal/sched"
-	"mcsd/internal/trace"
 )
 
 // Daemon is the SD-node side of smartFAM (Fig. 5, steps 2-4 of parameter
@@ -37,7 +36,6 @@ type Daemon struct {
 	statusInterval time.Duration
 	workers        int
 	metrics        *metrics.Registry
-	tracer         *trace.Tracer
 	sched          *sched.Scheduler
 	estimate       sched.Estimator
 
@@ -94,22 +92,17 @@ func WithMetrics(m *metrics.Registry) DaemonOption {
 	return func(dm *Daemon) { dm.metrics = m }
 }
 
-// WithTracer records spans for the daemon's recovery pass and replayed
-// requests, and — on the scheduler NewDaemon builds — each job's queued
-// and running phases, renderable with trace.Render.
-func WithTracer(tr *trace.Tracer) DaemonOption {
-	return func(dm *Daemon) { dm.tracer = tr }
-}
-
 // WithHeartbeat sets the liveness-stamp refresh interval; a negative value
 // disables the heartbeat entirely.
+//
+//mcsdlint:allow deadexport -- seam: the root chaos, fleet-notify and nfs differential tests switch the heartbeat off
 func WithHeartbeat(d time.Duration) DaemonOption {
 	return func(dm *Daemon) { dm.heartbeat = d }
 }
 
 // WithScheduler replaces the scheduler NewDaemon would build (WithWorkers
 // workers, the default queue depth, no memory budget, the daemon's
-// metrics and tracer) — how a node sets its queue depth and memory
+// metrics) — how a node sets its queue depth and memory
 // budget. The daemon drives the scheduler's Run loop and publishes its
 // queue status on the share (QueueStatusName) for mcsdctl's queue verb.
 // The scheduler's executor decides how a job runs; build it over this
@@ -134,6 +127,8 @@ func WithJournal(path string) DaemonOption {
 
 // WithStatusInterval overrides how often the queue/journal status snapshot
 // is republished on the share.
+//
+//mcsdlint:allow deadexport -- seam: the root chaos tests and the mcsdctl tests set the status period
 func WithStatusInterval(d time.Duration) DaemonOption {
 	return func(dm *Daemon) {
 		if d > 0 {
@@ -162,7 +157,7 @@ func NewDaemon(fsys FS, reg *Registry, opts ...DaemonOption) *Daemon {
 		o(d)
 	}
 	if d.sched == nil {
-		d.sched = sched.New(sched.Config{Workers: d.workers, Metrics: d.metrics, Tracer: d.tracer}, d.execute)
+		d.sched = sched.New(sched.Config{Workers: d.workers, Metrics: d.metrics}, d.execute)
 	}
 	if d.journalPath != "" {
 		j, state, err := OpenJournal(d.journalPath)
@@ -330,8 +325,6 @@ func (d *Daemon) recoverPass(ctx context.Context) {
 	if len(state.Completed) == 0 && len(state.Intents) == 0 {
 		return
 	}
-	span := d.tracer.Start(trace.SpanRecovery)
-	defer span.Finish()
 	idx := d.scanShare(ctx)
 
 	for id, c := range state.Completed {
@@ -344,11 +337,9 @@ func (d *Daemon) recoverPass(ctx context.Context) {
 			_ = d.journal.Resp(id)
 			continue
 		}
-		child := span.Child(trace.SpanReplayRespPrefix + id)
 		if d.respond(ctx, c.Module, id, c.Status, c.Payload) {
 			_ = d.journal.Resp(id)
 		}
-		child.Finish()
 		d.metrics.Counter(metrics.DaemonRecovered).Inc()
 	}
 
@@ -367,11 +358,9 @@ func (d *Daemon) recoverPass(ctx context.Context) {
 		if module == "" {
 			module = idx.reqModule[id]
 		}
-		child := span.Child(trace.SpanRerunIntentPrefix + id)
 		if h := d.submit(ctx, module, req); h != nil {
 			d.await(ctx, module, id, h)
 		}
-		child.Finish()
 		d.metrics.Counter(metrics.DaemonRecovered).Inc()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mcsd/internal/metrics"
-	"mcsd/internal/trace"
 )
 
 // This file is the SD-node half of the fam v2 push-mode front door:
@@ -49,8 +48,7 @@ func WithResponseBatching(int, time.Duration) DaemonOption {
 // runs at the poll interval while no stream is live and at the sweep
 // period, max(50 × interval, 20 ms), while one is, so a push-mode node
 // does not wake every poll interval to idle. Push mode is reported on the
-// smartfam.fam.push_active gauge (one trace span covers each stream
-// attachment); every fallback transition counts under
+// smartfam.fam.push_active gauge; every fallback transition counts under
 // smartfam.fam.degraded.
 func (d *Daemon) serve(ctx context.Context, dispatch func(logName string)) {
 	sweepEvery := max(50*d.interval, 20*time.Millisecond)
@@ -58,10 +56,7 @@ func (d *Daemon) serve(ctx context.Context, dispatch func(logName string)) {
 	defer tick.Stop()
 
 	wfs, _ := d.fs.(WatchFS)
-	var (
-		st   WatchStream
-		span *trace.Span
-	)
+	var st WatchStream
 	arm := func() {
 		if wfs == nil || st != nil {
 			return
@@ -74,14 +69,11 @@ func (d *Daemon) serve(ctx context.Context, dispatch func(logName string)) {
 			return
 		}
 		st = s
-		span = d.tracer.Start(trace.SpanFamPush)
 		d.metrics.Gauge(metrics.FamPushActive).Set(1)
 		tick.Reset(sweepEvery)
 	}
 	degrade := func() {
 		st = nil
-		span.Finish()
-		span = nil
 		d.metrics.Gauge(metrics.FamPushActive).Set(0)
 		d.metrics.Counter(metrics.FamDegraded).Inc()
 		tick.Reset(d.interval)
@@ -95,7 +87,6 @@ func (d *Daemon) serve(ctx context.Context, dispatch func(logName string)) {
 	defer func() {
 		if st != nil {
 			st.Close()
-			span.Finish()
 			d.metrics.Gauge(metrics.FamPushActive).Set(0)
 		}
 	}()

@@ -30,3 +30,19 @@ func HoldNextBatch(t *testing.T, n int) {
 	testYield.Store(&hold)
 	t.Cleanup(func() { testYield.Store(nil) })
 }
+
+// Modules lists the modules available on the SD node, discovered from the
+// log files present on the share.
+func (c *Client) Modules() ([]string, error) {
+	names, err := c.fs.List()
+	if err != nil {
+		return nil, err
+	}
+	var mods []string
+	for _, n := range names {
+		if m, ok := ModuleFromLog(n); ok {
+			mods = append(mods, m)
+		}
+	}
+	return mods, nil
+}

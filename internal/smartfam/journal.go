@@ -185,14 +185,6 @@ func OpenJournalFS(fsys FS, name string) (*Journal, *JournalState, error) {
 	return &Journal{fsys: fsys, name: name}, state, nil
 }
 
-// Path returns the journal's file name within its FS.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.name
-}
-
 // Intent records that the daemon is about to dispatch a request. offset is
 // the byte position of the request record in its module log (diagnostic:
 // recovery locates requests by ID, surviving compaction).

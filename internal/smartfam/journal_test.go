@@ -392,7 +392,7 @@ func TestDaemonRestartTreatsShedAsBackpressure(t *testing.T) {
 	}
 
 	// Compaction drops the shed pair and the answered resubmit alike.
-	if kept, err := reg.CompactLog("pair"); err != nil || kept != 0 {
+	if kept, _, err := reg.CompactLog("pair"); err != nil || kept != 0 {
 		t.Fatalf("compaction = (%d, %v), want nothing pending", kept, err)
 	}
 }

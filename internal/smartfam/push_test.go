@@ -517,7 +517,7 @@ func TestRouterCompactionMidStream(t *testing.T) {
 			one := "one-" + strings.Repeat("x", 200)
 			w1 := invokeAsync(ctx, c, "echo", "w1", one)
 			waitRequest(t, hub.FS, "echo", "w1")
-			if kept, err := reg.CompactLog("echo"); err != nil || kept != 1 {
+			if kept, _, err := reg.CompactLog("echo"); err != nil || kept != 1 {
 				t.Fatalf("CompactLog = (%d, %v), want the one pending request kept", kept, err)
 			}
 			// The kept request and the rewind's copy, then the answer.
@@ -529,7 +529,7 @@ func TestRouterCompactionMidStream(t *testing.T) {
 
 			// Idle router: the compaction's bare Create finds no waiter to
 			// scan for.
-			if kept, err := reg.CompactLog("echo"); err != nil || kept != 0 {
+			if kept, _, err := reg.CompactLog("echo"); err != nil || kept != 0 {
 				t.Fatalf("CompactLog = (%d, %v), want nothing kept", kept, err)
 			}
 			time.Sleep(10 * time.Millisecond)

@@ -191,7 +191,7 @@ func TestDaemonIdleSweepShareOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, before, _ := fsys.(GenStat).StatGen(LogName("m0"))
-		if _, err := reg.CompactLog("m0"); err != nil {
+		if _, _, err := reg.CompactLog("m0"); err != nil {
 			t.Fatal(err)
 		}
 		size, _, after, err := fsys.(GenStat).StatGen(LogName("m0"))

@@ -15,14 +15,4 @@ const (
 	SpanSchedPrefix = "sched " // + module and job ID
 	SpanQueued      = "queued"
 	SpanRunning     = "running"
-
-	// Push-mode invocation front door (smartFAM v2): one span per live
-	// notify-stream attachment; the span closes when the stream is lost and
-	// the daemon drops back to degraded polling.
-	SpanFamPush = "fam/push"
-
-	// Daemon crash recovery.
-	SpanRecovery          = "smartfam.recovery"
-	SpanReplayRespPrefix  = "replay-response " // + request ID
-	SpanRerunIntentPrefix = "rerun-intent "    // + request ID
 )

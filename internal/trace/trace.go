@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -36,9 +35,6 @@ type Tracer struct {
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{clock: time.Now} }
-
-// NewWithClock returns a tracer using a custom clock (deterministic tests).
-func NewWithClock(clock func() time.Time) *Tracer { return &Tracer{clock: clock} }
 
 // Start opens a root span. Safe on a nil tracer (returns nil).
 func (t *Tracer) Start(name string) *Span {
@@ -197,9 +193,4 @@ func Render(w io.Writer, spans []*Span, width int) error {
 type renderRow struct {
 	span  *Span
 	depth int
-}
-
-// SortByStart orders spans by start time (helper for merged views).
-func SortByStart(spans []*Span) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 }

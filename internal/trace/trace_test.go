@@ -36,7 +36,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	tr := NewWithClock(fakeClock(time.Second))
+	tr := newWithClock(fakeClock(time.Second))
 	s := tr.Start("job") // t=1
 	c := s.Child("half") // t=2
 	c.Finish()           // t=3
@@ -58,7 +58,7 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestRenderGantt(t *testing.T) {
-	tr := NewWithClock(fakeClock(time.Second))
+	tr := newWithClock(fakeClock(time.Second))
 	job := tr.Start("job")       // 1
 	off := job.Child("offload")  // 2
 	local := job.Child("matmul") // 3
@@ -99,7 +99,7 @@ func TestRenderEmptyAndOpenSpans(t *testing.T) {
 	if !strings.Contains(b.String(), "no spans") {
 		t.Fatal("empty render should say so")
 	}
-	tr := NewWithClock(fakeClock(time.Second))
+	tr := newWithClock(fakeClock(time.Second))
 	s := tr.Start("open") // never finished
 	b.Reset()
 	if err := Render(&b, tr.Roots(), 40); err != nil {
@@ -130,14 +130,4 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 }
 
-func TestSortByStart(t *testing.T) {
-	clock := fakeClock(time.Second)
-	tr := NewWithClock(clock)
-	a := tr.Start("a")
-	b := tr.Start("b")
-	spans := []*Span{b, a}
-	SortByStart(spans)
-	if spans[0] != a {
-		t.Fatal("not sorted by start")
-	}
-}
+func newWithClock(clock func() time.Time) *Tracer { return &Tracer{clock: clock} }

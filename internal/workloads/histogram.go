@@ -32,6 +32,8 @@ type HistKey struct {
 // GenerateBitmap produces size bytes of RGB pixel data (size is rounded
 // down to a multiple of 3), deterministically for a seed. Channel
 // distributions differ so tests can tell them apart.
+//
+//mcsdlint:allow deadexport -- Phoenix histogram input: the engine benchmarks (bench_test) and one-task tests run every workload on it
 func GenerateBitmap(size int64, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	n := int(size / 3 * 3)
@@ -46,6 +48,8 @@ func GenerateBitmap(size int64, seed int64) []byte {
 
 // HistogramSpec counts pixel values per channel. Chunks are aligned to
 // whole pixels by the splitter.
+//
+//mcsdlint:allow deadexport -- Phoenix histogram workload: the engine benchmarks (bench_test) and one-task tests run every workload
 func HistogramSpec() mapreduce.Spec[HistKey, int, int] {
 	sum := func(vs []int) int {
 		s := 0
@@ -113,6 +117,8 @@ func pixelSplitter(data []byte, chunkSize int) [][]byte {
 }
 
 // HistogramSeq is the sequential baseline.
+//
+//mcsdlint:allow deadexport -- reference implementation the histogram engine tests compare against
 func HistogramSeq(data []byte) map[HistKey]int {
 	out := make(map[HistKey]int)
 	usable := len(data) - len(data)%3
@@ -123,6 +129,3 @@ func HistogramSeq(data []byte) map[HistKey]int {
 	}
 	return out
 }
-
-// HistogramMerge folds per-fragment bucket counts.
-func HistogramMerge(acc, next int) int { return acc + next }

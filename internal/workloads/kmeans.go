@@ -162,6 +162,8 @@ type KMeansResult struct {
 // KMeans runs Lloyd's algorithm as iterated MapReduce over the encoded
 // points: up to maxRounds rounds, stopping when no centroid moves more
 // than tol (Euclidean).
+//
+//mcsdlint:allow deadexport -- in-memory reference the partitioned k-means, recycle and engine tests compare against
 func KMeans(ctx context.Context, cfg mapreduce.Config, encoded []byte, dim, k, maxRounds int, tol float64) (*KMeansResult, error) {
 	if dim <= 0 || k <= 0 {
 		return nil, fmt.Errorf("workloads: kmeans needs dim > 0 and k > 0")
@@ -349,6 +351,8 @@ func every256() []byte {
 
 // KMeansSeq is the sequential baseline over decoded points, with the same
 // deterministic initialization; it also returns the final assignment.
+//
+//mcsdlint:allow deadexport -- sequential reference the k-means engine tests compare against
 func KMeansSeq(points []KMeansPoint, k, maxRounds int, tol float64) (*KMeansResult, error) {
 	if len(points) < k || k <= 0 {
 		return nil, fmt.Errorf("workloads: %d points for k=%d", len(points), k)

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -39,19 +38,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Equal reports whether m and o have the same shape and elements within tol.
-func (m *Matrix) Equal(o *Matrix, tol float64) bool {
-	if o == nil || m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
 
 // MatMulSeq is the sequential baseline: the classic triple loop with the
 // inner loops ordered for row-major locality.

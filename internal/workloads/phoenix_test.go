@@ -109,7 +109,7 @@ func TestHistogramPartitionedProperty(t *testing.T) {
 				// seeking cannot work — fragment at exact multiples of 3
 				// via MaxScan=0 and delimiters that always match.
 				Delimiters: allBytes(),
-			}, HistogramMerge)
+			}, partition.SumMerge[int])
 		if err != nil {
 			return false
 		}

@@ -341,7 +341,7 @@ type WordCountParams struct {
 	// DataFile is the input path on the SD node's data store.
 	DataFile string `json:"data_file"`
 	// PartitionBytes is the fragment size; 0 runs in the native way;
-	// core.AutoPartition (-1) lets the node pick from its memory model
+	// a negative size lets the node pick from its memory model
 	// (§IV-C's "automatically determined by the runtime system").
 	PartitionBytes int64 `json:"partition_bytes,omitempty"`
 	// Workers overrides the module's worker count (0 = node default).
