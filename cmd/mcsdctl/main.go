@@ -416,8 +416,10 @@ func wordcount(ctx context.Context, rt *core.Runtime, args []string) error {
 	fmt.Printf("total words: %d  unique: %d  fragments: %d  module time: %dms  (offloaded to %s)\n",
 		out.TotalWords, out.UniqueWords, out.Fragments, out.ElapsedMs, res.SD)
 	if out.Fragments > 1 {
-		fmt.Printf("fragment keys: %d  shuffle: %dms  merge: %dms\n",
-			out.FragmentKeys, out.ShuffleMs, out.MergeMs)
+		// Each worker counts its fragments into one table; the job folds
+		// the tables once, and FragmentKeys is how many keys went in.
+		fmt.Printf("keys into the table fold: %d  fold: %dms\n",
+			out.FragmentKeys, out.MergeMs)
 	}
 	for _, wf := range out.Top {
 		fmt.Printf("%8d  %s\n", wf.Count, wf.Word)

@@ -16,7 +16,7 @@ import (
 // scheduler can keep concurrent jobs out of the swap-thrash region.
 //
 // Partitioned runs never hold the whole input resident: the effective
-// input charged is what partition.Run's fragment pool may hold at once
+// input charged is what partition.Each's fragment pool may hold at once
 // (partition.ResidentBytes), capped at the file size. An unknown module, a
 // malformed payload, or a missing file estimates to zero bytes — the
 // scheduler admits such jobs freely rather than guessing.

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"mcsd/internal/mapreduce"
@@ -113,52 +115,24 @@ func WordCountModule(cfg ModuleConfig) smartfam.Module {
 				input = f
 			}
 
-			// Only the EmitPairs run returns its pairs; the top table
-			// ranks them by count itself, so a run without them skips
-			// the key sort.
-			spec := workloads.WordCountSpec()
-			if !p.EmitPairs {
-				spec.Less = nil
-			}
+			// Each worker counts its fragments into one table of the
+			// job; the tables fold once, after the last fragment.
 			start := time.Now()
-			res, err := partition.Run(ctx, cfg.mrConfig(cfg.workers(p.Workers)),
-				spec, input,
+			workers := cfg.workers(p.Workers)
+			job := workloads.NewWordCountJob(workers)
+			fragments, err := partition.Each(ctx, cfg.mrConfig(workers), input,
 				partition.Options{FragmentSize: cfg.partitionBytes(p.PartitionBytes, workloads.WordCountFootprint)},
-				workloads.WordCountMerge)
+				workloads.WordCountFootprint, job.Count)
 			if err != nil {
 				return nil, err
-			}
-			out := WordCountOutput{
-				UniqueWords:  len(res.Pairs),
-				Fragments:    res.Fragments,
-				FragmentKeys: res.Stats.FragmentKeys,
-				ElapsedMs:    time.Since(start).Milliseconds(),
-				ShuffleMs:    res.Stats.ShuffleTime.Milliseconds(),
-				MergeMs:      res.Stats.MergeTime.Milliseconds(),
-			}
-			for _, pr := range res.Pairs {
-				out.TotalWords += int64(pr.Value)
-			}
-			pairs := func(yield func(string, int) bool) {
-				for _, pr := range res.Pairs {
-					if !yield(pr.Key, pr.Value) {
-						return
-					}
-				}
 			}
 			topN := p.TopN
 			if topN <= 0 {
 				topN = 100
 			}
-			for _, pr := range workloads.TopWordsSeq(pairs, topN) {
-				out.Top = append(out.Top, WordFreq{Word: pr.Key, Count: pr.Value})
-			}
-			if p.EmitPairs {
-				out.Pairs = make([]WordFreq, len(res.Pairs))
-				for i, pr := range res.Pairs {
-					out.Pairs[i] = WordFreq{Word: pr.Key, Count: pr.Value}
-				}
-			}
+			out := job.Output(topN, p.EmitPairs)
+			out.Fragments = fragments
+			out.ElapsedMs = time.Since(start).Milliseconds()
 			return encode(out)
 		},
 	}
@@ -206,6 +180,12 @@ func StringMatchModule(cfg ModuleConfig) smartfam.Module {
 				Fragments:  res.Fragments,
 				ElapsedMs:  time.Since(start).Milliseconds(),
 			}
+			// Sample in key order, and within a key in file order (the
+			// merge concatenates fragments in scan order), so one file
+			// always samples the same lines.
+			slices.SortFunc(res.Pairs, func(a, b mapreduce.Pair[string, []string]) int {
+				return strings.Compare(a.Key, b.Key)
+			})
 			for _, pr := range res.Pairs {
 				out.HitsPerKey[pr.Key] = len(pr.Value)
 				out.TotalHits += int64(len(pr.Value))

@@ -48,10 +48,23 @@ func benchModule(b *testing.B, files map[string][]byte, mod func(ModuleConfig) s
 	}
 }
 
+// BenchmarkWordCountModule times three request shapes: partitioned, the
+// offload_mix one; native, one fragment spread over both workers' tables;
+// and emit-pairs, a fleet bundle's: every pair back, in the ~175 KiB
+// partitions that fleet_wc's 8 MiB corpus in 48 placement ranges gives.
 func BenchmarkWordCountModule(b *testing.B) {
 	text := workloads.GenerateTextBytes(benchInputBytes(), 1)
-	benchModule(b, map[string][]byte{"corpus.txt": text}, WordCountModule,
-		WordCountParams{DataFile: "corpus.txt", PartitionBytes: benchPartition, TopN: 10})
+	files := map[string][]byte{"corpus.txt": text}
+	for _, bc := range []struct {
+		name   string
+		params WordCountParams
+	}{
+		{"partitioned", WordCountParams{DataFile: "corpus.txt", PartitionBytes: benchPartition, TopN: 10}},
+		{"native", WordCountParams{DataFile: "corpus.txt", TopN: 10}},
+		{"emit-pairs", WordCountParams{DataFile: "corpus.txt", PartitionBytes: 175 << 10, TopN: 1, EmitPairs: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchModule(b, files, WordCountModule, bc.params) })
+	}
 }
 
 func BenchmarkStringMatchModule(b *testing.B) {

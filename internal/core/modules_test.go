@@ -8,8 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mcsd/internal/mapreduce"
 	"mcsd/internal/memsim"
@@ -110,8 +114,10 @@ func TestWordCountModule(t *testing.T) {
 
 // TestWordCountModuleEmitPairsPin pins the word-count module's summary
 // against its EmitPairs setting: a run without pairs skips the key sort,
-// yet its totals, top table and fragment figures must be those of the run
-// that returns them. The corpus ties three words at the top and many more
+// yet its totals, top table and fragment count must be those of the run
+// that returns them. FragmentKeys counts the keys of the workers' tables,
+// which depends on which worker ran which fragment, so each run only
+// keeps it within its bounds. The corpus ties three words at the top and many more
 // below, so the table's alphabetical tie-break is exercised, and the top
 // table must equal TopWords of the sequential count.
 func TestWordCountModuleEmitPairsPin(t *testing.T) {
@@ -138,11 +144,13 @@ func TestWordCountModuleEmitPairsPin(t *testing.T) {
 	for _, topN := range []int{2, 0} {
 		plain, full := run(topN, false), run(topN, true)
 		if plain.TotalWords != full.TotalWords || plain.UniqueWords != full.UniqueWords ||
-			plain.Fragments != full.Fragments || plain.FragmentKeys != full.FragmentKeys {
-			t.Fatalf("topN=%d: without pairs %d words, %d unique, %d fragments, %d fragment keys; with pairs %d, %d, %d, %d",
-				topN, plain.TotalWords, plain.UniqueWords, plain.Fragments, plain.FragmentKeys,
-				full.TotalWords, full.UniqueWords, full.Fragments, full.FragmentKeys)
+			plain.Fragments != full.Fragments {
+			t.Fatalf("topN=%d: without pairs %d words, %d unique, %d fragments; with pairs %d, %d, %d",
+				topN, plain.TotalWords, plain.UniqueWords, plain.Fragments,
+				full.TotalWords, full.UniqueWords, full.Fragments)
 		}
+		checkFragmentKeys(t, fmt.Sprintf("topN=%d without pairs", topN), plain, 2)
+		checkFragmentKeys(t, fmt.Sprintf("topN=%d with pairs", topN), full, 2)
 		if plain.Fragments < 2 || plain.UniqueWords != len(want) {
 			t.Fatalf("topN=%d: %d fragments, %d unique words, want a partitioned run over %d", topN, plain.Fragments, plain.UniqueWords, len(want))
 		}
@@ -342,9 +350,23 @@ func TestModuleConfigPartitionBytesResolution(t *testing.T) {
 	}
 }
 
+// checkFragmentKeys holds out's FragmentKeys to its meaning for a run on
+// up to tables counting tables: every distinct word enters the fold at
+// least once and at most once per table, and a one-table run folds
+// nothing.
+func checkFragmentKeys(t *testing.T, name string, out WordCountOutput, tables int) {
+	t.Helper()
+	if out.FragmentKeys < out.UniqueWords || out.FragmentKeys > tables*out.UniqueWords ||
+		tables == 1 && out.FragmentKeys != out.UniqueWords {
+		t.Fatalf("%s: FragmentKeys = %d, want within [%d, %d × %d]",
+			name, out.FragmentKeys, out.UniqueWords, tables, out.UniqueWords)
+	}
+}
+
 // TestWordCountModuleDriversAgree checks the module's output against a
-// direct partition.Run over one corpus: same counts, same fragment
-// accounting.
+// direct partition.Run over one corpus: same counts, same fragments. The
+// module's tables outlive fragments, so its FragmentKeys is at most
+// partition.Run's per-fragment key sum.
 func TestWordCountModuleDriversAgree(t *testing.T) {
 	store, dir := dataDir(t)
 	text := workloads.GenerateTextBytes(50_000, 13)
@@ -373,10 +395,179 @@ func TestWordCountModuleDriversAgree(t *testing.T) {
 		t.Fatalf("module output %+v differs from partition.Run: %d words, %d unique, %d fragments",
 			par, refTotal, len(ref.Pairs), ref.Fragments)
 	}
-	// The module must report the per-fragment key sum.
-	if par.FragmentKeys < par.UniqueWords || ref.Stats.FragmentKeys != par.FragmentKeys {
-		t.Fatalf("FragmentKeys: partition.Run %d, module %d, unique %d",
-			ref.Stats.FragmentKeys, par.FragmentKeys, par.UniqueWords)
+	checkFragmentKeys(t, "2 workers", par, 2)
+	if par.FragmentKeys > ref.Stats.FragmentKeys {
+		t.Fatalf("FragmentKeys: module %d, above partition.Run's per-fragment sum %d",
+			par.FragmentKeys, ref.Stats.FragmentKeys)
+	}
+}
+
+// runWordCount runs mod on params and decodes its output.
+func runWordCount(t *testing.T, mod smartfam.Module, params WordCountParams) WordCountOutput {
+	t.Helper()
+	raw, err := mod.Run(context.Background(), mustEncode(t, params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out WordCountOutput
+	if err := Decode(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWordCountModuleGrid runs the module at 1, 2 and 4 workers, native
+// and at 8 KiB and 64 KiB partitions, with and without EmitPairs: totals,
+// the top table and the pairs must be identical everywhere and equal to
+// WordCountSeq. The 200 KB corpus is several engine-sized tasks, so the
+// native runs on 2 and 4 workers spread their one fragment over tables.
+func TestWordCountModuleGrid(t *testing.T) {
+	store, dir := dataDir(t)
+	text := workloads.GenerateTextBytes(200_000, 21)
+	text = append(text, strings.Repeat("a-word-longer-than-sixteen-bytes ", 50)...)
+	writeFile(t, dir, "corpus.txt", text)
+	want := workloads.WordCountSeq(text)
+	var wantTotal int64
+	for _, n := range want {
+		wantTotal += int64(n)
+	}
+	const topN = 20
+	var wantTop []WordFreq
+	for _, p := range workloads.TopWords(want, topN) {
+		wantTop = append(wantTop, WordFreq{Word: p.Key, Count: p.Value})
+	}
+	for _, workers := range []int{1, 2, 4} {
+		mod := WordCountModule(ModuleConfig{Store: store, Workers: workers})
+		for _, part := range []int64{0, 8 << 10, 64 << 10} {
+			for _, emit := range []bool{false, true} {
+				name := fmt.Sprintf("workers=%d/partition=%d/pairs=%v", workers, part, emit)
+				out := runWordCount(t, mod, WordCountParams{
+					DataFile: "corpus.txt", PartitionBytes: part, TopN: topN, EmitPairs: emit,
+				})
+				if out.TotalWords != wantTotal || out.UniqueWords != len(want) {
+					t.Fatalf("%s: %d words, %d unique, want %d and %d", name, out.TotalWords, out.UniqueWords, wantTotal, len(want))
+				}
+				if fmt.Sprint(out.Top) != fmt.Sprint(wantTop) {
+					t.Fatalf("%s: top %v, want %v", name, out.Top, wantTop)
+				}
+				checkFragmentKeys(t, name, out, workers)
+				if !emit {
+					if len(out.Pairs) != 0 {
+						t.Fatalf("%s: %d pairs without EmitPairs", name, len(out.Pairs))
+					}
+					continue
+				}
+				if len(out.Pairs) != len(want) {
+					t.Fatalf("%s: %d pairs, want %d", name, len(out.Pairs), len(want))
+				}
+				for i, p := range out.Pairs {
+					if i > 0 && out.Pairs[i-1].Word >= p.Word {
+						t.Fatalf("%s: pairs not key-sorted at %d: %q then %q", name, i, out.Pairs[i-1].Word, p.Word)
+					}
+					if want[p.Word] != p.Count {
+						t.Fatalf("%s: count[%q] = %d, want %d", name, p.Word, p.Count, want[p.Word])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWordCountModulePoolOfOne runs a fragment alone on a 2-worker node —
+// natively, and partitioned on a node whose memory admits one fragment at
+// a time — and checks it was spread over both workers' tables: the
+// corpus's common words then enter the fold twice, so FragmentKeys passes
+// UniqueWords.
+func TestWordCountModulePoolOfOne(t *testing.T) {
+	store, dir := dataDir(t)
+	text := workloads.GenerateTextBytes(512<<10, 5)
+	writeFile(t, dir, "corpus.txt", text)
+	want := workloads.WordCountSeq(text)
+	for _, tc := range []struct {
+		name string
+		part int64
+		mem  *memsim.Accountant
+	}{
+		{"native", 0, nil},
+		// 256 KiB fragments: one reserves 768 KiB of the node's 1 MiB, and
+		// the fragment budget (half of usable RAM) admits only one.
+		{"memory-admits-one", 256 << 10, memsim.NewAccountant(memsim.Config{CapacityBytes: 1 << 20, UsableFraction: 1.0})},
+	} {
+		mod := WordCountModule(ModuleConfig{Store: store, Workers: 2, Memory: tc.mem})
+		out := runWordCount(t, mod, WordCountParams{DataFile: "corpus.txt", PartitionBytes: tc.part})
+		if out.UniqueWords != len(want) {
+			t.Fatalf("%s: %d unique words, want %d", tc.name, out.UniqueWords, len(want))
+		}
+		checkFragmentKeys(t, tc.name, out, 2)
+		if out.FragmentKeys == out.UniqueWords {
+			t.Fatalf("%s: FragmentKeys = UniqueWords = %d: the fragment counted on one table", tc.name, out.FragmentKeys)
+		}
+		if tc.mem != nil && tc.mem.Footprint() != 0 {
+			t.Fatalf("%s: run leaked %d bytes of memory", tc.name, tc.mem.Footprint())
+		}
+	}
+}
+
+// endlessStore serves every name as an endless text and counts the bytes
+// it has served.
+type endlessStore struct{ served atomic.Int64 }
+
+func (s *endlessStore) Open(string) (io.ReadCloser, error) { return io.NopCloser(endlessText{s}), nil }
+func (s *endlessStore) Size(string) (int64, error)         { return 0, errors.New("endless") }
+
+type endlessText struct{ s *endlessStore }
+
+func (e endlessText) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = "ab cd ef\n"[i%9]
+	}
+	e.s.served.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// TestWordCountModuleCancel cancels word counts over an endless file —
+// a pool of two fragments, and a pool of one whose fragment spreads over
+// both workers — once the module has read a few fragments: each must
+// return ctx.Err() and leave no goroutine behind, the scanner's included.
+func TestWordCountModuleCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mem  *memsim.Accountant
+	}{
+		{"pool-of-two", nil},
+		{"pool-of-one", memsim.NewAccountant(memsim.Config{CapacityBytes: 1 << 20, UsableFraction: 1.0})},
+	} {
+		before := runtime.NumGoroutine()
+		store := &endlessStore{}
+		mod := WordCountModule(ModuleConfig{Store: store, Workers: 2, Memory: tc.mem})
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := mod.Run(ctx, mustEncode(t, WordCountParams{DataFile: "endless.txt", PartitionBytes: 256 << 10}))
+			done <- err
+		}()
+		for store.served.Load() < 2<<20 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: cancelled run did not return", tc.name)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines leaked: %d before, %d after", tc.name, before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if tc.mem != nil && tc.mem.Footprint() != 0 {
+			t.Fatalf("%s: run leaked %d bytes of memory", tc.name, tc.mem.Footprint())
+		}
 	}
 }
 
@@ -425,6 +616,57 @@ func TestStringMatchModule(t *testing.T) {
 		if !found {
 			t.Fatalf("sample line %q contains no key", line)
 		}
+	}
+}
+
+// TestStringMatchModuleSampleDeterministic runs string match twice over a
+// file of many fragments on 2 workers: both runs must sample the same
+// lines, those of a reference built from StringMatchSeq — keys in order,
+// each key's lines in file order.
+func TestStringMatchModuleSampleDeterministic(t *testing.T) {
+	store, dir := dataDir(t)
+	keys := workloads.GenerateKeys(6, 31)
+	enc := workloads.GenerateEncryptBytes(40_000, 32, keys, 0.1)
+	writeFile(t, dir, "encrypt.txt", enc)
+	writeFile(t, dir, "keys.txt", []byte(strings.Join(keys, "\n")+"\n"))
+	const sampleMax = 25
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	var want []string
+	for _, k := range sorted {
+		for _, m := range workloads.StringMatchSeq(enc, keys) {
+			if m.Key == k && len(want) < sampleMax {
+				want = append(want, m.Line)
+			}
+		}
+	}
+	if len(want) < sampleMax {
+		t.Fatalf("reference sample has %d lines, want a full %d", len(want), sampleMax)
+	}
+	mod := StringMatchModule(ModuleConfig{Store: store, Workers: 2})
+	var first []string
+	for run := range 2 {
+		raw, err := mod.Run(context.Background(), mustEncode(t, StringMatchParams{
+			DataFile: "encrypt.txt", KeysFile: "keys.txt", PartitionBytes: 4096, SampleLines: sampleMax,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out StringMatchOutput
+		if err := Decode(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Fragments < 4 {
+			t.Fatalf("run %d: %d fragments, want 4 or more", run, out.Fragments)
+		}
+		if !slices.Equal(out.Sample, want) {
+			t.Fatalf("run %d: sample %q, want %q", run, out.Sample, want)
+		}
+		if run == 1 && !slices.Equal(out.Sample, first) {
+			t.Fatalf("runs sampled %q, then %q", first, out.Sample)
+		}
+		first = out.Sample
 	}
 }
 

@@ -111,7 +111,7 @@ type Config struct {
 	// ChunkSize is the map-task granularity in bytes. Zero means
 	// max(64 KiB, len(input)/(4*Workers)) — except with a single worker,
 	// where there is no load to balance and the input is one task of at
-	// most soloTaskMax bytes, which reduces straight from its records.
+	// most SoloTaskMax bytes, which reduces straight from its records.
 	ChunkSize int
 	// Memory, when non-nil, admission-controls the run: the estimated
 	// footprint (FootprintFactor x input) is reserved up front and the
@@ -148,14 +148,14 @@ func (c Config) reducers() int {
 	return c.workers()
 }
 
-// soloTaskMax caps the one map task of a single-worker run. Extra tasks
+// SoloTaskMax caps the one map task of a single-worker run. Extra tasks
 // buy a single worker nothing — each one re-emits and re-splices the same
 // vocabulary — but the engine checks for cancellation only between
 // tasks, so a native run over a large input still gets a task boundary
-// every soloTaskMax bytes. Partition-driver fragments are smaller than
+// every SoloTaskMax bytes. Partition-driver fragments are smaller than
 // this and map as one task, which reduces straight from its task records
 // (runOneTask) with no shuffle or merge behind it.
-const soloTaskMax = 8 << 20
+const SoloTaskMax = 8 << 20
 
 func (c Config) chunkSize(inputLen int) int {
 	if c.ChunkSize > 0 {
@@ -164,7 +164,7 @@ func (c Config) chunkSize(inputLen int) int {
 	w := c.workers()
 	n := inputLen / (4 * w)
 	if w == 1 {
-		n = min(inputLen, soloTaskMax)
+		n = min(inputLen, SoloTaskMax)
 	}
 	if n < 64<<10 {
 		n = 64 << 10

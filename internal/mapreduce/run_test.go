@@ -719,8 +719,8 @@ func TestSingleWorkerMapsOneTask(t *testing.T) {
 	if got := res.Map()["beta"]; got != 20_000 {
 		t.Fatalf("count[beta] = %d, want 20000", got)
 	}
-	if got := (Config{Workers: 1}).chunkSize(3 * soloTaskMax); got != soloTaskMax {
-		t.Fatalf("single-worker task size over a large input = %d, want the %d cap", got, soloTaskMax)
+	if got := (Config{Workers: 1}).chunkSize(3 * SoloTaskMax); got != SoloTaskMax {
+		t.Fatalf("single-worker task size over a large input = %d, want the %d cap", got, SoloTaskMax)
 	}
 	if got := (Config{Workers: 2}).chunkSize(len(input)); got >= len(input) {
 		t.Fatalf("two-worker task size %d, want several tasks over %d B", got, len(input))

@@ -40,60 +40,64 @@ func (r *Result[K, R]) Map() map[K]R {
 	return m
 }
 
-// Run executes spec over the stream input in fragments of opts.FragmentSize
-// (extended by the integrity check), merging per-fragment outputs with
-// merge. This is the extended two-stage Phoenix workflow of Fig. 6:
+// Fragment is one fragment of a run, as Each hands it to its callback.
+type Fragment struct {
+	// Data is the fragment's bytes. They are valid only until the callback
+	// returns: Each then recycles the buffer for a later fragment.
+	Data []byte
+	// Serial is the fragment's position in the stream, from 0.
+	Serial int
+	// Worker is the pool worker running the fragment, in
+	// [0, cfg.EffectiveWorkers()). A worker runs one fragment at a time.
+	Worker int
+	// Cores is how many cores the callback may use: every worker's in a
+	// pool of one, where no other fragment runs beside this one, and one
+	// otherwise.
+	Cores int
+}
+
+// Each is the fragment driver: it runs fn over every fragment of the
+// stream input, cut at opts.FragmentSize (extended by the integrity
+// check), and returns how many fragments there were:
 //
-//	Partition -> [ Split -> Map -> Sort -> Reduce -> Merge ]* -> Merge
+//	scan --fragCh--> pool (poolSize workers, fn on each)
 //
-// except that the Sort runs once, over the merged result, not per fragment
-// (see unordered). The fragments flow through a worker pool:
+// A scanner goroutine reads the next fragment while the pool runs, and the
+// pool holds no more fragments than fit half of the node's usable memory
+// by footprint (see ResidentBytes), so a data set much larger than
+// cfg.Memory still runs — and runs faster than a thrashing native
+// execution. On a node with cfg.Memory, each fragment reserves
+// footprint × its length (mapreduce.EffectiveFootprint) while fn runs; a
+// fragment that does not fit fails the run with memsim.ErrOutOfMemory, the
+// native-Phoenix wall of §IV-B.
 //
-//	scan --fragCh--> engine pool (poolSize workers) --outCh--> ordered merge
+// Fragments run concurrently and finish out of order. The first error —
+// from the scan, a reservation or fn — cancels the ctx fn was given and is
+// returned; a cancelled ctx returns ctx.Err(). Each joins the scanner
+// before it returns, so the caller may close input as soon as it does.
 //
-// The pool runs whole fragments through the engine concurrently, one core
-// each, and the scanner reads the next fragment while they run; a pool of
-// one hands the engine every worker instead. The pool holds no more
-// fragments than fit half of the node's usable memory by footprint (see
-// ResidentBytes), so a data set much larger than cfg.Memory still runs —
-// and runs faster than a thrashing native execution.
-//
-// Fragments complete out of order, but the merge folds them in scan order,
-// so non-commutative merge functions (ConcatMerge) stay deterministic.
-//
-// A partitioned run recycles each fragment's buffer once the engine has
-// returned from it, so the scanner reads later fragments into the same
-// memory; input is read once, straight into those buffers, and needs no
-// buffering of its own.
-func Run[K comparable, V any, R any](
+// A partitioned run recycles each fragment's buffer once fn has returned
+// from it, so the scanner reads later fragments into the same memory;
+// input is read once, straight into those buffers, and needs no buffering
+// of its own.
+func Each(
 	ctx context.Context,
 	cfg mapreduce.Config,
-	spec mapreduce.Spec[K, V, R],
 	input io.Reader,
 	opts Options,
-	merge MergeFunc[R],
-) (*Result[K, R], error) {
-	if merge == nil {
-		return nil, fmt.Errorf("partition: %q: merge function is required", spec.Name)
-	}
-	pool := poolSize(cfg, opts.FragmentSize, spec.FootprintFactor)
-	engSpec := unordered(spec)
-	engCfg := cfg
-	if pool > 1 {
-		// One core per fragment: the pool supplies the parallelism, each
-		// engine run keeps to its own core.
-		engCfg.Workers = 1
+	footprint float64,
+	fn func(ctx context.Context, f Fragment) error,
+) (fragments int, err error) {
+	pool := poolSize(cfg, opts.FragmentSize, footprint)
+	cores := 1
+	if pool == 1 {
+		cores = cfg.EffectiveWorkers()
 	}
 
 	type scanned struct {
 		serial int
 		frag   []byte
 		err    error
-	}
-	type output struct {
-		serial int
-		pairs  []mapreduce.Pair[K, R]
-		stats  mapreduce.Stats
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -113,6 +117,7 @@ func Run[K comparable, V any, R any](
 	// prefetched fragment in flight beyond what the pool holds.
 	fragCh := make(chan scanned, 1)
 	scanDone := make(chan struct{})
+	scannedAll := 0 // the fragment count, once the scan reached EOF
 	go func() {
 		defer close(scanDone)
 		defer close(fragCh)
@@ -120,6 +125,7 @@ func Run[K comparable, V any, R any](
 		for serial := 0; ; serial++ {
 			frag, err := sc.Next()
 			if err == io.EOF {
+				scannedAll = serial
 				return
 			}
 			it := scanned{serial: serial, frag: frag, err: err}
@@ -134,13 +140,23 @@ func Run[K comparable, V any, R any](
 		}
 	}()
 
-	// Engine pool: each worker runs whole fragments through the engine.
-	outCh := make(chan output)
-	var wwg sync.WaitGroup
+	// run hands one fragment to fn under its memory reservation.
+	run := func(f Fragment) error {
+		if cfg.Memory != nil {
+			h, err := cfg.Memory.ReserveHandle(int64(float64(len(f.Data)) * mapreduce.EffectiveFootprint(footprint)))
+			if err != nil {
+				return err
+			}
+			defer h.Release()
+		}
+		return fn(runCtx, f)
+	}
+
+	var wg sync.WaitGroup
 	for w := 0; w < pool; w++ {
-		wwg.Add(1)
+		wg.Add(1)
 		go func() {
-			defer wwg.Done()
+			defer wg.Done()
 			for it := range fragCh {
 				if it.err != nil {
 					fail(it.err)
@@ -149,34 +165,91 @@ func Run[K comparable, V any, R any](
 				if runCtx.Err() != nil {
 					return
 				}
-				fragRes, err := mapreduce.Run(runCtx, engCfg, engSpec, it.frag)
+				err := run(Fragment{Data: it.frag, Serial: it.serial, Worker: w, Cores: cores})
 				if opts.FragmentSize > 0 {
-					// Safe: nothing keeps a byte of the fragment past
-					// mapreduce.Run (see mapreduce.Spec.Map). A native
-					// fragment is the whole input, not a pool buffer.
+					// Safe: fn keeps no byte of the fragment past its
+					// return (see Fragment.Data). A native fragment is the
+					// whole input, not a pool buffer.
 					recycleFrag(it.frag)
 				}
 				if err != nil {
 					fail(fmt.Errorf("partition: fragment %d: %w", it.serial+1, err))
 					return
 				}
-				select {
-				case outCh <- output{serial: it.serial, pairs: fragRes.Pairs, stats: fragRes.Stats}:
-				case <-runCtx.Done():
-					return
-				}
 			}
 		}()
 	}
+	wg.Wait()
+	// The scanner reads input until it exits, which on a cancelled run can
+	// be after the workers have gone.
+	<-scanDone
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	return scannedAll, nil
+}
+
+// Run executes spec over the stream input in the fragments Each cuts,
+// merging per-fragment outputs with merge. This is the extended two-stage
+// Phoenix workflow of Fig. 6:
+//
+//	Partition -> [ Split -> Map -> Sort -> Reduce -> Merge ]* -> Merge
+//
+// except that the Sort runs once, over the merged result, not per fragment
+// (see unordered). Each's pool runs whole fragments through the engine
+// concurrently, one core each; a pool of one hands the engine every worker
+// instead. Fragments complete out of order, but the merge folds them in
+// scan order, so non-commutative merge functions (ConcatMerge) stay
+// deterministic.
+func Run[K comparable, V any, R any](
+	ctx context.Context,
+	cfg mapreduce.Config,
+	spec mapreduce.Spec[K, V, R],
+	input io.Reader,
+	opts Options,
+	merge MergeFunc[R],
+) (*Result[K, R], error) {
+	if merge == nil {
+		return nil, fmt.Errorf("partition: %q: merge function is required", spec.Name)
+	}
+	engSpec := unordered(spec)
+
+	type output struct {
+		serial int
+		pairs  []mapreduce.Pair[K, R]
+		stats  mapreduce.Stats
+	}
+	// The pool's workers hand their outputs to the ordered merge below,
+	// which drains outCh until Each has returned.
+	outCh := make(chan output)
+	var eachErr error
 	go func() {
-		wwg.Wait()
-		close(outCh)
+		defer close(outCh)
+		_, eachErr = Each(ctx, cfg, input, opts, spec.FootprintFactor, func(ctx context.Context, f Fragment) error {
+			// Each holds the fragment's memory reservation, and the
+			// engine runs on the fragment's cores.
+			engCfg := cfg
+			engCfg.Memory = nil
+			engCfg.Workers = f.Cores
+			fragRes, err := mapreduce.Run(ctx, engCfg, engSpec, f.Data)
+			if err != nil {
+				return err
+			}
+			select {
+			case outCh <- output{serial: f.Serial, pairs: fragRes.Pairs, stats: fragRes.Stats}:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
 	}()
 
-	// Ordered merge, on the calling goroutine: outputs are drained as they
-	// complete (a worker never wedges on a send) and folded in serial
-	// order via a reorder buffer, which can hold at most pool-1 outputs —
-	// each worker has at most one finished output in flight.
+	// Ordered merge, on the calling goroutine: outputs are folded in
+	// serial order via a reorder buffer, which can hold at most pool-1
+	// outputs — each worker has at most one finished output in flight.
 	acc := newShardedAcc[K, R](cfg, merge)
 	res := &Result[K, R]{}
 	pending := make(map[int]output)
@@ -196,15 +269,8 @@ func Run[K comparable, V any, R any](
 		}
 	}
 	acc.close()
-	// The scanner reads input until it exits, which on a cancelled run can
-	// be after the workers have gone. Wait for it, so the caller may close
-	// input as soon as Run returns.
-	<-scanDone
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if eachErr != nil {
+		return nil, eachErr
 	}
 
 	var strat mapreduce.MergeStrategy
@@ -216,7 +282,7 @@ func Run[K comparable, V any, R any](
 	return res, nil
 }
 
-// poolSize is how many fragments Run keeps in the engine at once: one per
+// poolSize is how many fragments Each runs at once: one per
 // worker, but no more than ResidentBytes admits on a node with a memory
 // accountant, and one in native mode, where the whole input is the only
 // fragment.
@@ -242,7 +308,7 @@ func ResidentBytes(mem memsim.Config, fragmentSize int64, footprintFactor float6
 
 // fragmentBudget is the input whose whole footprint fills half of mem's
 // usable RAM, leaving the rest for the runtime itself. AutoFragmentSize
-// sizes one fragment to fill it; Run fits as many fragments into it as it
+// sizes one fragment to fill it; Each fits as many fragments into it as it
 // can.
 func fragmentBudget(mem memsim.Config, footprintFactor float64) int64 {
 	return int64(float64(mem.Usable()) / (2 * mapreduce.EffectiveFootprint(footprintFactor)))

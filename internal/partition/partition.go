@@ -87,13 +87,13 @@ func NewScanner(r io.Reader, opts Options) *Scanner {
 // forward) a large tail.
 const maxSpare = 64 << 10
 
-// fragPool recycles fragment buffers across fragments and runs. Run returns
-// each fragment once the engine is done with it; Next takes a buffer whose
+// fragPool recycles fragment buffers across fragments and runs. Each
+// returns each fragment once its callback is done with it; Next takes a buffer whose
 // capacity fits its fragment size exactly and allocates otherwise.
 var fragPool sync.Pool // *[]byte
 
 // testRecyclePoison, when non-nil, is called with every fragment buffer,
-// re-sliced to its full capacity, as Run recycles it. Tests scribble over
+// re-sliced to its full capacity, as Each recycles it. Tests scribble over
 // it: an engine path that still reads a fragment after Run recycled it
 // then surfaces the sentinel in its results. Production never sets it.
 var testRecyclePoison func(buf []byte)
@@ -118,8 +118,8 @@ func recycleFrag(frag []byte) {
 
 // Next returns the next fragment, or io.EOF after the last one. The
 // fragment is owned by the caller; it may come from, and may be handed
-// back to, a package-level buffer pool (Run recycles each fragment once
-// the engine has returned).
+// back to, a package-level buffer pool (Each recycles each fragment once
+// its callback has returned).
 func (s *Scanner) Next() ([]byte, error) {
 	if s.done {
 		return nil, io.EOF

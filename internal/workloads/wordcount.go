@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/maphash"
 	"iter"
@@ -9,7 +10,9 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"sync"
+	"time"
 
 	"mcsd/internal/mapreduce"
 	"mcsd/internal/partition"
@@ -33,7 +36,7 @@ const WordCountFootprint = 3.0
 func WordCountSpec() mapreduce.Spec[string, int, int] {
 	return mapreduce.Spec[string, int, int]{
 		Name:  "wordcount",
-		Split: mapreduce.DelimiterSplitter(' ', '\n', '\r', '\t'),
+		Split: wcSplit,
 		Map:   countWords,
 		// The combiner folds in place: the engine folds a key's per-task
 		// counts as they pile up in a worker's buffers, and a fresh
@@ -57,6 +60,9 @@ func WordCountSpec() mapreduce.Spec[string, int, int] {
 		FootprintFactor: WordCountFootprint,
 	}
 }
+
+// wcSplit cuts word-count input into tasks at whitespace.
+var wcSplit = mapreduce.DelimiterSplitter(' ', '\n', '\r', '\t')
 
 // asciiSpace is word count's separator class: the ASCII whitespace bytes.
 // Every other byte — control characters, DEL, and each byte of a UTF-8
@@ -220,7 +226,7 @@ func (t *wcTable) count(c []byte) {
 					if s.lo^lo|s.hi^hi|uint64(s.n^int(k)) == 0 {
 						s.count++
 					} else {
-						t.addShort(lo, hi, int(k))
+						t.addShort(lo, hi, int(k), 1)
 					}
 				}
 				i += int(k)
@@ -234,48 +240,63 @@ func (t *wcTable) count(c []byte) {
 		if t != nil {
 			if e-i <= wcInlineKey {
 				lo, hi := loadKey(c[i:e])
-				t.addShort(lo, hi, e-i)
+				t.addShort(lo, hi, e-i, 1)
 			} else {
-				t.addLong(c[i:e])
+				addLong(t, c[i:e], longHash(c[i:e]), 1)
 			}
 		}
 		i = e
 	}
 }
 
-// addShort counts one occurrence of the inline key (lo, hi, n).
-func (t *wcTable) addShort(lo, hi uint64, n int) {
+// addShort counts c occurrences of the inline key (lo, hi, n).
+func (t *wcTable) addShort(lo, hi uint64, n, c int) {
 	i := t.home(shortHash(lo, hi, n))
 	for {
 		s := &t.slots[i]
 		if s.lo^lo|s.hi^hi|uint64(s.n^n) == 0 {
-			s.count++
+			s.count += c
 			return
 		}
 		if s.n == 0 {
-			t.insert(i, wcSlot{lo: lo, hi: hi, n: n, count: 1})
+			t.insert(i, wcSlot{lo: lo, hi: hi, n: n, count: c})
 			return
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// addLong counts one occurrence of a key longer than wcInlineKey.
-func (t *wcTable) addLong(w []byte) {
-	h := longHash(w)
+// addLong counts c occurrences of w, a key longer than wcInlineKey whose
+// longHash is h. A key from the text is a []byte, copied into t.long only
+// when new; one folded from another table is that table's string.
+func addLong[W []byte | string](t *wcTable, w W, h uint64, c int) {
 	i := t.home(h)
 	for {
 		s := &t.slots[i]
 		if s.n == len(w) && s.lo == h && t.long[s.hi] == string(w) {
-			s.count++
+			s.count += c
 			return
 		}
 		if s.n == 0 {
 			t.long = append(t.long, string(w))
-			t.insert(i, wcSlot{lo: h, hi: uint64(len(t.long) - 1), n: len(w), count: 1})
+			t.insert(i, wcSlot{lo: h, hi: uint64(len(t.long) - 1), n: len(w), count: c})
 			return
 		}
 		i = (i + 1) & t.mask
+	}
+}
+
+// absorb adds o's counts to t, keyed on o's slots: a short key is
+// re-hashed from its key words, a long one found by its stored hash and
+// string. No key becomes a new string.
+func (t *wcTable) absorb(o *wcTable) {
+	for _, i := range o.order {
+		s := &o.slots[i]
+		if s.n <= wcInlineKey {
+			t.addShort(s.lo, s.hi, s.n, s.count)
+		} else {
+			addLong(t, o.long[s.hi], s.lo, s.count)
+		}
 	}
 }
 
@@ -308,28 +329,205 @@ func (t *wcTable) grow() {
 	}
 }
 
+// inlineKey returns the bytes of the inline key of s.
+func inlineKey(s *wcSlot) []byte {
+	var b [wcInlineKey]byte
+	binary.LittleEndian.PutUint64(b[:8], s.lo)
+	binary.LittleEndian.PutUint64(b[8:], s.hi)
+	return b[:s.n]
+}
+
 // key returns slot s's word.
 func (t *wcTable) key(s *wcSlot) string {
 	if s.n > wcInlineKey {
 		return t.long[s.hi]
 	}
-	var b [wcInlineKey]byte
-	binary.LittleEndian.PutUint64(b[:8], s.lo)
-	binary.LittleEndian.PutUint64(b[8:], s.hi)
-	return string(b[:s.n])
+	return string(inlineKey(s))
 }
 
 // flush emits every counted word once, in first-seen order, and empties
-// the table for its next chunk, keeping its capacity.
+// the table for its next chunk.
 func (t *wcTable) flush(emit func(string, int)) {
 	for _, i := range t.order {
 		s := &t.slots[i]
 		emit(t.key(s), s.count)
-		*s = wcSlot{}
+	}
+	t.reset()
+}
+
+// reset empties the table, keeping its capacity.
+func (t *wcTable) reset() {
+	for _, i := range t.order {
+		t.slots[i] = wcSlot{}
 	}
 	t.order = t.order[:0]
 	clear(t.long)
 	t.long = t.long[:0]
+}
+
+// words returns every counted word with its count, in first-seen order.
+// The short words are cut from one string, so the whole vocabulary costs
+// one allocation besides the slice.
+func (t *wcTable) words() []WordFreq {
+	size := 0
+	for _, i := range t.order {
+		if n := t.slots[i].n; n <= wcInlineKey {
+			size += n
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, i := range t.order {
+		if s := &t.slots[i]; s.n <= wcInlineKey {
+			b.Write(inlineKey(s))
+		}
+	}
+	short := b.String()
+	out := make([]WordFreq, len(t.order))
+	off := 0
+	for j, i := range t.order {
+		s := &t.slots[i]
+		w := WordFreq{Count: s.count}
+		if s.n > wcInlineKey {
+			w.Word = t.long[s.hi]
+		} else {
+			w.Word = short[off : off+s.n]
+			off += s.n
+		}
+		out[j] = w
+	}
+	return out
+}
+
+// WordCountJob is one word-count job's counting state, which outlives its
+// fragments: a wcTable per pool worker, into which every fragment that
+// worker runs counts, with no per-fragment flush. Output folds the tables
+// once, when the pool has drained, and makes each distinct word's string
+// only then.
+type WordCountJob struct {
+	tables []*wcTable // by worker; nil until the worker counts
+}
+
+// NewWordCountJob returns an empty job for a pool of up to workers
+// workers (partition.Each's cfg.EffectiveWorkers()).
+func NewWordCountJob(workers int) *WordCountJob {
+	return &WordCountJob{tables: make([]*wcTable, workers)}
+}
+
+// table returns worker w's table, taking one from wcTables on first use.
+func (j *WordCountJob) table(w int) *wcTable {
+	if j.tables[w] == nil {
+		j.tables[w] = wcTables.Get().(*wcTable)
+	}
+	return j.tables[w]
+}
+
+// Count is the job's partition.Each callback: it counts f into its
+// worker's table. A fragment counts in tasks of at most
+// mapreduce.SoloTaskMax bytes, cut at whitespace, with ctx checked before
+// each, so a native run over a large input stays cancellable. In a pool
+// of one (f.Cores > 1) the fragment is the only one running, so, as the
+// engine does, it is cut into about 4 tasks per core (64 KiB at least),
+// dealt round-robin to f.Cores goroutines, each counting into its own
+// table.
+func (j *WordCountJob) Count(ctx context.Context, f partition.Fragment) error {
+	size := mapreduce.SoloTaskMax
+	if f.Cores > 1 {
+		size = min(size, max(64<<10, len(f.Data)/(4*f.Cores)))
+	}
+	tasks := [][]byte{f.Data}
+	if len(f.Data) > size {
+		tasks = wcSplit(f.Data, size)
+	}
+	cores := min(f.Cores, len(tasks))
+	if cores <= 1 {
+		return j.countTasks(ctx, f.Worker, tasks, 1)
+	}
+	var wg sync.WaitGroup
+	for g := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = j.countTasks(ctx, g, tasks[g:], cores) // ctx.Err() is returned below
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// countTasks counts every step-th task, from the first, into worker w's
+// table.
+func (j *WordCountJob) countTasks(ctx context.Context, w int, tasks [][]byte, step int) error {
+	t := j.table(w)
+	for i := 0; i < len(tasks); i += step {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		t.count(tasks[i])
+	}
+	return nil
+}
+
+// Output folds the job's tables into the largest and reads the result off
+// it: the totals, the topN table (see TopWordsSeq) and, with pairs, the
+// complete key-sorted run. FragmentKeys is the number of keys that entered
+// the fold — the sum of the tables' key counts — and MergeMs its time;
+// ShuffleMs is the time of the key sort. Output hands the tables back to
+// wcTables: the job must not be used again.
+func (j *WordCountJob) Output(topN int, pairs bool) WordCountOutput {
+	start := time.Now()
+	var t *wcTable
+	keys := 0
+	for _, o := range j.tables {
+		if o == nil {
+			continue
+		}
+		keys += len(o.order)
+		if t == nil || len(o.order) > len(t.order) {
+			t = o
+		}
+	}
+	if t == nil { // no fragments: an empty input
+		t = j.table(0)
+	}
+	for _, o := range j.tables {
+		if o != nil && o != t {
+			t.absorb(o)
+		}
+	}
+	out := WordCountOutput{
+		UniqueWords:  len(t.order),
+		FragmentKeys: keys,
+		MergeMs:      time.Since(start).Milliseconds(),
+	}
+	words := t.words()
+	for _, w := range words {
+		out.TotalWords += int64(w.Count)
+	}
+	all := func(yield func(string, int) bool) {
+		for _, w := range words {
+			if !yield(w.Word, w.Count) {
+				return
+			}
+		}
+	}
+	for _, pr := range TopWordsSeq(all, topN) {
+		out.Top = append(out.Top, WordFreq{Word: pr.Key, Count: pr.Value})
+	}
+	if pairs {
+		start = time.Now()
+		slices.SortFunc(words, func(a, b WordFreq) int { return strings.Compare(a.Word, b.Word) })
+		out.Pairs = words
+		out.ShuffleMs = time.Since(start).Milliseconds()
+	}
+	for i, o := range j.tables {
+		if o != nil {
+			o.reset()
+			wcTables.Put(o)
+			j.tables[i] = nil
+		}
+	}
+	return out
 }
 
 // ModuleWordCount is the smartFAM module name word count is served under.
@@ -383,13 +581,15 @@ type WordCountOutput struct {
 	UniqueWords int
 	Top         []WordFreq
 	Fragments   int
-	// FragmentKeys is the per-fragment unique-word sum; the gap to
-	// UniqueWords is the dedup work the fragment merge stage did.
+	// FragmentKeys is how many keys entered the final fold: the sum of
+	// the distinct words of each worker's counting table (see
+	// WordCountJob.Output). It lies between UniqueWords and UniqueWords
+	// times the tables the job counted on; the gap to UniqueWords is the
+	// dedup work the fold did.
 	FragmentKeys int
 	ElapsedMs    int64
-	// ShuffleMs and MergeMs break the engine time down: the summed
-	// reduce-task shuffle time and the final-merge wall time across
-	// fragments (see mapreduce.Stats).
+	// ShuffleMs is the time of the key sort that orders Pairs, and
+	// MergeMs that of the fold of the workers' tables.
 	ShuffleMs int64
 	MergeMs   int64
 	// Pairs is the complete key-sorted (word, count) run, present only

@@ -2,11 +2,15 @@ package workloads
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"strings"
 	"testing"
+
+	"mcsd/internal/partition"
 )
 
 // benchCorpus is the engine benches' 4 MiB Zipf text.
@@ -188,4 +192,160 @@ func TestWordCountMapEmitsOncePerWord(t *testing.T) {
 	if want := []string{"b=3", "a=2", "c=1"}; !slices.Equal(got, want) {
 		t.Fatalf("Map emitted %q, want %q", got, want)
 	}
+}
+
+// TestWordTableFold folds two tables whose keys overlap — inline keys,
+// long ones, ones sharing a low key word or equal but for a trailing zero
+// byte — first with real hashes and then with every key sent to one slot.
+// The small table absorbs the large one, so the fold runs through several
+// grows, and the result must be WordCountSeq of both inputs.
+func TestWordTableFold(t *testing.T) {
+	defer func() { testForceHash = false }()
+	long := strings.Repeat("L", 17)
+	var small, large bytes.Buffer
+	for i := range 2 * wcInitSlots {
+		k := fmt.Sprintf("k%d", i%(wcInitSlots/2))
+		var words []string
+		switch i % 4 {
+		case 0:
+			words = []string{long + k}
+		case 1:
+			words = []string{"8bytes__" + k}
+		case 2:
+			words = []string{k, k + "\x00"}
+		default:
+			words = []string{k}
+		}
+		for _, w := range words {
+			if i < wcInitSlots/4 {
+				small.WriteString(w + " ")
+			}
+			fmt.Fprintf(&large, "%s %s%d ", w, w, i)
+		}
+	}
+	want := WordCountSeq(append(small.Bytes(), large.Bytes()...))
+	for _, forced := range []bool{false, true} {
+		testForceHash = forced
+		a, b := newWCTable(), newWCTable()
+		a.count(small.Bytes())
+		b.count(large.Bytes())
+		before := len(a.slots)
+		a.absorb(b)
+		if len(a.slots) < 4*before {
+			t.Fatalf("forced=%v: fold grew %d slots to %d, want several grows", forced, before, len(a.slots))
+		}
+		if got := collect(t, a); !maps.Equal(got, want) {
+			t.Fatalf("forced=%v: folded counts differ from WordCountSeq (%d vs %d words)", forced, len(got), len(want))
+		}
+	}
+}
+
+// countJob counts frags into a fresh job of tables tables, fragment i on
+// table i mod tables, and returns its output with every word ranked and
+// the pairs.
+func countJob(t testing.TB, frags [][]byte, tables int) WordCountOutput {
+	t.Helper()
+	job := NewWordCountJob(tables)
+	for i, frag := range frags {
+		err := job.Count(context.Background(), partition.Fragment{Data: frag, Serial: i, Worker: i % tables, Cores: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return job.Output(0, true)
+}
+
+// checkJobOutput holds out to WordCountSeq's counts of data.
+func checkJobOutput(t testing.TB, name string, out WordCountOutput, data []byte) {
+	t.Helper()
+	want := WordCountSeq(data)
+	var total int64
+	for _, n := range want {
+		total += int64(n)
+	}
+	if out.TotalWords != total || out.UniqueWords != len(want) || len(out.Pairs) != len(want) {
+		t.Fatalf("%s: %d words, %d unique, %d pairs; want %d, %d, %d",
+			name, out.TotalWords, out.UniqueWords, len(out.Pairs), total, len(want), len(want))
+	}
+	for i, p := range out.Pairs {
+		if i > 0 && out.Pairs[i-1].Word >= p.Word {
+			t.Fatalf("%s: pairs not key-sorted at %d: %q then %q", name, i, out.Pairs[i-1].Word, p.Word)
+		}
+		if want[p.Word] != p.Count {
+			t.Fatalf("%s: count[%q] = %d, want %d", name, p.Word, p.Count, want[p.Word])
+		}
+	}
+	if len(out.Top) != len(want) {
+		t.Fatalf("%s: top has %d words, want all %d", name, len(out.Top), len(want))
+	}
+	for i, w := range TopWords(want, 0) {
+		if out.Top[i].Word != w.Key || out.Top[i].Count != w.Value {
+			t.Fatalf("%s: top[%d] = %+v, want %s:%d", name, i, out.Top[i], w.Key, w.Value)
+		}
+	}
+}
+
+// TestWordCountJobSpreadsPoolOfOne hands a job one fragment with two
+// cores, as a pool of one does: its tasks must count on both tables, and
+// the fold must still give WordCountSeq's counts. A cancelled context
+// must stop the count and be returned.
+func TestWordCountJobSpreadsPoolOfOne(t *testing.T) {
+	data := GenerateTextBytes(512<<10, 3)
+	job := NewWordCountJob(2)
+	if err := job.Count(context.Background(), partition.Fragment{Data: data, Cores: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for w, tbl := range job.tables {
+		if tbl == nil || len(tbl.order) == 0 {
+			t.Fatalf("table %d counted nothing", w)
+		}
+	}
+	out := job.Output(0, true)
+	checkJobOutput(t, "pool of one", out, data)
+	if out.FragmentKeys <= out.UniqueWords || out.FragmentKeys > 2*out.UniqueWords {
+		t.Fatalf("FragmentKeys = %d, want within (%d, 2 × %d]", out.FragmentKeys, out.UniqueWords, out.UniqueWords)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cores := range []int{1, 2} {
+		err := NewWordCountJob(2).Count(ctx, partition.Fragment{Data: data, Cores: cores})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cores=%d: cancelled count err = %v, want context.Canceled", cores, err)
+		}
+	}
+}
+
+// cutAtSpaces cuts data into fragments after the whitespace bytes that
+// cuts selects: the k-th whitespace byte ends a fragment when bit k mod 64
+// of cuts is set.
+func cutAtSpaces(data []byte, cuts uint64) [][]byte {
+	var frags [][]byte
+	start, k := 0, 0
+	for i, c := range data {
+		if !asciiSpace[c] {
+			continue
+		}
+		if cuts>>(k%64)&1 != 0 {
+			frags = append(frags, data[start:i+1])
+			start = i + 1
+		}
+		k++
+	}
+	return append(frags, data[start:])
+}
+
+// FuzzWordCountTables cuts arbitrary bytes at arbitrary whitespace into
+// fragments, counts them over one to three tables and folds them: the
+// output must be WordCountSeq's counts, in key order, ranked by TopWords.
+func FuzzWordCountTables(f *testing.F) {
+	f.Add([]byte("a b a\tc\nb a"), uint64(0b101), uint8(1))
+	f.Add([]byte("fifteen-bytes-w sixteen-bytes-wd seventeen-bytes-w sixteen-bytes-wd"), ^uint64(0), uint8(2))
+	f.Add([]byte("abcdefghijklmnopq x abcdefghijklmnopq\x00 x\vabcdefghijklmnopq"), uint64(0b10), uint8(0))
+	f.Add([]byte("\xff\xfe k2 k2\x00 \x00\x00 tail"), uint64(0b111), uint8(2))
+	f.Add([]byte(""), uint64(0), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64, tables uint8) {
+		out := countJob(t, cutAtSpaces(data, cuts), 1+int(tables%3))
+		checkJobOutput(t, fmt.Sprintf("data %q cuts %b tables %d", data, cuts, 1+tables%3), out, data)
+	})
 }
