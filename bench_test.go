@@ -11,6 +11,7 @@ package mcsd_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -239,8 +240,9 @@ func BenchmarkSmartFAMRoundTrip(b *testing.B) {
 	}
 }
 
-// nfsPair spins up a server over a temp dir and returns a connected client.
-func nfsPair(b *testing.B) *nfs.Client {
+// nfsPair spins up a server over a temp dir, its replies delayed by oneWay
+// (none when 0), and returns a connected client.
+func nfsPair(b *testing.B, oneWay time.Duration) *nfs.Client {
 	b.Helper()
 	root := b.TempDir()
 	srv := nfs.NewServer(root)
@@ -248,8 +250,14 @@ func nfsPair(b *testing.B) *nfs.Client {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go srv.Serve(ln) //nolint:errcheck
+	ctx, cancel := context.WithCancel(context.Background())
+	var served net.Listener = ln
+	if oneWay > 0 {
+		served = netsim.DelayListener(ctx, ln, oneWay)
+	}
+	go srv.Serve(served) //nolint:errcheck
 	b.Cleanup(func() {
+		cancel()
 		ln.Close()
 		srv.Shutdown()
 	})
@@ -263,7 +271,7 @@ func nfsPair(b *testing.B) *nfs.Client {
 
 // BenchmarkNFSWriteThroughput measures staging data onto an SD node.
 func BenchmarkNFSWriteThroughput(b *testing.B) {
-	c := nfsPair(b)
+	c := nfsPair(b, 0)
 	data := bytes.Repeat([]byte("x"), 1<<20)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -277,7 +285,7 @@ func BenchmarkNFSWriteThroughput(b *testing.B) {
 // BenchmarkNFSReadThroughput measures pulling data back over the wire —
 // the per-byte cost the host-only scenario pays.
 func BenchmarkNFSReadThroughput(b *testing.B) {
-	c := nfsPair(b)
+	c := nfsPair(b, 0)
 	data := bytes.Repeat([]byte("x"), 1<<20)
 	if err := c.WriteFile("bench.bin", data); err != nil {
 		b.Fatal(err)
@@ -289,6 +297,32 @@ func BenchmarkNFSReadThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNFSStreamDelayed streams 8 MiB from OpenReader to EOF over a
+// 10 ms reply delay — the path the host-pull baseline reads its corpus
+// through. The floor is one round trip plus transfer: a serial round trip
+// at the open or a wait on requests past the end shows as ms/op.
+func BenchmarkNFSStreamDelayed(b *testing.B) {
+	c := nfsPair(b, 10*time.Millisecond)
+	data := bytes.Repeat([]byte("stream "), (8<<20)/7+1)[:8<<20]
+	if err := c.WriteFile("stream.bin", data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := c.OpenReader("stream.bin")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, r)
+		r.Close()
+		if err != nil || n != int64(len(data)) {
+			b.Fatalf("streamed %d bytes (%v), want %d", n, err, len(data))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }
 
 // BenchmarkOffloadEndToEnd measures a full McSD word-count offload: the

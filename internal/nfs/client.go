@@ -519,65 +519,35 @@ func (c *Client) stageAndCommit(name string, data []byte, mode int, expect int64
 	return firstErr
 }
 
-// ReadAt implements smartfam.FS. Reads larger than MaxChunk fan out as one
-// tagged RPC per chunk through the pipeline window, so a big read costs
-// roughly one RTT plus transfer time instead of one RTT per chunk.
+// ReadAt implements smartfam.FS. A read of at most MaxChunk is one RPC; a
+// larger one streams through a reader bounded to the range, so it costs
+// about one RTT plus transfer time instead of one RTT per chunk.
 func (c *Client) ReadAt(name string, p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if len(p) <= MaxChunk {
-		resp, err := c.do(&Request{Op: OpReadAt, Name: name, Off: off, N: len(p)}, true)
+	if len(p) > MaxChunk {
+		r, err := c.openReaderAt(name, off, off+int64(len(p)))
 		if err != nil {
 			return 0, err
 		}
-		n := copy(p, resp.Data)
-		resp.free()
-		if n < len(p) {
-			return n, io.EOF
+		defer r.Close()
+		n, err := io.ReadFull(r, p)
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			err = io.EOF
 		}
-		return n, nil
+		return n, err
 	}
-	type chunk struct {
-		f    *call
-		pos  int
-		want int
+	resp, err := c.do(&Request{Op: OpReadAt, Name: name, Off: off, N: len(p)}, true)
+	if err != nil {
+		return 0, err
 	}
-	chunks := make([]chunk, 0, (len(p)+MaxChunk-1)/MaxChunk)
-	for pos := 0; pos < len(p); pos += MaxChunk {
-		want := min(len(p)-pos, MaxChunk)
-		f := c.send(&Request{Op: OpReadAt, Name: name, Off: off + int64(pos), N: want}, true)
-		chunks = append(chunks, chunk{f: f, pos: pos, want: want})
+	n := copy(p, resp.Data)
+	resp.free()
+	if n < len(p) {
+		return n, io.EOF
 	}
-	contig := 0
-	stopped := false
-	var firstErr error
-	for _, ck := range chunks {
-		resp, err := ck.f.wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			stopped = true
-			continue
-		}
-		n := copy(p[ck.pos:ck.pos+ck.want], resp.Data)
-		resp.free()
-		if stopped {
-			continue
-		}
-		contig += n
-		if n < ck.want {
-			stopped = true
-		}
-	}
-	if firstErr != nil {
-		return contig, firstErr
-	}
-	if contig < len(p) {
-		return contig, io.EOF
-	}
-	return contig, nil
+	return n, nil
 }
 
 // ChunkSum asks the server for the CRC32 (IEEE) of up to n bytes of name
@@ -647,25 +617,27 @@ func (c *Client) ReplaceIf(name string, data []byte, size int64) error {
 	return c.stageAndCommit(name, data, CommitReplace, size)
 }
 
-// ReadFile fetches a whole file. The chunk fan-out in ReadAt pipelines the
-// transfer.
+// ReadFile fetches a whole file through one stream, into a buffer sized
+// from the file size its first reply reports.
 func (c *Client) ReadFile(name string) ([]byte, error) {
-	size, _, err := c.Stat(name)
+	r, err := c.openReaderAt(name, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
-	n, err := c.ReadAt(name, buf, 0)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	return buf[:n], nil
+	defer r.Close()
+	return r.readRest(make([]byte, 0, r.Len()))
 }
 
 // OpenReader returns a streaming reader over a remote file. Reads page
 // through MaxChunk-sized RPCs with readAheadDepth chunks prefetched
 // through the pipeline, so arbitrarily large files stream at link speed
-// without being resident on either side.
+// without being resident on either side. The open sends the first
+// prefetch window at once and waits only for its first reply, so a
+// missing file fails here with smartfam.ErrNotExist and the first Read
+// does not pay the round trip again. Every reply reports the file's size
+// as of its read; the reader asks nothing at or past the last size
+// reported, and the stream ends at the first reply that reaches the end
+// of the file as of that reply (bytes appended after it are not read).
 func (c *Client) OpenReader(name string) (io.ReadCloser, error) {
 	return c.OpenReaderAt(name, 0)
 }
@@ -690,13 +662,23 @@ func (c *Client) OpenRangeReader(name string, off, length int64) (io.ReadCloser,
 	return c.openReaderAt(name, off, bound)
 }
 
+// openReaderAt opens the one stream reader every read path shares. No Stat
+// goes out: the first prefetch window does, and the open waits for its
+// first reply alone — the round trip the first Read would pay anyway —
+// which both surfaces a missing file and tells the reader the file's size
+// before it asks for more. Learning the size first would idle the link for
+// a round trip before the rest of the window went out.
 func (c *Client) openReaderAt(name string, off, bound int64) (*remoteReader, error) {
-	// Validate existence up front so callers get ErrNotExist at open time.
-	if _, _, err := c.Stat(name); err != nil {
+	r := &remoteReader{c: c, name: name, next: off, pos: off, bound: bound, size: -1}
+	r.fill()
+	resp, err := r.nextChunk()
+	if err != nil {
+		r.Close() // settles the rest of the window
 		return nil, err
 	}
-	r := &remoteReader{c: c, name: name, next: off, bound: bound}
-	r.fill()
+	if resp != nil {
+		r.cur, r.data = resp, resp.Data
+	}
 	return r, nil
 }
 
@@ -707,11 +689,13 @@ type remoteReader struct {
 	c      *Client
 	name   string
 	next   int64   // offset of the next prefetch to issue
+	pos    int64   // offset of the next byte Read returns
 	bound  int64   // declared range end; 0 = unbounded (see OpenRangeReader)
+	size   int64   // the file's size as the last reply reported; -1 before one
 	queue  []*call // issued prefetches, in offset order
 	cur    *Response
 	data   []byte // unread tail of cur
-	eof    bool   // a short/empty chunk was seen; stop issuing
+	eof    bool   // a reply reached the end of the file; stop issuing
 	err    error  // sticky failure: the stream may have a hole past here
 	closed bool
 }
@@ -721,26 +705,34 @@ type remoteReader struct {
 // straddles the boundary.
 const boundTailChunk = 4 << 10
 
-// fill tops the prefetch window back up.
+// fill tops the prefetch window back up, never asking at or past the size
+// the last reply reported: the request that reaches that size is answered
+// EOF, so a stream of an unchanging file leaves nothing in flight past its
+// end. Before the first reply the size is unknown and the whole window
+// goes out.
 func (r *remoteReader) fill() {
 	for !r.eof && len(r.queue) < readAheadDepth {
-		n := MaxChunk
+		n := int64(MaxChunk)
+		if r.size >= 0 {
+			if r.next >= r.size {
+				return
+			}
+			n = min(n, r.size-r.next)
+		}
 		if r.bound > 0 {
 			switch {
 			case r.next < r.bound:
-				if rem := r.bound - r.next; rem < int64(n) {
-					n = int(rem)
-				}
+				n = min(n, r.bound-r.next)
 			case len(r.queue) > 0:
 				// Past the declared range: strictly one tail fetch at a
 				// time, issued only when the consumer actually needs it.
 				return
 			default:
-				n = boundTailChunk
+				n = min(n, boundTailChunk)
 			}
 		}
-		f := r.c.send(&Request{Op: OpReadAt, Name: r.name, Off: r.next, N: n}, true)
-		r.next += int64(n)
+		f := r.c.send(&Request{Op: OpReadAt, Name: r.name, Off: r.next, N: int(n)}, true)
+		r.next += n
 		r.queue = append(r.queue, f)
 	}
 }
@@ -752,11 +744,15 @@ func (r *remoteReader) nextChunk() (*Response, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if len(r.queue) == 0 {
-		if r.eof {
-			return nil, nil
-		}
+	if len(r.queue) == 0 && !r.eof {
 		r.fill()
+	}
+	if len(r.queue) == 0 {
+		// Ended, or every byte below the last reported size was read: a
+		// reply that reaches the size is EOF, so the latter cannot happen
+		// with a consistent server.
+		r.eof = true
+		return nil, nil
 	}
 	f := r.queue[0]
 	r.queue = r.queue[1:]
@@ -765,6 +761,7 @@ func (r *remoteReader) nextChunk() (*Response, error) {
 		r.err = err
 		return nil, err
 	}
+	r.size = resp.Size
 	if resp.EOF || len(resp.Data) == 0 {
 		r.eof = true
 		r.drain()
@@ -779,7 +776,8 @@ func (r *remoteReader) nextChunk() (*Response, error) {
 }
 
 // drain settles and discards every outstanding prefetch (they have all
-// been sent; their responses arrive regardless).
+// been sent; their responses arrive regardless). Only the first window,
+// sent before any reply reported the size, can reach past the end.
 func (r *remoteReader) drain() {
 	for _, f := range r.queue {
 		if resp, err := f.wait(); err == nil && resp != nil {
@@ -787,6 +785,30 @@ func (r *remoteReader) drain() {
 		}
 	}
 	r.queue = nil
+}
+
+// Len reports how many unread bytes the stream holds as of the last
+// reply's file size: a capacity hint for a consumer that reads it whole.
+func (r *remoteReader) Len() int {
+	return int(max(r.size-r.pos, 0))
+}
+
+// readRest appends everything left in the stream to dst.
+func (r *remoteReader) readRest(dst []byte) ([]byte, error) {
+	for {
+		dst = append(dst, r.data...)
+		r.pos += int64(len(r.data))
+		r.data = nil
+		if r.cur != nil {
+			r.cur.free()
+			r.cur = nil
+		}
+		resp, err := r.nextChunk()
+		if resp == nil || err != nil {
+			return dst, err
+		}
+		r.cur, r.data = resp, resp.Data
+	}
 }
 
 func (r *remoteReader) Read(p []byte) (int, error) {
@@ -831,6 +853,7 @@ func (r *remoteReader) Read(p []byte) (int, error) {
 		}
 		n := copy(p[total:], r.data)
 		r.data = r.data[n:]
+		r.pos += int64(n)
 		total += n
 	}
 	if total == 0 {

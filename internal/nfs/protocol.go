@@ -99,23 +99,32 @@ type Request struct {
 
 // Response is one server->client message. On the client Data is a
 // zero-copy subslice of a pooled frame buffer; the client releases it back
-// to the pool once the payload has been consumed.
+// to the pool once the payload has been consumed. On the server an
+// OpReadAt reply's Data is a pooled buffer the serve loop releases once
+// the reply is written.
 type Response struct {
-	Tag      uint64
-	Data     []byte
+	Tag  uint64
+	Data []byte
+	// Size is the file's size: as of the stat (OpStat), as of the read
+	// (OpReadAt, never less than Off plus the bytes returned), the offset
+	// the bytes landed at (Landed OpAppend replies, inline notifies), or
+	// the CRC (OpSum).
 	Size     int64
 	MTimeNs  int64
 	Gen      uint64 // the file's identity (OpStat and OpAppend replies, notify frames)
 	Names    []string
 	Err      string
 	NotExist bool
-	EOF      bool
+	// EOF marks an OpReadAt reply whose range reached the end of the file
+	// as of that reply: it came up short, or it ends at Size. An OpSum
+	// reply sets it when its range came up short.
+	EOF bool
 	// Landed marks an OpAppend reply whose Size is the offset the bytes
 	// landed at and Gen the file's identity: the server queued
 	// every watcher but the appending connection a notify for them.
 	Landed bool
 
-	frame *frameBuf // pooled backing buffer of Data (client side)
+	frame *frameBuf // pooled backing buffer of Data
 }
 
 // free returns the response's pooled frame buffer, if any. The response's

@@ -192,6 +192,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		writeMu.Lock()
 		err := c.writeResponse(resp)
 		writeMu.Unlock()
+		resp.free() // the encoder copied Data into its frame
 		if err != nil {
 			return
 		}
@@ -408,6 +409,11 @@ func (s *Server) handleAppend(req *Request, self *connWatcher) *Response {
 	return &Response{Size: off, Gen: id, Landed: true}
 }
 
+// handleReadAt reads up to N bytes at Off into a pooled frame that the
+// serve loop frees once the reply is written. The reply carries the file's
+// size as of the read, and EOF when the read reached it — not only when it
+// came up short — so a streaming reader stops issuing at the end without
+// asking past it.
 func (s *Server) handleReadAt(req *Request) *Response {
 	p, err := s.path(req.Name)
 	if err != nil {
@@ -422,14 +428,22 @@ func (s *Server) handleReadAt(req *Request) *Response {
 		return fail(err)
 	}
 	defer f.Close()
-	buf := make([]byte, n)
-	read, err := f.ReadAt(buf, req.Off)
-	resp := &Response{Data: buf[:read], EOF: errors.Is(err, io.EOF)}
-	if err != nil && !errors.Is(err, io.EOF) {
+	fi, err := f.Stat()
+	if err != nil {
 		return fail(err)
 	}
+	fb := getFrame(n)
+	read, err := f.ReadAt(fb.b, req.Off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		putFrame(fb)
+		return fail(err)
+	}
+	// An append landing between the stat and the read can carry the read
+	// past the stat's size; the reply's size never trails its own bytes.
+	end := req.Off + int64(read)
+	size := max(fi.Size(), end)
 	s.metrics.Counter(metrics.NFSBytesRead).Add(int64(read))
-	return resp
+	return &Response{Data: fb.b[:read], Size: size, EOF: errors.Is(err, io.EOF) || end >= size, frame: fb}
 }
 
 // handleSum checksums up to N bytes of the file at Off server-side — the
@@ -452,13 +466,14 @@ func (s *Server) handleSum(req *Request) *Response {
 		return fail(err)
 	}
 	defer f.Close()
-	buf := make([]byte, n)
-	read, err := f.ReadAt(buf, req.Off)
+	fb := getFrame(n)
+	defer putFrame(fb)
+	read, err := f.ReadAt(fb.b, req.Off)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return fail(err)
 	}
 	return &Response{
-		Size:    int64(crc32.ChecksumIEEE(buf[:read])),
+		Size:    int64(crc32.ChecksumIEEE(fb.b[:read])),
 		MTimeNs: int64(read),
 		EOF:     errors.Is(err, io.EOF),
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"slices"
 	"sync"
 )
@@ -126,7 +127,7 @@ func (s *Scanner) Next() ([]byte, error) {
 	}
 	if s.opts.FragmentSize <= 0 {
 		// Native mode: the whole remaining stream is one fragment.
-		data, err := io.ReadAll(s.r)
+		data, err := readWhole(s.r)
 		s.done = true
 		if err != nil {
 			return nil, fmt.Errorf("partition: reading native fragment: %w", err)
@@ -205,6 +206,42 @@ func (s *Scanner) Next() ([]byte, error) {
 	}
 	s.serial++
 	return buf, nil
+}
+
+// readWhole reads r to EOF into one buffer sized up front when r can say
+// how many bytes it holds — an in-memory reader's or the nfs stream's Len,
+// a file's size past its offset — and grows it only if r held more.
+func readWhole(r io.Reader) ([]byte, error) {
+	var n int64
+	switch in := r.(type) {
+	case interface{ Len() int }:
+		n = int64(in.Len())
+	case interface {
+		Stat() (fs.FileInfo, error)
+		io.Seeker
+	}:
+		fi, err := in.Stat()
+		off, serr := in.Seek(0, io.SeekCurrent)
+		if err == nil && serr == nil {
+			n = fi.Size() - off
+		}
+	}
+	// One byte of room past the hint lets the read that reports EOF land
+	// without growing the buffer (as os.ReadFile does).
+	data := make([]byte, 0, max(n, 0)+1)
+	for {
+		k, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+k]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // Split partitions an in-memory byte slice, returning all fragments at

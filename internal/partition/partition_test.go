@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -50,6 +52,48 @@ func TestSplitNativeMode(t *testing.T) {
 		}
 		if len(frags) != 1 || !bytes.Equal(frags[0], data) {
 			t.Fatalf("native mode with size %d gave %d fragments", size, len(frags))
+		}
+	}
+}
+
+// TestNativeFragmentSizedUpFront: a native fragment is read into one
+// buffer sized from what the input reports — an in-memory reader's Len, a
+// file's size past its offset — plus one byte for the read that reports
+// EOF, never grown by doubling. An input that reports nothing still reads
+// whole.
+func TestNativeFragmentSizedUpFront(t *testing.T) {
+	data := bytes.Repeat([]byte("native fragment "), 4096)
+	path := filepath.Join(t.TempDir(), "in.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(100, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		want  []byte
+		sized bool
+	}{
+		{"bytes.Reader", bytes.NewReader(data), data, true},
+		{"file past its offset", f, data[100:], true},
+		{"unsized", iotest.HalfReader(bytes.NewReader(data)), data, false},
+	} {
+		frag, err := NewScanner(tc.r, Options{}).Next()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(frag, tc.want) {
+			t.Fatalf("%s: native fragment of %d bytes, want the %d-byte input", tc.name, len(frag), len(tc.want))
+		}
+		if tc.sized && cap(frag) != len(frag)+1 {
+			t.Errorf("%s: native fragment buffer has capacity %d for %d bytes, want %d", tc.name, cap(frag), len(frag), len(frag)+1)
 		}
 	}
 }
