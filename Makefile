@@ -117,7 +117,7 @@ chaos-heal:
 # test that
 # fails one run in fifty here is a bug, not noise.
 FLAKE_COUNT ?= 50
-FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestRunMultiTaskRetryIdempotent|TestOneTaskRunMatchesParallel|TestWordTableFold|TestWordCountJobSpreadsPoolOfOne|TestWordCountModulePoolOfOne|TestWordCountModuleCancel|TestStringMatchModuleSampleDeterministic|TestStream
+FLAKE_TESTS = TestFamPush|TestInvoke|TestDaemonSurvivesCompaction|TestPushlessCallersShareOneReader|TestFamPushLargeResponse|TestSmartFAMOverNFS|TestChaos|TestFleetWordCountRidesTheNotify|TestFleetWordCountRidesTheNotifyAtSafetyTick|TestFleetWordCountDropsLateBundleAnswer|TestExecuteNoSpeculationWithoutMedian|TestDaemonStampsHeartbeat|TestWatch|TestRouter|TestProbeHeartbeatMemo|TestExecuteCorruptReplica|TestMemoryAdmissionSerializesBigJobs|TestIntegrationRequeueAfterShed|TestPipelineDisconnect|TestRunPoolFitsMemoryBudget|TestRunPartitionedBeatsMemoryWall|TestRunCancel|TestDaemonTornResponseBatchLandsEachOnce|TestDaemonRecoveryRerunAnsweredOnce|TestClientTornRequestBatchRunsEachOnce|TestGroupCommitYieldGathersRunnableCallers|TestFamBurstKeepsBatching|TestDaemonSweepRidesOutShareFaults|TestDaemonSweepServesDroppedNotify|TestDaemonIdleSweepShareOps|TestRunRecycledFragmentsPoisoned|TestPooledBuffersPoisonedOnRecycle|TestRunStreamingCombineRetryIdempotent|TestRunMultiTaskRetryIdempotent|TestOneTaskRunMatchesParallel|TestWordTableFold|TestWordCountJobSpreadsPoolOfOne|TestWordCountModulePoolOfOne|TestWordCountModuleCancel|TestStringMatchModuleSampleDeterministic|TestStream|TestRangeChainOpensNextOffReadPath|TestRunLastFragmentOnEveryWorker|TestStringMatchModuleLastFragmentInFileOrder
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run '$(FLAKE_TESTS)' . ./internal/nfs ./internal/smartfam ./internal/fleet ./internal/sched ./internal/partition ./internal/mapreduce ./internal/workloads ./internal/core
 

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"log"
@@ -122,7 +121,7 @@ func run() error {
 		return err
 	}
 	hostRes, err := partition.Run(ctx, mapreduce.Config{Workers: 4},
-		workloads.WordCountSpec(), bufio.NewReaderSize(reader, 1<<20),
+		workloads.WordCountSpec(), reader,
 		partition.Options{FragmentSize: 1 << 20}, workloads.WordCountMerge)
 	reader.Close()
 	if err != nil {

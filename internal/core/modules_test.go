@@ -670,6 +670,48 @@ func TestStringMatchModuleSampleDeterministic(t *testing.T) {
 	}
 }
 
+// TestStringMatchModuleLastFragmentInFileOrder: string match over a file
+// whose last fragment is large enough for a multi-worker engine run to cut
+// several tasks (one fragment for the whole file, then two of 512 KiB) on
+// 2 workers must list every key's lines in file order, as StringMatchSeq
+// does: the stream's last fragment stays on one core for a spec without a
+// Combine.
+func TestStringMatchModuleLastFragmentInFileOrder(t *testing.T) {
+	store, dir := dataDir(t)
+	keys := workloads.GenerateKeys(6, 31)
+	enc := workloads.GenerateEncryptBytes(700_000, 33, keys, 0.1)
+	writeFile(t, dir, "encrypt.txt", enc)
+	writeFile(t, dir, "keys.txt", []byte(strings.Join(keys, "\n")+"\n"))
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	var want []string
+	for _, k := range slices.Compact(sorted) {
+		for _, m := range workloads.StringMatchSeq(enc, keys) {
+			if m.Key == k {
+				want = append(want, m.Line)
+			}
+		}
+	}
+	mod := StringMatchModule(ModuleConfig{Store: store, Workers: 2})
+	for _, size := range []int64{1 << 20, 512 << 10} {
+		for run := range 3 {
+			raw, err := mod.Run(context.Background(), mustEncode(t, StringMatchParams{
+				DataFile: "encrypt.txt", KeysFile: "keys.txt", PartitionBytes: size, SampleLines: len(want),
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out StringMatchOutput
+			if err := Decode(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(out.Sample, want) {
+				t.Fatalf("fragments of %d B, run %d: %d lines sampled out of file order (want %d)", size, run, len(out.Sample), len(want))
+			}
+		}
+	}
+}
+
 func TestStringMatchModuleErrors(t *testing.T) {
 	store, dir := dataDir(t)
 	writeFile(t, dir, "empty.keys", nil)

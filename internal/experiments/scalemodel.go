@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -154,7 +153,7 @@ func RunScaleModel(ctx context.Context, cfg ScaleModelConfig) (*ScaleModelResult
 			return nil, err
 		}
 		hostRes, err := partition.Run(ctx, mapreduce.Config{Workers: cfg.Workers},
-			workloads.WordCountSpec(), bufio.NewReaderSize(reader, 1<<20),
+			workloads.WordCountSpec(), reader,
 			partition.Options{FragmentSize: cfg.PartitionBytes}, workloads.WordCountMerge)
 		reader.Close()
 		if err != nil {

@@ -122,3 +122,50 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDeterministicAcrossParallelismManyTasks is
+// TestRunDeterministicAcrossParallelism on an input large enough that a
+// combining spec, mapped one task per worker, still cuts several tasks at
+// two and at eight workers: the ordered output must not depend on which
+// worker mapped which chunk.
+func TestRunDeterministicAcrossParallelismManyTasks(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; sb.Len() < 9*64<<10; i++ {
+		fmt.Fprintf(&sb, "hot%d w%05d %s ", i%7, i%20011, strings.Repeat("z", i%9+1))
+	}
+	input := []byte(sb.String())
+	ctx := context.Background()
+	ref, err := Run(ctx, Config{Workers: 1}, orderedWCSpec(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSM, err := Run(ctx, Config{Workers: 1}, sortMergeSpec(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, gmp := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(gmp)
+		for _, workers := range []int{2, 8} {
+			for rep := 0; rep < 2; rep++ {
+				wc, err := Run(ctx, Config{Workers: workers}, orderedWCSpec(), input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wc.Stats.MapTasks != workers {
+					t.Fatalf("workers=%d: %d map tasks, want one per worker", workers, wc.Stats.MapTasks)
+				}
+				if !bytes.Equal(serialize(wc.Pairs), serialize(ref.Pairs)) {
+					t.Fatalf("gomaxprocs=%d workers=%d rep=%d: wordcount output bytes diverged from the single-worker reference", gmp, workers, rep)
+				}
+				sm, err := Run(ctx, Config{Workers: workers}, sortMergeSpec(), input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(serialize(sm.Pairs), serialize(refSM.Pairs)) {
+					t.Fatalf("gomaxprocs=%d workers=%d rep=%d: sort-merge output bytes diverged from the single-worker reference", gmp, workers, rep)
+				}
+			}
+		}
+	}
+}

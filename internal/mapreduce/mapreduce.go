@@ -111,7 +111,8 @@ type Config struct {
 	// ChunkSize is the map-task granularity in bytes. Zero means
 	// max(64 KiB, len(input)/(4*Workers)) — except with a single worker,
 	// where there is no load to balance and the input is one task of at
-	// most SoloTaskMax bytes, which reduces straight from its records.
+	// most SoloTaskMax bytes, which reduces straight from its records,
+	// and with a Combine, where each worker maps one task (see taskSize).
 	ChunkSize int
 	// Memory, when non-nil, admission-controls the run: the estimated
 	// footprint (FootprintFactor x input) is reserved up front and the
@@ -170,6 +171,22 @@ func (c Config) chunkSize(inputLen int) int {
 		n = 64 << 10
 	}
 	return n
+}
+
+// taskSize is the map-task size of a run over inputLen bytes. A combining
+// spec on several workers maps one task per worker (at most SoloTaskMax
+// bytes, at least 64 KiB): a combining task's work tracks the distinct
+// keys of its chunk, which the reduce then joins back together, so
+// cutting the run finer repeats that work for every extra task — at four
+// tasks per core, two workers counted a 4 MiB word-count fragment slower
+// than one. Other specs keep chunkSize's four per core, which balance
+// their load.
+func (c Config) taskSize(inputLen int, combining bool) int {
+	w := c.workers()
+	if c.ChunkSize > 0 || !combining || w == 1 {
+		return c.chunkSize(inputLen)
+	}
+	return max(64<<10, min((inputLen+w-1)/w, SoloTaskMax))
 }
 
 func (c Config) retries() int {

@@ -17,7 +17,8 @@ import (
 //     worker retires, so steady state allocates no buffer memory across
 //     jobs;
 //   - emit KV records (key + value-run header) are dealt from a per-worker
-//     arena that is reset — not freed — after every task.
+//     arena that is reset — not freed — after every task, and found
+//     through a pooled Go map.
 
 // freeBufCap is the initial capacity of a fresh value run buffer. Most
 // keys see few values per task (a combiner folds at streamFoldLen), so buffers start small and grow only for hot keys.
@@ -70,23 +71,7 @@ func putFreeList[V any](fl [][]V) {
 	poolFor(reflect.TypeFor[[][]V]()).Put(&fl)
 }
 
-// getPartMap hands a worker a recycled (empty) per-partition buffer map.
-func getPartMap[K comparable, V any]() map[K][]V {
-	if v := poolFor(reflect.TypeFor[map[K][]V]()).Get(); v != nil {
-		return v.(map[K][]V)
-	}
-	return make(map[K][]V)
-}
-
-// putPartMap recycles a partition buffer map whose contents have been moved
-// out (or are no longer referenced). The buckets keep their capacity, so
-// the next job's inserts do not re-grow the table.
-func putPartMap[K comparable, V any](m map[K][]V) {
-	clear(m)
-	poolFor(reflect.TypeFor[map[K][]V]()).Put(m)
-}
-
-// getTaskMap hands a map worker a recycled task-local record map.
+// getTaskMap hands a map worker a recycled (empty) record index.
 func getTaskMap[K comparable, V any]() map[K]*kvrec[K, V] {
 	if v := poolFor(reflect.TypeFor[map[K]*kvrec[K, V]]()).Get(); v != nil {
 		return v.(map[K]*kvrec[K, V])
@@ -99,9 +84,9 @@ func putTaskMap[K comparable, V any](m map[K]*kvrec[K, V]) {
 	poolFor(reflect.TypeFor[map[K]*kvrec[K, V]]()).Put(m)
 }
 
-// kvrec is one emit record: a key and its value run. Records
-// live in a recArena and are referenced only by task-local state, so a
-// whole task's records are reclaimed with one arena reset.
+// kvrec is one emit record: a key and its value run. Records live in a
+// recArena and are referenced only by run-local state, so a whole task's
+// records are reclaimed with one arena reset.
 type kvrec[K comparable, V any] struct {
 	key K
 	vs  []V

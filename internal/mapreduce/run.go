@@ -50,7 +50,7 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 	if split == nil {
 		split = FixedSplitter
 	}
-	chunks := split(input, cfg.chunkSize(len(input)))
+	chunks := split(input, cfg.taskSize(len(input), spec.Combine != nil))
 	res.Stats.SplitTime = time.Since(start)
 	res.Stats.MapTasks = len(chunks)
 
@@ -62,10 +62,12 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 	}
 
 	// Map phase: dynamic task scheduling over a shared channel. Each
-	// worker accumulates one task-local keyed map (no locking on the hot
-	// path, as in Phoenix) and splices it into its per-partition buffers
-	// on task success — partition hashing happens once per distinct key
-	// per task, not once per emission.
+	// worker folds a task's emissions into task-local records (no locking
+	// on the hot path, as in Phoenix) and, on task success, into its own
+	// records of every key it has mapped: its first task's records become
+	// them outright, later tasks splice in. Once the feed ends, the worker
+	// combines and deals its records to the reduce partitions, hashing each
+	// key once.
 	start = time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -84,12 +86,18 @@ func Run[K comparable, V any, R any](ctx context.Context, cfg Config, spec Spec[
 	mp := &mapPhase[K, V, R]{job: j, ctx: runCtx, chunks: chunks, fail: fail}
 
 	states := make([]*mapWorker[K, V], workers)
+	// Every worker's records go back to their pools when the run ends,
+	// however it ends: the reduce reads them all.
+	defer func() {
+		for _, st := range states {
+			if st.acc != nil {
+				st.acc.release()
+			}
+		}
+	}()
 	taskCh := make(chan int)
 	for w := 0; w < workers; w++ {
-		st := &mapWorker[K, V]{parts: make([]map[K][]V, numReducers), free: getFreeList[V]()}
-		for r := range st.parts {
-			st.parts[r] = getPartMap[K, V]()
-		}
+		st := &mapWorker[K, V]{free: getFreeList[V]()}
 		states[w] = st
 		wg.Add(1)
 		go func() {
@@ -120,35 +128,20 @@ feed:
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-
-	// Worker-local combine (Phoenix combiner) before the shuffle. The map
-	// tasks already fold during the map call; this pass only compacts the
-	// sub-threshold remainders they left behind.
-	if spec.Combine != nil {
-		var cwg sync.WaitGroup
-		for _, st := range states {
-			cwg.Add(1)
-			go func(st *mapWorker[K, V]) {
-				defer cwg.Done()
-				for _, part := range st.parts {
-					for k, vs := range part {
-						if len(vs) > 1 {
-							part[k] = spec.Combine(k, vs)
-						}
-					}
-				}
-			}(st)
-		}
-		cwg.Wait()
-	}
+	// The workers that mapped anything.
+	var active []*mapWorker[K, V]
 	for _, st := range states {
 		res.Stats.PairsEmitted += st.emitted
+		if st.acc != nil {
+			active = append(active, st)
+		}
 	}
 	res.Stats.MapTime = time.Since(start)
 
-	// Reduce phase: one task per partition; each task first merges the
-	// worker-local buffers for its partition and key-sorts (the shuffle,
-	// tracked separately in Stats.ShuffleTime), then reduces every key.
+	// Reduce phase: one task per partition (reducePartition), which first
+	// joins the workers' records of the partition and key-sorts them (the
+	// shuffle, tracked separately in Stats.ShuffleTime), then reduces
+	// every key.
 	start = time.Now()
 	partOut := make([][]Pair[K, R], numReducers)
 	uniq := make([]int, numReducers)
@@ -163,48 +156,14 @@ feed:
 				if ctxErr(runCtx) != nil {
 					return
 				}
-				shStart := time.Now()
-				// The first worker's buffer becomes the shuffle map
-				// directly (zero copying for single-worker runs); the
-				// remaining workers fold in, moving each value run on
-				// its key's first appearance.
-				merged := states[0].parts[p]
-				states[0].parts[p] = nil
-				if merged == nil {
-					merged = make(map[K][]V)
+				out, keys, shuffle, err := j.reducePartition(active, p)
+				shuffleNanos.Add(int64(shuffle))
+				if err != nil {
+					fail(err)
+					return
 				}
-				for _, st := range states[1:] {
-					donor := st.parts[p]
-					for k, vs := range donor {
-						if cur, ok := merged[k]; ok {
-							merged[k] = append(cur, vs...)
-						} else {
-							merged[k] = vs
-						}
-					}
-					st.parts[p] = nil
-					putPartMap(donor) // contents moved; recycle the buckets
-				}
-				uniq[p] = len(merged)
-				keys := make([]K, 0, len(merged))
-				for k := range merged {
-					keys = append(keys, k)
-				}
-				if spec.Less != nil {
-					sort.Slice(keys, func(i, j int) bool { return spec.Less(keys[i], keys[j]) })
-				}
-				shuffleNanos.Add(int64(time.Since(shStart)))
-				out := make([]Pair[K, R], 0, len(keys))
-				for _, k := range keys {
-					rv, err := j.reduce(k, merged[k])
-					if err != nil {
-						fail(err)
-						return
-					}
-					out = append(out, Pair[K, R]{Key: k, Value: rv})
-				}
+				uniq[p] = keys
 				partOut[p] = out
-				putPartMap(merged) // reduced; keys live on in out, buckets recycle
 			}
 		}()
 	}
@@ -255,10 +214,13 @@ feedReduce:
 	return res, nil
 }
 
-// mapWorker is one map worker's shuffle-side state: per-partition keyed
-// buffers, a value-buffer free list, and its raw emission count.
+// mapWorker is one map worker's shuffle-side state: the records of every
+// key its tasks emitted and, once it has mapped its last task, those
+// records dealt to the reduce partitions; a value-buffer free list; and
+// its raw emission count.
 type mapWorker[K comparable, V any] struct {
-	parts   []map[K][]V
+	acc     *taskRecords[K, V] // nil until a task succeeds
+	parts   [][]*kvrec[K, V]
 	free    [][]V
 	emitted int64
 }
@@ -299,6 +261,51 @@ func (j *job[K, V, R]) reduce(k K, vs []V) (R, error) {
 		return e
 	}, nil)
 	return rv, err
+}
+
+// reducePartition reduces partition p of the workers that mapped
+// anything. The first worker's records of the partition are its keys;
+// every other worker's record of the partition joins the first worker's
+// record of its key, found through that worker's index (read by every
+// reduce task, written by none), or, for a key the first worker never
+// saw, through a map of the task's own. It returns the output, its key
+// count, and the time spent joining and key-sorting (the shuffle).
+func (j *job[K, V, R]) reducePartition(active []*mapWorker[K, V], p int) ([]Pair[K, R], int, time.Duration, error) {
+	if len(active) == 0 {
+		return nil, 0, 0, nil
+	}
+	start := time.Now()
+	home := active[0].acc.index
+	recs := active[0].parts[p]
+	var extra map[K]*kvrec[K, V]
+	for _, st := range active[1:] {
+		for _, e := range st.parts[p] {
+			if cur, ok := home[e.key]; ok {
+				cur.vs = append(cur.vs, e.vs...)
+			} else if cur, ok := extra[e.key]; ok {
+				cur.vs = append(cur.vs, e.vs...)
+			} else {
+				if extra == nil {
+					extra = make(map[K]*kvrec[K, V])
+				}
+				extra[e.key] = e
+				recs = append(recs, e)
+			}
+		}
+	}
+	if less := j.spec.Less; less != nil {
+		sort.Slice(recs, func(a, b int) bool { return less(recs[a].key, recs[b].key) })
+	}
+	shuffle := time.Since(start)
+	out := make([]Pair[K, R], 0, len(recs))
+	for _, e := range recs {
+		rv, err := j.reduce(e.key, e.vs)
+		if err != nil {
+			return nil, 0, shuffle, err
+		}
+		out = append(out, Pair[K, R]{Key: e.key, Value: rv})
+	}
+	return out, len(recs), shuffle, nil
 }
 
 // mapTask runs Map over chunk into recs, with retries. A failed attempt's
@@ -401,8 +408,7 @@ func newTaskRecords[K comparable, V any](st *mapWorker[K, V], combine func(K, []
 		e, ok := index[k]
 		if !ok {
 			e = arena.alloc()
-			e.key = k
-			e.vs = st.getBuf()
+			e.key, e.vs = k, st.getBuf()
 			index[k] = e
 		}
 		e.vs = append(e.vs, v)
@@ -434,45 +440,80 @@ func (r *taskRecords[K, V]) release() {
 	putArena(r.arena)
 }
 
-// splice folds a finished task's records into the worker's per-partition
-// buffers: a key new to its partition adopts the task's value run
-// outright (move, no copy); a known key appends and recycles the run.
-// Partition hashing happens here — once per distinct key per task.
-func (mp *mapPhase[K, V, R]) splice(recs *taskRecords[K, V]) {
+// splice folds a finished task's records into the worker's: the first
+// task's records become the worker's outright; a later task's key new to
+// the worker adopts the task's value run (move, no copy), and a known key
+// appends and recycles the run. It returns the records for the worker's
+// next task: recs, emptied, or nil when they became the worker's.
+func (mp *mapPhase[K, V, R]) splice(recs *taskRecords[K, V]) *taskRecords[K, V] {
 	st := recs.st
-	recs.arena.each(func(e *kvrec[K, V]) {
-		p := mp.partition(e.key)
-		dst := st.parts[p]
-		if cur, ok := dst[e.key]; ok {
-			cur = append(cur, e.vs...)
-			if mp.spec.Combine != nil && len(cur) >= streamFoldLen {
-				cur = mp.spec.Combine(e.key, cur)
-			}
-			dst[e.key] = cur
-			st.putBuf(e.vs)
-		} else {
-			dst[e.key] = e.vs
-		}
-	})
 	st.emitted += recs.emitted
+	if st.acc == nil {
+		st.acc = recs
+		return nil
+	}
+	acc := st.acc
+	recs.arena.each(func(e *kvrec[K, V]) {
+		cur, ok := acc.index[e.key]
+		if !ok {
+			cur = acc.arena.alloc()
+			*cur = *e
+			acc.index[e.key] = cur
+			return
+		}
+		cur.vs = append(cur.vs, e.vs...)
+		if mp.spec.Combine != nil && len(cur.vs) >= streamFoldLen {
+			cur.vs = mp.spec.Combine(e.key, cur.vs)
+		}
+		st.putBuf(e.vs)
+	})
 	recs.reset()
+	return recs
+}
+
+// deal combines the worker's records (Phoenix's combiner over the
+// sub-threshold remainders the map tasks left) and deals them to the
+// reduce partitions, in first-emission order.
+func (mp *mapPhase[K, V, R]) deal(st *mapWorker[K, V]) {
+	st.parts = make([][]*kvrec[K, V], mp.numReducers)
+	per := len(st.acc.index)/mp.numReducers + 1
+	st.acc.arena.each(func(e *kvrec[K, V]) {
+		if mp.spec.Combine != nil && len(e.vs) > 1 {
+			e.vs = mp.spec.Combine(e.key, e.vs)
+		}
+		p := mp.partition(e.key)
+		if st.parts[p] == nil {
+			st.parts[p] = make([]*kvrec[K, V], 0, per)
+		}
+		st.parts[p] = append(st.parts[p], e)
+	})
 }
 
 // mapTasks runs one worker's share of the map tasks. Each task folds into
 // task records during the map call itself (compacted by the combiner when
 // the spec has one), which are discarded on a failed attempt, preserving
-// retry idempotence, and spliced into the worker's buffers on success.
+// retry idempotence, and spliced into the worker's records on success.
 func (mp *mapPhase[K, V, R]) mapTasks(st *mapWorker[K, V], taskCh <-chan int) {
-	recs := newTaskRecords(st, mp.spec.Combine)
-	defer recs.release()
+	var recs *taskRecords[K, V]
+	defer func() {
+		if recs != nil {
+			recs.release()
+		}
+	}()
 	for idx := range taskCh {
 		if ctxErr(mp.ctx) != nil {
 			return
+		}
+		if recs == nil {
+			recs = newTaskRecords(st, mp.spec.Combine)
 		}
 		if err := mp.mapTask(recs, mp.chunks[idx]); err != nil {
 			mp.fail(err)
 			return
 		}
-		mp.splice(recs)
+		recs = mp.splice(recs)
+	}
+	if st.acc != nil && ctxErr(mp.ctx) == nil {
+		mp.deal(st)
 	}
 }

@@ -54,6 +54,10 @@ type Fragment struct {
 	// pool of one, where no other fragment runs beside this one, and one
 	// otherwise.
 	Cores int
+	// Last reports that the fragment ends the stream: no fragment follows
+	// it, so once the fragments before it finish, the pool's other workers
+	// idle until it does.
+	Last bool
 }
 
 // Each is the fragment driver: it runs fn over every fragment of the
@@ -70,6 +74,15 @@ type Fragment struct {
 // footprint × its length (mapreduce.EffectiveFootprint) while fn runs; a
 // fragment that does not fit fails the run with memsim.ErrOutOfMemory, the
 // native-Phoenix wall of §IV-B.
+//
+// The fragment that ends the stream comes with Last set. The scanner
+// knows it once it has seen EOF, which a stream that ends on a cut
+// reports only on the read after its last byte: when a cut falls on the
+// last byte read, the scanner reads on before it hands the fragment over,
+// and what it reads opens the next fragment. So on a live stream whose
+// reads end on record boundaries, a whole fragment waits for the
+// stream's next byte (or its end) before fn gets it; an error of that
+// read fails the run after the fragment has been handed over.
 //
 // Fragments run concurrently and finish out of order. The first error —
 // from the scan, a reservation or fn — cancels the ctx fn was given and is
@@ -97,6 +110,7 @@ func Each(
 	type scanned struct {
 		serial int
 		frag   []byte
+		last   bool
 		err    error
 	}
 
@@ -128,7 +142,7 @@ func Each(
 				scannedAll = serial
 				return
 			}
-			it := scanned{serial: serial, frag: frag, err: err}
+			it := scanned{serial: serial, frag: frag, last: sc.last(), err: err}
 			select {
 			case fragCh <- it:
 				if err != nil {
@@ -165,7 +179,7 @@ func Each(
 				if runCtx.Err() != nil {
 					return
 				}
-				err := run(Fragment{Data: it.frag, Serial: it.serial, Worker: w, Cores: cores})
+				err := run(Fragment{Data: it.frag, Serial: it.serial, Worker: w, Cores: cores, Last: it.last})
 				if opts.FragmentSize > 0 {
 					// Safe: fn keeps no byte of the fragment past its
 					// return (see Fragment.Data). A native fragment is the
@@ -201,8 +215,14 @@ func Each(
 // except that the Sort runs once, over the merged result, not per fragment
 // (see unordered). Each's pool runs whole fragments through the engine
 // concurrently, one core each; a pool of one hands the engine every worker
-// instead. Fragments complete out of order, but the merge folds them in
-// scan order, so non-commutative merge functions (ConcatMerge) stay
+// instead. So does the fragment that ends the stream, when the spec has a
+// Combine: nothing is left to scan once it arrives, so a one-core run of it
+// would leave the other cores idle at the end of every job. Without a
+// Combine it stays on one core: a multi-worker engine run hands Reduce a
+// key's values in the order its workers happened to map them, and a
+// one-task run keeps them in input order (string match samples its lines
+// in file order). Fragments complete out of order, but the merge folds
+// them in scan order, so non-commutative merge functions (ConcatMerge) stay
 // deterministic.
 func Run[K comparable, V any, R any](
 	ctx context.Context,
@@ -234,6 +254,9 @@ func Run[K comparable, V any, R any](
 			engCfg := cfg
 			engCfg.Memory = nil
 			engCfg.Workers = f.Cores
+			if f.Last && spec.Combine != nil {
+				engCfg.Workers = cfg.EffectiveWorkers()
+			}
 			fragRes, err := mapreduce.Run(ctx, engCfg, engSpec, f.Data)
 			if err != nil {
 				return err
@@ -250,7 +273,7 @@ func Run[K comparable, V any, R any](
 	// Ordered merge, on the calling goroutine: outputs are folded in
 	// serial order via a reorder buffer, which can hold at most pool-1
 	// outputs — each worker has at most one finished output in flight.
-	acc := newShardedAcc[K, R](cfg, merge)
+	acc := newShardedAcc[K, R](cfg, merge, spec.Less)
 	res := &Result[K, R]{}
 	pending := make(map[int]output)
 	next := 0
@@ -274,7 +297,7 @@ func Run[K comparable, V any, R any](
 	}
 
 	var strat mapreduce.MergeStrategy
-	res.Pairs, strat = acc.collect(spec.Less)
+	res.Pairs, strat = acc.collect()
 	if spec.Less != nil {
 		res.Stats.MergeStrategy = strat.String()
 	}
@@ -359,15 +382,25 @@ func accumulateStats(dst *mapreduce.Stats, s mapreduce.Stats) {
 // the parallelism is inside — one folder goroutine per shard.
 type shardedAcc[K comparable, R any] struct {
 	merge  MergeFunc[R]
+	less   func(x, y K) bool // the final order; nil for none
 	seed   maphash.Seed
-	shards []map[K]R
+	shards []*accShard[K, R]
 	chans  []chan []mapreduce.Pair[K, R]
 	wg     sync.WaitGroup
 	mask   uint64
 	open   bool
 }
 
-func newShardedAcc[K comparable, R any](cfg mapreduce.Config, merge MergeFunc[R]) *shardedAcc[K, R] {
+// accShard is one shard of the accumulator: its keys' folded values and,
+// when the accumulator orders keys, the keys themselves, sorted up to
+// sorted and in arrival order after.
+type accShard[K comparable, R any] struct {
+	vals   map[K]R
+	keys   []K
+	sorted int
+}
+
+func newShardedAcc[K comparable, R any](cfg mapreduce.Config, merge MergeFunc[R], less func(x, y K) bool) *shardedAcc[K, R] {
 	n := cfg.EffectiveWorkers()
 	if n > maxMergeShards {
 		n = maxMergeShards
@@ -379,8 +412,9 @@ func newShardedAcc[K comparable, R any](cfg mapreduce.Config, merge MergeFunc[R]
 	}
 	return &shardedAcc[K, R]{
 		merge:  merge,
+		less:   less,
 		seed:   maphash.MakeSeed(),
-		shards: make([]map[K]R, shards),
+		shards: make([]*accShard[K, R], shards),
 		chans:  make([]chan []mapreduce.Pair[K, R], shards),
 		mask:   uint64(shards - 1),
 	}
@@ -390,7 +424,14 @@ func newShardedAcc[K comparable, R any](cfg mapreduce.Config, merge MergeFunc[R]
 // pre-sizes every shard from the fragment's cardinality — the best
 // available estimate of per-fragment key counts — and starts the workers.
 // Each shard worker folds batches in arrival order, which is fragment
-// serial order, so non-commutative merges stay deterministic.
+// serial order, so non-commutative merges stay deterministic. A shard
+// worker with no batch waiting sorts the keys it has so far: the
+// accumulator idles while the stream delivers the next fragment, so the
+// final key sort is done by then but for the keys the last fragments
+// brought. It merges new keys into the sorted ones only once they number
+// a quarter of them, so every merge grows the sorted keys by a quarter
+// and a key is merged a bounded number of times, however many fragments
+// bring new keys.
 func (a *shardedAcc[K, R]) fold(pairs []mapreduce.Pair[K, R]) {
 	if len(pairs) == 0 {
 		return
@@ -398,21 +439,28 @@ func (a *shardedAcc[K, R]) fold(pairs []mapreduce.Pair[K, R]) {
 	if !a.open {
 		hint := len(pairs)/len(a.shards) + 1
 		for i := range a.shards {
-			a.shards[i] = make(map[K]R, 2*hint)
+			sh := &accShard[K, R]{vals: make(map[K]R, 2*hint)}
+			a.shards[i] = sh
 			a.chans[i] = make(chan []mapreduce.Pair[K, R], 1)
 			a.wg.Add(1)
-			go func(shard map[K]R, ch <-chan []mapreduce.Pair[K, R]) {
+			go func(ch <-chan []mapreduce.Pair[K, R]) {
 				defer a.wg.Done()
 				for batch := range ch {
 					for _, p := range batch {
-						if prev, ok := shard[p.Key]; ok {
-							shard[p.Key] = a.merge(prev, p.Value)
+						if prev, ok := sh.vals[p.Key]; ok {
+							sh.vals[p.Key] = a.merge(prev, p.Value)
 						} else {
-							shard[p.Key] = p.Value
+							sh.vals[p.Key] = p.Value
+							if a.less != nil {
+								sh.keys = append(sh.keys, p.Key)
+							}
 						}
 					}
+					if a.less != nil && len(ch) == 0 && 4*(len(sh.keys)-sh.sorted) >= sh.sorted {
+						sh.sortKeys(a.less)
+					}
 				}
-			}(a.shards[i], a.chans[i])
+			}(a.chans[i])
 		}
 		a.open = true
 	}
@@ -436,6 +484,28 @@ func (a *shardedAcc[K, R]) fold(pairs []mapreduce.Pair[K, R]) {
 	}
 }
 
+// sortKeys sorts the keys that arrived since the last sort and merges them
+// into the sorted ones.
+func (sh *accShard[K, R]) sortKeys(less func(x, y K) bool) {
+	if sh.sorted == len(sh.keys) {
+		return
+	}
+	head, tail := sh.keys[:sh.sorted], sh.keys[sh.sorted:]
+	sort.Slice(tail, func(x, y int) bool { return less(tail[x], tail[y]) })
+	if len(head) > 0 {
+		merged := make([]K, 0, len(sh.keys))
+		for len(head) > 0 && len(tail) > 0 {
+			if less(tail[0], head[0]) {
+				merged, tail = append(merged, tail[0]), tail[1:]
+			} else {
+				merged, head = append(merged, head[0]), head[1:]
+			}
+		}
+		sh.keys = append(append(merged, head...), tail...)
+	}
+	sh.sorted = len(sh.keys)
+}
+
 // close stops the shard workers and waits for every in-flight batch to be
 // folded. It must be called before collect.
 func (a *shardedAcc[K, R]) close() {
@@ -450,19 +520,23 @@ func (a *shardedAcc[K, R]) close() {
 }
 
 // collect flattens the shards into the final pair slice. With an ordering,
-// each shard is sorted concurrently and the sorted shards are k-way merged
-// — the same adaptive merge machinery as the engine's final stage, whose
-// chosen strategy is returned for the driver's stats.
-func (a *shardedAcc[K, R]) collect(less func(x, y K) bool) ([]mapreduce.Pair[K, R], mapreduce.MergeStrategy) {
-	if less == nil {
+// each shard finishes sorting its keys concurrently and the sorted shards
+// are k-way merged — the same adaptive merge machinery as the engine's
+// final stage, whose chosen strategy is returned for the driver's stats.
+func (a *shardedAcc[K, R]) collect() ([]mapreduce.Pair[K, R], mapreduce.MergeStrategy) {
+	if a.less == nil {
 		total := 0
 		for _, s := range a.shards {
-			total += len(s)
+			if s != nil {
+				total += len(s.vals)
+			}
 		}
 		out := make([]mapreduce.Pair[K, R], 0, total)
 		for _, s := range a.shards {
-			for k, v := range s {
-				out = append(out, mapreduce.Pair[K, R]{Key: k, Value: v})
+			if s != nil {
+				for k, v := range s.vals {
+					out = append(out, mapreduce.Pair[K, R]{Key: k, Value: v})
+				}
 			}
 		}
 		return out, mapreduce.MergeCopy
@@ -470,17 +544,20 @@ func (a *shardedAcc[K, R]) collect(less func(x, y K) bool) ([]mapreduce.Pair[K, 
 	runs := make([][]mapreduce.Pair[K, R], len(a.shards))
 	var wg sync.WaitGroup
 	for i, s := range a.shards {
-		run := make([]mapreduce.Pair[K, R], 0, len(s))
-		for k, v := range s {
-			run = append(run, mapreduce.Pair[K, R]{Key: k, Value: v})
+		if s == nil {
+			continue
 		}
-		runs[i] = run
 		wg.Add(1)
-		go func(run []mapreduce.Pair[K, R]) {
+		go func() {
 			defer wg.Done()
-			sort.Slice(run, func(x, y int) bool { return less(run[x].Key, run[y].Key) })
-		}(run)
+			s.sortKeys(a.less)
+			run := make([]mapreduce.Pair[K, R], len(s.keys))
+			for j, k := range s.keys {
+				run[j] = mapreduce.Pair[K, R]{Key: k, Value: s.vals[k]}
+			}
+			runs[i] = run
+		}()
 	}
 	wg.Wait()
-	return mapreduce.MergeSortedStats(runs, less)
+	return mapreduce.MergeSortedStats(runs, a.less)
 }

@@ -552,3 +552,131 @@ func TestRunPoolFitsMemoryBudget(t *testing.T) {
 		}
 	}
 }
+
+// steppedReader releases its input step bytes per Read, and reports EOF
+// only on the Read after the last byte, as a stream that does not know
+// its length does.
+type steppedReader struct {
+	data []byte
+	step int
+}
+
+func (r *steppedReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.step)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestRunLastFragmentOnEveryWorker: the fragment that ends a stream runs
+// its engine on every worker of the pool — each of its workers reduces
+// one partition, every other fragment's one worker one — and the run
+// equals an in-memory one, for a stream that ends on a cut and for one
+// whose end arrives inside the integrity check's tail read — when the spec
+// has a Combine.
+func TestRunLastFragmentOnEveryWorker(t *testing.T) {
+	const workers, size = 2, 16
+	spec := wcSpec()
+	spec.Combine = func(_ string, vs []int) []int {
+		sum := 0
+		for _, v := range vs {
+			sum += v
+		}
+		vs[0] = sum
+		return vs[:1]
+	}
+	spec.Less = func(a, b string) bool { return a < b }
+	long := "abcdefghijklmnopqrs " // straddles the last draft boundary
+	for name, text := range map[string]string{
+		"ends on a cut":                        strings.Repeat("abc ", 16*size/4),
+		"ends in the tail read on a delimiter": strings.Repeat("abc ", 15*size/4) + long,
+		"ends in the tail read mid-record":     strings.Repeat("abc ", 15*size/4) + strings.TrimSpace(long),
+	} {
+		cfg := mapreduce.Config{Workers: workers}
+		opts := Options{FragmentSize: size}
+		want, err := Run(context.Background(), cfg, spec, bytes.NewReader([]byte(text)), opts, SumMerge[int])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []int{1, 3, size, len(text)} {
+			in := &steppedReader{data: []byte(text), step: step}
+			got, err := Run(context.Background(), cfg, spec, in, opts, SumMerge[int])
+			if err != nil {
+				t.Fatalf("%s, step %d: %v", name, step, err)
+			}
+			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
+				t.Fatalf("%s, step %d: pairs %v, in-memory run %v", name, step, got.Pairs, want.Pairs)
+			}
+			if g, w := countersOf(got.Stats), countersOf(want.Stats); g != w || got.Fragments != want.Fragments {
+				t.Fatalf("%s, step %d: %d fragments, stats %+v; in-memory run %d, %+v", name, step, got.Fragments, g, want.Fragments, w)
+			}
+			if got.Stats.ReduceTasks != got.Fragments-1+workers {
+				t.Fatalf("%s, step %d: %d reduce tasks over %d fragments, want the last fragment's engine on %d workers",
+					name, step, got.Stats.ReduceTasks, got.Fragments, workers)
+			}
+		}
+	}
+	// Without a Combine, the last fragment keeps one core, so Reduce sees
+	// each key's values in input order.
+	text := strings.Repeat("abc ", 16*size/4)
+	got, err := Run(context.Background(), mapreduce.Config{Workers: workers}, wcSpec(),
+		&steppedReader{data: []byte(text), step: 3}, Options{FragmentSize: size}, SumMerge[int])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.ReduceTasks != got.Fragments {
+		t.Fatalf("no Combine: %d reduce tasks over %d fragments, want one each", got.Stats.ReduceTasks, got.Fragments)
+	}
+}
+
+// countersOf keeps the counters of s, dropping its times and the final
+// merge's strategy, which follows how the keys fell into hash shards.
+func countersOf(s mapreduce.Stats) mapreduce.Stats {
+	return mapreduce.Stats{
+		MapTasks: s.MapTasks, ReduceTasks: s.ReduceTasks, PairsEmitted: s.PairsEmitted,
+		UniqueKeys: s.UniqueKeys, FragmentKeys: s.FragmentKeys, TaskRetries: s.TaskRetries,
+		InputBytes: s.InputBytes,
+	}
+}
+
+// TestShardedAccSortsAcrossBatches: the accumulator's shards sort their
+// keys between batches, merging new keys in only once they are a quarter
+// of the sorted ones; whatever was sorted when, collect must return every
+// key once, in order, with its values merged in batch order.
+func TestShardedAccSortsAcrossBatches(t *testing.T) {
+	less := func(a, b string) bool { return a < b }
+	for _, workers := range []int{1, 2, 8} {
+		for _, pause := range []bool{false, true} {
+			acc := newShardedAcc[string, []int](mapreduce.Config{Workers: workers}, ConcatMerge[int], less)
+			want := map[string][]int{}
+			for b := range 40 {
+				// Early batches bring many new keys, later ones a few.
+				var batch []mapreduce.Pair[string, []int]
+				for i := range 200 {
+					k := fmt.Sprintf("k%05d", (i*7919+b*104729)%(500+b*25))
+					batch = append(batch, mapreduce.Pair[string, []int]{Key: k, Value: []int{b}})
+					want[k] = append(want[k], b)
+				}
+				acc.fold(batch)
+				if pause {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			acc.close()
+			got, _ := acc.collect()
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d pause=%v: %d keys, want %d", workers, pause, len(got), len(want))
+			}
+			for i, p := range got {
+				if i > 0 && !less(got[i-1].Key, p.Key) {
+					t.Fatalf("workers=%d pause=%v: %q then %q", workers, pause, got[i-1].Key, p.Key)
+				}
+				if !reflect.DeepEqual(p.Value, want[p.Key]) {
+					t.Fatalf("workers=%d pause=%v: %q = %v, want %v", workers, pause, p.Key, p.Value, want[p.Key])
+				}
+			}
+		}
+	}
+}

@@ -74,6 +74,7 @@ type Scanner struct {
 	carry  []byte // bytes read past the last cut: the next fragment's head
 	eof    bool   // the source has reported io.EOF
 	done   bool
+	err    error // a read error past a whole fragment, for the next Next
 	serial int
 }
 
@@ -124,6 +125,9 @@ func recycleFrag(frag []byte) {
 func (s *Scanner) Next() ([]byte, error) {
 	if s.done {
 		return nil, io.EOF
+	}
+	if s.err != nil {
+		return nil, s.err
 	}
 	if s.opts.FragmentSize <= 0 {
 		// Native mode: the whole remaining stream is one fragment.
@@ -204,9 +208,40 @@ func (s *Scanner) Next() ([]byte, error) {
 		}
 		scanned = extra
 	}
+	if len(s.carry) == 0 && !s.done {
+		// The cut fell on the last byte read. One more read tells whether
+		// the stream ends on it; what it reads opens the next fragment. The
+		// fragment is whole either way, so an error of that read ends the
+		// scan at the next call, not this one.
+		if err := s.readCarry(spare); err != nil {
+			s.err = fmt.Errorf("partition: reading fragment: %w", err)
+		} else {
+			s.done = len(s.carry) == 0
+		}
+	}
 	s.serial++
 	return buf, nil
 }
+
+// readCarry reads up to n bytes into the empty carry, until it gets at
+// least one or the source reports EOF.
+func (s *Scanner) readCarry(n int) error {
+	s.carry = slices.Grow(s.carry, n)
+	for !s.eof && len(s.carry) == 0 {
+		k, err := s.r.Read(s.carry[:n])
+		s.carry = s.carry[:k]
+		if err == io.EOF {
+			s.eof = true
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// last reports whether the fragment Next returned last ends the stream:
+// the next call returns io.EOF.
+func (s *Scanner) last() bool { return s.done }
 
 // readWhole reads r to EOF into one buffer sized up front when r can say
 // how many bytes it holds — an in-memory reader's or the nfs stream's Len,

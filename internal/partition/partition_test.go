@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -430,6 +431,67 @@ func TestScannerTailReadErrorSurfaces(t *testing.T) {
 		frags, err := scanAll(r, Options{FragmentSize: 8})
 		if !errors.Is(err, boom) {
 			t.Fatalf("%s: got %q, err %v; want the reader's error", rd.name, frags, err)
+		}
+	}
+}
+
+// TestScannerErrorPastWholeFragment: when a cut falls on the last byte
+// read, the read that asks whether the stream ends there must not cost the
+// whole fragment its delivery: its error comes from the next call.
+func TestScannerErrorPastWholeFragment(t *testing.T) {
+	boom := errors.New("disk gone")
+	// The integrity check's one-byte tail read ends on the cut.
+	in := io.MultiReader(iotest.OneByteReader(strings.NewReader("aaaa ")), iotest.ErrReader(boom))
+	sc := NewScanner(in, Options{FragmentSize: 4})
+	frag, err := sc.Next()
+	if err != nil || string(frag) != "aaaa " {
+		t.Fatalf("got %q, err %v; want %q", frag, err, "aaaa ")
+	}
+	if sc.last() {
+		t.Fatal("the fragment says it ends the stream")
+	}
+	if _, err := sc.Next(); !errors.Is(err, boom) {
+		t.Fatalf("got err %v; want the reader's error", err)
+	}
+}
+
+// TestScannerKnowsLastFragment: the scanner must know, when it returns a
+// fragment, whether it ends the stream — on every read shape, for a stream
+// that ends on a cut, inside the integrity check's tail read (on a
+// delimiter or not), or short of a full fragment.
+func TestScannerKnowsLastFragment(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	inputs := [][]byte{
+		[]byte(strings.Repeat("abc ", 16)),       // every cut on a draft boundary
+		[]byte("aaaa bbbbbb "),                   // the tail read ends the stream on its delimiter
+		[]byte("aaaa bbbbbb"),                    // the last record runs to EOF
+		[]byte("aaaa bbbbbb c"),                  // a short fragment after the cut
+		[]byte(strings.Repeat("abc ", 3) + "\n"), // a delimiter run past the boundary
+	}
+	for range 20 {
+		inputs = append(inputs, randomText(rng, 1+rng.Intn(200)))
+	}
+	for _, data := range inputs {
+		for _, size := range []int64{1, 4, 8, 13, 64} {
+			for _, rd := range shortReaders {
+				sc := NewScanner(rd.wrap(bytes.NewReader(data)), Options{FragmentSize: size})
+				var lasts []bool
+				for {
+					_, err := sc.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					lasts = append(lasts, sc.last())
+				}
+				for i, last := range lasts {
+					if last != (i == len(lasts)-1) {
+						t.Fatalf("%s, %q at size %d: fragment %d of %d says last=%v", rd.name, data, size, i+1, len(lasts), last)
+					}
+				}
+			}
 		}
 	}
 }

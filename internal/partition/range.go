@@ -169,17 +169,33 @@ func (rr *RangeReader) Read(p []byte) (int, error) {
 // last range can, so the concatenation holds exactly the records of the
 // ranges with none glued to its neighbour.
 //
-// Ranges open in order and one ahead: the next range is opened when the
-// current one starts serving. A store that prefetches at open, as
-// nfs.Client's range reader does, fetches range i+1 while range i is
-// scanned, but no further. With every range open at once the store serves
-// them in arbitrary order, and a scan that needs the bytes in order waits
-// for whichever range lands last.
+// Ranges open in order and one ahead: the next range's open starts, off
+// the read path, when the current one starts serving, and a read waits for
+// it only when it needs the range. A store that prefetches at open, as
+// nfs.Client's range reader does and which answers its open only once the
+// first chunk has crossed, fetches range i+1 while range i is scanned, but
+// no further. With every range open at once the store serves them in
+// arbitrary order, and a scan that needs the bytes in order waits for
+// whichever range lands last.
 type RangeChain struct {
-	open      func(off, length int64) (io.ReadCloser, error)
-	todo      [][2]int64 // ranges not opened yet
-	cur, next *rangeView
-	err       error // sticky: a failed open leaves a hole in the stream
+	open func(off, length int64) (io.ReadCloser, error)
+	todo [][2]int64 // ranges not opened yet
+	cur  *rangeView
+	next *rangeOpen // the open of the range after cur; nil when none is left
+	err  error      // sticky: a failed open leaves a hole in the stream
+}
+
+// rangeOpen is one range's open, in flight until done is closed.
+type rangeOpen struct {
+	done chan struct{}
+	v    *rangeView
+	err  error
+}
+
+// wait returns the opened range once its open has finished.
+func (o *rangeOpen) wait() (*rangeView, error) {
+	<-o.done
+	return o.v, o.err
 }
 
 // rangeView is one opened range: the file and its aligned view.
@@ -190,9 +206,11 @@ type rangeView struct {
 
 // NewRangeChain validates ranges (each [start, end) with 0 <= start <=
 // end, ascending, not overlapping), drops empty ones, coalesces adjacent
-// ones, and opens the first two. open(off, length) must return the file
-// positioned at off for a scan of about length bytes; it must still serve
-// bytes past off+length, where a range finishes its last record.
+// ones, opens the first and starts opening the second. open(off, length)
+// must return the file positioned at off for a scan of about length bytes;
+// it must still serve bytes past off+length, where a range finishes its
+// last record. A later range's open error surfaces at the read that needs
+// that range.
 func NewRangeChain(ranges [][2]int64, open func(off, length int64) (io.ReadCloser, error)) (*RangeChain, error) {
 	todo := make([][2]int64, 0, len(ranges))
 	for _, rg := range ranges {
@@ -214,24 +232,36 @@ func NewRangeChain(ranges [][2]int64, open func(off, length int64) (io.ReadClose
 		todo = append(todo, rg)
 	}
 	c := &RangeChain{open: open, todo: todo}
-	var err error
-	if c.cur, err = c.openNext(); err == nil {
-		c.next, err = c.openNext()
-	}
-	if err != nil {
-		c.Close()
-		return nil, err
+	if len(todo) > 0 {
+		c.todo = todo[1:]
+		cur, err := c.openRange(todo[0])
+		if err != nil {
+			return nil, err
+		}
+		c.cur = cur
+		c.openNext()
 	}
 	return c, nil
 }
 
-// openNext opens the first range not opened yet; nil when none is left.
-func (c *RangeChain) openNext() (*rangeView, error) {
+// openNext starts opening the first range not opened yet, if any is left,
+// as next.
+func (c *RangeChain) openNext() {
 	if len(c.todo) == 0 {
-		return nil, nil
+		return
 	}
 	rg := c.todo[0]
 	c.todo = c.todo[1:]
+	o := &rangeOpen{done: make(chan struct{})}
+	go func() {
+		defer close(o.done)
+		o.v, o.err = c.openRange(rg)
+	}()
+	c.next = o
+}
+
+// openRange opens rg and its aligned view.
+func (c *RangeChain) openRange(rg [2]int64) (*rangeView, error) {
 	lead := LeadIn(rg[0])
 	f, err := c.open(lead, rg[1]-lead)
 	if err != nil {
@@ -256,10 +286,18 @@ func (c *RangeChain) Read(p []byte) (int, error) {
 			return n, err
 		}
 		// RangeReader reports EOF with no bytes: move to the next range
-		// and open the one after it.
-		c.cur.f.Close()
-		c.cur, c.next = c.next, nil
-		c.next, c.err = c.openNext()
+		// and start opening the one after it, never with more than two
+		// ranges open.
+		done := c.cur
+		c.cur = nil
+		if o := c.next; o != nil {
+			c.next = nil
+			c.cur, c.err = o.wait()
+		}
+		done.f.Close()
+		if c.cur != nil {
+			c.openNext()
+		}
 	}
 	if c.err != nil {
 		return 0, c.err
@@ -267,10 +305,15 @@ func (c *RangeChain) Read(p []byte) (int, error) {
 	return 0, io.EOF
 }
 
-// Close releases the open ranges.
+// Close releases the open ranges, waiting for an open in flight.
 func (c *RangeChain) Close() error {
+	views := []*rangeView{c.cur}
+	if c.next != nil {
+		v, _ := c.next.wait()
+		views = append(views, v)
+	}
 	var err error
-	for _, v := range []*rangeView{c.cur, c.next} {
+	for _, v := range views {
 		if v != nil {
 			if cerr := v.f.Close(); err == nil {
 				err = cerr

@@ -2,10 +2,13 @@ package partition
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // readRange runs a RangeReader over data[LeadIn(start):] for [start, end).
@@ -234,4 +237,98 @@ func sortInt64(s []int64) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
+}
+
+// TestRangeChainOpensNextOffReadPath: the range after the current one
+// opens while the current one is read, so a slow open stalls no read that
+// does not need its range; its error surfaces at the read that does, and
+// Close waits for an open in flight and closes what it opened.
+func TestRangeChainOpensNextOffReadPath(t *testing.T) {
+	data := []byte("aaa --- bbb --- ccc --- ddd ")
+	ranges := [][2]int64{{0, 4}, {8, 12}, {16, 20}, {24, 28}} // apart: no coalescing
+	boom := errors.New("open failed")
+	var open atomic.Int32
+	// chain opens ranges over data, holding the open of offset slowOff
+	// until release is closed and failing the one of offset failOff.
+	chain := func(slowOff, failOff int64, release <-chan struct{}) *RangeChain {
+		rc, err := NewRangeChain(ranges, func(off, _ int64) (io.ReadCloser, error) {
+			if off == slowOff {
+				<-release
+			}
+			if off == failOff {
+				return nil, boom
+			}
+			open.Add(1)
+			return closeFunc{bytes.NewReader(data[off:]), func() { open.Add(-1) }}, nil
+		})
+		if err != nil {
+			panic(err) // the first range's open cannot fail here
+		}
+		return rc
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+
+	// The second range's open is held: the chain still opens and its
+	// first range still reads.
+	release := make(chan struct{})
+	var rc *RangeChain
+	buf := make([]byte, 16)
+	var n int
+	within("a read of the first range during the second's open", func() {
+		rc = chain(LeadIn(8), -1, release)
+		n, _ = io.ReadFull(rc, buf[:4])
+	})
+	if string(buf[:n]) != "aaa " {
+		t.Fatalf("first range read %q, want %q", buf[:n], "aaa ")
+	}
+	close(release)
+	rest, err := io.ReadAll(rc)
+	if err != nil || string(rest) != "bbb ccc ddd " {
+		t.Fatalf("rest = %q, %v; want %q", rest, err, "bbb ccc ddd ")
+	}
+	rc.Close()
+
+	// A failed open surfaces where its range is needed, not before.
+	rc = chain(-1, LeadIn(16), nil)
+	got, err := io.ReadAll(rc)
+	if !errors.Is(err, boom) || string(got) != "aaa bbb " {
+		t.Fatalf("read %q, err %v; want %q then the open's error", got, err, "aaa bbb ")
+	}
+	rc.Close()
+
+	// Close waits for the open in flight and closes its range.
+	release = make(chan struct{})
+	rc = chain(LeadIn(8), -1, release)
+	closed := make(chan struct{})
+	go func() { defer close(closed); rc.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an open was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	within("Close after the open", func() { <-closed })
+	if k := open.Load(); k != 0 {
+		t.Fatalf("%d ranges left open after Close", k)
+	}
+}
+
+// closeFunc is a reader whose Close calls a function.
+type closeFunc struct {
+	io.Reader
+	close func()
+}
+
+func (c closeFunc) Close() error {
+	c.close()
+	return nil
 }

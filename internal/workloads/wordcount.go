@@ -337,21 +337,10 @@ func inlineKey(s *wcSlot) []byte {
 	return b[:s.n]
 }
 
-// key returns slot s's word.
-func (t *wcTable) key(s *wcSlot) string {
-	if s.n > wcInlineKey {
-		return t.long[s.hi]
-	}
-	return string(inlineKey(s))
-}
-
 // flush emits every counted word once, in first-seen order, and empties
 // the table for its next chunk.
 func (t *wcTable) flush(emit func(string, int)) {
-	for _, i := range t.order {
-		s := &t.slots[i]
-		emit(t.key(s), s.count)
-	}
+	t.each(emit)
 	t.reset()
 }
 
@@ -366,9 +355,16 @@ func (t *wcTable) reset() {
 }
 
 // words returns every counted word with its count, in first-seen order.
-// The short words are cut from one string, so the whole vocabulary costs
-// one allocation besides the slice.
 func (t *wcTable) words() []WordFreq {
+	out := make([]WordFreq, 0, len(t.order))
+	t.each(func(w string, n int) { out = append(out, WordFreq{Word: w, Count: n}) })
+	return out
+}
+
+// each calls f with every counted word and its count, in first-seen
+// order. The short words are cut from one string, so the whole vocabulary
+// costs one allocation.
+func (t *wcTable) each(f func(string, int)) {
 	size := 0
 	for _, i := range t.order {
 		if n := t.slots[i].n; n <= wcInlineKey {
@@ -383,20 +379,15 @@ func (t *wcTable) words() []WordFreq {
 		}
 	}
 	short := b.String()
-	out := make([]WordFreq, len(t.order))
-	off := 0
-	for j, i := range t.order {
+	for _, i := range t.order {
 		s := &t.slots[i]
-		w := WordFreq{Count: s.count}
 		if s.n > wcInlineKey {
-			w.Word = t.long[s.hi]
-		} else {
-			w.Word = short[off : off+s.n]
-			off += s.n
+			f(t.long[s.hi], s.count)
+			continue
 		}
-		out[j] = w
+		f(short[:s.n], s.count)
+		short = short[s.n:]
 	}
-	return out
 }
 
 // WordCountJob is one word-count job's counting state, which outlives its

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcsd/internal/mapreduce"
 	"mcsd/internal/partition"
 )
 
@@ -47,6 +48,27 @@ func BenchmarkWordCountMap(b *testing.B) {
 	}
 	if distinct == 0 {
 		b.Fatal("no words")
+	}
+}
+
+// BenchmarkEngineWorkers runs the engine over one 4 MiB word-count
+// fragment, as partition.Run hands it a fragment (no key order), on one
+// worker and on two: the last fragment of a stream gets every worker of
+// the pool, so two must beat one. Run it at -cpu 2 or more.
+func BenchmarkEngineWorkers(b *testing.B) {
+	input := benchCorpus(b)
+	spec := WordCountSpec()
+	spec.Less = nil
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(input)))
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := mapreduce.Run(context.Background(), mapreduce.Config{Workers: workers}, spec, input); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
